@@ -432,6 +432,34 @@ def _feature_mode(config, stage) -> FeatureMode:
                             f"{[m.value for m in FeatureMode]}, got {raw!r}")
 
 
+def _check_preprocess_manifest(config: dict[str, str], out_dir: str,
+                               inputs: dict[str, str], dense_digest: str) -> None:
+    """Refuse a dense_usage.csv that preprocess did not write from these
+    inputs with this parse setup."""
+    stage = "analyze"
+    path = os.path.join(out_dir, "manifest-preprocess.json")
+    if not os.path.exists(path):
+        raise StageError(stage, f"{DENSE_FILENAME} in {out_dir} has no "
+                                "manifest-preprocess.json; rerun preprocess")
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    recorded = manifest.get("config", {})
+    checks = (
+        ("input digests", manifest.get("inputs") == inputs),
+        (f"{DENSE_FILENAME} digest",
+         manifest.get("outputs", {}).get(DENSE_FILENAME) == dense_digest),
+        ("schema_profile", _get(recorded, "schema_profile", stage)
+         == _get(config, "schema_profile", stage)),
+        ("has_header", _get_bool(recorded, "has_header", stage)
+         == _get_bool(config, "has_header", stage)),
+    )
+    stale = [name for name, agrees in checks if not agrees]
+    if stale:
+        raise StageError(stage, f"{DENSE_FILENAME} in {out_dir} is stale: "
+                                f"manifest-preprocess.json disagrees on "
+                                f"{', '.join(stale)}; rerun preprocess")
+
+
 def run_analyze(config: dict[str, str]) -> str:
     stage = "analyze"
     out_dir = _get(config, "output_dir", stage)
@@ -445,8 +473,10 @@ def run_analyze(config: dict[str, str]) -> str:
         clean, _removed = filter_container_events(bundle.container_events)
         bundle = dataclasses.replace(bundle, container_events=clean)
         if os.path.exists(dense_path):
+            dense_digest = _sha256(dense_path)
+            _check_preprocess_manifest(config, out_dir, inputs, dense_digest)
             dense = read_dense_csv(dense_path)
-            inputs[DENSE_FILENAME] = _sha256(dense_path)
+            inputs[DENSE_FILENAME] = dense_digest
             if list(dense.timestamps) != list(grid.timestamps()):
                 raise StageError(stage, f"{DENSE_FILENAME} disagrees with the "
                                         "configured grid; rerun preprocess")

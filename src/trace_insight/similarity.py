@@ -7,6 +7,11 @@ the normalized form sqrt(cost)/K is available behind a flag. A set of
 standard curves is drawn from a seeded sample, the median pairwise distance
 within the sample is the baseline value, and machines whose mean distance to
 the standards exceeds a threshold get flagged.
+
+The sample's pairwise distances and the machine x standard distances come
+from one batched DP: a single anti-diagonal sweep over all pairs, whatever
+the curve length, that carries each cell's optimal path length forward in
+place of a traceback. ``dtw_distance`` runs the same recurrence for one pair.
 """
 
 from __future__ import annotations
@@ -22,9 +27,6 @@ from .trace_model import float_text
 
 DEFAULT_THRESHOLD = 3.0
 DEFAULT_RANGE_EDGES = (0.0, 1.0, 2.0, 3.0, 5.0)
-
-# below this cost-matrix size the plain-python DP beats the vectorized one
-_SMALL_DTW_CELLS = 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,8 +70,8 @@ def build_resource_curves(series: list[MachineSeries]) -> list[ResourceCurve]:
 
 
 def _as_points(curve) -> np.ndarray:
-    points = curve.points if isinstance(curve, ResourceCurve) else np.asarray(curve, float)
-    points = np.asarray(points, float)
+    points = np.asarray(curve.points if isinstance(curve, ResourceCurve)
+                        else curve, float)
     if points.ndim == 1:
         points = points[:, None]
     if points.ndim != 2 or len(points) == 0:
@@ -77,71 +79,55 @@ def _as_points(curve) -> np.ndarray:
     return points
 
 
-def _cost_matrix(qp: np.ndarray, sp: np.ndarray) -> np.ndarray:
-    diff = qp[:, None, :] - sp[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+def _stack_points(curves) -> np.ndarray:
+    """(curves, n, d) array of equal-length curves."""
+    points = [_as_points(c) for c in curves]
+    lengths = sorted({len(p) for p in points})
+    if len(lengths) > 1:
+        raise ValueError(f"curves differ in length: {lengths}")
+    return np.stack(points)
 
 
-def _accumulate_small(cost: np.ndarray) -> np.ndarray:
-    rows = cost.tolist()
-    n = len(rows)
-    l = len(rows[0])
-    for j in range(1, l):
-        rows[0][j] += rows[0][j - 1]
-    for i in range(1, n):
-        prev = rows[i - 1]
-        cur = rows[i]
-        cur[0] += prev[0]
-        for j in range(1, l):
-            best = prev[j - 1]
-            if prev[j] < best:
-                best = prev[j]
-            if cur[j - 1] < best:
-                best = cur[j - 1]
-            cur[j] += best
-    return np.array(rows)
+def _dtw_batch(q: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """DTW cost and optimal path length of every pair of curves in q and s.
 
+    ``q`` is (..., n, d) and ``s`` is (..., l, d); their leading axes
+    broadcast against each other into the pair axes of both results. The
+    sweep over the anti-diagonals i + j = k keeps the last two, indexed by
+    row i at offset 1 with pairs on the contiguous axes and inf padding, so
+    the first row and column need no special case. A cell adds its cost to
+    min(diagonal, up, left) and extends the path of the predecessor a
+    traceback would take: diagonal if it is <= both others, else up if
+    up <= left, else left.
+    """
+    n, l = q.shape[-2], s.shape[-2]
+    rows = np.moveaxis(q, -2, 0)                 # (n, ..., d) views
+    cols = np.moveaxis(s[..., ::-1, :], -2, 0)   # cols[r] is point l-1-r
 
-def _accumulate_large(cost: np.ndarray) -> np.ndarray:
-    """Anti-diagonal sweep; every cell sees the same three predecessors as the
-    scalar DP, so the result is bit-identical to _accumulate_small."""
-    n, l = cost.shape
-    acc = np.empty_like(cost)
-    acc[0, :] = np.cumsum(cost[0, :])
-    acc[:, 0] = np.cumsum(cost[:, 0])
-    for d in range(2, n + l - 1):
-        i0 = max(1, d - l + 1)
-        i1 = min(n - 1, d - 1)
-        if i0 > i1:
-            continue
-        i = np.arange(i0, i1 + 1)
-        j = d - i
-        best = np.minimum(acc[i - 1, j - 1], acc[i - 1, j])
-        np.minimum(best, acc[i, j - 1], out=best)
-        acc[i, j] = cost[i, j] + best
-    return acc
+    def diagonal_cost(k: int, lo: int, hi: int) -> np.ndarray:
+        # the dimension axis stays last and contiguous: einsum's summation
+        # order over it is what keeps distances bit-stable
+        diff = rows[lo:hi + 1] - cols[l - 1 - k + lo:l - k + hi]
+        return np.einsum("...k,...k->...", diff, diff)
 
-
-def _path_length(acc: np.ndarray) -> int:
-    i = acc.shape[0] - 1
-    j = acc.shape[1] - 1
-    k = 1
-    while i > 0 or j > 0:
-        if i == 0:
-            j -= 1
-        elif j == 0:
-            i -= 1
-        else:
-            diag = acc[i - 1, j - 1]
-            if diag <= acc[i - 1, j] and diag <= acc[i, j - 1]:
-                i -= 1
-                j -= 1
-            elif acc[i - 1, j] <= acc[i, j - 1]:
-                i -= 1
-            else:
-                j -= 1
-        k += 1
-    return k
+    pairs = np.broadcast_shapes(q.shape[:-2], s.shape[:-2])
+    acc = np.full((3, n + 1, *pairs), np.inf)   # diagonal k lives at k % 3
+    steps = np.zeros((3, n + 1, *pairs), dtype=np.int32)
+    acc[0, 1] = diagonal_cost(0, 0, 0)[0]
+    steps[0, 1] = 1
+    for k in range(1, n + l - 1):
+        lo, hi = max(0, k - l + 1), min(n - 1, k)
+        here, prev, back = k % 3, (k - 1) % 3, (k - 2) % 3
+        diag, up, left = (acc[back, lo:hi + 1], acc[prev, lo:hi + 1],
+                          acc[prev, lo + 1:hi + 2])
+        best = np.minimum(np.minimum(diag, up), left)
+        acc[here, lo + 1:hi + 2] = diagonal_cost(k, lo, hi) + best
+        steps[here, lo + 1:hi + 2] = 1 + np.where(
+            (diag <= up) & (diag <= left), steps[back, lo:hi + 1],
+            np.where(up <= left, steps[prev, lo:hi + 1],
+                     steps[prev, lo + 1:hi + 2]))
+    last = (n + l - 2) % 3
+    return acc[last, n].copy(), steps[last, n].copy()
 
 
 def dtw_distance(q, s) -> DtwResult:
@@ -149,19 +135,35 @@ def dtw_distance(q, s) -> DtwResult:
 
     Accepts ResourceCurve or any array-like of points; scalar series are
     treated as 1-vectors. The alignment is unconstrained (no warping window).
+    The one-pair form of ``_dtw_batch`` (same cells, recurrence and tie-break)
+    runs row by row in plain Python, which is cheaper for one small pair than
+    a numpy call per anti-diagonal.
     """
     qp = _as_points(q)
     sp = _as_points(s)
     if qp.shape[1] != sp.shape[1]:
         raise ValueError(f"curves disagree on dimensionality: "
                          f"{qp.shape[1]} vs {sp.shape[1]}")
-    cost = _cost_matrix(qp, sp)
-    if cost.size <= _SMALL_DTW_CELLS:
-        acc = _accumulate_small(cost)
-    else:
-        acc = _accumulate_large(cost)
+    diff = qp[:, None, :] - sp[None, :, :]
+    inf = float("inf")
+    # previous row at offset 1 with inf padding; the virtual cell before
+    # (0, 0) is 0 with an empty path
+    acc, steps = [0.0] + [inf] * len(sp), [0] * (len(sp) + 1)
+    for row in np.einsum("...k,...k->...", diff, diff).tolist():
+        cur, cur_steps = [inf], [0]
+        for j, cost in enumerate(row):
+            diag, up, left = acc[j], acc[j + 1], cur[j]
+            if diag <= up and diag <= left:
+                best, k = diag, steps[j]
+            elif up <= left:
+                best, k = up, steps[j + 1]
+            else:
+                best, k = left, cur_steps[j]
+            cur.append(cost + best)
+            cur_steps.append(k + 1)
+        acc, steps = cur, cur_steps
     machine = q.machine if isinstance(q, ResourceCurve) else -1
-    return DtwResult(machine, float(acc[-1, -1]), _path_length(acc))
+    return DtwResult(machine, acc[-1], steps[-1])
 
 
 def normalized_distance(result: DtwResult) -> float:
@@ -207,10 +209,9 @@ def select_standard(curves: list[ResourceCurve], sample_num: int, seed: int,
         standards = [sample[int(i)] for i in np.sort(chosen)]
     if len(sample) < 2:
         raise ValueError("need at least 2 sampled curves for a pairwise median")
-    pair_values = [
-        dtw_distance(sample[a], sample[b]).distance
-        for a in range(len(sample)) for b in range(a + 1, len(sample))
-    ]
+    points = _stack_points(sample)
+    a, b = np.triu_indices(len(sample), 1)
+    pair_values, _ = _dtw_batch(points[a], points[b])
     return float(np.median(pair_values)), standards
 
 
@@ -236,12 +237,10 @@ def score_similarity(curves: list[ResourceCurve],
         raise ValueError(f"range edges must be sorted, got {range_edges}")
     ordered = sorted(curves, key=lambda c: c.machine)
     machines = [c.machine for c in ordered]
-    distances = np.empty((len(ordered), len(standard_curves)))
-    for i, curve in enumerate(ordered):
-        for j, std in enumerate(standard_curves):
-            result = dtw_distance(curve, std)
-            distances[i, j] = (normalized_distance(result) if normalized
-                               else result.distance)
+    distances, steps = _dtw_batch(_stack_points(ordered)[:, None],
+                                  _stack_points(standard_curves)[None])
+    if normalized:
+        distances = np.sqrt(distances) / steps
     mean_distance = distances.mean(axis=1)
 
     histogram = [0] * len(range_edges)

@@ -177,7 +177,6 @@ class TraceBundle:
     batch_tasks: list[BatchTaskRecord] = field(default_factory=list)
     batch_instances: list[BatchInstanceRecord] = field(default_factory=list)
     machine_count: int = 0
-    repair_log: list = field(default_factory=list)
 
     def machine_ids(self) -> range:
         return range(1, self.machine_count + 1)

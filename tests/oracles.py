@@ -70,6 +70,46 @@ def brute_force_dtw(q, s) -> float:
     ))
 
 
+def dtw_recurrence(q, s) -> tuple[float, int]:
+    """Sakoe & Chiba recurrence filled cell by cell, then an explicit traceback.
+
+    From the last cell the traceback steps to the diagonal predecessor if it
+    is <= both others, else up if up <= left, else left; along the first row
+    or column it has one way back. Returns (cost, path length in cells).
+    """
+    qp, sp = _points(q), _points(s)
+    n, l = len(qp), len(sp)
+    acc = [[0.0] * l for _ in range(n)]
+    for i in range(n):
+        for j in range(l):
+            cost = sum((float(a) - float(b)) ** 2 for a, b in zip(qp[i], sp[j]))
+            if i == 0 and j == 0:
+                prev = 0.0
+            elif i == 0:
+                prev = acc[i][j - 1]
+            elif j == 0:
+                prev = acc[i - 1][j]
+            else:
+                prev = min(acc[i - 1][j - 1], acc[i - 1][j], acc[i][j - 1])
+            acc[i][j] = cost + prev
+    i, j, length = n - 1, l - 1, 1
+    while i > 0 or j > 0:
+        if i == 0:
+            j -= 1
+        elif j == 0:
+            i -= 1
+        else:
+            diag, up, left = acc[i - 1][j - 1], acc[i - 1][j], acc[i][j - 1]
+            if diag <= up and diag <= left:
+                i, j = i - 1, j - 1
+            elif up <= left:
+                i -= 1
+            else:
+                j -= 1
+        length += 1
+    return acc[-1][-1], length
+
+
 # ---------------------------------------------------------------------------
 # interval overlap
 

@@ -12,6 +12,7 @@ from trace_insight.pipeline import (
     apply_overrides,
     build_report,
     parse_config_file,
+    run_analyze,
     run_preprocess,
     run_synth,
     write_manifest,
@@ -220,6 +221,65 @@ def test_run_preprocess_repairs_planted_gaps(tmp_path):
     assert set(manifest["inputs"]) == {
         "server_event.csv", "server_usage.csv", "container_event.csv",
         "container_usage.csv", "batch_task.csv", "batch_instance.csv"}
+
+
+def stage_config(trace, out, **extra):
+    config = {
+        "input_dir": str(trace),
+        "output_dir": str(out),
+        "grid_start": "39600",
+        "grid_end": str(39600 + 12 * 300),
+        "grid_step": "300",
+        "dtw_seed": "7",
+        "classify_seed": "7",
+        "anomaly_seed": "7",
+    }
+    config.update(extra)
+    return config
+
+
+def noisy_trace(path, seed):
+    run_synth(synth_config(path, synth_machines="16",
+                           synth_quotas="9,1,1,1,1,1,1,1",
+                           synth_noise="0.03", synth_seed=str(seed)))
+    return path
+
+
+def test_analyze_refuses_a_dense_file_preprocessed_from_another_trace(tmp_path):
+    trace_a = noisy_trace(tmp_path / "a", seed=7)
+    trace_b = noisy_trace(tmp_path / "b", seed=8)
+    out = tmp_path / "out"
+    run_preprocess(stage_config(trace_b, out))
+    with pytest.raises(StageError, match="disagrees on input digests; "
+                                         "rerun preprocess") as err:
+        run_analyze(stage_config(trace_a, out))
+    assert err.value.stage == "analyze"
+
+    # a matching preprocess -> analyze in one directory agrees with a run
+    # that never had a dense file to reuse
+    run_preprocess(stage_config(trace_a, out))
+    run_analyze(stage_config(trace_a, out))
+    clean = tmp_path / "clean"
+    run_analyze(stage_config(trace_a, clean))
+    for name in ("dtw_distances.csv", "machine_series.csv"):
+        assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+
+
+def test_analyze_refuses_a_dense_file_its_manifest_does_not_vouch_for(tmp_path):
+    trace = noisy_trace(tmp_path / "trace", seed=7)
+    out = tmp_path / "out"
+    run_preprocess(stage_config(trace, out))
+    with pytest.raises(StageError, match="disagrees on has_header"):
+        run_analyze(stage_config(trace, out, has_header="true"))
+
+    dense = out / "dense_usage.csv"
+    dense.write_text(dense.read_text() + "\n")
+    with pytest.raises(StageError, match="disagrees on dense_usage.csv digest"):
+        run_analyze(stage_config(trace, out))
+
+    (out / "manifest-preprocess.json").unlink()
+    with pytest.raises(StageError, match="no manifest-preprocess.json"):
+        run_analyze(stage_config(trace, out))
 
 
 def test_report_without_analyze_artifacts_fails_loudly(tmp_path):

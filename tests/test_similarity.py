@@ -8,8 +8,7 @@ import oracles
 from trace_insight.similarity import (
     DEFAULT_RANGE_EDGES,
     ResourceCurve,
-    _accumulate_large,
-    _accumulate_small,
+    _dtw_batch,
     build_resource_curves,
     dtw_distance,
     histogram_dict,
@@ -21,10 +20,9 @@ from trace_insight.similarity import (
     write_histogram_json,
 )
 
-curve_points = st.lists(
-    st.tuples(st.floats(0, 1.5), st.floats(0, 1.5), st.floats(0, 1.5)),
-    min_size=1, max_size=8,
-).map(lambda pts: np.array(pts, float))
+point = st.tuples(st.floats(0, 1.5), st.floats(0, 1.5), st.floats(0, 1.5))
+curve_points = st.lists(point, min_size=1, max_size=8).map(
+    lambda pts: np.array(pts, float))
 
 
 def flat_curve(machine, cpu, mem=0.0, disk=0.0, length=4):
@@ -87,33 +85,49 @@ def test_dtw_agrees_with_path_enumeration(q, s):
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
-def test_both_accumulators_agree_across_the_size_cutoff():
+DTW_SHAPES = [(1, 1), (1, 7), (16, 16), (16, 17), (30, 23), (40, 35)]
+
+
+def dyadic_points(rng, shape, top=8):
+    # multiples of 1/8 keep every sum exact; a small top makes ties common
+    return rng.integers(0, top + 1, shape) / 8
+
+
+def test_kernel_matches_the_recurrence_on_every_shape():
     rng = np.random.default_rng(3)
-    for n, l in [(1, 1), (1, 7), (4, 4), (16, 16), (16, 17), (30, 23)]:
-        cost = rng.random((n, l))
-        small = _accumulate_small(cost)
-        large = _accumulate_large(cost)
-        assert np.array_equal(small, large), (n, l)
+    for n, l in DTW_SHAPES:
+        for d, top in ((1, 2), (1, 8), (3, 1), (3, 8)):
+            q = dyadic_points(rng, (6, n, d), top)
+            s = dyadic_points(rng, (6, l, d), top)
+            for a, b in ((q, s), (s, q)):
+                distance, path_length = _dtw_batch(a, b)
+                for p in range(len(a)):
+                    want = oracles.dtw_recurrence(a[p], b[p])
+                    single = dtw_distance(a[p], b[p])
+                    assert (distance[p], path_length[p]) == want, (n, l, d, p)
+                    assert (single.distance, single.path_length) == want
 
 
-def test_long_curves_take_the_blocked_path_and_match_the_recurrence():
+def test_path_length_steps_up_when_up_and_left_tie():
+    # on this pair's optimal path up and left tie and the diagonal is
+    # dearer: stepping up gives 5 cells, stepping left would give 6
+    q = np.array([0, 1, 0, 0, 2]) / 8
+    s = np.array([0, 2, 0]) / 8
+    assert oracles.dtw_recurrence(q, s) == (0.078125, 5)
+    assert dtw_distance(q, s).path_length == 5
+    assert _dtw_batch(q[None, :, None], s[None, :, None])[1].tolist() == [5]
+
+
+def test_batched_long_curves_match_the_recurrence():
     rng = np.random.default_rng(11)
-    q = rng.random((40, 3))
-    s = rng.random((35, 3))   # 1400 cells, well past the small cutoff
-    got = dtw_distance(q, s).distance
-    # reference recurrence, written directly
-    cost = ((q[:, None, :] - s[None, :, :]) ** 2).sum(axis=2)
-    acc = np.full((len(q), len(s)), np.inf)
-    for i in range(len(q)):
-        for j in range(len(s)):
-            prev = 0.0 if i == j == 0 else min(
-                acc[i - 1, j - 1] if i and j else np.inf,
-                acc[i - 1, j] if i else np.inf,
-                acc[i, j - 1] if j else np.inf,
-            )
-            acc[i, j] = cost[i, j] + prev
-    # the production cost matrix may round its last ulp differently
-    assert got == pytest.approx(acc[-1, -1], rel=1e-12)
+    q = dyadic_points(rng, (5, 1, 40, 3), top=2)
+    s = dyadic_points(rng, (1, 3, 35, 3), top=2)
+    distance, path_length = _dtw_batch(q, s)   # pair axes broadcast to (5, 3)
+    assert distance.shape == path_length.shape == (5, 3)
+    for i in range(5):
+        for j in range(3):
+            want = oracles.dtw_recurrence(q[i, 0], s[0, j])
+            assert (distance[i, j], path_length[i, j]) == want, (i, j)
 
 
 def test_normalized_distance_formula():
@@ -123,7 +137,20 @@ def test_normalized_distance_formula():
         np.sqrt(12.0) / result.path_length)
 
 
+def test_three_dimensional_cost_keeps_its_summation_order():
+    # (0.1^2 + 0.5^2) + 0.2^2 rounds one ulp above the left-to-right sum;
+    # every pinned artifact digest was produced with the first order
+    point = [0.1, 0.2, 0.5]
+    assert (0.1 ** 2 + 0.2 ** 2) + 0.5 ** 2 == 0.3
+    assert dtw_distance([point], [[0.0, 0.0, 0.0]]).distance == 0.30000000000000004
+    machines = [ResourceCurve(m, np.array([point, point])) for m in (1, 2)]
+    standards = [ResourceCurve(9, np.zeros((2, 3)))]
+    report = score_similarity(machines, standards)
+    assert report.distances.tolist() == [[0.6000000000000001]] * 2
+
+
 # ---------------------------------------------------------------------------
+# standard selection# ---------------------------------------------------------------------------
 # standard selection
 
 
@@ -223,6 +250,42 @@ def test_score_similarity_normalized_uses_the_sqrt_form():
     want = np.sqrt(plain.distances[0, 0]) / 3.0
     assert normed.distances[0, 0] == pytest.approx(want)
     assert normed.normalized is True
+
+
+@st.composite
+def machines_and_standards(draw):
+    def curves(ids):
+        length = draw(st.integers(1, 8))
+        return [ResourceCurve(m, np.array(draw(st.lists(
+            point, min_size=length, max_size=length)), float)) for m in ids]
+
+    return (curves(range(1, draw(st.integers(1, 4)) + 1)),
+            curves(range(101, draw(st.integers(101, 103)) + 1)))
+
+
+@settings(max_examples=50)
+@given(machines_and_standards())
+def test_batch_scores_equal_single_pair_scores(curves):
+    machines, standards = curves
+    plain = score_similarity(machines, standards)
+    normed = score_similarity(machines, standards, normalized=True)
+    for i, curve in enumerate(machines):
+        for j, std in enumerate(standards):
+            single = dtw_distance(curve, std)
+            assert plain.distances[i, j] == single.distance
+            assert normed.distances[i, j] == normalized_distance(single)
+
+
+def test_batch_callers_reject_curves_of_different_lengths():
+    ragged = [ResourceCurve(1, np.zeros((4, 3))), ResourceCurve(2, np.zeros((5, 3)))]
+    with pytest.raises(ValueError, match="differ in length"):
+        score_similarity(ragged, ragged[:1])
+    with pytest.raises(ValueError, match="differ in length"):
+        score_similarity(ragged[:1], ragged)
+    with pytest.raises(ValueError, match="differ in length"):
+        select_standard(ragged, sample_num=2, seed=0, standard_count=1)
+    # a single pair may still differ in length
+    assert dtw_distance(ragged[0], ragged[1]).distance == 0.0
 
 
 def test_histogram_edges_are_configurable():
