@@ -8,7 +8,6 @@ from .trace_model import (  # noqa: F401
     IntervalGrid,
     TraceBundle,
     TraceParseError,
-    build_interval_grid,
     parse_trace_dir,
     validate_bundle,
     write_trace_dir,

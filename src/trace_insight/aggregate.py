@@ -1,10 +1,19 @@
 """Per-(machine, interval) usage attribution for containers and batch instances.
 
-Container usage is charged from its measured fraction of the request; batch
-usage is charged per overlap between the instance's [start, end] span and each
-closed grid interval. An instance fully inside one interval charges its whole
-average usage to that interval; partially overlapping instances charge the
-overlapped share of their total runtime.
+Both aggregators work on whole arrays and return a ``UsageTable``: one row
+per machine they saw, one column per grid interval.
+
+Container usage is charged from its measured fraction of the request. Records
+are bucketed to the interval holding their timestamp; several records for one
+container in one interval are averaged, and a cell totals its containers in
+the order they first appear in its records.
+
+Batch usage is charged per overlap between the instance's [start, end] span
+and each closed grid interval, by expanding every (instance, interval) pair
+and accumulating the pairs in instance order. An instance charges the
+overlapped share of its runtime, so one fully inside an interval charges its
+whole average usage there. A zero-runtime instance is inside every interval
+it touches, and it charges its whole average once, to the last of them.
 
 Counts (how many containers / batch instances a machine hosts in an interval)
 use life-cycle intersection with the closed interval, so an instance touching
@@ -14,31 +23,29 @@ an interval boundary is a member there even though it charges nothing.
 from __future__ import annotations
 
 import csv
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .preprocess import DenseUsage
-from .trace_model import Interval, IntervalGrid, TraceBundle, float_text
+from .trace_model import IntervalGrid, TraceBundle, float_text
 
 
-@dataclass(frozen=True, slots=True)
-class ContainerAgg:
-    machine: int
-    interval: Interval
-    container_count: int
-    total_cpu: float   # fraction of machine CPU
-    total_mem: float   # fraction of machine memory
+@dataclass
+class UsageTable:
+    """Totals per (machine, interval) for the machines in ``machines``
+    (sorted); every other array is (len(machines), interval_count).
+    ``len()`` is the number of cells."""
 
+    machines: np.ndarray
+    count: np.ndarray
+    cpu: np.ndarray        # fraction of machine CPU
+    mem: np.ndarray        # fraction of machine memory
+    cpu_cores: np.ndarray | None = None   # batch only: cpu before / cores
 
-@dataclass(frozen=True, slots=True)
-class BatchAgg:
-    machine: int
-    interval: Interval
-    batch_count: int
-    total_cpu_cores: float
-    total_cpu: float   # total_cpu_cores / machine cpu count
-    total_mem: float
+    def __len__(self) -> int:
+        return self.count.size
 
 
 @dataclass
@@ -66,7 +73,15 @@ class AggDiagnostics:
     zero_timestamp_instances: int = 0
     unplaced_instances: int = 0
     invalid_span_instances: int = 0
-    zero_runtime_skipped: int = 0
+    # machines with no core count of their own that borrowed the largest one
+    borrowed_core_machines: set[int] = field(default_factory=set)
+    # machines missing from the dense server table, zero-filled in the series
+    zero_filled_machines: int = 0
+
+    def counts(self) -> dict[str, int]:
+        counts = dataclasses.asdict(self)
+        counts["borrowed_core_machines"] = len(self.borrowed_core_machines)
+        return counts
 
 
 def machine_cpu_counts(bundle: TraceBundle) -> dict[int, int]:
@@ -79,48 +94,49 @@ def machine_cpu_counts(bundle: TraceBundle) -> dict[int, int]:
     return counts
 
 
-def _cores_for(machine: int, counts: dict[int, int]) -> int:
-    cores = counts.get(machine)
-    if cores is None:
-        cores = max(counts.values(), default=0)
-    if cores <= 0:
-        raise ValueError(f"cannot determine core count for machine {machine}; "
-                         "no machine events with cpu_count > 0")
-    return cores
+def _cores_for(machines: np.ndarray, counts: dict[int, int],
+               diag: AggDiagnostics) -> np.ndarray:
+    """Core count per machine; a machine without one borrows the largest
+    count of the others and is recorded in ``diag``."""
+    fallback = max(counts.values(), default=0)
+    cores = []
+    for m in machines.tolist():
+        if m not in counts:
+            diag.borrowed_core_machines.add(m)
+        c = counts.get(m, fallback)
+        if c <= 0:
+            raise ValueError(f"cannot determine core count for machine {m}; "
+                             "no machine events with cpu_count > 0")
+        cores.append(c)
+    return np.array(cores, dtype=np.int64)
 
 
-def overlap_runtime(start: int, end: int, interval: Interval) -> int:
-    """Seconds of [start, end] falling inside the closed interval; 0 when
-    they do not intersect. The four position cases collapse to one min/max
-    expression but are spelled out to mirror the attribution branches."""
-    if end < interval.start or start > interval.end:
-        return 0
-    starts_inside = start >= interval.start
-    ends_inside = end <= interval.end
-    if starts_inside and ends_inside:
-        return end - start
-    if not starts_inside and ends_inside:
-        return end - interval.start
-    if starts_inside and not ends_inside:
-        return interval.end - start
-    return interval.end - interval.start
+def overlap_runtime(start, end, lo, hi):
+    """Seconds of [start, end] inside the closed interval [lo, hi], 0 when
+    they do not intersect; elementwise on arrays."""
+    return np.maximum(0, np.minimum(end, hi) - np.maximum(start, lo))
 
 
-def _first_interval_touching(ts: int, grid: IntervalGrid) -> int:
+def _first_interval_touching(ts: np.ndarray, grid: IntervalGrid) -> np.ndarray:
     """Smallest interval index whose closed interval intersects [ts, inf)."""
-    if ts <= grid.start:
-        return 0
-    return -(-(ts - grid.start) // grid.step) - 1
+    return np.where(ts <= grid.start, 0, -(-(ts - grid.start) // grid.step) - 1)
 
 
-def _last_interval_touching(ts: int, grid: IntervalGrid) -> int:
+def _last_interval_touching(ts: np.ndarray, grid: IntervalGrid) -> np.ndarray:
     """Largest interval index whose closed interval intersects (-inf, ts]."""
-    return min(grid.interval_count - 1, (ts - grid.start) // grid.step)
+    return np.minimum(grid.interval_count - 1, (ts - grid.start) // grid.step)
+
+
+def _cell_sums(cell: np.ndarray, weights: np.ndarray | None, rows: int,
+               n: int) -> np.ndarray:
+    """(rows, n) totals of ``weights`` by flat cell index, each cell summed
+    from 0.0 in input order; counts of ``cell`` when ``weights`` is None."""
+    return np.bincount(cell, weights, minlength=rows * n).reshape(rows, n)
 
 
 def aggregate_container_usage(bundle: TraceBundle, grid: IntervalGrid,
                               diagnostics: AggDiagnostics | None = None,
-                              ) -> list[ContainerAgg]:
+                              ) -> UsageTable:
     """Container-level totals per (machine, interval).
 
     Expects container events to be filtered (one per instance). Usage records
@@ -129,54 +145,57 @@ def aggregate_container_usage(bundle: TraceBundle, grid: IntervalGrid,
     instances are skipped.
     """
     diag = diagnostics if diagnostics is not None else AggDiagnostics()
-    cores = machine_cpu_counts(bundle)
-    events = {ev.instance: ev for ev in bundle.container_events}
     n = grid.interval_count
+    events = bundle.container_events
+    machines, ev_row = np.unique(
+        np.array([ev.machine for ev in events], dtype=np.int64),
+        return_inverse=True)
+    rows = len(machines)
+    cores = _cores_for(machines, machine_cpu_counts(bundle), diag)
 
-    machines = sorted({ev.machine for ev in bundle.container_events})
-    m_index = {m: i for i, m in enumerate(machines)}
-    counts = np.zeros((len(machines), n), dtype=np.int64)
-    for ev in bundle.container_events:
-        first = _first_interval_touching(ev.timestamp, grid)
-        if first < n:
-            counts[m_index[ev.machine], first:] += 1
+    # a container counts from the first interval reaching its creation on
+    first = _first_interval_touching(
+        np.array([ev.timestamp for ev in events], dtype=np.int64), grid)
+    created = _cell_sums(ev_row * (n + 1) + np.minimum(first, n), None, rows, n + 1)
+    count = created[:, :n].cumsum(axis=1)
 
-    # (machine row, interval) -> instance -> [cpu_of_req sum, mem_of_req sum, hits]
-    buckets: dict[tuple[int, int], dict[int, list[float]]] = {}
-    for rec in bundle.container_usage:
-        ev = events.get(rec.instance)
-        if ev is None:
-            diag.unknown_instance_records += 1
-            continue
-        x = grid.interval_index(rec.timestamp)
-        if x is None:
-            diag.out_of_grid_usage_records += 1
-            continue
-        slot = buckets.setdefault((m_index[ev.machine], x), {})
-        acc = slot.setdefault(rec.instance, [0.0, 0.0, 0.0])
-        acc[0] += rec.cpu_of_req
-        acc[1] += rec.mem_of_req
-        acc[2] += 1.0
+    event_of = {ev.instance: i for i, ev in enumerate(events)}
+    usage = bundle.container_usage
+    rec_ev = np.array([event_of.get(rec.instance, -1) for rec in usage],
+                      dtype=np.int64)
+    ts = np.array([rec.timestamp for rec in usage], dtype=np.int64)
+    known = rec_ev >= 0
+    in_grid = (ts >= grid.start) & (ts < grid.end)
+    diag.unknown_instance_records += int(np.count_nonzero(~known))
+    diag.out_of_grid_usage_records += int(np.count_nonzero(known & ~in_grid))
+    keep = known & in_grid
+    rec_ev = rec_ev[keep]
+    cpu_of_req = np.array([rec.cpu_of_req for rec in usage], dtype=float)[keep]
+    mem_of_req = np.array([rec.mem_of_req for rec in usage], dtype=float)[keep]
 
-    aggs: list[ContainerAgg] = []
-    for m in machines:
-        row = m_index[m]
-        machine_cores = _cores_for(m, cores)
-        for x in range(n):
-            total_cpu = 0.0
-            total_mem = 0.0
-            for instance, (cpu_sum, mem_sum, hits) in buckets.get((row, x), {}).items():
-                ev = events[instance]
-                total_cpu += (cpu_sum / hits) * ev.cpu_req / machine_cores
-                total_mem += (mem_sum / hits) * ev.mem_req
-            aggs.append(ContainerAgg(m, grid.interval(x),
-                                     int(counts[row, x]), total_cpu, total_mem))
-    return aggs
+    # average each (instance, interval) over its records, summed in order
+    pair, first_rec, pair_of_rec = np.unique(
+        rec_ev * n + (ts[keep] - grid.start) // grid.step,
+        return_index=True, return_inverse=True)
+    hits = np.bincount(pair_of_rec)
+    pair_ev, pair_x = pair // n, pair % n
+    cpu_req = np.array([ev.cpu_req for ev in events], dtype=float)[pair_ev]
+    mem_req = np.array([ev.mem_req for ev in events], dtype=float)[pair_ev]
+    pair_row = ev_row[pair_ev]
+    cpu = np.bincount(pair_of_rec, cpu_of_req) / hits * cpu_req / cores[pair_row]
+    mem = np.bincount(pair_of_rec, mem_of_req) / hits * mem_req
+
+    # total each cell over its instances in the order they first show up
+    order = np.argsort(first_rec)
+    cell = (pair_row * n + pair_x)[order]
+    return UsageTable(machines, count,
+                      _cell_sums(cell, cpu[order], rows, n),
+                      _cell_sums(cell, mem[order], rows, n))
 
 
 def aggregate_batch_usage(bundle: TraceBundle, grid: IntervalGrid,
                           diagnostics: AggDiagnostics | None = None,
-                          duration_weighted: bool = False) -> list[BatchAgg]:
+                          duration_weighted: bool = False) -> UsageTable:
     """Batch-level totals per (machine, interval).
 
     Instances with a zero timestamp never ran inside the recorded window and
@@ -185,109 +204,80 @@ def aggregate_batch_usage(bundle: TraceBundle, grid: IntervalGrid,
     default share-of-runtime scheme; it exists for sensitivity checks only.
     """
     diag = diagnostics if diagnostics is not None else AggDiagnostics()
-    cores = machine_cpu_counts(bundle)
     n = grid.interval_count
+    insts = bundle.batch_instances
+    start = np.array([bi.start for bi in insts], dtype=np.int64)
+    end = np.array([bi.end for bi in insts], dtype=np.int64)
+    machine = np.array([bi.machine for bi in insts], dtype=np.int64)
+    machines = np.unique(machine[machine >= 1])
+    rows = len(machines)
+    cores = _cores_for(machines, machine_cpu_counts(bundle), diag)
 
-    machines = sorted({bi.machine for bi in bundle.batch_instances if bi.machine >= 1})
-    m_index = {m: i for i, m in enumerate(machines)}
-    count = np.zeros((len(machines), n), dtype=np.int64)
-    cpu_cores = np.zeros((len(machines), n))
-    mem = np.zeros((len(machines), n))
+    zero_ts = (start == 0) | (end == 0)
+    unplaced = ~zero_ts & (machine < 1)
+    invalid = ~zero_ts & ~unplaced & (end < start)
+    diag.zero_timestamp_instances += int(np.count_nonzero(zero_ts))
+    diag.unplaced_instances += int(np.count_nonzero(unplaced))
+    diag.invalid_span_instances += int(np.count_nonzero(invalid))
+    ok = ~(zero_ts | unplaced | invalid)
+    start, end = start[ok], end[ok]
+    row = np.searchsorted(machines, machine[ok])
+    avg_cpu = np.array([bi.avg_cpu for bi in insts], dtype=float)[ok]
+    avg_mem = np.array([bi.avg_mem for bi in insts], dtype=float)[ok]
 
-    for bi in bundle.batch_instances:
-        if bi.start == 0 or bi.end == 0:
-            diag.zero_timestamp_instances += 1
-            continue
-        if bi.machine < 1:
-            diag.unplaced_instances += 1
-            continue
-        if bi.end < bi.start:
-            diag.invalid_span_instances += 1
-            continue
-        row = m_index[bi.machine]
-        runtime = bi.end - bi.start
-        first = _first_interval_touching(bi.start, grid)
-        last = _last_interval_touching(bi.end, grid)
-        for x in range(first, last + 1):
-            iv = grid.interval(x)
-            count[row, x] += 1
-            if duration_weighted:
-                share = overlap_runtime(bi.start, bi.end, iv) / grid.step
-                cpu_cores[row, x] += bi.avg_cpu * share
-                mem[row, x] += bi.avg_mem * share
-                continue
-            if bi.start >= iv.start and bi.end <= iv.end:
-                cpu_cores[row, x] += bi.avg_cpu
-                mem[row, x] += bi.avg_mem
-            else:
-                if runtime == 0:
-                    diag.zero_runtime_skipped += 1
-                    continue
-                share = overlap_runtime(bi.start, bi.end, iv) / runtime
-                cpu_cores[row, x] += bi.avg_cpu * share
-                mem[row, x] += bi.avg_mem * share
+    # every (instance, interval) pair it touches, instance-major
+    first = _first_interval_touching(start, grid)
+    last = _last_interval_touching(end, grid)
+    span = np.maximum(last - first + 1, 0)
+    inst = np.repeat(np.arange(len(start)), span)
+    x = first[inst] + np.arange(len(inst)) - np.repeat(np.cumsum(span) - span, span)
+    lo = grid.start + x * grid.step
+    overlap = overlap_runtime(start[inst], end[inst], lo, lo + grid.step)
+    if duration_weighted:
+        share = overlap / grid.step
+    else:
+        runtime = (end - start)[inst]
+        share = np.where(runtime > 0, overlap / np.maximum(runtime, 1),
+                         x == last[inst])
 
-    aggs: list[BatchAgg] = []
-    for m in machines:
-        row = m_index[m]
-        machine_cores = _cores_for(m, cores)
-        for x in range(n):
-            aggs.append(BatchAgg(
-                m, grid.interval(x), int(count[row, x]),
-                float(cpu_cores[row, x]),
-                float(cpu_cores[row, x]) / machine_cores,
-                float(mem[row, x]),
-            ))
-    return aggs
+    cell = row[inst] * n + x
+    cpu_cores = _cell_sums(cell, avg_cpu[inst] * share, rows, n)
+    return UsageTable(machines, _cell_sums(cell, None, rows, n),
+                      cpu_cores / cores[:, None],
+                      _cell_sums(cell, avg_mem[inst] * share, rows, n),
+                      cpu_cores)
 
 
 def build_machine_series(bundle: TraceBundle, grid: IntervalGrid, dense: DenseUsage,
-                         container_aggs: list[ContainerAgg],
-                         batch_aggs: list[BatchAgg]) -> list[MachineSeries]:
+                         containers: UsageTable, batch: UsageTable,
+                         diagnostics: AggDiagnostics | None = None,
+                         ) -> list[MachineSeries]:
     """One MachineSeries per machine id, zeros where a machine is absent from
     a source. Server usage per interval is the mean of the interval's two
     endpoint samples in the dense table, so all samples contribute."""
+    diag = diagnostics if diagnostics is not None else AggDiagnostics()
     n = grid.interval_count
     m_count = bundle.machine_count
-    dense_rows = {int(m): i for i, m in enumerate(dense.machines)}
 
-    c_count = {m: np.zeros(n) for m in range(1, m_count + 1)}
-    c_cpu = {m: np.zeros(n) for m in range(1, m_count + 1)}
-    c_mem = {m: np.zeros(n) for m in range(1, m_count + 1)}
-    for agg in container_aggs:
-        c_count[agg.machine][agg.interval.index] = agg.container_count
-        c_cpu[agg.machine][agg.interval.index] = agg.total_cpu
-        c_mem[agg.machine][agg.interval.index] = agg.total_mem
-    b_count = {m: np.zeros(n) for m in range(1, m_count + 1)}
-    b_cores = {m: np.zeros(n) for m in range(1, m_count + 1)}
-    b_cpu = {m: np.zeros(n) for m in range(1, m_count + 1)}
-    b_mem = {m: np.zeros(n) for m in range(1, m_count + 1)}
-    for agg in batch_aggs:
-        b_count[agg.machine][agg.interval.index] = agg.batch_count
-        b_cores[agg.machine][agg.interval.index] = agg.total_cpu_cores
-        b_cpu[agg.machine][agg.interval.index] = agg.total_cpu
-        b_mem[agg.machine][agg.interval.index] = agg.total_mem
+    def place(machines: np.ndarray, values: np.ndarray) -> np.ndarray:
+        out = np.zeros((m_count, n))
+        out[machines - 1] = values
+        return out
 
-    series = []
-    for m in range(1, m_count + 1):
-        row = dense_rows.get(m)
-        if row is None:
-            cpu = np.zeros(n)
-            mem_arr = np.zeros(n)
-            disk = np.zeros(n)
-        else:
-            vals = dense.values[row]
-            cpu = (vals[:-1, 0] + vals[1:, 0]) / 2.0
-            mem_arr = (vals[:-1, 1] + vals[1:, 1]) / 2.0
-            disk = (vals[:-1, 2] + vals[1:, 2]) / 2.0
-        series.append(MachineSeries(
-            machine=m,
-            server_cpu=cpu, server_mem=mem_arr, server_disk=disk,
-            container_count=c_count[m], container_cpu=c_cpu[m], container_mem=c_mem[m],
-            batch_count=b_count[m], batch_cpu_cores=b_cores[m],
-            batch_cpu=b_cpu[m], batch_mem=b_mem[m],
-        ))
-    return series
+    listed = (dense.machines >= 1) & (dense.machines <= m_count)
+    dense_machines = dense.machines[listed]
+    vals = dense.values[listed]
+    diag.zero_filled_machines += m_count - len(np.unique(dense_machines))
+    fields = {f"server_{name}": place(dense_machines,
+                                      (vals[:, :-1, k] + vals[:, 1:, k]) / 2.0)
+              for k, name in enumerate(("cpu", "mem", "disk"))}
+    fields.update({f"container_{name}": place(containers.machines,
+                                              getattr(containers, name))
+                   for name in ("count", "cpu", "mem")})
+    fields.update({f"batch_{name}": place(batch.machines, getattr(batch, name))
+                   for name in ("count", "cpu_cores", "cpu", "mem")})
+    return [MachineSeries(machine=i + 1, **{k: v[i] for k, v in fields.items()})
+            for i in range(m_count)]
 
 
 # ---------------------------------------------------------------------------
@@ -304,47 +294,44 @@ SERIES_HEADER = ("machine", "interval_index", "interval_start",
                  "residual_cpu", "residual_mem")
 
 
-def write_container_agg_csv(aggs: list[ContainerAgg], path: str) -> None:
+def _write_rows(path: str, header: tuple[str, ...], grid: IntervalGrid,
+                rows) -> None:
+    """One CSV line per (machine, interval), written a machine at a time from
+    ``rows``, which yields (machine, per-interval columns): the machine, the
+    interval index and start, then the columns, integer ones as integers and
+    the rest as ``float_text``."""
+    n = grid.interval_count
+    index, starts = list(range(n)), grid.timestamps()[:-1].tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CONTAINER_AGG_HEADER)
-        for agg in aggs:
-            writer.writerow([agg.machine, agg.interval.index, agg.interval.start,
-                             agg.container_count,
-                             float_text(agg.total_cpu), float_text(agg.total_mem)])
+        writer.writerow(header)
+        for machine, columns in rows:
+            cells = [col.tolist() if col.dtype.kind == "i"
+                     else list(map(float_text, col.tolist())) for col in columns]
+            writer.writerows(zip([machine] * n, index, starts, *cells))
 
 
-def write_batch_agg_csv(aggs: list[BatchAgg], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(BATCH_AGG_HEADER)
-        for agg in aggs:
-            writer.writerow([agg.machine, agg.interval.index, agg.interval.start,
-                             agg.batch_count, float_text(agg.total_cpu_cores),
-                             float_text(agg.total_cpu), float_text(agg.total_mem)])
+def write_container_agg_csv(table: UsageTable, grid: IntervalGrid,
+                            path: str) -> None:
+    _write_rows(path, CONTAINER_AGG_HEADER, grid,
+                zip(table.machines.tolist(), zip(table.count, table.cpu, table.mem)))
+
+
+def write_batch_agg_csv(table: UsageTable, grid: IntervalGrid, path: str) -> None:
+    _write_rows(path, BATCH_AGG_HEADER, grid, zip(
+        table.machines.tolist(),
+        zip(table.count, table.cpu_cores, table.cpu, table.mem)))
 
 
 def write_machine_series_csv(series: list[MachineSeries], grid: IntervalGrid,
                              path: str) -> None:
     """Server-level per machine-interval table; the residual columns report
     server usage not accounted for by containers plus batch."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SERIES_HEADER)
-        for s in series:
-            for x in range(grid.interval_count):
-                residual_cpu = float(s.server_cpu[x] - s.container_cpu[x] - s.batch_cpu[x])
-                residual_mem = float(s.server_mem[x] - s.container_mem[x] - s.batch_mem[x])
-                writer.writerow([
-                    s.machine, x, grid.start + x * grid.step,
-                    float_text(float(s.server_cpu[x])),
-                    float_text(float(s.server_mem[x])),
-                    float_text(float(s.server_disk[x])),
-                    int(s.container_count[x]),
-                    float_text(float(s.container_cpu[x])),
-                    float_text(float(s.container_mem[x])),
-                    int(s.batch_count[x]),
-                    float_text(float(s.batch_cpu[x])),
-                    float_text(float(s.batch_mem[x])),
-                    float_text(residual_cpu), float_text(residual_mem),
-                ])
+    _write_rows(path, SERIES_HEADER, grid, (
+        (s.machine, (s.server_cpu, s.server_mem, s.server_disk,
+                     s.container_count.astype(np.int64), s.container_cpu,
+                     s.container_mem, s.batch_count.astype(np.int64),
+                     s.batch_cpu, s.batch_mem,
+                     s.server_cpu - s.container_cpu - s.batch_cpu,
+                     s.server_mem - s.container_mem - s.batch_mem))
+        for s in series))

@@ -484,15 +484,14 @@ def run_analyze(config: dict[str, str]) -> str:
             dense, _notes = supplement_server_usage(bundle, grid)
 
         diag = AggDiagnostics()
-        container_aggs = aggregate_container_usage(bundle, grid, diag)
-        batch_aggs = aggregate_batch_usage(
+        containers = aggregate_container_usage(bundle, grid, diag)
+        batch = aggregate_batch_usage(
             bundle, grid, diag,
             duration_weighted=_get_bool(config, "duration_weighted", stage))
-        series = build_machine_series(bundle, grid, dense,
-                                      container_aggs, batch_aggs)
-        write_container_agg_csv(container_aggs,
+        series = build_machine_series(bundle, grid, dense, containers, batch, diag)
+        write_container_agg_csv(containers, grid,
                                 os.path.join(out_dir, "container_usage_agg.csv"))
-        write_batch_agg_csv(batch_aggs,
+        write_batch_agg_csv(batch, grid,
                             os.path.join(out_dir, "batch_usage_agg.csv"))
         write_machine_series_csv(series, grid,
                                  os.path.join(out_dir, "machine_series.csv"))
@@ -587,6 +586,7 @@ def run_analyze(config: dict[str, str]) -> str:
                        "scored": len(anomaly_report.machines),
                        "negative_scores": anomaly_report.negative_count,
                        "top_ranked": min(top_n, len(anomaly_report.ranking)),
+                       **diag.counts(),
                    })
     return out_dir
 

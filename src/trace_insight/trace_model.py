@@ -677,13 +677,6 @@ def write_trace_dir(bundle: TraceBundle, path: str, schema_profile="default", *,
 # interval grid
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
-    index: int
-    start: int
-    end: int
-
-
 @dataclass(frozen=True)
 class IntervalGrid:
     """Uniform sampling grid: timestamps t_x = start + x*step, x = 0..N,
@@ -717,15 +710,6 @@ class IntervalGrid:
     def timestamps(self) -> np.ndarray:
         return self.start + self.step * np.arange(self.timestamp_count, dtype=np.int64)
 
-    def interval(self, index: int) -> Interval:
-        if not 0 <= index < self.interval_count:
-            raise IndexError(f"interval index {index} out of range")
-        t = self.start + index * self.step
-        return Interval(index, t, t + self.step)
-
-    def intervals(self) -> list[Interval]:
-        return [self.interval(x) for x in range(self.interval_count)]
-
     def interval_index(self, timestamp: int) -> int | None:
         """Index x with t_x <= timestamp < t_{x+1}; None outside [start, end)."""
         if timestamp < self.start or timestamp >= self.end:
@@ -738,10 +722,6 @@ class IntervalGrid:
         if timestamp < self.start or timestamp >= self.end + self.step:
             return None
         return (timestamp - self.start) // self.step
-
-
-def build_interval_grid(start: int, end: int, step: int) -> IntervalGrid:
-    return IntervalGrid(int(start), int(end), int(step))
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,111 @@ def clipped_overlap(start: int, end: int, lo: int, hi: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# usage attribution
+
+
+def _grid_intervals(grid_start: int, grid_end: int, step: int) -> list:
+    return [(lo, lo + step) for lo in range(grid_start, grid_end, step)]
+
+
+def attribute_containers(events, usage, cores, grid_start, grid_end, step):
+    """Container counts and usage per (machine, interval), one record at a time.
+
+    ``events`` holds (instance, machine, timestamp, cpu_req, mem_req), at most
+    one per instance; ``usage`` holds (timestamp, instance, cpu_of_req,
+    mem_of_req); ``cores`` maps machine -> core count. A container counts in
+    every closed interval that reaches its creation time or later. A record
+    lands in the interval [lo, lo + step) holding its timestamp; records of
+    one container in one interval are averaged, and a cell adds up its
+    containers in the order they first appear in its records. Returns
+    {machine: (counts, cpu, mem)} for every machine with a container, plus
+    (unknown-instance records, out-of-grid records).
+    """
+    intervals = _grid_intervals(grid_start, grid_end, step)
+    n = len(intervals)
+    by_instance = {ev[0]: ev for ev in events}
+    table = {}
+    for _instance, machine, created, _cpu_req, _mem_req in events:
+        counts = table.setdefault(machine, ([0] * n, [0.0] * n, [0.0] * n))[0]
+        for x, (_lo, hi) in enumerate(intervals):
+            if hi >= created:
+                counts[x] += 1
+
+    buckets = {}   # (machine, x) -> {instance: [cpu sum, mem sum, hits]}
+    unknown = out_of_grid = 0
+    for ts, instance, cpu_of_req, mem_of_req in usage:
+        if instance not in by_instance:
+            unknown += 1
+            continue
+        slot = [x for x, (lo, hi) in enumerate(intervals) if lo <= ts < hi]
+        if not slot:
+            out_of_grid += 1
+            continue
+        machine = by_instance[instance][1]
+        acc = buckets.setdefault((machine, slot[0]), {}).setdefault(
+            instance, [0.0, 0.0, 0])
+        acc[0] += cpu_of_req
+        acc[1] += mem_of_req
+        acc[2] += 1
+
+    for (machine, x), per_instance in buckets.items():
+        _counts, cpu, mem = table[machine]
+        for instance, (cpu_sum, mem_sum, hits) in per_instance.items():
+            _inst, _m, _ts, cpu_req, mem_req = by_instance[instance]
+            cpu[x] += (cpu_sum / hits) * cpu_req / cores[machine]
+            mem[x] += (mem_sum / hits) * mem_req
+    return table, (unknown, out_of_grid)
+
+
+def attribute_batch(instances, cores, grid_start, grid_end, step,
+                    duration_weighted=False):
+    """Batch counts and usage per (machine, interval), one instance at a time.
+
+    ``instances`` holds (start, end, machine, avg_cpu, avg_mem). Instances
+    with a zero timestamp, no machine (< 1) or end < start are skipped. An
+    instance counts in every closed interval its [start, end] span touches
+    and charges its average times the overlapped share of its runtime (of
+    the interval when ``duration_weighted``); a zero-runtime span charges its
+    whole average to the last interval it touches. Returns {machine:
+    (counts, cpu_cores, cpu, mem)} for every machine with a placed instance,
+    plus (zero-timestamp, unplaced, invalid-span) skip counts.
+    """
+    intervals = _grid_intervals(grid_start, grid_end, step)
+    n = len(intervals)
+    table = {m: ([0] * n, [0.0] * n, [0.0] * n)
+             for _s, _e, m, _c, _mem in instances if m >= 1}
+    zero_ts = unplaced = invalid = 0
+    for start, end, machine, avg_cpu, avg_mem in instances:
+        if start == 0 or end == 0:
+            zero_ts += 1
+            continue
+        if machine < 1:
+            unplaced += 1
+            continue
+        if end < start:
+            invalid += 1
+            continue
+        counts, cpu_cores, mem = table[machine]
+        touched = [x for x, (lo, hi) in enumerate(intervals)
+                   if start <= hi and end >= lo]
+        for x in touched:
+            counts[x] += 1
+            lo, hi = intervals[x]
+            overlap = clipped_overlap(start, end, lo, hi)
+            if duration_weighted:
+                share = overlap / step
+            elif end == start:
+                share = 1.0 if x == touched[-1] else 0.0
+            else:
+                share = overlap / (end - start)
+            cpu_cores[x] += avg_cpu * share
+            mem[x] += avg_mem * share
+    return ({m: (counts, cpu_cores, [c / cores[m] for c in cpu_cores], mem)
+             for m, (counts, cpu_cores, mem) in table.items()},
+            (zero_ts, unplaced, invalid))
+
+
+# ---------------------------------------------------------------------------
 # partition agreement
 
 

@@ -143,8 +143,8 @@ def test_criterion_03_overlap_conserves_clipped_runtime():
         grid = IntervalGrid(start, start + count * step, step)
         s = int(rng.integers(start - 2 * step, grid.end + 2 * step))
         e = s + int(rng.integers(0, 3 * step + 1))
-        total = sum(overlap_runtime(s, e, grid.interval(x))
-                    for x in range(grid.interval_count))
+        bounds = grid.timestamps()
+        total = int(overlap_runtime(s, e, bounds[:-1], bounds[1:]).sum())
         assert total == oracles.clipped_overlap(s, e, grid.start, grid.end)
     ok("03", "10000 random (instance, grid) cases, exact integer equality")
 

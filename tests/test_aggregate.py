@@ -77,23 +77,24 @@ def test_container_aggregation_needs_a_core_count():
 
 
 def test_overlap_covers_all_four_positions():
-    iv = GRID.interval(1)   # [1100, 1200]
-    assert overlap_runtime(1120, 1180, iv) == 60    # inside
-    assert overlap_runtime(1050, 1150, iv) == 50    # enters
-    assert overlap_runtime(1150, 1250, iv) == 50    # leaves
-    assert overlap_runtime(1000, 1300, iv) == 100   # covers
-    assert overlap_runtime(900, 1050, iv) == 0      # disjoint left
-    assert overlap_runtime(1250, 1300, iv) == 0     # disjoint right
-    assert overlap_runtime(1200, 1250, iv) == 0     # touches the boundary
+    iv = (1100, 1200)   # interval 1
+    assert overlap_runtime(1120, 1180, *iv) == 60    # inside
+    assert overlap_runtime(1050, 1150, *iv) == 50    # enters
+    assert overlap_runtime(1150, 1250, *iv) == 50    # leaves
+    assert overlap_runtime(1000, 1300, *iv) == 100   # covers
+    assert overlap_runtime(900, 1050, *iv) == 0      # disjoint left
+    assert overlap_runtime(1250, 1300, *iv) == 0     # disjoint right
+    assert overlap_runtime(1200, 1250, *iv) == 0     # touches the boundary
 
 
 @given(st.integers(0, 2000), st.integers(0, 800))
 def test_overlap_matches_the_clip_formula(start, length):
     end = start + length
-    for x in range(GRID.interval_count):
-        iv = GRID.interval(x)
-        assert overlap_runtime(start, end, iv) == oracles.clipped_overlap(
-            start, end, iv.start, iv.end)
+    ts = GRID.timestamps()
+    overlaps = overlap_runtime(start, end, ts[:-1], ts[1:])
+    assert overlaps.tolist() == [
+        oracles.clipped_overlap(start, end, lo, hi)
+        for lo, hi in zip(ts[:-1].tolist(), ts[1:].tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -114,21 +115,20 @@ def container_bundle():
 
 
 def test_container_usage_is_scaled_by_request_over_cores():
-    aggs = aggregate_container_usage(container_bundle(), GRID)
-    by_interval = {a.interval.index: a for a in aggs}
+    table = aggregate_container_usage(container_bundle(), GRID)
+    assert table.machines.tolist() == [1]
     # 50% of an 8-core request on a 64-core machine
-    assert by_interval[0].total_cpu == pytest.approx(0.5 * 8.0 / 64.0)
-    assert by_interval[0].total_mem == pytest.approx(0.6 * 0.05)
+    assert table.cpu[0, 0] == pytest.approx(0.5 * 8.0 / 64.0)
+    assert table.mem[0, 0] == pytest.approx(0.6 * 0.05)
     # two samples in interval 1 average to 0.5 before scaling
-    assert by_interval[1].total_cpu == pytest.approx(0.5 * 8.0 / 64.0)
-    assert by_interval[2].total_cpu == 0.0
+    assert table.cpu[0, 1] == pytest.approx(0.5 * 8.0 / 64.0)
+    assert table.cpu[0, 2] == 0.0
 
 
 def test_container_counts_run_from_creation_to_the_end():
     bundle = container_bundle()
     bundle.container_events.append(container(8, 1, ts=1150))
-    aggs = aggregate_container_usage(bundle, GRID)
-    counts = [a.container_count for a in sorted(aggs, key=lambda a: a.interval.index)]
+    counts = aggregate_container_usage(bundle, GRID).count[0].tolist()
     # instance 7 exists everywhere; instance 8 joins in interval 1,
     # whose closed span [1100, 1200] is the first to contain ts 1150
     assert counts == [1, 2, 2, 2]
@@ -137,9 +137,28 @@ def test_container_counts_run_from_creation_to_the_end():
 def test_container_created_on_a_boundary_counts_in_the_earlier_interval():
     bundle = container_bundle()
     bundle.container_events.append(container(8, 1, ts=1100))
-    aggs = aggregate_container_usage(bundle, GRID)
-    counts = [a.container_count for a in sorted(aggs, key=lambda a: a.interval.index)]
+    counts = aggregate_container_usage(bundle, GRID).count[0].tolist()
     assert counts == [2, 2, 2, 2]
+
+
+def test_container_usage_keeps_its_operation_order():
+    # (0.1 + 0.2) + 0.3 and 0.3 + 0.2 + 0.1 round differently
+    assert 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1
+    bundle = TraceBundle(
+        events=[add_event(1)],
+        # request == cores, so containers 1-3 charge their cpu_of_req exactly
+        container_events=[container(i, 1, cpu_req=64.0) for i in (1, 2, 3)]
+        + [container(4, 1, cpu_req=6.0)],
+        container_usage=[usage(3, 1000, 0.1), usage(2, 1010, 0.2), usage(1, 1020, 0.3),
+                         usage(4, 1100, 0.3), usage(4, 1110, 0.6), usage(4, 1120, 0.7)],
+        machine_count=1)
+    table = aggregate_container_usage(bundle, GRID)
+    # a cell adds its containers in the order they first show up in it
+    assert table.cpu[0, 0] == 0.0 + 0.1 + 0.2 + 0.3
+    # records are averaged before scaling by request / cores, and the other
+    # order rounds differently here
+    assert table.cpu[0, 1] == (0.3 + 0.6 + 0.7) / 3 * 6.0 / 64
+    assert table.cpu[0, 1] != (0.3 + 0.6 + 0.7) * 6.0 / 3 / 64
 
 
 def test_container_diagnostics_cover_unknown_and_out_of_grid():
@@ -161,40 +180,48 @@ def batch_bundle(instances):
                        batch_instances=list(instances), machine_count=2)
 
 
-def agg_map(aggs):
-    return {(a.machine, a.interval.index): a for a in aggs}
-
-
 def test_batch_instance_fully_inside_charges_its_average():
-    aggs = aggregate_batch_usage(batch_bundle([instance(1010, 1050)]), GRID)
-    by_key = agg_map(aggs)
-    assert by_key[(1, 0)].batch_count == 1
-    assert by_key[(1, 0)].total_cpu_cores == pytest.approx(0.8)
-    assert by_key[(1, 0)].total_cpu == pytest.approx(0.8 / 64.0)
-    assert by_key[(1, 0)].total_mem == pytest.approx(0.01)
-    assert by_key[(1, 1)].batch_count == 0
+    table = aggregate_batch_usage(batch_bundle([instance(1010, 1050)]), GRID)
+    assert table.machines.tolist() == [1]
+    assert table.count[0].tolist() == [1, 0, 0, 0]
+    assert table.cpu_cores[0, 0] == 0.8
+    assert table.cpu[0, 0] == 0.8 / 64.0
+    assert table.mem[0, 0] == 0.01
 
 
 def test_batch_instance_spanning_intervals_charges_runtime_shares():
-    aggs = aggregate_batch_usage(batch_bundle([instance(1050, 1250)]), GRID)
-    by_key = agg_map(aggs)
-    assert by_key[(1, 0)].total_cpu_cores == pytest.approx(0.8 * 50 / 200)
-    assert by_key[(1, 1)].total_cpu_cores == pytest.approx(0.8 * 100 / 200)
-    assert by_key[(1, 2)].total_cpu_cores == pytest.approx(0.8 * 50 / 200)
-    assert [by_key[(1, x)].batch_count for x in range(4)] == [1, 1, 1, 0]
+    table = aggregate_batch_usage(batch_bundle([instance(1050, 1250)]), GRID)
+    assert table.cpu_cores[0, 0] == pytest.approx(0.8 * 50 / 200)
+    assert table.cpu_cores[0, 1] == pytest.approx(0.8 * 100 / 200)
+    assert table.cpu_cores[0, 2] == pytest.approx(0.8 * 50 / 200)
+    assert table.count[0].tolist() == [1, 1, 1, 0]
 
 
 def test_batch_point_touch_counts_but_charges_nothing():
     # ends exactly where interval 0 begins
-    aggs = aggregate_batch_usage(batch_bundle([instance(990, 1000)]), GRID)
-    by_key = agg_map(aggs)
-    assert by_key[(1, 0)].batch_count == 1
-    assert by_key[(1, 0)].total_cpu_cores == 0.0
+    table = aggregate_batch_usage(batch_bundle([instance(990, 1000)]), GRID)
+    assert table.count[0, 0] == 1
+    assert table.cpu_cores[0, 0] == 0.0
+
+
+def test_zero_runtime_instance_is_charged_once_to_the_last_interval_it_touches():
+    # 1100 closes interval 0 and opens interval 1
+    table = aggregate_batch_usage(batch_bundle([instance(1100, 1100)]), GRID)
+    assert table.count[0].tolist() == [1, 1, 0, 0]
+    assert table.cpu_cores[0].tolist() == [0.0, 0.8, 0.0, 0.0]
+    assert table.mem[0].tolist() == [0.0, 0.01, 0.0, 0.0]
+
+
+def test_batch_cell_adds_its_instances_in_input_order():
+    table = aggregate_batch_usage(batch_bundle(
+        [instance(1010, 1050, avg_cpu=v) for v in (0.1, 0.2, 0.3)]), GRID)
+    assert table.cpu_cores[0, 0] == 0.0 + 0.1 + 0.2 + 0.3
 
 
 def test_batch_instance_outside_the_grid_is_ignored():
-    aggs = aggregate_batch_usage(batch_bundle([instance(900, 950)]), GRID)
-    assert all(a.batch_count == 0 for a in aggs)
+    table = aggregate_batch_usage(batch_bundle([instance(900, 950)]), GRID)
+    assert table.machines.tolist() == [1]
+    assert not table.count.any()
 
 
 def test_batch_skips_carry_diagnostics():
@@ -206,26 +233,106 @@ def test_batch_skips_carry_diagnostics():
         instance(1010, 1050),
     ]
     diag = AggDiagnostics()
-    aggs = aggregate_batch_usage(batch_bundle(rows), GRID, diagnostics=diag)
+    table = aggregate_batch_usage(batch_bundle(rows), GRID, diagnostics=diag)
     assert diag.zero_timestamp_instances == 2
     assert diag.unplaced_instances == 1
     assert diag.invalid_span_instances == 1
-    assert agg_map(aggs)[(1, 0)].batch_count == 1
+    assert table.count[0, 0] == 1
 
 
 def test_duration_weighted_mode_charges_by_interval_share():
-    aggs = aggregate_batch_usage(batch_bundle([instance(1010, 1050)]), GRID,
-                                 duration_weighted=True)
-    by_key = agg_map(aggs)
-    assert by_key[(1, 0)].total_cpu_cores == pytest.approx(0.8 * 40 / 100)
+    table = aggregate_batch_usage(batch_bundle([instance(1010, 1050)]), GRID,
+                                  duration_weighted=True)
+    assert table.cpu_cores[0, 0] == pytest.approx(0.8 * 40 / 100)
 
 
-@given(st.integers(1000, 1399), st.integers(1, 400))
+@given(st.integers(1000, 1399), st.integers(0, 400))
 def test_batch_charge_is_conserved_inside_the_grid(start, length):
     end = min(start + length, 1400)
-    aggs = aggregate_batch_usage(batch_bundle([instance(start, end)]), GRID)
-    total = sum(a.total_cpu_cores for a in aggs if a.machine == 1)
-    assert total == pytest.approx(0.8, rel=1e-9)
+    table = aggregate_batch_usage(batch_bundle([instance(start, end)]), GRID)
+    assert table.cpu_cores.sum() == pytest.approx(0.8, rel=1e-9)
+
+
+def test_borrowed_core_counts_are_counted():
+    bundle = TraceBundle(events=[add_event(1, 96)],
+                         batch_instances=[instance(1010, 1050, machine=2)],
+                         machine_count=2)
+    diag = AggDiagnostics()
+    table = aggregate_batch_usage(bundle, GRID, diagnostics=diag)
+    # machine 2 has no event of its own and borrows machine 1's 96 cores
+    assert table.cpu[0, 0] == 0.8 / 96.0
+    assert diag.borrowed_core_machines == {2}
+    aggregate_container_usage(TraceBundle(events=bundle.events,
+                                          container_events=[container(7, 2)],
+                                          machine_count=2), GRID, diag)
+    assert diag.counts()["borrowed_core_machines"] == 1
+
+
+# ---------------------------------------------------------------------------
+# array attribution against the record-by-record oracles
+
+# Off-grid stamps, interior ones and (often) exact grid boundaries, drawn
+# from few values so that cells collect several instances and (instance,
+# interval) pairs several records: only then does summation order show.
+STAMPS = st.one_of(st.integers(850, 1550),
+                   st.sampled_from((990, 1000, 1050, 1100, 1199, 1300, 1400)))
+CORES = {1: 64, 2: 96, 3: 40}
+FRACTIONS = st.floats(0.0, 1.0)
+
+
+def cores_bundle(**records):
+    return TraceBundle(events=[add_event(m, c) for m, c in CORES.items()],
+                       machine_count=len(CORES), **records)
+
+
+@given(st.dictionaries(st.integers(1, 5),
+                       st.tuples(st.integers(1, 2), st.one_of(st.just(0), STAMPS),
+                                 st.floats(0.25, 16.0), FRACTIONS),
+                       max_size=5),
+       st.lists(st.tuples(STAMPS, st.integers(1, 6), FRACTIONS, FRACTIONS),
+                max_size=60))
+def test_container_attribution_matches_the_oracle(events, records):
+    # instance 6 never has an event; 1-5 only sometimes
+    event_rows = [(inst, *fields) for inst, fields in events.items()]
+    bundle = cores_bundle(
+        container_events=[container(inst, m, cpu_req, mem_req, ts)
+                          for inst, m, ts, cpu_req, mem_req in event_rows],
+        container_usage=[usage(inst, ts, cpu, mem) for ts, inst, cpu, mem in records])
+    diag = AggDiagnostics()
+    table = aggregate_container_usage(bundle, GRID, diag)
+    expected, skipped = oracles.attribute_containers(
+        event_rows, records, CORES, GRID.start, GRID.end, GRID.step)
+    assert table.machines.tolist() == sorted(expected)
+    for row, m in enumerate(table.machines.tolist()):
+        assert (table.count[row].tolist(), table.cpu[row].tolist(),
+                table.mem[row].tolist()) == expected[m]
+    assert (diag.unknown_instance_records, diag.out_of_grid_usage_records) == skipped
+
+
+@given(st.lists(st.tuples(st.one_of(st.just(0), STAMPS),
+                          st.one_of(st.just(0), st.sampled_from((50, 100, 300)),
+                                    st.integers(-50, 450)),
+                          st.booleans(), st.integers(0, 2),
+                          st.floats(0.0, 16.0), FRACTIONS),
+                max_size=16),
+       st.booleans())
+def test_batch_attribution_matches_the_oracle(draws, duration_weighted):
+    rows = [(start, 0 if zero_end else start + length, m, cpu, mem)
+            for start, length, zero_end, m, cpu, mem in draws]
+    bundle = cores_bundle(batch_instances=[
+        instance(start, end, machine=m, avg_cpu=cpu, avg_mem=mem)
+        for start, end, m, cpu, mem in rows])
+    diag = AggDiagnostics()
+    table = aggregate_batch_usage(bundle, GRID, diag,
+                                  duration_weighted=duration_weighted)
+    expected, skipped = oracles.attribute_batch(
+        rows, CORES, GRID.start, GRID.end, GRID.step, duration_weighted)
+    assert table.machines.tolist() == sorted(expected)
+    for row, m in enumerate(table.machines.tolist()):
+        assert (table.count[row].tolist(), table.cpu_cores[row].tolist(),
+                table.cpu[row].tolist(), table.mem[row].tolist()) == expected[m]
+    assert (diag.zero_timestamp_instances, diag.unplaced_instances,
+            diag.invalid_span_instances) == skipped
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +349,25 @@ def dense_for(machine_values):
     return DenseUsage(machines, GRID.timestamps(), values)
 
 
+def test_series_zero_fills_and_counts_machines_missing_from_the_dense_table():
+    dense = dense_for({2: [0.3] * 5})
+    bundle = TraceBundle(events=[add_event(1), add_event(2)], machine_count=3)
+    diag = AggDiagnostics()
+    series = build_machine_series(bundle, GRID, dense,
+                                  aggregate_container_usage(bundle, GRID),
+                                  aggregate_batch_usage(bundle, GRID), diag)
+    assert [s.machine for s in series] == [1, 2, 3]
+    assert series[0].server_cpu.tolist() == [0.0] * 4
+    assert series[1].server_cpu == pytest.approx([0.3] * 4)
+    assert diag.zero_filled_machines == 2
+
+
 def test_series_averages_the_interval_endpoints():
     dense = dense_for({1: [0.1, 0.2, 0.3, 0.4, 0.5], 2: [0.0] * 5})
     bundle = TraceBundle(events=[add_event(1), add_event(2)], machine_count=2)
-    series = build_machine_series(bundle, GRID, dense, [], [])
+    series = build_machine_series(bundle, GRID, dense,
+                                  aggregate_container_usage(bundle, GRID),
+                                  aggregate_batch_usage(bundle, GRID))
     assert series[0].machine == 1
     assert series[0].server_cpu == pytest.approx([0.15, 0.25, 0.35, 0.45])
     assert series[1].server_cpu == pytest.approx([0.0] * 4)
@@ -262,7 +384,9 @@ def test_series_places_aggregates_and_zero_fills_the_rest():
     )
     caggs = aggregate_container_usage(bundle, GRID)
     baggs = aggregate_batch_usage(bundle, GRID)
-    series = build_machine_series(bundle, GRID, dense, caggs, baggs)
+    diag = AggDiagnostics()
+    series = build_machine_series(bundle, GRID, dense, caggs, baggs, diag)
+    assert diag.zero_filled_machines == 0
     assert series[0].container_count.tolist() == [1, 1, 1, 1]
     assert series[0].batch_count.tolist() == [0, 0, 0, 0]
     assert series[1].container_count.tolist() == [0, 0, 0, 0]
@@ -294,9 +418,9 @@ def test_series_csv_headers_and_residuals(tmp_path):
     assert float(row["residual_cpu"]) == pytest.approx(residual)
 
     cpath = tmp_path / "containers.csv"
-    write_container_agg_csv(caggs, str(cpath))
+    write_container_agg_csv(caggs, GRID, str(cpath))
     assert cpath.read_text().splitlines()[0].split(",") == list(CONTAINER_AGG_HEADER)
 
     bpath = tmp_path / "batch.csv"
-    write_batch_agg_csv(baggs, str(bpath))
+    write_batch_agg_csv(baggs, GRID, str(bpath))
     assert bpath.read_text().splitlines()[0].split(",") == list(BATCH_AGG_HEADER)

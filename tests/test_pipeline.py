@@ -285,3 +285,18 @@ def test_analyze_refuses_a_dense_file_its_manifest_does_not_vouch_for(tmp_path):
 def test_report_without_analyze_artifacts_fails_loudly(tmp_path):
     with pytest.raises(StageError, match="analyze stage missing"):
         build_report(str(tmp_path))
+
+
+def test_analyze_counts_what_aggregation_drops_in_its_manifest(tmp_path):
+    trace = tmp_path / "trace"
+    run_synth(synth_config(trace))
+    with open(trace / "container_usage.csv", "a", encoding="utf-8") as fh:
+        # no container event names instance 999999
+        fh.write("39600,999999,10.0,10.0,1.0,1.0,0.0,0.0,0.0,1.5,1.2,2.0,1.8\n")
+    out = tmp_path / "out"
+    run_analyze(stage_config(trace, out))
+    counts = json.loads((out / "manifest-analyze.json").read_text())["row_counts"]
+    assert counts["unknown_instance_records"] == 1
+    assert counts["out_of_grid_usage_records"] == 0
+    assert counts["borrowed_core_machines"] == 0
+    assert counts["zero_filled_machines"] == 0

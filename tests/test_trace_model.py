@@ -18,7 +18,6 @@ from trace_insight.trace_model import (
     TaskStatus,
     TraceBundle,
     TraceParseError,
-    build_interval_grid,
     float_text,
     fraction_to_percent_text,
     parse_trace_dir,
@@ -98,7 +97,7 @@ def test_float_text_round_trip(value):
 
 
 def test_grid_counts_and_timestamps():
-    grid = build_interval_grid(39600, 82500, 300)
+    grid = IntervalGrid(39600, 82500, 300)
     assert grid.interval_count == 143
     assert grid.timestamp_count == 144
     ts = grid.timestamps()
@@ -116,11 +115,10 @@ def test_grid_rejects_bad_shapes():
 
 
 def test_interval_bounds():
-    grid = IntervalGrid(100, 400, 100)
-    iv = grid.interval(1)
-    assert (iv.start, iv.end) == (200, 300)
-    with pytest.raises(IndexError):
-        grid.interval(3)
+    # interval x is the closed span between timestamps x and x + 1
+    ts = IntervalGrid(100, 400, 100).timestamps()
+    assert list(zip(ts[:-1].tolist(), ts[1:].tolist())) == [
+        (100, 200), (200, 300), (300, 400)]
 
 
 @given(st.integers(min_value=-500, max_value=1500))
@@ -128,8 +126,8 @@ def test_interval_index_is_half_open(ts):
     grid = IntervalGrid(100, 1000, 100)
     x = grid.interval_index(ts)
     if 100 <= ts < 1000:
-        iv = grid.interval(x)
-        assert iv.start <= ts < iv.end
+        bounds = grid.timestamps()
+        assert bounds[x] <= ts < bounds[x + 1]
     else:
         assert x is None
 
