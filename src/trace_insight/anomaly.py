@@ -4,9 +4,10 @@ rule-based cause tags for the machines that stand out.
 Features are the five per-machine signals (cpu, mem, disk, batch count,
 container count). The forest follows the classic construction: t trees, each
 on a seeded subsample of up to psi rows, random split dimension and split
-value per node, growth stopped at ceil(log2 psi). Scores are reported as
-0.5 - 2^(-E(h)/c(psi)), so anomalous machines land below zero and everything
-lives in [-0.5, 0.5).
+value per node, growth stopped at ceil(log2 psi). Each tree is stored as
+flat node arrays, and scoring moves every row one tree level per step.
+Scores are reported as 0.5 - 2^(-E(h)/c(psi)), so anomalous machines land
+below zero and everything lives in [-0.5, 0.5).
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from .trace_model import IntervalGrid, MachineEvent, MachineEventType, float_tex
 EULER_GAMMA = 0.5772156649
 
 FEATURE_NAMES = ("cpu", "mem", "disk", "batch_count", "container_count")
+_FEATURE_SIGNALS = ("server_cpu", "server_mem", "server_disk",
+                    "batch_count", "container_count")
 
 
 class FeatureMode(Enum):
@@ -43,16 +46,21 @@ class CauseTag(Enum):
 
 
 @dataclass(frozen=True, slots=True)
-class _Split:
-    dim: int
-    value: float
-    left: "_Split | _Leaf"
-    right: "_Split | _Leaf"
+class IsolationTree:
+    """One isolation tree as parallel node arrays in depth-first pre-order.
 
+    Node 0 is the root. ``dim`` is a split's dimension, or -1 at a leaf; a
+    row goes ``left`` when its value in ``dim`` is below ``value`` and
+    ``right`` otherwise. A leaf's ``left`` and ``right`` point at the leaf
+    itself, so a row that reaches it stays there. ``path`` is the leaf's
+    depth + c(size), and 0.0 at a split.
+    """
 
-@dataclass(frozen=True, slots=True)
-class _Leaf:
-    size: int
+    dim: np.ndarray
+    value: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    path: np.ndarray
 
 
 @dataclass
@@ -60,9 +68,7 @@ class IsolationForestModel:
     tree_count: int
     subsample_size: int
     depth_limit: int
-    trees: list
-    seed: int
-    trained_rows: int
+    trees: list[IsolationTree]
 
 
 @dataclass
@@ -95,20 +101,16 @@ def build_feature_matrix(series: list[MachineSeries],
     the machine ids list repeats accordingly.
     """
     ordered = sorted(series, key=lambda s: s.machine)
-    machines: list[int] = []
-    rows: list[np.ndarray] = []
-    for s in ordered:
-        stacked = np.column_stack((
-            s.server_cpu, s.server_mem, s.server_disk,
-            s.batch_count, s.container_count,
-        )).astype(float)
-        if mode is FeatureMode.PER_MACHINE_MEAN:
-            machines.append(s.machine)
-            rows.append(stacked.mean(axis=0))
-        else:
-            machines.extend([s.machine] * len(stacked))
-            rows.extend(stacked)
-    return machines, np.asarray(rows)
+    machines = [s.machine for s in ordered]
+    # (machines, intervals, features), C-ordered: a mean over the interval
+    # axis adds one interval at a time, in interval order
+    cube = np.stack([np.stack([getattr(s, name) for s in ordered])
+                     for name in _FEATURE_SIGNALS], axis=-1).astype(float, copy=False)
+    if mode is FeatureMode.PER_MACHINE_MEAN:
+        return machines, cube.mean(axis=1)
+    intervals = cube.shape[1]
+    return (np.repeat(machines, intervals).tolist(),
+            cube.reshape(len(machines) * intervals, len(_FEATURE_SIGNALS)))
 
 
 def zscore_normalize(matrix: np.ndarray) -> np.ndarray:
@@ -120,24 +122,48 @@ def zscore_normalize(matrix: np.ndarray) -> np.ndarray:
     return (matrix - mean) / std
 
 
-def _grow(points: np.ndarray, depth: int, limit: int,
-          rng: np.random.Generator):
-    n = len(points)
-    if n <= 1 or depth >= limit:
-        return _Leaf(n)
+def _draw_split(points: np.ndarray, rng: np.random.Generator):
+    """(dim, value, mask of the rows going left) for a random split of
+    ``points``, or None when the draw separates nothing."""
     lo = points.min(axis=0)
     hi = points.max(axis=0)
     splittable = np.flatnonzero(hi > lo)
     if len(splittable) == 0:
-        return _Leaf(n)
+        return None
     dim = int(splittable[rng.integers(len(splittable))])
     value = float(rng.uniform(lo[dim], hi[dim]))
     mask = points[:, dim] < value
     if not mask.any() or mask.all():
-        return _Leaf(n)
-    return _Split(dim, value,
-                  _grow(points[mask], depth + 1, limit, rng),
-                  _grow(points[~mask], depth + 1, limit, rng))
+        return None
+    return dim, value, mask
+
+
+def _grow(sample: np.ndarray, limit: int,
+          rng: np.random.Generator) -> IsolationTree:
+    """Grow one tree depth-first, the left subtree before the right, so the
+    split draws come in the order of a recursive build."""
+    nodes: list[list] = []   # [dim, value, left, right, path] per node
+    stack = [(sample, 0, -1, 0)]   # (points, depth, parent, 2 left/3 right)
+    while stack:
+        points, depth, parent, link = stack.pop()
+        node = len(nodes)
+        if parent >= 0:
+            nodes[parent][link] = node
+        split = (_draw_split(points, rng)
+                 if len(points) > 1 and depth < limit else None)
+        if split is None:
+            nodes.append([-1, 0.0, node, node,
+                          depth + average_path_length(len(points))])
+            continue
+        dim, value, mask = split
+        nodes.append([dim, value, node, node, 0.0])
+        stack.append((points[~mask], depth + 1, node, 3))
+        stack.append((points[mask], depth + 1, node, 2))
+    dim, value, left, right, path = zip(*nodes)
+    return IsolationTree(dim=np.array(dim, dtype=np.intp), value=np.array(value),
+                         left=np.array(left, dtype=np.intp),
+                         right=np.array(right, dtype=np.intp),
+                         path=np.array(path))
 
 
 def iforest_fit(matrix: np.ndarray, tree_count: int = 100,
@@ -161,59 +187,58 @@ def iforest_fit(matrix: np.ndarray, tree_count: int = 100,
     for t in range(tree_count):
         rng = np.random.default_rng((seed, t))
         picks = rng.choice(len(matrix), size=psi, replace=False)
-        trees.append(_grow(matrix[picks], 0, limit, rng))
-    return IsolationForestModel(
-        tree_count=tree_count, subsample_size=psi, depth_limit=limit,
-        trees=trees, seed=seed, trained_rows=len(matrix),
-    )
-
-
-def _path_length(tree, row: np.ndarray) -> float:
-    depth = 0
-    node = tree
-    while isinstance(node, _Split):
-        node = node.left if row[node.dim] < node.value else node.right
-        depth += 1
-    return depth + average_path_length(node.size)
+        trees.append(_grow(matrix[picks], limit, rng))
+    return IsolationForestModel(tree_count=tree_count, subsample_size=psi,
+                                depth_limit=limit, trees=trees)
 
 
 def iforest_scores(model: IsolationForestModel, matrix: np.ndarray) -> np.ndarray:
-    """Shifted anomaly score per row: 0.5 - 2^(-E(h)/c(psi)), in [-0.5, 0.5)."""
+    """Shifted anomaly score per row: 0.5 - 2^(-E(h)/c(psi)), in [-0.5, 0.5).
+
+    One tree at a time, every row takes one level per step (a value equal to
+    the split value goes right); path lengths add up in tree order from 0.0.
+    """
     matrix = np.asarray(matrix, float)
     norm = average_path_length(model.subsample_size)
     if norm <= 0:
         raise ValueError("subsample too small to normalize path lengths")
-    scores = np.empty(len(matrix))
-    for i, row in enumerate(matrix):
-        mean_path = sum(_path_length(tree, row) for tree in model.trees)
-        mean_path /= model.tree_count
-        scores[i] = 0.5 - 2.0 ** (-mean_path / norm)
-    return scores
+    rows = np.arange(len(matrix))
+    total = np.zeros(len(matrix))
+    for tree in model.trees:
+        node = np.zeros(len(matrix), dtype=np.intp)
+        for _ in range(model.depth_limit):
+            # a leaf's dim of -1 reads some column, but both links stay put
+            node = np.where(matrix[rows, tree.dim[node]] < tree.value[node],
+                            tree.left[node], tree.right[node])
+        total += tree.path[node]
+    mean_path = total / model.tree_count
+    # Python's float power, row by row: numpy's vector power may round the
+    # last bit differently
+    return np.array([0.5 - 2.0 ** (-h / norm) for h in mean_path.tolist()])
 
 
 def score_machines(model: IsolationForestModel, machines: list[int],
                    matrix: np.ndarray,
                    mode: FeatureMode = FeatureMode.PER_MACHINE_MEAN,
                    ) -> AnomalyReport:
-    """Per-machine report; PER_INTERVAL collapses a machine's row scores by
-    taking the minimum (its most anomalous interval)."""
+    """Per-machine report; PER_INTERVAL collapses a machine's row scores,
+    in whatever order they come, by taking the minimum (its most anomalous
+    interval)."""
     raw = iforest_scores(model, matrix)
-    per_machine: dict[int, float] = {}
-    for machine, value in zip(machines, raw):
-        value = float(value)
-        if mode is FeatureMode.PER_INTERVAL:
-            prev = per_machine.get(machine)
-            per_machine[machine] = value if prev is None else min(prev, value)
-        else:
-            if machine in per_machine:
-                raise ValueError(f"duplicate rows for machine {machine}")
-            per_machine[machine] = value
+    ids, owner, rows_per = np.unique(np.asarray(machines, dtype=np.int64),
+                                     return_inverse=True, return_counts=True)
+    if mode is FeatureMode.PER_MACHINE_MEAN and np.any(rows_per > 1):
+        raise ValueError(
+            f"duplicate rows for machine {int(ids[rows_per > 1][0])}")
+    worst = np.full(len(ids), np.inf)
+    np.minimum.at(worst, owner, raw)
+    per_machine = dict(zip(ids.tolist(), worst.tolist()))
     ranking = sorted(per_machine, key=lambda m: (per_machine[m], m))
     return AnomalyReport(
         machines=sorted(per_machine),
         scores=per_machine,
         ranking=ranking,
-        negative_count=sum(1 for v in per_machine.values() if v < 0),
+        negative_count=int(np.count_nonzero(worst < 0)),
     )
 
 
@@ -232,11 +257,13 @@ class PopulationStats:
 
 
 def population_stats(series: list[MachineSeries]) -> PopulationStats:
+    # (2, machines, intervals): each machine's mean runs along its own row
+    counts = np.stack([np.stack([s.container_count for s in series]),
+                       np.stack([s.batch_count for s in series])])
+    container_means, batch_means = counts.mean(axis=-1)
     return PopulationStats(
-        container_count_median=float(np.median(
-            [np.mean(s.container_count) for s in series])),
-        batch_count_median=float(np.median(
-            [np.mean(s.batch_count) for s in series])),
+        container_count_median=float(np.median(container_means)),
+        batch_count_median=float(np.median(batch_means)),
     )
 
 

@@ -79,6 +79,7 @@ from .synth import (
 )
 from .trace_model import (
     DEFAULT_FILENAMES,
+    FILE_KEYS,
     IntervalGrid,
     TraceParseError,
     parse_trace_dir,
@@ -370,23 +371,31 @@ def run_synth(config: dict[str, str]) -> str:
 # stage: preprocess
 
 def _load_bundle(config: dict[str, str], stage: str):
+    """Parse the input trace; returns (bundle, input_dir, skipped), where
+    skipped maps ``rows_skipped_<file key>`` to the rows that file lost."""
     input_dir = _get(config, "input_dir", stage)
+    diagnostics: list = []
     try:
-        return parse_trace_dir(
+        bundle = parse_trace_dir(
             input_dir,
             schema_profile=_get(config, "schema_profile", stage),
             has_header=_get_bool(config, "has_header", stage),
             max_skip_ratio=_get_float(config, "max_skip_ratio", stage),
-        ), input_dir
+            diagnostics=diagnostics,
+        )
     except TraceParseError as e:
         raise StageError(stage, str(e)) from e
+    skipped = {f"rows_skipped_{key}": 0 for key in FILE_KEYS}
+    for diag in diagnostics:
+        skipped[f"rows_skipped_{diag.file}"] += 1
+    return bundle, input_dir, skipped
 
 
 def run_preprocess(config: dict[str, str]) -> str:
     stage = "preprocess"
     out_dir = _get(config, "output_dir", stage)
     grid = _grid(config, stage)
-    (bundle, input_dir) = _load_bundle(config, stage)
+    bundle, input_dir, skipped = _load_bundle(config, stage)
     os.makedirs(out_dir, exist_ok=True)
     try:
         dense, annotations = supplement_server_usage(bundle, grid)
@@ -416,6 +425,7 @@ def run_preprocess(config: dict[str, str]) -> str:
                        "container_events_removed": len(removed),
                        **{f"repairs_{name}": count
                           for name, count in sorted(method_counts.items())},
+                       **skipped,
                    })
     return out_dir
 
@@ -464,7 +474,7 @@ def run_analyze(config: dict[str, str]) -> str:
     stage = "analyze"
     out_dir = _get(config, "output_dir", stage)
     grid = _grid(config, stage)
-    (bundle, input_dir) = _load_bundle(config, stage)
+    bundle, input_dir, skipped = _load_bundle(config, stage)
     os.makedirs(out_dir, exist_ok=True)
 
     inputs = _digest_inputs(input_dir, stage)
@@ -587,6 +597,7 @@ def run_analyze(config: dict[str, str]) -> str:
                        "negative_scores": anomaly_report.negative_count,
                        "top_ranked": min(top_n, len(anomaly_report.ranking)),
                        **diag.counts(),
+                       **skipped,
                    })
     return out_dir
 

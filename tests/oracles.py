@@ -1,10 +1,11 @@
 """Independent reference implementations the fast code is checked against.
 
 Everything here is written the slow, obvious way on purpose (full path
-enumeration, pair counting, brute-force neighbours) so the package has
+enumeration, pair counting, brute-force neighbours, recursive trees) so the package has
 something honest to disagree with. None of it imports trace_insight.
 """
 
+import math
 from collections import Counter
 from functools import lru_cache
 
@@ -285,3 +286,66 @@ def nearest_neighbor_distances(matrix) -> np.ndarray:
     d2 = ((m[:, None, :] - m[None, :, :]) ** 2).sum(axis=2)
     np.fill_diagonal(d2, np.inf)
     return np.sqrt(d2.min(axis=1))
+
+
+# ---------------------------------------------------------------------------
+# isolation forest
+
+
+def _c(n: int) -> float:
+    if n <= 1:
+        return 0.0
+    if n == 2:
+        return 1.0
+    return 2.0 * (math.log(n - 1) + 0.5772156649) - 2.0 * (n - 1) / n
+
+
+def _isolation_tree(points, depth, limit, rng):
+    """Nested tuples: ("leaf", size) or ("split", dim, value, left, right),
+    grown recursively, left subtree first."""
+    n = len(points)
+    if n <= 1 or depth >= limit:
+        return ("leaf", n)
+    lo = points.min(axis=0)
+    hi = points.max(axis=0)
+    splittable = np.flatnonzero(hi > lo)
+    if len(splittable) == 0:
+        return ("leaf", n)
+    dim = int(splittable[rng.integers(len(splittable))])
+    value = float(rng.uniform(lo[dim], hi[dim]))
+    mask = points[:, dim] < value
+    if not mask.any() or mask.all():
+        return ("leaf", n)
+    return ("split", dim, value,
+            _isolation_tree(points[mask], depth + 1, limit, rng),
+            _isolation_tree(points[~mask], depth + 1, limit, rng))
+
+
+def _walk(tree, row) -> float:
+    depth = 0
+    while tree[0] == "split":
+        _, dim, value, left, right = tree
+        tree = left if row[dim] < value else right
+        depth += 1
+    return depth + _c(tree[1])
+
+
+def isolation_forest_scores(train, rows, tree_count=100, subsample=256,
+                            seed=0) -> np.ndarray:
+    """0.5 - 2^(-E(h)/c(psi)) per row of ``rows`` for a forest grown on
+    ``train``: per tree a (seed, tree) RNG, a subsample without replacement
+    and a recursive grow; then one walk per row and tree, summed left to
+    right."""
+    train = np.asarray(train, float)
+    psi = min(subsample, len(train))
+    limit = math.ceil(math.log2(psi))
+    trees = []
+    for t in range(tree_count):
+        rng = np.random.default_rng((seed, t))
+        picks = rng.choice(len(train), size=psi, replace=False)
+        trees.append(_isolation_tree(train[picks], 0, limit, rng))
+    scores = []
+    for row in np.asarray(rows, float):
+        mean_path = sum(_walk(tree, row) for tree in trees) / tree_count
+        scores.append(0.5 - 2.0 ** (-mean_path / _c(psi)))
+    return np.array(scores)

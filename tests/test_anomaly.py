@@ -136,6 +136,44 @@ def test_forest_is_deterministic_in_the_seed():
     assert np.array_equal(a, b)
 
 
+def _forest_case(data):
+    """A training matrix, forest settings and the rows to score: the training
+    rows, fresh rows, and training rows moved onto split values."""
+    rows = data.draw(st.integers(2, 300), label="rows")
+    dims = data.draw(st.integers(1, 5), label="dims")
+    tree_count = data.draw(st.integers(1, 30), label="tree_count")
+    subsample = data.draw(st.integers(2, 300), label="subsample")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    levels = data.draw(st.sampled_from([0, 1, 2, 4]), label="integer levels")
+    rng = np.random.default_rng(seed)
+
+    def draw_rows(count):
+        if levels:   # ties, duplicate rows and, at one level, constant columns
+            return rng.integers(0, levels, size=(count, dims)).astype(float)
+        return rng.normal(size=(count, dims))
+
+    train = draw_rows(rows)
+    return train, draw_rows(40), tree_count, subsample, seed
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_flat_forest_matches_the_recursive_oracle(data):
+    train, fresh, tree_count, subsample, seed = _forest_case(data)
+    model = iforest_fit(train, tree_count=tree_count, subsample=subsample,
+                        seed=seed)
+    assert len(model.trees) == tree_count
+    splits = [(int(d), float(v)) for tree in model.trees
+              for d, v in zip(tree.dim, tree.value) if d >= 0][:40]
+    on_split = train[np.arange(len(splits)) % len(train)].copy()
+    for i, (dim, value) in enumerate(splits):
+        on_split[i, dim] = value
+    rows = np.vstack([train, fresh, on_split])
+    want = oracles.isolation_forest_scores(train, rows, tree_count=tree_count,
+                                           subsample=subsample, seed=seed)
+    assert iforest_scores(model, rows).tobytes() == want.tobytes()
+
+
 @settings(max_examples=25)
 @given(st.integers(0, 1000), st.integers(8, 24))
 def test_scores_stay_in_the_half_open_band(seed, rows):
@@ -192,11 +230,17 @@ def test_per_interval_mode_takes_the_worst_interval():
     ])
     machines = [1, 1, 2, 2, 3, 3]
     model = iforest_fit(matrix, seed=0)
-    report = score_machines(model, machines, matrix, FeatureMode.PER_INTERVAL)
-    assert report.machines == [1, 2, 3]
     raw = iforest_scores(model, matrix)
-    assert report.scores[2] == pytest.approx(min(raw[2], raw[3]))
-    assert report.ranking[0] == 2
+    worst = {m: min(float(v) for owner, v in zip(machines, raw) if owner == m)
+             for m in (1, 2, 3)}
+    # rows grouped by machine, then interleaved (machines 2, 1, 3, 1, 3, 2)
+    for order in ([0, 1, 2, 3, 4, 5], [3, 0, 4, 1, 5, 2]):
+        report = score_machines(model, [machines[i] for i in order],
+                                matrix[order], FeatureMode.PER_INTERVAL)
+        assert report.machines == [1, 2, 3]
+        assert report.scores == worst
+        assert report.scores[2] == min(raw[2], raw[3])
+        assert report.ranking[0] == 2
 
 
 def test_per_machine_mode_rejects_duplicate_rows():

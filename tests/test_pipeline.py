@@ -300,3 +300,25 @@ def test_analyze_counts_what_aggregation_drops_in_its_manifest(tmp_path):
     assert counts["out_of_grid_usage_records"] == 0
     assert counts["borrowed_core_machines"] == 0
     assert counts["zero_filled_machines"] == 0
+
+
+def test_stage_manifests_count_the_rows_each_file_lost(tmp_path):
+    trace = tmp_path / "trace"
+    run_synth(synth_config(trace))
+    with open(trace / "container_usage.csv", "a", encoding="utf-8") as fh:
+        fh.write("39600,not-an-instance,10.0\n")
+    out = tmp_path / "out"
+    run_preprocess(stage_config(trace, out))
+    run_analyze(stage_config(trace, out))
+    for stage in ("preprocess", "analyze"):
+        manifest = json.loads((out / f"manifest-{stage}.json").read_text())
+        skipped = {key: value for key, value in manifest["row_counts"].items()
+                   if key.startswith("rows_skipped_")}
+        assert skipped == {
+            "rows_skipped_server_event": 0,
+            "rows_skipped_server_usage": 0,
+            "rows_skipped_container_event": 0,
+            "rows_skipped_container_usage": 1,
+            "rows_skipped_batch_task": 0,
+            "rows_skipped_batch_instance": 0,
+        }, stage
