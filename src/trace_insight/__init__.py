@@ -9,7 +9,6 @@ from .trace_model import (  # noqa: F401
     TraceBundle,
     TraceParseError,
     parse_trace_dir,
-    validate_bundle,
     write_trace_dir,
 )
 from .preprocess import (  # noqa: F401

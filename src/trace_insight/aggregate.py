@@ -75,8 +75,6 @@ class AggDiagnostics:
     invalid_span_instances: int = 0
     # machines with no core count of their own that borrowed the largest one
     borrowed_core_machines: set[int] = field(default_factory=set)
-    # machines missing from the dense server table, zero-filled in the series
-    zero_filled_machines: int = 0
 
     def counts(self) -> dict[str, int]:
         counts = dataclasses.asdict(self)
@@ -87,11 +85,12 @@ class AggDiagnostics:
 def machine_cpu_counts(bundle: TraceBundle) -> dict[int, int]:
     """Core count per machine from its events (soft errors carry 0, so take
     the max)."""
-    counts: dict[int, int] = {}
-    for ev in bundle.events:
-        if ev.cpu_count > 0:
-            counts[ev.machine] = max(counts.get(ev.machine, 0), ev.cpu_count)
-    return counts
+    events = bundle.events
+    has_cores = events.cpu_count > 0
+    machines, row = np.unique(events.machine[has_cores], return_inverse=True)
+    cores = np.zeros(len(machines), dtype=np.int64)
+    np.maximum.at(cores, row, events.cpu_count[has_cores])
+    return dict(zip(machines.tolist(), cores.tolist()))
 
 
 def _cores_for(machines: np.ndarray, counts: dict[int, int],
@@ -147,31 +146,28 @@ def aggregate_container_usage(bundle: TraceBundle, grid: IntervalGrid,
     diag = diagnostics if diagnostics is not None else AggDiagnostics()
     n = grid.interval_count
     events = bundle.container_events
-    machines, ev_row = np.unique(
-        np.array([ev.machine for ev in events], dtype=np.int64),
-        return_inverse=True)
+    machines, ev_row = np.unique(events.machine, return_inverse=True)
     rows = len(machines)
     cores = _cores_for(machines, machine_cpu_counts(bundle), diag)
 
     # a container counts from the first interval reaching its creation on
-    first = _first_interval_touching(
-        np.array([ev.timestamp for ev in events], dtype=np.int64), grid)
+    first = _first_interval_touching(events.timestamp, grid)
     created = _cell_sums(ev_row * (n + 1) + np.minimum(first, n), None, rows, n + 1)
     count = created[:, :n].cumsum(axis=1)
 
-    event_of = {ev.instance: i for i, ev in enumerate(events)}
+    event_of = dict(zip(events.instance.tolist(), range(len(events))))
     usage = bundle.container_usage
-    rec_ev = np.array([event_of.get(rec.instance, -1) for rec in usage],
-                      dtype=np.int64)
-    ts = np.array([rec.timestamp for rec in usage], dtype=np.int64)
+    rec_ev = np.fromiter((event_of.get(i, -1) for i in usage.instance.tolist()),
+                         np.int64, len(usage))
+    ts = usage.timestamp
     known = rec_ev >= 0
     in_grid = (ts >= grid.start) & (ts < grid.end)
     diag.unknown_instance_records += int(np.count_nonzero(~known))
     diag.out_of_grid_usage_records += int(np.count_nonzero(known & ~in_grid))
     keep = known & in_grid
     rec_ev = rec_ev[keep]
-    cpu_of_req = np.array([rec.cpu_of_req for rec in usage], dtype=float)[keep]
-    mem_of_req = np.array([rec.mem_of_req for rec in usage], dtype=float)[keep]
+    cpu_of_req = usage.cpu_of_req[keep]
+    mem_of_req = usage.mem_of_req[keep]
 
     # average each (instance, interval) over its records, summed in order
     pair, first_rec, pair_of_rec = np.unique(
@@ -179,8 +175,8 @@ def aggregate_container_usage(bundle: TraceBundle, grid: IntervalGrid,
         return_index=True, return_inverse=True)
     hits = np.bincount(pair_of_rec)
     pair_ev, pair_x = pair // n, pair % n
-    cpu_req = np.array([ev.cpu_req for ev in events], dtype=float)[pair_ev]
-    mem_req = np.array([ev.mem_req for ev in events], dtype=float)[pair_ev]
+    cpu_req = events.cpu_req[pair_ev]
+    mem_req = events.mem_req[pair_ev]
     pair_row = ev_row[pair_ev]
     cpu = np.bincount(pair_of_rec, cpu_of_req) / hits * cpu_req / cores[pair_row]
     mem = np.bincount(pair_of_rec, mem_of_req) / hits * mem_req
@@ -206,9 +202,7 @@ def aggregate_batch_usage(bundle: TraceBundle, grid: IntervalGrid,
     diag = diagnostics if diagnostics is not None else AggDiagnostics()
     n = grid.interval_count
     insts = bundle.batch_instances
-    start = np.array([bi.start for bi in insts], dtype=np.int64)
-    end = np.array([bi.end for bi in insts], dtype=np.int64)
-    machine = np.array([bi.machine for bi in insts], dtype=np.int64)
+    start, end, machine = insts.start, insts.end, insts.machine
     machines = np.unique(machine[machine >= 1])
     rows = len(machines)
     cores = _cores_for(machines, machine_cpu_counts(bundle), diag)
@@ -222,8 +216,8 @@ def aggregate_batch_usage(bundle: TraceBundle, grid: IntervalGrid,
     ok = ~(zero_ts | unplaced | invalid)
     start, end = start[ok], end[ok]
     row = np.searchsorted(machines, machine[ok])
-    avg_cpu = np.array([bi.avg_cpu for bi in insts], dtype=float)[ok]
-    avg_mem = np.array([bi.avg_mem for bi in insts], dtype=float)[ok]
+    avg_cpu = insts.avg_cpu[ok]
+    avg_mem = insts.avg_mem[ok]
 
     # every (instance, interval) pair it touches, instance-major
     first = _first_interval_touching(start, grid)
@@ -250,26 +244,24 @@ def aggregate_batch_usage(bundle: TraceBundle, grid: IntervalGrid,
 
 def build_machine_series(bundle: TraceBundle, grid: IntervalGrid, dense: DenseUsage,
                          containers: UsageTable, batch: UsageTable,
-                         diagnostics: AggDiagnostics | None = None,
                          ) -> list[MachineSeries]:
     """One MachineSeries per machine id, zeros where a machine is absent from
-    a source. Server usage per interval is the mean of the interval's two
-    endpoint samples in the dense table, so all samples contribute."""
-    diag = diagnostics if diagnostics is not None else AggDiagnostics()
+    the container or batch table. Server usage per interval is the mean of
+    the interval's two endpoint samples in the dense table, so all samples
+    contribute; the dense table must hold machines 1..machine_count."""
     n = grid.interval_count
     m_count = bundle.machine_count
+    if not np.array_equal(dense.machines, np.arange(1, m_count + 1)):
+        raise ValueError(f"dense usage table must hold machines 1..{m_count} "
+                         "in order")
 
     def place(machines: np.ndarray, values: np.ndarray) -> np.ndarray:
         out = np.zeros((m_count, n))
         out[machines - 1] = values
         return out
 
-    listed = (dense.machines >= 1) & (dense.machines <= m_count)
-    dense_machines = dense.machines[listed]
-    vals = dense.values[listed]
-    diag.zero_filled_machines += m_count - len(np.unique(dense_machines))
-    fields = {f"server_{name}": place(dense_machines,
-                                      (vals[:, :-1, k] + vals[:, 1:, k]) / 2.0)
+    vals = dense.values
+    fields = {f"server_{name}": (vals[:, :-1, k] + vals[:, 1:, k]) / 2.0
               for k, name in enumerate(("cpu", "mem", "disk"))}
     fields.update({f"container_{name}": place(containers.machines,
                                               getattr(containers, name))

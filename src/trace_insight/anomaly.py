@@ -21,7 +21,8 @@ from enum import Enum
 import numpy as np
 
 from .aggregate import MachineSeries
-from .trace_model import IntervalGrid, MachineEvent, MachineEventType, float_text
+from .trace_model import (IntervalGrid, MachineEventType, Table, enum_code,
+                          float_text)
 
 EULER_GAMMA = 0.5772156649
 
@@ -276,18 +277,26 @@ def _batch_stop_index(batch_count: np.ndarray) -> int | None:
     return int(active[-1]) + 1
 
 
-def diagnose(machine: int, label: str, events: list[MachineEvent],
-             series: MachineSeries, stats: PopulationStats,
-             grid: IntervalGrid, heavier_factor: float = 1.5) -> list[str]:
-    """Cause tags for one machine, in a fixed rule order.
+def softerror_times(events: Table) -> dict[int, list[int]]:
+    """Soft-error timestamps per machine, in event order."""
+    soft = events.event_type == enum_code(MachineEventType.SOFT_ERROR)
+    times: dict[int, list[int]] = {}
+    for machine, ts in zip(events.machine[soft].tolist(),
+                           events.timestamp[soft].tolist()):
+        times.setdefault(machine, []).append(ts)
+    return times
 
-    Rules depend only on the machine's own events/series plus the population
-    medians, so the result is independent of evaluation order. Several tags
-    can apply at once.
+
+def diagnose(label: str, softerrors: list[int], series: MachineSeries,
+             stats: PopulationStats, grid: IntervalGrid,
+             heavier_factor: float = 1.5) -> list[str]:
+    """Cause tags for the machine of ``series``, in a fixed rule order.
+
+    ``softerrors`` are the machine's soft-error timestamps. Rules depend only
+    on the machine's own soft errors and series plus the population medians,
+    so the result is independent of evaluation order. Several tags can apply
+    at once.
     """
-    softerrors = [ev for ev in events
-                  if ev.machine == machine
-                  and ev.event_type is MachineEventType.SOFT_ERROR]
     tags: list[str] = []
 
     if len(softerrors) >= 3:
@@ -295,8 +304,8 @@ def diagnose(machine: int, label: str, events: list[MachineEvent],
 
     stop = _batch_stop_index(series.batch_count)
     if stop is not None and softerrors:
-        for ev in softerrors:
-            x = grid.interval_index(ev.timestamp)
+        for ts in softerrors:
+            x = grid.interval_index(ts)
             if x is not None and abs(x - stop) <= 1:
                 tags.append(CauseTag.SOFT_ERROR_WORKLOAD_STOP.value)
                 break

@@ -36,6 +36,7 @@ from .anomaly import (
     population_stats,
     rank_anomalies,
     score_machines,
+    softerror_times,
     top_anomalies_dict,
     write_anomaly_json,
     write_score_distribution_csv,
@@ -55,7 +56,6 @@ from .classify import (
 )
 from .preprocess import (
     filter_container_events,
-    read_dense_csv,
     supplement_server_usage,
     write_dense_csv,
     write_repair_log_csv,
@@ -407,8 +407,10 @@ def run_preprocess(config: dict[str, str]) -> str:
     with open(os.path.join(out_dir, REMOVED_EVENTS_FILENAME), "w",
               encoding="utf-8", newline="") as fh:
         fh.write("instance,machine,mem_req\n")
-        for ev in removed:
-            fh.write(f"{ev.instance},{ev.machine},{ev.mem_req!r}\n")
+        for instance, machine, mem_req in zip(removed.instance.tolist(),
+                                              removed.machine.tolist(),
+                                              removed.mem_req.tolist()):
+            fh.write(f"{instance},{machine},{mem_req!r}\n")
     method_counts: dict[str, int] = {}
     for note in annotations:
         method_counts[note.method.value] = method_counts.get(note.method.value, 0) + 1
@@ -442,34 +444,6 @@ def _feature_mode(config, stage) -> FeatureMode:
                             f"{[m.value for m in FeatureMode]}, got {raw!r}")
 
 
-def _check_preprocess_manifest(config: dict[str, str], out_dir: str,
-                               inputs: dict[str, str], dense_digest: str) -> None:
-    """Refuse a dense_usage.csv that preprocess did not write from these
-    inputs with this parse setup."""
-    stage = "analyze"
-    path = os.path.join(out_dir, "manifest-preprocess.json")
-    if not os.path.exists(path):
-        raise StageError(stage, f"{DENSE_FILENAME} in {out_dir} has no "
-                                "manifest-preprocess.json; rerun preprocess")
-    with open(path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    recorded = manifest.get("config", {})
-    checks = (
-        ("input digests", manifest.get("inputs") == inputs),
-        (f"{DENSE_FILENAME} digest",
-         manifest.get("outputs", {}).get(DENSE_FILENAME) == dense_digest),
-        ("schema_profile", _get(recorded, "schema_profile", stage)
-         == _get(config, "schema_profile", stage)),
-        ("has_header", _get_bool(recorded, "has_header", stage)
-         == _get_bool(config, "has_header", stage)),
-    )
-    stale = [name for name, agrees in checks if not agrees]
-    if stale:
-        raise StageError(stage, f"{DENSE_FILENAME} in {out_dir} is stale: "
-                                f"manifest-preprocess.json disagrees on "
-                                f"{', '.join(stale)}; rerun preprocess")
-
-
 def run_analyze(config: dict[str, str]) -> str:
     stage = "analyze"
     out_dir = _get(config, "output_dir", stage)
@@ -478,27 +452,19 @@ def run_analyze(config: dict[str, str]) -> str:
     os.makedirs(out_dir, exist_ok=True)
 
     inputs = _digest_inputs(input_dir, stage)
-    dense_path = os.path.join(out_dir, DENSE_FILENAME)
     try:
         clean, _removed = filter_container_events(bundle.container_events)
         bundle = dataclasses.replace(bundle, container_events=clean)
-        if os.path.exists(dense_path):
-            dense_digest = _sha256(dense_path)
-            _check_preprocess_manifest(config, out_dir, inputs, dense_digest)
-            dense = read_dense_csv(dense_path)
-            inputs[DENSE_FILENAME] = dense_digest
-            if list(dense.timestamps) != list(grid.timestamps()):
-                raise StageError(stage, f"{DENSE_FILENAME} disagrees with the "
-                                        "configured grid; rerun preprocess")
-        else:
-            dense, _notes = supplement_server_usage(bundle, grid)
+        # the same repair preprocess writes to dense_usage.csv, redone from
+        # the parsed trace rather than read back
+        dense, _notes = supplement_server_usage(bundle, grid)
 
         diag = AggDiagnostics()
         containers = aggregate_container_usage(bundle, grid, diag)
         batch = aggregate_batch_usage(
             bundle, grid, diag,
             duration_weighted=_get_bool(config, "duration_weighted", stage))
-        series = build_machine_series(bundle, grid, dense, containers, batch, diag)
+        series = build_machine_series(bundle, grid, dense, containers, batch)
         write_container_agg_csv(containers, grid,
                                 os.path.join(out_dir, "container_usage_agg.csv"))
         write_batch_agg_csv(batch, grid,
@@ -562,13 +528,11 @@ def run_analyze(config: dict[str, str]) -> str:
         labels = {m: model.labels[model.assignments[m]] for m in model.machines}
         anomaly_report.labels = labels
         stats = population_stats(series)
-        events_by_machine: dict[int, list] = {}
-        for ev in bundle.events:
-            events_by_machine.setdefault(ev.machine, []).append(ev)
+        softerrors = softerror_times(bundle.events)
         series_by_machine = {s.machine: s for s in series}
         heavier = _get_float(config, "anomaly_heavier_factor", stage)
         anomaly_report.causes = {
-            m: diagnose(m, labels.get(m, ""), events_by_machine.get(m, []),
+            m: diagnose(labels.get(m, ""), softerrors.get(m, []),
                         series_by_machine[m], stats, grid,
                         heavier_factor=heavier)
             for m in anomaly_report.machines
@@ -613,28 +577,76 @@ def _read_json(out_dir: str, name: str, stage: str) -> dict:
         return json.load(fh)
 
 
+PLOT_DATA = {
+    "type_usage": "plot_type_usage.csv",
+    "score_distribution": "plot_score_distribution.csv",
+    "machine_series": "machine_series.csv",
+    "dtw_distances": "dtw_distances.csv",
+}
+
+
+def _check_digests(out_dir: str, names, manifest: dict, manifest_name: str,
+                   stage: str) -> None:
+    """Refuse an artifact whose sha256 is not the one its stage manifest
+    records, e.g. one a later, failed run of that stage overwrote."""
+    recorded = manifest.get("outputs", {})
+    for name in names:
+        path = os.path.join(out_dir, name)
+        if not os.path.exists(path):
+            raise StageError(stage, f"no {name} in {out_dir}, which "
+                                    f"{manifest_name} lists")
+        if recorded.get(name) != _sha256(path):
+            raise StageError(stage, f"{name} in {out_dir} does not match its "
+                                    f"digest in {manifest_name}; rerun the "
+                                    "stage that writes it")
+
+
+def _preprocess_summary(out_dir: str, analyze_manifest: dict, stage: str) -> dict | None:
+    """Repair counts from manifest-preprocess.json, used only when that run
+    parsed the same inputs on the same grid as the analyze run."""
+    name = "manifest-preprocess.json"
+    path = os.path.join(out_dir, name)
+    if not os.path.exists(path):
+        return None
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    ours, theirs = manifest.get("config", {}), analyze_manifest["config"]
+    checks = [("input digests", manifest.get("inputs") == analyze_manifest["inputs"]),
+              ("schema_profile", _get(ours, "schema_profile", stage)
+               == _get(theirs, "schema_profile", stage)),
+              ("has_header", _get_bool(ours, "has_header", stage)
+               == _get_bool(theirs, "has_header", stage))]
+    checks += [(key, _get_int(ours, key, stage) == _get_int(theirs, key, stage))
+               for key in ("grid_start", "grid_end", "grid_step")]
+    stale = [what for what, agrees in checks if not agrees]
+    if stale:
+        raise StageError(stage, f"{name} in {out_dir} disagrees with "
+                                f"manifest-analyze.json on {', '.join(stale)}; "
+                                "rerun preprocess")
+    _check_digests(out_dir, manifest.get("outputs", {}), manifest, name, stage)
+    rows = manifest["row_counts"]
+    return {
+        "machines": rows.get("machines", 0),
+        "repair_annotations": rows.get("repair_annotations", 0),
+        "repairs": {
+            key.removeprefix("repairs_"): value
+            for key, value in rows.items() if key.startswith("repairs_")
+        },
+        "container_events_removed": rows.get("container_events_removed", 0),
+    }
+
+
 def build_report(out_dir: str) -> dict:
     stage = "report"
+    analyze_manifest = _read_json(out_dir, "manifest-analyze.json", stage)
+    _check_digests(out_dir, ("dtw_histogram.json", "category_counts.json",
+                             "anomaly_report.json", *PLOT_DATA.values()),
+                   analyze_manifest, "manifest-analyze.json", stage)
     histogram = _read_json(out_dir, "dtw_histogram.json", stage)
     categories = _read_json(out_dir, "category_counts.json", stage)
     anomalies = _read_json(out_dir, "anomaly_report.json", stage)
+    preprocess_summary = _preprocess_summary(out_dir, analyze_manifest, stage)
 
-    preprocess_summary = None
-    manifest_path = os.path.join(out_dir, "manifest-preprocess.json")
-    if os.path.exists(manifest_path):
-        with open(manifest_path, encoding="utf-8") as fh:
-            rows = json.load(fh)["row_counts"]
-        preprocess_summary = {
-            "machines": rows.get("machines", 0),
-            "repair_annotations": rows.get("repair_annotations", 0),
-            "repairs": {
-                key.removeprefix("repairs_"): value
-                for key, value in rows.items() if key.startswith("repairs_")
-            },
-            "container_events_removed": rows.get("container_events_removed", 0),
-        }
-
-    analyze_manifest = _read_json(out_dir, "manifest-analyze.json", stage)
     grid_config = analyze_manifest["config"]
     machine_count = histogram["machine_count"]
     return {
@@ -666,12 +678,7 @@ def build_report(out_dir: str) -> dict:
             "usage_means": categories["usage_means"],
         },
         "anomalies": anomalies,
-        "plot_data": {
-            "type_usage": "plot_type_usage.csv",
-            "score_distribution": "plot_score_distribution.csv",
-            "machine_series": "machine_series.csv",
-            "dtw_distances": "dtw_distances.csv",
-        },
+        "plot_data": dict(PLOT_DATA),
     }
 
 

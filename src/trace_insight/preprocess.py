@@ -17,12 +17,11 @@ from enum import Enum
 import numpy as np
 
 from .trace_model import (
-    ContainerEvent,
     IntervalGrid,
+    Table,
     TraceBundle,
     fraction_to_percent_text,
     float_text,
-    percent_text_to_fraction,
 )
 
 METRICS = ("cpu", "mem", "disk", "load1", "load5", "load15")
@@ -100,20 +99,17 @@ def supplement_server_usage(bundle: TraceBundle, grid: IntervalGrid,
     """
     t_count = grid.timestamp_count
     m_count = bundle.machine_count
-    sums = np.zeros((m_count, t_count, len(METRICS)))
-    hits = np.zeros((m_count, t_count), dtype=np.int64)
-    for rec in bundle.server_usage:
-        slot = grid.timestamp_slot(rec.timestamp)
-        if slot is None or not 1 <= rec.machine <= m_count:
-            continue
-        row = rec.machine - 1
-        sums[row, slot, 0] += rec.cpu
-        sums[row, slot, 1] += rec.mem
-        sums[row, slot, 2] += rec.disk
-        sums[row, slot, 3] += rec.load1
-        sums[row, slot, 4] += rec.load5
-        sums[row, slot, 5] += rec.load15
-        hits[row, slot] += 1
+    usage = bundle.server_usage
+    slot = (usage.timestamp - grid.start) // grid.step
+    keep = ((usage.timestamp >= grid.start) & (slot < t_count)
+            & (usage.machine >= 1) & (usage.machine <= m_count))
+    # rows summed per cell from 0.0 in record order
+    cell = ((usage.machine - 1) * t_count + slot)[keep]
+    size = m_count * t_count
+    sums = np.stack([np.bincount(cell, getattr(usage, metric)[keep], minlength=size)
+                     for metric in METRICS], axis=-1).reshape(m_count, t_count,
+                                                                len(METRICS))
+    hits = np.bincount(cell, minlength=size).reshape(m_count, t_count)
 
     timestamps = grid.timestamps()
     values = np.zeros_like(sums)
@@ -168,37 +164,28 @@ class AmbiguousDuplicateError(ValueError):
 _DUPLICATE_MEM_CUTOFF = 0.9
 
 
-def filter_container_events(events: list[ContainerEvent],
-                            ) -> tuple[list[ContainerEvent], list[ContainerEvent]]:
-    """Split container events into (clean, removed).
+def filter_container_events(events: Table) -> tuple[Table, Table]:
+    """Split container events into (clean, removed), each in input order.
 
     Instances appearing more than once keep the record whose memory request is
     plausible; duplicate records asking for more than 0.9 of machine memory
     are removed. Anything else ambiguous (all duplicates below the cutoff, or
-    none below it) raises, because no documented rule covers it.
+    none below it) raises for the first such instance to appear, because no
+    documented rule covers it.
     """
-    groups: dict[int, list[ContainerEvent]] = {}
-    for ev in events:
-        groups.setdefault(ev.instance, []).append(ev)
-
-    for instance, group in groups.items():
-        if len(group) == 1:
-            continue
-        survivors = [e for e in group if e.mem_req <= _DUPLICATE_MEM_CUTOFF]
-        if len(survivors) != 1:
-            raise AmbiguousDuplicateError(
-                f"instance {instance} has {len(group)} records of which "
-                f"{len(survivors)} have mem_req <= {_DUPLICATE_MEM_CUTOFF}; "
-                "cannot pick a survivor")
-
-    clean: list[ContainerEvent] = []
-    removed: list[ContainerEvent] = []
-    for ev in events:
-        if len(groups[ev.instance]) > 1 and ev.mem_req > _DUPLICATE_MEM_CUTOFF:
-            removed.append(ev)
-        else:
-            clean.append(ev)
-    return clean, removed
+    _, first, group, sizes = np.unique(events.instance, return_index=True,
+                                       return_inverse=True, return_counts=True)
+    high = events.mem_req > _DUPLICATE_MEM_CUTOFF
+    survivors = np.bincount(group[~high], minlength=len(sizes))
+    ambiguous = np.flatnonzero((sizes > 1) & (survivors != 1))
+    if len(ambiguous):
+        g = ambiguous[np.argmin(first[ambiguous])]
+        raise AmbiguousDuplicateError(
+            f"instance {events.instance[first[g]]} has {sizes[g]} records of which "
+            f"{survivors[g]} have mem_req <= {_DUPLICATE_MEM_CUTOFF}; "
+            "cannot pick a survivor")
+    removed = (sizes[group] > 1) & high
+    return events.take(~removed), events.take(removed)
 
 
 # ---------------------------------------------------------------------------
@@ -222,33 +209,6 @@ def write_dense_csv(dense: DenseUsage, path: str) -> None:
                     fraction_to_percent_text(float(disk)),
                     float_text(float(l1)), float_text(float(l5)), float_text(float(l15)),
                 ])
-
-
-def read_dense_csv(path: str) -> DenseUsage:
-    rows: dict[int, dict[int, list[float]]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is not None and tuple(header) != DENSE_HEADER:
-            raise ValueError(f"unexpected dense usage header: {header}")
-        for row in reader:
-            machine, ts = int(row[0]), int(row[1])
-            metrics = [percent_text_to_fraction(row[2]),
-                       percent_text_to_fraction(row[3]),
-                       percent_text_to_fraction(row[4]),
-                       float(row[5]), float(row[6]), float(row[7])]
-            rows.setdefault(machine, {})[ts] = metrics
-    machines = np.array(sorted(rows), dtype=np.int64)
-    timestamps = np.array(sorted({ts for per in rows.values() for ts in per}),
-                          dtype=np.int64)
-    values = np.zeros((len(machines), len(timestamps), len(METRICS)))
-    for i, machine in enumerate(machines):
-        per = rows[int(machine)]
-        if len(per) != len(timestamps):
-            raise ValueError(f"dense table has holes for machine {machine}")
-        for x, ts in enumerate(timestamps):
-            values[i, x] = per[int(ts)]
-    return DenseUsage(machines, timestamps, values)
 
 
 def write_repair_log_csv(annotations: list[RepairAnnotation], path: str) -> None:

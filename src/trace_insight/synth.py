@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -25,16 +26,10 @@ import numpy as np
 
 from .preprocess import METRICS
 from .trace_model import (
-    BatchInstanceRecord,
-    BatchTaskRecord,
-    ContainerEvent,
     ContainerEventType,
-    ContainerUsageRecord,
     InstanceStatus,
     IntervalGrid,
-    MachineEvent,
     MachineEventType,
-    ServerUsageRecord,
     TaskStatus,
     TraceBundle,
     write_trace_dir,
@@ -232,34 +227,28 @@ class _IdSource:
         return self.job
 
 
-def _gen_machine(bundle: TraceBundle, machine: int, label: str,
+def _gen_machine(rows: dict[str, list[tuple]], machine: int, label: str,
                  plants: list[AnomalyPlant], grid: IntervalGrid,
                  noise: float, rng: np.random.Generator,
                  ids: _IdSource) -> None:
+    """Append the machine's rows to ``rows`` (per ``TraceBundle`` attribute,
+    in each file's default column order)."""
     n = grid.interval_count
     kinds = {p.kind: p for p in plants}
     half = n // 2
 
-    bundle.events.append(MachineEvent(
-        timestamp=0, machine=machine, event_type=MachineEventType.ADD,
-        event_detail=None, cpu_count=MACHINE_CORES,
-        norm_memory=1.0, norm_disk=1.0))
+    events = rows["events"]
+    events.append((0, machine, MachineEventType.ADD, "", MACHINE_CORES, 1.0, 1.0))
     if PlantKind.FREQUENT_SOFT_ERROR in kinds:
         span = grid.end - grid.start
         for i in range(4):
             ts = grid.start + round((i + 1) * span / 5)
-            bundle.events.append(MachineEvent(
-                timestamp=int(ts), machine=machine,
-                event_type=MachineEventType.SOFT_ERROR,
-                event_detail="agent check failed", cpu_count=0,
-                norm_memory=0.0, norm_disk=0.0))
+            events.append((int(ts), machine, MachineEventType.SOFT_ERROR,
+                           "agent check failed", 0, 0.0, 0.0))
     if PlantKind.SOFT_ERROR_WORKLOAD_STOP in kinds:
         ts = grid.start + half * grid.step + 37
-        bundle.events.append(MachineEvent(
-            timestamp=int(ts), machine=machine,
-            event_type=MachineEventType.SOFT_ERROR,
-            event_detail="disk full", cpu_count=0,
-            norm_memory=0.0, norm_disk=0.0))
+        events.append((int(ts), machine, MachineEventType.SOFT_ERROR,
+                       "disk full", 0, 0.0, 0.0))
 
     base_cpu, base_mem, base_disk = BASE_USAGE[label]
     if PlantKind.HEAVY_ONLINE in kinds:
@@ -274,9 +263,7 @@ def _gen_machine(bundle: TraceBundle, machine: int, label: str,
             cpu = _noisy(rng, base_cpu, noise)
             mem = _noisy(rng, base_mem, noise)
             disk = _noisy(rng, base_disk, noise)
-        bundle.server_usage.append(ServerUsageRecord(
-            timestamp=ts, machine=machine, cpu=cpu, mem=mem, disk=disk,
-            load1=0.0, load5=0.0, load15=0.0))
+        rows["server_usage"].append((ts, machine, cpu, mem, disk, 0.0, 0.0, 0.0))
 
     if has_containers(label) and not idle:
         if PlantKind.HEAVY_ONLINE in kinds:
@@ -287,22 +274,17 @@ def _gen_machine(bundle: TraceBundle, machine: int, label: str,
             count = 2 + int(rng.integers(3))
         for _ in range(count):
             instance = ids.next_container()
-            bundle.container_events.append(ContainerEvent(
-                timestamp=0, event_type=ContainerEventType.CREATE,
-                instance=instance, machine=machine,
-                cpu_req=float(rng.choice((2.0, 4.0, 8.0))),
-                mem_req=float(rng.uniform(0.01, 0.05)),
-                disk_req=float(rng.uniform(0.005, 0.02)),
-                cpu_set=None))
+            # tuple items are evaluated left to right: the RNG draw order
+            rows["container_events"].append((
+                0, ContainerEventType.CREATE, instance, machine,
+                float(rng.choice((2.0, 4.0, 8.0))), float(rng.uniform(0.01, 0.05)),
+                float(rng.uniform(0.005, 0.02)), ""))
             for x in range(n):
-                bundle.container_usage.append(ContainerUsageRecord(
-                    timestamp=grid.start + x * grid.step, instance=instance,
-                    cpu_of_req=_noisy(rng, 0.3, noise),
-                    mem_of_req=_noisy(rng, 0.6, noise),
-                    disk_of_req=_noisy(rng, 0.1, noise),
-                    disk=_noisy(rng, base_disk, noise),
-                    load1=0.0, load5=0.0, load15=0.0,
-                    avg_cpi=1.5, avg_mpki=1.2, max_cpi=2.0, max_mpki=1.8))
+                rows["container_usage"].append((
+                    grid.start + x * grid.step, instance,
+                    _noisy(rng, 0.3, noise), _noisy(rng, 0.6, noise),
+                    _noisy(rng, 0.1, noise), _noisy(rng, base_disk, noise),
+                    0.0, 0.0, 0.0, 1.5, 1.2, 2.0, 1.8))
 
     runs = [] if idle else batch_runs(label, n)
     streams = 0
@@ -321,21 +303,15 @@ def _gen_machine(bundle: TraceBundle, machine: int, label: str,
                 e = min(s + _log_uniform_duration(rng, grid.step), span_end)
                 spans.append((s, e))
                 s = e + 1
-        bundle.batch_tasks.append(BatchTaskRecord(
-            create_time=span_start, end_time=span_end, job=job, task=1,
-            instance_count=len(spans), status=TaskStatus.TERMINATED,
-            cpu_req=1.0, mem_req=0.01))
+        rows["batch_tasks"].append((span_start, span_end, job, 1, len(spans),
+                                    TaskStatus.TERMINATED, 1.0, 0.01))
         for i, (s, e) in enumerate(spans):
             avg_cpu = float(rng.uniform(0.2, 1.2))
             avg_mem = float(rng.uniform(0.005, 0.02))
-            bundle.batch_instances.append(BatchInstanceRecord(
-                start=s, end=e, job=job, task=1, machine=machine,
-                status=InstanceStatus.TERMINATED,
-                seq_no=i + 1, total_seq_no=len(spans),
-                max_cpu=avg_cpu * float(rng.uniform(1.0, 1.3)),
-                avg_cpu=avg_cpu,
-                max_mem=float(min(avg_mem * rng.uniform(1.0, 1.3), 1.0)),
-                avg_mem=avg_mem))
+            rows["batch_instances"].append((
+                s, e, job, 1, machine, InstanceStatus.TERMINATED, i + 1, len(spans),
+                avg_cpu * float(rng.uniform(1.0, 1.3)), avg_cpu,
+                float(min(avg_mem * rng.uniform(1.0, 1.3), 1.0)), avg_mem))
 
 
 def plant_gap(bundle: TraceBundle, machine: int, metric: str,
@@ -349,16 +325,15 @@ def plant_gap(bundle: TraceBundle, machine: int, metric: str,
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-    if not any(rec.machine == machine for rec in bundle.server_usage):
+    usage = bundle.server_usage
+    mine = usage.machine == machine
+    if not mine.any():
         raise ValueError(f"machine {machine} has no server-usage samples")
     wanted = set(timestamps)
-    kept = []
-    removed = {}
-    for rec in bundle.server_usage:
-        if rec.machine == machine and rec.timestamp in wanted:
-            removed[rec.timestamp] = rec
-        else:
-            kept.append(rec)
+    cut = mine & np.isin(usage.timestamp, list(wanted))
+    # the last row of a timestamp holds its true value
+    removed = dict(zip(usage.timestamp[cut].tolist(),
+                       getattr(usage, metric)[cut].tolist()))
     missing = sorted(wanted - set(removed))
     if missing:
         raise ValueError(f"machine {machine} has no samples at {missing}")
@@ -366,8 +341,8 @@ def plant_gap(bundle: TraceBundle, machine: int, metric: str,
         ts_sorted = sorted(removed)
         ground_truth.gaps.append(GapRecord(
             machine=machine, metric=metric, timestamps=ts_sorted,
-            true_values=[getattr(removed[ts], metric) for ts in ts_sorted]))
-    return replace(bundle, server_usage=kept)
+            true_values=[removed[ts] for ts in ts_sorted]))
+    return replace(bundle, server_usage=usage.take(~cut))
 
 
 def generate_trace(config: SynthConfig) -> tuple[TraceBundle, GroundTruth]:
@@ -381,18 +356,19 @@ def generate_trace(config: SynthConfig) -> tuple[TraceBundle, GroundTruth]:
     for plant in config.anomaly_plants:
         plants_by_machine.setdefault(plant.machine, []).append(plant)
 
-    bundle = TraceBundle(machine_count=config.machine_count)
     truth = GroundTruth(types=dict(types))
     for machine, plants in sorted(plants_by_machine.items()):
         truth.anomalies[machine] = sorted(p.kind.value for p in plants)
 
     ids = _IdSource()
+    rows: dict[str, list[tuple]] = defaultdict(list)
     children = np.random.SeedSequence(config.seed).spawn(config.machine_count)
     for machine in range(1, config.machine_count + 1):
         rng = np.random.default_rng(children[machine - 1])
-        _gen_machine(bundle, machine, types[machine],
+        _gen_machine(rows, machine, types[machine],
                      plants_by_machine.get(machine, []), config.grid,
                      config.noise_level, rng, ids)
+    bundle = TraceBundle.from_rows(machine_count=config.machine_count, **rows)
 
     for gap in config.gap_plants:
         timestamps = [config.grid.start + s * config.grid.step

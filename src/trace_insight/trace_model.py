@@ -1,19 +1,38 @@
-"""Trace schema: record types, CSV parsing/serialization, and the interval grid.
+"""Trace schema: one table of numpy columns per trace file, CSV parsing and
+writing, and the interval grid.
 
 A trace is a directory of six comma-separated CSV files (no header by default):
 machine events, server usage, container events, container usage, batch tasks,
-and batch task instances. Column order is controlled by a schema profile so
-alternative file layouts can be parsed without code changes.
+and batch task instances. Each file parses into a ``Table``: one numpy column
+per field, one entry per accepted row, ``len(table)`` rows. One spec per file
+(``_SPECS``) gives every field a kind, which drives both parsing and writing,
+and lists the checks that span several columns. Column order is controlled
+by a schema profile so alternative file layouts can be parsed without code
+changes.
 
-Unit conventions, applied at parse time and inverted on write:
-  * percent columns become fractions in [0, 1],
-  * timestamps stay integer seconds relative to trace start (0 means
-    "before the recorded period"),
-  * everything else is kept as-is.
+Kinds and units, applied at parse time and inverted on write:
+  * ids, counts and timestamps are int64; timestamps stay integer seconds
+    relative to trace start (0 means "before the recorded period"), and an
+    empty batch-instance machine cell is machine 0 (never placed),
+  * percent cells become float64 fractions in [0, 1], in a column named
+    after the field without ``_pct``,
+  * enums become int8 codes, the member's position in its Enum class
+    (``enum_code``),
+  * ``event_detail`` and ``cpu_set`` stay text, ``cpu_set`` normalised to
+    ``1|2|3``; everything else is float64 as written.
 
-Percent cells are converted through ``decimal.Decimal`` exponent shifts so the
-text -> fraction -> text cycle rounds exactly once; re-serializing a parsed
-bundle and parsing it again reproduces every float bit-for-bit.
+Parsing reads ``BLOCK_ROWS`` rows at a time and converts each column of a
+block with one ``np.fromiter``; ranges and finiteness are checked with masks.
+A row that any check rejects is run through the per-cell converters, in the
+order the checks have always been applied, to name the first rule it breaks
+in its ``RowDiagnostic``.
+
+A percent cell converts as ``float(text + "e-2")``, which rounds the exact
+decimal value once. Cells with an exponent, or longer than Decimal's default
+28-digit precision, take the ``decimal.Decimal`` exponent shift of
+``percent_text_to_fraction`` instead, which gives the same float wherever
+both apply. ``fraction_to_percent_text`` inverts the conversion exactly, so
+writing a bundle and parsing it again reproduces every float bit-for-bit.
 """
 
 from __future__ import annotations
@@ -21,10 +40,14 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import operator
 import os
-from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
+from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
+from functools import partial
+from itertools import islice, repeat
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -40,6 +63,9 @@ DEFAULT_FILENAMES = {
 }
 
 FILE_KEYS = tuple(DEFAULT_FILENAMES)
+
+# Rows converted per block: bounds the parser's transient memory.
+BLOCK_ROWS = 1024
 
 
 class TraceParseError(Exception):
@@ -73,113 +99,17 @@ class InstanceStatus(Enum):
     INTERRUPTED = "Interrupted"
 
 
-def _parse_enum(enum_cls, text: str):
+def enum_code(member: Enum) -> int:
+    """The code an enum column stores for ``member``."""
+    return list(type(member)).index(member)
+
+
+def _parse_enum(enum_cls, text: str) -> int:
     lowered = text.strip().lower()
-    for member in enum_cls:
+    for code, member in enumerate(enum_cls):
         if member.value.lower() == lowered:
-            return member
+            return code
     raise ValueError(f"unknown {enum_cls.__name__} value {text!r}")
-
-
-@dataclass(frozen=True, slots=True)
-class MachineEvent:
-    timestamp: int
-    machine: int
-    event_type: MachineEventType
-    event_detail: str | None
-    cpu_count: int
-    norm_memory: float
-    norm_disk: float
-
-
-@dataclass(frozen=True, slots=True)
-class ServerUsageRecord:
-    timestamp: int
-    machine: int
-    cpu: float        # fraction of machine CPU
-    mem: float        # fraction of machine memory
-    disk: float       # fraction of machine disk
-    load1: float
-    load5: float
-    load15: float
-
-
-@dataclass(frozen=True, slots=True)
-class ContainerEvent:
-    timestamp: int
-    event_type: ContainerEventType
-    instance: int
-    machine: int
-    cpu_req: float    # cores
-    mem_req: float    # fraction of machine memory
-    disk_req: float   # fraction of machine disk
-    cpu_set: tuple[int, ...] | None
-
-
-@dataclass(frozen=True, slots=True)
-class ContainerUsageRecord:
-    timestamp: int    # start of the measurement interval
-    instance: int
-    cpu_of_req: float   # fraction of the requested CPU actually used
-    mem_of_req: float   # fraction of the requested memory actually used
-    disk_of_req: float
-    disk: float         # fraction of machine disk
-    load1: float
-    load5: float
-    load15: float
-    avg_cpi: float
-    avg_mpki: float
-    max_cpi: float
-    max_mpki: float
-
-
-@dataclass(frozen=True, slots=True)
-class BatchTaskRecord:
-    create_time: int
-    end_time: int
-    job: int
-    task: int
-    instance_count: int
-    status: TaskStatus
-    cpu_req: float    # cores
-    mem_req: float    # fraction
-
-
-@dataclass(frozen=True, slots=True)
-class BatchInstanceRecord:
-    start: int        # may be 0 ("before trace period" / never started)
-    end: int          # may be 0
-    job: int
-    task: int
-    machine: int      # 0 when the instance never landed on a machine
-    status: InstanceStatus
-    seq_no: int
-    total_seq_no: int
-    max_cpu: float    # cores
-    avg_cpu: float    # cores
-    max_mem: float    # fraction
-    avg_mem: float    # fraction
-
-
-@dataclass
-class TraceBundle:
-    """All parsed records plus the derived machine count.
-
-    Treated as immutable after construction; pipeline stages that need a
-    modified view (e.g. filtered container events) build a new bundle with
-    ``dataclasses.replace``.
-    """
-
-    events: list[MachineEvent] = field(default_factory=list)
-    server_usage: list[ServerUsageRecord] = field(default_factory=list)
-    container_events: list[ContainerEvent] = field(default_factory=list)
-    container_usage: list[ContainerUsageRecord] = field(default_factory=list)
-    batch_tasks: list[BatchTaskRecord] = field(default_factory=list)
-    batch_instances: list[BatchInstanceRecord] = field(default_factory=list)
-    machine_count: int = 0
-
-    def machine_ids(self) -> range:
-        return range(1, self.machine_count + 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,13 +126,13 @@ class RowDiagnostic:
 def percent_text_to_fraction(text: str) -> float:
     """Parse a percent CSV cell into a fraction with a single rounding step.
 
-    ``Decimal.scaleb`` shifts the decimal exponent exactly, so the only
-    rounding happens in the final ``float()``; ``fraction_to_percent_text``
-    inverts the conversion exactly.
+    ``Decimal.scaleb`` shifts the decimal exponent exactly (up to the
+    context's 28 digits), so the only rounding happens in the final
+    ``float()``; ``fraction_to_percent_text`` inverts the conversion exactly.
     """
     try:
         value = float(Decimal(text.strip()).scaleb(-2))
-    except (InvalidOperation, ValueError) as exc:
+    except (ArithmeticError, ValueError) as exc:   # decimal's errors included
         raise ValueError(f"bad percent value {text!r}") from exc
     if not math.isfinite(value):
         raise ValueError(f"non-finite percent value {text!r}")
@@ -218,15 +148,44 @@ def float_text(value: float) -> str:
     return repr(float(value))
 
 
+_DECIMAL_DIGITS = 28
+
+
+def _percent_cell(text: str) -> float:
+    """``percent_text_to_fraction`` without its Decimal detour where the
+    result is the same: up to 28 characters and without an exponent."""
+    if len(text) <= _DECIMAL_DIGITS:
+        try:
+            return float(text.strip() + "e-2")
+        except ValueError:
+            pass   # an exponent, or not a number: the Decimal path decides
+    return percent_text_to_fraction(text)
+
+
+def _percent_column(cells: tuple[str, ...]):
+    """``_percent_cell`` over a block column, in C where it can be:
+    ``float(cell + "e-2")`` raises on a cell with an exponent or trailing
+    space, which sends the block to the cell-by-cell path."""
+    if max(map(len, cells)) > _DECIMAL_DIGITS:
+        return map(_percent_cell, cells)
+    return map(float, map(operator.add, cells, repeat("e-2")))
+
+
 # ---------------------------------------------------------------------------
-# field converters (all raise ValueError on bad cells)
+# per-cell converters: each raises ValueError naming the rule a cell breaks
+
+
+_INT64 = np.iinfo(np.int64)
 
 
 def _int(text: str, name: str) -> int:
     try:
-        return int(text.strip())
+        value = int(text.strip())
     except ValueError as exc:
         raise ValueError(f"bad integer for {name}: {text!r}") from exc
+    if not _INT64.min <= value <= _INT64.max:
+        raise ValueError(f"{name} outside the 64-bit integer range: {text!r}")
+    return value
 
 
 def _nonneg_int(text: str, name: str) -> int:
@@ -234,6 +193,25 @@ def _nonneg_int(text: str, name: str) -> int:
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
     return value
+
+
+def _count(text: str, name: str) -> int:
+    value = _int(text, name)
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
+
+
+def _machine_id(text: str, name: str) -> int:
+    value = _int(text, name)
+    if value < 1:
+        raise ValueError(f"machine id must be >= 1, got {value}")
+    return value
+
+
+def _optional_machine(text: str, name: str) -> int:
+    text = text.strip()
+    return _nonneg_int(text, name) if text else 0
 
 
 def _float(text: str, name: str) -> float:
@@ -253,6 +231,13 @@ def _nonneg_float(text: str, name: str) -> float:
     return value
 
 
+def _positive_float(text: str, name: str) -> float:
+    value = _float(text, name)
+    if value <= 0:
+        raise ValueError(f"{name} must be > 0, got {value}")
+    return value
+
+
 def _unit_fraction(text: str, name: str) -> float:
     value = _float(text, name)
     if not 0.0 <= value <= 1.0:
@@ -267,177 +252,247 @@ def _percent_fraction(text: str, name: str) -> float:
     return value
 
 
-def _cpu_set(text: str) -> tuple[int, ...] | None:
-    text = text.strip()
-    if not text:
-        return None
-    return tuple(int(part) for part in text.replace(" ", "|").split("|") if part)
+def _cpu_set(text: str) -> str:
+    """Normalised ``1|2|3`` text; spaces also separate, int() checks parts."""
+    return "|".join(str(int(part)) for part in
+                    text.strip().replace(" ", "|").split("|") if part)
 
 
 # ---------------------------------------------------------------------------
-# per-file row builders
-
-FILE_FIELDS: dict[str, tuple[str, ...]] = {
-    "server_event": (
-        "timestamp", "machine", "event_type", "event_detail",
-        "cpu_count", "norm_memory", "norm_disk",
-    ),
-    "server_usage": (
-        "timestamp", "machine", "cpu_pct", "mem_pct", "disk_pct",
-        "load1", "load5", "load15",
-    ),
-    "container_event": (
-        "timestamp", "event_type", "instance", "machine",
-        "cpu_req", "mem_req", "disk_req", "cpu_set",
-    ),
-    "container_usage": (
-        "timestamp", "instance", "cpu_pct_of_req", "mem_pct_of_req",
-        "disk_pct_of_req", "disk_pct", "load1", "load5", "load15",
-        "avg_cpi", "avg_mpki", "max_cpi", "max_mpki",
-    ),
-    "batch_task": (
-        "create_time", "end_time", "job", "task", "instance_count",
-        "status", "cpu_req", "mem_req",
-    ),
-    "batch_instance": (
-        "start", "end", "job", "task", "machine", "status",
-        "seq_no", "total_seq_no", "max_cpu", "avg_cpu", "max_mem", "avg_mem",
-    ),
-}
-
-SCHEMA_PROFILES: dict[str, dict[str, tuple[str, ...]]] = {
-    "default": {key: fields for key, fields in FILE_FIELDS.items()},
-}
+# field kinds and file specs
 
 
-def _build_server_event(f: dict[str, str]) -> MachineEvent:
-    return MachineEvent(
-        timestamp=_nonneg_int(f["timestamp"], "timestamp"),
-        machine=_machine_id(f["machine"]),
-        event_type=_parse_enum(MachineEventType, f["event_type"]),
-        event_detail=f["event_detail"].strip() or None,
-        cpu_count=_nonneg_int(f["cpu_count"], "cpu_count"),
-        norm_memory=_unit_fraction(f["norm_memory"], "norm_memory"),
-        norm_disk=_unit_fraction(f["norm_disk"], "norm_disk"),
-    )
+@dataclass(frozen=True)
+class _Kind:
+    """How one field parses, checks and writes.
+
+    ``parse`` converts a cell in the fast path and ``valid`` masks the
+    values it accepts; ``check`` is the per-cell converter that names the
+    rule a rejected cell breaks; ``text`` turns column values back into
+    cells, and ``store`` row values (as ``Table.from_rows`` takes them) into
+    a column. ``parse_all`` maps ``parse`` over a block column where a
+    faster equal form exists."""
+
+    dtype: type
+    parse: Callable[[str], object]
+    valid: Callable[[np.ndarray], np.ndarray] | None
+    check: Callable[[str, str], object]
+    text: Callable[[list], list[str]]
+    store: Callable[[tuple], np.ndarray] | None = None
+    parse_all: Callable[[tuple], Iterator] | None = None
+
+    def array(self, values) -> np.ndarray:
+        if self.store is not None:
+            return self.store(values)
+        return np.array(values, dtype=self.dtype)
+
+    def column(self, cells: tuple[str, ...]) -> np.ndarray:
+        """A block column; raises on the first cell that does not parse."""
+        parsed = (self.parse_all or partial(map, self.parse))(cells)
+        if self.dtype is str:
+            return np.array(list(parsed), dtype=str)
+        return np.fromiter(parsed, self.dtype, len(cells))
 
 
-def _build_server_usage(f: dict[str, str]) -> ServerUsageRecord:
-    return ServerUsageRecord(
-        timestamp=_nonneg_int(f["timestamp"], "timestamp"),
-        machine=_machine_id(f["machine"]),
-        cpu=_percent_fraction(f["cpu_pct"], "cpu_pct"),
-        mem=_percent_fraction(f["mem_pct"], "mem_pct"),
-        disk=_percent_fraction(f["disk_pct"], "disk_pct"),
-        load1=_nonneg_float(f["load1"], "load1"),
-        load5=_nonneg_float(f["load5"], "load5"),
-        load15=_nonneg_float(f["load15"], "load15"),
-    )
+def _texts(convert):
+    return lambda values: list(map(convert, values))
 
 
-def _build_container_event(f: dict[str, str]) -> ContainerEvent:
-    cpu_req = _float(f["cpu_req"], "cpu_req")
-    if cpu_req <= 0:
-        raise ValueError(f"cpu_req must be > 0, got {cpu_req}")
-    # mem_req is nominally a fraction of machine memory, but known bad
-    # duplicate records carry values slightly above 1 (e.g. 1.00001) and the
-    # duplicate filter must get to see them, so only positivity is enforced.
-    mem_req = _float(f["mem_req"], "mem_req")
-    if mem_req <= 0:
-        raise ValueError(f"mem_req must be > 0, got {mem_req}")
-    return ContainerEvent(
-        timestamp=_nonneg_int(f["timestamp"], "timestamp"),
-        event_type=_parse_enum(ContainerEventType, f["event_type"]),
-        instance=_nonneg_int(f["instance"], "instance"),
-        machine=_machine_id(f["machine"]),
-        cpu_req=cpu_req,
-        mem_req=mem_req,
-        disk_req=_nonneg_float(f["disk_req"], "disk_req"),
-        cpu_set=_cpu_set(f["cpu_set"]),
-    )
+_ints = _texts(str)
+_floats = _texts(float_text)
+
+_MACHINE = _Kind(np.int64, int, lambda v: v >= 1, _machine_id, _ints)
+_OPTIONAL_MACHINE = _Kind(
+    np.int64, lambda cell: int(cell) if cell.strip() else 0, lambda v: v >= 0,
+    _optional_machine, _texts(lambda m: str(m) if m else ""))
+_NONNEG_INT = _Kind(np.int64, int, lambda v: v >= 0, _nonneg_int, _ints)
+_COUNT = _Kind(np.int64, int, lambda v: v >= 1, _count, _ints)
+_PERCENT = _Kind(np.float64, _percent_cell, lambda v: (v >= 0.0) & (v <= 1.0),
+                 _percent_fraction, _texts(fraction_to_percent_text),
+                 parse_all=_percent_column)
+_UNIT_FRACTION = _Kind(np.float64, float, lambda v: (v >= 0.0) & (v <= 1.0),
+                       _unit_fraction, _floats)
+_NONNEG_FLOAT = _Kind(np.float64, float, lambda v: (v >= 0.0) & (v < np.inf),
+                      _nonneg_float, _floats)
+_POSITIVE_FLOAT = _Kind(np.float64, float, lambda v: (v > 0.0) & (v < np.inf),
+                        _positive_float, _floats)
+_TEXT = _Kind(str, str.strip, None, lambda text, name: text.strip(), list)
+_CPU_SET = _Kind(str, _cpu_set, None, lambda text, name: _cpu_set(text), list)
 
 
-def _build_container_usage(f: dict[str, str]) -> ContainerUsageRecord:
-    return ContainerUsageRecord(
-        timestamp=_nonneg_int(f["timestamp"], "timestamp"),
-        instance=_nonneg_int(f["instance"], "instance"),
-        cpu_of_req=_percent_fraction(f["cpu_pct_of_req"], "cpu_pct_of_req"),
-        mem_of_req=_percent_fraction(f["mem_pct_of_req"], "mem_pct_of_req"),
-        disk_of_req=_percent_fraction(f["disk_pct_of_req"], "disk_pct_of_req"),
-        disk=_percent_fraction(f["disk_pct"], "disk_pct"),
-        load1=_nonneg_float(f["load1"], "load1"),
-        load5=_nonneg_float(f["load5"], "load5"),
-        load15=_nonneg_float(f["load15"], "load15"),
-        avg_cpi=_nonneg_float(f["avg_cpi"], "avg_cpi"),
-        avg_mpki=_nonneg_float(f["avg_mpki"], "avg_mpki"),
-        max_cpi=_nonneg_float(f["max_cpi"], "max_cpi"),
-        max_mpki=_nonneg_float(f["max_mpki"], "max_mpki"),
-    )
+def _enum_kind(enum_cls) -> _Kind:
+    """An enum field: int8 codes into the members of ``enum_cls``."""
+    members = list(enum_cls)
+    lookup = {m.value.lower(): code for code, m in enumerate(members)}
+    codes = {m: code for code, m in enumerate(members)}
+    return _Kind(np.int8, lambda cell: lookup.get(cell.strip().lower(), -1),
+                 lambda v: v >= 0, lambda text, name: _parse_enum(enum_cls, text),
+                 lambda column: [members[c].value for c in column],
+                 lambda rows: np.fromiter(map(codes.__getitem__, rows), np.int8,
+                                          len(rows)))
 
 
-def _build_batch_task(f: dict[str, str]) -> BatchTaskRecord:
-    instance_count = _int(f["instance_count"], "instance_count")
-    if instance_count < 1:
-        raise ValueError(f"instance_count must be >= 1, got {instance_count}")
-    return BatchTaskRecord(
-        create_time=_nonneg_int(f["create_time"], "create_time"),
-        end_time=_nonneg_int(f["end_time"], "end_time"),
-        job=_nonneg_int(f["job"], "job"),
-        task=_nonneg_int(f["task"], "task"),
-        instance_count=instance_count,
-        status=_parse_enum(TaskStatus, f["status"]),
-        cpu_req=_nonneg_float(f["cpu_req"], "cpu_req"),
-        mem_req=_nonneg_float(f["mem_req"], "mem_req"),
-    )
+@dataclass(frozen=True)
+class _Rule:
+    """A check across columns: ``violated`` takes the named fields' values
+    (scalars or block columns) and the message formats over them."""
+
+    fields: tuple[str, ...]
+    violated: Callable
+    message: str
 
 
 _AVG_MAX_TOL = 1e-9
+_TERMINATED = enum_code(InstanceStatus.TERMINATED)
+
+_TERMINATED_SPAN = _Rule(
+    ("status", "start", "end"),
+    lambda status, start, end: (status == _TERMINATED) & ((start == 0) | (end < start)),
+    "Terminated instance needs start > 0 and end >= start, got [{start},{end}]")
+_AVG_WITHIN_MAX = _Rule(
+    ("avg_cpu", "max_cpu"),
+    lambda avg_cpu, max_cpu: avg_cpu > max_cpu + _AVG_MAX_TOL,
+    "avg_cpu {avg_cpu} exceeds max_cpu {max_cpu}")
 
 
-def _build_batch_instance(f: dict[str, str]) -> BatchInstanceRecord:
-    start = _nonneg_int(f["start"], "start")
-    end = _nonneg_int(f["end"], "end")
-    status = _parse_enum(InstanceStatus, f["status"])
-    if status is InstanceStatus.TERMINATED and (start == 0 or end < start):
-        raise ValueError(
-            f"Terminated instance needs start > 0 and end >= start, got [{start},{end}]"
-        )
-    max_cpu = _nonneg_float(f["max_cpu"], "max_cpu")
-    avg_cpu = _nonneg_float(f["avg_cpu"], "avg_cpu")
-    if avg_cpu > max_cpu + _AVG_MAX_TOL:
-        raise ValueError(f"avg_cpu {avg_cpu} exceeds max_cpu {max_cpu}")
-    machine_text = f["machine"].strip()
-    return BatchInstanceRecord(
-        start=start,
-        end=end,
-        job=_nonneg_int(f["job"], "job"),
-        task=_nonneg_int(f["task"], "task"),
-        machine=_nonneg_int(machine_text, "machine") if machine_text else 0,
-        status=status,
-        seq_no=_nonneg_int(f["seq_no"], "seq_no"),
-        total_seq_no=_nonneg_int(f["total_seq_no"], "total_seq_no"),
-        max_cpu=max_cpu,
-        avg_cpu=avg_cpu,
-        max_mem=_unit_fraction(f["max_mem"], "max_mem"),
-        avg_mem=_unit_fraction(f["avg_mem"], "avg_mem"),
-    )
+@dataclass(frozen=True)
+class _FileSpec:
+    """One trace file: its ``TraceBundle`` attribute, its fields with their
+    kinds in the default column order, and the fields and cross-column rules
+    a row is checked against before the remaining fields, in that order."""
+
+    attr: str
+    fields: dict[str, _Kind]
+    check_first: tuple = ()
+
+    def check_order(self) -> list:
+        first = [step for step in self.check_first if isinstance(step, str)]
+        return list(self.check_first) + [f for f in self.fields if f not in first]
+
+    def rules(self) -> list[_Rule]:
+        return [step for step in self.check_first if isinstance(step, _Rule)]
 
 
-def _machine_id(text: str) -> int:
-    value = _int(text, "machine")
-    if value < 1:
-        raise ValueError(f"machine id must be >= 1, got {value}")
-    return value
-
-
-_BUILDERS = {
-    "server_event": _build_server_event,
-    "server_usage": _build_server_usage,
-    "container_event": _build_container_event,
-    "container_usage": _build_container_usage,
-    "batch_task": _build_batch_task,
-    "batch_instance": _build_batch_instance,
+_SPECS = {
+    "server_event": _FileSpec("events", {
+        "timestamp": _NONNEG_INT, "machine": _MACHINE,
+        "event_type": _enum_kind(MachineEventType), "event_detail": _TEXT,
+        "cpu_count": _NONNEG_INT, "norm_memory": _UNIT_FRACTION,
+        "norm_disk": _UNIT_FRACTION,
+    }),
+    "server_usage": _FileSpec("server_usage", {
+        "timestamp": _NONNEG_INT, "machine": _MACHINE, "cpu_pct": _PERCENT,
+        "mem_pct": _PERCENT, "disk_pct": _PERCENT, "load1": _NONNEG_FLOAT,
+        "load5": _NONNEG_FLOAT, "load15": _NONNEG_FLOAT,
+    }),
+    # mem_req is nominally a fraction of machine memory, but known bad
+    # duplicate records carry values slightly above 1 (e.g. 1.00001) and the
+    # duplicate filter must get to see them, so only positivity is enforced.
+    "container_event": _FileSpec("container_events", {
+        "timestamp": _NONNEG_INT, "event_type": _enum_kind(ContainerEventType),
+        "instance": _NONNEG_INT, "machine": _MACHINE, "cpu_req": _POSITIVE_FLOAT,
+        "mem_req": _POSITIVE_FLOAT, "disk_req": _NONNEG_FLOAT, "cpu_set": _CPU_SET,
+    }, check_first=("cpu_req", "mem_req")),
+    "container_usage": _FileSpec("container_usage", {
+        "timestamp": _NONNEG_INT, "instance": _NONNEG_INT,
+        "cpu_pct_of_req": _PERCENT, "mem_pct_of_req": _PERCENT,
+        "disk_pct_of_req": _PERCENT, "disk_pct": _PERCENT,
+        "load1": _NONNEG_FLOAT, "load5": _NONNEG_FLOAT, "load15": _NONNEG_FLOAT,
+        "avg_cpi": _NONNEG_FLOAT, "avg_mpki": _NONNEG_FLOAT,
+        "max_cpi": _NONNEG_FLOAT, "max_mpki": _NONNEG_FLOAT,
+    }),
+    "batch_task": _FileSpec("batch_tasks", {
+        "create_time": _NONNEG_INT, "end_time": _NONNEG_INT, "job": _NONNEG_INT,
+        "task": _NONNEG_INT, "instance_count": _COUNT,
+        "status": _enum_kind(TaskStatus), "cpu_req": _NONNEG_FLOAT,
+        "mem_req": _NONNEG_FLOAT,
+    }, check_first=("instance_count",)),
+    "batch_instance": _FileSpec("batch_instances", {
+        "start": _NONNEG_INT, "end": _NONNEG_INT, "job": _NONNEG_INT,
+        "task": _NONNEG_INT, "machine": _OPTIONAL_MACHINE,
+        "status": _enum_kind(InstanceStatus), "seq_no": _NONNEG_INT,
+        "total_seq_no": _NONNEG_INT, "max_cpu": _NONNEG_FLOAT,
+        "avg_cpu": _NONNEG_FLOAT, "max_mem": _UNIT_FRACTION,
+        "avg_mem": _UNIT_FRACTION,
+    }, check_first=("start", "end", "status", _TERMINATED_SPAN,
+                    "max_cpu", "avg_cpu", _AVG_WITHIN_MAX)),
 }
+
+SCHEMA_PROFILES: dict[str, dict[str, tuple[str, ...]]] = {
+    "default": {key: tuple(spec.fields) for key, spec in _SPECS.items()},
+}
+
+
+def _column_name(field_name: str) -> str:
+    """Percent fields hold fractions once parsed, so their column drops
+    ``_pct``."""
+    return field_name.replace("_pct", "")
+
+
+# ---------------------------------------------------------------------------
+# tables
+
+
+class Table:
+    """One trace file as numpy columns: ``table.<column>`` is an array with
+    one entry per row, and ``len(table)`` is the row count."""
+
+    def __init__(self, file_key: str, columns: dict[str, np.ndarray]):
+        self.file_key = file_key
+        self.columns = columns
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        columns = self.__dict__.get("columns", {})
+        if name in columns:
+            return columns[name]
+        raise AttributeError(f"{self.__dict__.get('file_key')} table has no "
+                             f"column {name!r}")
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
+
+    def take(self, rows) -> Table:
+        """The rows selected by a boolean mask or index array, in order."""
+        return Table(self.file_key,
+                     {name: column[rows] for name, column in self.columns.items()})
+
+    @classmethod
+    def from_rows(cls, file_key: str, rows) -> Table:
+        """Table from row tuples in the default column order; enum fields
+        take Enum members and text fields strings."""
+        fields = _SPECS[file_key].fields
+        cells = list(zip(*rows)) or [()] * len(fields)
+        return cls(file_key, {_column_name(name): kind.array(column)
+                              for (name, kind), column in zip(fields.items(), cells)})
+
+
+@dataclass(eq=False)
+class TraceBundle:
+    """The six parsed files plus the derived machine count.
+
+    Treated as immutable after construction; pipeline stages that need a
+    modified view (e.g. filtered container events) build a new bundle with
+    ``dataclasses.replace``.
+    """
+
+    events: Table
+    server_usage: Table
+    container_events: Table
+    container_usage: Table
+    batch_tasks: Table
+    batch_instances: Table
+    machine_count: int = 0
+
+    @classmethod
+    def from_rows(cls, machine_count: int = 0, **rows) -> TraceBundle:
+        """Bundle from row tuples per attribute (see ``Table.from_rows``);
+        an attribute left out gets an empty table."""
+        unknown = set(rows) - {spec.attr for spec in _SPECS.values()}
+        if unknown:
+            raise TypeError(f"unknown bundle attributes {sorted(unknown)}")
+        return cls(**{spec.attr: Table.from_rows(key, rows.get(spec.attr, ()))
+                      for key, spec in _SPECS.items()},
+                   machine_count=machine_count)
 
 
 # ---------------------------------------------------------------------------
@@ -452,41 +507,114 @@ def _resolve_profile(schema_profile) -> dict[str, tuple[str, ...]]:
             raise TraceParseError(f"unknown schema profile {schema_profile!r}") from None
     else:
         profile = dict(schema_profile)
-    for key in FILE_KEYS:
+    for key, spec in _SPECS.items():
         if key not in profile:
             raise TraceParseError(f"schema profile missing column order for {key!r}")
-        if sorted(profile[key]) != sorted(FILE_FIELDS[key]):
-            raise TraceParseError(f"schema profile for {key!r} must permute {FILE_FIELDS[key]}")
+        if sorted(profile[key]) != sorted(spec.fields):
+            raise TraceParseError(
+                f"schema profile for {key!r} must permute {tuple(spec.fields)}")
     return profile
 
 
-def parse_trace_file(path: str, file_key: str, columns: tuple[str, ...] | None = None,
-                     has_header: bool = False):
-    """Parse one trace CSV. Returns (records, diagnostics).
+def _convert(kind: _Kind, cells: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """One block column as (values, mask of the cells that pass)."""
+    try:
+        values = kind.column(cells)
+        parsed = None
+    except (ValueError, OverflowError):
+        # some cell does not convert: convert cell by cell and mark it
+        values = np.zeros(len(cells), dtype=object if kind.dtype is str else kind.dtype)
+        parsed = np.ones(len(cells), dtype=bool)
+        for i, cell in enumerate(cells):
+            try:
+                values[i] = kind.parse(cell)
+            except (ValueError, OverflowError):
+                parsed[i] = False
+        if kind.dtype is str:
+            values = values.astype(str)
+    ok = np.ones(len(cells), dtype=bool) if kind.valid is None else kind.valid(values)
+    return values, ok if parsed is None else ok & parsed
 
-    Malformed rows are skipped and reported; nothing is raised here so callers
-    decide what rejection rate is tolerable.
+
+def _reason(spec: _FileSpec, cells: dict[str, str]) -> str:
+    """The first check a rejected row breaks, in the spec's check order."""
+    values: dict[str, object] = {}
+    for step in spec.check_order():
+        if isinstance(step, _Rule):
+            if step.violated(*(values[name] for name in step.fields)):
+                return step.message.format(**values)
+            continue
+        try:
+            values[step] = spec.fields[step].check(cells[step], step)
+        except ValueError as exc:
+            return str(exc)
+    raise RuntimeError(f"row {cells} was rejected but passes every check")
+
+
+def _convert_block(file_key: str, columns: tuple[str, ...], rows: list[list[str]],
+                   line_nos: list[int], diagnostics: list[RowDiagnostic],
+                   ) -> dict[str, np.ndarray]:
+    """Accepted rows of one block as columns; rejected ones go to
+    ``diagnostics``."""
+    spec = _SPECS[file_key]
+    by_name = dict(zip(columns, zip(*rows)))
+    values: dict[str, np.ndarray] = {}
+    ok = np.ones(len(rows), dtype=bool)
+    for name, kind in spec.fields.items():
+        values[name], passed = _convert(kind, by_name[name])
+        ok &= passed
+    for rule in spec.rules():
+        ok &= ~rule.violated(*(values[name] for name in rule.fields))
+    for i in np.flatnonzero(~ok).tolist():
+        diagnostics.append(RowDiagnostic(
+            file_key, line_nos[i], _reason(spec, dict(zip(columns, rows[i])))))
+    # a text column is rebuilt so its width is that of the accepted rows
+    return {name: (spec.fields[name].array(column[ok].tolist())
+                   if column.dtype.kind == "U" else column[ok])
+            for name, column in values.items()}
+
+
+def parse_trace_file(path: str, file_key: str, columns: tuple[str, ...] | None = None,
+                     has_header: bool = False) -> tuple[Table, list[RowDiagnostic]]:
+    """Parse one trace CSV. Returns (table, diagnostics).
+
+    Malformed rows are skipped and reported in line order; nothing is raised
+    here so callers decide what rejection rate is tolerable.
     """
-    columns = columns or FILE_FIELDS[file_key]
-    build = _BUILDERS[file_key]
-    records = []
+    spec = _SPECS[file_key]
+    columns = columns or tuple(spec.fields)
+    blocks: list[dict[str, np.ndarray]] = []
     diagnostics: list[RowDiagnostic] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
-            if has_header and line_no == 1:
-                continue
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(columns):
-                diagnostics.append(RowDiagnostic(
-                    file_key, line_no, f"expected {len(columns)} columns, got {len(row)}"))
-                continue
-            try:
-                records.append(build(dict(zip(columns, row))))
-            except ValueError as exc:
-                diagnostics.append(RowDiagnostic(file_key, line_no, str(exc)))
-    return records, diagnostics
+        first_line = 1
+        if has_header:
+            next(reader, None)
+            first_line = 2
+        while block := list(islice(reader, BLOCK_ROWS)):
+            line_nos = range(first_line, first_line + len(block))
+            first_line += len(block)
+            rows = block
+            if set(map(len, block)) != {len(columns)}:
+                rows, kept = [], []
+                for line_no, row in zip(line_nos, block):
+                    if len(row) == len(columns):
+                        rows.append(row)
+                        kept.append(line_no)
+                    elif row and not (len(row) == 1 and not row[0].strip()):
+                        diagnostics.append(RowDiagnostic(
+                            file_key, line_no,
+                            f"expected {len(columns)} columns, got {len(row)}"))
+                line_nos = kept
+            if rows:
+                blocks.append(_convert_block(file_key, columns, rows, line_nos,
+                                             diagnostics))
+    diagnostics.sort(key=lambda diag: diag.line)
+    table = Table(file_key, {
+        _column_name(name): (np.concatenate([b[name] for b in blocks]) if blocks
+                             else kind.array([]))
+        for name, kind in spec.fields.items()})
+    return table, diagnostics
 
 
 def parse_trace_dir(path: str, schema_profile="default", *, filenames: dict | None = None,
@@ -502,14 +630,14 @@ def parse_trace_dir(path: str, schema_profile="default", *, filenames: dict | No
     names = dict(DEFAULT_FILENAMES)
     if filenames:
         names.update(filenames)
-    parsed: dict[str, list] = {}
-    for key in FILE_KEYS:
+    tables: dict[str, Table] = {}
+    for key, spec in _SPECS.items():
         file_path = os.path.join(path, names[key])
         if not os.path.exists(file_path):
             raise TraceParseError(f"missing trace file: {file_path}")
-        records, diags = parse_trace_file(
+        table, diags = parse_trace_file(
             file_path, key, profile[key], has_header=has_header)
-        total = len(records) + len(diags)
+        total = len(table) + len(diags)
         if diags:
             log.warning("%s: skipped %d of %d rows (first: line %d, %s)",
                         names[key], len(diags), total, diags[0].line, diags[0].reason)
@@ -519,140 +647,14 @@ def parse_trace_dir(path: str, schema_profile="default", *, filenames: dict | No
             raise TraceParseError(
                 f"{names[key]}: rejected {len(diags)}/{total} rows, above "
                 f"the {max_skip_ratio:.2%} limit")
-        parsed[key] = records
-    bundle = TraceBundle(
-        events=parsed["server_event"],
-        server_usage=parsed["server_usage"],
-        container_events=parsed["container_event"],
-        container_usage=parsed["container_usage"],
-        batch_tasks=parsed["batch_task"],
-        batch_instances=parsed["batch_instance"],
-    )
-    bundle.machine_count = _max_machine_id(bundle)
-    return bundle
-
-
-def _max_machine_id(bundle: TraceBundle) -> int:
-    highest = 0
-    for rec in bundle.events:
-        highest = max(highest, rec.machine)
-    for rec in bundle.server_usage:
-        highest = max(highest, rec.machine)
-    for rec in bundle.container_events:
-        highest = max(highest, rec.machine)
-    for rec in bundle.batch_instances:
-        highest = max(highest, rec.machine)
-    return highest
+        tables[spec.attr] = table
+    machine_count = max((int(t.machine.max()) for t in tables.values()
+                         if "machine" in t.columns and len(t)), default=0)
+    return TraceBundle(**tables, machine_count=machine_count)
 
 
 # ---------------------------------------------------------------------------
 # serialization (inverse of parsing)
-
-
-def _event_cells(rec: MachineEvent) -> dict[str, str]:
-    return {
-        "timestamp": str(rec.timestamp),
-        "machine": str(rec.machine),
-        "event_type": rec.event_type.value,
-        "event_detail": rec.event_detail or "",
-        "cpu_count": str(rec.cpu_count),
-        "norm_memory": float_text(rec.norm_memory),
-        "norm_disk": float_text(rec.norm_disk),
-    }
-
-
-def _server_usage_cells(rec: ServerUsageRecord) -> dict[str, str]:
-    return {
-        "timestamp": str(rec.timestamp),
-        "machine": str(rec.machine),
-        "cpu_pct": fraction_to_percent_text(rec.cpu),
-        "mem_pct": fraction_to_percent_text(rec.mem),
-        "disk_pct": fraction_to_percent_text(rec.disk),
-        "load1": float_text(rec.load1),
-        "load5": float_text(rec.load5),
-        "load15": float_text(rec.load15),
-    }
-
-
-def _container_event_cells(rec: ContainerEvent) -> dict[str, str]:
-    return {
-        "timestamp": str(rec.timestamp),
-        "event_type": rec.event_type.value,
-        "instance": str(rec.instance),
-        "machine": str(rec.machine),
-        "cpu_req": float_text(rec.cpu_req),
-        "mem_req": float_text(rec.mem_req),
-        "disk_req": float_text(rec.disk_req),
-        "cpu_set": "|".join(str(c) for c in rec.cpu_set) if rec.cpu_set else "",
-    }
-
-
-def _container_usage_cells(rec: ContainerUsageRecord) -> dict[str, str]:
-    return {
-        "timestamp": str(rec.timestamp),
-        "instance": str(rec.instance),
-        "cpu_pct_of_req": fraction_to_percent_text(rec.cpu_of_req),
-        "mem_pct_of_req": fraction_to_percent_text(rec.mem_of_req),
-        "disk_pct_of_req": fraction_to_percent_text(rec.disk_of_req),
-        "disk_pct": fraction_to_percent_text(rec.disk),
-        "load1": float_text(rec.load1),
-        "load5": float_text(rec.load5),
-        "load15": float_text(rec.load15),
-        "avg_cpi": float_text(rec.avg_cpi),
-        "avg_mpki": float_text(rec.avg_mpki),
-        "max_cpi": float_text(rec.max_cpi),
-        "max_mpki": float_text(rec.max_mpki),
-    }
-
-
-def _batch_task_cells(rec: BatchTaskRecord) -> dict[str, str]:
-    return {
-        "create_time": str(rec.create_time),
-        "end_time": str(rec.end_time),
-        "job": str(rec.job),
-        "task": str(rec.task),
-        "instance_count": str(rec.instance_count),
-        "status": rec.status.value,
-        "cpu_req": float_text(rec.cpu_req),
-        "mem_req": float_text(rec.mem_req),
-    }
-
-
-def _batch_instance_cells(rec: BatchInstanceRecord) -> dict[str, str]:
-    return {
-        "start": str(rec.start),
-        "end": str(rec.end),
-        "job": str(rec.job),
-        "task": str(rec.task),
-        # unplaced instances keep the source convention of an empty cell
-        "machine": str(rec.machine) if rec.machine else "",
-        "status": rec.status.value,
-        "seq_no": str(rec.seq_no),
-        "total_seq_no": str(rec.total_seq_no),
-        "max_cpu": float_text(rec.max_cpu),
-        "avg_cpu": float_text(rec.avg_cpu),
-        "max_mem": float_text(rec.max_mem),
-        "avg_mem": float_text(rec.avg_mem),
-    }
-
-
-_CELL_MAKERS = {
-    "server_event": _event_cells,
-    "server_usage": _server_usage_cells,
-    "container_event": _container_event_cells,
-    "container_usage": _container_usage_cells,
-    "batch_task": _batch_task_cells,
-    "batch_instance": _batch_instance_cells,
-}
-
-_BUNDLE_ATTRS = {
-    "server_event": "events",
-    "server_usage": "server_usage",
-    "container_event": "container_events",
-    "container_usage": "container_usage",
-    "batch_task": "batch_tasks",
-    "batch_instance": "batch_instances",
-}
 
 
 def write_trace_dir(bundle: TraceBundle, path: str, schema_profile="default", *,
@@ -663,14 +665,15 @@ def write_trace_dir(bundle: TraceBundle, path: str, schema_profile="default", *,
     if filenames:
         names.update(filenames)
     os.makedirs(path, exist_ok=True)
-    for key in FILE_KEYS:
-        make_cells = _CELL_MAKERS[key]
-        columns = profile[key]
+    for key, spec in _SPECS.items():
+        table = getattr(bundle, spec.attr)
         with open(os.path.join(path, names[key]), "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            for rec in getattr(bundle, _BUNDLE_ATTRS[key]):
-                cells = make_cells(rec)
-                writer.writerow([cells[col] for col in columns])
+            for lo in range(0, len(table), BLOCK_ROWS):
+                writer.writerows(zip(*(
+                    spec.fields[name].text(
+                        table.columns[_column_name(name)][lo:lo + BLOCK_ROWS].tolist())
+                    for name in profile[key])))
 
 
 # ---------------------------------------------------------------------------
@@ -722,45 +725,3 @@ class IntervalGrid:
         if timestamp < self.start or timestamp >= self.end + self.step:
             return None
         return (timestamp - self.start) // self.step
-
-
-# ---------------------------------------------------------------------------
-# validation
-
-
-@dataclass
-class ValidationReport:
-    expected_samples: int
-    machines_no_usage: list[int]
-    machines_undersampled: list[tuple[int, int]]   # (machine, sample count)
-    duplicate_container_instances: dict[int, int]  # instance -> record count
-    zero_timestamp_batch_instances: int
-
-
-def validate_bundle(bundle: TraceBundle) -> ValidationReport:
-    """Report-only checks; the bundle is never modified.
-
-    The expected per-machine sample count is taken from the best-covered
-    machine, which equals the grid's timestamp count on a healthy trace.
-    """
-    counts: dict[int, int] = {}
-    for rec in bundle.server_usage:
-        counts[rec.machine] = counts.get(rec.machine, 0) + 1
-    expected = max(counts.values(), default=0)
-    no_usage = [m for m in bundle.machine_ids() if m not in counts]
-    undersampled = sorted(
-        (m, n) for m, n in counts.items() if 0 < n < expected)
-
-    event_counts: dict[int, int] = {}
-    for ev in bundle.container_events:
-        event_counts[ev.instance] = event_counts.get(ev.instance, 0) + 1
-    duplicates = {inst: n for inst, n in sorted(event_counts.items()) if n > 1}
-
-    zero_ts = sum(1 for bi in bundle.batch_instances if bi.start == 0 or bi.end == 0)
-    return ValidationReport(
-        expected_samples=expected,
-        machines_no_usage=no_usage,
-        machines_undersampled=undersampled,
-        duplicate_container_instances=duplicates,
-        zero_timestamp_batch_instances=zero_ts,
-    )

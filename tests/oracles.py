@@ -1,12 +1,15 @@
 """Independent reference implementations the fast code is checked against.
 
 Everything here is written the slow, obvious way on purpose (full path
-enumeration, pair counting, brute-force neighbours, recursive trees) so the package has
-something honest to disagree with. None of it imports trace_insight.
+enumeration, pair counting, brute-force neighbours, recursive trees, one CSV
+row at a time) so the package has something honest to disagree with. None
+of it imports trace_insight.
 """
 
+import csv
 import math
 from collections import Counter
+from decimal import Decimal
 from functools import lru_cache
 
 import numpy as np
@@ -349,3 +352,231 @@ def isolation_forest_scores(train, rows, tree_count=100, subsample=256,
         mean_path = sum(_walk(tree, row) for tree in trees) / tree_count
         scores.append(0.5 - 2.0 ** (-mean_path / _c(psi)))
     return np.array(scores)
+
+
+# ---------------------------------------------------------------------------
+# trace parsing, one row at a time
+
+# Each file's fields in their default column order, with the converter a
+# cell goes through.
+PARSE_FIELDS = {
+    "server_event": (("timestamp", "nonneg_int"), ("machine", "machine"),
+                     ("event_type", "enum"), ("event_detail", "text"),
+                     ("cpu_count", "nonneg_int"), ("norm_memory", "unit"),
+                     ("norm_disk", "unit")),
+    "server_usage": (("timestamp", "nonneg_int"), ("machine", "machine"),
+                     ("cpu_pct", "percent"), ("mem_pct", "percent"),
+                     ("disk_pct", "percent"), ("load1", "nonneg_float"),
+                     ("load5", "nonneg_float"), ("load15", "nonneg_float")),
+    "container_event": (("timestamp", "nonneg_int"), ("event_type", "enum"),
+                        ("instance", "nonneg_int"), ("machine", "machine"),
+                        ("cpu_req", "float"), ("mem_req", "float"),
+                        ("disk_req", "nonneg_float"), ("cpu_set", "cpu_set")),
+    "container_usage": (("timestamp", "nonneg_int"), ("instance", "nonneg_int"),
+                        ("cpu_pct_of_req", "percent"), ("mem_pct_of_req", "percent"),
+                        ("disk_pct_of_req", "percent"), ("disk_pct", "percent"),
+                        ("load1", "nonneg_float"), ("load5", "nonneg_float"),
+                        ("load15", "nonneg_float"), ("avg_cpi", "nonneg_float"),
+                        ("avg_mpki", "nonneg_float"), ("max_cpi", "nonneg_float"),
+                        ("max_mpki", "nonneg_float")),
+    "batch_task": (("create_time", "nonneg_int"), ("end_time", "nonneg_int"),
+                   ("job", "nonneg_int"), ("task", "nonneg_int"),
+                   ("instance_count", "int"), ("status", "enum"),
+                   ("cpu_req", "nonneg_float"), ("mem_req", "nonneg_float")),
+    "batch_instance": (("start", "nonneg_int"), ("end", "nonneg_int"),
+                       ("job", "nonneg_int"), ("task", "nonneg_int"),
+                       ("machine", "optional_machine"), ("status", "enum"),
+                       ("seq_no", "nonneg_int"), ("total_seq_no", "nonneg_int"),
+                       ("max_cpu", "nonneg_float"), ("avg_cpu", "nonneg_float"),
+                       ("max_mem", "unit"), ("avg_mem", "unit")),
+}
+
+# (class name, member values) of each file's enum field; a parsed enum is
+# the member's position
+PARSE_ENUMS = {
+    "server_event": ("MachineEventType", ("add", "softerror", "harderror")),
+    "container_event": ("ContainerEventType", ("Create",)),
+    "batch_task": ("TaskStatus", ("Terminated", "Waiting", "Running", "Failed")),
+    "batch_instance": ("InstanceStatus", ("Ready", "Waiting", "Running",
+                                          "Terminated", "Failed", "Cancelled",
+                                          "Interrupted")),
+}
+
+
+def _percent(text):
+    try:
+        value = float(Decimal(text.strip()).scaleb(-2))
+    except (ArithmeticError, ValueError) as exc:
+        raise ValueError(f"bad percent value {text!r}") from exc
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite percent value {text!r}")
+    return value
+
+
+def _int(text, name):
+    try:
+        return int(text.strip())
+    except ValueError as exc:
+        raise ValueError(f"bad integer for {name}: {text!r}") from exc
+
+
+def _nonneg_int(text, name):
+    value = _int(text, name)
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
+
+
+def _machine(text):
+    value = _int(text, "machine")
+    if value < 1:
+        raise ValueError(f"machine id must be >= 1, got {value}")
+    return value
+
+
+def _float(text, name):
+    try:
+        value = float(text.strip())
+    except ValueError as exc:
+        raise ValueError(f"bad number for {name}: {text!r}") from exc
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {text!r}")
+    return value
+
+
+def _nonneg_float(text, name):
+    value = _float(text, name)
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
+
+
+def _unit(text, name):
+    value = _float(text, name)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0,1], got {value}")
+    return value
+
+
+def _percent_fraction(text, name):
+    value = _percent(text)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0,100] percent, got {text!r}")
+    return value
+
+
+def _enum(file_key, text):
+    class_name, values = PARSE_ENUMS[file_key]
+    lowered = text.strip().lower()
+    for code, value in enumerate(values):
+        if value.lower() == lowered:
+            return code
+    raise ValueError(f"unknown {class_name} value {text!r}")
+
+
+def _cpu_set_text(text):
+    text = text.strip()
+    if not text:
+        return ""
+    return "|".join(str(int(part)) for part in text.replace(" ", "|").split("|")
+                    if part)
+
+
+def _build_row(file_key, f):
+    """One row's values in default field order, each file's fields and
+    rules checked one at a time in a fixed order; raises ValueError for the
+    first one that fails."""
+    if file_key == "server_event":
+        return (_nonneg_int(f["timestamp"], "timestamp"), _machine(f["machine"]),
+                _enum(file_key, f["event_type"]), f["event_detail"].strip(),
+                _nonneg_int(f["cpu_count"], "cpu_count"),
+                _unit(f["norm_memory"], "norm_memory"), _unit(f["norm_disk"], "norm_disk"))
+    if file_key == "server_usage":
+        return (_nonneg_int(f["timestamp"], "timestamp"), _machine(f["machine"]),
+                *(_percent_fraction(f[n], n) for n in ("cpu_pct", "mem_pct", "disk_pct")),
+                *(_nonneg_float(f[n], n) for n in ("load1", "load5", "load15")))
+    if file_key == "container_event":
+        cpu_req = _float(f["cpu_req"], "cpu_req")
+        if cpu_req <= 0:
+            raise ValueError(f"cpu_req must be > 0, got {cpu_req}")
+        mem_req = _float(f["mem_req"], "mem_req")
+        if mem_req <= 0:
+            raise ValueError(f"mem_req must be > 0, got {mem_req}")
+        return (_nonneg_int(f["timestamp"], "timestamp"), _enum(file_key, f["event_type"]),
+                _nonneg_int(f["instance"], "instance"), _machine(f["machine"]),
+                cpu_req, mem_req, _nonneg_float(f["disk_req"], "disk_req"),
+                _cpu_set_text(f["cpu_set"]))
+    if file_key == "container_usage":
+        return (_nonneg_int(f["timestamp"], "timestamp"),
+                _nonneg_int(f["instance"], "instance"),
+                *(_percent_fraction(f[n], n) for n in (
+                    "cpu_pct_of_req", "mem_pct_of_req", "disk_pct_of_req", "disk_pct")),
+                *(_nonneg_float(f[n], n) for n in (
+                    "load1", "load5", "load15", "avg_cpi", "avg_mpki", "max_cpi",
+                    "max_mpki")))
+    if file_key == "batch_task":
+        instance_count = _int(f["instance_count"], "instance_count")
+        if instance_count < 1:
+            raise ValueError(f"instance_count must be >= 1, got {instance_count}")
+        return (_nonneg_int(f["create_time"], "create_time"),
+                _nonneg_int(f["end_time"], "end_time"), _nonneg_int(f["job"], "job"),
+                _nonneg_int(f["task"], "task"), instance_count,
+                _enum(file_key, f["status"]), _nonneg_float(f["cpu_req"], "cpu_req"),
+                _nonneg_float(f["mem_req"], "mem_req"))
+    start = _nonneg_int(f["start"], "start")
+    end = _nonneg_int(f["end"], "end")
+    status = _enum(file_key, f["status"])
+    if status == PARSE_ENUMS[file_key][1].index("Terminated") and (
+            start == 0 or end < start):
+        raise ValueError(
+            f"Terminated instance needs start > 0 and end >= start, got [{start},{end}]")
+    max_cpu = _nonneg_float(f["max_cpu"], "max_cpu")
+    avg_cpu = _nonneg_float(f["avg_cpu"], "avg_cpu")
+    if avg_cpu > max_cpu + 1e-9:
+        raise ValueError(f"avg_cpu {avg_cpu} exceeds max_cpu {max_cpu}")
+    machine_text = f["machine"].strip()
+    return (start, end, _nonneg_int(f["job"], "job"), _nonneg_int(f["task"], "task"),
+            _nonneg_int(machine_text, "machine") if machine_text else 0, status,
+            _nonneg_int(f["seq_no"], "seq_no"),
+            _nonneg_int(f["total_seq_no"], "total_seq_no"), max_cpu, avg_cpu,
+            _unit(f["max_mem"], "max_mem"), _unit(f["avg_mem"], "avg_mem"))
+
+
+def parse_rows(path, file_key, columns=None, has_header=False):
+    """(rows, diagnostics) of one trace CSV, one row at a time: each accepted
+    row is a tuple in default field order (percent cells as fractions,
+    enums as member positions, text stripped, cpu sets as ``1|2|3``), and
+    each rejected row a (line, reason) pair."""
+    columns = columns or tuple(name for name, _ in PARSE_FIELDS[file_key])
+    rows, diagnostics = [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        for line_no, row in enumerate(csv.reader(fh), start=1):
+            if has_header and line_no == 1:
+                continue
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(columns):
+                diagnostics.append(
+                    (line_no, f"expected {len(columns)} columns, got {len(row)}"))
+                continue
+            try:
+                rows.append(_build_row(file_key, dict(zip(columns, row))))
+            except ValueError as exc:
+                diagnostics.append((line_no, str(exc)))
+    return rows, diagnostics
+
+
+def read_dense_csv(path):
+    """(machines, timestamps, values) of a dense usage CSV, cell by cell:
+    values[i][x] holds machine i's six metrics at timestamp x."""
+    per_machine = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            metrics = [_percent(cell) for cell in row[2:5]] + [float(c) for c in row[5:]]
+            per_machine.setdefault(int(row[0]), {})[int(row[1])] = metrics
+    machines = sorted(per_machine)
+    timestamps = sorted({ts for rows in per_machine.values() for ts in rows})
+    values = [[per_machine[m][ts] for ts in timestamps] for m in machines]
+    return machines, timestamps, values

@@ -50,10 +50,9 @@ from trace_insight.synth import (
     generate_trace,
 )
 from trace_insight.trace_model import (
-    ContainerEvent,
     ContainerEventType,
     IntervalGrid,
-    ServerUsageRecord,
+    Table,
     TraceBundle,
     parse_trace_dir,
 )
@@ -154,9 +153,7 @@ def test_criterion_03_overlap_conserves_clipped_runtime():
 
 
 def _usage_row(machine, ts, value):
-    return ServerUsageRecord(timestamp=ts, machine=machine, cpu=value,
-                             mem=value, disk=value, load1=value,
-                             load5=value, load15=value)
+    return (ts, machine, value, value, value, value, value, value)
 
 
 def test_criterion_04_interpolation_restores_affine_series():
@@ -181,10 +178,10 @@ def test_criterion_04_interpolation_restores_affine_series():
         if observed.sum() < 2:
             observed[np.argsort(~observed)[:2]] = True
 
-        bundle = TraceBundle(machine_count=1)
-        for x in range(count):
-            if observed[x]:
-                bundle.server_usage.append(_usage_row(1, stamps[x], truth[x]))
+        bundle = TraceBundle.from_rows(
+            server_usage=[_usage_row(1, stamps[x], truth[x])
+                          for x in range(count) if observed[x]],
+            machine_count=1)
         dense, _notes = supplement_server_usage(bundle, grid)
         got = dense.series(1, "cpu")
 
@@ -210,29 +207,33 @@ def test_criterion_05_duplicate_events_reduce_to_unique_records():
     rng = np.random.default_rng(55)
 
     def event(instance, machine, mem_req):
-        return ContainerEvent(timestamp=0, event_type=ContainerEventType.CREATE,
-                              instance=instance, machine=machine,
-                              cpu_req=4.0, mem_req=mem_req,
-                              disk_req=0.01, cpu_set=None)
+        return (0, ContainerEventType.CREATE, instance, machine, 4.0, mem_req,
+                0.01, "")
 
-    events = []
+    rows = []
     for instance in range(1, 14):   # 13 duplicated instances
-        events.append(event(instance, instance, float(rng.uniform(0.005, 0.05))))
-        events.append(event(instance, instance, float(rng.uniform(0.95, 1.10))))
+        rows.append(event(instance, instance, float(rng.uniform(0.005, 0.05))))
+        rows.append(event(instance, instance, float(rng.uniform(0.95, 1.10))))
     for instance in range(100, 187):
-        events.append(event(instance, instance, float(rng.uniform(0.005, 0.05))))
-    order = rng.permutation(len(events))
-    events = [events[int(i)] for i in order]
+        rows.append(event(instance, instance, float(rng.uniform(0.005, 0.05))))
+    order = rng.permutation(len(rows))
+    rows = [rows[int(i)] for i in order]
+    # disk_req numbers the input rows, so rows can be traced through the split
+    rows = [(*row[:6], float(i), "") for i, row in enumerate(rows)]
 
-    clean, removed = filter_container_events(events)
+    clean, removed = filter_container_events(Table.from_rows("container_event", rows))
     assert len(removed) == 13
-    assert all(ev.mem_req > 0.9 for ev in removed)
-    instances = [ev.instance for ev in clean]
+    assert (removed.mem_req > 0.9).all()
+    instances = clean.instance.tolist()
     assert len(instances) == len(set(instances)) == 100
-    # clean ∪ removed = input, nothing invented or dropped
-    leftover = {id(ev) for ev in removed}
-    assert [ev for ev in events if id(ev) not in leftover] == clean
-    assert sorted(map(id, clean + removed)) == sorted(map(id, events))
+    # clean ∪ removed = input, nothing invented or dropped, order kept
+    picked = clean.disk_req.astype(int).tolist()
+    dropped = removed.disk_req.astype(int).tolist()
+    assert picked == sorted(picked) and dropped == sorted(dropped)
+    assert sorted(picked + dropped) == list(range(len(rows)))
+    assert [rows[i][2:6] for i in picked] == list(zip(
+        clean.instance.tolist(), clean.machine.tolist(), clean.cpu_req.tolist(),
+        clean.mem_req.tolist()))
     ok("05", "13 duplicated instances filtered, partition preserved")
 
 

@@ -19,13 +19,9 @@ from trace_insight.aggregate import (
 )
 from trace_insight.preprocess import DenseUsage, METRICS
 from trace_insight.trace_model import (
-    BatchInstanceRecord,
-    ContainerEvent,
     ContainerEventType,
-    ContainerUsageRecord,
     InstanceStatus,
     IntervalGrid,
-    MachineEvent,
     MachineEventType,
     TraceBundle,
 )
@@ -34,23 +30,22 @@ GRID = IntervalGrid(1000, 1400, 100)   # 4 intervals
 
 
 def add_event(machine, cores=64):
-    return MachineEvent(0, machine, MachineEventType.ADD, None, cores, 1.0, 1.0)
+    return (0, machine, MachineEventType.ADD, "", cores, 1.0, 1.0)
 
 
 def container(instance, machine, cpu_req=8.0, mem_req=0.05, ts=0):
-    return ContainerEvent(ts, ContainerEventType.CREATE, instance, machine,
-                          cpu_req, mem_req, 0.01, None)
+    return (ts, ContainerEventType.CREATE, instance, machine,
+            cpu_req, mem_req, 0.01, "")
 
 
 def usage(instance, ts, cpu_of_req, mem_of_req=0.6):
-    return ContainerUsageRecord(ts, instance, cpu_of_req, mem_of_req, 0.1,
-                                0.4, 0.0, 0.0, 0.0, 1.5, 1.2, 2.0, 1.8)
+    return (ts, instance, cpu_of_req, mem_of_req, 0.1,
+            0.4, 0.0, 0.0, 0.0, 1.5, 1.2, 2.0, 1.8)
 
 
 def instance(start, end, machine=1, avg_cpu=0.8, avg_mem=0.01, job=1):
-    return BatchInstanceRecord(start, end, job, 1, machine,
-                               InstanceStatus.TERMINATED, 1, 1,
-                               avg_cpu, avg_cpu, avg_mem, avg_mem)
+    return (start, end, job, 1, machine, InstanceStatus.TERMINATED, 1, 1,
+            avg_cpu, avg_cpu, avg_mem, avg_mem)
 
 
 # ---------------------------------------------------------------------------
@@ -58,16 +53,16 @@ def instance(start, end, machine=1, avg_cpu=0.8, avg_mem=0.01, job=1):
 
 
 def test_machine_cpu_counts_takes_the_positive_max():
-    bundle = TraceBundle(events=[
+    bundle = TraceBundle.from_rows(events=[
         add_event(1, 64),
-        MachineEvent(5, 1, MachineEventType.SOFT_ERROR, "x", 0, 0.0, 0.0),
+        (5, 1, MachineEventType.SOFT_ERROR, "x", 0, 0.0, 0.0),
         add_event(2, 96),
     ], machine_count=2)
     assert machine_cpu_counts(bundle) == {1: 64, 2: 96}
 
 
 def test_container_aggregation_needs_a_core_count():
-    bundle = TraceBundle(container_events=[container(7, 1)], machine_count=1)
+    bundle = TraceBundle.from_rows(container_events=[container(7, 1)], machine_count=1)
     with pytest.raises(ValueError, match="core count"):
         aggregate_container_usage(bundle, GRID)
 
@@ -101,14 +96,15 @@ def test_overlap_matches_the_clip_formula(start, length):
 # container attribution
 
 
-def container_bundle():
-    return TraceBundle(
+def container_bundle(extra_events=(), extra_usage=()):
+    return TraceBundle.from_rows(
         events=[add_event(1)],
-        container_events=[container(7, 1)],
+        container_events=[container(7, 1), *extra_events],
         container_usage=[
             usage(7, 1000, 0.5),
             usage(7, 1100, 0.4),
             usage(7, 1150, 0.6),
+            *extra_usage,
         ],
         machine_count=1,
     )
@@ -126,8 +122,7 @@ def test_container_usage_is_scaled_by_request_over_cores():
 
 
 def test_container_counts_run_from_creation_to_the_end():
-    bundle = container_bundle()
-    bundle.container_events.append(container(8, 1, ts=1150))
+    bundle = container_bundle(extra_events=[container(8, 1, ts=1150)])
     counts = aggregate_container_usage(bundle, GRID).count[0].tolist()
     # instance 7 exists everywhere; instance 8 joins in interval 1,
     # whose closed span [1100, 1200] is the first to contain ts 1150
@@ -135,8 +130,7 @@ def test_container_counts_run_from_creation_to_the_end():
 
 
 def test_container_created_on_a_boundary_counts_in_the_earlier_interval():
-    bundle = container_bundle()
-    bundle.container_events.append(container(8, 1, ts=1100))
+    bundle = container_bundle(extra_events=[container(8, 1, ts=1100)])
     counts = aggregate_container_usage(bundle, GRID).count[0].tolist()
     assert counts == [2, 2, 2, 2]
 
@@ -144,7 +138,7 @@ def test_container_created_on_a_boundary_counts_in_the_earlier_interval():
 def test_container_usage_keeps_its_operation_order():
     # (0.1 + 0.2) + 0.3 and 0.3 + 0.2 + 0.1 round differently
     assert 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1
-    bundle = TraceBundle(
+    bundle = TraceBundle.from_rows(
         events=[add_event(1)],
         # request == cores, so containers 1-3 charge their cpu_of_req exactly
         container_events=[container(i, 1, cpu_req=64.0) for i in (1, 2, 3)]
@@ -162,9 +156,8 @@ def test_container_usage_keeps_its_operation_order():
 
 
 def test_container_diagnostics_cover_unknown_and_out_of_grid():
-    bundle = container_bundle()
-    bundle.container_usage.append(usage(99, 1000, 0.5))   # never created
-    bundle.container_usage.append(usage(7, 5000, 0.5))    # beyond the grid
+    bundle = container_bundle(extra_usage=[usage(99, 1000, 0.5),   # never created
+                                           usage(7, 5000, 0.5)])   # beyond the grid
     diag = AggDiagnostics()
     aggregate_container_usage(bundle, GRID, diagnostics=diag)
     assert diag.unknown_instance_records == 1
@@ -176,8 +169,8 @@ def test_container_diagnostics_cover_unknown_and_out_of_grid():
 
 
 def batch_bundle(instances):
-    return TraceBundle(events=[add_event(1), add_event(2)],
-                       batch_instances=list(instances), machine_count=2)
+    return TraceBundle.from_rows(events=[add_event(1), add_event(2)],
+                                 batch_instances=list(instances), machine_count=2)
 
 
 def test_batch_instance_fully_inside_charges_its_average():
@@ -254,17 +247,17 @@ def test_batch_charge_is_conserved_inside_the_grid(start, length):
 
 
 def test_borrowed_core_counts_are_counted():
-    bundle = TraceBundle(events=[add_event(1, 96)],
-                         batch_instances=[instance(1010, 1050, machine=2)],
-                         machine_count=2)
+    bundle = TraceBundle.from_rows(events=[add_event(1, 96)],
+                                   batch_instances=[instance(1010, 1050, machine=2)],
+                                   machine_count=2)
     diag = AggDiagnostics()
     table = aggregate_batch_usage(bundle, GRID, diagnostics=diag)
     # machine 2 has no event of its own and borrows machine 1's 96 cores
     assert table.cpu[0, 0] == 0.8 / 96.0
     assert diag.borrowed_core_machines == {2}
-    aggregate_container_usage(TraceBundle(events=bundle.events,
-                                          container_events=[container(7, 2)],
-                                          machine_count=2), GRID, diag)
+    aggregate_container_usage(TraceBundle.from_rows(
+        events=[add_event(1, 96)], container_events=[container(7, 2)],
+        machine_count=2), GRID, diag)
     assert diag.counts()["borrowed_core_machines"] == 1
 
 
@@ -281,8 +274,8 @@ FRACTIONS = st.floats(0.0, 1.0)
 
 
 def cores_bundle(**records):
-    return TraceBundle(events=[add_event(m, c) for m, c in CORES.items()],
-                       machine_count=len(CORES), **records)
+    return TraceBundle.from_rows(events=[add_event(m, c) for m, c in CORES.items()],
+                                 machine_count=len(CORES), **records)
 
 
 @given(st.dictionaries(st.integers(1, 5),
@@ -349,22 +342,22 @@ def dense_for(machine_values):
     return DenseUsage(machines, GRID.timestamps(), values)
 
 
-def test_series_zero_fills_and_counts_machines_missing_from_the_dense_table():
-    dense = dense_for({2: [0.3] * 5})
-    bundle = TraceBundle(events=[add_event(1), add_event(2)], machine_count=3)
-    diag = AggDiagnostics()
-    series = build_machine_series(bundle, GRID, dense,
-                                  aggregate_container_usage(bundle, GRID),
-                                  aggregate_batch_usage(bundle, GRID), diag)
-    assert [s.machine for s in series] == [1, 2, 3]
-    assert series[0].server_cpu.tolist() == [0.0] * 4
-    assert series[1].server_cpu == pytest.approx([0.3] * 4)
-    assert diag.zero_filled_machines == 2
+def test_series_rejects_a_dense_table_that_misses_machines():
+    bundle = TraceBundle.from_rows(events=[add_event(1), add_event(2)],
+                                   machine_count=3)
+    containers = aggregate_container_usage(bundle, GRID)
+    batch = aggregate_batch_usage(bundle, GRID)
+    for dense in (dense_for({2: [0.3] * 5}),
+                  dense_for({1: [0.3] * 5, 2: [0.3] * 5}),
+                  dense_for({m: [0.3] * 5 for m in (1, 2, 3, 4)})):
+        with pytest.raises(ValueError, match=r"machines 1\.\.3"):
+            build_machine_series(bundle, GRID, dense, containers, batch)
 
 
 def test_series_averages_the_interval_endpoints():
     dense = dense_for({1: [0.1, 0.2, 0.3, 0.4, 0.5], 2: [0.0] * 5})
-    bundle = TraceBundle(events=[add_event(1), add_event(2)], machine_count=2)
+    bundle = TraceBundle.from_rows(events=[add_event(1), add_event(2)],
+                                   machine_count=2)
     series = build_machine_series(bundle, GRID, dense,
                                   aggregate_container_usage(bundle, GRID),
                                   aggregate_batch_usage(bundle, GRID))
@@ -375,7 +368,7 @@ def test_series_averages_the_interval_endpoints():
 
 def test_series_places_aggregates_and_zero_fills_the_rest():
     dense = dense_for({1: [0.2] * 5, 2: [0.1] * 5})
-    bundle = TraceBundle(
+    bundle = TraceBundle.from_rows(
         events=[add_event(1), add_event(2)],
         container_events=[container(7, 1)],
         container_usage=[usage(7, 1000, 0.5)],
@@ -384,9 +377,7 @@ def test_series_places_aggregates_and_zero_fills_the_rest():
     )
     caggs = aggregate_container_usage(bundle, GRID)
     baggs = aggregate_batch_usage(bundle, GRID)
-    diag = AggDiagnostics()
-    series = build_machine_series(bundle, GRID, dense, caggs, baggs, diag)
-    assert diag.zero_filled_machines == 0
+    series = build_machine_series(bundle, GRID, dense, caggs, baggs)
     assert series[0].container_count.tolist() == [1, 1, 1, 1]
     assert series[0].batch_count.tolist() == [0, 0, 0, 0]
     assert series[1].container_count.tolist() == [0, 0, 0, 0]
@@ -396,7 +387,7 @@ def test_series_places_aggregates_and_zero_fills_the_rest():
 
 def test_series_csv_headers_and_residuals(tmp_path):
     dense = dense_for({1: [0.2] * 5})
-    bundle = TraceBundle(
+    bundle = TraceBundle.from_rows(
         events=[add_event(1)],
         container_events=[container(7, 1)],
         container_usage=[usage(7, 1000, 0.5)],

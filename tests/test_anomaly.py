@@ -19,6 +19,7 @@ from trace_insight.anomaly import (
     population_stats,
     rank_anomalies,
     score_machines,
+    softerror_times,
     top_anomalies_dict,
     write_anomaly_json,
     write_score_distribution_csv,
@@ -27,8 +28,8 @@ from trace_insight.anomaly import (
 )
 from trace_insight.trace_model import (
     IntervalGrid,
-    MachineEvent,
     MachineEventType,
+    Table,
 )
 
 GRID = IntervalGrid(1000, 1400, 100)
@@ -53,8 +54,8 @@ def series_for(machine, cpu=0.2, batch=None, containers=None):
 
 
 def softerror(machine, ts):
-    return MachineEvent(ts, machine, MachineEventType.SOFT_ERROR,
-                        "agent check failed", 0, 0.0, 0.0)
+    return (ts, machine, MachineEventType.SOFT_ERROR, "agent check failed",
+            0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +278,10 @@ def population():
 def test_frequent_softerrors_need_three():
     rows = population()
     stats = stats_for(rows)
-    events = [softerror(1, 1010), softerror(1, 1120), softerror(1, 1230)]
-    tags = diagnose(1, "Type6", events, rows[0], stats, GRID)
+    times = [1010, 1120, 1230]
+    tags = diagnose("Type6", times, rows[0], stats, GRID)
     assert CauseTag.FREQUENT_SOFT_ERROR.value in tags
-    tags = diagnose(1, "Type6", events[:2], rows[0], stats, GRID)
+    tags = diagnose("Type6", times[:2], rows[0], stats, GRID)
     assert CauseTag.FREQUENT_SOFT_ERROR.value not in tags
 
 
@@ -290,14 +291,14 @@ def test_softerror_near_the_batch_stop_is_linked():
     stopped = series_for(1, batch=[2, 2, 0, 0])
     # activity ends after interval 1, so the stop lands at index 2
     for ts, expect in [(1150, True), (1250, True), (1350, True), (1050, False)]:
-        tags = diagnose(1, "Type6", [softerror(1, ts)], stopped, stats, GRID)
+        tags = diagnose("Type6", [ts], stopped, stats, GRID)
         assert (CauseTag.SOFT_ERROR_WORKLOAD_STOP.value in tags) is expect, ts
 
 
 def test_batch_running_to_the_end_never_links_a_softerror():
     rows = population()
     stats = stats_for(rows)
-    tags = diagnose(1, "Type6", [softerror(1, 1250)], rows[0], stats, GRID)
+    tags = diagnose("Type6", [1250], rows[0], stats, GRID)
     assert CauseTag.SOFT_ERROR_WORKLOAD_STOP.value not in tags
 
 
@@ -305,13 +306,13 @@ def test_label_driven_tags():
     rows = population()
     stats = stats_for(rows)
     idle = series_for(1, batch=[0] * 4, containers=[0] * 4)
-    assert diagnose(1, "Type2", [], idle, stats, GRID) == [
+    assert diagnose("Type2", [], idle, stats, GRID) == [
         CauseTag.NO_WORKLOADS_SCHEDULING.value]
-    assert diagnose(1, "Type2", [softerror(1, 1100)], idle, stats, GRID) == []
+    assert diagnose("Type2", [1100], idle, stats, GRID) == []
     assert CauseTag.NO_ONLINE_SERVICES.value in diagnose(
-        1, "Type3", [], rows[0], stats, GRID)
+        "Type3", [], rows[0], stats, GRID)
     assert CauseTag.NO_BATCH_JOBS.value in diagnose(
-        1, "Type4", [], rows[0], stats, GRID)
+        "Type4", [], rows[0], stats, GRID)
 
 
 def test_type1_workload_balance_tags():
@@ -319,12 +320,12 @@ def test_type1_workload_balance_tags():
     stats = stats_for(rows)   # medians: containers 2, batch 3
     heavy = series_for(1, containers=[9] * 4)
     assert CauseTag.HEAVIER_ONLINE_SERVICES.value in diagnose(
-        1, "Type1", [], heavy, stats, GRID)
+        "Type1", [], heavy, stats, GRID)
     lighter = series_for(1, containers=[1] * 4, batch=[5] * 4)
     assert CauseTag.UNBALANCED_LIGHTER_ONLINE.value in diagnose(
-        1, "Type1", [], lighter, stats, GRID)
+        "Type1", [], lighter, stats, GRID)
     plain = series_for(1)
-    assert diagnose(1, "Type1", [], plain, stats, GRID) == []
+    assert diagnose("Type1", [], plain, stats, GRID) == []
 
 
 def test_heavier_factor_is_configurable():
@@ -332,16 +333,21 @@ def test_heavier_factor_is_configurable():
     stats = stats_for(rows)
     slightly = series_for(1, containers=[3] * 4)   # 1.5x the median of 2
     assert CauseTag.HEAVIER_ONLINE_SERVICES.value in diagnose(
-        1, "Type1", [], slightly, stats, GRID)
+        "Type1", [], slightly, stats, GRID)
     assert CauseTag.HEAVIER_ONLINE_SERVICES.value not in diagnose(
-        1, "Type1", [], slightly, stats, GRID, heavier_factor=2.0)
+        "Type1", [], slightly, stats, GRID, heavier_factor=2.0)
 
 
 def test_diagnose_ignores_other_machines_events():
     rows = population()
     stats = stats_for(rows)
-    events = [softerror(9, 1010), softerror(9, 1120), softerror(9, 1230)]
-    assert diagnose(1, "Type6", events, rows[0], stats, GRID) == []
+    events = Table.from_rows("server_event", [
+        softerror(9, 1010), softerror(9, 1120), softerror(9, 1230),
+        (1200, 1, MachineEventType.ADD, "", 64, 1.0, 1.0),
+        softerror(1, 1300)])
+    times = softerror_times(events)
+    assert times == {9: [1010, 1120, 1230], 1: [1300]}
+    assert diagnose("Type6", times.get(1, []), rows[0], stats, GRID) == []
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from trace_insight import __version__
 from trace_insight.pipeline import (
+    ANALYZE_FILENAMES,
     StageError,
     _parse_gaps,
     _parse_plants,
@@ -14,6 +15,7 @@ from trace_insight.pipeline import (
     parse_config_file,
     run_analyze,
     run_preprocess,
+    run_report,
     run_synth,
     write_manifest,
 )
@@ -245,41 +247,86 @@ def noisy_trace(path, seed):
     return path
 
 
-def test_analyze_refuses_a_dense_file_preprocessed_from_another_trace(tmp_path):
+def test_analyze_ignores_a_dense_file_preprocessed_from_another_trace(tmp_path):
     trace_a = noisy_trace(tmp_path / "a", seed=7)
     trace_b = noisy_trace(tmp_path / "b", seed=8)
     out = tmp_path / "out"
     run_preprocess(stage_config(trace_b, out))
-    with pytest.raises(StageError, match="disagrees on input digests; "
-                                         "rerun preprocess") as err:
-        run_analyze(stage_config(trace_a, out))
-    assert err.value.stage == "analyze"
-
-    # a matching preprocess -> analyze in one directory agrees with a run
-    # that never had a dense file to reuse
-    run_preprocess(stage_config(trace_a, out))
     run_analyze(stage_config(trace_a, out))
     clean = tmp_path / "clean"
     run_analyze(stage_config(trace_a, clean))
-    for name in ("dtw_distances.csv", "machine_series.csv"):
+    assert len(ANALYZE_FILENAMES) == 12
+    for name in ANALYZE_FILENAMES:
         assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+    # report will not pair B's repair counts with A's analysis
+    with pytest.raises(StageError, match="disagrees with manifest-analyze.json "
+                                         "on input digests") as err:
+        run_report({"output_dir": str(out)})
+    assert err.value.stage == "report"
 
 
-def test_analyze_refuses_a_dense_file_its_manifest_does_not_vouch_for(tmp_path):
+def test_report_refuses_a_preprocess_run_that_does_not_match_analyze(tmp_path):
     trace = noisy_trace(tmp_path / "trace", seed=7)
     out = tmp_path / "out"
     run_preprocess(stage_config(trace, out))
-    with pytest.raises(StageError, match="disagrees on has_header"):
-        run_analyze(stage_config(trace, out, has_header="true"))
+    run_analyze(stage_config(trace, out, has_header="true"))
+    with pytest.raises(StageError, match=r"^\[report\] .* on has_header; "
+                                         "rerun preprocess"):
+        run_report({"output_dir": str(out)})
+
+    run_preprocess(stage_config(trace, out, grid_end=str(39600 + 10 * 300)))
+    run_analyze(stage_config(trace, out))
+    with pytest.raises(StageError, match="on grid_end; rerun preprocess"):
+        run_report({"output_dir": str(out)})
+
+    run_preprocess(stage_config(trace, out))
+    run_report({"output_dir": str(out)})
+    report = json.loads((out / "report.json").read_text())
+    assert report["preprocess"]["machines"] == 16
 
     dense = out / "dense_usage.csv"
-    dense.write_text(dense.read_text() + "\n")
-    with pytest.raises(StageError, match="disagrees on dense_usage.csv digest"):
-        run_analyze(stage_config(trace, out))
+    body = dense.read_text()
+    dense.write_text(body + "\n")
+    with pytest.raises(StageError, match="dense_usage.csv in .* does not match "
+                                         "its digest in manifest-preprocess.json"):
+        run_report({"output_dir": str(out)})
+    dense.write_text(body)
 
-    (out / "manifest-preprocess.json").unlink()
-    with pytest.raises(StageError, match="no manifest-preprocess.json"):
-        run_analyze(stage_config(trace, out))
+    manifest_path = out / "manifest-preprocess.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["inputs"]["server_usage.csv"] = "0" * 64
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(StageError, match="on input digests"):
+        run_report({"output_dir": str(out)})
+
+    # without a preprocess manifest there is nothing to vouch for its counts
+    manifest_path.unlink()
+    run_report({"output_dir": str(out)})
+    assert json.loads((out / "report.json").read_text())["preprocess"] is None
+
+
+def test_report_refuses_artifacts_a_failed_analyze_overwrote(tmp_path):
+    trace_a = noisy_trace(tmp_path / "a", seed=7)
+    trace_b = noisy_trace(tmp_path / "b", seed=8)
+    out = tmp_path / "out"
+    for run in (run_preprocess, run_analyze, run_report):
+        run(stage_config(trace_a, out))
+    run_preprocess(stage_config(trace_b, out))
+    with pytest.raises(StageError, match="anomaly_trees") as err:
+        run_analyze(stage_config(trace_b, out, anomaly_trees="x"))
+    assert err.value.stage == "analyze"
+    with pytest.raises(StageError) as err:
+        run_report({"output_dir": str(out)})
+    assert err.value.stage == "report"
+
+    # the digests alone catch it, with no preprocess run in the directory
+    alone = tmp_path / "alone"
+    run_analyze(stage_config(trace_a, alone))
+    with pytest.raises(StageError, match="anomaly_trees"):
+        run_analyze(stage_config(trace_b, alone, anomaly_trees="x"))
+    with pytest.raises(StageError, match="does not match its digest in "
+                                         "manifest-analyze.json; rerun"):
+        run_report({"output_dir": str(alone)})
 
 
 def test_report_without_analyze_artifacts_fails_loudly(tmp_path):
@@ -299,7 +346,6 @@ def test_analyze_counts_what_aggregation_drops_in_its_manifest(tmp_path):
     assert counts["unknown_instance_records"] == 1
     assert counts["out_of_grid_usage_records"] == 0
     assert counts["borrowed_core_machines"] == 0
-    assert counts["zero_filled_machines"] == 0
 
 
 def test_stage_manifests_count_the_rows_each_file_lost(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from trace_insight.preprocess import (
     METRICS,
     AmbiguousDuplicateError,
@@ -10,16 +11,14 @@ from trace_insight.preprocess import (
     RepairMethod,
     filter_container_events,
     interpolate_gap,
-    read_dense_csv,
     supplement_server_usage,
     write_dense_csv,
     write_repair_log_csv,
 )
 from trace_insight.trace_model import (
-    ContainerEvent,
     ContainerEventType,
     IntervalGrid,
-    ServerUsageRecord,
+    Table,
     TraceBundle,
 )
 
@@ -27,11 +26,11 @@ GRID = IntervalGrid(1000, 1500, 100)   # 6 sample slots
 
 
 def usage_row(ts, machine, cpu):
-    return ServerUsageRecord(ts, machine, cpu, cpu / 2, 0.4, 0.0, 0.0, 0.0)
+    return (ts, machine, cpu, cpu / 2, 0.4, 0.0, 0.0, 0.0)
 
 
 def bundle_with(rows, machine_count=1):
-    return TraceBundle(server_usage=list(rows), machine_count=machine_count)
+    return TraceBundle.from_rows(server_usage=rows, machine_count=machine_count)
 
 
 # ---------------------------------------------------------------------------
@@ -135,39 +134,47 @@ def test_supplement_never_touches_observed_samples(data):
 # duplicate container events
 
 
-def event(instance, mem_req):
-    return ContainerEvent(0, ContainerEventType.CREATE, instance, 1,
-                          4.0, mem_req, 0.01, None)
+def events(*pairs):
+    """Container events for (instance, mem_req) pairs; disk_req numbers
+    them in input order."""
+    return Table.from_rows("container_event", [
+        (0, ContainerEventType.CREATE, instance, 1, 4.0, mem_req, float(i), "")
+        for i, (instance, mem_req) in enumerate(pairs)])
 
 
 def test_filter_keeps_unique_events_untouched():
-    events = [event(1, 0.05), event(2, 0.95)]
-    clean, removed = filter_container_events(events)
-    assert clean == events
-    assert removed == []
+    clean, removed = filter_container_events(events((1, 0.05), (2, 0.95)))
+    assert clean.instance.tolist() == [1, 2]
+    assert clean.mem_req.tolist() == [0.05, 0.95]
+    assert len(removed) == 0
 
 
 def test_filter_drops_the_oversized_twin():
-    events = [event(1, 0.05), event(2, 0.03), event(2, 1.00001)]
-    clean, removed = filter_container_events(events)
-    assert [e.instance for e in clean] == [1, 2]
-    assert clean[1].mem_req == 0.03
-    assert [e.mem_req for e in removed] == [1.00001]
+    clean, removed = filter_container_events(
+        events((1, 0.05), (2, 0.03), (2, 1.00001)))
+    assert clean.instance.tolist() == [1, 2]
+    assert clean.mem_req[1] == 0.03
+    assert removed.mem_req.tolist() == [1.00001]
 
 
 def test_filter_preserves_input_order_and_multiset():
-    events = [event(3, 0.9000001), event(3, 0.02), event(1, 0.05),
-              event(2, 1.00001), event(2, 0.04)]
-    clean, removed = filter_container_events(events)
-    assert sorted(clean + removed, key=id) == sorted(events, key=id)
-    assert [e.instance for e in clean] == [3, 1, 2]
+    clean, removed = filter_container_events(events(
+        (3, 0.9000001), (3, 0.02), (1, 0.05), (2, 1.00001), (2, 0.04)))
+    assert clean.disk_req.tolist() == [1.0, 2.0, 4.0]
+    assert removed.disk_req.tolist() == [0.0, 3.0]
+    assert clean.instance.tolist() == [3, 1, 2]
 
 
 def test_filter_rejects_unresolvable_duplicates():
     with pytest.raises(AmbiguousDuplicateError):
-        filter_container_events([event(1, 0.02), event(1, 0.03)])
+        filter_container_events(events((1, 0.02), (1, 0.03)))
     with pytest.raises(AmbiguousDuplicateError):
-        filter_container_events([event(1, 0.95), event(1, 1.00001)])
+        filter_container_events(events((1, 0.95), (1, 1.00001)))
+    # the first ambiguous instance to appear is the one named
+    with pytest.raises(AmbiguousDuplicateError, match="instance 9 has 2 records "
+                                                      "of which 2 have"):
+        filter_container_events(events((1, 0.02), (9, 0.02), (5, 0.95), (9, 0.03),
+                                       (5, 0.96), (5, 0.97)))
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +191,10 @@ def test_dense_csv_round_trip_is_exact(tmp_path):
     )
     path = tmp_path / "dense.csv"
     write_dense_csv(dense, str(path))
-    back = read_dense_csv(str(path))
-    assert np.array_equal(back.machines, dense.machines)
-    assert np.array_equal(back.timestamps, dense.timestamps)
-    assert np.array_equal(back.values, dense.values)
+    machines, timestamps, back = oracles.read_dense_csv(str(path))
+    assert machines == dense.machines.tolist()
+    assert timestamps == dense.timestamps.tolist()
+    assert np.array(back).tobytes() == dense.values.tobytes()
 
 
 def test_dense_csv_uses_percent_cells_for_usage_fractions(tmp_path):

@@ -1,20 +1,17 @@
 import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import oracles
+from trace_insight import trace_model
 from trace_insight.trace_model import (
-    BatchInstanceRecord,
-    BatchTaskRecord,
-    ContainerEvent,
     ContainerEventType,
-    ContainerUsageRecord,
     InstanceStatus,
     IntervalGrid,
-    MachineEvent,
     MachineEventType,
-    ServerUsageRecord,
     TaskStatus,
     TraceBundle,
     TraceParseError,
@@ -23,45 +20,49 @@ from trace_insight.trace_model import (
     parse_trace_dir,
     parse_trace_file,
     percent_text_to_fraction,
-    validate_bundle,
     write_trace_dir,
 )
 
+BUNDLE_ATTRS = ("events", "server_usage", "container_events", "container_usage",
+                "batch_tasks", "batch_instances")
+
 
 def small_bundle() -> TraceBundle:
-    return TraceBundle(
+    return TraceBundle.from_rows(
         events=[
-            MachineEvent(0, 1, MachineEventType.ADD, None, 64, 1.0, 1.0),
-            MachineEvent(0, 2, MachineEventType.ADD, None, 64, 1.0, 1.0),
-            MachineEvent(40000, 2, MachineEventType.SOFT_ERROR,
-                         "disk full", 0, 0.0, 0.0),
+            (0, 1, MachineEventType.ADD, "", 64, 1.0, 1.0),
+            (0, 2, MachineEventType.ADD, "", 64, 1.0, 1.0),
+            (40000, 2, MachineEventType.SOFT_ERROR, "disk full", 0, 0.0, 0.0),
         ],
         server_usage=[
-            ServerUsageRecord(39600, 1, 0.25, 0.55, 0.5, 1.2, 1.1, 1.0),
-            ServerUsageRecord(39900, 1, 0.26, 0.54, 0.5, 1.2, 1.1, 1.0),
+            (39600, 1, 0.25, 0.55, 0.5, 1.2, 1.1, 1.0),
+            (39900, 1, 0.26, 0.54, 0.5, 1.2, 1.1, 1.0),
         ],
         container_events=[
-            ContainerEvent(0, ContainerEventType.CREATE, 7, 1,
-                           8.0, 0.0424093, 0.01, (1, 2, 3)),
+            (0, ContainerEventType.CREATE, 7, 1, 8.0, 0.0424093, 0.01, "1|2|3"),
         ],
         container_usage=[
-            ContainerUsageRecord(39600, 7, 0.3, 0.6, 0.1, 0.5,
-                                 0.0, 0.0, 0.0, 1.5, 1.2, 2.0, 1.8),
+            (39600, 7, 0.3, 0.6, 0.1, 0.5, 0.0, 0.0, 0.0, 1.5, 1.2, 2.0, 1.8),
         ],
         batch_tasks=[
-            BatchTaskRecord(39601, 39700, 11, 1, 2, TaskStatus.TERMINATED,
-                            1.0, 0.01),
+            (39601, 39700, 11, 1, 2, TaskStatus.TERMINATED, 1.0, 0.01),
         ],
         batch_instances=[
-            BatchInstanceRecord(39601, 39650, 11, 1, 1,
-                                InstanceStatus.TERMINATED, 1, 2,
-                                0.9, 0.7, 0.012, 0.011),
-            BatchInstanceRecord(39651, 39700, 11, 1, 0,
-                                InstanceStatus.TERMINATED, 2, 2,
-                                0.8, 0.6, 0.012, 0.011),
+            (39601, 39650, 11, 1, 1, InstanceStatus.TERMINATED, 1, 2,
+             0.9, 0.7, 0.012, 0.011),
+            (39651, 39700, 11, 1, 0, InstanceStatus.TERMINATED, 2, 2,
+             0.8, 0.6, 0.012, 0.011),
         ],
         machine_count=2,
     )
+
+
+def assert_same_columns(got, want):
+    """Every column of two tables has the same dtype and the same bytes."""
+    assert list(got.columns) == list(want.columns)
+    for name, column in want.columns.items():
+        assert got.columns[name].dtype == column.dtype, name
+        assert got.columns[name].tobytes() == column.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +80,8 @@ def test_percent_text_rejects_junk():
         percent_text_to_fraction("four")
     with pytest.raises(ValueError):
         percent_text_to_fraction("")
+    with pytest.raises(ValueError, match="bad percent value"):
+        percent_text_to_fraction("1e999999999")   # past Decimal's exponent range
 
 
 @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
@@ -150,12 +153,8 @@ def test_write_then_parse_round_trips(tmp_path):
     bundle = small_bundle()
     write_trace_dir(bundle, str(tmp_path))
     back = parse_trace_dir(str(tmp_path))
-    assert back.events == bundle.events
-    assert back.server_usage == bundle.server_usage
-    assert back.container_events == bundle.container_events
-    assert back.container_usage == bundle.container_usage
-    assert back.batch_tasks == bundle.batch_tasks
-    assert back.batch_instances == bundle.batch_instances
+    for attr in BUNDLE_ATTRS:
+        assert_same_columns(getattr(back, attr), getattr(bundle, attr))
     assert back.machine_count == bundle.machine_count
 
 
@@ -176,7 +175,7 @@ def test_blank_machine_cell_round_trips_as_unplaced(tmp_path):
     # second instance has no machine assignment
     assert rows[1].split(",")[4] == ""
     back = parse_trace_dir(str(tmp_path))
-    assert back.batch_instances[1].machine == 0
+    assert back.batch_instances.machine.tolist() == [1, 0]
 
 
 def test_parse_skips_malformed_rows_with_diagnostics(tmp_path):
@@ -186,8 +185,8 @@ def test_parse_skips_malformed_rows_with_diagnostics(tmp_path):
         "oops\n"
         "39900,1,not_a_number,55,50,1.0,1.0,1.0\n"
     )
-    records, diags = parse_trace_file(str(path), "server_usage")
-    assert len(records) == 1
+    table, diags = parse_trace_file(str(path), "server_usage")
+    assert len(table) == 1
     assert len(diags) == 2
     assert diags[0].line == 2
 
@@ -222,28 +221,149 @@ def test_header_row_is_skipped_when_declared(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# validation report
+# block parser against the row-at-a-time oracle
+
+# Valid cells are drawn more often than odd ones, so that rows often fail
+# one or two checks and the first failure decides the reason.
+INT_CELLS = st.one_of(st.integers(0, 60).map(str), st.integers(0, 60).map(str),
+                      st.sampled_from(["", "x", " 7 ", "+3", "1_0", "2.5", "-0", "-2"]))
+FLOAT_CELLS = st.one_of(
+    st.floats(0.0, 20.0).map(repr), st.floats(-2.0, 20.0).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-0.0", " 0.5 ", "", "x",
+                     "1.0000000001", "1e-1", "0"]))
+PERCENT_CELLS = st.one_of(
+    st.floats(0.0, 100.0).map(repr),
+    st.from_regex(r"\A[+-]?[0-9]{1,3}(\.[0-9]{0,40})?\Z"),
+    st.from_regex(r"\A[0-9]{1,2}(\.[0-9]{1,3})?[eE][+-]?[0-9]\Z"),
+    st.sampled_from(["", " 25 ", "+5", "-0", "-0.0", "nan", "NaN", "inf",
+                     "-inf", "Infinity", "100.0000001", "-0.0000001", "100",
+                     "1e3", "abc", " 4.5e1 ", "00.5", "1_0", "1e999999999",
+                     "1.1e0", "77.442e0", "61.248e-2"]))
+CELLS = {
+    "nonneg_int": INT_CELLS, "int": INT_CELLS, "machine": INT_CELLS,
+    "optional_machine": st.one_of(INT_CELLS, st.sampled_from(["", "  "])),
+    "float": FLOAT_CELLS, "nonneg_float": FLOAT_CELLS, "unit": FLOAT_CELLS,
+    "percent": PERCENT_CELLS,
+    "text": st.sampled_from(["", "disk full", " padded ", "agent check failed"]),
+    "cpu_set": st.sampled_from(["", "1|2|3", "4 5", "1||2", "x|1", " 7 ", "+3"]),
+}
 
 
-def test_validate_reports_missing_and_undersampled_machines():
+def enum_cells(file_key):
+    """The file's enum values in mixed case, and words it does not know."""
+    values = oracles.PARSE_ENUMS[file_key][1]
+    return st.one_of(
+        st.sampled_from(values),
+        st.sampled_from(values).map(lambda v: f" {v.upper()} "),
+        st.sampled_from(["bogus", "", "Create", "add"]))
+
+
+@st.composite
+def trace_files(draw):
+    """(file key, column order, has_header, CSV text) with rows of drawn
+    cells, some of them blank or of the wrong width."""
+    file_key = draw(st.sampled_from(sorted(oracles.PARSE_FIELDS)))
+    fields = oracles.PARSE_FIELDS[file_key]
+    columns = tuple(draw(st.permutations([name for name, _ in fields])))
+    kinds = dict(fields)
+    lines = []
+    has_header = draw(st.booleans())
+    if has_header:
+        lines.append(",".join(columns))
+    for _ in range(draw(st.integers(0, 14))):
+        shape = draw(st.sampled_from(["row"] * 6 + ["blank", "short", "long"]))
+        if shape == "blank":
+            lines.append(draw(st.sampled_from(["", "  "])))
+            continue
+        cells = [draw(enum_cells(file_key) if kinds[name] == "enum"
+                      else CELLS[kinds[name]]) for name in columns]
+        if shape == "short":
+            cells = cells[:draw(st.integers(1, len(cells) - 1))]
+        elif shape == "long":
+            cells.append("9")
+        lines.append(",".join(cells))
+    return file_key, columns, has_header, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300)
+@given(trace_files(), st.integers(1, 4))
+def test_block_parser_matches_the_row_oracle(drawn, block_rows):
+    file_key, columns, has_header, text = drawn
+    saved = trace_model.BLOCK_ROWS
+    trace_model.BLOCK_ROWS = block_rows   # several blocks, the last partial
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trace.csv")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            table, diags = parse_trace_file(path, file_key, columns, has_header)
+            rows, want_diags = oracles.parse_rows(path, file_key, columns, has_header)
+    finally:
+        trace_model.BLOCK_ROWS = saved
+    assert [(d.line, d.reason) for d in diags] == want_diags
+    assert len(table) == len(rows)
+    fields = [name for name, _ in oracles.PARSE_FIELDS[file_key]]
+    assert len(table.columns) == len(fields)
+    for (name, column), values in zip(table.columns.items(),
+                                      zip(*rows) if rows else [()] * len(fields)):
+        # text columns are as wide as their longest accepted cell
+        want = np.array(values, dtype=str if column.dtype.kind == "U" else column.dtype)
+        assert (column.dtype, column.tobytes()) == (want.dtype, want.tobytes()), name
+
+
+# Past 28 digits Decimal rounds before float() does; these texts sit close
+# enough to a halfway point between two floats for that to show.
+LONG_PERCENTS = ["54.4229225295951912766412306154961697757",
+                 "62.5720304108054070635347443385398946702",
+                 "6.55288592398131156113727513456979067996"]
+
+
+@given(st.lists(st.one_of(
+    st.from_regex(r"\A[0-9]{1,2}(\.[0-9]{1,3})?[eE][+-]?[0-2]\Z"),
+    st.floats(0.0, 100.0).map(repr), st.sampled_from(LONG_PERCENTS)),
+    min_size=1, max_size=30))
+def test_percent_columns_equal_the_decimal_conversion(texts):
+    texts = [t for t in texts if percent_text_to_fraction(t) <= 1.0]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "server_usage.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(f"39600,1,{t},{t},{t},0,0,0\n" for t in texts)
+        table, diags = parse_trace_file(path, "server_usage")
+    assert diags == []
+    want = np.array([percent_text_to_fraction(t) for t in texts], dtype=np.float64)
+    for column in (table.cpu, table.mem, table.disk):
+        assert column.tobytes() == want.tobytes()
+
+
+def test_a_row_breaking_several_rules_names_the_first_one_checked(tmp_path):
+    path = tmp_path / "trace.csv"
+    cases = [
+        # bad timestamp, zero cpu_req: requests are checked first
+        ("container_event", "x,Create,7,1,0,0.5,0.01,",
+         "cpu_req must be > 0, got 0.0"),
+        # bad job, instance_count 0: the count is checked first
+        ("batch_task", "1,2,x,1,0,Terminated,1.0,0.01",
+         "instance_count must be >= 1, got 0"),
+        # bad job, avg_cpu above max_cpu: the cpu pair is checked first
+        ("batch_instance", "5,9,x,1,1,Terminated,1,1,0.5,0.7,0.1,0.1",
+         "avg_cpu 0.7 exceeds max_cpu 0.5"),
+        # Terminated with end < start and a bad max_cpu
+        ("batch_instance", "9,5,1,1,1,Terminated,1,1,x,0.7,0.1,0.1",
+         "Terminated instance needs start > 0 and end >= start, got [9,5]"),
+    ]
+    for file_key, line, reason in cases:
+        path.write_text(line + "\n")
+        table, diags = parse_trace_file(str(path), file_key)
+        assert len(table) == 0
+        assert [(d.line, d.reason) for d in diags] == [(1, reason)], line
+
+
+def test_column_dtypes_and_names():
     bundle = small_bundle()
-    bundle.machine_count = 3
-    bundle.server_usage.append(
-        ServerUsageRecord(39600, 3, 0.1, 0.1, 0.1, 0.0, 0.0, 0.0))
-    report = validate_bundle(bundle)
-    assert report.expected_samples == 2
-    assert report.machines_no_usage == [2]
-    assert report.machines_undersampled == [(3, 1)]
-
-
-def test_validate_counts_duplicates_and_zero_timestamps():
-    bundle = small_bundle()
-    bundle.container_events.append(
-        ContainerEvent(0, ContainerEventType.CREATE, 7, 1,
-                       8.0, 1.00001, 0.01, None))
-    bundle.batch_instances.append(
-        BatchInstanceRecord(0, 39700, 12, 1, 1, InstanceStatus.FAILED,
-                            1, 1, 0.0, 0.0, 0.0, 0.0))
-    report = validate_bundle(bundle)
-    assert report.duplicate_container_instances == {7: 2}
-    assert report.zero_timestamp_batch_instances == 1
+    assert bundle.server_usage.cpu.dtype == np.float64
+    assert bundle.batch_instances.status.dtype == np.int8
+    assert bundle.events.timestamp.dtype == np.int64
+    assert bundle.container_usage.cpu_of_req.tolist() == [0.3]
+    assert bundle.container_events.cpu_set.tolist() == ["1|2|3"]
+    with pytest.raises(AttributeError, match="cpu_pct"):
+        bundle.server_usage.cpu_pct
