@@ -18,6 +18,7 @@ from .preprocess import (  # noqa: F401
     supplement_server_usage,
 )
 from .aggregate import (  # noqa: F401
+    SeriesTable,
     aggregate_batch_usage,
     aggregate_container_usage,
     build_machine_series,
@@ -29,10 +30,10 @@ from .similarity import (  # noqa: F401
     select_standard,
 )
 from .classify import (  # noqa: F401
-    binarize_occupancy,
     category_report,
     kmeans_fit,
     label_clusters,
+    occupancy_matrix,
 )
 from .anomaly import (  # noqa: F401
     build_feature_matrix,

@@ -1,7 +1,10 @@
 """Per-(machine, interval) usage attribution for containers and batch instances.
 
 Both aggregators work on whole arrays and return a ``UsageTable``: one row
-per machine they saw, one column per grid interval.
+per machine they saw, one column per grid interval. ``build_machine_series``
+merges them with the repaired server usage into one ``SeriesTable`` of
+(machine, interval) arrays for machines 1..M, which the DTW, k-means and
+isolation-forest analyses read directly.
 
 Container usage is charged from its measured fraction of the request. Records
 are bucketed to the interval holding their timestamp; several records for one
@@ -49,11 +52,12 @@ class UsageTable:
 
 
 @dataclass
-class MachineSeries:
-    """Per-interval resource signals for one machine (all arrays share the
-    grid's interval count)."""
+class SeriesTable:
+    """Per-interval resource signals of machines 1..M. ``machines`` holds the
+    ids in order, so row m - 1 of every signal, an (M, interval_count)
+    float64 array, belongs to machine m."""
 
-    machine: int
+    machines: np.ndarray
     server_cpu: np.ndarray
     server_mem: np.ndarray
     server_disk: np.ndarray
@@ -243,33 +247,30 @@ def aggregate_batch_usage(bundle: TraceBundle, grid: IntervalGrid,
 
 
 def build_machine_series(bundle: TraceBundle, grid: IntervalGrid, dense: DenseUsage,
-                         containers: UsageTable, batch: UsageTable,
-                         ) -> list[MachineSeries]:
-    """One MachineSeries per machine id, zeros where a machine is absent from
-    the container or batch table. Server usage per interval is the mean of
-    the interval's two endpoint samples in the dense table, so all samples
-    contribute; the dense table must hold machines 1..machine_count."""
+                         containers: UsageTable, batch: UsageTable) -> SeriesTable:
+    """The series table of machines 1..machine_count, zeros where a machine
+    is absent from the container or batch table. Server usage per interval
+    is the mean of the interval's two endpoint samples in the dense table,
+    so all samples contribute; the dense table must hold machines
+    1..machine_count."""
     n = grid.interval_count
     m_count = bundle.machine_count
-    if not np.array_equal(dense.machines, np.arange(1, m_count + 1)):
+    machines = np.arange(1, m_count + 1)
+    if not np.array_equal(dense.machines, machines):
         raise ValueError(f"dense usage table must hold machines 1..{m_count} "
                          "in order")
 
-    def place(machines: np.ndarray, values: np.ndarray) -> np.ndarray:
+    def place(table: UsageTable, name: str) -> np.ndarray:
         out = np.zeros((m_count, n))
-        out[machines - 1] = values
+        out[table.machines - 1] = getattr(table, name)
         return out
 
     vals = dense.values
-    fields = {f"server_{name}": (vals[:, :-1, k] + vals[:, 1:, k]) / 2.0
-              for k, name in enumerate(("cpu", "mem", "disk"))}
-    fields.update({f"container_{name}": place(containers.machines,
-                                              getattr(containers, name))
-                   for name in ("count", "cpu", "mem")})
-    fields.update({f"batch_{name}": place(batch.machines, getattr(batch, name))
-                   for name in ("count", "cpu_cores", "cpu", "mem")})
-    return [MachineSeries(machine=i + 1, **{k: v[i] for k, v in fields.items()})
-            for i in range(m_count)]
+    return SeriesTable(
+        machines,
+        *((vals[:, :-1, k] + vals[:, 1:, k]) / 2.0 for k in range(3)),
+        *(place(containers, name) for name in ("count", "cpu", "mem")),
+        *(place(batch, name) for name in ("count", "cpu_cores", "cpu", "mem")))
 
 
 # ---------------------------------------------------------------------------
@@ -315,15 +316,14 @@ def write_batch_agg_csv(table: UsageTable, grid: IntervalGrid, path: str) -> Non
         zip(table.count, table.cpu_cores, table.cpu, table.mem)))
 
 
-def write_machine_series_csv(series: list[MachineSeries], grid: IntervalGrid,
+def write_machine_series_csv(table: SeriesTable, grid: IntervalGrid,
                              path: str) -> None:
     """Server-level per machine-interval table; the residual columns report
     server usage not accounted for by containers plus batch."""
-    _write_rows(path, SERIES_HEADER, grid, (
-        (s.machine, (s.server_cpu, s.server_mem, s.server_disk,
-                     s.container_count.astype(np.int64), s.container_cpu,
-                     s.container_mem, s.batch_count.astype(np.int64),
-                     s.batch_cpu, s.batch_mem,
-                     s.server_cpu - s.container_cpu - s.batch_cpu,
-                     s.server_mem - s.container_mem - s.batch_mem))
-        for s in series))
+    t = table
+    _write_rows(path, SERIES_HEADER, grid, zip(t.machines.tolist(), zip(
+        t.server_cpu, t.server_mem, t.server_disk,
+        t.container_count.astype(np.int64), t.container_cpu, t.container_mem,
+        t.batch_count.astype(np.int64), t.batch_cpu, t.batch_mem,
+        t.server_cpu - t.container_cpu - t.batch_cpu,
+        t.server_mem - t.container_mem - t.batch_mem)))

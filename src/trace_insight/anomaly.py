@@ -1,7 +1,7 @@
 """Isolation-forest scoring over per-machine resource features, with
 rule-based cause tags for the machines that stand out.
 
-Features are the five per-machine signals (cpu, mem, disk, batch count,
+Features are five columns of the series table (cpu, mem, disk, batch count,
 container count). The forest follows the classic construction: t trees, each
 on a seeded subsample of up to psi rows, random split dimension and split
 value per node, growth stopped at ceil(log2 psi). Each tree is stored as
@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .aggregate import MachineSeries
+from .aggregate import SeriesTable
 from .trace_model import (IntervalGrid, MachineEventType, Table, enum_code,
                           float_text)
 
@@ -92,21 +92,19 @@ def average_path_length(n: int) -> float:
     return 2.0 * (math.log(n - 1) + EULER_GAMMA) - 2.0 * (n - 1) / n
 
 
-def build_feature_matrix(series: list[MachineSeries],
+def build_feature_matrix(table: SeriesTable,
                          mode: FeatureMode = FeatureMode.PER_MACHINE_MEAN,
                          ) -> tuple[list[int], np.ndarray]:
-    """Feature rows in ascending machine order.
+    """Feature rows in the table's machine order.
 
     PER_MACHINE_MEAN: one row per machine (interval means). PER_INTERVAL:
     one row per (machine, interval); rows of one machine stay contiguous so
     the machine ids list repeats accordingly.
     """
-    ordered = sorted(series, key=lambda s: s.machine)
-    machines = [s.machine for s in ordered]
+    machines = table.machines.tolist()
     # (machines, intervals, features), C-ordered: a mean over the interval
     # axis adds one interval at a time, in interval order
-    cube = np.stack([np.stack([getattr(s, name) for s in ordered])
-                     for name in _FEATURE_SIGNALS], axis=-1).astype(float, copy=False)
+    cube = np.stack([getattr(table, name) for name in _FEATURE_SIGNALS], axis=-1)
     if mode is FeatureMode.PER_MACHINE_MEAN:
         return machines, cube.mean(axis=1)
     intervals = cube.shape[1]
@@ -257,10 +255,9 @@ class PopulationStats:
     batch_count_median: float
 
 
-def population_stats(series: list[MachineSeries]) -> PopulationStats:
+def population_stats(table: SeriesTable) -> PopulationStats:
     # (2, machines, intervals): each machine's mean runs along its own row
-    counts = np.stack([np.stack([s.container_count for s in series]),
-                       np.stack([s.batch_count for s in series])])
+    counts = np.stack([table.container_count, table.batch_count])
     container_means, batch_means = counts.mean(axis=-1)
     return PopulationStats(
         container_count_median=float(np.median(container_means)),
@@ -287,22 +284,23 @@ def softerror_times(events: Table) -> dict[int, list[int]]:
     return times
 
 
-def diagnose(label: str, softerrors: list[int], series: MachineSeries,
-             stats: PopulationStats, grid: IntervalGrid,
-             heavier_factor: float = 1.5) -> list[str]:
-    """Cause tags for the machine of ``series``, in a fixed rule order.
+def diagnose(label: str, softerrors: list[int], batch_count: np.ndarray,
+             container_count: np.ndarray, stats: PopulationStats,
+             grid: IntervalGrid, heavier_factor: float = 1.5) -> list[str]:
+    """Cause tags for one machine, in a fixed rule order.
 
-    ``softerrors`` are the machine's soft-error timestamps. Rules depend only
-    on the machine's own soft errors and series plus the population medians,
-    so the result is independent of evaluation order. Several tags can apply
-    at once.
+    ``softerrors`` are the machine's soft-error timestamps, and
+    ``batch_count`` and ``container_count`` its rows of the series table.
+    Rules depend only on the machine's own soft errors and counts plus the
+    population medians, so the result is independent of evaluation order.
+    Several tags can apply at once.
     """
     tags: list[str] = []
 
     if len(softerrors) >= 3:
         tags.append(CauseTag.FREQUENT_SOFT_ERROR.value)
 
-    stop = _batch_stop_index(series.batch_count)
+    stop = _batch_stop_index(batch_count)
     if stop is not None and softerrors:
         for ts in softerrors:
             x = grid.interval_index(ts)
@@ -318,8 +316,8 @@ def diagnose(label: str, softerrors: list[int], series: MachineSeries,
         tags.append(CauseTag.NO_BATCH_JOBS.value)
 
     if label == "Type1":
-        container_mean = float(np.mean(series.container_count))
-        batch_mean = float(np.mean(series.batch_count))
+        container_mean = float(np.mean(container_count))
+        batch_mean = float(np.mean(batch_count))
         if container_mean >= heavier_factor * stats.container_count_median:
             tags.append(CauseTag.HEAVIER_ONLINE_SERVICES.value)
         if container_mean <= 1.0 and batch_mean >= stats.batch_count_median:

@@ -1,6 +1,7 @@
 """Workload-distribution categories from binarized occupancy vectors.
 
-Each machine becomes a 2N-bit vector: the first N bits say whether any batch
+Each machine becomes a 2N-bit row of one occupancy matrix, taken from the
+count columns of the series table: the first N bits say whether any batch
 instance touched interval x, the next N whether any container lived there.
 Lloyd k-means (k-means++ seeded) groups the vectors, and each centroid is
 labeled by rules over its batch/container occupancy pattern:
@@ -25,21 +26,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .aggregate import MachineSeries
+from .aggregate import SeriesTable
 from .trace_model import float_text
 
 TYPE_LABELS = ("Type1", "Type2", "Type3", "Type4",
                "Type5", "Type6", "Type7", "Type8")
 UNKNOWN_LABEL = "Unknown"
-
-
-@dataclass(frozen=True, slots=True)
-class OccupancyVector:
-    machine: int
-    bits: np.ndarray   # (2N,) uint8, batch occupancy first
-
-    def __len__(self) -> int:
-        return len(self.bits)
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,21 +61,12 @@ class CategoryModel:
     label_notes: dict[int, str] = field(default_factory=dict)
 
 
-def binarize_occupancy(series: MachineSeries) -> OccupancyVector:
-    bits = np.concatenate([
-        (np.asarray(series.batch_count) > 0),
-        (np.asarray(series.container_count) > 0),
-    ]).astype(np.uint8)
-    return OccupancyVector(series.machine, bits)
-
-
-def occupancy_matrix(series: list[MachineSeries]) -> tuple[list[int], np.ndarray]:
-    """Stacked bit vectors sorted by machine id (the canonical row order)."""
-    vectors = sorted((binarize_occupancy(s) for s in series),
-                     key=lambda v: v.machine)
-    machines = [v.machine for v in vectors]
-    matrix = np.stack([v.bits for v in vectors]).astype(float)
-    return machines, matrix
+def occupancy_matrix(table: SeriesTable) -> tuple[list[int], np.ndarray]:
+    """Machine ids and their (M, 2N) 0/1 occupancy rows, batch bits first,
+    in the table's machine order."""
+    bits = np.concatenate((table.batch_count > 0, table.container_count > 0),
+                          axis=1)
+    return table.machines.tolist(), bits.astype(float)
 
 
 def _plus_plus_init(matrix: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -255,11 +238,17 @@ class CategoryReport:
     usage_means: dict[str, tuple[float, float, float]]  # label -> cpu/mem/disk
 
 
-def category_report(model: CategoryModel,
-                    series: list[MachineSeries]) -> CategoryReport:
+def _usage_rows(table: SeriesTable, machines: list[int]):
+    """The (machines, N) server cpu, mem and disk rows of ``machines``."""
+    rows = np.subtract(machines, 1)
+    return table.server_cpu[rows], table.server_mem[rows], table.server_disk[rows]
+
+
+def category_report(model: CategoryModel, table: SeriesTable) -> CategoryReport:
+    """Members per label in the model's (ascending) machine order, and their
+    mean server cpu, mem and disk over all their intervals."""
     if not model.labels:
         raise ValueError("model is unlabeled; run label_clusters first")
-    by_machine = {s.machine: s for s in series}
     members: dict[str, list[int]] = {}
     for machine in model.machines:
         label = model.labels[model.assignments[machine]]
@@ -267,15 +256,10 @@ def category_report(model: CategoryModel,
     counts = {}
     usage_means = {}
     for label in list(TYPE_LABELS) + [UNKNOWN_LABEL]:
-        machines = sorted(members.get(label, []))
-        if not machines:
-            continue
-        members[label] = machines
-        counts[label] = len(machines)
-        cpu = float(np.mean([by_machine[m].server_cpu for m in machines]))
-        mem = float(np.mean([by_machine[m].server_mem for m in machines]))
-        disk = float(np.mean([by_machine[m].server_disk for m in machines]))
-        usage_means[label] = (cpu, mem, disk)
+        if label in members:
+            counts[label] = len(members[label])
+            usage_means[label] = tuple(
+                float(np.mean(rows)) for rows in _usage_rows(table, members[label]))
     return CategoryReport(counts=counts, members=members, usage_means=usage_means)
 
 
@@ -316,18 +300,15 @@ def write_counts_json(model: CategoryModel, report: CategoryReport,
         fh.write("\n")
 
 
-def write_type_usage_csv(report: CategoryReport, series: list[MachineSeries],
+def write_type_usage_csv(report: CategoryReport, table: SeriesTable,
                          path: str) -> None:
     """Per-type mean cpu/mem/disk per interval, for external plotting."""
-    by_machine = {s.machine: s for s in series}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("label", "interval_index", "cpu", "mem", "disk"))
         for label in sorted(report.members):
-            machines = report.members[label]
-            cpu = np.mean([by_machine[m].server_cpu for m in machines], axis=0)
-            mem = np.mean([by_machine[m].server_mem for m in machines], axis=0)
-            disk = np.mean([by_machine[m].server_disk for m in machines], axis=0)
+            cpu, mem, disk = (np.mean(rows, axis=0) for rows in
+                              _usage_rows(table, report.members[label]))
             for x in range(len(cpu)):
                 writer.writerow([label, x,
                                  float_text(float(cpu[x])),

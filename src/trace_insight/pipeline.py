@@ -16,8 +16,6 @@ import hashlib
 import json
 import os
 
-import numpy as np
-
 from . import __version__
 from .aggregate import (
     AggDiagnostics,
@@ -34,10 +32,8 @@ from .anomaly import (
     diagnose,
     iforest_fit,
     population_stats,
-    rank_anomalies,
     score_machines,
     softerror_times,
-    top_anomalies_dict,
     write_anomaly_json,
     write_score_distribution_csv,
     write_scores_csv,
@@ -46,7 +42,6 @@ from .anomaly import (
 from .classify import (
     LabelThresholds,
     category_report,
-    counts_dict,
     kmeans_fit,
     label_clusters,
     occupancy_matrix,
@@ -63,7 +58,6 @@ from .preprocess import (
 from .similarity import (
     DEFAULT_RANGE_EDGES,
     build_resource_curves,
-    histogram_dict,
     score_similarity,
     select_standard,
     write_distances_csv,
@@ -225,12 +219,14 @@ def _get_bool(config, key, stage) -> bool:
     raise StageError(stage, f"config key {key!r} must be true/false, got {raw!r}")
 
 
-def _int_list(raw: str) -> list[int]:
-    return [int(part) for part in raw.split(",") if part.strip() != ""]
-
-
-def _float_list(raw: str) -> list[float]:
-    return [float(part) for part in raw.split(",") if part.strip() != ""]
+def _get_list(config, key, stage, kind=int) -> list:
+    raw = _get(config, key, stage)
+    try:
+        return [kind(part) for part in raw.split(",") if part.strip() != ""]
+    except ValueError:
+        noun = "integers" if kind is int else "numbers"
+        raise StageError(stage, f"config key {key!r} must be a comma-separated "
+                                f"list of {noun}, got {raw!r}") from None
 
 
 def _grid(config, stage) -> IntervalGrid:
@@ -297,13 +293,12 @@ def _parse_plants(raw: str, stage: str) -> tuple[AnomalyPlant, ...]:
             raise StageError(stage, f"unknown plant kind {kind_name!r} "
                                     f"(expected one of {sorted(kinds)})")
         params = []
-        if len(pieces) > 2:
-            for pair in pieces[2].split(","):
+        try:
+            for pair in pieces[2].split(",") if len(pieces) > 2 else ():
                 if "=" not in pair:
                     raise StageError(stage, f"bad plant param {pair!r}")
                 name, value = pair.split("=", 1)
                 params.append((name.strip(), float(value)))
-        try:
             plants.append(AnomalyPlant(machine=int(machine),
                                        kind=kinds[kind_name],
                                        params=tuple(params)))
@@ -337,7 +332,7 @@ def run_synth(config: dict[str, str]) -> str:
     stage = "synth"
     out_dir = _get(config, "output_dir", stage)
     grid = _grid(config, stage)
-    quotas = tuple(_int_list(_get(config, "synth_quotas", stage)))
+    quotas = tuple(_get_list(config, "synth_quotas", stage))
     synth_config = SynthConfig(
         machine_count=_get_int(config, "synth_machines", stage),
         grid=grid,
@@ -448,9 +443,45 @@ def run_analyze(config: dict[str, str]) -> str:
     stage = "analyze"
     out_dir = _get(config, "output_dir", stage)
     grid = _grid(config, stage)
+    # every value is read, and fails here, before any input is opened
+    duration_weighted = _get_bool(config, "duration_weighted", stage)
+    select_args = {
+        "sample_num": _get_int(config, "dtw_sample_num", stage),
+        "seed": _get_int(config, "dtw_seed", stage),
+        "standard_count": _get_int(config, "dtw_standard_count", stage),
+        "standard_machines": _get_list(config, "dtw_standards", stage) or None,
+    }
+    score_args = {
+        "threshold": _get_float(config, "dtw_threshold", stage),
+        "range_edges": (tuple(_get_list(config, "dtw_range_edges", stage, float))
+                        or DEFAULT_RANGE_EDGES),
+        "normalized": _get_bool(config, "dtw_normalized", stage),
+        "suitability_gap": (_get_float(config, "dtw_suitability_gap", stage)
+                            if _get(config, "dtw_suitability_gap", stage).strip()
+                            else None),
+    }
+    kmeans_args = {
+        "k": _get_int(config, "classify_k", stage),
+        "seed": _get_int(config, "classify_seed", stage),
+        "max_iter": _get_int(config, "classify_max_iter", stage),
+        "n_init": _get_int(config, "classify_restarts", stage),
+    }
+    thresholds = LabelThresholds(
+        always=_get_float(config, "classify_always", stage),
+        none=_get_float(config, "classify_none", stage),
+        gap_fraction=_get_float(config, "classify_gap_fraction", stage))
+    mode = _feature_mode(config, stage)
+    normalize = _get_bool(config, "anomaly_normalize", stage)
+    forest_args = {
+        "tree_count": _get_int(config, "anomaly_trees", stage),
+        "subsample": _get_int(config, "anomaly_subsample", stage),
+        "seed": _get_int(config, "anomaly_seed", stage),
+    }
+    heavier = _get_float(config, "anomaly_heavier_factor", stage)
+    top_n = _get_int(config, "anomaly_top_n", stage)
+
     bundle, input_dir, skipped = _load_bundle(config, stage)
     os.makedirs(out_dir, exist_ok=True)
-
     inputs = _digest_inputs(input_dir, stage)
     try:
         clean, _removed = filter_container_events(bundle.container_events)
@@ -461,97 +492,65 @@ def run_analyze(config: dict[str, str]) -> str:
 
         diag = AggDiagnostics()
         containers = aggregate_container_usage(bundle, grid, diag)
-        batch = aggregate_batch_usage(
-            bundle, grid, diag,
-            duration_weighted=_get_bool(config, "duration_weighted", stage))
-        series = build_machine_series(bundle, grid, dense, containers, batch)
+        batch = aggregate_batch_usage(bundle, grid, diag,
+                                      duration_weighted=duration_weighted)
+        table = build_machine_series(bundle, grid, dense, containers, batch)
         write_container_agg_csv(containers, grid,
                                 os.path.join(out_dir, "container_usage_agg.csv"))
         write_batch_agg_csv(batch, grid,
                             os.path.join(out_dir, "batch_usage_agg.csv"))
-        write_machine_series_csv(series, grid,
+        write_machine_series_csv(table, grid,
                                  os.path.join(out_dir, "machine_series.csv"))
 
-        # similarity
-        curves = build_resource_curves(series)
-        raw_standards = _int_list(_get(config, "dtw_standards", stage))
-        standard_value, standards = select_standard(
-            curves,
-            sample_num=_get_int(config, "dtw_sample_num", stage),
-            seed=_get_int(config, "dtw_seed", stage),
-            standard_count=_get_int(config, "dtw_standard_count", stage),
-            standard_machines=raw_standards or None,
-        )
-        edges = tuple(_float_list(_get(config, "dtw_range_edges", stage))) \
-            or DEFAULT_RANGE_EDGES
-        gap_raw = _get(config, "dtw_suitability_gap", stage)
+        # similarity; machine m is row m - 1 of the table and its curves
+        curves = build_resource_curves(table)
+        standard_value, standards = select_standard(curves, **select_args)
         dtw_report = score_similarity(
-            curves, standards, standard_value=standard_value,
-            threshold=_get_float(config, "dtw_threshold", stage),
-            range_edges=edges,
-            normalized=_get_bool(config, "dtw_normalized", stage),
-            suitability_gap=float(gap_raw) if gap_raw.strip() else None,
-        )
+            curves, curves[[m - 1 for m in standards]], standards,
+            standard_value=standard_value, **score_args)
         write_distances_csv(dtw_report, os.path.join(out_dir, "dtw_distances.csv"))
         write_flags_csv(dtw_report, os.path.join(out_dir, "dtw_flags.csv"))
         write_histogram_json(dtw_report, os.path.join(out_dir, "dtw_histogram.json"))
 
         # classification
-        machines, matrix = occupancy_matrix(series)
-        model = kmeans_fit(machines, matrix,
-                           k=_get_int(config, "classify_k", stage),
-                           seed=_get_int(config, "classify_seed", stage),
-                           max_iter=_get_int(config, "classify_max_iter", stage),
-                           n_init=_get_int(config, "classify_restarts", stage))
-        thresholds = LabelThresholds(
-            always=_get_float(config, "classify_always", stage),
-            none=_get_float(config, "classify_none", stage),
-            gap_fraction=_get_float(config, "classify_gap_fraction", stage))
+        machines, matrix = occupancy_matrix(table)
+        model = kmeans_fit(machines, matrix, **kmeans_args)
         model = label_clusters(model, thresholds)
-        cat_report = category_report(model, series)
+        cat_report = category_report(model, table)
         write_assignments_csv(model, os.path.join(out_dir, "assignments.csv"))
         write_counts_json(model, cat_report,
                           os.path.join(out_dir, "category_counts.json"))
-        write_type_usage_csv(cat_report, series,
+        write_type_usage_csv(cat_report, table,
                              os.path.join(out_dir, "plot_type_usage.csv"))
 
         # anomaly
-        mode = _feature_mode(config, stage)
-        feat_machines, feat_matrix = build_feature_matrix(series, mode)
-        if _get_bool(config, "anomaly_normalize", stage):
+        feat_machines, feat_matrix = build_feature_matrix(table, mode)
+        if normalize:
             feat_matrix = zscore_normalize(feat_matrix)
-        forest = iforest_fit(feat_matrix,
-                             tree_count=_get_int(config, "anomaly_trees", stage),
-                             subsample=_get_int(config, "anomaly_subsample", stage),
-                             seed=_get_int(config, "anomaly_seed", stage))
+        forest = iforest_fit(feat_matrix, **forest_args)
         anomaly_report = score_machines(forest, feat_machines, feat_matrix, mode)
         labels = {m: model.labels[model.assignments[m]] for m in model.machines}
         anomaly_report.labels = labels
-        stats = population_stats(series)
+        stats = population_stats(table)
         softerrors = softerror_times(bundle.events)
-        series_by_machine = {s.machine: s for s in series}
-        heavier = _get_float(config, "anomaly_heavier_factor", stage)
         anomaly_report.causes = {
             m: diagnose(labels.get(m, ""), softerrors.get(m, []),
-                        series_by_machine[m], stats, grid,
-                        heavier_factor=heavier)
+                        table.batch_count[m - 1], table.container_count[m - 1],
+                        stats, grid, heavier_factor=heavier)
             for m in anomaly_report.machines
         }
-        top_n = _get_int(config, "anomaly_top_n", stage)
         write_scores_csv(anomaly_report, os.path.join(out_dir, "anomaly_scores.csv"))
         write_anomaly_json(anomaly_report, top_n,
                            os.path.join(out_dir, "anomaly_report.json"))
         write_score_distribution_csv(
             anomaly_report, os.path.join(out_dir, "plot_score_distribution.csv"))
-    except StageError:
-        raise
     except ValueError as e:
         raise StageError(stage, str(e)) from e
 
     write_manifest(out_dir, stage, config, inputs=inputs,
                    outputs=list(ANALYZE_FILENAMES),
                    row_counts={
-                       "machines": len(series),
+                       "machines": len(table.machines),
                        "intervals": grid.interval_count,
                        "curves": len(curves),
                        "standards": len(standards),

@@ -1,6 +1,8 @@
 """DTW scoring of machine resource curves against sampled standard curves.
 
-A resource curve is the per-interval (cpu, mem, disk) track of one machine.
+A resource curve is the per-interval (cpu, mem, disk) track of one machine;
+the curves of machines 1..M come as one (M, N, 3) array whose row m - 1 is
+machine m, read from the server columns of the series table.
 Distance between two curves is the cumulative dynamic-time-warping cost with
 squared Euclidean point cost, reported raw (no path-length normalization);
 the normalized form sqrt(cost)/K is available behind a flag. A set of
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregate import MachineSeries
+from .aggregate import SeriesTable
 from .trace_model import float_text
 
 DEFAULT_THRESHOLD = 3.0
@@ -30,17 +32,7 @@ DEFAULT_RANGE_EDGES = (0.0, 1.0, 2.0, 3.0, 5.0)
 
 
 @dataclass(frozen=True, slots=True)
-class ResourceCurve:
-    machine: int
-    points: np.ndarray   # (n, 3) float
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-@dataclass(frozen=True, slots=True)
 class DtwResult:
-    machine: int
     distance: float
     path_length: int
 
@@ -60,18 +52,14 @@ class DtwReport:
     unsuitable_standards: list[int] = field(default_factory=list)
 
 
-def build_resource_curves(series: list[MachineSeries]) -> list[ResourceCurve]:
-    """One (n, 3) cpu/mem/disk curve per machine, machine order preserved."""
-    return [
-        ResourceCurve(s.machine, np.column_stack(
-            (s.server_cpu, s.server_mem, s.server_disk)))
-        for s in series
-    ]
+def build_resource_curves(table: SeriesTable) -> np.ndarray:
+    """(M, N, 3) cpu/mem/disk curves, in the table's machine order."""
+    return np.stack((table.server_cpu, table.server_mem, table.server_disk),
+                    axis=-1)
 
 
 def _as_points(curve) -> np.ndarray:
-    points = np.asarray(curve.points if isinstance(curve, ResourceCurve)
-                        else curve, float)
+    points = np.asarray(curve, float)
     if points.ndim == 1:
         points = points[:, None]
     if points.ndim != 2 or len(points) == 0:
@@ -133,8 +121,8 @@ def _dtw_batch(q: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def dtw_distance(q, s) -> DtwResult:
     """Cumulative DTW cost between two curves plus an optimal path length.
 
-    Accepts ResourceCurve or any array-like of points; scalar series are
-    treated as 1-vectors. The alignment is unconstrained (no warping window).
+    Accepts any array-like of points; scalar series are treated as
+    1-vectors. The alignment is unconstrained (no warping window).
     The one-pair form of ``_dtw_batch`` (same cells, recurrence and tie-break)
     runs row by row in plain Python, which is cheaper for one small pair than
     a numpy call per anti-diagonal.
@@ -162,8 +150,7 @@ def dtw_distance(q, s) -> DtwResult:
             cur.append(cost + best)
             cur_steps.append(k + 1)
         acc, steps = cur, cur_steps
-    machine = q.machine if isinstance(q, ResourceCurve) else -1
-    return DtwResult(machine, acc[-1], steps[-1])
+    return DtwResult(acc[-1], steps[-1])
 
 
 def normalized_distance(result: DtwResult) -> float:
@@ -171,58 +158,59 @@ def normalized_distance(result: DtwResult) -> float:
     return float(np.sqrt(result.distance)) / result.path_length
 
 
-def select_standard(curves: list[ResourceCurve], sample_num: int, seed: int,
+def select_standard(curves, sample_num: int, seed: int,
                     standard_count: int = 4,
                     standard_machines: list[int] | None = None,
-                    ) -> tuple[float, list[ResourceCurve]]:
-    """Baseline distance and standard curves.
+                    ) -> tuple[float, list[int]]:
+    """Baseline distance and the machines whose curves are the standards.
 
-    Samples ``sample_num`` curves without replacement (seeded), computes all
+    ``curves`` holds one curve per machine, machine m at row m - 1. Samples
+    ``sample_num`` machines without replacement (seeded), computes all
     pairwise DTW distances inside the sample, and takes their median as the
-    baseline. ``standard_count`` of the sampled curves are then drawn as the
-    standards. Passing ``standard_machines`` pins the sample to those machine
-    ids instead (all of them become standards).
+    baseline. ``standard_count`` of the sampled machines are then drawn as
+    the standards. Passing ``standard_machines`` pins the sample to those
+    machine ids instead (all of them become standards).
     """
-    if not curves:
+    count = len(curves)
+    if not count:
         raise ValueError("no curves to sample from")
     if standard_machines is not None:
-        by_machine = {c.machine: c for c in curves}
-        missing = [m for m in standard_machines if m not in by_machine]
+        missing = [m for m in standard_machines if not 1 <= m <= count]
         if missing:
             raise ValueError(f"standard machines not present: {missing}")
-        sample = [by_machine[m] for m in standard_machines]
-        standards = list(sample)
+        sample = np.asarray(standard_machines, dtype=np.int64) - 1
+        chosen = sample
     else:
         if sample_num < 2:
             raise ValueError(f"sample_num must be >= 2, got {sample_num}")
-        if sample_num > len(curves):
+        if sample_num > count:
             raise ValueError(
-                f"sample_num {sample_num} exceeds curve count {len(curves)}")
+                f"sample_num {sample_num} exceeds curve count {count}")
         if not 1 <= standard_count <= sample_num:
             raise ValueError(f"standard_count must be in [1, sample_num], "
                              f"got {standard_count}")
         rng = np.random.default_rng(seed)
-        order = sorted(curves, key=lambda c: c.machine)
-        picks = rng.choice(len(order), size=sample_num, replace=False)
-        sample = [order[int(i)] for i in np.sort(picks)]
-        chosen = rng.choice(sample_num, size=standard_count, replace=False)
-        standards = [sample[int(i)] for i in np.sort(chosen)]
+        sample = np.sort(rng.choice(count, size=sample_num, replace=False))
+        chosen = sample[np.sort(rng.choice(sample_num, size=standard_count,
+                                           replace=False))]
     if len(sample) < 2:
         raise ValueError("need at least 2 sampled curves for a pairwise median")
-    points = _stack_points(sample)
+    points = _stack_points([curves[i] for i in sample])
     a, b = np.triu_indices(len(sample), 1)
     pair_values, _ = _dtw_batch(points[a], points[b])
-    return float(np.median(pair_values)), standards
+    return float(np.median(pair_values)), (chosen + 1).tolist()
 
 
-def score_similarity(curves: list[ResourceCurve],
-                     standard_curves: list[ResourceCurve],
+def score_similarity(curves, standard_curves, standard_machines: list[int],
                      standard_value: float = 0.0,
                      threshold: float = DEFAULT_THRESHOLD,
                      range_edges: tuple[float, ...] = DEFAULT_RANGE_EDGES,
                      normalized: bool = False,
                      suitability_gap: float | None = None) -> DtwReport:
     """Distance of every machine to every standard curve.
+
+    ``curves`` holds one curve per machine, machine m at row m - 1, and
+    ``standard_curves`` the curves of ``standard_machines``.
 
     Flags machines whose mean distance exceeds the threshold. The histogram
     buckets mean distances into [e0,e1), [e1,e2), ..., [e_last, inf). With
@@ -231,13 +219,12 @@ def score_similarity(curves: list[ResourceCurve],
     standard whose sorted distance profile sits further than the gap (in sup
     norm) from every other standard's profile.
     """
-    if not standard_curves:
+    if len(standard_curves) == 0:
         raise ValueError("need at least one standard curve")
     if len(range_edges) < 1 or list(range_edges) != sorted(range_edges):
         raise ValueError(f"range edges must be sorted, got {range_edges}")
-    ordered = sorted(curves, key=lambda c: c.machine)
-    machines = [c.machine for c in ordered]
-    distances, steps = _dtw_batch(_stack_points(ordered)[:, None],
+    machines = list(range(1, len(curves) + 1))
+    distances, steps = _dtw_batch(_stack_points(curves)[:, None],
                                   _stack_points(standard_curves)[None])
     if normalized:
         distances = np.sqrt(distances) / steps
@@ -259,11 +246,11 @@ def score_similarity(curves: list[ResourceCurve],
                 for o in range(len(standard_curves)) if o != j
             ]
             if min(gaps) > suitability_gap:
-                unsuitable.append(standard_curves[j].machine)
+                unsuitable.append(standard_machines[j])
 
     return DtwReport(
         standard_value=standard_value,
-        standard_machines=[c.machine for c in standard_curves],
+        standard_machines=list(standard_machines),
         machines=machines,
         distances=distances,
         mean_distance=mean_distance,

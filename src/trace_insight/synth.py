@@ -352,12 +352,12 @@ def generate_trace(config: SynthConfig) -> tuple[TraceBundle, GroundTruth]:
     types = _assign_types(config)
     _check_plants(config, types)
 
-    plants_by_machine: dict[int, list[AnomalyPlant]] = {}
+    plants_of: dict[int, list[AnomalyPlant]] = {}
     for plant in config.anomaly_plants:
-        plants_by_machine.setdefault(plant.machine, []).append(plant)
+        plants_of.setdefault(plant.machine, []).append(plant)
 
     truth = GroundTruth(types=dict(types))
-    for machine, plants in sorted(plants_by_machine.items()):
+    for machine, plants in sorted(plants_of.items()):
         truth.anomalies[machine] = sorted(p.kind.value for p in plants)
 
     ids = _IdSource()
@@ -366,7 +366,7 @@ def generate_trace(config: SynthConfig) -> tuple[TraceBundle, GroundTruth]:
     for machine in range(1, config.machine_count + 1):
         rng = np.random.default_rng(children[machine - 1])
         _gen_machine(rows, machine, types[machine],
-                     plants_by_machine.get(machine, []), config.grid,
+                     plants_of.get(machine, []), config.grid,
                      config.noise_level, rng, ids)
     bundle = TraceBundle.from_rows(machine_count=config.machine_count, **rows)
 

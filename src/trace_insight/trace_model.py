@@ -718,10 +718,3 @@ class IntervalGrid:
         if timestamp < self.start or timestamp >= self.end:
             return None
         return (timestamp - self.start) // self.step
-
-    def timestamp_slot(self, timestamp: int) -> int | None:
-        """Sample slot for bucketing raw usage rows: slot x covers
-        [t_x, t_x + step), so the final timestamp owns its own slot."""
-        if timestamp < self.start or timestamp >= self.end + self.step:
-            return None
-        return (timestamp - self.start) // self.step

@@ -246,10 +246,10 @@ def _synthetic_occupancy(seed=7):
     config = SynthConfig(machine_count=64, grid=grid, quotas=(8,) * 8, seed=seed)
     bundle, truth = generate_trace(config)
     dense, _ = supplement_server_usage(bundle, grid)
-    series = build_machine_series(bundle, grid, dense,
-                                  aggregate_container_usage(bundle, grid),
-                                  aggregate_batch_usage(bundle, grid))
-    machines, matrix = occupancy_matrix(series)
+    table = build_machine_series(bundle, grid, dense,
+                                 aggregate_container_usage(bundle, grid),
+                                 aggregate_batch_usage(bundle, grid))
+    machines, matrix = occupancy_matrix(table)
     return machines, matrix, truth
 
 
@@ -298,10 +298,10 @@ def test_criterion_07_planted_anomalies_rank_in_top_five():
     bundle, truth = generate_trace(config)
     assert set(truth.anomalies) == {3, 7, 46}
     dense, _ = supplement_server_usage(bundle, grid)
-    series = build_machine_series(bundle, grid, dense,
-                                  aggregate_container_usage(bundle, grid),
-                                  aggregate_batch_usage(bundle, grid))
-    machines, matrix = build_feature_matrix(series, FeatureMode.PER_MACHINE_MEAN)
+    table = build_machine_series(bundle, grid, dense,
+                                 aggregate_container_usage(bundle, grid),
+                                 aggregate_batch_usage(bundle, grid))
+    machines, matrix = build_feature_matrix(table, FeatureMode.PER_MACHINE_MEAN)
 
     hits = 0
     for seed in range(10):
@@ -380,11 +380,11 @@ def reference():
     clean, _removed = filter_container_events(bundle.container_events)
     bundle = dataclasses.replace(bundle, container_events=clean)
     dense, _notes = supplement_server_usage(bundle, grid)
-    series = build_machine_series(bundle, grid, dense,
-                                  aggregate_container_usage(bundle, grid),
-                                  aggregate_batch_usage(bundle, grid))
-    machines, matrix = occupancy_matrix(series)
-    return SimpleNamespace(grid=grid, series=series, machines=machines,
+    table = build_machine_series(bundle, grid, dense,
+                                 aggregate_container_usage(bundle, grid),
+                                 aggregate_batch_usage(bundle, grid))
+    machines, matrix = occupancy_matrix(table)
+    return SimpleNamespace(grid=grid, table=table, machines=machines,
                            matrix=matrix, setup_seconds=time.perf_counter() - t0)
 
 
@@ -392,7 +392,7 @@ def reference():
 def test_criterion_09_reference_type_sets(reference):
     model = label_clusters(kmeans_fit(reference.machines, reference.matrix,
                                       k=8, seed=0, n_init=50))
-    report = category_report(model, reference.series)
+    report = category_report(model, reference.table)
     assert set(report.members.get("Type2", [])) == REFERENCE_TYPE2
     assert set(report.members.get("Type5", [])) == REFERENCE_TYPE5
     assert set(report.members.get("Type8", [])) == REFERENCE_TYPE8
@@ -404,7 +404,7 @@ def test_criterion_10_reference_type_counts(reference):
     for seed in range(5):
         model = label_clusters(kmeans_fit(reference.machines, reference.matrix,
                                           k=8, seed=seed, n_init=50))
-        report = category_report(model, reference.series)
+        report = category_report(model, reference.table)
         for label, want in REFERENCE_COUNTS.items():
             got = report.counts.get(label, 0)
             assert abs(got - want) <= 0.03 * want, (seed, label, got, want)
@@ -413,12 +413,13 @@ def test_criterion_10_reference_type_counts(reference):
 
 @needs_reference
 def test_criterion_11_reference_dtw_histogram(reference):
-    curves = build_resource_curves(reference.series)
+    curves = build_resource_curves(reference.table)
     standard_value, standards = select_standard(
         curves, sample_num=8, seed=0, standard_count=4,
         standard_machines=REFERENCE_STANDARDS)
     assert standard_value == pytest.approx(1.72, abs=0.4)
-    report = score_similarity(curves, standards, standard_value=standard_value,
+    report = score_similarity(curves, curves[[m - 1 for m in standards]],
+                              standards, standard_value=standard_value,
                               threshold=3.0)
     in_one_two = report.histogram[1]   # edges (0, 1, 2, 3, 5) -> bin [1, 2)
     assert abs(in_one_two - 478) <= 30, in_one_two
@@ -430,7 +431,7 @@ def test_criterion_11_reference_dtw_histogram(reference):
 
 @needs_reference
 def test_criterion_12_reference_anomaly_ranking(reference):
-    machines, matrix = build_feature_matrix(reference.series,
+    machines, matrix = build_feature_matrix(reference.table,
                                             FeatureMode.PER_MACHINE_MEAN)
     for seed in range(5):
         forest = iforest_fit(matrix, tree_count=100, subsample=256, seed=seed)

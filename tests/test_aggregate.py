@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -358,12 +360,14 @@ def test_series_averages_the_interval_endpoints():
     dense = dense_for({1: [0.1, 0.2, 0.3, 0.4, 0.5], 2: [0.0] * 5})
     bundle = TraceBundle.from_rows(events=[add_event(1), add_event(2)],
                                    machine_count=2)
-    series = build_machine_series(bundle, GRID, dense,
-                                  aggregate_container_usage(bundle, GRID),
-                                  aggregate_batch_usage(bundle, GRID))
-    assert series[0].machine == 1
-    assert series[0].server_cpu == pytest.approx([0.15, 0.25, 0.35, 0.45])
-    assert series[1].server_cpu == pytest.approx([0.0] * 4)
+    table = build_machine_series(bundle, GRID, dense,
+                                 aggregate_container_usage(bundle, GRID),
+                                 aggregate_batch_usage(bundle, GRID))
+    assert table.machines.tolist() == [1, 2]
+    assert table.server_cpu[0] == pytest.approx([0.15, 0.25, 0.35, 0.45])
+    assert table.server_cpu[1] == pytest.approx([0.0] * 4)
+    assert table.server_mem[0] == pytest.approx([0.075, 0.125, 0.175, 0.225])
+    assert table.server_disk.tolist() == [[0.4] * 4] * 2
 
 
 def test_series_places_aggregates_and_zero_fills_the_rest():
@@ -377,12 +381,15 @@ def test_series_places_aggregates_and_zero_fills_the_rest():
     )
     caggs = aggregate_container_usage(bundle, GRID)
     baggs = aggregate_batch_usage(bundle, GRID)
-    series = build_machine_series(bundle, GRID, dense, caggs, baggs)
-    assert series[0].container_count.tolist() == [1, 1, 1, 1]
-    assert series[0].batch_count.tolist() == [0, 0, 0, 0]
-    assert series[1].container_count.tolist() == [0, 0, 0, 0]
-    assert series[1].batch_count.tolist() == [0, 1, 0, 0]
-    assert series[1].batch_cpu[1] == pytest.approx(0.8 / 64.0)
+    table = build_machine_series(bundle, GRID, dense, caggs, baggs)
+    assert table.container_count.tolist() == [[1, 1, 1, 1], [0, 0, 0, 0]]
+    assert table.batch_count.tolist() == [[0, 0, 0, 0], [0, 1, 0, 0]]
+    assert table.batch_cpu[1, 1] == pytest.approx(0.8 / 64.0)
+    assert table.batch_cpu[0].tolist() == [0.0] * 4
+    for field in dataclasses.fields(table)[1:]:
+        signal = getattr(table, field.name)
+        assert signal.shape == (2, GRID.interval_count), field.name
+        assert signal.dtype == np.float64, field.name
 
 
 def test_series_csv_headers_and_residuals(tmp_path):
@@ -396,10 +403,10 @@ def test_series_csv_headers_and_residuals(tmp_path):
     )
     caggs = aggregate_container_usage(bundle, GRID)
     baggs = aggregate_batch_usage(bundle, GRID)
-    series = build_machine_series(bundle, GRID, dense, caggs, baggs)
+    table = build_machine_series(bundle, GRID, dense, caggs, baggs)
 
     spath = tmp_path / "series.csv"
-    write_machine_series_csv(series, GRID, str(spath))
+    write_machine_series_csv(table, GRID, str(spath))
     lines = spath.read_text().splitlines()
     assert lines[0].split(",") == list(SERIES_HEADER)
     assert len(lines) == 1 + GRID.interval_count

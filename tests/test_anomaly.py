@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from trace_insight.aggregate import MachineSeries
+from trace_insight.aggregate import SeriesTable
 from trace_insight.anomaly import (
     CauseTag,
     EULER_GAMMA,
@@ -35,22 +36,30 @@ from trace_insight.trace_model import (
 GRID = IntervalGrid(1000, 1400, 100)
 
 
-def series_for(machine, cpu=0.2, batch=None, containers=None):
-    n = GRID.interval_count
-    return MachineSeries(
-        machine=machine,
-        server_cpu=np.full(n, cpu),
-        server_mem=np.full(n, cpu * 2),
-        server_disk=np.full(n, 0.4),
-        container_count=np.asarray(
-            containers if containers is not None else [2] * n, float),
-        container_cpu=np.zeros(n),
-        container_mem=np.zeros(n),
-        batch_count=np.asarray(batch if batch is not None else [3] * n, float),
-        batch_cpu_cores=np.zeros(n),
-        batch_cpu=np.zeros(n),
-        batch_mem=np.zeros(n),
+def table_for(cpus):
+    """Series table of machines 1..len(cpus), machine m at a constant cpu of
+    cpus[m - 1], 2 containers and 3 batch instances throughout."""
+    shape = (len(cpus), GRID.interval_count)
+    cpu = np.asarray(cpus, float)[:, None] * np.ones(shape)
+    zeros = np.zeros(shape)
+    return SeriesTable(
+        machines=np.arange(1, len(cpus) + 1),
+        server_cpu=cpu,
+        server_mem=cpu * 2,
+        server_disk=np.full(shape, 0.4),
+        container_count=np.full(shape, 2.0),
+        container_cpu=zeros,
+        container_mem=zeros,
+        batch_count=np.full(shape, 3.0),
+        batch_cpu_cores=zeros,
+        batch_cpu=zeros,
+        batch_mem=zeros,
     )
+
+
+def counts(batch=(3,) * 4, containers=(2,) * 4):
+    """One machine's batch and container count rows, as diagnose takes them."""
+    return np.asarray(batch, float), np.asarray(containers, float)
 
 
 def softerror(machine, ts):
@@ -81,18 +90,38 @@ def test_average_path_length_formula():
 
 
 def test_feature_matrix_per_machine_mean():
-    rows = [series_for(2, cpu=0.4), series_for(1, cpu=0.25)]
-    machines, matrix = build_feature_matrix(rows)
+    machines, matrix = build_feature_matrix(table_for([0.25, 0.4]))
     assert machines == [1, 2]
     assert matrix.shape == (2, 5)
     assert matrix[0].tolist() == [0.25, 0.5, 0.4, 3.0, 2.0]
+    assert matrix[1].tolist() == [0.4, 0.8, 0.4, 3.0, 2.0]
 
 
 def test_feature_matrix_per_interval_keeps_rows_contiguous():
-    rows = [series_for(1), series_for(2)]
-    machines, matrix = build_feature_matrix(rows, FeatureMode.PER_INTERVAL)
+    machines, matrix = build_feature_matrix(table_for([0.2, 0.2]),
+                                            FeatureMode.PER_INTERVAL)
     assert machines == [1] * GRID.interval_count + [2] * GRID.interval_count
     assert matrix.shape == (2 * GRID.interval_count, 5)
+
+
+def test_feature_means_add_the_intervals_in_order():
+    # the interval axis of the C-ordered feature cube is not contiguous, so
+    # a machine's mean adds one interval at a time rather than pairwise
+    rng = np.random.default_rng(5)
+    n = 143
+    table = SeriesTable(np.arange(1, 7), *(
+        rng.random((6, n)) for _ in dataclasses.fields(SeriesTable)[1:]))
+    machines, matrix = build_feature_matrix(table)
+    signals = ("server_cpu", "server_mem", "server_disk",
+               "batch_count", "container_count")
+    assert matrix.tolist() == [
+        [sum(getattr(table, name)[m - 1].tolist()) / n for name in signals]
+        for m in machines]
+    stats = population_stats(table)
+    assert stats.container_count_median == float(np.median(
+        [np.mean(row) for row in table.container_count]))
+    assert stats.batch_count_median == float(np.median(
+        [np.mean(row) for row in table.batch_count]))
 
 
 def test_zscore_standardizes_and_spares_constant_dims():
@@ -267,87 +296,76 @@ def test_rank_anomalies_slices_and_validates():
 # cause tags
 
 
-def stats_for(rows):
-    return population_stats(rows)
-
-
-def population():
-    return [series_for(m) for m in range(1, 8)]
+def population_table():
+    return table_for([0.2] * 7)
 
 
 def test_frequent_softerrors_need_three():
-    rows = population()
-    stats = stats_for(rows)
+    stats = population_stats(population_table())
     times = [1010, 1120, 1230]
-    tags = diagnose("Type6", times, rows[0], stats, GRID)
+    tags = diagnose("Type6", times, *counts(), stats, GRID)
     assert CauseTag.FREQUENT_SOFT_ERROR.value in tags
-    tags = diagnose("Type6", times[:2], rows[0], stats, GRID)
+    tags = diagnose("Type6", times[:2], *counts(), stats, GRID)
     assert CauseTag.FREQUENT_SOFT_ERROR.value not in tags
 
 
 def test_softerror_near_the_batch_stop_is_linked():
-    rows = population()
-    stats = stats_for(rows)
-    stopped = series_for(1, batch=[2, 2, 0, 0])
+    stats = population_stats(population_table())
+    stopped = counts(batch=[2, 2, 0, 0])
     # activity ends after interval 1, so the stop lands at index 2
     for ts, expect in [(1150, True), (1250, True), (1350, True), (1050, False)]:
-        tags = diagnose("Type6", [ts], stopped, stats, GRID)
+        tags = diagnose("Type6", [ts], *stopped, stats, GRID)
         assert (CauseTag.SOFT_ERROR_WORKLOAD_STOP.value in tags) is expect, ts
 
 
 def test_batch_running_to_the_end_never_links_a_softerror():
-    rows = population()
-    stats = stats_for(rows)
-    tags = diagnose("Type6", [1250], rows[0], stats, GRID)
+    stats = population_stats(population_table())
+    tags = diagnose("Type6", [1250], *counts(), stats, GRID)
     assert CauseTag.SOFT_ERROR_WORKLOAD_STOP.value not in tags
 
 
 def test_label_driven_tags():
-    rows = population()
-    stats = stats_for(rows)
-    idle = series_for(1, batch=[0] * 4, containers=[0] * 4)
-    assert diagnose("Type2", [], idle, stats, GRID) == [
+    stats = population_stats(population_table())
+    idle = counts(batch=[0] * 4, containers=[0] * 4)
+    assert diagnose("Type2", [], *idle, stats, GRID) == [
         CauseTag.NO_WORKLOADS_SCHEDULING.value]
-    assert diagnose("Type2", [1100], idle, stats, GRID) == []
+    assert diagnose("Type2", [1100], *idle, stats, GRID) == []
     assert CauseTag.NO_ONLINE_SERVICES.value in diagnose(
-        "Type3", [], rows[0], stats, GRID)
+        "Type3", [], *counts(), stats, GRID)
     assert CauseTag.NO_BATCH_JOBS.value in diagnose(
-        "Type4", [], rows[0], stats, GRID)
+        "Type4", [], *counts(), stats, GRID)
 
 
 def test_type1_workload_balance_tags():
-    rows = population()
-    stats = stats_for(rows)   # medians: containers 2, batch 3
-    heavy = series_for(1, containers=[9] * 4)
+    stats = population_stats(population_table())   # medians: containers 2, batch 3
+    heavy = counts(containers=[9] * 4)
     assert CauseTag.HEAVIER_ONLINE_SERVICES.value in diagnose(
-        "Type1", [], heavy, stats, GRID)
-    lighter = series_for(1, containers=[1] * 4, batch=[5] * 4)
+        "Type1", [], *heavy, stats, GRID)
+    lighter = counts(containers=[1] * 4, batch=[5] * 4)
     assert CauseTag.UNBALANCED_LIGHTER_ONLINE.value in diagnose(
-        "Type1", [], lighter, stats, GRID)
-    plain = series_for(1)
-    assert diagnose("Type1", [], plain, stats, GRID) == []
+        "Type1", [], *lighter, stats, GRID)
+    plain = counts()
+    assert diagnose("Type1", [], *plain, stats, GRID) == []
 
 
 def test_heavier_factor_is_configurable():
-    rows = population()
-    stats = stats_for(rows)
-    slightly = series_for(1, containers=[3] * 4)   # 1.5x the median of 2
+    stats = population_stats(population_table())
+    slightly = counts(containers=[3] * 4)   # 1.5x the median of 2
     assert CauseTag.HEAVIER_ONLINE_SERVICES.value in diagnose(
-        "Type1", [], slightly, stats, GRID)
+        "Type1", [], *slightly, stats, GRID)
     assert CauseTag.HEAVIER_ONLINE_SERVICES.value not in diagnose(
-        "Type1", [], slightly, stats, GRID, heavier_factor=2.0)
+        "Type1", [], *slightly, stats, GRID, heavier_factor=2.0)
 
 
 def test_diagnose_ignores_other_machines_events():
-    rows = population()
-    stats = stats_for(rows)
+    stats = population_stats(population_table())
     events = Table.from_rows("server_event", [
         softerror(9, 1010), softerror(9, 1120), softerror(9, 1230),
         (1200, 1, MachineEventType.ADD, "", 64, 1.0, 1.0),
         softerror(1, 1300)])
     times = softerror_times(events)
     assert times == {9: [1010, 1120, 1230], 1: [1300]}
-    assert diagnose("Type6", times.get(1, []), rows[0], stats, GRID) == []
+    assert diagnose("Type6", times.get(1, []), *counts(), stats, GRID) == []
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from trace_insight.aggregate import MachineSeries
+from trace_insight.aggregate import SeriesTable
 from trace_insight.classify import (
     CategoryModel,
     LabelThresholds,
     UNKNOWN_LABEL,
-    binarize_occupancy,
     category_report,
     counts_dict,
     kmeans_fit,
@@ -20,19 +19,22 @@ from trace_insight.classify import (
     write_counts_json,
     write_type_usage_csv,
 )
+from trace_insight.trace_model import float_text
 
 N = 8
 
 
-def series_for(machine, batch_bits, container_bits, cpu=0.2):
+def table_for(batch_bits, container_bits, cpu=0.2):
+    """Series table of machines 1..M from (M, N) batch and container
+    occupancy bits; ``cpu`` is one value for all or one per machine."""
     batch = np.asarray(batch_bits, float)
     cont = np.asarray(container_bits, float)
-    n = len(batch)
-    return MachineSeries(
-        machine=machine,
-        server_cpu=np.full(n, cpu),
-        server_mem=np.full(n, cpu * 2),
-        server_disk=np.full(n, 0.4),
+    cpu = np.asarray(cpu, float).reshape(-1, 1) * np.ones(batch.shape)
+    return SeriesTable(
+        machines=np.arange(1, len(batch) + 1),
+        server_cpu=cpu,
+        server_mem=cpu * 2,
+        server_disk=np.full(batch.shape, 0.4),
         container_count=cont * 3,
         container_cpu=cont * 0.05,
         container_mem=cont * 0.1,
@@ -58,17 +60,24 @@ def centroid(batch, cont):
 
 
 def test_binarize_puts_batch_bits_first():
-    s = series_for(3, [1, 1, 0, 0], [1, 1, 1, 1])
-    vec = binarize_occupancy(s)
-    assert vec.machine == 3
-    assert vec.bits.tolist() == [1, 1, 0, 0, 1, 1, 1, 1]
+    table = table_for([[0, 0, 0, 0], [1, 1, 0, 0]], [[0, 0, 0, 0], [1, 1, 1, 1]])
+    machines, matrix = occupancy_matrix(table)
+    assert machines == [1, 2]
+    assert matrix.dtype == float
+    assert matrix.tolist() == [[0] * 8, [1, 1, 0, 0, 1, 1, 1, 1]]
 
 
 def test_occupancy_matrix_sorts_rows_by_machine():
-    rows = [series_for(5, [1, 0], [0, 0]), series_for(2, [0, 1], [1, 1])]
-    machines, matrix = occupancy_matrix(rows)
-    assert machines == [2, 5]
-    assert matrix.tolist() == [[0, 1, 1, 1], [1, 0, 0, 0]]
+    # any positive count is occupied, fractional ones included
+    rng = np.random.default_rng(4)
+    table = table_for(rng.integers(0, 2, (6, 5)), rng.integers(0, 2, (6, 5)))
+    table.batch_count *= rng.choice([0.25, 1.0, 7.0], (6, 5))
+    machines, matrix = occupancy_matrix(table)
+    assert machines == [1, 2, 3, 4, 5, 6]
+    for m in machines:
+        want = np.concatenate([table.batch_count[m - 1] > 0,
+                               table.container_count[m - 1] > 0])
+        assert matrix[m - 1].tolist() == want.tolist(), m
 
 
 # ---------------------------------------------------------------------------
@@ -211,20 +220,17 @@ def test_labeling_is_idempotent():
 # reporting
 
 
-def labeled_model_and_series():
-    rows = [
-        series_for(1, np.ones(N), np.ones(N), cpu=0.30),
-        series_for(2, np.ones(N), np.ones(N), cpu=0.20),
-        series_for(3, np.zeros(N), np.zeros(N), cpu=0.01),
-    ]
-    machines, matrix = occupancy_matrix(rows)
+def labeled_model_and_table():
+    on, off = np.ones(N), np.zeros(N)
+    table = table_for([on, on, off], [on, on, off], cpu=[0.30, 0.20, 0.01])
+    machines, matrix = occupancy_matrix(table)
     model = label_clusters(kmeans_fit(machines, matrix, k=2, seed=5))
-    return model, rows
+    return model, table
 
 
 def test_category_report_counts_members_and_usage():
-    model, rows = labeled_model_and_series()
-    report = category_report(model, rows)
+    model, table = labeled_model_and_table()
+    report = category_report(model, table)
     assert report.counts == {"Type1": 2, "Type2": 1}
     assert report.members == {"Type1": [1, 2], "Type2": [3]}
     cpu, mem, disk = report.usage_means["Type1"]
@@ -233,18 +239,45 @@ def test_category_report_counts_members_and_usage():
     assert disk == pytest.approx(0.40)
 
 
+def test_usage_means_equal_means_over_the_member_rows(tmp_path):
+    # each label averages a block of its members' table rows; that block
+    # gives the same bits as a mean over the list of those rows
+    rng = np.random.default_rng(9)
+    n = 40   # enough rows and intervals for the summation order to show
+    on, off = np.ones(n), np.zeros(n)
+    table = table_for([on] * 30 + [off] * 20, [on] * 30 + [off] * 20)
+    names = ("server_cpu", "server_mem", "server_disk")
+    for name in names:
+        setattr(table, name, rng.random((50, n)))
+    machines, matrix = occupancy_matrix(table)
+    model = label_clusters(kmeans_fit(machines, matrix, k=2, seed=0))
+    report = category_report(model, table)
+    assert report.members == {"Type1": list(range(1, 31)),
+                              "Type2": list(range(31, 51))}
+    path = tmp_path / "usage.csv"
+    write_type_usage_csv(report, table, str(path))
+    lines = path.read_text().splitlines()[1:]
+    for label, members in report.members.items():
+        rows = [[getattr(table, name)[m - 1] for m in members] for name in names]
+        assert report.usage_means[label] == tuple(float(np.mean(r)) for r in rows)
+        per_interval = [np.mean(r, axis=0) for r in rows]
+        want = [",".join([label, str(x)] + [float_text(float(v[x]))
+                                             for v in per_interval])
+                for x in range(n)]
+        assert [line for line in lines if line.startswith(label + ",")] == want
+
+
 def test_category_report_requires_labels():
-    rows = [series_for(1, np.ones(N), np.ones(N)),
-            series_for(2, np.zeros(N), np.zeros(N))]
-    machines, matrix = occupancy_matrix(rows)
+    table = table_for([np.ones(N), np.zeros(N)], [np.ones(N), np.zeros(N)])
+    machines, matrix = occupancy_matrix(table)
     model = kmeans_fit(machines, matrix, k=2, seed=0)
     with pytest.raises(ValueError, match="unlabeled"):
-        category_report(model, rows)
+        category_report(model, table)
 
 
 def test_artifact_writers(tmp_path):
-    model, rows = labeled_model_and_series()
-    report = category_report(model, rows)
+    model, table = labeled_model_and_table()
+    report = category_report(model, table)
 
     apath = tmp_path / "assignments.csv"
     write_assignments_csv(model, str(apath))
@@ -261,7 +294,7 @@ def test_artifact_writers(tmp_path):
     assert data["k"] == 2
 
     upath = tmp_path / "usage.csv"
-    write_type_usage_csv(report, rows, str(upath))
+    write_type_usage_csv(report, table, str(upath))
     ulines = upath.read_text().splitlines()
     assert ulines[0] == "label,interval_index,cpu,mem,disk"
     assert len(ulines) == 1 + 2 * N

@@ -188,6 +188,20 @@ def test_bad_label_threshold_name(tmp_path, capsys):
     assert "unknown label threshold 'alwayz'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override, problem", [
+    ("synth_quotas=2,2,2,2,2,2,2,x", "config key 'synth_quotas'"),
+    ("synth_plants=Idle:3:level=abc", "bad plant 'Idle:3:level=abc'"),
+])
+def test_bad_synth_numbers_exit_2_with_the_stage_named(tmp_path, capsys,
+                                                       override, problem):
+    code = main(["synth", "--machines", "16", "--seed", "1",
+                 "--quotas", "2,2,2,2,2,2,2,2", "--out-dir", str(tmp_path / "t"),
+                 override])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"trace-insight: error [synth] {problem}")
+
+
 def test_console_script_is_installed():
     exe = shutil.which("trace-insight")
     assert exe, "console script missing; install the package first"

@@ -192,6 +192,18 @@ def test_run_synth_requires_an_explicit_seed(tmp_path):
         run_synth(config)
 
 
+def test_run_synth_names_the_key_or_plant_of_a_bad_number(tmp_path):
+    out = tmp_path / "trace"
+    with pytest.raises(StageError, match=r"^\[synth\] config key 'synth_quotas' "
+                                         "must be a comma-separated list of "
+                                         "integers, got '2,2,2,2,2,2,2,x'$"):
+        run_synth(synth_config(out, synth_quotas="2,2,2,2,2,2,2,x"))
+    with pytest.raises(StageError, match=r"^\[synth\] bad plant "
+                                         "'Idle:3:level=abc': could not convert"):
+        run_synth(synth_config(out, synth_plants="Idle:3:level=abc"))
+    assert not out.exists()
+
+
 def test_run_synth_surfaces_generator_errors(tmp_path):
     config = synth_config(tmp_path / "trace", synth_quotas="10,0,0,0,0,0,0,1")
     with pytest.raises(StageError, match="quotas sum"):
@@ -312,8 +324,10 @@ def test_report_refuses_artifacts_a_failed_analyze_overwrote(tmp_path):
     for run in (run_preprocess, run_analyze, run_report):
         run(stage_config(trace_a, out))
     run_preprocess(stage_config(trace_b, out))
-    with pytest.raises(StageError, match="anomaly_trees") as err:
-        run_analyze(stage_config(trace_b, out, anomaly_trees="x"))
+    # a machine id the trace lacks shows only once it is parsed, after the
+    # aggregate tables are written
+    with pytest.raises(StageError, match=r"standard machines not present: \[99\]") as err:
+        run_analyze(stage_config(trace_b, out, dtw_standards="1,99"))
     assert err.value.stage == "analyze"
     with pytest.raises(StageError) as err:
         run_report({"output_dir": str(out)})
@@ -322,11 +336,44 @@ def test_report_refuses_artifacts_a_failed_analyze_overwrote(tmp_path):
     # the digests alone catch it, with no preprocess run in the directory
     alone = tmp_path / "alone"
     run_analyze(stage_config(trace_a, alone))
-    with pytest.raises(StageError, match="anomaly_trees"):
-        run_analyze(stage_config(trace_b, alone, anomaly_trees="x"))
+    with pytest.raises(StageError, match="standard machines not present"):
+        run_analyze(stage_config(trace_b, alone, dtw_standards="1,99"))
     with pytest.raises(StageError, match="does not match its digest in "
                                          "manifest-analyze.json; rerun"):
         run_report({"output_dir": str(alone)})
+
+
+BAD_CONFIG_VALUES = [
+    ("analyze", "anomaly_trees", "x", "must be an integer"),
+    ("analyze", "dtw_standards", "1,a", "must be a comma-separated list of integers"),
+    ("analyze", "dtw_range_edges", "0,a", "must be a comma-separated list of numbers"),
+    ("analyze", "dtw_suitability_gap", "wide", "must be a number"),
+    ("analyze", "classify_none", "low", "must be a number"),
+    ("analyze", "anomaly_mode", "worst", "anomaly_mode must be one of"),
+    ("preprocess", "max_skip_ratio", "some", "must be a number"),
+]
+
+
+def test_bad_config_values_fail_before_any_input_is_opened(tmp_path):
+    trace_a = noisy_trace(tmp_path / "a", seed=7)
+    trace_b = noisy_trace(tmp_path / "b", seed=8)
+    out = tmp_path / "out"
+    run_preprocess(stage_config(trace_a, out))
+    run_analyze(stage_config(trace_a, out))
+    names = [*ANALYZE_FILENAMES, "dense_usage.csv", "repair_log.csv",
+             "removed_container_events.csv", "manifest-preprocess.json",
+             "manifest-analyze.json"]
+    before = {name: (out / name).read_bytes() for name in names}
+    runners = {"analyze": run_analyze, "preprocess": run_preprocess}
+    for stage, key, value, problem in BAD_CONFIG_VALUES:
+        # a bad value beats a missing input directory, so nothing was opened
+        for trace in (trace_b, tmp_path / "missing"):
+            with pytest.raises(StageError, match=problem) as err:
+                runners[stage](stage_config(trace, out, **{key: value}))
+            assert str(err.value).startswith(f"[{stage}] "), key
+            assert key in str(err.value) and repr(value) in str(err.value), key
+    for name in names:
+        assert (out / name).read_bytes() == before[name], name
 
 
 def test_report_without_analyze_artifacts_fails_loudly(tmp_path):

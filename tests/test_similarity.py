@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from trace_insight.aggregate import SeriesTable
 from trace_insight.similarity import (
     DEFAULT_RANGE_EDGES,
-    ResourceCurve,
     _dtw_batch,
     build_resource_curves,
     dtw_distance,
@@ -25,8 +26,8 @@ curve_points = st.lists(point, min_size=1, max_size=8).map(
     lambda pts: np.array(pts, float))
 
 
-def flat_curve(machine, cpu, mem=0.0, disk=0.0, length=4):
-    return ResourceCurve(machine, np.tile([cpu, mem, disk], (length, 1)))
+def flat_curve(cpu, mem=0.0, disk=0.0, length=4):
+    return np.tile([cpu, mem, disk], (length, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -53,10 +54,16 @@ def test_dtw_rejects_mixed_dimensionality_and_empty_input():
         dtw_distance(np.zeros((0, 3)), np.zeros((3, 3)))
 
 
-def test_dtw_result_carries_the_query_machine():
-    curve = flat_curve(17, 0.5)
-    assert dtw_distance(curve, curve).machine == 17
-    assert dtw_distance([1, 2], [1, 2]).machine == -1
+def test_report_rows_are_the_machines_in_curve_order():
+    curves = sample_curves(count=5)
+    report = score_similarity(curves, curves[[3, 1]], [4, 2])
+    assert report.machines == [1, 2, 3, 4, 5]
+    assert report.standard_machines == [4, 2]
+    assert report.distances[3, 0] == report.distances[1, 1] == 0.0
+    for m in report.machines:
+        for j, standard in enumerate(report.standard_machines):
+            assert report.distances[m - 1, j] == dtw_distance(
+                curves[m - 1], curves[standard - 1]).distance
 
 
 @given(curve_points, curve_points)
@@ -143,9 +150,8 @@ def test_three_dimensional_cost_keeps_its_summation_order():
     point = [0.1, 0.2, 0.5]
     assert (0.1 ** 2 + 0.2 ** 2) + 0.5 ** 2 == 0.3
     assert dtw_distance([point], [[0.0, 0.0, 0.0]]).distance == 0.30000000000000004
-    machines = [ResourceCurve(m, np.array([point, point])) for m in (1, 2)]
-    standards = [ResourceCurve(9, np.zeros((2, 3)))]
-    report = score_similarity(machines, standards)
+    machines = np.array([[point, point]] * 2)
+    report = score_similarity(machines, np.zeros((1, 2, 3)), [9])
     assert report.distances.tolist() == [[0.6000000000000001]] * 2
 
 
@@ -155,31 +161,35 @@ def test_three_dimensional_cost_keeps_its_summation_order():
 
 
 def sample_curves(count=10, seed=2):
-    rng = np.random.default_rng(seed)
-    return [ResourceCurve(m, rng.random((6, 3))) for m in range(1, count + 1)]
+    """Random 6-point curves of machines 1..count, machine m at row m - 1."""
+    return np.random.default_rng(seed).random((count, 6, 3))
 
 
 def test_select_standard_is_deterministic_per_seed():
     curves = sample_curves()
     first = select_standard(curves, sample_num=6, seed=9)
     second = select_standard(curves, sample_num=6, seed=9)
-    assert first[0] == second[0]
-    assert [c.machine for c in first[1]] == [c.machine for c in second[1]]
+    assert first == second
     other = select_standard(curves, sample_num=6, seed=10)
-    assert [c.machine for c in other[1]] != [c.machine for c in first[1]]
+    assert other[1] != first[1]
 
 
-def test_select_standard_ignores_input_order():
+def test_select_standard_draws_machines_from_the_seed_alone():
     curves = sample_curves()
-    shuffled = list(reversed(curves))
-    a = select_standard(curves, sample_num=6, seed=9)
-    b = select_standard(shuffled, sample_num=6, seed=9)
-    assert a[0] == b[0]
-    assert [c.machine for c in a[1]] == [c.machine for c in b[1]]
+    value, standards = select_standard(curves, sample_num=6, seed=9)
+    rng = np.random.default_rng(9)
+    sample = np.sort(rng.choice(10, size=6, replace=False))
+    chosen = sample[np.sort(rng.choice(6, size=4, replace=False))]
+    assert standards == (chosen + 1).tolist()
+    # other curves of as many machines give the same standards
+    assert select_standard(sample_curves(seed=3), sample_num=6, seed=9)[1] == standards
+    pairwise = [oracles.brute_force_dtw(curves[a], curves[b])
+                for a, b in itertools.combinations(sample, 2)]
+    assert value == pytest.approx(np.median(pairwise), rel=1e-12)
 
 
 def test_select_standard_on_identical_curves_gives_zero():
-    curves = [flat_curve(m, 0.4, 0.5, 0.6) for m in range(1, 9)]
+    curves = np.array([flat_curve(0.4, 0.5, 0.6)] * 8)
     value, standards = select_standard(curves, sample_num=8, seed=1)
     assert value == 0.0
     assert len(standards) == 4
@@ -189,11 +199,9 @@ def test_select_standard_with_pinned_machines():
     curves = sample_curves()
     value, standards = select_standard(curves, sample_num=0, seed=0,
                                        standard_machines=[3, 5, 7, 9])
-    assert [c.machine for c in standards] == [3, 5, 7, 9]
-    pairwise = [
-        oracles.brute_force_dtw(standards[a].points, standards[b].points)
-        for a in range(4) for b in range(a + 1, 4)
-    ]
+    assert standards == [3, 5, 7, 9]
+    pairwise = [oracles.brute_force_dtw(curves[a - 1], curves[b - 1])
+                for a, b in itertools.combinations(standards, 2)]
     assert value == pytest.approx(np.median(pairwise), rel=1e-12)
 
 
@@ -205,10 +213,11 @@ def test_select_standard_input_validation():
         select_standard(curves, sample_num=9, seed=0)
     with pytest.raises(ValueError, match="standard_count"):
         select_standard(curves, sample_num=4, seed=0, standard_count=5)
-    with pytest.raises(ValueError, match="not present"):
-        select_standard(curves, sample_num=4, seed=0, standard_machines=[99])
+    with pytest.raises(ValueError, match=r"not present: \[99, 0\]"):
+        select_standard(curves, sample_num=4, seed=0,
+                        standard_machines=[99, 2, 0])
     with pytest.raises(ValueError, match="no curves"):
-        select_standard([], sample_num=2, seed=0)
+        select_standard(np.empty((0, 6, 3)), sample_num=2, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +225,11 @@ def test_select_standard_input_validation():
 
 
 def test_score_similarity_bins_and_strict_threshold():
-    machines = [flat_curve(m, 0.0, length=1) for m in range(1, 6)]
-    standards = [flat_curve(101, 0.0, length=1),
-                 flat_curve(102, 0.0, length=1),
-                 flat_curve(103, 3.0, length=1)]
-    report = score_similarity(machines, standards, standard_value=1.0,
+    machines = np.array([flat_curve(0.0, length=1)] * 5)
+    standards = np.array([flat_curve(0.0, length=1), flat_curve(0.0, length=1),
+                          flat_curve(3.0, length=1)])
+    ids = [101, 102, 103]
+    report = score_similarity(machines, standards, ids, standard_value=1.0,
                               suitability_gap=1.0)
     # each machine: distances (0, 0, 9), mean exactly 3
     assert report.mean_distance == pytest.approx([3.0] * 5)
@@ -228,13 +237,13 @@ def test_score_similarity_bins_and_strict_threshold():
     assert report.histogram == [0, 0, 0, 5, 0]
     assert report.unsuitable_standards == [103]
 
-    lower = score_similarity(machines, standards, threshold=2.9)
+    lower = score_similarity(machines, standards, ids, threshold=2.9)
     assert lower.flagged == [1, 2, 3, 4, 5]
 
 
 def test_score_similarity_identical_everything():
-    machines = [flat_curve(m, 0.3, 0.4, 0.5) for m in range(1, 4)]
-    report = score_similarity(machines, machines[:2])
+    machines = np.array([flat_curve(0.3, 0.4, 0.5)] * 3)
+    report = score_similarity(machines, machines[:2], [1, 2])
     assert report.mean_distance == pytest.approx([0.0] * 3)
     assert report.histogram == [3, 0, 0, 0, 0]
     assert report.flagged == []
@@ -242,10 +251,10 @@ def test_score_similarity_identical_everything():
 
 
 def test_score_similarity_normalized_uses_the_sqrt_form():
-    machines = [flat_curve(1, 0.0, length=3)]
-    standards = [flat_curve(9, 2.0, length=3)]
-    plain = score_similarity(machines, standards)
-    normed = score_similarity(machines, standards, normalized=True,
+    machines = [flat_curve(0.0, length=3)]
+    standards = [flat_curve(2.0, length=3)]
+    plain = score_similarity(machines, standards, [9])
+    normed = score_similarity(machines, standards, [9], normalized=True,
                               threshold=0.5)
     want = np.sqrt(plain.distances[0, 0]) / 3.0
     assert normed.distances[0, 0] == pytest.approx(want)
@@ -254,21 +263,21 @@ def test_score_similarity_normalized_uses_the_sqrt_form():
 
 @st.composite
 def machines_and_standards(draw):
-    def curves(ids):
+    def curves(count):
         length = draw(st.integers(1, 8))
-        return [ResourceCurve(m, np.array(draw(st.lists(
-            point, min_size=length, max_size=length)), float)) for m in ids]
+        return np.array([draw(st.lists(point, min_size=length, max_size=length))
+                         for _ in range(count)], float)
 
-    return (curves(range(1, draw(st.integers(1, 4)) + 1)),
-            curves(range(101, draw(st.integers(101, 103)) + 1)))
+    return curves(draw(st.integers(1, 4))), curves(draw(st.integers(1, 3)))
 
 
 @settings(max_examples=50)
 @given(machines_and_standards())
 def test_batch_scores_equal_single_pair_scores(curves):
     machines, standards = curves
-    plain = score_similarity(machines, standards)
-    normed = score_similarity(machines, standards, normalized=True)
+    ids = list(range(101, 101 + len(standards)))
+    plain = score_similarity(machines, standards, ids)
+    normed = score_similarity(machines, standards, ids, normalized=True)
     for i, curve in enumerate(machines):
         for j, std in enumerate(standards):
             single = dtw_distance(curve, std)
@@ -277,11 +286,11 @@ def test_batch_scores_equal_single_pair_scores(curves):
 
 
 def test_batch_callers_reject_curves_of_different_lengths():
-    ragged = [ResourceCurve(1, np.zeros((4, 3))), ResourceCurve(2, np.zeros((5, 3)))]
+    ragged = [np.zeros((4, 3)), np.zeros((5, 3))]
     with pytest.raises(ValueError, match="differ in length"):
-        score_similarity(ragged, ragged[:1])
+        score_similarity(ragged, ragged[:1], [1])
     with pytest.raises(ValueError, match="differ in length"):
-        score_similarity(ragged[:1], ragged)
+        score_similarity(ragged[:1], ragged, [1, 2])
     with pytest.raises(ValueError, match="differ in length"):
         select_standard(ragged, sample_num=2, seed=0, standard_count=1)
     # a single pair may still differ in length
@@ -289,28 +298,30 @@ def test_batch_callers_reject_curves_of_different_lengths():
 
 
 def test_histogram_edges_are_configurable():
-    machines = [flat_curve(1, 0.0, length=1), flat_curve(2, 1.0, length=1)]
-    standards = [flat_curve(9, 0.0, length=1)]
-    report = score_similarity(machines, standards, range_edges=(0.0, 0.5))
+    machines = [flat_curve(0.0, length=1), flat_curve(1.0, length=1)]
+    report = score_similarity(machines, [flat_curve(0.0, length=1)], [9],
+                              range_edges=(0.0, 0.5))
     assert report.range_edges == (0.0, 0.5)
     assert report.histogram == [1, 1]
 
 
 def test_build_resource_curves_stacks_cpu_mem_disk():
-    class FakeSeries:
-        machine = 4
-        server_cpu = np.array([0.1, 0.2])
-        server_mem = np.array([0.3, 0.4])
-        server_disk = np.array([0.5, 0.6])
+    zeros = np.zeros((2, 2))
+    table = SeriesTable(np.arange(1, 3), *([zeros] * 10))
+    table.server_cpu = np.array([[0.1, 0.2], [0.7, 0.8]])
+    table.server_mem = np.array([[0.3, 0.4], [0.9, 1.0]])
+    table.server_disk = np.array([[0.5, 0.6], [1.1, 1.2]])
+    curves = build_resource_curves(table)
+    assert curves.tolist() == [[[0.1, 0.3, 0.5], [0.2, 0.4, 0.6]],
+                               [[0.7, 0.9, 1.1], [0.8, 1.0, 1.2]]]
+    # the DP's per-point cost sums the contiguous last axis in this order
+    assert curves.flags.c_contiguous
 
-    (curve,) = build_resource_curves([FakeSeries()])
-    assert curve.machine == 4
-    assert curve.points.tolist() == [[0.1, 0.3, 0.5], [0.2, 0.4, 0.6]]
 
 
 def test_artifact_writers(tmp_path):
-    machines = [flat_curve(m, 0.1 * m, length=2) for m in range(1, 4)]
-    report = score_similarity(machines, machines[:2], standard_value=0.5)
+    machines = np.array([flat_curve(0.1 * m, length=2) for m in range(1, 4)])
+    report = score_similarity(machines, machines[:2], [1, 2], standard_value=0.5)
 
     dpath = tmp_path / "distances.csv"
     write_distances_csv(report, str(dpath))

@@ -10,7 +10,7 @@ from trace_insight.aggregate import (
     aggregate_container_usage,
     build_machine_series,
 )
-from trace_insight.classify import binarize_occupancy
+from trace_insight.classify import occupancy_matrix
 from trace_insight.preprocess import supplement_server_usage
 from trace_insight.synth import (
     AnomalyPlant,
@@ -162,8 +162,9 @@ def machine_bits(bundle, grid):
     dense, _ = supplement_server_usage(bundle, grid)
     caggs = aggregate_container_usage(bundle, grid)
     baggs = aggregate_batch_usage(bundle, grid)
-    series = build_machine_series(bundle, grid, dense, caggs, baggs)
-    return {s.machine: binarize_occupancy(s).bits for s in series}
+    table = build_machine_series(bundle, grid, dense, caggs, baggs)
+    machines, matrix = occupancy_matrix(table)
+    return dict(zip(machines, matrix))
 
 
 def test_zero_noise_trace_reproduces_expected_occupancy_exactly():
@@ -342,16 +343,14 @@ def test_plants_move_the_features_they_claim_to_move():
     dense, _ = supplement_server_usage(bundle, GRID)
     caggs = aggregate_container_usage(bundle, GRID)
     baggs = aggregate_batch_usage(bundle, GRID)
-    series = build_machine_series(bundle, GRID, dense, caggs, baggs)
-    by_machine = {s.machine: s for s in series}
+    table = build_machine_series(bundle, GRID, dense, caggs, baggs)
+    mem, containers, batches = (signal.mean(axis=1) for signal in (
+        table.server_mem, table.container_count, table.batch_count))
 
-    plain = [m for m in range(1, 15) if m not in (3, 4, 6)]
-    mem_others = np.array([by_machine[m].server_mem.mean() for m in plain])
-    spread = max(mem_others.std(), 1e-6)
-    assert by_machine[6].server_mem.mean() == 0.0
-    assert (mem_others.mean() - 0.0) / spread > 3.0
-
-    counts = np.array([by_machine[m].container_count.mean() for m in plain])
-    assert by_machine[3].container_count.mean() >= counts.max() * 3
-    batches = np.array([by_machine[m].batch_count.mean() for m in plain])
-    assert by_machine[4].batch_count.mean() > batches.max() * 5
+    # machine m is row m - 1
+    plain = [m - 1 for m in range(1, 15) if m not in (3, 4, 6)]
+    spread = max(mem[plain].std(), 1e-6)
+    assert mem[6 - 1] == 0.0
+    assert (mem[plain].mean() - 0.0) / spread > 3.0
+    assert containers[3 - 1] >= containers[plain].max() * 3
+    assert batches[4 - 1] > batches[plain].max() * 5

@@ -135,16 +135,6 @@ def test_interval_index_is_half_open(ts):
         assert x is None
 
 
-@given(st.integers(min_value=-500, max_value=1500))
-def test_timestamp_slot_covers_the_last_sample(ts):
-    grid = IntervalGrid(100, 1000, 100)
-    slot = grid.timestamp_slot(ts)
-    if 100 <= ts < 1100:
-        assert slot == (ts - 100) // 100
-    else:
-        assert slot is None
-
-
 # ---------------------------------------------------------------------------
 # round trip through the six-file layout
 
