@@ -362,8 +362,10 @@ def top_anomalies_dict(report: AnomalyReport, top_n: int) -> dict:
 
 
 def write_anomaly_json(report: AnomalyReport, top_n: int, path: str) -> None:
+    # built before the file is opened, so a bad top_n leaves no partial file
+    data = top_anomalies_dict(report, top_n)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(top_anomalies_dict(report, top_n), fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

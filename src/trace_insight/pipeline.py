@@ -479,6 +479,29 @@ def run_analyze(config: dict[str, str]) -> str:
     }
     heavier = _get_float(config, "anomaly_heavier_factor", stage)
     top_n = _get_int(config, "anomaly_top_n", stage)
+    # so are the ranges that need no data; the ones that do (k against the
+    # distinct rows, standards against the machines) wait for the trace
+    edges = score_args["range_edges"]
+    ranges = [
+        ("dtw_range_edges", list(edges) == sorted(edges), "sorted"),
+        ("classify_k", kmeans_args["k"] >= 1, ">= 1"),
+        ("classify_restarts", kmeans_args["n_init"] >= 1, ">= 1"),
+        ("anomaly_trees", forest_args["tree_count"] >= 1, ">= 1"),
+        ("anomaly_subsample", forest_args["subsample"] >= 2, ">= 2"),
+        ("anomaly_top_n", top_n >= 0, ">= 0"),
+    ]
+    if select_args["standard_machines"] is None:
+        sample_num = select_args["sample_num"]
+        ranges += [
+            ("dtw_sample_num", sample_num >= 2, ">= 2"),
+            ("dtw_standard_count",
+             1 <= select_args["standard_count"] <= sample_num,
+             f"in [1, dtw_sample_num={sample_num}]"),
+        ]
+    for key, ok, rule in ranges:
+        if not ok:
+            raise StageError(stage, f"config key {key!r} must be {rule}, "
+                                    f"got {_get(config, key, stage)!r}")
 
     bundle, input_dir, skipped = _load_bundle(config, stage)
     os.makedirs(out_dir, exist_ok=True)

@@ -12,8 +12,13 @@ the standards exceeds a threshold get flagged.
 
 The sample's pairwise distances and the machine x standard distances come
 from one batched DP: a single anti-diagonal sweep over all pairs, whatever
-the curve length, that carries each cell's optimal path length forward in
-place of a traceback. ``dtw_distance`` runs the same recurrence for one pair.
+the curve length. It holds the curves as per-dimension planes with the pairs
+on the contiguous last axis, and sums each point's squared differences in
+the order einsum would (even dimensions, then odd, then the two sums), so
+distances are bit-identical to ``dtw_distance``, which runs the same
+recurrence for one pair. Each cell's optimal path length is carried forward
+in place of a traceback, but only when the caller reads it: the normalized
+form does, the standard selection and the raw scores do not.
 """
 
 from __future__ import annotations
@@ -76,46 +81,89 @@ def _stack_points(curves) -> np.ndarray:
     return np.stack(points)
 
 
-def _dtw_batch(q: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _dtw_batch(q: np.ndarray, s: np.ndarray, path_lengths: bool = True,
+               ) -> tuple[np.ndarray, np.ndarray | None]:
     """DTW cost and optimal path length of every pair of curves in q and s.
 
     ``q`` is (..., n, d) and ``s`` is (..., l, d); their leading axes
     broadcast against each other into the pair axes of both results. The
-    sweep over the anti-diagonals i + j = k keeps the last two, indexed by
-    row i at offset 1 with pairs on the contiguous axes and inf padding, so
-    the first row and column need no special case. A cell adds its cost to
-    min(diagonal, up, left) and extends the path of the predecessor a
-    traceback would take: diagonal if it is <= both others, else up if
-    up <= left, else left.
+    curves are held as per-dimension planes, q as (d, n, ...) and s reversed
+    as (d, l, ...), with the pair axes last and contiguous, so each step
+    below is a handful of elementwise calls over whole diagonals.
+
+    The sweep over the anti-diagonals i + j = k keeps the last three, indexed
+    by row i at offset 1 with inf padding, so the first row and column need
+    no special case. A diagonal's point costs are the squared differences
+    summed in the order ``np.einsum("...k,...k->...")`` uses over a
+    contiguous axis of d <= 7: the even dimensions in sequence, then the odd
+    ones, then the two sums, so (x0² + x2²) + x1² for cpu/mem/disk. A cell
+    adds its cost to min(diagonal, up, left), written in place into the
+    rolling rows. With ``path_lengths`` it also extends the path of the
+    predecessor a traceback would take: diagonal if it is <= both others,
+    else up if up <= left, else left. Without it the second result is None;
+    the distances are the same bits either way.
     """
-    n, l = q.shape[-2], s.shape[-2]
-    rows = np.moveaxis(q, -2, 0)                 # (n, ..., d) views
-    cols = np.moveaxis(s[..., ::-1, :], -2, 0)   # cols[r] is point l-1-r
+    n, l, d = q.shape[-2], s.shape[-2], q.shape[-1]
+    pairs = np.broadcast_shapes(q.shape[:-2], s.shape[:-2])
+    width = min(n, l)                            # cells on the longest diagonal
+
+    def planes(curves: np.ndarray) -> np.ndarray:
+        # every pair gets its own copy: a broadcast (stride 0) operand would
+        # cut each ufunc call into inner loops as short as its last axis
+        curves = np.broadcast_to(curves, pairs + curves.shape[-2:])
+        return np.ascontiguousarray(np.moveaxis(curves, (-1, -2), (0, 1)))
+
+    rows = planes(q)
+    cols = planes(s[..., ::-1, :])               # cols[:, r] is point l-1-r
+    squares = np.empty((d, width, *pairs))
 
     def diagonal_cost(k: int, lo: int, hi: int) -> np.ndarray:
-        # the dimension axis stays last and contiguous: einsum's summation
-        # order over it is what keeps distances bit-stable
-        diff = rows[lo:hi + 1] - cols[l - 1 - k + lo:l - k + hi]
-        return np.einsum("...k,...k->...", diff, diff)
+        sq = squares[:, :hi + 1 - lo]
+        np.subtract(rows[:, lo:hi + 1], cols[:, l - 1 - k + lo:l - k + hi],
+                    out=sq)
+        np.multiply(sq, sq, out=sq)
+        # the even planes add up in sq[0], the odd ones in sq[1]
+        for i in (*range(2, d, 2), *range(3, d, 2)):
+            np.add(sq[i % 2], sq[i], out=sq[i % 2])
+        if d > 1:
+            np.add(sq[0], sq[1], out=sq[0])
+        return sq[0]
 
-    pairs = np.broadcast_shapes(q.shape[:-2], s.shape[:-2])
     acc = np.full((3, n + 1, *pairs), np.inf)   # diagonal k lives at k % 3
-    steps = np.zeros((3, n + 1, *pairs), dtype=np.int32)
     acc[0, 1] = diagonal_cost(0, 0, 0)[0]
-    steps[0, 1] = 1
+    if path_lengths:
+        steps = np.zeros((3, n + 1, *pairs), dtype=np.int32)
+        steps[0, 1] = 1
+        wins = np.empty((2, width, *pairs), dtype=bool)
+        spare = np.empty((width, *pairs), dtype=np.int32)
     for k in range(1, n + l - 1):
         lo, hi = max(0, k - l + 1), min(n - 1, k)
         here, prev, back = k % 3, (k - 1) % 3, (k - 2) % 3
         diag, up, left = (acc[back, lo:hi + 1], acc[prev, lo:hi + 1],
                           acc[prev, lo + 1:hi + 2])
-        best = np.minimum(np.minimum(diag, up), left)
-        acc[here, lo + 1:hi + 2] = diagonal_cost(k, lo, hi) + best
-        steps[here, lo + 1:hi + 2] = 1 + np.where(
-            (diag <= up) & (diag <= left), steps[back, lo:hi + 1],
-            np.where(up <= left, steps[prev, lo:hi + 1],
-                     steps[prev, lo + 1:hi + 2]))
+        best = acc[here, lo + 1:hi + 2]
+        np.minimum(diag, up, out=best)
+        np.minimum(best, left, out=best)
+        if path_lengths:
+            m = hi + 1 - lo
+            up_wins, diag_wins, via_diag = wins[0, :m], wins[1, :m], spare[:m]
+            np.less_equal(up, left, out=up_wins)
+            np.less_equal(diag, best, out=diag_wins)
+            # left + up_wins * (up - left), then the same against diag: a
+            # masked copy branches on every cell and runs several times slower
+            length, via_left = (steps[here, lo + 1:hi + 2],
+                                steps[prev, lo + 1:hi + 2])
+            np.subtract(steps[prev, lo:hi + 1], via_left, out=length)
+            np.multiply(length, up_wins, out=length)
+            np.add(length, via_left, out=length)
+            np.subtract(steps[back, lo:hi + 1], length, out=via_diag)
+            np.multiply(via_diag, diag_wins, out=via_diag)
+            np.add(length, via_diag, out=length)
+            length += 1
+        np.add(best, diagonal_cost(k, lo, hi), out=best)
     last = (n + l - 2) % 3
-    return acc[last, n].copy(), steps[last, n].copy()
+    return (acc[last, n].copy(),
+            steps[last, n].copy() if path_lengths else None)
 
 
 def dtw_distance(q, s) -> DtwResult:
@@ -197,7 +245,7 @@ def select_standard(curves, sample_num: int, seed: int,
         raise ValueError("need at least 2 sampled curves for a pairwise median")
     points = _stack_points([curves[i] for i in sample])
     a, b = np.triu_indices(len(sample), 1)
-    pair_values, _ = _dtw_batch(points[a], points[b])
+    pair_values, _ = _dtw_batch(points[a], points[b], path_lengths=False)
     return float(np.median(pair_values)), (chosen + 1).tolist()
 
 
@@ -225,17 +273,16 @@ def score_similarity(curves, standard_curves, standard_machines: list[int],
         raise ValueError(f"range edges must be sorted, got {range_edges}")
     machines = list(range(1, len(curves) + 1))
     distances, steps = _dtw_batch(_stack_points(curves)[:, None],
-                                  _stack_points(standard_curves)[None])
+                                  _stack_points(standard_curves)[None],
+                                  path_lengths=normalized)
     if normalized:
         distances = np.sqrt(distances) / steps
     mean_distance = distances.mean(axis=1)
 
-    histogram = [0] * len(range_edges)
-    for value in mean_distance:
-        slot = int(np.searchsorted(range_edges, value, side="right")) - 1
-        if slot >= 0:
-            histogram[slot] += 1
-    flagged = [m for m, v in zip(machines, mean_distance) if v > threshold]
+    # slot 0 is below the first edge and is not a bin
+    slots = np.searchsorted(range_edges, mean_distance, side="right")
+    histogram = np.bincount(slots, minlength=len(range_edges) + 1)[1:].tolist()
+    flagged = (np.flatnonzero(mean_distance > threshold) + 1).tolist()
 
     unsuitable: list[int] = []
     if suitability_gap is not None and len(standard_curves) >= 2:

@@ -405,6 +405,13 @@ def test_anomaly_json_round_trip(tmp_path):
     assert data["top"][0]["causes"] == report.causes.get(report.ranking[0], [])
 
 
+def test_anomaly_json_leaves_no_partial_file_when_top_n_is_bad(tmp_path):
+    path = tmp_path / "anomalies.json"
+    with pytest.raises(ValueError, match="top_n must be >= 0"):
+        write_anomaly_json(small_report(), -1, str(path))
+    assert not path.exists()
+
+
 def test_score_distribution_csv(tmp_path):
     report = small_report()
     path = tmp_path / "dist.csv"

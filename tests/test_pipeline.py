@@ -350,6 +350,16 @@ BAD_CONFIG_VALUES = [
     ("analyze", "dtw_suitability_gap", "wide", "must be a number"),
     ("analyze", "classify_none", "low", "must be a number"),
     ("analyze", "anomaly_mode", "worst", "anomaly_mode must be one of"),
+    # ranges that need no data are checked up front too
+    ("analyze", "dtw_range_edges", "3,1", "must be sorted"),
+    ("analyze", "classify_k", "0", "must be >= 1"),
+    ("analyze", "classify_restarts", "0", "must be >= 1"),
+    ("analyze", "anomaly_trees", "0", "must be >= 1"),
+    ("analyze", "anomaly_subsample", "1", "must be >= 2"),
+    ("analyze", "anomaly_top_n", "-1", "must be >= 0"),
+    ("analyze", "dtw_sample_num", "1", "must be >= 2"),
+    ("analyze", "dtw_standard_count", "0", r"must be in \[1, dtw_sample_num=8\]"),
+    ("analyze", "dtw_standard_count", "9", r"must be in \[1, dtw_sample_num=8\]"),
     ("preprocess", "max_skip_ratio", "some", "must be a number"),
 ]
 
@@ -374,6 +384,16 @@ def test_bad_config_values_fail_before_any_input_is_opened(tmp_path):
             assert key in str(err.value) and repr(value) in str(err.value), key
     for name in names:
         assert (out / name).read_bytes() == before[name], name
+
+
+def test_pinned_standards_need_no_sample_size(tmp_path):
+    # dtw_sample_num and dtw_standard_count only size a drawn sample
+    trace = noisy_trace(tmp_path / "trace", seed=7)
+    out = tmp_path / "out"
+    run_analyze(stage_config(trace, out, dtw_standards="1,2",
+                             dtw_sample_num="0", dtw_standard_count="0"))
+    histogram = json.loads((out / "dtw_histogram.json").read_text())
+    assert histogram["standard_machines"] == [1, 2]
 
 
 def test_report_without_analyze_artifacts_fails_loudly(tmp_path):

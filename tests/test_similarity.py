@@ -137,6 +137,45 @@ def test_batched_long_curves_match_the_recurrence():
             assert (distance[i, j], path_length[i, j]) == want, (i, j)
 
 
+@st.composite
+def float_curve_pairs(draw):
+    # full-precision floats, so no sum is exact and every rounding shows
+    d = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 12))
+    l = draw(st.integers(1, 12).filter(lambda l: l != n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pairs = draw(st.integers(1, 4))
+    return (rng.random((pairs, n, d)) * 3 - 1,
+            rng.random((pairs, l, d)) * 3 - 1)
+
+
+@settings(max_examples=60)
+@given(float_curve_pairs())
+def test_skipping_path_lengths_leaves_distances_bit_identical(curves):
+    q, s = curves
+    distance, path_length = _dtw_batch(q, s, path_lengths=True)
+    bare, none = _dtw_batch(q, s, path_lengths=False)
+    assert none is None
+    assert bare.tobytes() == distance.tobytes()
+    for p in range(len(q)):
+        single = dtw_distance(q[p], s[p])
+        assert (distance[p], path_length[p]) == (single.distance,
+                                                 single.path_length)
+
+
+def test_plane_point_cost_matches_einsum_up_to_seven_dimensions():
+    # the kernel sums squared planes in the order einsum sums a contiguous
+    # axis; every pinned artifact digest rests on the two agreeing
+    rng = np.random.default_rng(5)
+    for d in range(1, 8):
+        q = rng.random((4096, 1, d)) * 4 - 2
+        s = rng.random((4096, 1, d)) * 4 - 2
+        diff = q - s
+        want = np.einsum("...k,...k->...", diff, diff)[:, 0]
+        assert _dtw_batch(q, s, path_lengths=False)[0].tobytes() == \
+            want.tobytes(), d
+
+
 def test_normalized_distance_formula():
     result = dtw_distance([0, 0, 0], [2, 2, 2])
     assert result.distance == 12.0
@@ -314,7 +353,7 @@ def test_build_resource_curves_stacks_cpu_mem_disk():
     curves = build_resource_curves(table)
     assert curves.tolist() == [[[0.1, 0.3, 0.5], [0.2, 0.4, 0.6]],
                                [[0.7, 0.9, 1.1], [0.8, 1.0, 1.2]]]
-    # the DP's per-point cost sums the contiguous last axis in this order
+    # one machine-major block, not a view per signal
     assert curves.flags.c_contiguous
 
 
