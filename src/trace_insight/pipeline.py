@@ -5,12 +5,16 @@ Every stage reads its inputs from disk, writes its artifacts into the output
 directory, and drops a manifest-<stage>.json recording the config snapshot,
 input and output digests, row counts, and the tool version; no timestamps,
 so reruns of the same config are byte-identical. Stages never touch another
-stage's files. All randomness comes from seeds named in the config; a
+stage's artifacts, but before its first write a stage deletes its own
+manifest and those of the stages that read its artifacts, and it writes its
+manifest last, so a run that fails part-way leaves no manifest vouching for
+what it overwrote. All randomness comes from seeds named in the config; a
 missing seed is an error, never a fallback to wall-clock entropy.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -267,6 +271,17 @@ def write_manifest(out_dir: str, stage: str, config: dict[str, str],
         fh.write("\n")
 
 
+def _prepare_out_dir(out_dir: str, stage: str) -> None:
+    """Create ``out_dir`` and delete the manifests that would still vouch for
+    artifacts this stage is about to overwrite: its own, and report's when
+    report reads them."""
+    os.makedirs(out_dir, exist_ok=True)
+    readers = ("report",) if stage in ("preprocess", "analyze") else ()
+    for name in (stage, *readers):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, f"manifest-{name}.json"))
+
+
 def _digest_inputs(input_dir: str, stage: str) -> dict[str, str]:
     digests = {}
     for name in sorted(DEFAULT_FILENAMES.values()):
@@ -342,6 +357,7 @@ def run_synth(config: dict[str, str]) -> str:
         anomaly_plants=_parse_plants(_get(config, "synth_plants", stage), stage),
         gap_plants=_parse_gaps(_get(config, "synth_gaps", stage), stage),
     )
+    _prepare_out_dir(out_dir, stage)
     try:
         bundle, truth = write_synthetic_trace(synth_config, out_dir)
     except ValueError as e:
@@ -391,7 +407,7 @@ def run_preprocess(config: dict[str, str]) -> str:
     out_dir = _get(config, "output_dir", stage)
     grid = _grid(config, stage)
     bundle, input_dir, skipped = _load_bundle(config, stage)
-    os.makedirs(out_dir, exist_ok=True)
+    _prepare_out_dir(out_dir, stage)
     try:
         dense, annotations = supplement_server_usage(bundle, grid)
         clean, removed = filter_container_events(bundle.container_events)
@@ -504,7 +520,7 @@ def run_analyze(config: dict[str, str]) -> str:
                                     f"got {_get(config, key, stage)!r}")
 
     bundle, input_dir, skipped = _load_bundle(config, stage)
-    os.makedirs(out_dir, exist_ok=True)
+    _prepare_out_dir(out_dir, stage)
     inputs = _digest_inputs(input_dir, stage)
     try:
         clean, _removed = filter_container_events(bundle.container_events)
@@ -708,6 +724,7 @@ def run_report(config: dict[str, str]) -> str:
     stage = "report"
     out_dir = _get(config, "output_dir", stage)
     report = build_report(out_dir)
+    _prepare_out_dir(out_dir, stage)
     path = os.path.join(out_dir, REPORT_FILENAME)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

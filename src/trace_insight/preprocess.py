@@ -64,9 +64,6 @@ class DenseUsage:
     timestamps: np.ndarray   # (T,) int64
     values: np.ndarray       # (M, T, 6) float64
 
-    def metric(self, name: str) -> np.ndarray:
-        return self.values[:, :, METRICS.index(name)]
-
     def series(self, machine: int, metric: str) -> np.ndarray:
         row = int(np.searchsorted(self.machines, machine))
         if row >= len(self.machines) or self.machines[row] != machine:

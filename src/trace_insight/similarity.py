@@ -10,15 +10,15 @@ standard curves is drawn from a seeded sample, the median pairwise distance
 within the sample is the baseline value, and machines whose mean distance to
 the standards exceeds a threshold get flagged.
 
-The sample's pairwise distances and the machine x standard distances come
-from one batched DP: a single anti-diagonal sweep over all pairs, whatever
-the curve length. It holds the curves as per-dimension planes with the pairs
-on the contiguous last axis, and sums each point's squared differences in
-the order einsum would (even dimensions, then odd, then the two sums), so
-distances are bit-identical to ``dtw_distance``, which runs the same
-recurrence for one pair. Each cell's optimal path length is carried forward
-in place of a traceback, but only when the caller reads it: the normalized
-form does, the standard selection and the raw scores do not.
+The sample's pairwise distances, the machine x standard distances and
+``dtw_distance``, which is a batch of one pair, all come from one batched
+DP: a single anti-diagonal sweep over all pairs, whatever the curve length.
+It holds the curves as per-dimension planes with the pairs on the contiguous
+last axis, and sums each point's squared differences in the order einsum
+would (even dimensions, then odd, then the two sums). Each cell's optimal
+path length is carried forward in place of a traceback, but only when the
+caller reads it: the normalized form and ``dtw_distance`` do, the standard
+selection and the raw scores do not.
 """
 
 from __future__ import annotations
@@ -63,22 +63,21 @@ def build_resource_curves(table: SeriesTable) -> np.ndarray:
                     axis=-1)
 
 
-def _as_points(curve) -> np.ndarray:
-    points = np.asarray(curve, float)
-    if points.ndim == 1:
-        points = points[:, None]
-    if points.ndim != 2 or len(points) == 0:
-        raise ValueError("curve must be a non-empty sequence of points")
+def _as_curves(curves) -> np.ndarray:
+    """(curves, n, d) float array of equal-length curves; curves of scalars
+    get a trailing axis of one."""
+    try:
+        points = np.asarray(curves, float)
+    except ValueError:
+        lengths = sorted({len(c) for c in curves})
+        if len(lengths) > 1:
+            raise ValueError(f"curves differ in length: {lengths}") from None
+        raise
+    if points.ndim == 2:
+        points = points[..., None]
+    if points.ndim != 3 or points.shape[1] == 0:
+        raise ValueError("curves must be non-empty sequences of points")
     return points
-
-
-def _stack_points(curves) -> np.ndarray:
-    """(curves, n, d) array of equal-length curves."""
-    points = [_as_points(c) for c in curves]
-    lengths = sorted({len(p) for p in points})
-    if len(lengths) > 1:
-        raise ValueError(f"curves differ in length: {lengths}")
-    return np.stack(points)
 
 
 def _dtw_batch(q: np.ndarray, s: np.ndarray, path_lengths: bool = True,
@@ -86,10 +85,11 @@ def _dtw_batch(q: np.ndarray, s: np.ndarray, path_lengths: bool = True,
     """DTW cost and optimal path length of every pair of curves in q and s.
 
     ``q`` is (..., n, d) and ``s`` is (..., l, d); their leading axes
-    broadcast against each other into the pair axes of both results. The
-    curves are held as per-dimension planes, q as (d, n, ...) and s reversed
-    as (d, l, ...), with the pair axes last and contiguous, so each step
-    below is a handful of elementwise calls over whole diagonals.
+    broadcast against each other into the pair axes of both results. This is
+    the package's only DTW recurrence; ``dtw_distance`` is a batch of one
+    pair. The curves are held as per-dimension planes, q as (d, n, ...) and
+    s reversed as (d, l, ...), with the pair axes last and contiguous, so
+    each step below is a handful of elementwise calls over whole diagonals.
 
     The sweep over the anti-diagonals i + j = k keeps the last three, indexed
     by row i at offset 1 with inf padding, so the first row and column need
@@ -170,35 +170,16 @@ def dtw_distance(q, s) -> DtwResult:
     """Cumulative DTW cost between two curves plus an optimal path length.
 
     Accepts any array-like of points; scalar series are treated as
-    1-vectors. The alignment is unconstrained (no warping window).
-    The one-pair form of ``_dtw_batch`` (same cells, recurrence and tie-break)
-    runs row by row in plain Python, which is cheaper for one small pair than
-    a numpy call per anti-diagonal.
+    1-vectors. The alignment is unconstrained (no warping window). The two
+    curves are a one-pair batch of ``_dtw_batch``, so they may differ in
+    length but not in dimensionality.
     """
-    qp = _as_points(q)
-    sp = _as_points(s)
-    if qp.shape[1] != sp.shape[1]:
+    qp, sp = _as_curves([q]), _as_curves([s])
+    if qp.shape[-1] != sp.shape[-1]:
         raise ValueError(f"curves disagree on dimensionality: "
-                         f"{qp.shape[1]} vs {sp.shape[1]}")
-    diff = qp[:, None, :] - sp[None, :, :]
-    inf = float("inf")
-    # previous row at offset 1 with inf padding; the virtual cell before
-    # (0, 0) is 0 with an empty path
-    acc, steps = [0.0] + [inf] * len(sp), [0] * (len(sp) + 1)
-    for row in np.einsum("...k,...k->...", diff, diff).tolist():
-        cur, cur_steps = [inf], [0]
-        for j, cost in enumerate(row):
-            diag, up, left = acc[j], acc[j + 1], cur[j]
-            if diag <= up and diag <= left:
-                best, k = diag, steps[j]
-            elif up <= left:
-                best, k = up, steps[j + 1]
-            else:
-                best, k = left, cur_steps[j]
-            cur.append(cost + best)
-            cur_steps.append(k + 1)
-        acc, steps = cur, cur_steps
-    return DtwResult(acc[-1], steps[-1])
+                         f"{qp.shape[-1]} vs {sp.shape[-1]}")
+    distance, path_length = _dtw_batch(qp, sp)
+    return DtwResult(float(distance[0]), int(path_length[0]))
 
 
 def normalized_distance(result: DtwResult) -> float:
@@ -243,7 +224,7 @@ def select_standard(curves, sample_num: int, seed: int,
                                            replace=False))]
     if len(sample) < 2:
         raise ValueError("need at least 2 sampled curves for a pairwise median")
-    points = _stack_points([curves[i] for i in sample])
+    points = _as_curves(curves)[sample]
     a, b = np.triu_indices(len(sample), 1)
     pair_values, _ = _dtw_batch(points[a], points[b], path_lengths=False)
     return float(np.median(pair_values)), (chosen + 1).tolist()
@@ -272,8 +253,8 @@ def score_similarity(curves, standard_curves, standard_machines: list[int],
     if len(range_edges) < 1 or list(range_edges) != sorted(range_edges):
         raise ValueError(f"range edges must be sorted, got {range_edges}")
     machines = list(range(1, len(curves) + 1))
-    distances, steps = _dtw_batch(_stack_points(curves)[:, None],
-                                  _stack_points(standard_curves)[None],
+    distances, steps = _dtw_batch(_as_curves(curves)[:, None],
+                                  _as_curves(standard_curves)[None],
                                   path_lengths=normalized)
     if normalized:
         distances = np.sqrt(distances) / steps

@@ -75,18 +75,31 @@ def brute_force_dtw(q, s) -> float:
 
 
 def dtw_recurrence(q, s) -> tuple[float, int]:
-    """Sakoe & Chiba recurrence filled cell by cell, then an explicit traceback.
+    """``dtw_over_costs`` on point costs summed left to right in Python.
+
+    That sum is exact only where every square and partial sum is (dyadic
+    points, say); elsewhere a (x0² + x1²) + x2² can round apart from another
+    order's sum.
+    """
+    qp, sp = _points(q), _points(s)
+    return dtw_over_costs([
+        [sum((float(a) - float(b)) ** 2 for a, b in zip(x, y)) for y in sp]
+        for x in qp])
+
+
+def dtw_over_costs(cost) -> tuple[float, int]:
+    """Sakoe & Chiba recurrence filled cell by cell over a given (n, l)
+    point-cost matrix, then an explicit traceback.
 
     From the last cell the traceback steps to the diagonal predecessor if it
     is <= both others, else up if up <= left, else left; along the first row
     or column it has one way back. Returns (cost, path length in cells).
     """
-    qp, sp = _points(q), _points(s)
-    n, l = len(qp), len(sp)
+    cost = np.asarray(cost, float).tolist()
+    n, l = len(cost), len(cost[0])
     acc = [[0.0] * l for _ in range(n)]
     for i in range(n):
         for j in range(l):
-            cost = sum((float(a) - float(b)) ** 2 for a, b in zip(qp[i], sp[j]))
             if i == 0 and j == 0:
                 prev = 0.0
             elif i == 0:
@@ -95,7 +108,7 @@ def dtw_recurrence(q, s) -> tuple[float, int]:
                 prev = acc[i - 1][j]
             else:
                 prev = min(acc[i - 1][j - 1], acc[i - 1][j], acc[i][j - 1])
-            acc[i][j] = cost + prev
+            acc[i][j] = cost[i][j] + prev
     i, j, length = n - 1, l - 1, 1
     while i > 0 or j > 0:
         if i == 0:

@@ -38,6 +38,7 @@ from trace_insight.classify import (
 from trace_insight.cli import main as cli_main
 from trace_insight.preprocess import filter_container_events, supplement_server_usage
 from trace_insight.similarity import (
+    _dtw_batch,
     build_resource_curves,
     dtw_distance,
     score_similarity,
@@ -92,10 +93,9 @@ def test_criterion_01_dtw_matches_exhaustive_path_enumeration():
                 sums = padded[:, :, paths[p]].sum(axis=2)
                 best = sums if best is None else np.minimum(best, sums)
 
-            dp = np.empty((len(Q), len(S)))
-            for a, qa in enumerate(Q):
-                for b, sb in enumerate(S):
-                    dp[a, b] = dtw_distance(qa, sb).distance
+            # the kernel the pipeline runs, every (Q, S) pair in one batch
+            dp, _ = _dtw_batch(Q[:, None, :, None], S[None, :, :, None],
+                               path_lengths=False)
             assert np.array_equal(dp, best), (n, l)
             checked += len(Q) * len(S)
 

@@ -1,8 +1,11 @@
 import hashlib
 import json
 import os
+import runpy
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -200,6 +203,21 @@ def test_bad_synth_numbers_exit_2_with_the_stage_named(tmp_path, capsys,
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"trace-insight: error [synth] {problem}")
+
+
+def test_synthetic_demo_script_runs_the_whole_pipeline(tmp_path, monkeypatch,
+                                                       capsys):
+    # the README's first command; it drives every stage through cli.main
+    script = Path(__file__).resolve().parents[1] / "scripts"
+    script /= "run_synthetic_demo.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--machines", "16",
+                                      "--work-dir", str(tmp_path)])
+    try:
+        runpy.run_path(str(script), run_name="__main__")
+    except SystemExit as stop:   # the script exits only when a stage fails
+        pytest.fail(f"demo exited with {stop.code}")
+    assert (tmp_path / "analysis" / "report.json").is_file()
+    assert "pipeline finished" in capsys.readouterr().out
 
 
 def test_console_script_is_installed():

@@ -333,14 +333,41 @@ def test_report_refuses_artifacts_a_failed_analyze_overwrote(tmp_path):
         run_report({"output_dir": str(out)})
     assert err.value.stage == "report"
 
-    # the digests alone catch it, with no preprocess run in the directory
+    # an artifact changed outside any stage run is caught by its digest,
+    # with no preprocess run in the directory
     alone = tmp_path / "alone"
     run_analyze(stage_config(trace_a, alone))
-    with pytest.raises(StageError, match="standard machines not present"):
-        run_analyze(stage_config(trace_b, alone, dtw_standards="1,99"))
-    with pytest.raises(StageError, match="does not match its digest in "
+    histogram = alone / "dtw_histogram.json"
+    histogram.write_text(histogram.read_text() + "\n")
+    with pytest.raises(StageError, match="dtw_histogram.json in .* does not "
+                                         "match its digest in "
                                          "manifest-analyze.json; rerun"):
         run_report({"output_dir": str(alone)})
+
+
+def test_a_failed_analyze_leaves_no_manifest_claiming_a_finished_run(tmp_path):
+    trace_a = noisy_trace(tmp_path / "a", seed=7)
+    trace_b = noisy_trace(tmp_path / "b", seed=8)
+    out = tmp_path / "out"
+    for run in (run_analyze, run_report):
+        run(stage_config(trace_a, out))
+    # the missing machine shows only after B's aggregate CSVs are rewritten
+    with pytest.raises(StageError, match=r"^\[analyze\] standard machines "
+                                         r"not present: \[99\]"):
+        run_analyze(stage_config(trace_b, out, dtw_standards="99"))
+    assert (out / "machine_series.csv").exists()
+    assert not (out / "manifest-analyze.json").exists()
+    assert not (out / "manifest-report.json").exists()
+    with pytest.raises(StageError, match=r"^\[report\] analyze stage missing"):
+        run_report({"output_dir": str(out)})
+
+    # preprocess takes back its own manifest and report's, not analyze's
+    run_analyze(stage_config(trace_a, out))
+    run_report({"output_dir": str(out)})
+    run_preprocess(stage_config(trace_a, out))
+    assert (out / "manifest-analyze.json").exists()
+    assert not (out / "manifest-report.json").exists()
+    run_report({"output_dir": str(out)})
 
 
 BAD_CONFIG_VALUES = [
