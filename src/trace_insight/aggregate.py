@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .preprocess import DenseUsage
-from .trace_model import IntervalGrid, TraceBundle, float_text
+from .trace_model import IntervalGrid, TraceBundle
 
 
 @dataclass
@@ -291,17 +291,16 @@ def _write_rows(path: str, header: tuple[str, ...], grid: IntervalGrid,
                 rows) -> None:
     """One CSV line per (machine, interval), written a machine at a time from
     ``rows``, which yields (machine, per-interval columns): the machine, the
-    interval index and start, then the columns, integer ones as integers and
-    the rest as ``float_text``."""
+    interval index and start, then the columns, whose Python floats
+    ``csv.writer`` writes as their ``repr``."""
     n = grid.interval_count
     index, starts = list(range(n)), grid.timestamps()[:-1].tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for machine, columns in rows:
-            cells = [col.tolist() if col.dtype.kind == "i"
-                     else list(map(float_text, col.tolist())) for col in columns]
-            writer.writerows(zip([machine] * n, index, starts, *cells))
+            writer.writerows(zip([machine] * n, index, starts,
+                                 *(col.tolist() for col in columns)))
 
 
 def write_container_agg_csv(table: UsageTable, grid: IntervalGrid,

@@ -8,8 +8,12 @@ so reruns of the same config are byte-identical. Stages never touch another
 stage's artifacts, but before its first write a stage deletes its own
 manifest and those of the stages that read its artifacts, and it writes its
 manifest last, so a run that fails part-way leaves no manifest vouching for
-what it overwrote. All randomness comes from seeds named in the config; a
-missing seed is an error, never a fallback to wall-clock entropy.
+what it overwrote. ``preprocess`` also saves the columns it parsed, and
+``analyze`` loads them in place of parsing the trace again only when
+manifest-preprocess.json shows they came from the same input files, parsed
+the same way, and their file still has the digest recorded there. All
+randomness comes from seeds named in the config; a missing seed is an error,
+never a fallback to wall-clock entropy.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import dataclasses
 import hashlib
 import json
 import os
+from collections import Counter
 
 from . import __version__
 from .aggregate import (
@@ -80,7 +85,9 @@ from .trace_model import (
     FILE_KEYS,
     IntervalGrid,
     TraceParseError,
+    load_columns,
     parse_trace_dir,
+    save_columns,
 )
 
 REPORT_SCHEMA_VERSION = 1
@@ -88,6 +95,7 @@ REPORT_SCHEMA_VERSION = 1
 DENSE_FILENAME = "dense_usage.csv"
 REPAIR_LOG_FILENAME = "repair_log.csv"
 REMOVED_EVENTS_FILENAME = "removed_container_events.csv"
+COLUMNS_FILENAME = "trace_columns.bin"
 REPORT_FILENAME = "report.json"
 
 ANALYZE_FILENAMES = (
@@ -255,7 +263,11 @@ def _sha256(path: str) -> str:
 
 def write_manifest(out_dir: str, stage: str, config: dict[str, str],
                    inputs: dict[str, str], outputs: list[str],
-                   row_counts: dict[str, int]) -> None:
+                   row_counts: dict[str, int], trace_columns: str | None = None,
+                   ) -> None:
+    """Write manifest-<stage>.json last, digesting every artifact in
+    ``outputs`` and, under its own key, the parsed-columns file
+    ``trace_columns`` when the stage wrote one."""
     manifest = {
         "stage": stage,
         "tool_version": __version__,
@@ -265,6 +277,9 @@ def write_manifest(out_dir: str, stage: str, config: dict[str, str],
                     for name in sorted(outputs)},
         "row_counts": row_counts,
     }
+    if trace_columns is not None:
+        manifest["trace_columns"] = {
+            trace_columns: _sha256(os.path.join(out_dir, trace_columns))}
     path = os.path.join(out_dir, f"manifest-{stage}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -381,32 +396,35 @@ def run_synth(config: dict[str, str]) -> str:
 # ---------------------------------------------------------------------------
 # stage: preprocess
 
-def _load_bundle(config: dict[str, str], stage: str):
-    """Parse the input trace; returns (bundle, input_dir, skipped), where
-    skipped maps ``rows_skipped_<file key>`` to the rows that file lost."""
-    input_dir = _get(config, "input_dir", stage)
+def _parse_args(config: dict[str, str], stage: str) -> dict:
+    """The config values that decide how the trace parses."""
+    return {"schema_profile": _get(config, "schema_profile", stage),
+            "has_header": _get_bool(config, "has_header", stage),
+            "max_skip_ratio": _get_float(config, "max_skip_ratio", stage)}
+
+
+def _parse_bundle(input_dir: str, parse_args: dict, stage: str):
+    """Parse the input trace; returns (bundle, diagnostics of skipped rows)."""
     diagnostics: list = []
     try:
-        bundle = parse_trace_dir(
-            input_dir,
-            schema_profile=_get(config, "schema_profile", stage),
-            has_header=_get_bool(config, "has_header", stage),
-            max_skip_ratio=_get_float(config, "max_skip_ratio", stage),
-            diagnostics=diagnostics,
-        )
+        bundle = parse_trace_dir(input_dir, **parse_args, diagnostics=diagnostics)
     except TraceParseError as e:
         raise StageError(stage, str(e)) from e
-    skipped = {f"rows_skipped_{key}": 0 for key in FILE_KEYS}
-    for diag in diagnostics:
-        skipped[f"rows_skipped_{diag.file}"] += 1
-    return bundle, input_dir, skipped
+    return bundle, diagnostics
+
+
+def _skipped_counts(skipped) -> dict[str, int]:
+    """``rows_skipped_<file key>`` of every file, from rows skipped per key."""
+    return {f"rows_skipped_{key}": skipped.get(key, 0) for key in FILE_KEYS}
 
 
 def run_preprocess(config: dict[str, str]) -> str:
     stage = "preprocess"
     out_dir = _get(config, "output_dir", stage)
     grid = _grid(config, stage)
-    bundle, input_dir, skipped = _load_bundle(config, stage)
+    input_dir = _get(config, "input_dir", stage)
+    bundle, diagnostics = _parse_bundle(input_dir, _parse_args(config, stage),
+                                        stage)
     _prepare_out_dir(out_dir, stage)
     try:
         dense, annotations = supplement_server_usage(bundle, grid)
@@ -422,6 +440,7 @@ def run_preprocess(config: dict[str, str]) -> str:
                                               removed.machine.tolist(),
                                               removed.mem_req.tolist()):
             fh.write(f"{instance},{machine},{mem_req!r}\n")
+    save_columns(bundle, diagnostics, os.path.join(out_dir, COLUMNS_FILENAME))
     method_counts: dict[str, int] = {}
     for note in annotations:
         method_counts[note.method.value] = method_counts.get(note.method.value, 0) + 1
@@ -438,8 +457,9 @@ def run_preprocess(config: dict[str, str]) -> str:
                        "container_events_removed": len(removed),
                        **{f"repairs_{name}": count
                           for name, count in sorted(method_counts.items())},
-                       **skipped,
-                   })
+                       **_skipped_counts(Counter(diag.file for diag in diagnostics)),
+                   },
+                   trace_columns=COLUMNS_FILENAME)
     return out_dir
 
 
@@ -453,6 +473,30 @@ def _feature_mode(config, stage) -> FeatureMode:
             return mode
     raise StageError(stage, f"anomaly_mode must be one of "
                             f"{[m.value for m in FeatureMode]}, got {raw!r}")
+
+
+def _preprocessed_columns(out_dir: str, inputs: dict[str, str], parse_args: dict,
+                          stage: str):
+    """The trace a preprocess run in ``out_dir`` parsed, as (bundle, rows
+    skipped per file key), when its manifest shows that it parsed these
+    ``inputs`` as ``parse_args`` would and the columns file is the one it
+    wrote; None otherwise, and the caller parses."""
+    try:
+        with open(os.path.join(out_dir, "manifest-preprocess.json"),
+                  encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError):   # none, or cut short by a killed run
+        return None
+    if _parse_disagreements(manifest, inputs, parse_args, stage):
+        return None
+    path = os.path.join(out_dir, COLUMNS_FILENAME)
+    recorded = manifest.get("trace_columns", {}).get(COLUMNS_FILENAME)
+    if not os.path.exists(path) or _sha256(path) != recorded:
+        return None
+    try:
+        return load_columns(path, parse_args["max_skip_ratio"])
+    except TraceParseError as e:
+        raise StageError(stage, str(e)) from e
 
 
 def run_analyze(config: dict[str, str]) -> str:
@@ -495,6 +539,7 @@ def run_analyze(config: dict[str, str]) -> str:
     }
     heavier = _get_float(config, "anomaly_heavier_factor", stage)
     top_n = _get_int(config, "anomaly_top_n", stage)
+    parse_args = _parse_args(config, stage)
     # so are the ranges that need no data; the ones that do (k against the
     # distinct rows, standards against the machines) wait for the trace
     edges = score_args["range_edges"]
@@ -519,9 +564,15 @@ def run_analyze(config: dict[str, str]) -> str:
             raise StageError(stage, f"config key {key!r} must be {rule}, "
                                     f"got {_get(config, key, stage)!r}")
 
-    bundle, input_dir, skipped = _load_bundle(config, stage)
-    _prepare_out_dir(out_dir, stage)
+    input_dir = _get(config, "input_dir", stage)
     inputs = _digest_inputs(input_dir, stage)
+    loaded = _preprocessed_columns(out_dir, inputs, parse_args, stage)
+    if loaded is None:
+        bundle, diagnostics = _parse_bundle(input_dir, parse_args, stage)
+        skipped = Counter(diag.file for diag in diagnostics)
+    else:
+        bundle, skipped = loaded
+    _prepare_out_dir(out_dir, stage)
     try:
         clean, _removed = filter_container_events(bundle.container_events)
         bundle = dataclasses.replace(bundle, container_events=clean)
@@ -599,7 +650,8 @@ def run_analyze(config: dict[str, str]) -> str:
                        "negative_scores": anomaly_report.negative_count,
                        "top_ranked": min(top_n, len(anomaly_report.ranking)),
                        **diag.counts(),
-                       **skipped,
+                       **_skipped_counts(skipped),
+                       "trace_columns_reused": int(loaded is not None),
                    })
     return out_dir
 
@@ -639,6 +691,17 @@ def _check_digests(out_dir: str, names, manifest: dict, manifest_name: str,
                                     "stage that writes it")
 
 
+def _parse_disagreements(manifest: dict, inputs: dict[str, str],
+                         parse_args: dict, stage: str) -> list[str]:
+    """What keeps a preprocess manifest from vouching that its run parsed
+    ``inputs`` as ``parse_args`` would: an empty list when nothing does."""
+    recorded = _parse_args(manifest.get("config", {}), stage)
+    checks = [("input digests", manifest.get("inputs") == inputs)]
+    checks += [(key, recorded[key] == parse_args[key])
+               for key in ("schema_profile", "has_header")]
+    return [what for what, agrees in checks if not agrees]
+
+
 def _preprocess_summary(out_dir: str, analyze_manifest: dict, stage: str) -> dict | None:
     """Repair counts from manifest-preprocess.json, used only when that run
     parsed the same inputs on the same grid as the analyze run."""
@@ -649,14 +712,10 @@ def _preprocess_summary(out_dir: str, analyze_manifest: dict, stage: str) -> dic
     with open(path, encoding="utf-8") as fh:
         manifest = json.load(fh)
     ours, theirs = manifest.get("config", {}), analyze_manifest["config"]
-    checks = [("input digests", manifest.get("inputs") == analyze_manifest["inputs"]),
-              ("schema_profile", _get(ours, "schema_profile", stage)
-               == _get(theirs, "schema_profile", stage)),
-              ("has_header", _get_bool(ours, "has_header", stage)
-               == _get_bool(theirs, "has_header", stage))]
-    checks += [(key, _get_int(ours, key, stage) == _get_int(theirs, key, stage))
-               for key in ("grid_start", "grid_end", "grid_step")]
-    stale = [what for what, agrees in checks if not agrees]
+    stale = _parse_disagreements(manifest, analyze_manifest["inputs"],
+                                 _parse_args(theirs, stage), stage)
+    stale += [key for key in ("grid_start", "grid_end", "grid_step")
+              if _get_int(ours, key, stage) != _get_int(theirs, key, stage)]
     if stale:
         raise StageError(stage, f"{name} in {out_dir} disagrees with "
                                 f"manifest-analyze.json on {', '.join(stale)}; "

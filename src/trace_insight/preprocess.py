@@ -17,6 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .trace_model import (
+    BLOCK_ROWS,
     IntervalGrid,
     Table,
     TraceBundle,
@@ -193,19 +194,25 @@ REPAIR_LOG_HEADER = ("machine", "metric", "timestamp", "method", "value")
 
 
 def write_dense_csv(dense: DenseUsage, path: str) -> None:
+    """One line per (machine, timestamp): fractions as percent text, loads as
+    ``csv.writer`` writes a Python float, which is its ``repr``. Lines are
+    built a block of columns at a time, which bounds the Python objects
+    alive at once."""
+    t_count = len(dense.timestamps)
+    machines = np.repeat(dense.machines, t_count)
+    timestamps = np.tile(dense.timestamps, len(dense.machines))
+    values = dense.values.reshape(-1, len(METRICS))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(DENSE_HEADER)
-        for i, machine in enumerate(dense.machines):
-            for x, ts in enumerate(dense.timestamps):
-                cpu, mem, disk, l1, l5, l15 = dense.values[i, x]
-                writer.writerow([
-                    int(machine), int(ts),
-                    fraction_to_percent_text(float(cpu)),
-                    fraction_to_percent_text(float(mem)),
-                    fraction_to_percent_text(float(disk)),
-                    float_text(float(l1)), float_text(float(l5)), float_text(float(l15)),
-                ])
+        for lo in range(0, len(values), BLOCK_ROWS):
+            block = slice(lo, lo + BLOCK_ROWS)
+            columns = [machines[block].tolist(), timestamps[block].tolist()]
+            for metric, column in zip(METRICS, values[block].T):
+                column = column.tolist()
+                columns.append(list(map(fraction_to_percent_text, column))
+                               if metric in _FRACTION_METRICS else column)
+            writer.writerows(zip(*columns))
 
 
 def write_repair_log_csv(annotations: list[RepairAnnotation], path: str) -> None:

@@ -33,6 +33,10 @@ decimal value once. Cells with an exponent, or longer than Decimal's default
 ``percent_text_to_fraction`` instead, which gives the same float wherever
 both apply. ``fraction_to_percent_text`` inverts the conversion exactly, so
 writing a bundle and parsing it again reproduces every float bit-for-bit.
+
+``save_columns`` writes a parsed bundle, with the rows each file lost, to
+one binary file, and ``load_columns`` reads it back with the same dtypes,
+so a later stage can skip parsing the same six files again.
 """
 
 from __future__ import annotations
@@ -637,20 +641,81 @@ def parse_trace_dir(path: str, schema_profile="default", *, filenames: dict | No
             raise TraceParseError(f"missing trace file: {file_path}")
         table, diags = parse_trace_file(
             file_path, key, profile[key], has_header=has_header)
-        total = len(table) + len(diags)
-        if diags:
-            log.warning("%s: skipped %d of %d rows (first: line %d, %s)",
-                        names[key], len(diags), total, diags[0].line, diags[0].reason)
-            if diagnostics is not None:
-                diagnostics.extend(diags)
-        if total and len(diags) / total > max_skip_ratio:
-            raise TraceParseError(
-                f"{names[key]}: rejected {len(diags)}/{total} rows, above "
-                f"the {max_skip_ratio:.2%} limit")
+        if diags and diagnostics is not None:
+            diagnostics.extend(diags)
+        _check_skips(names[key], len(table), len(diags),
+                     diags[0] if diags else None, max_skip_ratio)
         tables[spec.attr] = table
     machine_count = max((int(t.machine.max()) for t in tables.values()
                          if "machine" in t.columns and len(t)), default=0)
     return TraceBundle(**tables, machine_count=machine_count)
+
+
+def _check_skips(name: str, kept: int, skipped: int, first: RowDiagnostic | None,
+                 max_skip_ratio: float) -> None:
+    """Log a file's skipped rows, naming the first, and raise TraceParseError
+    when they exceed ``max_skip_ratio`` of its rows."""
+    total = kept + skipped
+    if skipped:
+        log.warning("%s: skipped %d of %d rows (first: line %d, %s)",
+                    name, skipped, total, first.line, first.reason)
+    if total and skipped / total > max_skip_ratio:
+        raise TraceParseError(f"{name}: rejected {skipped}/{total} rows, above "
+                              f"the {max_skip_ratio:.2%} limit")
+
+
+# ---------------------------------------------------------------------------
+# parsed columns on disk
+
+
+def save_columns(bundle: TraceBundle, diagnostics: list[RowDiagnostic],
+                 path: str) -> None:
+    """Write ``bundle`` and the rows its parse skipped to ``path``, so that
+    ``load_columns`` can stand in for parsing the same files again.
+
+    The file is consecutive ``np.save`` records (no pickles, no zip
+    timestamps, so the bytes are deterministic): the machine count, then per
+    file in ``_SPECS`` order its columns in field order, the skipped-row
+    count with the line of the first skipped row (0 if none), and that row's
+    reason. ``diagnostics`` are those ``parse_trace_dir`` collected.
+    """
+    skipped = dict.fromkeys(_SPECS, 0)
+    first: dict[str, RowDiagnostic] = {}
+    for diag in diagnostics:
+        skipped[diag.file] += 1
+        first.setdefault(diag.file, diag)
+    with open(path, "wb") as fh:
+        save = partial(np.save, fh, allow_pickle=False)
+        save(np.array([bundle.machine_count], dtype=np.int64))
+        for key, spec in _SPECS.items():
+            columns = getattr(bundle, spec.attr).columns
+            for name in spec.fields:
+                save(columns[_column_name(name)])
+            diag = first.get(key)
+            save(np.array([skipped[key], diag.line if diag else 0], dtype=np.int64))
+            save(np.array([diag.reason if diag else ""]))
+
+
+def load_columns(path: str, max_skip_ratio: float = 0.01,
+                 ) -> tuple[TraceBundle, dict[str, int]]:
+    """The bundle ``save_columns`` wrote to ``path``, and the rows skipped
+    per file key. Logs each file's skipped rows and applies
+    ``max_skip_ratio`` to them as ``parse_trace_dir`` does, in the same file
+    order and with the same messages."""
+    tables: dict[str, Table] = {}
+    skipped: dict[str, int] = {}
+    with open(path, "rb") as fh:
+        load = partial(np.load, fh, allow_pickle=False)
+        machine_count = int(load()[0])
+        for key, spec in _SPECS.items():
+            table = Table(key, {_column_name(name): load() for name in spec.fields})
+            count, line = load().tolist()
+            reason = str(load()[0])
+            _check_skips(DEFAULT_FILENAMES[key], len(table), count,
+                         RowDiagnostic(key, line, reason), max_skip_ratio)
+            tables[spec.attr] = table
+            skipped[key] = count
+    return TraceBundle(**tables, machine_count=machine_count), skipped
 
 
 # ---------------------------------------------------------------------------

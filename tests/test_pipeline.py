@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from trace_insight import __version__
+from trace_insight import __version__, trace_model
 from trace_insight.pipeline import (
     ANALYZE_FILENAMES,
     StageError,
@@ -259,6 +259,10 @@ def noisy_trace(path, seed):
     return path
 
 
+def analyze_counts(out):
+    return json.loads((out / "manifest-analyze.json").read_text())["row_counts"]
+
+
 def test_analyze_ignores_a_dense_file_preprocessed_from_another_trace(tmp_path):
     trace_a = noisy_trace(tmp_path / "a", seed=7)
     trace_b = noisy_trace(tmp_path / "b", seed=8)
@@ -270,6 +274,7 @@ def test_analyze_ignores_a_dense_file_preprocessed_from_another_trace(tmp_path):
     assert len(ANALYZE_FILENAMES) == 12
     for name in ANALYZE_FILENAMES:
         assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+    assert analyze_counts(out)["trace_columns_reused"] == 0
     # report will not pair B's repair counts with A's analysis
     with pytest.raises(StageError, match="disagrees with manifest-analyze.json "
                                          "on input digests") as err:
@@ -462,3 +467,108 @@ def test_stage_manifests_count_the_rows_each_file_lost(tmp_path):
             "rows_skipped_batch_task": 0,
             "rows_skipped_batch_instance": 0,
         }, stage
+
+
+# ---------------------------------------------------------------------------
+# analyze reusing the columns preprocess parsed
+
+
+def assert_same_analysis(out, clean):
+    """Byte-identical artifacts, and manifests that differ only in where
+    they were written and in whether the columns were reused."""
+    for name in ANALYZE_FILENAMES:
+        assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+    got, want = (json.loads((d / "manifest-analyze.json").read_text())
+                 for d in (out, clean))
+    for manifest in (got, want):
+        del manifest["config"]["output_dir"]
+        del manifest["row_counts"]["trace_columns_reused"]
+    assert got == want
+
+
+def test_analyze_reuses_the_columns_preprocess_parsed(tmp_path):
+    trace = noisy_trace(tmp_path / "trace", seed=7)
+    with open(trace / "container_usage.csv", "a", encoding="utf-8") as fh:
+        fh.write("39600,not-an-instance,10.0\n")
+    out, clean = tmp_path / "out", tmp_path / "clean"
+    run_preprocess(stage_config(trace, out))
+    run_analyze(stage_config(trace, out))
+    run_analyze(stage_config(trace, clean))
+    assert analyze_counts(out)["trace_columns_reused"] == 1
+    assert analyze_counts(clean)["trace_columns_reused"] == 0
+    assert analyze_counts(out)["rows_skipped_container_usage"] == 1
+    assert_same_analysis(out, clean)
+    # the columns file is vouched for under its own key, not as an artifact
+    manifest = json.loads((out / "manifest-preprocess.json").read_text())
+    assert "trace_columns.bin" not in manifest["outputs"]
+    digest = hashlib.sha256((out / "trace_columns.bin").read_bytes()).hexdigest()
+    assert manifest["trace_columns"] == {"trace_columns.bin": digest}
+
+
+def flip_a_byte(out):
+    path = out / "trace_columns.bin"
+    body = bytearray(path.read_bytes())
+    body[len(body) // 2] ^= 1
+    path.write_bytes(bytes(body))
+
+
+def truncate(out):
+    path = out / "trace_columns.bin"
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def drop_the_manifest(out):
+    (out / "manifest-preprocess.json").unlink()
+
+
+@pytest.mark.parametrize("spoil", [flip_a_byte, truncate, drop_the_manifest])
+def test_analyze_parses_when_the_columns_file_is_not_vouched_for(tmp_path, spoil):
+    trace = noisy_trace(tmp_path / "trace", seed=7)
+    out, clean = tmp_path / "out", tmp_path / "clean"
+    run_preprocess(stage_config(trace, out))
+    spoil(out)
+    run_analyze(stage_config(trace, out))
+    run_analyze(stage_config(trace, clean))
+    assert analyze_counts(out)["trace_columns_reused"] == 0
+    assert_same_analysis(out, clean)
+
+
+def test_analyze_parses_when_preprocess_parsed_another_way(tmp_path, monkeypatch):
+    trace = noisy_trace(tmp_path / "trace", seed=7)
+    out, clean = tmp_path / "out", tmp_path / "clean"
+    # the same column order under another name still counts as another way
+    monkeypatch.setitem(trace_model.SCHEMA_PROFILES, "alias",
+                        trace_model.SCHEMA_PROFILES["default"])
+    run_preprocess(stage_config(trace, out))
+    run_analyze(stage_config(trace, out, schema_profile="alias"))
+    run_analyze(stage_config(trace, clean, schema_profile="alias"))
+    assert analyze_counts(out)["trace_columns_reused"] == 0
+    assert_same_analysis(out, clean)
+
+    run_analyze(stage_config(trace, out, has_header="true"))
+    assert analyze_counts(out)["trace_columns_reused"] == 0
+
+
+def test_reused_columns_meet_the_skip_limit_of_analyze(tmp_path, caplog):
+    trace = noisy_trace(tmp_path / "trace", seed=7)
+    rows = len((trace / "server_usage.csv").read_text().splitlines())
+    bad = rows // 49   # about 2% of the rows once they are added
+    with open(trace / "server_usage.csv", "a", encoding="utf-8") as fh:
+        fh.write("39600,1,not-a-percent,55,50,1.0,1.0,1.0\n" * bad)
+    out, clean = tmp_path / "out", tmp_path / "clean"
+    run_preprocess(stage_config(trace, out, max_skip_ratio="0.5"))
+    errors, warnings = [], []
+    for out_dir in (out, clean):
+        caplog.clear()
+        with pytest.raises(StageError) as err:
+            run_analyze(stage_config(trace, out_dir))
+        errors.append(str(err.value))
+        warnings.append([r.getMessage() for r in caplog.records
+                         if r.levelname == "WARNING"])
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("[analyze] server_usage.csv: rejected "
+                                f"{bad}/{rows + bad} rows, above the 1.00% limit")
+    assert warnings[0] == warnings[1] != []
+    run_analyze(stage_config(trace, out, max_skip_ratio="0.5"))
+    assert analyze_counts(out)["trace_columns_reused"] == 1
+    assert analyze_counts(out)["rows_skipped_server_usage"] == bad

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from trace_insight import preprocess
 from trace_insight.preprocess import (
     METRICS,
     AmbiguousDuplicateError,
@@ -181,7 +182,9 @@ def test_filter_rejects_unresolvable_duplicates():
 # dense CSV round trip
 
 
-def test_dense_csv_round_trip_is_exact(tmp_path):
+def test_dense_csv_round_trip_is_exact(tmp_path, monkeypatch):
+    # blocks of 5 lines split machines apart and leave a short last block
+    monkeypatch.setattr(preprocess, "BLOCK_ROWS", 5)
     rng = np.random.default_rng(5)
     values = rng.random((2, GRID.timestamp_count, len(METRICS)))
     dense = DenseUsage(

@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import tempfile
 
@@ -12,14 +14,17 @@ from trace_insight.trace_model import (
     InstanceStatus,
     IntervalGrid,
     MachineEventType,
+    RowDiagnostic,
     TaskStatus,
     TraceBundle,
     TraceParseError,
     float_text,
     fraction_to_percent_text,
+    load_columns,
     parse_trace_dir,
     parse_trace_file,
     percent_text_to_fraction,
+    save_columns,
     write_trace_dir,
 )
 
@@ -93,6 +98,10 @@ def test_percent_round_trip_is_bit_exact(value):
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_float_text_round_trip(value):
     assert float(float_text(value)) == value
+    # the CSV writers hand Python floats to csv.writer, which writes this text
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow([value])
+    assert line.getvalue() == float_text(value) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +142,57 @@ def test_interval_index_is_half_open(ts):
         assert bounds[x] <= ts < bounds[x + 1]
     else:
         assert x is None
+
+
+# ---------------------------------------------------------------------------
+# round trip through the saved columns
+
+
+@pytest.mark.parametrize("bundle", [small_bundle(), TraceBundle.from_rows()],
+                         ids=["small", "empty"])
+def test_saved_columns_load_back_with_their_dtypes(tmp_path, bundle):
+    diagnostics = [RowDiagnostic("server_usage", 3, "bad number for cpu_pct"),
+                   RowDiagnostic("server_usage", 7, "expected 8 columns, got 1"),
+                   RowDiagnostic("batch_task", 2, "instance_count must be >= 1")]
+    path = str(tmp_path / "columns")
+    save_columns(bundle, diagnostics, path)
+    back, skipped = load_columns(path, max_skip_ratio=1.0)
+    for attr in BUNDLE_ATTRS:
+        assert_same_columns(getattr(back, attr), getattr(bundle, attr))
+    assert back.machine_count == bundle.machine_count
+    assert skipped == {"server_event": 0, "server_usage": 2, "container_event": 0,
+                       "container_usage": 0, "batch_task": 1, "batch_instance": 0}
+    # text columns and int8 enum codes keep their dtypes
+    assert back.events.event_detail.dtype.kind == "U"
+    assert back.batch_instances.status.dtype == np.int8
+    # no timestamps or archive metadata: saving again gives the same bytes
+    first = (tmp_path / "columns").read_bytes()
+    save_columns(bundle, diagnostics, path)
+    assert (tmp_path / "columns").read_bytes() == first
+
+
+def test_loaded_columns_meet_the_skip_limit_as_parsing_does(tmp_path, caplog):
+    write_trace_dir(small_bundle(), str(tmp_path))
+    (tmp_path / "server_usage.csv").write_text(
+        "39600,1,25,55,50,1.0,1.0,1.0\n"
+        "broken row\n"
+    )
+    diagnostics = []
+    bundle = parse_trace_dir(str(tmp_path), max_skip_ratio=0.9,
+                             diagnostics=diagnostics)
+    save_columns(bundle, diagnostics, str(tmp_path / "columns"))
+    messages = []
+    for read in (lambda: parse_trace_dir(str(tmp_path)),
+                 lambda: load_columns(str(tmp_path / "columns"))):
+        caplog.clear()
+        with pytest.raises(TraceParseError) as err:
+            read()
+        messages.append((str(err.value), caplog.messages))
+    assert messages[0] == messages[1]
+    assert messages[0][0] == ("server_usage.csv: rejected 1/2 rows, above "
+                              "the 1.00% limit")
+    assert messages[0][1] == ["server_usage.csv: skipped 1 of 2 rows "
+                              "(first: line 2, expected 8 columns, got 1)"]
 
 
 # ---------------------------------------------------------------------------
