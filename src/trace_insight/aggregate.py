@@ -25,14 +25,16 @@ an interval boundary is a member there even though it charges nothing.
 
 from __future__ import annotations
 
-import csv
+import contextlib
 import dataclasses
+import os
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
 from .preprocess import DenseUsage
-from .trace_model import IntervalGrid, TraceBundle
+from .trace_model import IntervalGrid, TraceBundle, csv_lines
 
 
 @dataclass
@@ -276,53 +278,50 @@ def build_machine_series(bundle: TraceBundle, grid: IntervalGrid, dense: DenseUs
 # ---------------------------------------------------------------------------
 # artifact I/O
 
-CONTAINER_AGG_HEADER = ("machine", "interval_index", "interval_start",
-                        "container_count", "total_cpu", "total_mem")
-BATCH_AGG_HEADER = ("machine", "interval_index", "interval_start",
-                    "batch_count", "total_cpu_cores", "total_cpu", "total_mem")
 SERIES_HEADER = ("machine", "interval_index", "interval_start",
                  "server_cpu", "server_mem", "server_disk",
                  "container_count", "container_cpu", "container_mem",
-                 "batch_count", "batch_cpu", "batch_mem",
-                 "residual_cpu", "residual_mem")
+                 "batch_count", "batch_cpu", "batch_mem", "residual_cpu", "residual_mem")
+CONTAINER_AGG_HEADER = SERIES_HEADER[:3] + ("container_count", "total_cpu", "total_mem")
+BATCH_AGG_HEADER = SERIES_HEADER[:3] + ("batch_count", "total_cpu_cores", "total_cpu",
+                                        "total_mem")
+
+# Lines formatted at once; bounds the Python strings alive while writing.
+BLOCK_LINES = 96
 
 
-def _write_rows(path: str, header: tuple[str, ...], grid: IntervalGrid,
-                rows) -> None:
-    """One CSV line per (machine, interval), written a machine at a time from
-    ``rows``, which yields (machine, per-interval columns): the machine, the
-    interval index and start, then the columns, whose Python floats
-    ``csv.writer`` writes as their ``repr``."""
-    n = grid.interval_count
-    index, starts = list(range(n)), grid.timestamps()[:-1].tolist()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for machine, columns in rows:
-            writer.writerows(zip([machine] * n, index, starts,
-                                 *(col.tolist() for col in columns)))
-
-
-def write_container_agg_csv(table: UsageTable, grid: IntervalGrid,
-                            path: str) -> None:
-    _write_rows(path, CONTAINER_AGG_HEADER, grid,
-                zip(table.machines.tolist(), zip(table.count, table.cpu, table.mem)))
-
-
-def write_batch_agg_csv(table: UsageTable, grid: IntervalGrid, path: str) -> None:
-    _write_rows(path, BATCH_AGG_HEADER, grid, zip(
-        table.machines.tolist(),
-        zip(table.count, table.cpu_cores, table.cpu, table.mem)))
-
-
-def write_machine_series_csv(table: SeriesTable, grid: IntervalGrid,
-                             path: str) -> None:
-    """Server-level per machine-interval table; the residual columns report
-    server usage not accounted for by containers plus batch."""
-    t = table
-    _write_rows(path, SERIES_HEADER, grid, zip(t.machines.tolist(), zip(
-        t.server_cpu, t.server_mem, t.server_disk,
-        t.container_count.astype(np.int64), t.container_cpu, t.container_mem,
-        t.batch_count.astype(np.int64), t.batch_cpu, t.batch_mem,
-        t.server_cpu - t.container_cpu - t.batch_cpu,
-        t.server_mem - t.container_mem - t.batch_mem)))
+def write_aggregate_csvs(table: SeriesTable, container_machines: np.ndarray,
+                         batch_machines: np.ndarray, grid: IntervalGrid,
+                         out_dir: str) -> None:
+    """Write ``machine_series.csv`` to ``out_dir``, and from the same cell
+    texts the lines of ``container_machines`` and ``batch_machines`` to
+    ``container_usage_agg.csv`` and ``batch_usage_agg.csv``."""
+    t, n = table, grid.interval_count
+    outputs = (  # (file, header, series columns written under it, machines)
+        ("machine_series.csv", SERIES_HEADER, SERIES_HEADER, t.machines),
+        ("container_usage_agg.csv", CONTAINER_AGG_HEADER, SERIES_HEADER[:3] + (
+            "container_count", "container_cpu", "container_mem"), container_machines),
+        ("batch_usage_agg.csv", BATCH_AGG_HEADER, SERIES_HEADER[:3] + (
+            "batch_count", "batch_cpu_cores", "batch_cpu", "batch_mem"), batch_machines))
+    flat = {f.name: getattr(t, f.name).ravel() for f in dataclasses.fields(t)[1:]}
+    lines = len(t.machines) * n
+    with contextlib.ExitStack() as stack:
+        files = []
+        for name, header, columns, machines in outputs:
+            fh = stack.enter_context(open(os.path.join(out_dir, name), "w",
+                                          newline="", encoding="utf-8"))
+            fh.write(",".join(header) + "\n")
+            files.append((fh, columns, np.isin(t.machines, machines)))
+        for lo in range(0, lines, BLOCK_LINES):
+            row, x = np.divmod(np.arange(lo, min(lo + BLOCK_LINES, lines)), n)
+            b = {name: signal[lo:lo + BLOCK_LINES] for name, signal in flat.items()}
+            b.update(machine=t.machines[row], interval_index=x,
+                     interval_start=grid.start + grid.step * x,
+                     container_count=b["container_count"].astype(np.int64),
+                     batch_count=b["batch_count"].astype(np.int64),
+                     residual_cpu=b["server_cpu"] - b["container_cpu"] - b["batch_cpu"],
+                     residual_mem=b["server_mem"] - b["container_mem"] - b["batch_mem"])
+            cells = {name: list(map(repr, values.tolist())) for name, values in b.items()}
+            for fh, columns, keep in files:
+                kept = keep[row].tolist()
+                fh.write(csv_lines(*(compress(cells[c], kept) for c in columns)))

@@ -21,8 +21,8 @@ from enum import Enum
 import numpy as np
 
 from .aggregate import SeriesTable
-from .trace_model import (IntervalGrid, MachineEventType, Table, enum_code,
-                          float_text)
+from .trace_model import (IntervalGrid, MachineEventType, Table, csv_lines,
+                          enum_code, float_text)
 
 EULER_GAMMA = 0.5772156649
 
@@ -372,7 +372,7 @@ def write_anomaly_json(report: AnomalyReport, top_n: int, path: str) -> None:
 def write_score_distribution_csv(report: AnomalyReport, path: str) -> None:
     """Scores in ranking order, for plotting the score curve."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("rank", "machine", "score"))
-        for i, machine in enumerate(report.ranking):
-            writer.writerow([i + 1, machine, float_text(report.scores[machine])])
+        fh.write("rank,machine,score\n")
+        fh.write(csv_lines(map(str, range(1, len(report.ranking) + 1)),
+                           map(str, report.ranking),
+                           (float_text(report.scores[m]) for m in report.ranking)))

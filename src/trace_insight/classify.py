@@ -20,14 +20,14 @@ Centroids matching no rule are labeled Unknown and reported, not hidden.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
 from .aggregate import SeriesTable
-from .trace_model import float_text
+from .trace_model import csv_lines, float_text
 
 TYPE_LABELS = ("Type1", "Type2", "Type3", "Type4",
                "Type5", "Type6", "Type7", "Type8")
@@ -268,13 +268,11 @@ def category_report(model: CategoryModel, table: SeriesTable) -> CategoryReport:
 
 
 def write_assignments_csv(model: CategoryModel, path: str) -> None:
+    clusters = [model.assignments[machine] for machine in model.machines]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("machine", "cluster", "label"))
-        for machine in model.machines:
-            cluster = model.assignments[machine]
-            writer.writerow([machine, cluster,
-                             model.labels.get(cluster, "") or ""])
+        fh.write("machine,cluster,label\n")
+        fh.write(csv_lines(map(str, model.machines), map(str, clusters),
+                           (model.labels.get(c, "") or "" for c in clusters)))
 
 
 def counts_dict(model: CategoryModel, report: CategoryReport) -> dict:
@@ -304,13 +302,9 @@ def write_type_usage_csv(report: CategoryReport, table: SeriesTable,
                          path: str) -> None:
     """Per-type mean cpu/mem/disk per interval, for external plotting."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("label", "interval_index", "cpu", "mem", "disk"))
+        fh.write("label,interval_index,cpu,mem,disk\n")
         for label in sorted(report.members):
-            cpu, mem, disk = (np.mean(rows, axis=0) for rows in
-                              _usage_rows(table, report.members[label]))
-            for x in range(len(cpu)):
-                writer.writerow([label, x,
-                                 float_text(float(cpu[x])),
-                                 float_text(float(mem[x])),
-                                 float_text(float(disk[x]))])
+            means = [np.mean(rows, axis=0).tolist() for rows in
+                     _usage_rows(table, report.members[label])]
+            fh.write(csv_lines(repeat(label), map(str, range(len(means[0]))),
+                               *(map(float_text, mean) for mean in means)))

@@ -31,9 +31,7 @@ from .aggregate import (
     aggregate_batch_usage,
     aggregate_container_usage,
     build_machine_series,
-    write_batch_agg_csv,
-    write_container_agg_csv,
-    write_machine_series_csv,
+    write_aggregate_csvs,
 )
 from .anomaly import (
     FeatureMode,
@@ -62,6 +60,7 @@ from .preprocess import (
     filter_container_events,
     supplement_server_usage,
     write_dense_csv,
+    write_removed_events_csv,
     write_repair_log_csv,
 )
 from .similarity import (
@@ -433,13 +432,8 @@ def run_preprocess(config: dict[str, str]) -> str:
         raise StageError(stage, str(e)) from e
     write_dense_csv(dense, os.path.join(out_dir, DENSE_FILENAME))
     write_repair_log_csv(annotations, os.path.join(out_dir, REPAIR_LOG_FILENAME))
-    with open(os.path.join(out_dir, REMOVED_EVENTS_FILENAME), "w",
-              encoding="utf-8", newline="") as fh:
-        fh.write("instance,machine,mem_req\n")
-        for instance, machine, mem_req in zip(removed.instance.tolist(),
-                                              removed.machine.tolist(),
-                                              removed.mem_req.tolist()):
-            fh.write(f"{instance},{machine},{mem_req!r}\n")
+    write_removed_events_csv(removed,
+                             os.path.join(out_dir, REMOVED_EVENTS_FILENAME))
     save_columns(bundle, diagnostics, os.path.join(out_dir, COLUMNS_FILENAME))
     method_counts: dict[str, int] = {}
     for note in annotations:
@@ -585,12 +579,8 @@ def run_analyze(config: dict[str, str]) -> str:
         batch = aggregate_batch_usage(bundle, grid, diag,
                                       duration_weighted=duration_weighted)
         table = build_machine_series(bundle, grid, dense, containers, batch)
-        write_container_agg_csv(containers, grid,
-                                os.path.join(out_dir, "container_usage_agg.csv"))
-        write_batch_agg_csv(batch, grid,
-                            os.path.join(out_dir, "batch_usage_agg.csv"))
-        write_machine_series_csv(table, grid,
-                                 os.path.join(out_dir, "machine_series.csv"))
+        write_aggregate_csvs(table, containers.machines, batch.machines, grid,
+                             out_dir)
 
         # similarity; machine m is row m - 1 of the table and its curves
         curves = build_resource_curves(table)

@@ -10,7 +10,6 @@ auditable.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 
@@ -21,6 +20,7 @@ from .trace_model import (
     IntervalGrid,
     Table,
     TraceBundle,
+    csv_lines,
     fraction_to_percent_text,
     float_text,
 )
@@ -191,36 +191,43 @@ def filter_container_events(events: Table) -> tuple[Table, Table]:
 
 DENSE_HEADER = ("machine", "timestamp", "cpu", "mem", "disk", "load1", "load5", "load15")
 REPAIR_LOG_HEADER = ("machine", "metric", "timestamp", "method", "value")
+REMOVED_EVENTS_HEADER = ("instance", "machine", "mem_req")
 
 
 def write_dense_csv(dense: DenseUsage, path: str) -> None:
     """One line per (machine, timestamp): fractions as percent text, loads as
-    ``csv.writer`` writes a Python float, which is its ``repr``. Lines are
-    built a block of columns at a time, which bounds the Python objects
-    alive at once."""
+    their ``repr``. Lines are built a block of rows at a time, which bounds
+    the Python objects alive at once."""
     t_count = len(dense.timestamps)
     machines = np.repeat(dense.machines, t_count)
     timestamps = np.tile(dense.timestamps, len(dense.machines))
     values = dense.values.reshape(-1, len(METRICS))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(DENSE_HEADER)
+        fh.write(",".join(DENSE_HEADER) + "\n")
         for lo in range(0, len(values), BLOCK_ROWS):
             block = slice(lo, lo + BLOCK_ROWS)
-            columns = [machines[block].tolist(), timestamps[block].tolist()]
-            for metric, column in zip(METRICS, values[block].T):
-                column = column.tolist()
-                columns.append(list(map(fraction_to_percent_text, column))
-                               if metric in _FRACTION_METRICS else column)
-            writer.writerows(zip(*columns))
+            fh.write(csv_lines(
+                map(str, machines[block].tolist()),
+                map(str, timestamps[block].tolist()),
+                *(map(fraction_to_percent_text if metric in _FRACTION_METRICS
+                      else repr, column.tolist())
+                  for metric, column in zip(METRICS, values[block].T))))
 
 
 def write_repair_log_csv(annotations: list[RepairAnnotation], path: str) -> None:
+    rows = ((str(ann.machine), ann.metric, str(ann.timestamp), ann.method.value,
+             fraction_to_percent_text(ann.value) if ann.metric in _FRACTION_METRICS
+             else float_text(ann.value))
+            for ann in annotations)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(REPAIR_LOG_HEADER)
-        for ann in annotations:
-            value_text = (fraction_to_percent_text(ann.value)
-                          if ann.metric in _FRACTION_METRICS else float_text(ann.value))
-            writer.writerow([ann.machine, ann.metric, ann.timestamp,
-                             ann.method.value, value_text])
+        fh.write(",".join(REPAIR_LOG_HEADER) + "\n")
+        fh.write(csv_lines(*zip(*rows)))
+
+
+def write_removed_events_csv(removed: Table, path: str) -> None:
+    """The container events ``filter_container_events`` removed."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(REMOVED_EVENTS_HEADER) + "\n")
+        fh.write(csv_lines(map(str, removed.instance.tolist()),
+                           map(str, removed.machine.tolist()),
+                           map(repr, removed.mem_req.tolist())))

@@ -23,14 +23,13 @@ selection and the raw scores do not.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .aggregate import SeriesTable
-from .trace_model import float_text
+from .trace_model import csv_lines, float_text
 
 DEFAULT_THRESHOLD = 3.0
 DEFAULT_RANGE_EDGES = (0.0, 1.0, 2.0, 3.0, 5.0)
@@ -302,23 +301,20 @@ def write_distances_csv(report: DtwReport, path: str) -> None:
     header += [f"dtw_std_{m}" for m in report.standard_machines]
     header.append("dtw_mean")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i, machine in enumerate(report.machines):
-            row = [machine]
-            row += [float_text(float(v)) for v in report.distances[i]]
-            row.append(float_text(float(report.mean_distance[i])))
-            writer.writerow(row)
+        fh.write(",".join(header) + "\n")
+        fh.write(csv_lines(
+            map(str, report.machines),
+            *(map(float_text, column) for column in report.distances.T.tolist()),
+            map(float_text, report.mean_distance.tolist())))
 
 
 def write_flags_csv(report: DtwReport, path: str) -> None:
     flagged = set(report.flagged)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("machine", "dtw_mean", "flagged"))
-        for machine, value in zip(report.machines, report.mean_distance):
-            writer.writerow([machine, float_text(float(value)),
-                             int(machine in flagged)])
+        fh.write("machine,dtw_mean,flagged\n")
+        fh.write(csv_lines(map(str, report.machines),
+                           map(float_text, report.mean_distance.tolist()),
+                           (str(int(m in flagged)) for m in report.machines)))
 
 
 def histogram_dict(report: DtwReport) -> dict:

@@ -152,6 +152,13 @@ def float_text(value: float) -> str:
     return repr(float(value))
 
 
+def csv_lines(*columns) -> str:
+    """CSV lines, each ended by a newline, of the rows zipped from columns of
+    cell texts. Cells are joined as they are, so none may need quoting."""
+    lines = "\n".join(map(",".join, zip(*columns)))
+    return lines + "\n" if lines else lines
+
+
 _DECIMAL_DIGITS = 28
 
 

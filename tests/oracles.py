@@ -8,6 +8,7 @@ of it imports trace_insight.
 
 import csv
 import math
+import os
 from collections import Counter
 from decimal import Decimal
 from functools import lru_cache
@@ -593,3 +594,44 @@ def read_dense_csv(path):
     timestamps = sorted({ts for rows in per_machine.values() for ts in rows})
     values = [[per_machine[m][ts] for ts in timestamps] for m in machines]
     return machines, timestamps, values
+
+
+# ---------------------------------------------------------------------------
+# aggregate tables, one CSV row at a time
+
+
+def write_aggregate_tables(out_dir, machines, interval_starts, signals,
+                           container_machines, batch_machines):
+    """machine_series.csv, container_usage_agg.csv and batch_usage_agg.csv,
+    one ``csv.writer`` row per (machine, interval) from Python floats.
+    ``signals`` maps each series signal name to rows of per-interval values,
+    row i belonging to machines[i]; counts are written as ints."""
+    paths = [os.path.join(out_dir, name) for name in (
+        "machine_series.csv", "container_usage_agg.csv", "batch_usage_agg.csv")]
+    with open(paths[0], "w", newline="", encoding="utf-8") as fs, \
+            open(paths[1], "w", newline="", encoding="utf-8") as fc, \
+            open(paths[2], "w", newline="", encoding="utf-8") as fb:
+        series, containers, batch = (csv.writer(fh, lineterminator="\n")
+                                     for fh in (fs, fc, fb))
+        key = ["machine", "interval_index", "interval_start"]
+        series.writerow(key + [
+            "server_cpu", "server_mem", "server_disk",
+            "container_count", "container_cpu", "container_mem",
+            "batch_count", "batch_cpu", "batch_mem", "residual_cpu", "residual_mem"])
+        containers.writerow(key + ["container_count", "total_cpu", "total_mem"])
+        batch.writerow(key + ["batch_count", "total_cpu_cores", "total_cpu",
+                              "total_mem"])
+        for i, machine in enumerate(machines):
+            for x, start in enumerate(interval_starts):
+                v = {name: float(rows[i][x]) for name, rows in signals.items()}
+                row = [int(machine), x, int(start)]
+                c = [int(v["container_count"]), v["container_cpu"], v["container_mem"]]
+                b = [int(v["batch_count"]), v["batch_cpu"], v["batch_mem"]]
+                series.writerow(row + [v["server_cpu"], v["server_mem"],
+                                       v["server_disk"]] + c + b + [
+                    v["server_cpu"] - v["container_cpu"] - v["batch_cpu"],
+                    v["server_mem"] - v["container_mem"] - v["batch_mem"]])
+                if machine in container_machines:
+                    containers.writerow(row + c)
+                if machine in batch_machines:
+                    batch.writerow(row + [b[0], v["batch_cpu_cores"]] + b[1:])

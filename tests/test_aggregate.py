@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from trace_insight import aggregate
 from trace_insight.aggregate import (
     AggDiagnostics,
     BATCH_AGG_HEADER,
@@ -14,10 +15,9 @@ from trace_insight.aggregate import (
     aggregate_container_usage,
     build_machine_series,
     machine_cpu_counts,
+    SeriesTable,
     overlap_runtime,
-    write_batch_agg_csv,
-    write_container_agg_csv,
-    write_machine_series_csv,
+    write_aggregate_csvs,
 )
 from trace_insight.preprocess import DenseUsage, METRICS
 from trace_insight.trace_model import (
@@ -405,20 +405,96 @@ def test_series_csv_headers_and_residuals(tmp_path):
     baggs = aggregate_batch_usage(bundle, GRID)
     table = build_machine_series(bundle, GRID, dense, caggs, baggs)
 
-    spath = tmp_path / "series.csv"
-    write_machine_series_csv(table, GRID, str(spath))
-    lines = spath.read_text().splitlines()
+    write_aggregate_csvs(table, caggs.machines, baggs.machines, GRID, str(tmp_path))
+    lines = (tmp_path / "machine_series.csv").read_text().splitlines()
     assert lines[0].split(",") == list(SERIES_HEADER)
     assert len(lines) == 1 + GRID.interval_count
     row = dict(zip(SERIES_HEADER, lines[1].split(",")))
     residual = float(row["server_cpu"]) - float(row["container_cpu"]) \
         - float(row["batch_cpu"])
     assert float(row["residual_cpu"]) == pytest.approx(residual)
+    for name, header in (("container_usage_agg.csv", CONTAINER_AGG_HEADER),
+                         ("batch_usage_agg.csv", BATCH_AGG_HEADER)):
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[0].split(",") == list(header)
+        assert len(lines) == 1 + GRID.interval_count
 
-    cpath = tmp_path / "containers.csv"
-    write_container_agg_csv(caggs, GRID, str(cpath))
-    assert cpath.read_text().splitlines()[0].split(",") == list(CONTAINER_AGG_HEADER)
 
-    bpath = tmp_path / "batch.csv"
-    write_batch_agg_csv(baggs, GRID, str(bpath))
-    assert bpath.read_text().splitlines()[0].split(",") == list(BATCH_AGG_HEADER)
+def read_csv(path):
+    header, *lines = path.read_text().splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
+def test_agg_lines_repeat_their_series_line_and_skip_absent_machines(tmp_path):
+    # machine 1 hosts containers only, 2 batch only, 3 both and 4 neither
+    dense = dense_for({m: [0.1 * m] * 5 for m in (1, 2, 3, 4)})
+    bundle = TraceBundle.from_rows(
+        events=[add_event(m) for m in (1, 2, 3, 4)],
+        container_events=[container(7, 1), container(8, 3, ts=1150)],
+        container_usage=[usage(7, 1000, 0.5), usage(7, 1210, 0.3),
+                         usage(8, 1220, 0.7)],
+        batch_instances=[instance(1010, 1250, machine=2),
+                         instance(1100, 1300, machine=3, avg_cpu=1.7)],
+        machine_count=4,
+    )
+    caggs = aggregate_container_usage(bundle, GRID)
+    baggs = aggregate_batch_usage(bundle, GRID)
+    table = build_machine_series(bundle, GRID, dense, caggs, baggs)
+    write_aggregate_csvs(table, caggs.machines, baggs.machines, GRID, str(tmp_path))
+    key = ("machine", "interval_index", "interval_start")
+    series = {tuple(row[k] for k in key): row
+              for row in read_csv(tmp_path / "machine_series.csv")}
+    assert len(series) == 4 * GRID.interval_count
+    for name, machines, fields in (
+            ("container_usage_agg.csv", {"1", "3"},
+             {"container_count": "container_count", "total_cpu": "container_cpu",
+              "total_mem": "container_mem"}),
+            ("batch_usage_agg.csv", {"2", "3"},
+             {"batch_count": "batch_count", "total_cpu": "batch_cpu",
+              "total_mem": "batch_mem"})):
+        rows = read_csv(tmp_path / name)
+        assert {row["machine"] for row in rows} == machines, name
+        assert len(rows) == len(machines) * GRID.interval_count, name
+        for row in rows:
+            line = series[tuple(row[k] for k in key)]
+            assert {f: row[f] for f in fields} == \
+                {f: line[s] for f, s in fields.items()}, name
+    assert {r["machine"] for r in read_csv(tmp_path / "machine_series.csv")} == \
+        {"1", "2", "3", "4"}
+
+
+@pytest.mark.parametrize("block_lines", [3, 8, 256])
+def test_aggregate_csvs_match_the_row_at_a_time_oracle(tmp_path, monkeypatch,
+                                                       block_lines):
+    # 4 intervals a machine: blocks of 3 lines split machines apart, blocks
+    # of 8 fall between machines 2 and 3 and leave machine 5 on its own, and
+    # one block of 256 holds all 20 lines
+    monkeypatch.setattr(aggregate, "BLOCK_LINES", block_lines)
+    rng = np.random.default_rng(11)
+    shape = (5, GRID.interval_count)
+    special = np.array([-0.0, 1e-05, 1e16, 5e-324, np.nan, np.inf, 0.25])
+    signals = {
+        field.name: rng.random(shape)
+        for field in dataclasses.fields(SeriesTable)[1:]}
+    for name in ("server_cpu", "server_mem", "server_disk"):
+        signals[name] = rng.choice(special, shape)
+    signals["server_cpu"][0] = [-0.0, 1e-05, 1e16, 5e-324]
+    signals["server_mem"][1, :2] = [np.nan, np.inf]
+    for name in ("container_count", "batch_count"):
+        signals[name] = rng.integers(0, 9, shape).astype(float)
+    machines = np.arange(1, 6)
+    table = SeriesTable(machines, **signals)
+    containers, batch = np.array([1, 3, 4]), np.array([2, 3, 5])
+    new, old = tmp_path / "new", tmp_path / "oracle"
+    new.mkdir()
+    old.mkdir()
+    write_aggregate_csvs(table, containers, batch, GRID, str(new))
+    oracles.write_aggregate_tables(str(old), machines.tolist(),
+                                   GRID.timestamps()[:-1].tolist(), signals,
+                                   set(containers.tolist()), set(batch.tolist()))
+    for name in ("machine_series.csv", "container_usage_agg.csv",
+                 "batch_usage_agg.csv"):
+        assert (new / name).read_bytes() == (old / name).read_bytes(), name
+    text = (new / "machine_series.csv").read_text()
+    for cell in ("-0.0", "1e-05", "1e+16", "5e-324", "nan", "inf"):
+        assert f",{cell}," in text, cell

@@ -14,6 +14,7 @@ from trace_insight.preprocess import (
     interpolate_gap,
     supplement_server_usage,
     write_dense_csv,
+    write_removed_events_csv,
     write_repair_log_csv,
 )
 from trace_insight.trace_model import (
@@ -178,6 +179,17 @@ def test_filter_rejects_unresolvable_duplicates():
                                        (5, 0.96), (5, 0.97)))
 
 
+def test_removed_events_csv_lists_each_removed_event(tmp_path):
+    _clean, removed = filter_container_events(
+        events((3, 0.9000001), (3, 0.02), (1, 0.05), (2, 1.00001), (2, 0.04)))
+    path = tmp_path / "removed.csv"
+    write_removed_events_csv(removed, str(path))
+    assert path.read_text() == ("instance,machine,mem_req\n"
+                                "3,1,0.9000001\n2,1,1.00001\n")
+    write_removed_events_csv(removed.take(np.zeros(len(removed), bool)), str(path))
+    assert path.read_text() == "instance,machine,mem_req\n"
+
+
 # ---------------------------------------------------------------------------
 # dense CSV round trip
 
@@ -226,3 +238,5 @@ def test_repair_log_percent_convention(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[1].split(",") == ["1", "cpu", "1000", "Interpolated", "12.5"]
     assert lines[2].split(",") == ["1", "load1", "1000", "ZeroFilled", "0.0"]
+    write_repair_log_csv([], str(path))
+    assert path.read_text() == "machine,metric,timestamp,method,value\n"

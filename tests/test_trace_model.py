@@ -18,6 +18,7 @@ from trace_insight.trace_model import (
     TaskStatus,
     TraceBundle,
     TraceParseError,
+    csv_lines,
     float_text,
     fraction_to_percent_text,
     load_columns,
@@ -98,10 +99,18 @@ def test_percent_round_trip_is_bit_exact(value):
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_float_text_round_trip(value):
     assert float(float_text(value)) == value
-    # the CSV writers hand Python floats to csv.writer, which writes this text
+    # csv_lines cells are this text; csv.writer writes a Python float the same
     line = io.StringIO()
     csv.writer(line, lineterminator="\n").writerow([value])
     assert line.getvalue() == float_text(value) + "\n"
+
+
+@given(st.lists(st.tuples(st.integers(), st.floats(), st.floats()), max_size=6))
+def test_csv_lines_writes_number_texts_as_csv_writer_does(rows):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    assert csv_lines(*([repr(v) for v in column] for column in zip(*rows))) \
+        == out.getvalue()
 
 
 # ---------------------------------------------------------------------------
