@@ -7,8 +7,12 @@
 
 The config file is flat key=value text; every subcommand also accepts
 key=value overrides after its flags, and the most common knobs exist as
-named flags. Precedence: config file, then named flags, then overrides.
-Failures exit nonzero with the offending stage named in the message.
+named flags. The flags are derived from the config table,
+``pipeline.CONFIG_KEYS``: each subcommand registers the flags of the keys
+its stage reads, with their help text. Only ``analyze --seed``,
+``--normalized`` and ``--label-thresholds`` are written out here.
+Precedence: config file, then named flags, then overrides. Failures exit
+nonzero with the offending stage named in the message.
 """
 
 from __future__ import annotations
@@ -16,88 +20,33 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .pipeline import STAGE_RUNNERS, StageError, apply_overrides, parse_config_file
+from .pipeline import (CONFIG_KEYS, STAGE_RUNNERS, StageError, apply_overrides,
+                       parse_config_file)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", metavar="FILE",
-                     help="flat key=value config file")
-    sub.add_argument("overrides", nargs="*", metavar="key=value",
-                     help="config overrides, applied last")
-
-
-def _flag(sub: argparse.ArgumentParser, flag: str, key: str, help_text: str,
-          keys: list[str]) -> None:
-    sub.add_argument(flag, dest=key, metavar="VALUE", help=help_text)
-    keys.append(key)
-
-
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, list[str]]]:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trace-insight",
         description="co-located datacenter trace analysis pipeline")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    flag_keys: dict[str, list[str]] = {}
-
-    synth = subparsers.add_parser(
-        "synth", help="generate a synthetic trace with planted ground truth")
-    _add_common(synth)
-    keys: list[str] = []
-    _flag(synth, "--machines", "synth_machines", "machine count", keys)
-    _flag(synth, "--quotas", "synth_quotas",
-          "per-type machine counts, 8 comma-separated integers", keys)
-    _flag(synth, "--plants", "synth_plants",
-          "anomaly plants, e.g. 'Idle:41;HeavyOnline:3:containers=18'", keys)
-    _flag(synth, "--gaps", "synth_gaps",
-          "sample gaps, e.g. '5:cpu:10-12'", keys)
-    _flag(synth, "--noise", "synth_noise", "usage noise sigma", keys)
-    _flag(synth, "--seed", "synth_seed", "generator seed (required)", keys)
-    _flag(synth, "--out-dir", "output_dir", "where to write the trace", keys)
-    flag_keys["synth"] = keys
-
-    preprocess = subparsers.add_parser(
-        "preprocess", help="repair gaps and filter duplicate container events")
-    _add_common(preprocess)
-    keys = []
-    _flag(preprocess, "--input-dir", "input_dir", "trace directory", keys)
-    _flag(preprocess, "--out-dir", "output_dir", "artifact directory", keys)
-    flag_keys["preprocess"] = keys
-
-    analyze = subparsers.add_parser(
-        "analyze", help="aggregate, DTW-score, classify, and rank anomalies")
-    _add_common(analyze)
-    keys = []
-    _flag(analyze, "--input-dir", "input_dir", "trace directory", keys)
-    _flag(analyze, "--out-dir", "output_dir", "artifact directory", keys)
-    _flag(analyze, "--sample-num", "dtw_sample_num",
-          "curves sampled for the standard value", keys)
-    _flag(analyze, "--standards", "dtw_standards",
-          "explicit standard machine ids, comma-separated", keys)
-    _flag(analyze, "--threshold", "dtw_threshold", "DTW flagging threshold", keys)
-    _flag(analyze, "--k", "classify_k", "cluster count", keys)
-    _flag(analyze, "--max-iter", "classify_max_iter", "k-means iteration cap", keys)
-    _flag(analyze, "--trees", "anomaly_trees", "isolation forest size", keys)
-    _flag(analyze, "--subsample", "anomaly_subsample",
-          "isolation tree subsample", keys)
-    _flag(analyze, "--mode", "anomaly_mode",
-          "per_machine_mean or per_interval", keys)
-    _flag(analyze, "--top-n", "anomaly_top_n", "anomalies in the report", keys)
+    for stage, runner in STAGE_RUNNERS.items():
+        sub = subparsers.add_parser(stage, help=runner.__doc__)
+        sub.add_argument("--config", metavar="FILE",
+                         help="flat key=value config file")
+        sub.add_argument("overrides", nargs="*", metavar="key=value",
+                         help="config overrides, applied last")
+        for key, row in CONFIG_KEYS.items():
+            if row.flag and stage in row.stages:
+                sub.add_argument(row.flag, dest=key, metavar="VALUE",
+                                 help=row.help)
+    analyze = subparsers.choices["analyze"]
     analyze.add_argument("--normalized", action="store_true",
                          help="report sqrt(cost)/path-length DTW distances")
     analyze.add_argument("--seed", metavar="N",
                          help="sets dtw_seed, classify_seed, and anomaly_seed")
     analyze.add_argument("--label-thresholds", metavar="SPEC",
                          help="e.g. 'always=0.9,none=0.05,gap_fraction=0.25'")
-    flag_keys["analyze"] = keys
-
-    report = subparsers.add_parser(
-        "report", help="bundle analysis artifacts into one JSON summary")
-    _add_common(report)
-    keys = []
-    _flag(report, "--out-dir", "output_dir", "artifact directory", keys)
-    flag_keys["report"] = keys
-
-    return parser, flag_keys
+    return parser
 
 
 _LABEL_THRESHOLD_KEYS = {
@@ -107,9 +56,9 @@ _LABEL_THRESHOLD_KEYS = {
 }
 
 
-def _collect_config(args: argparse.Namespace, keys: list[str]) -> dict[str, str]:
+def _collect_config(args: argparse.Namespace) -> dict[str, str]:
     config = parse_config_file(args.config) if args.config else {}
-    for key in keys:
+    for key in CONFIG_KEYS:   # the flags of this subcommand's keys
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
@@ -136,10 +85,9 @@ def _collect_config(args: argparse.Namespace, keys: list[str]) -> dict[str, str]
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, flag_keys = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _collect_config(args, flag_keys[args.command])
+        config = _collect_config(args)
         out_dir = STAGE_RUNNERS[args.command](config)
     except StageError as e:
         print(f"trace-insight: error {e}", file=sys.stderr)

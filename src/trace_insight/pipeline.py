@@ -22,8 +22,9 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import math
 import os
-from collections import Counter
+from collections import Counter, namedtuple
 
 from . import __version__
 from .aggregate import (
@@ -118,45 +119,180 @@ class StageError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# config handling
+# config handling: one table row per key, and one reader
 
-_DEFAULTS = {
-    "grid_start": "39600",
-    "grid_end": "82500",
-    "grid_step": "300",
-    "has_header": "false",
-    "schema_profile": "default",
-    "max_skip_ratio": "0.01",
-    "duration_weighted": "false",
-    "dtw_sample_num": "8",
-    "dtw_standard_count": "4",
-    "dtw_standards": "",
-    "dtw_threshold": "3.0",
-    "dtw_normalized": "false",
-    "dtw_range_edges": "0,1,2,3,5",
-    "dtw_suitability_gap": "1.0",
-    "classify_k": "8",
-    "classify_max_iter": "100",
-    "classify_restarts": "10",
-    "classify_always": "0.90",
-    "classify_none": "0.05",
-    "classify_gap_fraction": "0.25",
-    "anomaly_trees": "100",
-    "anomaly_subsample": "256",
-    "anomaly_mode": "per_machine_mean",
-    "anomaly_top_n": "25",
-    "anomaly_normalize": "false",
-    "anomaly_heavier_factor": "1.5",
-    "synth_noise": "0.0",
-    "synth_plants": "",
-    "synth_gaps": "",
+def _parse_plants(raw: str, stage: str) -> tuple[AnomalyPlant, ...]:
+    """Parse 'Kind:machine[:key=val,...]' items separated by ';'."""
+    plants = []
+    kinds = {kind.value: kind for kind in PlantKind}
+    for item in filter(None, (part.strip() for part in raw.split(";"))):
+        pieces = item.split(":")
+        if len(pieces) < 2:
+            raise StageError(stage, f"plant must be Kind:machine, got {item!r}")
+        kind_name, machine = pieces[0], pieces[1]
+        if kind_name not in kinds:
+            raise StageError(stage, f"unknown plant kind {kind_name!r} "
+                                    f"(expected one of {sorted(kinds)})")
+        params = []
+        try:
+            for pair in pieces[2].split(",") if len(pieces) > 2 else ():
+                if "=" not in pair:
+                    raise StageError(stage, f"bad plant param {pair!r}")
+                name, value = pair.split("=", 1)
+                params.append((name.strip(), float(value)))
+            plants.append(AnomalyPlant(machine=int(machine),
+                                       kind=kinds[kind_name],
+                                       params=tuple(params)))
+        except ValueError as e:
+            raise StageError(stage, f"bad plant {item!r}: {e}") from e
+    return tuple(plants)
+
+
+def _parse_gaps(raw: str, stage: str) -> tuple[GapPlant, ...]:
+    """Parse 'machine:metric:lo-hi' items (inclusive slot range) separated
+    by ';'."""
+    gaps = []
+    for item in filter(None, (part.strip() for part in raw.split(";"))):
+        pieces = item.split(":")
+        if len(pieces) != 3:
+            raise StageError(stage, f"gap must be machine:metric:lo-hi, got {item!r}")
+        machine, metric, span = pieces
+        try:
+            if "-" in span:
+                lo, hi = span.split("-", 1)
+                slots = tuple(range(int(lo), int(hi) + 1))
+            else:
+                slots = (int(span),)
+            gaps.append(GapPlant(machine=int(machine), metric=metric, slots=slots))
+        except ValueError as e:
+            raise StageError(stage, f"bad gap {item!r}: {e}") from e
+    return tuple(gaps)
+
+
+def _bool(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered in ("true", "1", "yes"):
+        return True
+    if lowered in ("false", "0", "no"):
+        return False
+    raise ValueError(raw)
+
+
+def _list_of(number):
+    return lambda raw: [number(part) for part in raw.split(",") if part.strip() != ""]
+
+
+# kind: (parse, what the value must be when parse raises ValueError)
+_KINDS = {
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "float or empty": (lambda raw: float(raw) if raw.strip() else None, "a number"),
+    "bool": (_bool, "true/false"),
+    "int list": (_list_of(int), "a comma-separated list of integers"),
+    "float list": (_list_of(float), "a comma-separated list of numbers"),
+    "text": (str, "text"),
 }
 
-_SEED_KEYS = ("dtw_seed", "classify_seed", "anomaly_seed", "synth_seed")
 
-KNOWN_KEYS = frozenset(_DEFAULTS) | frozenset(_SEED_KEYS) | {
-    "input_dir", "output_dir",
-    "synth_machines", "synth_quotas",
+def _at_least(low: int) -> tuple:
+    return (lambda value: value >= low), f">= {low}"
+
+
+_FRACTION = ((lambda value: 0 <= value <= 1), "in [0, 1]")
+_SORTED = ((lambda edges: edges == sorted(edges)), "sorted")
+
+
+# One config key. ``kind`` is a name in _KINDS, the Enum of the allowed
+# texts, or a ``parse(raw, stage)`` that raises its own StageError; every
+# number it yields must be finite. ``default`` None means required. ``rule``
+# is a (test, text) pair the parsed value must pass; a value that fails it
+# is refused as "must be <text>". ``help`` serves the flag and the README.
+# (A namedtuple, not a dataclass: it is built at every CLI start.)
+ConfigKey = namedtuple("ConfigKey", "kind default stages help rule flag",
+                       defaults=(None, None))
+
+
+_EVERY = ("synth", "preprocess", "analyze", "report")
+_GRID = ("synth", "preprocess", "analyze")
+_PARSE = ("preprocess", "analyze")
+_SYNTH = ("synth",)
+_ANALYZE = ("analyze",)
+
+CONFIG_KEYS = {
+    "input_dir": ConfigKey("text", None, _PARSE, "trace directory",
+                           flag="--input-dir"),
+    "output_dir": ConfigKey("text", None, _EVERY, "where the stage writes "
+                            "(the trace, for synth)", flag="--out-dir"),
+    "grid_start": ConfigKey("int", "39600", _GRID, "first interval boundary (s)"),
+    "grid_end": ConfigKey("int", "82500", _GRID, "last interval boundary (s)"),
+    "grid_step": ConfigKey("int", "300", _GRID, "interval length (s)"),
+    "has_header": ConfigKey("bool", "false", _PARSE, "CSVs carry a header row"),
+    "schema_profile": ConfigKey("text", "default", _PARSE,
+                                "column-order profile for the six CSVs"),
+    "max_skip_ratio": ConfigKey("float", "0.01", _PARSE, "tolerated share of "
+                                "malformed rows per file", _FRACTION),
+    "duration_weighted": ConfigKey("bool", "false", _ANALYZE,
+                                   "weight batch usage by in-interval runtime"),
+    "dtw_sample_num": ConfigKey("int", "8", _ANALYZE, "curves sampled for the "
+                                "standard-value median", flag="--sample-num"),
+    "dtw_standard_count": ConfigKey("int", "4", _ANALYZE,
+                                    "standards drawn from the sample"),
+    "dtw_standards": ConfigKey("int list", "", _ANALYZE, "pinned standard "
+                               "machine ids, e.g. 16,19,28,36", flag="--standards"),
+    "dtw_threshold": ConfigKey("float", "3.0", _ANALYZE, "mean-distance "
+                               "flagging threshold", flag="--threshold"),
+    "dtw_normalized": ConfigKey("bool", "false", _ANALYZE,
+                                "use sqrt(cost)/path-length distances"),
+    "dtw_range_edges": ConfigKey("float list", "0,1,2,3,5", _ANALYZE,
+                                 "histogram bucket edges", _SORTED),
+    "dtw_suitability_gap": ConfigKey("float or empty", "1.0", _ANALYZE,
+                                     "sup-norm gap for the standard "
+                                     "suitability warning; empty for none"),
+    "dtw_seed": ConfigKey("int", None, _ANALYZE, "sampling seed (analyze --seed)",
+                          _at_least(0)),
+    "classify_k": ConfigKey("int", "8", _ANALYZE, "k-means cluster count",
+                            _at_least(1), flag="--k"),
+    "classify_max_iter": ConfigKey("int", "100", _ANALYZE, "Lloyd iteration cap",
+                                   _at_least(1), flag="--max-iter"),
+    "classify_restarts": ConfigKey("int", "10", _ANALYZE, "k-means++ restarts, "
+                                   "best inertia wins", _at_least(1)),
+    "classify_always": ConfigKey("float", "0.90", _ANALYZE, "centroid occupancy "
+                                 "that counts as throughout", _FRACTION),
+    "classify_none": ConfigKey("float", "0.05", _ANALYZE, "centroid occupancy "
+                               "that counts as absent", _FRACTION),
+    "classify_gap_fraction": ConfigKey("float", "0.25", _ANALYZE, "batch gap, as "
+                                       "a share of the grid, that is still "
+                                       "Type7", _FRACTION),
+    "classify_seed": ConfigKey("int", None, _ANALYZE,
+                               "k-means seed (analyze --seed)", _at_least(0)),
+    "anomaly_trees": ConfigKey("int", "100", _ANALYZE, "isolation forest size",
+                               _at_least(1), flag="--trees"),
+    "anomaly_subsample": ConfigKey("int", "256", _ANALYZE, "rows per tree",
+                                   _at_least(2), flag="--subsample"),
+    "anomaly_mode": ConfigKey(FeatureMode, "per_machine_mean", _ANALYZE,
+                              "per_machine_mean or per_interval features",
+                              flag="--mode"),
+    "anomaly_top_n": ConfigKey("int", "25", _ANALYZE, "ranking length in the "
+                               "report", _at_least(0), flag="--top-n"),
+    "anomaly_normalize": ConfigKey("bool", "false", _ANALYZE,
+                                   "z-score features first"),
+    "anomaly_heavier_factor": ConfigKey("float", "1.5", _ANALYZE, "container-"
+                                        "count factor for the heavy-online cause"),
+    "anomaly_seed": ConfigKey("int", None, _ANALYZE, "forest seed (analyze --seed)",
+                              _at_least(0)),
+    "synth_machines": ConfigKey("int", None, _SYNTH, "machine count",
+                                flag="--machines"),
+    "synth_quotas": ConfigKey("int list", None, _SYNTH, "per-type machine counts, "
+                              "8 comma-separated integers", flag="--quotas"),
+    "synth_seed": ConfigKey("int", None, _SYNTH, "generator seed", _at_least(0),
+                            flag="--seed"),
+    "synth_noise": ConfigKey("float", "0.0", _SYNTH, "usage noise sigma",
+                             _at_least(0), flag="--noise"),
+    "synth_plants": ConfigKey(_parse_plants, "", _SYNTH, "anomaly plants "
+                              "Kind:machine[:key=val,...], ;-separated",
+                              flag="--plants"),
+    "synth_gaps": ConfigKey(_parse_gaps, "", _SYNTH, "sensor gaps "
+                            "machine:metric:lo-hi, ;-separated", flag="--gaps"),
 }
 
 
@@ -173,7 +309,7 @@ def parse_config_file(path: str) -> dict[str, str]:
                         "config", f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, value = line.split("=", 1)
                 key = key.strip()
-                if key not in KNOWN_KEYS:
+                if key not in CONFIG_KEYS:
                     raise StageError("config", f"{path}:{lineno}: unknown key {key!r}")
                 config[key] = value.strip()
     except OSError as e:
@@ -188,63 +324,57 @@ def apply_overrides(config: dict[str, str], overrides: list[str]) -> dict[str, s
             raise StageError("config", f"override must be key=value, got {item!r}")
         key, value = item.split("=", 1)
         key = key.strip()
-        if key not in KNOWN_KEYS:
+        if key not in CONFIG_KEYS:
             raise StageError("config", f"unknown override key {key!r}")
         merged[key] = value.strip()
     return merged
 
 
-def _get(config: dict[str, str], key: str, stage: str) -> str:
-    if key in config:
-        return config[key]
-    if key in _DEFAULTS:
-        return _DEFAULTS[key]
-    hint = " (seeds must be explicit)" if key in _SEED_KEYS else ""
-    raise StageError(stage, f"missing required config key {key!r}{hint}")
+def _refusal(stage: str, key: str, what: str, raw: str) -> StageError:
+    return StageError(stage, f"config key {key!r} must be {what}, got {raw!r}")
 
 
-def _get_int(config, key, stage) -> int:
-    raw = _get(config, key, stage)
+def _read_key(config: dict[str, str], key: str, stage: str):
+    """The value of ``key`` in ``config``, or its default, parsed by its
+    kind and checked against its range."""
+    row = CONFIG_KEYS[key]
+    kind, raw = row.kind, config.get(key, row.default)
+    if raw is None:
+        hint = " (seeds must be explicit)" if key.endswith("_seed") else ""
+        raise StageError(stage, f"missing required config key {key!r}{hint}")
+    if kind in _KINDS:
+        parse, noun = _KINDS[kind]
+        try:
+            value = parse(raw)
+        except ValueError:
+            raise _refusal(stage, key, noun, raw) from None
+    elif isinstance(kind, type):   # the Enum of the allowed texts
+        try:
+            value = kind(raw)
+        except ValueError:
+            raise StageError(stage, f"{key} must be one of "
+                                    f"{[m.value for m in kind]}, got {raw!r}") from None
+    else:
+        value = kind(raw, stage)
+    if row.rule is not None and not row.rule[0](value):
+        raise _refusal(stage, key, row.rule[1], raw)
+    numbers = value if isinstance(value, list) else [value]
+    if not all(math.isfinite(x) for x in numbers if isinstance(x, float)):
+        raise _refusal(stage, key, "finite", raw)
+    return value
+
+
+def read_config(config: dict[str, str], stage: str) -> dict:
+    """Every key ``stage`` reads, parsed and range-checked, so that a bad
+    value fails before the stage opens any input."""
+    return {key: _read_key(config, key, stage)
+            for key, row in CONFIG_KEYS.items() if stage in row.stages}
+
+
+def _grid(values: dict, stage: str) -> IntervalGrid:
     try:
-        return int(raw)
-    except ValueError:
-        raise StageError(stage, f"config key {key!r} must be an integer, "
-                                f"got {raw!r}") from None
-
-
-def _get_float(config, key, stage) -> float:
-    raw = _get(config, key, stage)
-    try:
-        return float(raw)
-    except ValueError:
-        raise StageError(stage, f"config key {key!r} must be a number, "
-                                f"got {raw!r}") from None
-
-
-def _get_bool(config, key, stage) -> bool:
-    raw = _get(config, key, stage).lower()
-    if raw in ("true", "1", "yes"):
-        return True
-    if raw in ("false", "0", "no"):
-        return False
-    raise StageError(stage, f"config key {key!r} must be true/false, got {raw!r}")
-
-
-def _get_list(config, key, stage, kind=int) -> list:
-    raw = _get(config, key, stage)
-    try:
-        return [kind(part) for part in raw.split(",") if part.strip() != ""]
-    except ValueError:
-        noun = "integers" if kind is int else "numbers"
-        raise StageError(stage, f"config key {key!r} must be a comma-separated "
-                                f"list of {noun}, got {raw!r}") from None
-
-
-def _grid(config, stage) -> IntervalGrid:
-    try:
-        return IntervalGrid(_get_int(config, "grid_start", stage),
-                            _get_int(config, "grid_end", stage),
-                            _get_int(config, "grid_step", stage))
+        return IntervalGrid(values["grid_start"], values["grid_end"],
+                            values["grid_step"])
     except ValueError as e:
         raise StageError(stage, f"bad grid: {e}") from e
 
@@ -309,68 +439,20 @@ def _digest_inputs(input_dir: str, stage: str) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 # stage: synth
 
-def _parse_plants(raw: str, stage: str) -> tuple[AnomalyPlant, ...]:
-    """Parse 'Kind:machine[:key=val,...]' items separated by ';'."""
-    plants = []
-    kinds = {kind.value: kind for kind in PlantKind}
-    for item in filter(None, (part.strip() for part in raw.split(";"))):
-        pieces = item.split(":")
-        if len(pieces) < 2:
-            raise StageError(stage, f"plant must be Kind:machine, got {item!r}")
-        kind_name, machine = pieces[0], pieces[1]
-        if kind_name not in kinds:
-            raise StageError(stage, f"unknown plant kind {kind_name!r} "
-                                    f"(expected one of {sorted(kinds)})")
-        params = []
-        try:
-            for pair in pieces[2].split(",") if len(pieces) > 2 else ():
-                if "=" not in pair:
-                    raise StageError(stage, f"bad plant param {pair!r}")
-                name, value = pair.split("=", 1)
-                params.append((name.strip(), float(value)))
-            plants.append(AnomalyPlant(machine=int(machine),
-                                       kind=kinds[kind_name],
-                                       params=tuple(params)))
-        except ValueError as e:
-            raise StageError(stage, f"bad plant {item!r}: {e}") from e
-    return tuple(plants)
-
-
-def _parse_gaps(raw: str, stage: str) -> tuple[GapPlant, ...]:
-    """Parse 'machine:metric:lo-hi' items (inclusive slot range) separated
-    by ';'."""
-    gaps = []
-    for item in filter(None, (part.strip() for part in raw.split(";"))):
-        pieces = item.split(":")
-        if len(pieces) != 3:
-            raise StageError(stage, f"gap must be machine:metric:lo-hi, got {item!r}")
-        machine, metric, span = pieces
-        try:
-            if "-" in span:
-                lo, hi = span.split("-", 1)
-                slots = tuple(range(int(lo), int(hi) + 1))
-            else:
-                slots = (int(span),)
-            gaps.append(GapPlant(machine=int(machine), metric=metric, slots=slots))
-        except ValueError as e:
-            raise StageError(stage, f"bad gap {item!r}: {e}") from e
-    return tuple(gaps)
-
-
 def run_synth(config: dict[str, str]) -> str:
+    """generate a synthetic trace with planted ground truth"""
     stage = "synth"
-    out_dir = _get(config, "output_dir", stage)
-    grid = _grid(config, stage)
-    quotas = tuple(_get_list(config, "synth_quotas", stage))
+    values = read_config(config, stage)
     synth_config = SynthConfig(
-        machine_count=_get_int(config, "synth_machines", stage),
-        grid=grid,
-        quotas=quotas,
-        seed=_get_int(config, "synth_seed", stage),
-        noise_level=_get_float(config, "synth_noise", stage),
-        anomaly_plants=_parse_plants(_get(config, "synth_plants", stage), stage),
-        gap_plants=_parse_gaps(_get(config, "synth_gaps", stage), stage),
+        machine_count=values["synth_machines"],
+        grid=_grid(values, stage),
+        quotas=tuple(values["synth_quotas"]),
+        seed=values["synth_seed"],
+        noise_level=values["synth_noise"],
+        anomaly_plants=values["synth_plants"],
+        gap_plants=values["synth_gaps"],
     )
+    out_dir = values["output_dir"]
     _prepare_out_dir(out_dir, stage)
     try:
         bundle, truth = write_synthetic_trace(synth_config, out_dir)
@@ -395,18 +477,16 @@ def run_synth(config: dict[str, str]) -> str:
 # ---------------------------------------------------------------------------
 # stage: preprocess
 
-def _parse_args(config: dict[str, str], stage: str) -> dict:
-    """The config values that decide how the trace parses."""
-    return {"schema_profile": _get(config, "schema_profile", stage),
-            "has_header": _get_bool(config, "has_header", stage),
-            "max_skip_ratio": _get_float(config, "max_skip_ratio", stage)}
-
-
-def _parse_bundle(input_dir: str, parse_args: dict, stage: str):
-    """Parse the input trace; returns (bundle, diagnostics of skipped rows)."""
+def _parse_bundle(input_dir: str, values: dict, stage: str):
+    """Parse the input trace as the config ``values`` say; returns (bundle,
+    diagnostics of skipped rows)."""
     diagnostics: list = []
     try:
-        bundle = parse_trace_dir(input_dir, **parse_args, diagnostics=diagnostics)
+        bundle = parse_trace_dir(input_dir,
+                                 schema_profile=values["schema_profile"],
+                                 has_header=values["has_header"],
+                                 max_skip_ratio=values["max_skip_ratio"],
+                                 diagnostics=diagnostics)
     except TraceParseError as e:
         raise StageError(stage, str(e)) from e
     return bundle, diagnostics
@@ -418,12 +498,12 @@ def _skipped_counts(skipped) -> dict[str, int]:
 
 
 def run_preprocess(config: dict[str, str]) -> str:
+    """repair gaps and filter duplicate container events"""
     stage = "preprocess"
-    out_dir = _get(config, "output_dir", stage)
-    grid = _grid(config, stage)
-    input_dir = _get(config, "input_dir", stage)
-    bundle, diagnostics = _parse_bundle(input_dir, _parse_args(config, stage),
-                                        stage)
+    values = read_config(config, stage)
+    grid = _grid(values, stage)
+    out_dir, input_dir = values["output_dir"], values["input_dir"]
+    bundle, diagnostics = _parse_bundle(input_dir, values, stage)
     _prepare_out_dir(out_dir, stage)
     try:
         dense, annotations = supplement_server_usage(bundle, grid)
@@ -460,20 +540,11 @@ def run_preprocess(config: dict[str, str]) -> str:
 # ---------------------------------------------------------------------------
 # stage: analyze
 
-def _feature_mode(config, stage) -> FeatureMode:
-    raw = _get(config, "anomaly_mode", stage)
-    for mode in FeatureMode:
-        if mode.value == raw:
-            return mode
-    raise StageError(stage, f"anomaly_mode must be one of "
-                            f"{[m.value for m in FeatureMode]}, got {raw!r}")
-
-
-def _preprocessed_columns(out_dir: str, inputs: dict[str, str], parse_args: dict,
-                          stage: str):
+def _preprocessed_columns(out_dir: str, inputs: dict[str, str],
+                          config: dict[str, str], stage: str):
     """The trace a preprocess run in ``out_dir`` parsed, as (bundle, rows
     skipped per file key), when its manifest shows that it parsed these
-    ``inputs`` as ``parse_args`` would and the columns file is the one it
+    ``inputs`` as ``config`` says to and the columns file is the one it
     wrote; None otherwise, and the caller parses."""
     try:
         with open(os.path.join(out_dir, "manifest-preprocess.json"),
@@ -481,88 +552,43 @@ def _preprocessed_columns(out_dir: str, inputs: dict[str, str], parse_args: dict
             manifest = json.load(fh)
     except (OSError, ValueError):   # none, or cut short by a killed run
         return None
-    if _parse_disagreements(manifest, inputs, parse_args, stage):
+    if _parse_disagreements(manifest, inputs, config, stage):
         return None
     path = os.path.join(out_dir, COLUMNS_FILENAME)
     recorded = manifest.get("trace_columns", {}).get(COLUMNS_FILENAME)
     if not os.path.exists(path) or _sha256(path) != recorded:
         return None
     try:
-        return load_columns(path, parse_args["max_skip_ratio"])
+        return load_columns(path, _read_key(config, "max_skip_ratio", stage))
     except TraceParseError as e:
         raise StageError(stage, str(e)) from e
 
 
 def run_analyze(config: dict[str, str]) -> str:
+    """aggregate, DTW-score, classify, and rank anomalies"""
     stage = "analyze"
-    out_dir = _get(config, "output_dir", stage)
-    grid = _grid(config, stage)
-    # every value is read, and fails here, before any input is opened
-    duration_weighted = _get_bool(config, "duration_weighted", stage)
-    select_args = {
-        "sample_num": _get_int(config, "dtw_sample_num", stage),
-        "seed": _get_int(config, "dtw_seed", stage),
-        "standard_count": _get_int(config, "dtw_standard_count", stage),
-        "standard_machines": _get_list(config, "dtw_standards", stage) or None,
-    }
-    score_args = {
-        "threshold": _get_float(config, "dtw_threshold", stage),
-        "range_edges": (tuple(_get_list(config, "dtw_range_edges", stage, float))
-                        or DEFAULT_RANGE_EDGES),
-        "normalized": _get_bool(config, "dtw_normalized", stage),
-        "suitability_gap": (_get_float(config, "dtw_suitability_gap", stage)
-                            if _get(config, "dtw_suitability_gap", stage).strip()
-                            else None),
-    }
-    kmeans_args = {
-        "k": _get_int(config, "classify_k", stage),
-        "seed": _get_int(config, "classify_seed", stage),
-        "max_iter": _get_int(config, "classify_max_iter", stage),
-        "n_init": _get_int(config, "classify_restarts", stage),
-    }
-    thresholds = LabelThresholds(
-        always=_get_float(config, "classify_always", stage),
-        none=_get_float(config, "classify_none", stage),
-        gap_fraction=_get_float(config, "classify_gap_fraction", stage))
-    mode = _feature_mode(config, stage)
-    normalize = _get_bool(config, "anomaly_normalize", stage)
-    forest_args = {
-        "tree_count": _get_int(config, "anomaly_trees", stage),
-        "subsample": _get_int(config, "anomaly_subsample", stage),
-        "seed": _get_int(config, "anomaly_seed", stage),
-    }
-    heavier = _get_float(config, "anomaly_heavier_factor", stage)
-    top_n = _get_int(config, "anomaly_top_n", stage)
-    parse_args = _parse_args(config, stage)
-    # so are the ranges that need no data; the ones that do (k against the
-    # distinct rows, standards against the machines) wait for the trace
-    edges = score_args["range_edges"]
-    ranges = [
-        ("dtw_range_edges", list(edges) == sorted(edges), "sorted"),
-        ("classify_k", kmeans_args["k"] >= 1, ">= 1"),
-        ("classify_restarts", kmeans_args["n_init"] >= 1, ">= 1"),
-        ("anomaly_trees", forest_args["tree_count"] >= 1, ">= 1"),
-        ("anomaly_subsample", forest_args["subsample"] >= 2, ">= 2"),
-        ("anomaly_top_n", top_n >= 0, ">= 0"),
-    ]
-    if select_args["standard_machines"] is None:
-        sample_num = select_args["sample_num"]
-        ranges += [
-            ("dtw_sample_num", sample_num >= 2, ">= 2"),
-            ("dtw_standard_count",
-             1 <= select_args["standard_count"] <= sample_num,
-             f"in [1, dtw_sample_num={sample_num}]"),
-        ]
-    for key, ok, rule in ranges:
-        if not ok:
-            raise StageError(stage, f"config key {key!r} must be {rule}, "
-                                    f"got {_get(config, key, stage)!r}")
+    # every value is read, and fails here, before any input is opened; so
+    # are the ranges that need no data (k against the distinct rows and the
+    # standards against the machines wait for the trace)
+    values = read_config(config, stage)
+    grid = _grid(values, stage)
+    pinned = values["dtw_standards"] or None
+    sample_num = values["dtw_sample_num"]
+    if pinned is None:   # the sample sizes matter only to a drawn sample
+        for key, ok, rule in [
+                ("dtw_sample_num", sample_num >= 2, ">= 2"),
+                ("dtw_standard_count",
+                 1 <= values["dtw_standard_count"] <= sample_num,
+                 f"in [1, dtw_sample_num={sample_num}]")]:
+            if not ok:
+                raise _refusal(stage, key, rule,
+                               config.get(key, CONFIG_KEYS[key].default))
 
-    input_dir = _get(config, "input_dir", stage)
+    out_dir, input_dir = values["output_dir"], values["input_dir"]
     inputs = _digest_inputs(input_dir, stage)
-    loaded = _preprocessed_columns(out_dir, inputs, parse_args, stage)
+    loaded = _preprocessed_columns(out_dir, inputs, config, stage)
     if loaded is None:
-        bundle, diagnostics = _parse_bundle(input_dir, parse_args, stage)
+        bundle, diagnostics = _parse_bundle(input_dir, values, stage)
         skipped = Counter(diag.file for diag in diagnostics)
     else:
         bundle, skipped = loaded
@@ -576,26 +602,38 @@ def run_analyze(config: dict[str, str]) -> str:
 
         diag = AggDiagnostics()
         containers = aggregate_container_usage(bundle, grid, diag)
-        batch = aggregate_batch_usage(bundle, grid, diag,
-                                      duration_weighted=duration_weighted)
+        batch = aggregate_batch_usage(
+            bundle, grid, diag, duration_weighted=values["duration_weighted"])
         table = build_machine_series(bundle, grid, dense, containers, batch)
         write_aggregate_csvs(table, containers.machines, batch.machines, grid,
                              out_dir)
 
         # similarity; machine m is row m - 1 of the table and its curves
         curves = build_resource_curves(table)
-        standard_value, standards = select_standard(curves, **select_args)
+        standard_value, standards = select_standard(
+            curves, sample_num=sample_num, seed=values["dtw_seed"],
+            standard_count=values["dtw_standard_count"],
+            standard_machines=pinned)
         dtw_report = score_similarity(
             curves, curves[[m - 1 for m in standards]], standards,
-            standard_value=standard_value, **score_args)
+            standard_value=standard_value, threshold=values["dtw_threshold"],
+            range_edges=(tuple(values["dtw_range_edges"])
+                         or DEFAULT_RANGE_EDGES),
+            normalized=values["dtw_normalized"],
+            suitability_gap=values["dtw_suitability_gap"])
         write_distances_csv(dtw_report, os.path.join(out_dir, "dtw_distances.csv"))
         write_flags_csv(dtw_report, os.path.join(out_dir, "dtw_flags.csv"))
         write_histogram_json(dtw_report, os.path.join(out_dir, "dtw_histogram.json"))
 
         # classification
         machines, matrix = occupancy_matrix(table)
-        model = kmeans_fit(machines, matrix, **kmeans_args)
-        model = label_clusters(model, thresholds)
+        model = kmeans_fit(machines, matrix, k=values["classify_k"],
+                           seed=values["classify_seed"],
+                           max_iter=values["classify_max_iter"],
+                           n_init=values["classify_restarts"])
+        model = label_clusters(model, LabelThresholds(
+            always=values["classify_always"], none=values["classify_none"],
+            gap_fraction=values["classify_gap_fraction"]))
         cat_report = category_report(model, table)
         write_assignments_csv(model, os.path.join(out_dir, "assignments.csv"))
         write_counts_json(model, cat_report,
@@ -604,10 +642,13 @@ def run_analyze(config: dict[str, str]) -> str:
                              os.path.join(out_dir, "plot_type_usage.csv"))
 
         # anomaly
+        mode = values["anomaly_mode"]
         feat_machines, feat_matrix = build_feature_matrix(table, mode)
-        if normalize:
+        if values["anomaly_normalize"]:
             feat_matrix = zscore_normalize(feat_matrix)
-        forest = iforest_fit(feat_matrix, **forest_args)
+        forest = iforest_fit(feat_matrix, tree_count=values["anomaly_trees"],
+                             subsample=values["anomaly_subsample"],
+                             seed=values["anomaly_seed"])
         anomaly_report = score_machines(forest, feat_machines, feat_matrix, mode)
         labels = {m: model.labels[model.assignments[m]] for m in model.machines}
         anomaly_report.labels = labels
@@ -616,11 +657,12 @@ def run_analyze(config: dict[str, str]) -> str:
         anomaly_report.causes = {
             m: diagnose(labels.get(m, ""), softerrors.get(m, []),
                         table.batch_count[m - 1], table.container_count[m - 1],
-                        stats, grid, heavier_factor=heavier)
+                        stats, grid,
+                        heavier_factor=values["anomaly_heavier_factor"])
             for m in anomaly_report.machines
         }
         write_scores_csv(anomaly_report, os.path.join(out_dir, "anomaly_scores.csv"))
-        write_anomaly_json(anomaly_report, top_n,
+        write_anomaly_json(anomaly_report, values["anomaly_top_n"],
                            os.path.join(out_dir, "anomaly_report.json"))
         write_score_distribution_csv(
             anomaly_report, os.path.join(out_dir, "plot_score_distribution.csv"))
@@ -638,7 +680,8 @@ def run_analyze(config: dict[str, str]) -> str:
                        "flagged": len(dtw_report.flagged),
                        "scored": len(anomaly_report.machines),
                        "negative_scores": anomaly_report.negative_count,
-                       "top_ranked": min(top_n, len(anomaly_report.ranking)),
+                       "top_ranked": min(values["anomaly_top_n"],
+                                         len(anomaly_report.ranking)),
                        **diag.counts(),
                        **_skipped_counts(skipped),
                        "trace_columns_reused": int(loaded is not None),
@@ -682,12 +725,12 @@ def _check_digests(out_dir: str, names, manifest: dict, manifest_name: str,
 
 
 def _parse_disagreements(manifest: dict, inputs: dict[str, str],
-                         parse_args: dict, stage: str) -> list[str]:
+                         config: dict[str, str], stage: str) -> list[str]:
     """What keeps a preprocess manifest from vouching that its run parsed
-    ``inputs`` as ``parse_args`` would: an empty list when nothing does."""
-    recorded = _parse_args(manifest.get("config", {}), stage)
+    ``inputs`` as ``config`` says to: an empty list when nothing does."""
+    recorded = manifest.get("config", {})
     checks = [("input digests", manifest.get("inputs") == inputs)]
-    checks += [(key, recorded[key] == parse_args[key])
+    checks += [(key, _read_key(recorded, key, stage) == _read_key(config, key, stage))
                for key in ("schema_profile", "has_header")]
     return [what for what, agrees in checks if not agrees]
 
@@ -702,10 +745,10 @@ def _preprocess_summary(out_dir: str, analyze_manifest: dict, stage: str) -> dic
     with open(path, encoding="utf-8") as fh:
         manifest = json.load(fh)
     ours, theirs = manifest.get("config", {}), analyze_manifest["config"]
-    stale = _parse_disagreements(manifest, analyze_manifest["inputs"],
-                                 _parse_args(theirs, stage), stage)
+    stale = _parse_disagreements(manifest, analyze_manifest["inputs"], theirs,
+                                 stage)
     stale += [key for key in ("grid_start", "grid_end", "grid_step")
-              if _get_int(ours, key, stage) != _get_int(theirs, key, stage)]
+              if _read_key(ours, key, stage) != _read_key(theirs, key, stage)]
     if stale:
         raise StageError(stage, f"{name} in {out_dir} disagrees with "
                                 f"manifest-analyze.json on {', '.join(stale)}; "
@@ -740,9 +783,9 @@ def build_report(out_dir: str) -> dict:
         "schema_version": REPORT_SCHEMA_VERSION,
         "tool_version": __version__,
         "grid": {
-            "start": int(grid_config.get("grid_start", _DEFAULTS["grid_start"])),
-            "end": int(grid_config.get("grid_end", _DEFAULTS["grid_end"])),
-            "step": int(grid_config.get("grid_step", _DEFAULTS["grid_step"])),
+            "start": _read_key(grid_config, "grid_start", stage),
+            "end": _read_key(grid_config, "grid_end", stage),
+            "step": _read_key(grid_config, "grid_step", stage),
             "interval_count": analyze_manifest["row_counts"]["intervals"],
         },
         "preprocess": preprocess_summary,
@@ -770,8 +813,9 @@ def build_report(out_dir: str) -> dict:
 
 
 def run_report(config: dict[str, str]) -> str:
+    """bundle analysis artifacts into one JSON summary"""
     stage = "report"
-    out_dir = _get(config, "output_dir", stage)
+    out_dir = read_config(config, stage)["output_dir"]
     report = build_report(out_dir)
     _prepare_out_dir(out_dir, stage)
     path = os.path.join(out_dir, REPORT_FILENAME)

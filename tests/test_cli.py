@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from trace_insight.cli import main
+from trace_insight.cli import build_parser, main
 from trace_insight.pipeline import ANALYZE_FILENAMES
 
 GRID_END = 39600 + 24 * 300
@@ -140,6 +141,30 @@ def test_overrides_beat_flags_beat_config(pipeline_dirs, tmp_path):
     # trace in memory without materializing a dense table
     assert not (flag_out / "dense_usage.csv").exists()
     assert set(ANALYZE_FILENAMES) <= set(os.listdir(flag_out))
+
+
+# every subcommand also has --config; deriving the flags from the config
+# table must not add, drop or rename any of these
+CLI_OPTIONS = {
+    "synth": {"--machines", "--quotas", "--plants", "--gaps", "--noise",
+              "--seed", "--out-dir"},
+    "preprocess": {"--input-dir", "--out-dir"},
+    "analyze": {"--input-dir", "--out-dir", "--sample-num", "--standards",
+                "--threshold", "--k", "--max-iter", "--trees", "--subsample",
+                "--mode", "--top-n", "--normalized", "--seed",
+                "--label-thresholds"},
+    "report": {"--out-dir"},
+}
+
+
+def test_each_subcommand_keeps_its_options():
+    subparsers, = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == set(CLI_OPTIONS)
+    for command, sub in subparsers.choices.items():
+        options = {option for action in sub._actions
+                   for option in action.option_strings}
+        assert options - {"-h", "--help"} == CLI_OPTIONS[command] | {"--config"}
 
 
 def test_success_message_names_stage_and_directory(tmp_path, capsys):

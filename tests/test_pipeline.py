@@ -1,18 +1,21 @@
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from trace_insight import __version__, trace_model
 from trace_insight.pipeline import (
     ANALYZE_FILENAMES,
+    CONFIG_KEYS,
     StageError,
     _parse_gaps,
     _parse_plants,
     apply_overrides,
     build_report,
     parse_config_file,
+    read_config,
     run_analyze,
     run_preprocess,
     run_report,
@@ -393,6 +396,24 @@ BAD_CONFIG_VALUES = [
     ("analyze", "dtw_standard_count", "0", r"must be in \[1, dtw_sample_num=8\]"),
     ("analyze", "dtw_standard_count", "9", r"must be in \[1, dtw_sample_num=8\]"),
     ("preprocess", "max_skip_ratio", "some", "must be a number"),
+    ("preprocess", "has_header", "Maybe", "must be true/false"),
+    # values that parse but lie outside what their key allows
+    ("preprocess", "max_skip_ratio", "nan", r"must be in \[0, 1\]"),
+    ("preprocess", "max_skip_ratio", "1.5", r"must be in \[0, 1\]"),
+    ("preprocess", "max_skip_ratio", "-1", r"must be in \[0, 1\]"),
+    ("analyze", "classify_max_iter", "0", "must be >= 1"),
+    ("analyze", "classify_always", "2", r"must be in \[0, 1\]"),
+    ("analyze", "classify_none", "-0.05", r"must be in \[0, 1\]"),
+    ("analyze", "classify_gap_fraction", "nan", r"must be in \[0, 1\]"),
+    ("analyze", "dtw_threshold", "nan", "must be finite"),
+    ("analyze", "dtw_range_edges", "0,nan", "must be finite"),
+    ("synth", "synth_noise", "nan", "must be >= 0"),
+    ("synth", "synth_noise", "inf", "must be finite"),
+    ("synth", "synth_noise", "-1", "must be >= 0"),
+    # numpy refuses negative seeds, but only after the stage began writing
+    ("analyze", "dtw_seed", "-1", "must be >= 0"),
+    ("analyze", "anomaly_seed", "-2", "must be >= 0"),
+    ("synth", "synth_seed", "-1", "must be >= 0"),
 ]
 
 
@@ -406,7 +427,9 @@ def test_bad_config_values_fail_before_any_input_is_opened(tmp_path):
              "removed_container_events.csv", "manifest-preprocess.json",
              "manifest-analyze.json"]
     before = {name: (out / name).read_bytes() for name in names}
-    runners = {"analyze": run_analyze, "preprocess": run_preprocess}
+    runners = {"analyze": run_analyze, "preprocess": run_preprocess,
+               # a synth that took the value would write its trace into out
+               "synth": lambda config: run_synth({**synth_config(out), **config})}
     for stage, key, value, problem in BAD_CONFIG_VALUES:
         # a bad value beats a missing input directory, so nothing was opened
         for trace in (trace_b, tmp_path / "missing"):
@@ -416,6 +439,50 @@ def test_bad_config_values_fail_before_any_input_is_opened(tmp_path):
             assert key in str(err.value) and repr(value) in str(err.value), key
     for name in names:
         assert (out / name).read_bytes() == before[name], name
+
+
+REQUIRED = {key: "1" for key, row in CONFIG_KEYS.items() if row.default is None}
+
+
+def test_every_default_passes_its_own_checks():
+    for stage in ("synth", "preprocess", "analyze", "report"):
+        values = read_config(REQUIRED, stage)
+        assert set(values) == {key for key, row in CONFIG_KEYS.items()
+                               if stage in row.stages}, stage
+
+
+@pytest.mark.parametrize("key", [
+    key for key, row in CONFIG_KEYS.items()
+    if row.kind in ("float", "float list", "float or empty")])
+def test_every_number_key_refuses_nan_and_infinities(key):
+    stage = CONFIG_KEYS[key].stages[0]
+    for value in ("nan", "inf", "-inf"):
+        with pytest.raises(StageError, match=rf"^\[{stage}\] config key "
+                                             f"'{key}' must be "):
+            read_config({**REQUIRED, key: value}, stage)
+
+
+def config_table_lines():
+    """The README's config table, rendered from CONFIG_KEYS."""
+    lines = ["| key | default | range | stages | flag | meaning |",
+             "| --- | --- | --- | --- | --- | --- |"]
+    for key, row in CONFIG_KEYS.items():
+        default = "required" if row.default is None else row.default or "(empty)"
+        rule = row.rule[1] if row.rule else ""
+        flag = f"`{row.flag}`" if row.flag else ""
+        lines.append(f"| `{key}` | {default} | {rule} | {', '.join(row.stages)} "
+                     f"| {flag} | {row.help} |")
+    return lines
+
+
+def test_readme_config_table_matches_the_code():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    start = readme.index(config_table_lines()[0])
+    end = start
+    while end < len(readme) and readme[end].startswith("|"):
+        end += 1
+    assert readme[start:end] == config_table_lines()
 
 
 def test_pinned_standards_need_no_sample_size(tmp_path):
