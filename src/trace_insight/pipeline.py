@@ -26,7 +26,9 @@ import math
 import os
 from collections import Counter, namedtuple
 
-from . import __version__
+import numpy as np
+
+from . import __version__, synth
 from .aggregate import (
     AggDiagnostics,
     aggregate_batch_usage,
@@ -453,11 +455,15 @@ def run_synth(config: dict[str, str]) -> str:
         gap_plants=values["synth_gaps"],
     )
     out_dir = values["output_dir"]
-    _prepare_out_dir(out_dir, stage)
+    # generating runs every quota, plant and gap check, so a trace that
+    # cannot be made leaves an earlier one and its manifest untouched; the
+    # call goes through the module, where perfbench's tracer times it
     try:
-        bundle, truth = write_synthetic_trace(synth_config, out_dir)
+        bundle, truth = synth.generate_trace(synth_config)
     except ValueError as e:
         raise StageError(stage, str(e)) from e
+    _prepare_out_dir(out_dir, stage)
+    write_synthetic_trace(bundle, truth, out_dir)
     outputs = sorted(DEFAULT_FILENAMES.values()) + ["ground_truth.json"]
     write_manifest(out_dir, stage, config, inputs={}, outputs=outputs,
                    row_counts={
@@ -506,18 +512,16 @@ def run_preprocess(config: dict[str, str]) -> str:
     bundle, diagnostics = _parse_bundle(input_dir, values, stage)
     _prepare_out_dir(out_dir, stage)
     try:
-        dense, annotations = supplement_server_usage(bundle, grid)
+        dense, repairs = supplement_server_usage(bundle, grid)
         clean, removed = filter_container_events(bundle.container_events)
     except ValueError as e:
         raise StageError(stage, str(e)) from e
     write_dense_csv(dense, os.path.join(out_dir, DENSE_FILENAME))
-    write_repair_log_csv(annotations, os.path.join(out_dir, REPAIR_LOG_FILENAME))
+    write_repair_log_csv(repairs, os.path.join(out_dir, REPAIR_LOG_FILENAME))
     write_removed_events_csv(removed,
                              os.path.join(out_dir, REMOVED_EVENTS_FILENAME))
     save_columns(bundle, diagnostics, os.path.join(out_dir, COLUMNS_FILENAME))
-    method_counts: dict[str, int] = {}
-    for note in annotations:
-        method_counts[note.method.value] = method_counts.get(note.method.value, 0) + 1
+    methods, method_counts = np.unique(repairs.method, return_counts=True)
     write_manifest(out_dir, stage, config,
                    inputs=_digest_inputs(input_dir, stage),
                    outputs=[DENSE_FILENAME, REPAIR_LOG_FILENAME,
@@ -526,11 +530,11 @@ def run_preprocess(config: dict[str, str]) -> str:
                        "machines": bundle.machine_count,
                        "server_usage": len(bundle.server_usage),
                        "dense_machines": len(dense.machines),
-                       "repair_annotations": len(annotations),
+                       "repair_annotations": len(repairs),
                        "container_events": len(bundle.container_events),
                        "container_events_removed": len(removed),
-                       **{f"repairs_{name}": count
-                          for name, count in sorted(method_counts.items())},
+                       **{f"repairs_{name}": count for name, count
+                          in zip(methods.tolist(), method_counts.tolist())},
                        **_skipped_counts(Counter(diag.file for diag in diagnostics)),
                    },
                    trace_columns=COLUMNS_FILENAME)
@@ -598,7 +602,7 @@ def run_analyze(config: dict[str, str]) -> str:
         bundle = dataclasses.replace(bundle, container_events=clean)
         # the same repair preprocess writes to dense_usage.csv, redone from
         # the parsed trace rather than read back
-        dense, _notes = supplement_server_usage(bundle, grid)
+        dense, _repairs = supplement_server_usage(bundle, grid)
 
         diag = AggDiagnostics()
         containers = aggregate_container_usage(bundle, grid, diag)
@@ -692,12 +696,17 @@ def run_analyze(config: dict[str, str]) -> str:
 # ---------------------------------------------------------------------------
 # stage: report
 
-def _read_json(out_dir: str, name: str, stage: str) -> dict:
+def _read_json(out_dir: str, name: str, stage: str, writer: str = "analyze") -> dict:
+    """The JSON file ``name`` that stage ``writer`` wrote into ``out_dir``."""
     path = os.path.join(out_dir, name)
     if not os.path.exists(path):
-        raise StageError(stage, f"analyze stage missing: no {name} in {out_dir}")
+        raise StageError(stage, f"{writer} stage missing: no {name} in {out_dir}")
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as e:   # cut short by a killed run, or not JSON
+            raise StageError(stage, f"{name} in {out_dir} is not valid JSON "
+                                    f"({e}); rerun {writer}") from e
 
 
 PLOT_DATA = {
@@ -742,8 +751,7 @@ def _preprocess_summary(out_dir: str, analyze_manifest: dict, stage: str) -> dic
     path = os.path.join(out_dir, name)
     if not os.path.exists(path):
         return None
-    with open(path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = _read_json(out_dir, name, stage, writer="preprocess")
     ours, theirs = manifest.get("config", {}), analyze_manifest["config"]
     stale = _parse_disagreements(manifest, analyze_manifest["inputs"], theirs,
                                  stage)

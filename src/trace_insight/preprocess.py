@@ -4,7 +4,8 @@ Missing samples are detected on the grid (a machine's sample for slot t_x is
 missing when no row has a timestamp in [t_x, t_x + step)). Interior gaps are
 filled linearly between the surrounding observations, boundary gaps are held
 at the nearest observed value, and machines with no rows at all are filled
-with zeros. Every synthesized value carries an annotation so repairs stay
+with zeros. The repair works on whole (machine, slot) arrays, and every
+synthesized value gets a row in one columnar repair log, so repairs stay
 auditable.
 """
 
@@ -35,27 +36,6 @@ class RepairMethod(Enum):
     BOUNDARY_HELD = "BoundaryHeld"
 
 
-@dataclass(frozen=True, slots=True)
-class GapSpec:
-    """An interior gap: two observed endpoint values and the count of samples
-    across the full span (endpoints included), so span_count - 2 samples are
-    missing in between."""
-
-    left_value: float
-    right_value: float
-    span_count: int
-    missing_index: int   # 1-based position inside the gap
-
-
-@dataclass(frozen=True, slots=True)
-class RepairAnnotation:
-    machine: int
-    metric: str
-    timestamp: int
-    method: RepairMethod
-    value: float
-
-
 @dataclass
 class DenseUsage:
     """Per-timestamp usage with no holes: values[i, x, k] is machine
@@ -72,28 +52,35 @@ class DenseUsage:
         return self.values[row, :, METRICS.index(metric)]
 
 
-def interpolate_gap(gap: GapSpec) -> float:
-    """Value for the missing sample at ``missing_index`` on the straight line
-    through the gap's two observed endpoints.
+def interpolate_gap(left_value, right_value, span_count, missing_index):
+    """Value for the missing sample at ``missing_index`` (1-based) on the
+    straight line through a gap's two observed endpoints, where
+    ``span_count`` counts the samples across the span, endpoints included.
 
     The step between consecutive samples is (right - left)/(span_count - 1),
-    so index i gets left + i steps.
+    so index i gets left + i steps. Takes scalars or broadcastable arrays.
     """
-    if gap.span_count < 3:
-        raise ValueError(f"span_count {gap.span_count} leaves nothing to fill")
-    if not 1 <= gap.missing_index <= gap.span_count - 2:
-        raise ValueError(
-            f"missing_index {gap.missing_index} outside [1, {gap.span_count - 2}]")
-    rake_ratio = (gap.right_value - gap.left_value) / (gap.span_count - 1)
-    return gap.left_value + rake_ratio * gap.missing_index
+    span_count, missing_index = np.broadcast_arrays(span_count, missing_index)
+    short = span_count < 3
+    if short.any():
+        raise ValueError(f"span_count {span_count[short][0]} leaves nothing to fill")
+    outside = (missing_index < 1) | (missing_index > span_count - 2)
+    if outside.any():
+        raise ValueError(f"missing_index {missing_index[outside][0]} outside "
+                         f"[1, {span_count[outside][0] - 2}]")
+    rake_ratio = (right_value - left_value) / (span_count - 1)
+    return left_value + rake_ratio * missing_index
 
 
 def supplement_server_usage(bundle: TraceBundle, grid: IntervalGrid,
-                            ) -> tuple[DenseUsage, list[RepairAnnotation]]:
+                            ) -> tuple[DenseUsage, Table]:
     """Densify server usage over every (machine, grid timestamp) pair.
 
-    Rows sharing a slot are averaged. Returns the dense table and one
-    annotation per synthesized value; observed values pass through unchanged.
+    Rows sharing a slot are averaged; observed values pass through unchanged.
+    Returns the dense table and the repair log: one row (machine, metric,
+    timestamp, method, value) per synthesized value, per machine and metric
+    the boundary holds in slot order, then the interpolated slots in slot
+    order.
     """
     t_count = grid.timestamp_count
     m_count = bundle.machine_count
@@ -109,50 +96,45 @@ def supplement_server_usage(bundle: TraceBundle, grid: IntervalGrid,
                                                                 len(METRICS))
     hits = np.bincount(cell, minlength=size).reshape(m_count, t_count)
 
-    timestamps = grid.timestamps()
-    values = np.zeros_like(sums)
-    annotations: list[RepairAnnotation] = []
-    for row in range(m_count):
-        machine = row + 1
-        observed = np.flatnonzero(hits[row])
-        if observed.size == 0:
-            for metric_idx, metric in enumerate(METRICS):
-                for slot in range(t_count):
-                    annotations.append(RepairAnnotation(
-                        machine, metric, int(timestamps[slot]),
-                        RepairMethod.ZERO_FILLED, 0.0))
-            continue
-        occupied = hits[row, observed].astype(float)
-        for metric_idx, metric in enumerate(METRICS):
-            series = values[row, :, metric_idx]
-            series[observed] = sums[row, observed, metric_idx] / occupied
-            first, last = int(observed[0]), int(observed[-1])
-            for slot in range(first):
-                series[slot] = series[first]
-                annotations.append(RepairAnnotation(
-                    machine, metric, int(timestamps[slot]),
-                    RepairMethod.BOUNDARY_HELD, float(series[first])))
-            for slot in range(last + 1, t_count):
-                series[slot] = series[last]
-                annotations.append(RepairAnnotation(
-                    machine, metric, int(timestamps[slot]),
-                    RepairMethod.BOUNDARY_HELD, float(series[last])))
-            for left, right in zip(observed[:-1], observed[1:]):
-                if right - left <= 1:
-                    continue
-                span = int(right - left) + 1
-                for offset in range(1, span - 1):
-                    gap = GapSpec(float(series[left]), float(series[right]),
-                                  span, offset)
-                    filled = interpolate_gap(gap)
-                    slot = int(left) + offset
-                    series[slot] = filled
-                    annotations.append(RepairAnnotation(
-                        machine, metric, int(timestamps[slot]),
-                        RepairMethod.INTERPOLATED, filled))
+    # every metric shares one observed mask; each hole's nearest observed
+    # slot before it (-1: none) and after it (t_count: none)
+    observed = hits > 0
+    grid_slots = np.arange(t_count)
+    before = np.maximum.accumulate(np.where(observed, grid_slots, -1), axis=1)
+    after = np.minimum.accumulate(np.where(observed, grid_slots, t_count)[:, ::-1],
+                                  axis=1)[:, ::-1]
+    rows, cols = np.nonzero(~observed)
+    left, right = before[rows, cols], after[rows, cols]
+    interior = (left >= 0) & (right < t_count)
+    held = (left >= 0) != (right < t_count)
 
+    values = np.zeros_like(sums)   # machines with no rows stay zero
+    values[observed] = sums[observed] / hits[observed][:, None]
+    source = np.where(left >= 0, left, right)[held]
+    values[rows[held], cols[held]] = values[rows[held], source]
+    row, col, lo, hi = rows[interior], cols[interior], left[interior], right[interior]
+    values[row, col] = interpolate_gap(values[row, lo], values[row, hi],
+                                       (hi - lo + 1)[:, None], (col - lo)[:, None])
+
+    # one log entry per (hole, metric), numbered hole * k + metric, sorted by
+    # machine, metric, then holds before interpolations, each in slot order
+    k = len(METRICS)
+    order = np.lexsort((np.repeat(cols, k), np.repeat(interior, k),
+                        np.tile(np.arange(k), len(rows)), np.repeat(rows, k)))
+    hole, metric = np.divmod(order, k)
+    method = np.select([interior, held], [RepairMethod.INTERPOLATED.value,
+                                          RepairMethod.BOUNDARY_HELD.value],
+                       RepairMethod.ZERO_FILLED.value)
+    timestamps = grid.timestamps()
+    repairs = Table("repair_log", {
+        "machine": rows[hole] + 1,
+        "metric": np.array(METRICS)[metric],
+        "timestamp": timestamps[cols[hole]],
+        "method": method[hole],
+        "value": values[rows[hole], cols[hole], metric],
+    })
     machines = np.arange(1, m_count + 1, dtype=np.int64)
-    return DenseUsage(machines, timestamps, values), annotations
+    return DenseUsage(machines, timestamps, values), repairs
 
 
 class AmbiguousDuplicateError(ValueError):
@@ -214,14 +196,18 @@ def write_dense_csv(dense: DenseUsage, path: str) -> None:
                   for metric, column in zip(METRICS, values[block].T))))
 
 
-def write_repair_log_csv(annotations: list[RepairAnnotation], path: str) -> None:
-    rows = ((str(ann.machine), ann.metric, str(ann.timestamp), ann.method.value,
-             fraction_to_percent_text(ann.value) if ann.metric in _FRACTION_METRICS
-             else float_text(ann.value))
-            for ann in annotations)
+def write_repair_log_csv(repairs: Table, path: str) -> None:
+    """The repair log of ``supplement_server_usage``, one line per row in its
+    order: fractions as percent text, loads as their ``repr``."""
+    metrics = repairs.metric.tolist()
+    values = (fraction_to_percent_text(value) if metric in _FRACTION_METRICS
+              else float_text(value)
+              for value, metric in zip(repairs.value.tolist(), metrics))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(REPAIR_LOG_HEADER) + "\n")
-        fh.write(csv_lines(*zip(*rows)))
+        fh.write(csv_lines(map(str, repairs.machine.tolist()), metrics,
+                           map(str, repairs.timestamp.tolist()),
+                           repairs.method.tolist(), values))
 
 
 def write_removed_events_csv(removed: Table, path: str) -> None:

@@ -414,9 +414,8 @@ def read_ground_truth(path: str) -> GroundTruth:
     )
 
 
-def write_synthetic_trace(config: SynthConfig, out_dir: str) -> tuple[TraceBundle, GroundTruth]:
-    bundle, truth = generate_trace(config)
+def write_synthetic_trace(bundle: TraceBundle, truth: GroundTruth, out_dir: str) -> None:
+    """Write a generated trace and its ground truth into ``out_dir``."""
     os.makedirs(out_dir, exist_ok=True)
     write_trace_dir(bundle, out_dir)
     write_ground_truth(truth, os.path.join(out_dir, GROUND_TRUTH_FILENAME))
-    return bundle, truth

@@ -635,3 +635,71 @@ def write_aggregate_tables(out_dir, machines, interval_starts, signals,
                     containers.writerow(row + c)
                 if machine in batch_machines:
                     batch.writerow(row + [b[0], v["batch_cpu_cores"]] + b[1:])
+
+
+# ---------------------------------------------------------------------------
+# server-usage gap repair, one machine, metric and slot at a time
+
+USAGE_METRICS = ("cpu", "mem", "disk", "load1", "load5", "load15")
+
+
+def supplement_reference(bundle, grid):
+    """(values, repairs) of the server-usage repair: values[i, x, k] is
+    machine i + 1 at grid slot x, metric USAGE_METRICS[k]; repairs holds one
+    (machine, metric, timestamp, method, value) tuple per synthesized value,
+    per machine and metric the boundary holds in slot order, then the
+    interpolated slots in slot order. Rows sharing a slot are averaged,
+    summed from 0.0 in record order; rows off the grid or naming no machine
+    in 1..machine_count are ignored."""
+    t_count, m_count = grid.timestamp_count, bundle.machine_count
+    usage = bundle.server_usage
+    sums = np.zeros((m_count, t_count, len(USAGE_METRICS)))
+    hits = np.zeros((m_count, t_count), dtype=np.int64)
+    columns = [getattr(usage, metric).tolist() for metric in USAGE_METRICS]
+    for r, (ts, machine) in enumerate(zip(usage.timestamp.tolist(),
+                                          usage.machine.tolist())):
+        slot = (ts - grid.start) // grid.step
+        if ts < grid.start or slot >= t_count or not 1 <= machine <= m_count:
+            continue
+        hits[machine - 1, slot] += 1
+        for k, column in enumerate(columns):
+            sums[machine - 1, slot, k] += column[r]
+
+    timestamps = [grid.start + grid.step * x for x in range(t_count)]
+    values = np.zeros_like(sums)
+    repairs = []
+    for row in range(m_count):
+        machine = row + 1
+        observed = [x for x in range(t_count) if hits[row, x]]
+        for k, metric in enumerate(USAGE_METRICS):
+            if not observed:
+                repairs += [(machine, metric, ts, "ZeroFilled", 0.0)
+                            for ts in timestamps]
+                continue
+            series = values[row, :, k]
+            for x in observed:
+                series[x] = float(sums[row, x, k]) / int(hits[row, x])
+            first, last = observed[0], observed[-1]
+            for x in list(range(first)) + list(range(last + 1, t_count)):
+                series[x] = series[first if x < first else last]
+                repairs.append((machine, metric, timestamps[x], "BoundaryHeld",
+                                float(series[x])))
+            for left, right in zip(observed[:-1], observed[1:]):
+                lo, hi = float(series[left]), float(series[right])
+                for offset in range(1, right - left):
+                    filled = lo + (hi - lo) / (right - left) * offset
+                    series[left + offset] = filled
+                    repairs.append((machine, metric, timestamps[left + offset],
+                                    "Interpolated", filled))
+    return values, repairs
+
+
+def repair_log_text(repairs):
+    """repair_log.csv for ``supplement_reference`` repairs: fractions (cpu,
+    mem, disk) as exact percent text, loads as their ``repr``."""
+    lines = ["machine,metric,timestamp,method,value"]
+    for machine, metric, ts, method, value in repairs:
+        cell = (format(Decimal(repr(value)).scaleb(2), "f")
+                if metric in ("cpu", "mem", "disk") else repr(value))
+        lines.append(f"{machine},{metric},{ts},{method},{cell}")
+    return "\n".join(lines) + "\n"

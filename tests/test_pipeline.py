@@ -213,6 +213,20 @@ def test_run_synth_surfaces_generator_errors(tmp_path):
         run_synth(config)
 
 
+def test_a_failed_synth_leaves_the_trace_it_would_replace_untouched(tmp_path):
+    trace = tmp_path / "trace"
+    run_synth(synth_config(trace))
+    before = {path.name: path.read_bytes() for path in trace.iterdir()}
+    assert "manifest-synth.json" in before
+    for bad, error in [
+            ({"synth_machines": "15", "synth_quotas": "2,2,2,2,2,2,2,2"},
+             r"^\[synth\] quotas sum to 16, expected machine_count 15"),
+            ({"synth_gaps": "11:cpu:3"}, r"^\[synth\] gap machine 11 out of range")]:
+        with pytest.raises(StageError, match=error):
+            run_synth(synth_config(trace, **bad))
+        assert {path.name: path.read_bytes() for path in trace.iterdir()} == before
+
+
 def test_run_preprocess_repairs_planted_gaps(tmp_path):
     trace = tmp_path / "trace"
     run_synth(synth_config(trace, synth_gaps="5:cpu:3-4"))
@@ -498,6 +512,26 @@ def test_pinned_standards_need_no_sample_size(tmp_path):
 def test_report_without_analyze_artifacts_fails_loudly(tmp_path):
     with pytest.raises(StageError, match="analyze stage missing"):
         build_report(str(tmp_path))
+
+
+@pytest.mark.parametrize("name, writer", [("manifest-analyze.json", "analyze"),
+                                          ("manifest-preprocess.json", "preprocess")])
+def test_report_names_a_manifest_cut_short(tmp_path, name, writer):
+    trace = tmp_path / "trace"
+    run_synth(synth_config(trace))
+    out = tmp_path / "out"
+    for run in (run_preprocess, run_analyze, run_report):
+        run(stage_config(trace, out))
+    report = (out / "report.json").read_bytes()
+    manifest = out / name
+    body = manifest.read_bytes()
+    manifest.write_bytes(body[:len(body) // 2])   # a run killed mid-write
+    with pytest.raises(StageError, match=rf"^\[report\] {name} in .* is not "
+                                         rf"valid JSON .*; rerun {writer}$"):
+        run_report({"output_dir": str(out)})
+    manifest.write_bytes(body)
+    run_report({"output_dir": str(out)})
+    assert (out / "report.json").read_bytes() == report
 
 
 def test_analyze_counts_what_aggregation_drops_in_its_manifest(tmp_path):

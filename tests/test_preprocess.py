@@ -1,6 +1,9 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from trace_insight import preprocess
@@ -8,7 +11,6 @@ from trace_insight.preprocess import (
     METRICS,
     AmbiguousDuplicateError,
     DenseUsage,
-    GapSpec,
     RepairMethod,
     filter_container_events,
     interpolate_gap,
@@ -35,24 +37,35 @@ def bundle_with(rows, machine_count=1):
     return TraceBundle.from_rows(server_usage=rows, machine_count=machine_count)
 
 
+def cpu_repairs(repairs):
+    return repairs.take(repairs.metric == "cpu")
+
+
 # ---------------------------------------------------------------------------
 # gap interpolation
 
 
 def test_interpolate_gap_walks_the_line():
-    gap = GapSpec(left_value=10.0, right_value=16.0, span_count=4, missing_index=1)
-    assert interpolate_gap(gap) == 12.0
-    gap = GapSpec(10.0, 16.0, 4, 2)
-    assert interpolate_gap(gap) == 14.0
+    assert interpolate_gap(left_value=10.0, right_value=16.0, span_count=4,
+                           missing_index=1) == 12.0
+    assert interpolate_gap(10.0, 16.0, 4, 2) == 14.0
+    # arrays: one gap per row, the row's samples broadcast across columns
+    got = interpolate_gap(np.array([[10.0, 0.0], [1.0, 1.0]]),
+                          np.array([[16.0, 3.0], [4.0, 1.0]]),
+                          np.array([[4], [5]]), np.array([[2], [1]]))
+    assert got.tolist() == [[14.0, 2.0], [1.75, 1.0]]
 
 
 def test_interpolate_gap_validates_inputs():
-    with pytest.raises(ValueError):
-        interpolate_gap(GapSpec(1.0, 2.0, 2, 1))
-    with pytest.raises(ValueError):
-        interpolate_gap(GapSpec(1.0, 2.0, 4, 0))
-    with pytest.raises(ValueError):
-        interpolate_gap(GapSpec(1.0, 2.0, 4, 3))
+    with pytest.raises(ValueError, match="span_count 2 leaves nothing to fill"):
+        interpolate_gap(1.0, 2.0, 2, 1)
+    with pytest.raises(ValueError, match=r"missing_index 0 outside \[1, 2\]"):
+        interpolate_gap(1.0, 2.0, 4, 0)
+    with pytest.raises(ValueError, match=r"missing_index 3 outside \[1, 2\]"):
+        interpolate_gap(1.0, 2.0, 4, 3)
+    with pytest.raises(ValueError, match=r"missing_index 4 outside \[1, 3\]"):
+        interpolate_gap(np.zeros(3), np.ones(3), np.array([4, 5, 5]),
+                        np.array([1, 4, 9]))
 
 
 @given(
@@ -66,7 +79,7 @@ def test_interpolation_restores_affine_series(intercept, slope, span, data):
     truth = intercept + slope * missing
     left = intercept
     right = intercept + slope * (span - 1)
-    got = interpolate_gap(GapSpec(left, right, span, missing))
+    got = interpolate_gap(left, right, span, missing)
     assert got == pytest.approx(truth, rel=1e-12, abs=1e-12)
 
 
@@ -77,25 +90,27 @@ def test_interpolation_restores_affine_series(intercept, slope, span, data):
 def test_supplement_fills_interior_gap_linearly():
     rows = [usage_row(1000, 1, 0.10), usage_row(1100, 1, 0.20),
             usage_row(1400, 1, 0.50), usage_row(1500, 1, 0.60)]
-    dense, notes = supplement_server_usage(bundle_with(rows), GRID)
+    dense, repairs = supplement_server_usage(bundle_with(rows), GRID)
     cpu = dense.series(1, "cpu")
     assert cpu == pytest.approx([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
-    filled = [(a.timestamp, a.method) for a in notes if a.metric == "cpu"]
-    assert filled == [(1200, RepairMethod.INTERPOLATED),
-                      (1300, RepairMethod.INTERPOLATED)]
+    filled = cpu_repairs(repairs)
+    assert list(zip(filled.timestamp.tolist(), filled.method.tolist())) == [
+        (1200, RepairMethod.INTERPOLATED.value),
+        (1300, RepairMethod.INTERPOLATED.value)]
 
 
 def test_supplement_holds_boundary_values():
     rows = [usage_row(1200, 1, 0.30), usage_row(1300, 1, 0.40)]
-    dense, notes = supplement_server_usage(bundle_with(rows), GRID)
+    dense, repairs = supplement_server_usage(bundle_with(rows), GRID)
     cpu = dense.series(1, "cpu")
     assert cpu == pytest.approx([0.3, 0.3, 0.3, 0.4, 0.4, 0.4])
-    methods = {a.timestamp: a.method for a in notes if a.metric == "cpu"}
+    held = cpu_repairs(repairs)
+    methods = dict(zip(held.timestamp.tolist(), held.method.tolist()))
     assert methods == {
-        1000: RepairMethod.BOUNDARY_HELD,
-        1100: RepairMethod.BOUNDARY_HELD,
-        1400: RepairMethod.BOUNDARY_HELD,
-        1500: RepairMethod.BOUNDARY_HELD,
+        1000: RepairMethod.BOUNDARY_HELD.value,
+        1100: RepairMethod.BOUNDARY_HELD.value,
+        1400: RepairMethod.BOUNDARY_HELD.value,
+        1500: RepairMethod.BOUNDARY_HELD.value,
     }
     # observed samples carry no annotation and keep their exact values
     assert 1200 not in methods and 1300 not in methods
@@ -103,11 +118,11 @@ def test_supplement_holds_boundary_values():
 
 def test_supplement_zero_fills_machines_with_no_rows():
     rows = [usage_row(1000 + 100 * i, 1, 0.2) for i in range(6)]
-    dense, notes = supplement_server_usage(bundle_with(rows, machine_count=2), GRID)
+    dense, repairs = supplement_server_usage(bundle_with(rows, machine_count=2), GRID)
     assert dense.series(2, "mem") == pytest.approx([0.0] * 6)
-    zero_filled = [a for a in notes if a.machine == 2]
+    zero_filled = repairs.take(repairs.machine == 2)
     assert len(zero_filled) == 6 * len(METRICS)
-    assert {a.method for a in zero_filled} == {RepairMethod.ZERO_FILLED}
+    assert set(zero_filled.method.tolist()) == {RepairMethod.ZERO_FILLED.value}
 
 
 def test_supplement_averages_rows_sharing_a_slot():
@@ -124,12 +139,58 @@ def test_supplement_never_touches_observed_samples(data):
         min_size=1, max_size=6, unique=True))
     values = {slot: data.draw(st.floats(0, 1)) for slot in present}
     rows = [usage_row(1000 + 100 * s, 1, v) for s, v in values.items()]
-    dense, notes = supplement_server_usage(bundle_with(rows), GRID)
+    dense, repairs = supplement_server_usage(bundle_with(rows), GRID)
     cpu = dense.series(1, "cpu")
     for slot, value in values.items():
         assert cpu[slot] == value
-    annotated = {a.timestamp for a in notes if a.metric == "cpu"}
+    annotated = set(cpu_repairs(repairs).timestamp.tolist())
     assert annotated == {1000 + 100 * s for s in range(6) if s not in present}
+
+
+@st.composite
+def gappy_traces(draw):
+    """(rows, machine_count, grid): each machine observed at a random subset
+    of slots, so holes lead, trail, sit inside or cover the whole machine,
+    with up to three rows per slot, plus rows off the grid or naming a
+    machine the trace does not have, all in a random record order."""
+    machine_count = draw(st.integers(1, 5))
+    grid = IntervalGrid(1000, 1000 + 100 * draw(st.integers(1, 9)), 100)
+    sample = st.tuples(*[st.floats(-10, 10)] * len(METRICS))
+    rows = []
+    for machine in range(1, machine_count + 1):
+        for slot in draw(st.sets(st.integers(0, grid.timestamp_count - 1))):
+            for offset in draw(st.lists(st.integers(0, 99), min_size=1, max_size=3)):
+                rows.append((1000 + 100 * slot + offset, machine, *draw(sample)))
+    strays = st.one_of(
+        st.tuples(st.integers(0, 999), st.integers(1, machine_count)),
+        st.tuples(st.integers(grid.end + 100, grid.end + 500),
+                  st.integers(1, machine_count)),
+        st.tuples(st.integers(1000, grid.end + 99),
+                  st.sampled_from([0, machine_count + 1, machine_count + 7])))
+    rows += [(*stray, *draw(sample)) for stray in draw(st.lists(strays, max_size=4))]
+    return draw(st.permutations(rows)), machine_count, grid
+
+
+@settings(max_examples=200)
+@given(gappy_traces())
+@example(([usage_row(1220, 1, 0.25), usage_row(1290, 1, 0.5),   # two rows in slot 2
+           usage_row(1400, 1, 0.125), usage_row(1000, 3, 0.75),
+           usage_row(1500, 3, 0.0625), usage_row(1300, 4, 0.5),
+           usage_row(900, 2, 0.5), usage_row(1600, 2, 0.5),     # off the grid
+           usage_row(1100, 5, 0.5)],                            # no machine 5
+          4, GRID))
+def test_supplement_matches_the_cell_by_cell_reference(trace):
+    rows, machine_count, grid = trace
+    bundle = bundle_with(rows, machine_count)
+    dense, repairs = supplement_server_usage(bundle, grid)
+    values, expected = oracles.supplement_reference(bundle, grid)
+    assert dense.values.tobytes() == values.tobytes()
+    assert len(repairs) == len(expected)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "repair_log.csv")
+        write_repair_log_csv(repairs, path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert fh.read() == oracles.repair_log_text(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +289,18 @@ def test_dense_csv_uses_percent_cells_for_usage_fractions(tmp_path):
 
 
 def test_repair_log_percent_convention(tmp_path):
-    from trace_insight.preprocess import RepairAnnotation
-    notes = [
-        RepairAnnotation(1, "cpu", 1000, RepairMethod.INTERPOLATED, 0.125),
-        RepairAnnotation(1, "load1", 1000, RepairMethod.ZERO_FILLED, 0.0),
-    ]
+    repairs = Table("repair_log", {
+        "machine": np.array([1, 1]),
+        "metric": np.array(["cpu", "load1"]),
+        "timestamp": np.array([1000, 1000]),
+        "method": np.array([RepairMethod.INTERPOLATED.value,
+                            RepairMethod.ZERO_FILLED.value]),
+        "value": np.array([0.125, 0.0]),
+    })
     path = tmp_path / "repairs.csv"
-    write_repair_log_csv(notes, str(path))
+    write_repair_log_csv(repairs, str(path))
     lines = path.read_text().splitlines()
     assert lines[1].split(",") == ["1", "cpu", "1000", "Interpolated", "12.5"]
     assert lines[2].split(",") == ["1", "load1", "1000", "ZeroFilled", "0.0"]
-    write_repair_log_csv([], str(path))
+    write_repair_log_csv(repairs.take(np.zeros(2, bool)), str(path))
     assert path.read_text() == "machine,metric,timestamp,method,value\n"

@@ -313,15 +313,16 @@ def test_ground_truth_json_round_trip(tmp_path):
 
 def test_written_trace_parses_back_identically(tmp_path):
     config = config_for(noise=0.02, seed=6)
-    bundle, _ = write_synthetic_trace(config, str(tmp_path))
+    bundle, truth = generate_trace(config)
+    write_synthetic_trace(bundle, truth, str(tmp_path))
     back = parse_trace_dir(str(tmp_path))
     assert same_bundle(back, bundle)
 
 
 def test_written_trace_is_byte_deterministic(tmp_path):
     config = config_for(noise=0.02, seed=6)
-    write_synthetic_trace(config, str(tmp_path / "a"))
-    write_synthetic_trace(config, str(tmp_path / "b"))
+    write_synthetic_trace(*generate_trace(config), str(tmp_path / "a"))
+    write_synthetic_trace(*generate_trace(config), str(tmp_path / "b"))
     names = sorted(os.listdir(tmp_path / "a"))
     assert "ground_truth.json" in names
     for name in names:
