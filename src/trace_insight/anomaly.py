@@ -21,6 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .aggregate import SeriesTable
+from .stage import FeatureMode
 from .trace_model import (IntervalGrid, MachineEventType, Table, csv_lines,
                           enum_code, float_text)
 
@@ -29,11 +30,6 @@ EULER_GAMMA = 0.5772156649
 FEATURE_NAMES = ("cpu", "mem", "disk", "batch_count", "container_count")
 _FEATURE_SIGNALS = ("server_cpu", "server_mem", "server_disk",
                     "batch_count", "container_count")
-
-
-class FeatureMode(Enum):
-    PER_MACHINE_MEAN = "per_machine_mean"
-    PER_INTERVAL = "per_interval"
 
 
 class CauseTag(Enum):

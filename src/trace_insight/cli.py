@@ -8,11 +8,14 @@
 The config file is flat key=value text; every subcommand also accepts
 key=value overrides after its flags, and the most common knobs exist as
 named flags. The flags are derived from the config table,
-``pipeline.CONFIG_KEYS``: each subcommand registers the flags of the keys
+``stage.CONFIG_KEYS``: each subcommand registers the flags of the keys
 its stage reads, with their help text. Only ``analyze --seed``,
 ``--normalized`` and ``--label-thresholds`` are written out here.
 Precedence: config file, then named flags, then overrides. Failures exit
 nonzero with the offending stage named in the message.
+
+Only ``stage``, which loads no numpy, is imported up front; ``pipeline`` and
+the analysis modules are imported when synth, preprocess or analyze runs.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .pipeline import (CONFIG_KEYS, STAGE_RUNNERS, StageError, apply_overrides,
-                       parse_config_file)
+from .stage import (CONFIG_KEYS, STAGE_HELP, StageError, apply_overrides,
+                    parse_config_file, run_report)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -29,8 +32,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="trace-insight",
         description="co-located datacenter trace analysis pipeline")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for stage, runner in STAGE_RUNNERS.items():
-        sub = subparsers.add_parser(stage, help=runner.__doc__)
+    for stage, help_text in STAGE_HELP.items():
+        sub = subparsers.add_parser(stage, help=help_text)
         sub.add_argument("--config", metavar="FILE",
                          help="flat key=value config file")
         sub.add_argument("overrides", nargs="*", metavar="key=value",
@@ -84,11 +87,20 @@ def _collect_config(args: argparse.Namespace) -> dict[str, str]:
     return apply_overrides(config, args.overrides)
 
 
+def _runner(command: str):
+    """The ``STAGE_RUNNERS`` entry of ``command``, importing pipeline (and
+    numpy) only for the stages that run there."""
+    if command == "report":
+        return run_report
+    from .pipeline import STAGE_RUNNERS
+    return STAGE_RUNNERS[command]
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _collect_config(args)
-        out_dir = STAGE_RUNNERS[args.command](config)
+        out_dir = _runner(args.command)(config)
     except StageError as e:
         print(f"trace-insight: error {e}", file=sys.stderr)
         return 2

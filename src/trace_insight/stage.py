@@ -1,0 +1,540 @@
+"""What every stage shares, and the report stage: ``StageError``, the config
+table and its reader, the run manifests, and ``run_report``.
+
+This module imports no numpy and no other module of the package, so the CLI
+can parse its flags and run ``report`` without them; ``pipeline`` holds the
+synth, preprocess and analyze runners and is imported only for those. The
+one exception is ``synth`` (numpy), which ``_parse_plants`` and
+``_parse_gaps`` import when the synth stage reads its plants and gaps.
+
+Every stage drops a manifest-<stage>.json recording the config snapshot,
+input and output digests, row counts, and the tool version; no timestamps,
+so reruns of the same config are byte-identical. ``report`` refuses a
+manifest that is not shaped as ``write_manifest`` writes it, and an artifact
+whose digest is not the one its manifest records.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import json
+import math
+import os
+from collections import namedtuple
+from enum import Enum
+
+from . import __version__
+
+REPORT_SCHEMA_VERSION = 1
+REPORT_FILENAME = "report.json"
+
+# the help of each stage's subcommand, in the order the CLI lists them
+STAGE_HELP = {
+    "synth": "generate a synthetic trace with planted ground truth",
+    "preprocess": "repair gaps and filter duplicate container events",
+    "analyze": "aggregate, DTW-score, classify, and rank anomalies",
+    "report": "bundle analysis artifacts into one JSON summary",
+}
+
+
+class StageError(Exception):
+    """Pipeline failure attributed to one stage."""
+
+    def __init__(self, stage: str, message: str):
+        super().__init__(message)
+        self.stage = stage
+        self.message = message
+
+    def __str__(self) -> str:
+        return f"[{self.stage}] {self.message}"
+
+
+class FeatureMode(Enum):
+    """The rows the isolation forest scores: one per machine, or one per
+    (machine, interval)."""
+
+    PER_MACHINE_MEAN = "per_machine_mean"
+    PER_INTERVAL = "per_interval"
+
+
+# ---------------------------------------------------------------------------
+# config handling: one table row per key, and one reader
+
+def _parse_plants(raw: str, stage: str) -> tuple:
+    """Parse 'Kind:machine[:key=val,...]' items separated by ';' into
+    ``synth.AnomalyPlant``s."""
+    from .synth import AnomalyPlant, PlantKind   # only synth reads plants
+    plants = []
+    kinds = {kind.value: kind for kind in PlantKind}
+    for item in filter(None, (part.strip() for part in raw.split(";"))):
+        pieces = item.split(":")
+        if len(pieces) < 2:
+            raise StageError(stage, f"plant must be Kind:machine, got {item!r}")
+        kind_name, machine = pieces[0], pieces[1]
+        if kind_name not in kinds:
+            raise StageError(stage, f"unknown plant kind {kind_name!r} "
+                                    f"(expected one of {sorted(kinds)})")
+        params = []
+        try:
+            for pair in pieces[2].split(",") if len(pieces) > 2 else ():
+                if "=" not in pair:
+                    raise StageError(stage, f"bad plant param {pair!r}")
+                name, value = pair.split("=", 1)
+                params.append((name.strip(), float(value)))
+            plants.append(AnomalyPlant(machine=int(machine),
+                                       kind=kinds[kind_name],
+                                       params=tuple(params)))
+        except ValueError as e:
+            raise StageError(stage, f"bad plant {item!r}: {e}") from e
+    return tuple(plants)
+
+
+def _parse_gaps(raw: str, stage: str) -> tuple:
+    """Parse 'machine:metric:lo-hi' items (inclusive slot range) separated
+    by ';' into ``synth.GapPlant``s."""
+    from .synth import GapPlant   # only synth reads gaps
+    gaps = []
+    for item in filter(None, (part.strip() for part in raw.split(";"))):
+        pieces = item.split(":")
+        if len(pieces) != 3:
+            raise StageError(stage, f"gap must be machine:metric:lo-hi, got {item!r}")
+        machine, metric, span = pieces
+        try:
+            if "-" in span:
+                lo, hi = span.split("-", 1)
+                slots = tuple(range(int(lo), int(hi) + 1))
+            else:
+                slots = (int(span),)
+            gaps.append(GapPlant(machine=int(machine), metric=metric, slots=slots))
+        except ValueError as e:
+            raise StageError(stage, f"bad gap {item!r}: {e}") from e
+    return tuple(gaps)
+
+
+def _bool(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered in ("true", "1", "yes"):
+        return True
+    if lowered in ("false", "0", "no"):
+        return False
+    raise ValueError(raw)
+
+
+def _list_of(number):
+    return lambda raw: [number(part) for part in raw.split(",") if part.strip() != ""]
+
+
+# kind: (parse, what the value must be when parse raises ValueError)
+_KINDS = {
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "float or empty": (lambda raw: float(raw) if raw.strip() else None, "a number"),
+    "bool": (_bool, "true/false"),
+    "int list": (_list_of(int), "a comma-separated list of integers"),
+    "float list": (_list_of(float), "a comma-separated list of numbers"),
+    "text": (str, "text"),
+}
+
+
+def _at_least(low: int) -> tuple:
+    return (lambda value: value >= low), f">= {low}"
+
+
+_FRACTION = ((lambda value: 0 <= value <= 1), "in [0, 1]")
+_SORTED = ((lambda edges: edges == sorted(edges)), "sorted")
+
+
+# One config key. ``kind`` is a name in _KINDS, the Enum of the allowed
+# texts, or a ``parse(raw, stage)`` that raises its own StageError; every
+# number it yields must be finite. ``default`` None means required. ``rule``
+# is a (test, text) pair the parsed value must pass; a value that fails it
+# is refused as "must be <text>". ``help`` serves the flag and the README.
+# (A namedtuple, not a dataclass: it is built at every CLI start.)
+ConfigKey = namedtuple("ConfigKey", "kind default stages help rule flag",
+                       defaults=(None, None))
+
+
+_EVERY = ("synth", "preprocess", "analyze", "report")
+_GRID = ("synth", "preprocess", "analyze")
+_PARSE = ("preprocess", "analyze")
+_SYNTH = ("synth",)
+_ANALYZE = ("analyze",)
+
+CONFIG_KEYS = {
+    "input_dir": ConfigKey("text", None, _PARSE, "trace directory",
+                           flag="--input-dir"),
+    "output_dir": ConfigKey("text", None, _EVERY, "where the stage writes "
+                            "(the trace, for synth)", flag="--out-dir"),
+    "grid_start": ConfigKey("int", "39600", _GRID, "first interval boundary (s)"),
+    "grid_end": ConfigKey("int", "82500", _GRID, "last interval boundary (s)"),
+    "grid_step": ConfigKey("int", "300", _GRID, "interval length (s)"),
+    "has_header": ConfigKey("bool", "false", _PARSE, "CSVs carry a header row"),
+    "schema_profile": ConfigKey("text", "default", _PARSE,
+                                "column-order profile for the six CSVs"),
+    "max_skip_ratio": ConfigKey("float", "0.01", _PARSE, "tolerated share of "
+                                "malformed rows per file", _FRACTION),
+    "duration_weighted": ConfigKey("bool", "false", _ANALYZE,
+                                   "weight batch usage by in-interval runtime"),
+    "dtw_sample_num": ConfigKey("int", "8", _ANALYZE, "curves sampled for the "
+                                "standard-value median", flag="--sample-num"),
+    "dtw_standard_count": ConfigKey("int", "4", _ANALYZE,
+                                    "standards drawn from the sample"),
+    "dtw_standards": ConfigKey("int list", "", _ANALYZE, "pinned standard "
+                               "machine ids, e.g. 16,19,28,36", flag="--standards"),
+    "dtw_threshold": ConfigKey("float", "3.0", _ANALYZE, "mean-distance "
+                               "flagging threshold", flag="--threshold"),
+    "dtw_normalized": ConfigKey("bool", "false", _ANALYZE,
+                                "use sqrt(cost)/path-length distances"),
+    "dtw_range_edges": ConfigKey("float list", "0,1,2,3,5", _ANALYZE,
+                                 "histogram bucket edges", _SORTED),
+    "dtw_suitability_gap": ConfigKey("float or empty", "1.0", _ANALYZE,
+                                     "sup-norm gap for the standard "
+                                     "suitability warning; empty for none"),
+    "dtw_seed": ConfigKey("int", None, _ANALYZE, "sampling seed (analyze --seed)",
+                          _at_least(0)),
+    "classify_k": ConfigKey("int", "8", _ANALYZE, "k-means cluster count",
+                            _at_least(1), flag="--k"),
+    "classify_max_iter": ConfigKey("int", "100", _ANALYZE, "Lloyd iteration cap",
+                                   _at_least(1), flag="--max-iter"),
+    "classify_restarts": ConfigKey("int", "10", _ANALYZE, "k-means++ restarts, "
+                                   "best inertia wins", _at_least(1)),
+    "classify_always": ConfigKey("float", "0.90", _ANALYZE, "centroid occupancy "
+                                 "that counts as throughout", _FRACTION),
+    "classify_none": ConfigKey("float", "0.05", _ANALYZE, "centroid occupancy "
+                               "that counts as absent", _FRACTION),
+    "classify_gap_fraction": ConfigKey("float", "0.25", _ANALYZE, "batch gap, as "
+                                       "a share of the grid, that is still "
+                                       "Type7", _FRACTION),
+    "classify_seed": ConfigKey("int", None, _ANALYZE,
+                               "k-means seed (analyze --seed)", _at_least(0)),
+    "anomaly_trees": ConfigKey("int", "100", _ANALYZE, "isolation forest size",
+                               _at_least(1), flag="--trees"),
+    "anomaly_subsample": ConfigKey("int", "256", _ANALYZE, "rows per tree",
+                                   _at_least(2), flag="--subsample"),
+    "anomaly_mode": ConfigKey(FeatureMode, "per_machine_mean", _ANALYZE,
+                              "per_machine_mean or per_interval features",
+                              flag="--mode"),
+    "anomaly_top_n": ConfigKey("int", "25", _ANALYZE, "ranking length in the "
+                               "report", _at_least(0), flag="--top-n"),
+    "anomaly_normalize": ConfigKey("bool", "false", _ANALYZE,
+                                   "z-score features first"),
+    "anomaly_heavier_factor": ConfigKey("float", "1.5", _ANALYZE, "container-"
+                                        "count factor for the heavy-online cause"),
+    "anomaly_seed": ConfigKey("int", None, _ANALYZE, "forest seed (analyze --seed)",
+                              _at_least(0)),
+    "synth_machines": ConfigKey("int", None, _SYNTH, "machine count",
+                                flag="--machines"),
+    "synth_quotas": ConfigKey("int list", None, _SYNTH, "per-type machine counts, "
+                              "8 comma-separated integers", flag="--quotas"),
+    "synth_seed": ConfigKey("int", None, _SYNTH, "generator seed", _at_least(0),
+                            flag="--seed"),
+    "synth_noise": ConfigKey("float", "0.0", _SYNTH, "usage noise sigma",
+                             _at_least(0), flag="--noise"),
+    "synth_plants": ConfigKey(_parse_plants, "", _SYNTH, "anomaly plants "
+                              "Kind:machine[:key=val,...], ;-separated",
+                              flag="--plants"),
+    "synth_gaps": ConfigKey(_parse_gaps, "", _SYNTH, "sensor gaps "
+                            "machine:metric:lo-hi, ;-separated", flag="--gaps"),
+}
+
+
+def parse_config_file(path: str) -> dict[str, str]:
+    config: dict[str, str] = {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise StageError(
+                        "config", f"{path}:{lineno}: expected key=value, got {line!r}")
+                key, value = line.split("=", 1)
+                key = key.strip()
+                if key not in CONFIG_KEYS:
+                    raise StageError("config", f"{path}:{lineno}: unknown key {key!r}")
+                config[key] = value.strip()
+    except OSError as e:
+        raise StageError("config", f"cannot read config file: {e}") from e
+    return config
+
+
+def apply_overrides(config: dict[str, str], overrides: list[str]) -> dict[str, str]:
+    merged = dict(config)
+    for item in overrides:
+        if "=" not in item:
+            raise StageError("config", f"override must be key=value, got {item!r}")
+        key, value = item.split("=", 1)
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise StageError("config", f"unknown override key {key!r}")
+        merged[key] = value.strip()
+    return merged
+
+
+def _refusal(stage: str, key: str, what: str, raw: str) -> StageError:
+    return StageError(stage, f"config key {key!r} must be {what}, got {raw!r}")
+
+
+def _read_key(config: dict[str, str], key: str, stage: str):
+    """The value of ``key`` in ``config``, or its default, parsed by its
+    kind and checked against its range."""
+    row = CONFIG_KEYS[key]
+    kind, raw = row.kind, config.get(key, row.default)
+    if raw is None:
+        hint = " (seeds must be explicit)" if key.endswith("_seed") else ""
+        raise StageError(stage, f"missing required config key {key!r}{hint}")
+    if kind in _KINDS:
+        parse, noun = _KINDS[kind]
+        try:
+            value = parse(raw)
+        except ValueError:
+            raise _refusal(stage, key, noun, raw) from None
+    elif isinstance(kind, type):   # the Enum of the allowed texts
+        try:
+            value = kind(raw)
+        except ValueError:
+            raise StageError(stage, f"{key} must be one of "
+                                    f"{[m.value for m in kind]}, got {raw!r}") from None
+    else:
+        value = kind(raw, stage)
+    if row.rule is not None and not row.rule[0](value):
+        raise _refusal(stage, key, row.rule[1], raw)
+    numbers = value if isinstance(value, list) else [value]
+    if not all(math.isfinite(x) for x in numbers if isinstance(x, float)):
+        raise _refusal(stage, key, "finite", raw)
+    return value
+
+
+def read_config(config: dict[str, str], stage: str) -> dict:
+    """Every key ``stage`` reads, parsed and range-checked, so that a bad
+    value fails before the stage opens any input."""
+    return {key: _read_key(config, key, stage)
+            for key, row in CONFIG_KEYS.items() if stage in row.stages}
+
+
+# ---------------------------------------------------------------------------
+# manifests
+
+def _sha256(path: str) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def write_manifest(out_dir: str, stage: str, config: dict[str, str],
+                   inputs: dict[str, str], outputs: list[str],
+                   row_counts: dict[str, int], trace_columns: str | None = None,
+                   ) -> None:
+    """Write manifest-<stage>.json last, digesting every artifact in
+    ``outputs`` and, under its own key, the parsed-columns file
+    ``trace_columns`` when the stage wrote one."""
+    manifest = {
+        "stage": stage,
+        "tool_version": __version__,
+        "config": dict(sorted(config.items())),
+        "inputs": inputs,
+        "outputs": {name: _sha256(os.path.join(out_dir, name))
+                    for name in sorted(outputs)},
+        "row_counts": row_counts,
+    }
+    if trace_columns is not None:
+        manifest["trace_columns"] = {
+            trace_columns: _sha256(os.path.join(out_dir, trace_columns))}
+    path = os.path.join(out_dir, f"manifest-{stage}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _misshapen(manifest) -> str | None:
+    """How ``manifest`` differs from the shape ``write_manifest`` gives it,
+    e.g. "has no 'config' object"; None when it does not."""
+    if not isinstance(manifest, dict):
+        return "is not a JSON object"
+    for key in ("config", "inputs", "outputs", "row_counts"):
+        if not isinstance(manifest.get(key), dict):
+            return f"has no {key!r} object"
+    return None
+
+
+def _prepare_out_dir(out_dir: str, stage: str) -> None:
+    """Create ``out_dir`` and delete the manifests that would still vouch for
+    artifacts this stage is about to overwrite: its own, and report's when
+    report reads them."""
+    os.makedirs(out_dir, exist_ok=True)
+    readers = ("report",) if stage in ("preprocess", "analyze") else ()
+    for name in (stage, *readers):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, f"manifest-{name}.json"))
+
+
+# A recorded config value that does not parse; equal to no parsed value.
+_UNREADABLE = object()
+
+
+def _recorded_key(recorded: dict, key: str, stage: str):
+    """``key`` as a manifest's ``config`` recorded it, parsed, or
+    _UNREADABLE when the recorded text is not one the key accepts."""
+    if not isinstance(recorded.get(key, ""), str):
+        return _UNREADABLE
+    try:
+        return _read_key(recorded, key, stage)
+    except StageError:
+        return _UNREADABLE
+
+
+def _parse_disagreements(manifest: dict, inputs: dict[str, str],
+                         config: dict[str, str], stage: str,
+                         keys=("schema_profile", "has_header")) -> list[str]:
+    """What keeps a well-shaped preprocess manifest from vouching that its
+    run parsed ``inputs`` as ``config`` says to (and, for the grid keys
+    among ``keys``, on the same grid): an empty list when nothing does. A
+    recorded value that does not parse disagrees with every value."""
+    checks = [("input digests", manifest["inputs"] == inputs)]
+    checks += [(key, _recorded_key(manifest["config"], key, stage)
+                == _read_key(config, key, stage)) for key in keys]
+    return [what for what, agrees in checks if not agrees]
+
+
+# ---------------------------------------------------------------------------
+# stage: report
+
+def _read_json(out_dir: str, name: str, stage: str, writer: str = "analyze"):
+    """The JSON file ``name`` that stage ``writer`` wrote into ``out_dir``."""
+    path = os.path.join(out_dir, name)
+    if not os.path.exists(path):
+        raise StageError(stage, f"{writer} stage missing: no {name} in {out_dir}")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as e:   # cut short by a killed run, or not JSON
+            raise StageError(stage, f"{name} in {out_dir} is not valid JSON "
+                                    f"({e}); rerun {writer}") from e
+
+
+def _read_manifest(out_dir: str, writer: str, stage: str) -> dict:
+    """manifest-<writer>.json in ``out_dir``, refused unless it has the
+    shape ``write_manifest`` gives it."""
+    name = f"manifest-{writer}.json"
+    manifest = _read_json(out_dir, name, stage, writer)
+    problem = _misshapen(manifest)
+    if problem is not None:
+        raise StageError(stage, f"{name} in {out_dir} {problem}; rerun {writer}")
+    return manifest
+
+
+PLOT_DATA = {
+    "type_usage": "plot_type_usage.csv",
+    "score_distribution": "plot_score_distribution.csv",
+    "machine_series": "machine_series.csv",
+    "dtw_distances": "dtw_distances.csv",
+}
+
+
+def _check_digests(out_dir: str, names, manifest: dict, manifest_name: str,
+                   stage: str) -> None:
+    """Refuse an artifact whose sha256 is not the one its stage manifest
+    records, e.g. one a later, failed run of that stage overwrote."""
+    recorded = manifest["outputs"]
+    for name in names:
+        path = os.path.join(out_dir, name)
+        if not os.path.exists(path):
+            raise StageError(stage, f"no {name} in {out_dir}, which "
+                                    f"{manifest_name} lists")
+        if recorded.get(name) != _sha256(path):
+            raise StageError(stage, f"{name} in {out_dir} does not match its "
+                                    f"digest in {manifest_name}; rerun the "
+                                    "stage that writes it")
+
+
+def _preprocess_summary(out_dir: str, analyze_manifest: dict, stage: str) -> dict | None:
+    """Repair counts from manifest-preprocess.json, used only when that run
+    parsed the same inputs on the same grid as the analyze run."""
+    name = "manifest-preprocess.json"
+    if not os.path.exists(os.path.join(out_dir, name)):
+        return None
+    manifest = _read_manifest(out_dir, "preprocess", stage)
+    stale = _parse_disagreements(
+        manifest, analyze_manifest["inputs"], analyze_manifest["config"], stage,
+        keys=("schema_profile", "has_header", "grid_start", "grid_end",
+              "grid_step"))
+    if stale:
+        raise StageError(stage, f"{name} in {out_dir} disagrees with "
+                                f"manifest-analyze.json on {', '.join(stale)}; "
+                                "rerun preprocess")
+    _check_digests(out_dir, manifest["outputs"], manifest, name, stage)
+    rows = manifest["row_counts"]
+    return {
+        "machines": rows.get("machines", 0),
+        "repair_annotations": rows.get("repair_annotations", 0),
+        "repairs": {
+            key.removeprefix("repairs_"): value
+            for key, value in rows.items() if key.startswith("repairs_")
+        },
+        "container_events_removed": rows.get("container_events_removed", 0),
+    }
+
+
+def build_report(out_dir: str) -> dict:
+    stage = "report"
+    analyze_manifest = _read_manifest(out_dir, "analyze", stage)
+    _check_digests(out_dir, ("dtw_histogram.json", "category_counts.json",
+                             "anomaly_report.json", *PLOT_DATA.values()),
+                   analyze_manifest, "manifest-analyze.json", stage)
+    histogram = _read_json(out_dir, "dtw_histogram.json", stage)
+    categories = _read_json(out_dir, "category_counts.json", stage)
+    anomalies = _read_json(out_dir, "anomaly_report.json", stage)
+    preprocess_summary = _preprocess_summary(out_dir, analyze_manifest, stage)
+
+    grid_config = analyze_manifest["config"]
+    machine_count = histogram["machine_count"]
+    return {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "tool_version": __version__,
+        "grid": {
+            "start": _read_key(grid_config, "grid_start", stage),
+            "end": _read_key(grid_config, "grid_end", stage),
+            "step": _read_key(grid_config, "grid_step", stage),
+            "interval_count": analyze_manifest["row_counts"]["intervals"],
+        },
+        "preprocess": preprocess_summary,
+        "similarity": {
+            "standard_value": histogram["standard_value"],
+            "standard_machines": histogram["standard_machines"],
+            "threshold": histogram["threshold"],
+            "normalized": histogram["normalized"],
+            "bins": histogram["bins"],
+            "flagged": histogram.get("flagged", []),
+            "flagged_count": histogram["flagged_count"],
+            "flagged_fraction": (histogram["flagged_count"] / machine_count
+                                 if machine_count else 0.0),
+            "unsuitable_standards": histogram["unsuitable_standards"],
+        },
+        "classification": {
+            "k": categories["k"],
+            "counts": categories["counts"],
+            "members": categories["members"],
+            "usage_means": categories["usage_means"],
+        },
+        "anomalies": anomalies,
+        "plot_data": dict(PLOT_DATA),
+    }
+
+
+def run_report(config: dict[str, str]) -> str:
+    """Run the report stage under ``config``; returns its output directory."""
+    stage = "report"
+    out_dir = read_config(config, stage)["output_dir"]
+    report = build_report(out_dir)
+    _prepare_out_dir(out_dir, stage)
+    path = os.path.join(out_dir, REPORT_FILENAME)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    write_manifest(out_dir, stage, config, inputs={}, outputs=[REPORT_FILENAME],
+                   row_counts={"top_ranked": len(report["anomalies"]["top"])})
+    return out_dir

@@ -8,6 +8,11 @@ import pytest
 from trace_insight import __version__, trace_model
 from trace_insight.pipeline import (
     ANALYZE_FILENAMES,
+    run_analyze,
+    run_preprocess,
+    run_synth,
+)
+from trace_insight.stage import (
     CONFIG_KEYS,
     StageError,
     _parse_gaps,
@@ -16,10 +21,7 @@ from trace_insight.pipeline import (
     build_report,
     parse_config_file,
     read_config,
-    run_analyze,
-    run_preprocess,
     run_report,
-    run_synth,
     write_manifest,
 )
 from trace_insight.synth import PlantKind
@@ -534,6 +536,57 @@ def test_report_names_a_manifest_cut_short(tmp_path, name, writer):
     assert (out / "report.json").read_bytes() == report
 
 
+def drop_key(key):
+    def spoil(manifest):
+        del manifest[key]
+        return manifest
+    return spoil
+
+
+@pytest.mark.parametrize("name, writer, spoil, problem", [
+    ("manifest-analyze.json", "analyze", drop_key("config"),
+     "has no 'config' object"),
+    ("manifest-preprocess.json", "preprocess", drop_key("row_counts"),
+     "has no 'row_counts' object"),
+    ("manifest-analyze.json", "analyze", lambda manifest: [],
+     "is not a JSON object"),
+    ("manifest-preprocess.json", "preprocess", lambda manifest: [],
+     "is not a JSON object"),
+], ids=["analyze-no-config", "preprocess-no-row-counts", "analyze-list",
+        "preprocess-list"])
+def test_report_names_a_misshapen_manifest(tmp_path, name, writer, spoil, problem):
+    trace = tmp_path / "trace"
+    run_synth(synth_config(trace))
+    out = tmp_path / "out"
+    for run in (run_preprocess, run_analyze, run_report):
+        run(stage_config(trace, out))
+    report = (out / "report.json").read_bytes()
+    manifest = out / name
+    body = manifest.read_bytes()
+    manifest.write_text(json.dumps(spoil(json.loads(body))))
+    with pytest.raises(StageError, match=rf"^\[report\] {name} in .* "
+                                         rf"{problem}; rerun {writer}$"):
+        run_report({"output_dir": str(out)})
+    manifest.write_bytes(body)
+    run_report({"output_dir": str(out)})
+    assert (out / "report.json").read_bytes() == report
+
+
+def test_report_takes_an_unreadable_recorded_value_for_a_disagreement(tmp_path):
+    trace = tmp_path / "trace"
+    run_synth(synth_config(trace))
+    out = tmp_path / "out"
+    for run in (run_preprocess, run_analyze):
+        run(stage_config(trace, out))
+    manifest = json.loads((out / "manifest-preprocess.json").read_text())
+    manifest["config"]["has_header"] = "maybe"
+    (out / "manifest-preprocess.json").write_text(json.dumps(manifest))
+    with pytest.raises(StageError, match=r"^\[report\] manifest-preprocess.json "
+                                         r"in .* disagrees with manifest-analyze"
+                                         r".json on has_header; rerun preprocess$"):
+        run_report({"output_dir": str(out)})
+
+
 def test_analyze_counts_what_aggregation_drops_in_its_manifest(tmp_path):
     trace = tmp_path / "trace"
     run_synth(synth_config(trace))
@@ -622,7 +675,20 @@ def drop_the_manifest(out):
     (out / "manifest-preprocess.json").unlink()
 
 
-@pytest.mark.parametrize("spoil", [flip_a_byte, truncate, drop_the_manifest])
+def make_the_manifest_a_list(out):
+    (out / "manifest-preprocess.json").write_text("[]\n")
+
+
+def record_an_unreadable_has_header(out):
+    path = out / "manifest-preprocess.json"
+    manifest = json.loads(path.read_text())
+    manifest["config"]["has_header"] = "maybe"
+    path.write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("spoil", [flip_a_byte, truncate, drop_the_manifest,
+                                   make_the_manifest_a_list,
+                                   record_an_unreadable_has_header])
 def test_analyze_parses_when_the_columns_file_is_not_vouched_for(tmp_path, spoil):
     trace = noisy_trace(tmp_path / "trace", seed=7)
     out, clean = tmp_path / "out", tmp_path / "clean"
