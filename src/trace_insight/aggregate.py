@@ -34,7 +34,7 @@ from itertools import compress
 import numpy as np
 
 from .preprocess import DenseUsage
-from .trace_model import IntervalGrid, TraceBundle, csv_lines
+from .trace_model import IntervalGrid, TraceBundle, csv_file, csv_lines
 
 
 @dataclass
@@ -308,9 +308,7 @@ def write_aggregate_csvs(table: SeriesTable, container_machines: np.ndarray,
     with contextlib.ExitStack() as stack:
         files = []
         for name, header, columns, machines in outputs:
-            fh = stack.enter_context(open(os.path.join(out_dir, name), "w",
-                                          newline="", encoding="utf-8"))
-            fh.write(",".join(header) + "\n")
+            fh = stack.enter_context(csv_file(os.path.join(out_dir, name), header))
             files.append((fh, columns, np.isin(t.machines, machines)))
         for lo in range(0, lines, BLOCK_LINES):
             row, x = np.divmod(np.arange(lo, min(lo + BLOCK_LINES, lines)), n)

@@ -12,8 +12,6 @@ below zero and everything lives in [-0.5, 0.5).
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -21,9 +19,9 @@ from enum import Enum
 import numpy as np
 
 from .aggregate import SeriesTable
-from .stage import FeatureMode
-from .trace_model import (IntervalGrid, MachineEventType, Table, csv_lines,
-                          enum_code, float_text)
+from .stage import FeatureMode, write_json
+from .trace_model import (IntervalGrid, MachineEventType, Table, csv_file,
+                          csv_lines, enum_code, float_text)
 
 EULER_GAMMA = 0.5772156649
 
@@ -327,17 +325,13 @@ def diagnose(label: str, softerrors: list[int], batch_count: np.ndarray,
 
 def write_scores_csv(report: AnomalyReport, path: str) -> None:
     rank_of = {m: i + 1 for i, m in enumerate(report.ranking)}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("machine", "score", "rank", "label", "tags"))
-        for machine in report.machines:
-            writer.writerow([
-                machine,
-                float_text(report.scores[machine]),
-                rank_of[machine],
-                report.labels.get(machine, ""),
-                "|".join(report.causes.get(machine, [])),
-            ])
+    machines = report.machines
+    with csv_file(path, ("machine", "score", "rank", "label", "tags")) as fh:
+        fh.write(csv_lines(map(str, machines),
+                           (float_text(report.scores[m]) for m in machines),
+                           (str(rank_of[m]) for m in machines),
+                           (report.labels.get(m, "") for m in machines),
+                           ("|".join(report.causes.get(m, [])) for m in machines)))
 
 
 def top_anomalies_dict(report: AnomalyReport, top_n: int) -> dict:
@@ -358,17 +352,12 @@ def top_anomalies_dict(report: AnomalyReport, top_n: int) -> dict:
 
 
 def write_anomaly_json(report: AnomalyReport, top_n: int, path: str) -> None:
-    # built before the file is opened, so a bad top_n leaves no partial file
-    data = top_anomalies_dict(report, top_n)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, top_anomalies_dict(report, top_n))
 
 
 def write_score_distribution_csv(report: AnomalyReport, path: str) -> None:
     """Scores in ranking order, for plotting the score curve."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("rank,machine,score\n")
+    with csv_file(path, ("rank", "machine", "score")) as fh:
         fh.write(csv_lines(map(str, range(1, len(report.ranking) + 1)),
                            map(str, report.ranking),
                            (float_text(report.scores[m]) for m in report.ranking)))

@@ -20,14 +20,14 @@ Centroids matching no rule are labeled Unknown and reported, not hidden.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 
 import numpy as np
 
 from .aggregate import SeriesTable
-from .trace_model import csv_lines, float_text
+from .stage import write_json
+from .trace_model import csv_file, csv_lines, float_text
 
 TYPE_LABELS = ("Type1", "Type2", "Type3", "Type4",
                "Type5", "Type6", "Type7", "Type8")
@@ -269,8 +269,7 @@ def category_report(model: CategoryModel, table: SeriesTable) -> CategoryReport:
 
 def write_assignments_csv(model: CategoryModel, path: str) -> None:
     clusters = [model.assignments[machine] for machine in model.machines]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("machine,cluster,label\n")
+    with csv_file(path, ("machine", "cluster", "label")) as fh:
         fh.write(csv_lines(map(str, model.machines), map(str, clusters),
                            (model.labels.get(c, "") or "" for c in clusters)))
 
@@ -293,16 +292,13 @@ def counts_dict(model: CategoryModel, report: CategoryReport) -> dict:
 
 def write_counts_json(model: CategoryModel, report: CategoryReport,
                       path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(counts_dict(model, report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, counts_dict(model, report))
 
 
 def write_type_usage_csv(report: CategoryReport, table: SeriesTable,
                          path: str) -> None:
     """Per-type mean cpu/mem/disk per interval, for external plotting."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("label,interval_index,cpu,mem,disk\n")
+    with csv_file(path, ("label", "interval_index", "cpu", "mem", "disk")) as fh:
         for label in sorted(report.members):
             means = [np.mean(rows, axis=0).tolist() for rows in
                      _usage_rows(table, report.members[label])]

@@ -67,7 +67,6 @@ from .preprocess import (
     write_repair_log_csv,
 )
 from .similarity import (
-    DEFAULT_RANGE_EDGES,
     build_resource_curves,
     score_similarity,
     select_standard,
@@ -89,8 +88,8 @@ from .stage import (
     write_manifest,
 )
 from .trace_model import (
-    DEFAULT_FILENAMES,
     FILE_KEYS,
+    TRACE_FILENAMES,
     IntervalGrid,
     TraceParseError,
     load_columns,
@@ -121,7 +120,7 @@ def _grid(values: dict, stage: str) -> IntervalGrid:
 
 def _digest_inputs(input_dir: str, stage: str) -> dict[str, str]:
     digests = {}
-    for name in sorted(DEFAULT_FILENAMES.values()):
+    for name in sorted(TRACE_FILENAMES.values()):
         path = os.path.join(input_dir, name)
         if not os.path.exists(path):
             raise StageError(stage, f"missing input file {path}")
@@ -156,7 +155,7 @@ def run_synth(config: dict[str, str]) -> str:
         raise StageError(stage, str(e)) from e
     _prepare_out_dir(out_dir, stage)
     synth.write_synthetic_trace(bundle, truth, out_dir)
-    outputs = sorted(DEFAULT_FILENAMES.values()) + ["ground_truth.json"]
+    outputs = sorted(TRACE_FILENAMES.values()) + ["ground_truth.json"]
     write_manifest(out_dir, stage, config, inputs={}, outputs=outputs,
                    row_counts={
                        "machines": bundle.machine_count,
@@ -180,9 +179,7 @@ def _parse_bundle(input_dir: str, values: dict, stage: str):
     diagnostics of skipped rows)."""
     diagnostics: list = []
     try:
-        bundle = parse_trace_dir(input_dir,
-                                 schema_profile=values["schema_profile"],
-                                 has_header=values["has_header"],
+        bundle = parse_trace_dir(input_dir, has_header=values["has_header"],
                                  max_skip_ratio=values["max_skip_ratio"],
                                  diagnostics=diagnostics)
     except TraceParseError as e:
@@ -316,8 +313,7 @@ def run_analyze(config: dict[str, str]) -> str:
         dtw_report = score_similarity(
             curves, curves[[m - 1 for m in standards]], standards,
             standard_value=standard_value, threshold=values["dtw_threshold"],
-            range_edges=(tuple(values["dtw_range_edges"])
-                         or DEFAULT_RANGE_EDGES),
+            range_edges=tuple(values["dtw_range_edges"]),
             normalized=values["dtw_normalized"],
             suitability_gap=values["dtw_suitability_gap"])
         write_distances_csv(dtw_report, os.path.join(out_dir, "dtw_distances.csv"))

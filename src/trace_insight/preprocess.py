@@ -21,6 +21,7 @@ from .trace_model import (
     IntervalGrid,
     Table,
     TraceBundle,
+    csv_file,
     csv_lines,
     fraction_to_percent_text,
     float_text,
@@ -184,8 +185,7 @@ def write_dense_csv(dense: DenseUsage, path: str) -> None:
     machines = np.repeat(dense.machines, t_count)
     timestamps = np.tile(dense.timestamps, len(dense.machines))
     values = dense.values.reshape(-1, len(METRICS))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(DENSE_HEADER) + "\n")
+    with csv_file(path, DENSE_HEADER) as fh:
         for lo in range(0, len(values), BLOCK_ROWS):
             block = slice(lo, lo + BLOCK_ROWS)
             fh.write(csv_lines(
@@ -203,8 +203,7 @@ def write_repair_log_csv(repairs: Table, path: str) -> None:
     values = (fraction_to_percent_text(value) if metric in _FRACTION_METRICS
               else float_text(value)
               for value, metric in zip(repairs.value.tolist(), metrics))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(REPAIR_LOG_HEADER) + "\n")
+    with csv_file(path, REPAIR_LOG_HEADER) as fh:
         fh.write(csv_lines(map(str, repairs.machine.tolist()), metrics,
                            map(str, repairs.timestamp.tolist()),
                            repairs.method.tolist(), values))
@@ -212,8 +211,7 @@ def write_repair_log_csv(repairs: Table, path: str) -> None:
 
 def write_removed_events_csv(removed: Table, path: str) -> None:
     """The container events ``filter_container_events`` removed."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(REMOVED_EVENTS_HEADER) + "\n")
+    with csv_file(path, REMOVED_EVENTS_HEADER) as fh:
         fh.write(csv_lines(map(str, removed.instance.tolist()),
                            map(str, removed.machine.tolist()),
                            map(repr, removed.mem_req.tolist())))

@@ -23,13 +23,13 @@ selection and the raw scores do not.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .aggregate import SeriesTable
-from .trace_model import csv_lines, float_text
+from .stage import write_json
+from .trace_model import csv_file, csv_lines, float_text
 
 DEFAULT_THRESHOLD = 3.0
 DEFAULT_RANGE_EDGES = (0.0, 1.0, 2.0, 3.0, 5.0)
@@ -300,8 +300,7 @@ def write_distances_csv(report: DtwReport, path: str) -> None:
     header = list(DISTANCES_HEADER_PREFIX)
     header += [f"dtw_std_{m}" for m in report.standard_machines]
     header.append("dtw_mean")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
+    with csv_file(path, header) as fh:
         fh.write(csv_lines(
             map(str, report.machines),
             *(map(float_text, column) for column in report.distances.T.tolist()),
@@ -310,8 +309,7 @@ def write_distances_csv(report: DtwReport, path: str) -> None:
 
 def write_flags_csv(report: DtwReport, path: str) -> None:
     flagged = set(report.flagged)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("machine,dtw_mean,flagged\n")
+    with csv_file(path, ("machine", "dtw_mean", "flagged")) as fh:
         fh.write(csv_lines(map(str, report.machines),
                            map(float_text, report.mean_distance.tolist()),
                            (str(int(m in flagged)) for m in report.machines)))
@@ -337,6 +335,4 @@ def histogram_dict(report: DtwReport) -> dict:
 
 
 def write_histogram_json(report: DtwReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(histogram_dict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, histogram_dict(report))

@@ -1,5 +1,5 @@
 """What every stage shares, and the report stage: ``StageError``, the config
-table and its reader, the run manifests, and ``run_report``.
+table and its reader, ``write_json``, the run manifests, and ``run_report``.
 
 This module imports no numpy and no other module of the package, so the CLI
 can parse its flags and run ``report`` without them; ``pipeline`` holds the
@@ -104,6 +104,8 @@ def _parse_gaps(raw: str, stage: str) -> tuple:
             if "-" in span:
                 lo, hi = span.split("-", 1)
                 slots = tuple(range(int(lo), int(hi) + 1))
+                if not slots:
+                    raise ValueError("the slot range runs backwards")
             else:
                 slots = (int(span),)
             gaps.append(GapPlant(machine=int(machine), metric=metric, slots=slots))
@@ -142,7 +144,9 @@ def _at_least(low: int) -> tuple:
 
 
 _FRACTION = ((lambda value: 0 <= value <= 1), "in [0, 1]")
-_SORTED = ((lambda edges: edges == sorted(edges)), "sorted")
+_EDGES = ((lambda edges: edges != [] and edges == sorted(edges)),
+          "sorted and non-empty")
+_DISTINCT = ((lambda ids: len(set(ids)) == len(ids)), "free of repeated ids")
 
 
 # One config key. ``kind`` is a name in _KINDS, the Enum of the allowed
@@ -170,8 +174,6 @@ CONFIG_KEYS = {
     "grid_end": ConfigKey("int", "82500", _GRID, "last interval boundary (s)"),
     "grid_step": ConfigKey("int", "300", _GRID, "interval length (s)"),
     "has_header": ConfigKey("bool", "false", _PARSE, "CSVs carry a header row"),
-    "schema_profile": ConfigKey("text", "default", _PARSE,
-                                "column-order profile for the six CSVs"),
     "max_skip_ratio": ConfigKey("float", "0.01", _PARSE, "tolerated share of "
                                 "malformed rows per file", _FRACTION),
     "duration_weighted": ConfigKey("bool", "false", _ANALYZE,
@@ -181,13 +183,14 @@ CONFIG_KEYS = {
     "dtw_standard_count": ConfigKey("int", "4", _ANALYZE,
                                     "standards drawn from the sample"),
     "dtw_standards": ConfigKey("int list", "", _ANALYZE, "pinned standard "
-                               "machine ids, e.g. 16,19,28,36", flag="--standards"),
+                               "machine ids, e.g. 16,19,28,36", _DISTINCT,
+                               flag="--standards"),
     "dtw_threshold": ConfigKey("float", "3.0", _ANALYZE, "mean-distance "
                                "flagging threshold", flag="--threshold"),
     "dtw_normalized": ConfigKey("bool", "false", _ANALYZE,
                                 "use sqrt(cost)/path-length distances"),
     "dtw_range_edges": ConfigKey("float list", "0,1,2,3,5", _ANALYZE,
-                                 "histogram bucket edges", _SORTED),
+                                 "histogram bucket edges", _EDGES),
     "dtw_suitability_gap": ConfigKey("float or empty", "1.0", _ANALYZE,
                                      "sup-norm gap for the standard "
                                      "suitability warning; empty for none"),
@@ -315,7 +318,16 @@ def read_config(config: dict[str, str], stage: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# manifests
+# JSON artifacts and manifests
+
+def write_json(path: str, data) -> None:
+    """Write ``data`` as every JSON artifact is written: sorted keys, a
+    two-space indent and a final newline. The text is built before the file
+    is opened, so data that does not serialize leaves no file."""
+    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
 
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
@@ -344,10 +356,7 @@ def write_manifest(out_dir: str, stage: str, config: dict[str, str],
     if trace_columns is not None:
         manifest["trace_columns"] = {
             trace_columns: _sha256(os.path.join(out_dir, trace_columns))}
-    path = os.path.join(out_dir, f"manifest-{stage}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, f"manifest-{stage}.json"), manifest)
 
 
 def _misshapen(manifest) -> str | None:
@@ -389,7 +398,7 @@ def _recorded_key(recorded: dict, key: str, stage: str):
 
 def _parse_disagreements(manifest: dict, inputs: dict[str, str],
                          config: dict[str, str], stage: str,
-                         keys=("schema_profile", "has_header")) -> list[str]:
+                         keys=("has_header",)) -> list[str]:
     """What keeps a well-shaped preprocess manifest from vouching that its
     run parsed ``inputs`` as ``config`` says to (and, for the grid keys
     among ``keys``, on the same grid): an empty list when nothing does. A
@@ -460,8 +469,7 @@ def _preprocess_summary(out_dir: str, analyze_manifest: dict, stage: str) -> dic
     manifest = _read_manifest(out_dir, "preprocess", stage)
     stale = _parse_disagreements(
         manifest, analyze_manifest["inputs"], analyze_manifest["config"], stage,
-        keys=("schema_profile", "has_header", "grid_start", "grid_end",
-              "grid_step"))
+        keys=("has_header", "grid_start", "grid_end", "grid_step"))
     if stale:
         raise StageError(stage, f"{name} in {out_dir} disagrees with "
                                 f"manifest-analyze.json on {', '.join(stale)}; "
@@ -531,10 +539,7 @@ def run_report(config: dict[str, str]) -> str:
     out_dir = read_config(config, stage)["output_dir"]
     report = build_report(out_dir)
     _prepare_out_dir(out_dir, stage)
-    path = os.path.join(out_dir, REPORT_FILENAME)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, REPORT_FILENAME), report)
     write_manifest(out_dir, stage, config, inputs={}, outputs=[REPORT_FILENAME],
                    row_counts={"top_ranked": len(report["anomalies"]["top"])})
     return out_dir

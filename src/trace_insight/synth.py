@@ -24,7 +24,9 @@ from enum import Enum
 
 import numpy as np
 
+from .classify import TYPE_LABELS
 from .preprocess import METRICS
+from .stage import write_json
 from .trace_model import (
     ContainerEventType,
     InstanceStatus,
@@ -34,9 +36,6 @@ from .trace_model import (
     TraceBundle,
     write_trace_dir,
 )
-
-TYPE_LABELS = ("Type1", "Type2", "Type3", "Type4",
-               "Type5", "Type6", "Type7", "Type8")
 
 # per-type (cpu, mem, disk) base usage fractions
 BASE_USAGE = {
@@ -163,6 +162,12 @@ _PLANT_HOMES = {
     PlantKind.LIGHTER_ONLINE_SKEW: {"Type1"},
 }
 
+# the parameters each plant kind reads; any other is refused
+_PLANT_PARAMS = {
+    PlantKind.HEAVY_ONLINE: ("containers", "mem_boost"),
+    PlantKind.LIGHTER_ONLINE_SKEW: ("streams",),
+}
+
 
 def _check_plants(config: SynthConfig, types: dict[int, str]) -> None:
     seen: set[tuple[PlantKind, int]] = set()
@@ -173,6 +178,12 @@ def _check_plants(config: SynthConfig, types: dict[int, str]) -> None:
             raise ValueError(f"duplicate {plant.kind.value} plant "
                              f"on machine {plant.machine}")
         seen.add((plant.kind, plant.machine))
+        reads = _PLANT_PARAMS.get(plant.kind, ())
+        unread = [name for name, _value in plant.params if name not in reads]
+        if unread:
+            raise ValueError(
+                f"{plant.kind.value} plant on machine {plant.machine} has no "
+                f"parameter {unread[0]!r} (it reads {list(reads)})")
         homes = _PLANT_HOMES.get(plant.kind)
         label = types[plant.machine]
         if homes is not None and label not in homes:
@@ -200,11 +211,15 @@ def _assign_types(config: SynthConfig) -> dict[int, str]:
     return types
 
 
-def _noisy(rng: np.random.Generator, base: float, noise: float,
-           lo: float = 0.0, hi: float = 1.0) -> float:
-    if noise <= 0:
-        return float(min(max(base, lo), hi))
-    return float(min(max(base + noise * rng.standard_normal(), lo), hi))
+def _noisy_rows(rng: np.random.Generator, base: tuple[float, ...], noise: float,
+                rows: int) -> list[list[float]]:
+    """``rows`` rows of ``base`` plus ``noise`` times a standard normal per
+    cell, clipped to [0, 1]. The cells are drawn in one array, row by row;
+    nothing is drawn when ``noise`` is 0."""
+    values = np.tile(np.asarray(base, dtype=np.float64), (rows, 1))
+    if noise > 0:
+        values += noise * rng.standard_normal(values.shape)
+    return np.clip(values, 0.0, 1.0).tolist()
 
 
 def _log_uniform_duration(rng: np.random.Generator, step: int) -> int:
@@ -232,7 +247,7 @@ def _gen_machine(rows: dict[str, list[tuple]], machine: int, label: str,
                  noise: float, rng: np.random.Generator,
                  ids: _IdSource) -> None:
     """Append the machine's rows to ``rows`` (per ``TraceBundle`` attribute,
-    in each file's default column order)."""
+    in each file's column order)."""
     n = grid.interval_count
     kinds = {p.kind: p for p in plants}
     half = n // 2
@@ -255,15 +270,12 @@ def _gen_machine(rows: dict[str, list[tuple]], machine: int, label: str,
         base_mem = min(1.0, base_mem
                        + kinds[PlantKind.HEAVY_ONLINE].param("mem_boost", 0.25))
     idle = PlantKind.IDLE in kinds
-    for x in range(grid.timestamp_count):
-        ts = grid.start + x * grid.step
-        if idle:
-            cpu = mem = disk = 0.0
-        else:
-            cpu = _noisy(rng, base_cpu, noise)
-            mem = _noisy(rng, base_mem, noise)
-            disk = _noisy(rng, base_disk, noise)
-        rows["server_usage"].append((ts, machine, cpu, mem, disk, 0.0, 0.0, 0.0))
+    # an idle machine reads 0 throughout and draws no noise
+    base = (0.0, 0.0, 0.0) if idle else (base_cpu, base_mem, base_disk)
+    usage = _noisy_rows(rng, base, 0.0 if idle else noise, grid.timestamp_count)
+    rows["server_usage"].extend(
+        (grid.start + x * grid.step, machine, *cells, 0.0, 0.0, 0.0)
+        for x, cells in enumerate(usage))
 
     if has_containers(label) and not idle:
         if PlantKind.HEAVY_ONLINE in kinds:
@@ -279,12 +291,11 @@ def _gen_machine(rows: dict[str, list[tuple]], machine: int, label: str,
                 0, ContainerEventType.CREATE, instance, machine,
                 float(rng.choice((2.0, 4.0, 8.0))), float(rng.uniform(0.01, 0.05)),
                 float(rng.uniform(0.005, 0.02)), ""))
-            for x in range(n):
-                rows["container_usage"].append((
-                    grid.start + x * grid.step, instance,
-                    _noisy(rng, 0.3, noise), _noisy(rng, 0.6, noise),
-                    _noisy(rng, 0.1, noise), _noisy(rng, base_disk, noise),
-                    0.0, 0.0, 0.0, 1.5, 1.2, 2.0, 1.8))
+            usage = _noisy_rows(rng, (0.3, 0.6, 0.1, base_disk), noise, n)
+            rows["container_usage"].extend(
+                (grid.start + x * grid.step, instance, *cells,
+                 0.0, 0.0, 0.0, 1.5, 1.2, 2.0, 1.8)
+                for x, cells in enumerate(usage))
 
     runs = [] if idle else batch_runs(label, n)
     streams = 0
@@ -396,9 +407,7 @@ def ground_truth_dict(truth: GroundTruth) -> dict:
 
 
 def write_ground_truth(truth: GroundTruth, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(ground_truth_dict(truth), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, ground_truth_dict(truth))
 
 
 def read_ground_truth(path: str) -> GroundTruth:

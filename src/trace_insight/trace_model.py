@@ -6,9 +6,8 @@ machine events, server usage, container events, container usage, batch tasks,
 and batch task instances. Each file parses into a ``Table``: one numpy column
 per field, one entry per accepted row, ``len(table)`` rows. One spec per file
 (``_SPECS``) gives every field a kind, which drives both parsing and writing,
-and lists the checks that span several columns. Column order is controlled
-by a schema profile so alternative file layouts can be parsed without code
-changes.
+and lists the checks that span several columns. Its field order is the
+column order of the file, which is the one layout of the published trace.
 
 Kinds and units, applied at parse time and inverted on write:
   * ids, counts and timestamps are int64; timestamps stay integer seconds
@@ -46,18 +45,19 @@ import logging
 import math
 import operator
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from functools import partial
 from itertools import islice, repeat
-from typing import Callable, Iterator
+from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
 log = logging.getLogger(__name__)
 
-DEFAULT_FILENAMES = {
+TRACE_FILENAMES = {
     "server_event": "server_event.csv",
     "server_usage": "server_usage.csv",
     "container_event": "container_event.csv",
@@ -66,7 +66,7 @@ DEFAULT_FILENAMES = {
     "batch_instance": "batch_instance.csv",
 }
 
-FILE_KEYS = tuple(DEFAULT_FILENAMES)
+FILE_KEYS = tuple(TRACE_FILENAMES)
 
 # Rows converted per block: bounds the parser's transient memory.
 BLOCK_ROWS = 1024
@@ -150,6 +150,15 @@ def fraction_to_percent_text(value: float) -> str:
 def float_text(value: float) -> str:
     """Shortest decimal text that parses back to exactly ``value``."""
     return repr(float(value))
+
+
+@contextmanager
+def csv_file(path: str, header) -> Iterator[TextIO]:
+    """An artifact CSV at ``path``, open for writing in the dialect of every
+    artifact (UTF-8, ``\\n`` line ends) with its ``header`` line written."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        yield fh
 
 
 def csv_lines(*columns) -> str:
@@ -369,8 +378,8 @@ _AVG_WITHIN_MAX = _Rule(
 @dataclass(frozen=True)
 class _FileSpec:
     """One trace file: its ``TraceBundle`` attribute, its fields with their
-    kinds in the default column order, and the fields and cross-column rules
-    a row is checked against before the remaining fields, in that order."""
+    kinds in column order, and the fields and cross-column rules a row is
+    checked against before the remaining fields, in that order."""
 
     attr: str
     fields: dict[str, _Kind]
@@ -429,11 +438,6 @@ _SPECS = {
                     "max_cpu", "avg_cpu", _AVG_WITHIN_MAX)),
 }
 
-SCHEMA_PROFILES: dict[str, dict[str, tuple[str, ...]]] = {
-    "default": {key: tuple(spec.fields) for key, spec in _SPECS.items()},
-}
-
-
 def _column_name(field_name: str) -> str:
     """Percent fields hold fractions once parsed, so their column drops
     ``_pct``."""
@@ -469,7 +473,7 @@ class Table:
 
     @classmethod
     def from_rows(cls, file_key: str, rows) -> Table:
-        """Table from row tuples in the default column order; enum fields
+        """Table from row tuples in column order; enum fields
         take Enum members and text fields strings."""
         fields = _SPECS[file_key].fields
         cells = list(zip(*rows)) or [()] * len(fields)
@@ -508,23 +512,6 @@ class TraceBundle:
 
 # ---------------------------------------------------------------------------
 # parsing
-
-
-def _resolve_profile(schema_profile) -> dict[str, tuple[str, ...]]:
-    if isinstance(schema_profile, str):
-        try:
-            profile = SCHEMA_PROFILES[schema_profile]
-        except KeyError:
-            raise TraceParseError(f"unknown schema profile {schema_profile!r}") from None
-    else:
-        profile = dict(schema_profile)
-    for key, spec in _SPECS.items():
-        if key not in profile:
-            raise TraceParseError(f"schema profile missing column order for {key!r}")
-        if sorted(profile[key]) != sorted(spec.fields):
-            raise TraceParseError(
-                f"schema profile for {key!r} must permute {tuple(spec.fields)}")
-    return profile
 
 
 def _convert(kind: _Kind, cells: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -628,8 +615,8 @@ def parse_trace_file(path: str, file_key: str, columns: tuple[str, ...] | None =
     return table, diagnostics
 
 
-def parse_trace_dir(path: str, schema_profile="default", *, filenames: dict | None = None,
-                    has_header: bool = False, max_skip_ratio: float = 0.01,
+def parse_trace_dir(path: str, *, has_header: bool = False,
+                    max_skip_ratio: float = 0.01,
                     diagnostics: list | None = None) -> TraceBundle:
     """Parse the six trace files under ``path`` into a TraceBundle.
 
@@ -637,20 +624,15 @@ def parse_trace_dir(path: str, schema_profile="default", *, filenames: dict | No
     row fraction exceeds ``max_skip_ratio``. Row-level diagnostics are logged
     and, when a ``diagnostics`` list is supplied, appended to it.
     """
-    profile = _resolve_profile(schema_profile)
-    names = dict(DEFAULT_FILENAMES)
-    if filenames:
-        names.update(filenames)
     tables: dict[str, Table] = {}
     for key, spec in _SPECS.items():
-        file_path = os.path.join(path, names[key])
+        file_path = os.path.join(path, TRACE_FILENAMES[key])
         if not os.path.exists(file_path):
             raise TraceParseError(f"missing trace file: {file_path}")
-        table, diags = parse_trace_file(
-            file_path, key, profile[key], has_header=has_header)
+        table, diags = parse_trace_file(file_path, key, has_header=has_header)
         if diags and diagnostics is not None:
             diagnostics.extend(diags)
-        _check_skips(names[key], len(table), len(diags),
+        _check_skips(TRACE_FILENAMES[key], len(table), len(diags),
                      diags[0] if diags else None, max_skip_ratio)
         tables[spec.attr] = table
     machine_count = max((int(t.machine.max()) for t in tables.values()
@@ -718,7 +700,7 @@ def load_columns(path: str, max_skip_ratio: float = 0.01,
             table = Table(key, {_column_name(name): load() for name in spec.fields})
             count, line = load().tolist()
             reason = str(load()[0])
-            _check_skips(DEFAULT_FILENAMES[key], len(table), count,
+            _check_skips(TRACE_FILENAMES[key], len(table), count,
                          RowDiagnostic(key, line, reason), max_skip_ratio)
             tables[spec.attr] = table
             skipped[key] = count
@@ -729,23 +711,21 @@ def load_columns(path: str, max_skip_ratio: float = 0.01,
 # serialization (inverse of parsing)
 
 
-def write_trace_dir(bundle: TraceBundle, path: str, schema_profile="default", *,
-                    filenames: dict | None = None) -> None:
-    """Write the bundle back to six CSV files (byte-deterministic)."""
-    profile = _resolve_profile(schema_profile)
-    names = dict(DEFAULT_FILENAMES)
-    if filenames:
-        names.update(filenames)
+def write_trace_dir(bundle: TraceBundle, path: str) -> None:
+    """Write the bundle back to six CSV files (byte-deterministic). Trace
+    cells may need quoting (``event_detail`` is free text), so rows go
+    through ``csv.writer`` rather than ``csv_lines``."""
     os.makedirs(path, exist_ok=True)
     for key, spec in _SPECS.items():
         table = getattr(bundle, spec.attr)
-        with open(os.path.join(path, names[key]), "w", newline="", encoding="utf-8") as fh:
+        with open(os.path.join(path, TRACE_FILENAMES[key]), "w", newline="",
+                  encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             for lo in range(0, len(table), BLOCK_ROWS):
                 writer.writerows(zip(*(
                     spec.fields[name].text(
                         table.columns[_column_name(name)][lo:lo + BLOCK_ROWS].tolist())
-                    for name in profile[key])))
+                    for name in spec.fields)))
 
 
 # ---------------------------------------------------------------------------

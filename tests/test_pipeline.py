@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from trace_insight import __version__, trace_model
+from trace_insight import __version__
 from trace_insight.pipeline import (
     ANALYZE_FILENAMES,
     run_analyze,
@@ -22,6 +22,7 @@ from trace_insight.stage import (
     parse_config_file,
     read_config,
     run_report,
+    write_json,
     write_manifest,
 )
 from trace_insight.synth import PlantKind
@@ -134,6 +135,15 @@ def test_gap_syntax_errors():
 # manifests
 
 
+def test_write_json_leaves_no_file_when_the_data_does_not_serialize(tmp_path):
+    path = tmp_path / "artifact.json"
+    with pytest.raises(TypeError):
+        write_json(str(path), {"machines": {1, 2}})
+    assert not path.exists()
+    write_json(str(path), {"b": [1.5], "a": None})
+    assert path.read_text() == '{\n  "a": null,\n  "b": [\n    1.5\n  ]\n}\n'
+
+
 def test_manifest_layout_and_digests(tmp_path):
     (tmp_path / "a.csv").write_text("x\n")
     write_manifest(str(tmp_path), "demo", {"b": "2", "a": "1"},
@@ -223,7 +233,13 @@ def test_a_failed_synth_leaves_the_trace_it_would_replace_untouched(tmp_path):
     for bad, error in [
             ({"synth_machines": "15", "synth_quotas": "2,2,2,2,2,2,2,2"},
              r"^\[synth\] quotas sum to 16, expected machine_count 15"),
-            ({"synth_gaps": "11:cpu:3"}, r"^\[synth\] gap machine 11 out of range")]:
+            ({"synth_gaps": "11:cpu:3"}, r"^\[synth\] gap machine 11 out of range"),
+            # input that would plant nothing, or nothing different
+            ({"synth_gaps": "5:cpu:12-10"},
+             r"^\[synth\] bad gap '5:cpu:12-10': the slot range runs backwards$"),
+            ({"synth_plants": "HeavyOnline:1:contaners=30"},
+             r"^\[synth\] HeavyOnline plant on machine 1 has no parameter "
+             "'contaners'")]:
         with pytest.raises(StageError, match=error):
             run_synth(synth_config(trace, **bad))
         assert {path.name: path.read_bytes() for path in trace.iterdir()} == before
@@ -403,6 +419,8 @@ BAD_CONFIG_VALUES = [
     ("analyze", "anomaly_mode", "worst", "anomaly_mode must be one of"),
     # ranges that need no data are checked up front too
     ("analyze", "dtw_range_edges", "3,1", "must be sorted"),
+    ("analyze", "dtw_range_edges", "", "must be sorted and non-empty"),
+    ("analyze", "dtw_standards", "2,2,3", "must be free of repeated ids"),
     ("analyze", "classify_k", "0", "must be >= 1"),
     ("analyze", "classify_restarts", "0", "must be >= 1"),
     ("analyze", "anomaly_trees", "0", "must be >= 1"),
@@ -700,18 +718,10 @@ def test_analyze_parses_when_the_columns_file_is_not_vouched_for(tmp_path, spoil
     assert_same_analysis(out, clean)
 
 
-def test_analyze_parses_when_preprocess_parsed_another_way(tmp_path, monkeypatch):
+def test_analyze_parses_when_preprocess_parsed_another_way(tmp_path):
     trace = noisy_trace(tmp_path / "trace", seed=7)
-    out, clean = tmp_path / "out", tmp_path / "clean"
-    # the same column order under another name still counts as another way
-    monkeypatch.setitem(trace_model.SCHEMA_PROFILES, "alias",
-                        trace_model.SCHEMA_PROFILES["default"])
+    out = tmp_path / "out"
     run_preprocess(stage_config(trace, out))
-    run_analyze(stage_config(trace, out, schema_profile="alias"))
-    run_analyze(stage_config(trace, clean, schema_profile="alias"))
-    assert analyze_counts(out)["trace_columns_reused"] == 0
-    assert_same_analysis(out, clean)
-
     run_analyze(stage_config(trace, out, has_header="true"))
     assert analyze_counts(out)["trace_columns_reused"] == 0
 

@@ -18,6 +18,7 @@ from trace_insight.synth import (
     PlantKind,
     SynthConfig,
     TYPE_LABELS,
+    _noisy_rows,
     batch_runs,
     expected_occupancy_bits,
     generate_trace,
@@ -135,6 +136,18 @@ def test_noise_stays_clamped_to_the_unit_interval():
     usage = bundle.server_usage
     for values in (usage.cpu, usage.mem, usage.disk):
         assert ((values >= 0.0) & (values <= 1.0)).all()
+
+
+def test_noise_rows_equal_one_clamped_draw_per_cell_row_by_row():
+    base = (0.3, 0.0, 0.95)
+    rng = np.random.default_rng(5)
+    expected = [[min(max(b + 0.2 * rng.standard_normal(), 0.0), 1.0) for b in base]
+                for _ in range(40)]
+    rng = np.random.default_rng(5)
+    assert _noisy_rows(rng, base, 0.2, 40) == expected
+    state = rng.bit_generator.state
+    assert _noisy_rows(rng, base, 0.0, 2) == [list(base)] * 2
+    assert rng.bit_generator.state == state   # no noise, no draw
 
 
 def test_quota_validation():
