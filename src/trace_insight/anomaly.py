@@ -25,7 +25,6 @@ from .trace_model import (IntervalGrid, MachineEventType, Table, csv_file,
 
 EULER_GAMMA = 0.5772156649
 
-FEATURE_NAMES = ("cpu", "mem", "disk", "batch_count", "container_count")
 _FEATURE_SIGNALS = ("server_cpu", "server_mem", "server_disk",
                     "batch_count", "container_count")
 

@@ -23,6 +23,7 @@ selection and the raw scores do not.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,7 +198,7 @@ def select_standard(curves, sample_num: int, seed: int,
     pairwise DTW distances inside the sample, and takes their median as the
     baseline. ``standard_count`` of the sampled machines are then drawn as
     the standards. Passing ``standard_machines`` pins the sample to those
-    machine ids instead (all of them become standards).
+    machine ids instead (all of them become standards; none may repeat).
     """
     count = len(curves)
     if not count:
@@ -206,6 +207,9 @@ def select_standard(curves, sample_num: int, seed: int,
         missing = [m for m in standard_machines if not 1 <= m <= count]
         if missing:
             raise ValueError(f"standard machines not present: {missing}")
+        repeated = sorted(m for m, n in Counter(standard_machines).items() if n > 1)
+        if repeated:
+            raise ValueError(f"standard machines repeated: {repeated}")
         sample = np.asarray(standard_machines, dtype=np.int64) - 1
         chosen = sample
     else:

@@ -312,7 +312,11 @@ def _read_key(config: dict[str, str], key: str, stage: str):
 
 def read_config(config: dict[str, str], stage: str) -> dict:
     """Every key ``stage`` reads, parsed and range-checked, so that a bad
-    value fails before the stage opens any input."""
+    value, or a key that no stage reads, fails before the stage opens any
+    input."""
+    for key in config:
+        if key not in CONFIG_KEYS:
+            raise StageError(stage, f"unknown config key {key!r}")
     return {key: _read_key(config, key, stage)
             for key, row in CONFIG_KEYS.items() if stage in row.stages}
 

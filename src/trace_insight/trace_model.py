@@ -20,11 +20,13 @@ Kinds and units, applied at parse time and inverted on write:
   * ``event_detail`` and ``cpu_set`` stay text, ``cpu_set`` normalised to
     ``1|2|3``; everything else is float64 as written.
 
-Parsing reads ``BLOCK_ROWS`` rows at a time and converts each column of a
-block with one ``np.fromiter``; ranges and finiteness are checked with masks.
-A row that any check rejects is run through the per-cell converters, in the
-order the checks have always been applied, to name the first rule it breaks
-in its ``RowDiagnostic``.
+Each kind states its rule once: its parse, the mask of the values it
+accepts, and the words for a cell that fails either. Parsing reads
+``BLOCK_ROWS`` rows at a time, converts each column of a block with one
+``np.fromiter`` and applies the masks to whole columns. A row that any check
+rejects has its cells checked one at a time by the same parse and mask, in
+the spec's check order, to name the first rule it breaks in its
+``RowDiagnostic``.
 
 A percent cell converts as ``float(text + "e-2")``, which rounds the exact
 decimal value once. Cells with an exponent, or longer than Decimal's default
@@ -46,7 +48,7 @@ import math
 import operator
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from enum import Enum
 from functools import partial
@@ -108,14 +110,6 @@ def enum_code(member: Enum) -> int:
     return list(type(member)).index(member)
 
 
-def _parse_enum(enum_cls, text: str) -> int:
-    lowered = text.strip().lower()
-    for code, member in enumerate(enum_cls):
-        if member.value.lower() == lowered:
-            return code
-    raise ValueError(f"unknown {enum_cls.__name__} value {text!r}")
-
-
 @dataclass(frozen=True, slots=True)
 class RowDiagnostic:
     file: str
@@ -171,105 +165,14 @@ def csv_lines(*columns) -> str:
 _DECIMAL_DIGITS = 28
 
 
-def _percent_cell(text: str) -> float:
-    """``percent_text_to_fraction`` without its Decimal detour where the
-    result is the same: up to 28 characters and without an exponent."""
-    if len(text) <= _DECIMAL_DIGITS:
-        try:
-            return float(text.strip() + "e-2")
-        except ValueError:
-            pass   # an exponent, or not a number: the Decimal path decides
-    return percent_text_to_fraction(text)
-
-
 def _percent_column(cells: tuple[str, ...]):
-    """``_percent_cell`` over a block column, in C where it can be:
-    ``float(cell + "e-2")`` raises on a cell with an exponent or trailing
-    space, which sends the block to the cell-by-cell path."""
+    """``percent_text_to_fraction`` over a block column, in C where it can
+    be: up to 28 characters, ``float(cell + "e-2")`` gives the same float.
+    It raises on a cell with an exponent or surrounding space, which sends
+    the block to the cell-by-cell path."""
     if max(map(len, cells)) > _DECIMAL_DIGITS:
-        return map(_percent_cell, cells)
+        return map(percent_text_to_fraction, cells)
     return map(float, map(operator.add, cells, repeat("e-2")))
-
-
-# ---------------------------------------------------------------------------
-# per-cell converters: each raises ValueError naming the rule a cell breaks
-
-
-_INT64 = np.iinfo(np.int64)
-
-
-def _int(text: str, name: str) -> int:
-    try:
-        value = int(text.strip())
-    except ValueError as exc:
-        raise ValueError(f"bad integer for {name}: {text!r}") from exc
-    if not _INT64.min <= value <= _INT64.max:
-        raise ValueError(f"{name} outside the 64-bit integer range: {text!r}")
-    return value
-
-
-def _nonneg_int(text: str, name: str) -> int:
-    value = _int(text, name)
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    return value
-
-
-def _count(text: str, name: str) -> int:
-    value = _int(text, name)
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-    return value
-
-
-def _machine_id(text: str, name: str) -> int:
-    value = _int(text, name)
-    if value < 1:
-        raise ValueError(f"machine id must be >= 1, got {value}")
-    return value
-
-
-def _optional_machine(text: str, name: str) -> int:
-    text = text.strip()
-    return _nonneg_int(text, name) if text else 0
-
-
-def _float(text: str, name: str) -> float:
-    try:
-        value = float(text.strip())
-    except ValueError as exc:
-        raise ValueError(f"bad number for {name}: {text!r}") from exc
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {text!r}")
-    return value
-
-
-def _nonneg_float(text: str, name: str) -> float:
-    value = _float(text, name)
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    return value
-
-
-def _positive_float(text: str, name: str) -> float:
-    value = _float(text, name)
-    if value <= 0:
-        raise ValueError(f"{name} must be > 0, got {value}")
-    return value
-
-
-def _unit_fraction(text: str, name: str) -> float:
-    value = _float(text, name)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0,1], got {value}")
-    return value
-
-
-def _percent_fraction(text: str, name: str) -> float:
-    value = percent_text_to_fraction(text)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0,100] percent, got {text!r}")
-    return value
 
 
 def _cpu_set(text: str) -> str:
@@ -282,24 +185,33 @@ def _cpu_set(text: str) -> str:
 # field kinds and file specs
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 @dataclass(frozen=True)
 class _Kind:
-    """How one field parses, checks and writes.
+    """How one field parses, checks and writes, each stated once.
 
-    ``parse`` converts a cell in the fast path and ``valid`` masks the
-    values it accepts; ``check`` is the per-cell converter that names the
-    rule a rejected cell breaks; ``text`` turns column values back into
-    cells, and ``store`` row values (as ``Table.from_rows`` takes them) into
-    a column. ``parse_all`` maps ``parse`` over a block column where a
-    faster equal form exists."""
+    ``parse`` converts a cell and ``valid`` masks the values the field
+    accepts; ``rule`` words a value ``valid`` refuses, and ``bad`` a cell
+    ``parse`` refuses (None: the parse error's own text). Both format over
+    the field ``name``, the cell ``text`` and the parsed ``value``; ``strip``
+    kinds read and quote the cell stripped. The block parser applies
+    ``parse`` and ``valid`` to whole columns, and ``check`` to the cells of a
+    rejected row to name the rule it breaks. ``text`` turns column values
+    back into cells, and ``store`` row values (as ``Table.from_rows`` takes
+    them) into a column. ``parse_all`` maps ``parse`` over a block column
+    where a faster equal form exists."""
 
     dtype: type
     parse: Callable[[str], object]
     valid: Callable[[np.ndarray], np.ndarray] | None
-    check: Callable[[str, str], object]
+    rule: str | None
     text: Callable[[list], list[str]]
     store: Callable[[tuple], np.ndarray] | None = None
     parse_all: Callable[[tuple], Iterator] | None = None
+    bad: str | None = None
+    strip: bool = False
 
     def array(self, values) -> np.ndarray:
         if self.store is not None:
@@ -313,6 +225,28 @@ class _Kind:
             return np.array(list(parsed), dtype=str)
         return np.fromiter(parsed, self.dtype, len(cells))
 
+    def check(self, text: str, name: str):
+        """The value of one cell. Raises ValueError worded for the first
+        check it fails: the parse, the 64-bit range of an int64 kind, the
+        finiteness of a float64 kind, then ``valid``."""
+        if self.strip:
+            text = text.strip()
+        try:
+            value = self.parse(text)
+        except ValueError as exc:
+            if self.bad is None:
+                raise
+            raise ValueError(self.bad.format(name=name, text=text)) from exc
+        if self.dtype is np.int64 and not _INT64.min <= value <= _INT64.max:
+            message = "{name} outside the 64-bit integer range: {text!r}"
+        elif self.dtype is np.float64 and not math.isfinite(value):
+            message = "{name} must be finite, got {text!r}"
+        elif self.valid is not None and not self.valid(value):
+            message = self.rule
+        else:
+            return value
+        raise ValueError(message.format(name=name, text=text, value=value))
+
 
 def _texts(convert):
     return lambda values: list(map(convert, values))
@@ -320,24 +254,30 @@ def _texts(convert):
 
 _ints = _texts(str)
 _floats = _texts(float_text)
+_int_kind = partial(_Kind, np.int64, int, text=_ints,
+                    bad="bad integer for {name}: {text!r}")
+_float_kind = partial(_Kind, np.float64, float, text=_floats,
+                      bad="bad number for {name}: {text!r}")
 
-_MACHINE = _Kind(np.int64, int, lambda v: v >= 1, _machine_id, _ints)
-_OPTIONAL_MACHINE = _Kind(
-    np.int64, lambda cell: int(cell) if cell.strip() else 0, lambda v: v >= 0,
-    _optional_machine, _texts(lambda m: str(m) if m else ""))
-_NONNEG_INT = _Kind(np.int64, int, lambda v: v >= 0, _nonneg_int, _ints)
-_COUNT = _Kind(np.int64, int, lambda v: v >= 1, _count, _ints)
-_PERCENT = _Kind(np.float64, _percent_cell, lambda v: (v >= 0.0) & (v <= 1.0),
-                 _percent_fraction, _texts(fraction_to_percent_text),
-                 parse_all=_percent_column)
-_UNIT_FRACTION = _Kind(np.float64, float, lambda v: (v >= 0.0) & (v <= 1.0),
-                       _unit_fraction, _floats)
-_NONNEG_FLOAT = _Kind(np.float64, float, lambda v: (v >= 0.0) & (v < np.inf),
-                      _nonneg_float, _floats)
-_POSITIVE_FLOAT = _Kind(np.float64, float, lambda v: (v > 0.0) & (v < np.inf),
-                        _positive_float, _floats)
-_TEXT = _Kind(str, str.strip, None, lambda text, name: text.strip(), list)
-_CPU_SET = _Kind(str, _cpu_set, None, lambda text, name: _cpu_set(text), list)
+_MACHINE = _int_kind(lambda v: v >= 1, "machine id must be >= 1, got {value}")
+_NONNEG_INT = _int_kind(lambda v: v >= 0, "{name} must be >= 0, got {value}")
+# a blank cell is machine 0, which never ran
+_OPTIONAL_MACHINE = replace(
+    _NONNEG_INT, parse=lambda cell: int(cell) if cell.strip() else 0,
+    text=_texts(lambda m: str(m) if m else ""), strip=True)
+_COUNT = _int_kind(lambda v: v >= 1, "{name} must be >= 1, got {value}")
+_PERCENT = _Kind(np.float64, percent_text_to_fraction,
+                 lambda v: (v >= 0.0) & (v <= 1.0),
+                 "{name} must lie in [0,100] percent, got {text!r}",
+                 _texts(fraction_to_percent_text), parse_all=_percent_column)
+_UNIT_FRACTION = _float_kind(lambda v: (v >= 0.0) & (v <= 1.0),
+                             "{name} must lie in [0,1], got {value}")
+_NONNEG_FLOAT = _float_kind(lambda v: (v >= 0.0) & (v < np.inf),
+                            "{name} must be >= 0, got {value}")
+_POSITIVE_FLOAT = _float_kind(lambda v: (v > 0.0) & (v < np.inf),
+                              "{name} must be > 0, got {value}")
+_TEXT = _Kind(str, str.strip, None, None, list)
+_CPU_SET = _Kind(str, _cpu_set, None, None, list)
 
 
 def _enum_kind(enum_cls) -> _Kind:
@@ -346,7 +286,7 @@ def _enum_kind(enum_cls) -> _Kind:
     lookup = {m.value.lower(): code for code, m in enumerate(members)}
     codes = {m: code for code, m in enumerate(members)}
     return _Kind(np.int8, lambda cell: lookup.get(cell.strip().lower(), -1),
-                 lambda v: v >= 0, lambda text, name: _parse_enum(enum_cls, text),
+                 lambda v: v >= 0, f"unknown {enum_cls.__name__} value {{text!r}}",
                  lambda column: [members[c].value for c in column],
                  lambda rows: np.fromiter(map(codes.__getitem__, rows), np.int8,
                                           len(rows)))
@@ -549,38 +489,37 @@ def _reason(spec: _FileSpec, cells: dict[str, str]) -> str:
     raise RuntimeError(f"row {cells} was rejected but passes every check")
 
 
-def _convert_block(file_key: str, columns: tuple[str, ...], rows: list[list[str]],
-                   line_nos: list[int], diagnostics: list[RowDiagnostic],
-                   ) -> dict[str, np.ndarray]:
+def _convert_block(file_key: str, rows: list[list[str]], line_nos: list[int],
+                   diagnostics: list[RowDiagnostic]) -> dict[str, np.ndarray]:
     """Accepted rows of one block as columns; rejected ones go to
     ``diagnostics``."""
     spec = _SPECS[file_key]
-    by_name = dict(zip(columns, zip(*rows)))
     values: dict[str, np.ndarray] = {}
     ok = np.ones(len(rows), dtype=bool)
-    for name, kind in spec.fields.items():
-        values[name], passed = _convert(kind, by_name[name])
+    for (name, kind), cells in zip(spec.fields.items(), zip(*rows)):
+        values[name], passed = _convert(kind, cells)
         ok &= passed
     for rule in spec.rules():
         ok &= ~rule.violated(*(values[name] for name in rule.fields))
     for i in np.flatnonzero(~ok).tolist():
         diagnostics.append(RowDiagnostic(
-            file_key, line_nos[i], _reason(spec, dict(zip(columns, rows[i])))))
+            file_key, line_nos[i], _reason(spec, dict(zip(spec.fields, rows[i])))))
     # a text column is rebuilt so its width is that of the accepted rows
     return {name: (spec.fields[name].array(column[ok].tolist())
                    if column.dtype.kind == "U" else column[ok])
             for name, column in values.items()}
 
 
-def parse_trace_file(path: str, file_key: str, columns: tuple[str, ...] | None = None,
-                     has_header: bool = False) -> tuple[Table, list[RowDiagnostic]]:
-    """Parse one trace CSV. Returns (table, diagnostics).
+def parse_trace_file(path: str, file_key: str, has_header: bool = False,
+                     ) -> tuple[Table, list[RowDiagnostic]]:
+    """Parse one trace CSV, its columns in field order. Returns (table,
+    diagnostics).
 
     Malformed rows are skipped and reported in line order; nothing is raised
     here so callers decide what rejection rate is tolerable.
     """
     spec = _SPECS[file_key]
-    columns = columns or tuple(spec.fields)
+    width = len(spec.fields)
     blocks: list[dict[str, np.ndarray]] = []
     diagnostics: list[RowDiagnostic] = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -593,20 +532,19 @@ def parse_trace_file(path: str, file_key: str, columns: tuple[str, ...] | None =
             line_nos = range(first_line, first_line + len(block))
             first_line += len(block)
             rows = block
-            if set(map(len, block)) != {len(columns)}:
+            if set(map(len, block)) != {width}:
                 rows, kept = [], []
                 for line_no, row in zip(line_nos, block):
-                    if len(row) == len(columns):
+                    if len(row) == width:
                         rows.append(row)
                         kept.append(line_no)
                     elif row and not (len(row) == 1 and not row[0].strip()):
                         diagnostics.append(RowDiagnostic(
                             file_key, line_no,
-                            f"expected {len(columns)} columns, got {len(row)}"))
+                            f"expected {width} columns, got {len(row)}"))
                 line_nos = kept
             if rows:
-                blocks.append(_convert_block(file_key, columns, rows, line_nos,
-                                             diagnostics))
+                blocks.append(_convert_block(file_key, rows, line_nos, diagnostics))
     diagnostics.sort(key=lambda diag: diag.line)
     table = Table(file_key, {
         _column_name(name): (np.concatenate([b[name] for b in blocks]) if blocks

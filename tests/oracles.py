@@ -556,12 +556,12 @@ def _build_row(file_key, f):
             _unit(f["max_mem"], "max_mem"), _unit(f["avg_mem"], "avg_mem"))
 
 
-def parse_rows(path, file_key, columns=None, has_header=False):
+def parse_rows(path, file_key, has_header=False):
     """(rows, diagnostics) of one trace CSV, one row at a time: each accepted
     row is a tuple in default field order (percent cells as fractions,
     enums as member positions, text stripped, cpu sets as ``1|2|3``), and
     each rejected row a (line, reason) pair."""
-    columns = columns or tuple(name for name, _ in PARSE_FIELDS[file_key])
+    columns = tuple(name for name, _ in PARSE_FIELDS[file_key])
     rows, diagnostics = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         for line_no, row in enumerate(csv.reader(fh), start=1):

@@ -485,6 +485,14 @@ def test_every_default_passes_its_own_checks():
                                if stage in row.stages}, stage
 
 
+def test_read_config_refuses_a_key_no_stage_reads():
+    # a misspelled key must not leave its stage on the default value
+    for stage in ("synth", "preprocess", "analyze", "report"):
+        with pytest.raises(StageError, match=rf"^\[{stage}\] unknown config key "
+                                             "'dtw_treshold'$"):
+            read_config({**REQUIRED, "dtw_treshold": "9"}, stage)
+
+
 @pytest.mark.parametrize("key", [
     key for key, row in CONFIG_KEYS.items()
     if row.kind in ("float", "float list", "float or empty")])

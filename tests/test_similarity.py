@@ -263,6 +263,9 @@ def test_select_standard_input_validation():
                         standard_machines=[99, 2, 0])
     with pytest.raises(ValueError, match="no curves"):
         select_standard(np.empty((0, 6, 3)), sample_num=2, seed=0)
+    # a repeated curve would count twice in the pairwise median
+    with pytest.raises(ValueError, match=r"repeated: \[2\]"):
+        select_standard(curves, sample_num=0, seed=0, standard_machines=[2, 2, 3])
 
 
 # ---------------------------------------------------------------------------

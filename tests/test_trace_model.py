@@ -319,11 +319,11 @@ def enum_cells(file_key):
 
 @st.composite
 def trace_files(draw):
-    """(file key, column order, has_header, CSV text) with rows of drawn
-    cells, some of them blank or of the wrong width."""
+    """(file key, has_header, CSV text) with rows of drawn cells in field
+    order, some of them blank or of the wrong width."""
     file_key = draw(st.sampled_from(sorted(oracles.PARSE_FIELDS)))
     fields = oracles.PARSE_FIELDS[file_key]
-    columns = tuple(draw(st.permutations([name for name, _ in fields])))
+    columns = [name for name, _ in fields]
     kinds = dict(fields)
     lines = []
     has_header = draw(st.booleans())
@@ -341,13 +341,13 @@ def trace_files(draw):
         elif shape == "long":
             cells.append("9")
         lines.append(",".join(cells))
-    return file_key, columns, has_header, "\n".join(lines) + "\n"
+    return file_key, has_header, "\n".join(lines) + "\n"
 
 
 @settings(max_examples=300)
 @given(trace_files(), st.integers(1, 4))
 def test_block_parser_matches_the_row_oracle(drawn, block_rows):
-    file_key, columns, has_header, text = drawn
+    file_key, has_header, text = drawn
     saved = trace_model.BLOCK_ROWS
     trace_model.BLOCK_ROWS = block_rows   # several blocks, the last partial
     try:
@@ -355,8 +355,8 @@ def test_block_parser_matches_the_row_oracle(drawn, block_rows):
             path = os.path.join(tmp, "trace.csv")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-            table, diags = parse_trace_file(path, file_key, columns, has_header)
-            rows, want_diags = oracles.parse_rows(path, file_key, columns, has_header)
+            table, diags = parse_trace_file(path, file_key, has_header)
+            rows, want_diags = oracles.parse_rows(path, file_key, has_header)
     finally:
         trace_model.BLOCK_ROWS = saved
     assert [(d.line, d.reason) for d in diags] == want_diags
@@ -415,6 +415,66 @@ def test_a_row_breaking_several_rules_names_the_first_one_checked(tmp_path):
         table, diags = parse_trace_file(str(path), file_key)
         assert len(table) == 0
         assert [(d.line, d.reason) for d in diags] == [(1, reason)], line
+
+
+VALID_ROWS = {
+    "server_event": "0,1,add,,32,0.5,0.5",
+    "server_usage": "39600,1,50,50,50,1.0,1.0,1.0",
+    "container_event": "0,Create,7,1,4,0.5,0.01,1|2",
+    "container_usage": "39600,7,10,20,30,40,1.0,1.0,1.0,0.5,0.5,0.5,0.5",
+    "batch_task": "1,2,3,4,5,Terminated,1.0,0.01",
+    "batch_instance": "5,9,1,1,1,Terminated,1,1,0.5,0.4,0.1,0.1",
+}
+
+# (file, field, cell, reason): one cell of each message class in an
+# otherwise valid row; reason None means the cell is accepted.
+REJECTED_CELLS = [
+    ("server_usage", "timestamp", "9223372036854775808",
+     "timestamp outside the 64-bit integer range: '9223372036854775808'"),
+    ("batch_task", "job", " -9223372036854775809",
+     "job outside the 64-bit integer range: ' -9223372036854775809'"),
+    ("server_usage", "timestamp", "2.5", "bad integer for timestamp: '2.5'"),
+    ("server_event", "cpu_count", "-4", "cpu_count must be >= 0, got -4"),
+    ("batch_task", "instance_count", "-1", "instance_count must be >= 1, got -1"),
+    ("container_event", "machine", "0", "machine id must be >= 1, got 0"),
+    ("server_usage", "load1", "x", "bad number for load1: 'x'"),
+    ("server_usage", "load5", "nan", "load5 must be finite, got 'nan'"),
+    ("batch_instance", "max_mem", "-inf", "max_mem must be finite, got '-inf'"),
+    ("container_event", "disk_req", "-0.5", "disk_req must be >= 0, got -0.5"),
+    ("server_event", "norm_disk", "1.5", "norm_disk must lie in [0,1], got 1.5"),
+    ("server_usage", "cpu_pct", "5%", "bad percent value '5%'"),
+    ("container_usage", "disk_pct", "Infinity", "non-finite percent value 'Infinity'"),
+    ("server_usage", "mem_pct", "100.0000001",
+     "mem_pct must lie in [0,100] percent, got '100.0000001'"),
+    ("server_usage", "disk_pct", "5" + "0" * 39,
+     "disk_pct must lie in [0,100] percent, got '5" + "0" * 39 + "'"),
+    ("server_event", "event_type", "reboot", "unknown MachineEventType value 'reboot'"),
+    ("batch_instance", "status", " Done ", "unknown InstanceStatus value ' Done '"),
+    ("container_event", "cpu_set", "1|x", "invalid literal for int() with base 10: 'x'"),
+    ("batch_instance", "machine", "  ", None),
+    # the optional machine quotes its cell stripped
+    ("batch_instance", "machine", " x ", "bad integer for machine: 'x'"),
+    ("batch_instance", "machine", "-3", "machine must be >= 0, got -3"),
+]
+
+
+@pytest.mark.parametrize("file_key,field,cell,reason", REJECTED_CELLS)
+def test_each_rejected_cell_is_named_by_its_rule(tmp_path, file_key, field, cell,
+                                                reason):
+    cells = VALID_ROWS[file_key].split(",")
+    cells[list(trace_model._SPECS[file_key].fields).index(field)] = cell
+    path = tmp_path / "trace.csv"
+    path.write_text(VALID_ROWS[file_key] + "\n" + ",".join(cells) + "\n")
+    table, diags = parse_trace_file(str(path), file_key)
+    assert [(d.line, d.reason) for d in diags] == ([] if reason is None
+                                                   else [(2, reason)])
+    assert len(table) == (2 if reason is None else 1)
+
+
+def test_every_checked_kind_words_its_rule():
+    for spec in trace_model._SPECS.values():
+        for name, kind in spec.fields.items():
+            assert kind.valid is None or kind.rule, name
 
 
 def test_column_dtypes_and_names():
