@@ -227,7 +227,7 @@ CONFIG_KEYS = {
     "anomaly_seed": ConfigKey("int", None, _ANALYZE, "forest seed (analyze --seed)",
                               _at_least(0)),
     "synth_machines": ConfigKey("int", None, _SYNTH, "machine count",
-                                flag="--machines"),
+                                _at_least(1), flag="--machines"),
     "synth_quotas": ConfigKey("int list", None, _SYNTH, "per-type machine counts, "
                               "8 comma-separated integers", flag="--quotas"),
     "synth_seed": ConfigKey("int", None, _SYNTH, "generator seed", _at_least(0),

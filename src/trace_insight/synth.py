@@ -7,6 +7,12 @@ the gap-repair path. The generator is the oracle for the desk-scale
 acceptance tests: whatever it plants is recorded in a GroundTruth object
 that ships alongside the bundle as ground_truth.json.
 
+Each machine draws from its own stream, spawned from the seed, in a fixed
+order: its server usage, then per container its requests and usage, then
+per batch run its instance spans and the instances' usage. The six tables
+are then built as columns from those draws. Machines, container instances
+and batch jobs are numbered by position, from 1.
+
 Batch instances are tiled inside [t_a + 1, t_{b+1} - 1] for an occupied
 interval run [a, b]; the one-second margins keep closed-interval membership
 from leaking into the neighboring intervals, so the binarized occupancy
@@ -32,8 +38,10 @@ from .trace_model import (
     InstanceStatus,
     IntervalGrid,
     MachineEventType,
+    Table,
     TaskStatus,
     TraceBundle,
+    enum_code,
     write_trace_dir,
 )
 
@@ -140,6 +148,8 @@ def expected_occupancy_bits(label: str, interval_count: int) -> np.ndarray:
 
 def _check_feasible(config: SynthConfig) -> None:
     n = config.grid.interval_count
+    if config.machine_count < 1:
+        raise ValueError(f"machine_count must be >= 1, got {config.machine_count}")
     if len(config.quotas) != len(TYPE_LABELS):
         raise ValueError(f"need {len(TYPE_LABELS)} quotas, got {len(config.quotas)}")
     if any(q < 0 for q in config.quotas):
@@ -162,10 +172,14 @@ _PLANT_HOMES = {
     PlantKind.LIGHTER_ONLINE_SKEW: {"Type1"},
 }
 
-# the parameters each plant kind reads; any other is refused
+# the parameters each plant kind reads, each with the (test, wording) of the
+# values it can honour; any other parameter is refused
+_WHOLE = ((lambda value: float(value).is_integer() and value >= 1),
+          "a whole number >= 1")
+_FRACTION = ((lambda value: 0 <= value <= 1), "in [0, 1]")
 _PLANT_PARAMS = {
-    PlantKind.HEAVY_ONLINE: ("containers", "mem_boost"),
-    PlantKind.LIGHTER_ONLINE_SKEW: ("streams",),
+    PlantKind.HEAVY_ONLINE: {"containers": _WHOLE, "mem_boost": _FRACTION},
+    PlantKind.LIGHTER_ONLINE_SKEW: {"streams": _WHOLE},
 }
 
 
@@ -178,12 +192,18 @@ def _check_plants(config: SynthConfig, types: dict[int, str]) -> None:
             raise ValueError(f"duplicate {plant.kind.value} plant "
                              f"on machine {plant.machine}")
         seen.add((plant.kind, plant.machine))
-        reads = _PLANT_PARAMS.get(plant.kind, ())
+        reads = _PLANT_PARAMS.get(plant.kind, {})
         unread = [name for name, _value in plant.params if name not in reads]
         if unread:
             raise ValueError(
                 f"{plant.kind.value} plant on machine {plant.machine} has no "
                 f"parameter {unread[0]!r} (it reads {list(reads)})")
+        for name, value in plant.params:
+            test, wording = reads[name]
+            if not test(value):
+                raise ValueError(
+                    f"{plant.kind.value} plant on machine {plant.machine}: "
+                    f"parameter {name!r} must be {wording}, got {value}")
         homes = _PLANT_HOMES.get(plant.kind)
         label = types[plant.machine]
         if homes is not None and label not in homes:
@@ -212,58 +232,22 @@ def _assign_types(config: SynthConfig) -> dict[int, str]:
 
 
 def _noisy_rows(rng: np.random.Generator, base: tuple[float, ...], noise: float,
-                rows: int) -> list[list[float]]:
+                rows: int) -> np.ndarray:
     """``rows`` rows of ``base`` plus ``noise`` times a standard normal per
     cell, clipped to [0, 1]. The cells are drawn in one array, row by row;
     nothing is drawn when ``noise`` is 0."""
     values = np.tile(np.asarray(base, dtype=np.float64), (rows, 1))
     if noise > 0:
         values += noise * rng.standard_normal(values.shape)
-    return np.clip(values, 0.0, 1.0).tolist()
+    return np.clip(values, 0.0, 1.0)
 
 
-def _log_uniform_duration(rng: np.random.Generator, step: int) -> int:
-    lo = math.log(30.0)
-    hi = math.log(4.0 * step)
-    return max(1, int(round(math.exp(rng.uniform(lo, hi)))))
-
-
-class _IdSource:
-    def __init__(self):
-        self.container = 0
-        self.job = 0
-
-    def next_container(self) -> int:
-        self.container += 1
-        return self.container
-
-    def next_job(self) -> int:
-        self.job += 1
-        return self.job
-
-
-def _gen_machine(rows: dict[str, list[tuple]], machine: int, label: str,
-                 plants: list[AnomalyPlant], grid: IntervalGrid,
-                 noise: float, rng: np.random.Generator,
-                 ids: _IdSource) -> None:
-    """Append the machine's rows to ``rows`` (per ``TraceBundle`` attribute,
-    in each file's column order)."""
+def _gen_machine(drawn: dict[str, list], machine: int, label: str,
+                 kinds: dict[PlantKind, AnomalyPlant], grid: IntervalGrid,
+                 noise: float, rng: np.random.Generator) -> None:
+    """Append what the machine draws to ``drawn``, in draw order: its server
+    usage, each container's requests and usage, each batch run's spans and draws."""
     n = grid.interval_count
-    kinds = {p.kind: p for p in plants}
-    half = n // 2
-
-    events = rows["events"]
-    events.append((0, machine, MachineEventType.ADD, "", MACHINE_CORES, 1.0, 1.0))
-    if PlantKind.FREQUENT_SOFT_ERROR in kinds:
-        span = grid.end - grid.start
-        for i in range(4):
-            ts = grid.start + round((i + 1) * span / 5)
-            events.append((int(ts), machine, MachineEventType.SOFT_ERROR,
-                           "agent check failed", 0, 0.0, 0.0))
-    if PlantKind.SOFT_ERROR_WORKLOAD_STOP in kinds:
-        ts = grid.start + half * grid.step + 37
-        events.append((int(ts), machine, MachineEventType.SOFT_ERROR,
-                       "disk full", 0, 0.0, 0.0))
 
     base_cpu, base_mem, base_disk = BASE_USAGE[label]
     if PlantKind.HEAVY_ONLINE in kinds:
@@ -272,10 +256,8 @@ def _gen_machine(rows: dict[str, list[tuple]], machine: int, label: str,
     idle = PlantKind.IDLE in kinds
     # an idle machine reads 0 throughout and draws no noise
     base = (0.0, 0.0, 0.0) if idle else (base_cpu, base_mem, base_disk)
-    usage = _noisy_rows(rng, base, 0.0 if idle else noise, grid.timestamp_count)
-    rows["server_usage"].extend(
-        (grid.start + x * grid.step, machine, *cells, 0.0, 0.0, 0.0)
-        for x, cells in enumerate(usage))
+    drawn["server_usage"].append(
+        _noisy_rows(rng, base, 0.0 if idle else noise, grid.timestamp_count))
 
     if has_containers(label) and not idle:
         if PlantKind.HEAVY_ONLINE in kinds:
@@ -285,17 +267,11 @@ def _gen_machine(rows: dict[str, list[tuple]], machine: int, label: str,
         else:
             count = 2 + int(rng.integers(3))
         for _ in range(count):
-            instance = ids.next_container()
-            # tuple items are evaluated left to right: the RNG draw order
-            rows["container_events"].append((
-                0, ContainerEventType.CREATE, instance, machine,
-                float(rng.choice((2.0, 4.0, 8.0))), float(rng.uniform(0.01, 0.05)),
-                float(rng.uniform(0.005, 0.02)), ""))
-            usage = _noisy_rows(rng, (0.3, 0.6, 0.1, base_disk), noise, n)
-            rows["container_usage"].extend(
-                (grid.start + x * grid.step, instance, *cells,
-                 0.0, 0.0, 0.0, 1.5, 1.2, 2.0, 1.8)
-                for x, cells in enumerate(usage))
+            drawn["container_machine"].append(machine)
+            drawn["requests"].append((rng.choice((2.0, 4.0, 8.0)),
+                                      *rng.uniform((0.01, 0.005), (0.05, 0.02))))
+            drawn["container_usage"].append(
+                _noisy_rows(rng, (0.3, 0.6, 0.1, base_disk), noise, n))
 
     runs = [] if idle else batch_runs(label, n)
     streams = 0
@@ -304,25 +280,88 @@ def _gen_machine(rows: dict[str, list[tuple]], machine: int, label: str,
     for a, b in runs:
         span_start = grid.start + a * grid.step + 1
         span_end = grid.start + (b + 1) * grid.step - 1
-        job = ids.next_job()
         if streams:
-            spans = [(span_start, span_end)] * streams
+            starts, ends = [span_start] * streams, [span_end] * streams
         else:
-            spans = []
-            s = span_start
+            lo, hi = math.log(30.0), math.log(4.0 * grid.step)
+            starts, ends, s = [], [], span_start
             while s <= span_end:
-                e = min(s + _log_uniform_duration(rng, grid.step), span_end)
-                spans.append((s, e))
-                s = e + 1
-        rows["batch_tasks"].append((span_start, span_end, job, 1, len(spans),
-                                    TaskStatus.TERMINATED, 1.0, 0.01))
-        for i, (s, e) in enumerate(spans):
-            avg_cpu = float(rng.uniform(0.2, 1.2))
-            avg_mem = float(rng.uniform(0.005, 0.02))
-            rows["batch_instances"].append((
-                s, e, job, 1, machine, InstanceStatus.TERMINATED, i + 1, len(spans),
-                avg_cpu * float(rng.uniform(1.0, 1.3)), avg_cpu,
-                float(min(avg_mem * rng.uniform(1.0, 1.3), 1.0)), avg_mem))
+                duration = max(1, int(round(math.exp(rng.uniform(lo, hi)))))
+                starts.append(s)
+                ends.append(min(s + duration, span_end))
+                s = ends[-1] + 1
+        drawn["run"].append((machine, span_start, span_end, len(starts)))
+        drawn["start"] += starts
+        drawn["end"] += ends
+        # per instance: avg cpu, avg mem, and the factors of max cpu and max mem
+        drawn["instance_draws"].append(rng.uniform(
+            (0.2, 0.005, 1.0, 1.0), (1.2, 0.02, 1.3, 1.3), (len(starts), 4)))
+
+
+def _stacked(rows: list, width: int, dtype=np.float64) -> np.ndarray:
+    """The rows, each a ``(k, width)`` array or ``width`` values, one under
+    another, as ``width`` columns."""
+    return np.vstack([np.empty((0, width), dtype), *rows]).T.copy()
+
+
+def _table(file_key: str, rows: int, **columns) -> Table:
+    """A table of ``rows`` rows from its columns in field order; a constant
+    column is given as its value and filled."""
+    return Table(file_key, {name: np.full(rows, value) if np.isscalar(value) else value
+                            for name, value in columns.items()})
+
+
+def _bundle(drawn: dict[str, list], events: list[tuple], grid: IntervalGrid,
+            machine_count: int) -> TraceBundle:
+    """The trace of what the machines drew and of their ``(machine, timestamp,
+    detail)`` events; an add event has no detail."""
+    n, stamps = grid.interval_count, grid.timestamps()
+    machines, times, details = zip(*events)
+    added = np.array(details) == ""
+    server_events = _table(
+        "server_event", len(times), timestamp=np.array(times, dtype=np.int64),
+        machine=np.array(machines, dtype=np.int64),
+        event_type=np.where(added, enum_code(MachineEventType.ADD),
+                            enum_code(MachineEventType.SOFT_ERROR)),
+        event_detail=np.array(details, dtype=str),
+        cpu_count=np.where(added, MACHINE_CORES, 0), norm_memory=added * 1.0,
+        norm_disk=added * 1.0)
+    cpu, mem, disk = _stacked(drawn["server_usage"], 3)
+    server_usage = _table(
+        "server_usage", len(cpu), timestamp=np.tile(stamps, machine_count),
+        machine=np.repeat(np.arange(1, machine_count + 1), len(stamps)), cpu=cpu,
+        mem=mem, disk=disk, load1=0.0, load5=0.0, load15=0.0)
+    hosts = np.array(drawn["container_machine"], dtype=np.int64)
+    instances = np.arange(1, len(hosts) + 1)
+    cpu_req, mem_req, disk_req = _stacked(drawn["requests"], 3)
+    container_events = _table(
+        "container_event", len(hosts), timestamp=0,
+        event_type=enum_code(ContainerEventType.CREATE), instance=instances,
+        machine=hosts, cpu_req=cpu_req, mem_req=mem_req, disk_req=disk_req,
+        cpu_set="")
+    cpu, mem, disk_of_req, disk = _stacked(drawn["container_usage"], 4)
+    container_usage = _table(
+        "container_usage", len(cpu), timestamp=np.tile(stamps[:n], len(hosts)),
+        instance=np.repeat(instances, n), cpu_of_req=cpu, mem_of_req=mem,
+        disk_of_req=disk_of_req, disk=disk, load1=0.0, load5=0.0, load15=0.0,
+        avg_cpi=1.5, avg_mpki=1.2, max_cpi=2.0, max_mpki=1.8)
+    hosts, starts, ends, sizes = _stacked(drawn["run"], 4, np.int64)
+    jobs = np.arange(1, len(hosts) + 1)
+    batch_tasks = _table(
+        "batch_task", len(jobs), create_time=starts, end_time=ends, job=jobs,
+        task=1, instance_count=sizes, status=enum_code(TaskStatus.TERMINATED),
+        cpu_req=1.0, mem_req=0.01)
+    avg_cpu, avg_mem, cpu_factor, mem_factor = _stacked(drawn["instance_draws"], 4)
+    firsts = np.repeat(np.cumsum(sizes) - sizes, sizes)   # each run's first row
+    batch_instances = _table(
+        "batch_instance", len(avg_cpu), start=np.array(drawn["start"], dtype=np.int64),
+        end=np.array(drawn["end"], dtype=np.int64), job=np.repeat(jobs, sizes), task=1,
+        machine=np.repeat(hosts, sizes), status=enum_code(InstanceStatus.TERMINATED),
+        seq_no=np.arange(len(avg_cpu)) - firsts + 1,
+        total_seq_no=np.repeat(sizes, sizes), max_cpu=avg_cpu * cpu_factor,
+        avg_cpu=avg_cpu, max_mem=np.minimum(avg_mem * mem_factor, 1.0), avg_mem=avg_mem)
+    return TraceBundle(server_events, server_usage, container_events, container_usage,
+                       batch_tasks, batch_instances, machine_count=machine_count)
 
 
 def plant_gap(bundle: TraceBundle, machine: int, metric: str,
@@ -363,27 +402,34 @@ def generate_trace(config: SynthConfig) -> tuple[TraceBundle, GroundTruth]:
     types = _assign_types(config)
     _check_plants(config, types)
 
-    plants_of: dict[int, list[AnomalyPlant]] = {}
+    # each planted machine's plants by kind (a kind appears once per machine)
+    plants_of: dict[int, dict[PlantKind, AnomalyPlant]] = {}
     for plant in config.anomaly_plants:
-        plants_of.setdefault(plant.machine, []).append(plant)
+        plants_of.setdefault(plant.machine, {})[plant.kind] = plant
 
+    grid = config.grid
+    stop = grid.start + grid.interval_count // 2 * grid.step + 37
     truth = GroundTruth(types=dict(types))
-    for machine, plants in sorted(plants_of.items()):
-        truth.anomalies[machine] = sorted(p.kind.value for p in plants)
+    # each machine's add event, then the soft errors its plants call for
+    events = [(machine, 0, "") for machine in types]
+    for machine, kinds in sorted(plants_of.items()):
+        truth.anomalies[machine] = sorted(kind.value for kind in kinds)
+        if PlantKind.FREQUENT_SOFT_ERROR in kinds:
+            events += [(machine, grid.start + round(i * (grid.end - grid.start) / 5),
+                        "agent check failed") for i in range(1, 5)]
+        if PlantKind.SOFT_ERROR_WORKLOAD_STOP in kinds:
+            events.append((machine, stop, "disk full"))
+    events.sort(key=lambda event: event[0])   # stable: the add event stays first
 
-    ids = _IdSource()
-    rows: dict[str, list[tuple]] = defaultdict(list)
+    drawn: dict[str, list] = defaultdict(list)
     children = np.random.SeedSequence(config.seed).spawn(config.machine_count)
-    for machine in range(1, config.machine_count + 1):
-        rng = np.random.default_rng(children[machine - 1])
-        _gen_machine(rows, machine, types[machine],
-                     plants_of.get(machine, []), config.grid,
-                     config.noise_level, rng, ids)
-    bundle = TraceBundle.from_rows(machine_count=config.machine_count, **rows)
+    for machine, child in enumerate(children, start=1):
+        _gen_machine(drawn, machine, types[machine], plants_of.get(machine, {}),
+                     grid, config.noise_level, np.random.default_rng(child))
+    bundle = _bundle(drawn, events, grid, config.machine_count)
 
     for gap in config.gap_plants:
-        timestamps = [config.grid.start + s * config.grid.step
-                      for s in sorted(set(gap.slots))]
+        timestamps = [grid.start + s * grid.step for s in sorted(set(gap.slots))]
         bundle = plant_gap(bundle, gap.machine, gap.metric, timestamps, truth)
     return bundle, truth
 

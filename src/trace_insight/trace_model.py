@@ -105,9 +105,9 @@ class InstanceStatus(Enum):
     INTERRUPTED = "Interrupted"
 
 
-def enum_code(member: Enum) -> int:
-    """The code an enum column stores for ``member``."""
-    return list(type(member)).index(member)
+def enum_code(member: Enum) -> np.int8:
+    """The int8 code an enum column stores for ``member``."""
+    return np.int8(list(type(member)).index(member))
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,24 +199,17 @@ class _Kind:
     kinds read and quote the cell stripped. The block parser applies
     ``parse`` and ``valid`` to whole columns, and ``check`` to the cells of a
     rejected row to name the rule it breaks. ``text`` turns column values
-    back into cells, and ``store`` row values (as ``Table.from_rows`` takes
-    them) into a column. ``parse_all`` maps ``parse`` over a block column
-    where a faster equal form exists."""
+    back into cells. ``parse_all`` maps ``parse`` over a block column where
+    a faster equal form exists."""
 
     dtype: type
     parse: Callable[[str], object]
     valid: Callable[[np.ndarray], np.ndarray] | None
     rule: str | None
     text: Callable[[list], list[str]]
-    store: Callable[[tuple], np.ndarray] | None = None
     parse_all: Callable[[tuple], Iterator] | None = None
     bad: str | None = None
     strip: bool = False
-
-    def array(self, values) -> np.ndarray:
-        if self.store is not None:
-            return self.store(values)
-        return np.array(values, dtype=self.dtype)
 
     def column(self, cells: tuple[str, ...]) -> np.ndarray:
         """A block column; raises on the first cell that does not parse."""
@@ -284,12 +277,9 @@ def _enum_kind(enum_cls) -> _Kind:
     """An enum field: int8 codes into the members of ``enum_cls``."""
     members = list(enum_cls)
     lookup = {m.value.lower(): code for code, m in enumerate(members)}
-    codes = {m: code for code, m in enumerate(members)}
     return _Kind(np.int8, lambda cell: lookup.get(cell.strip().lower(), -1),
                  lambda v: v >= 0, f"unknown {enum_cls.__name__} value {{text!r}}",
-                 lambda column: [members[c].value for c in column],
-                 lambda rows: np.fromiter(map(codes.__getitem__, rows), np.int8,
-                                          len(rows)))
+                 lambda column: [members[c].value for c in column])
 
 
 @dataclass(frozen=True)
@@ -411,15 +401,6 @@ class Table:
         return Table(self.file_key,
                      {name: column[rows] for name, column in self.columns.items()})
 
-    @classmethod
-    def from_rows(cls, file_key: str, rows) -> Table:
-        """Table from row tuples in column order; enum fields
-        take Enum members and text fields strings."""
-        fields = _SPECS[file_key].fields
-        cells = list(zip(*rows)) or [()] * len(fields)
-        return cls(file_key, {_column_name(name): kind.array(column)
-                              for (name, kind), column in zip(fields.items(), cells)})
-
 
 @dataclass(eq=False)
 class TraceBundle:
@@ -437,17 +418,6 @@ class TraceBundle:
     batch_tasks: Table
     batch_instances: Table
     machine_count: int = 0
-
-    @classmethod
-    def from_rows(cls, machine_count: int = 0, **rows) -> TraceBundle:
-        """Bundle from row tuples per attribute (see ``Table.from_rows``);
-        an attribute left out gets an empty table."""
-        unknown = set(rows) - {spec.attr for spec in _SPECS.values()}
-        if unknown:
-            raise TypeError(f"unknown bundle attributes {sorted(unknown)}")
-        return cls(**{spec.attr: Table.from_rows(key, rows.get(spec.attr, ()))
-                      for key, spec in _SPECS.items()},
-                   machine_count=machine_count)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +475,7 @@ def _convert_block(file_key: str, rows: list[list[str]], line_nos: list[int],
         diagnostics.append(RowDiagnostic(
             file_key, line_nos[i], _reason(spec, dict(zip(spec.fields, rows[i])))))
     # a text column is rebuilt so its width is that of the accepted rows
-    return {name: (spec.fields[name].array(column[ok].tolist())
+    return {name: (np.array(column[ok].tolist(), dtype=str)
                    if column.dtype.kind == "U" else column[ok])
             for name, column in values.items()}
 
@@ -548,7 +518,7 @@ def parse_trace_file(path: str, file_key: str, has_header: bool = False,
     diagnostics.sort(key=lambda diag: diag.line)
     table = Table(file_key, {
         _column_name(name): (np.concatenate([b[name] for b in blocks]) if blocks
-                             else kind.array([]))
+                             else np.array([], dtype=kind.dtype))
         for name, kind in spec.fields.items()})
     return table, diagnostics
 

@@ -2,8 +2,10 @@
 
 Everything here is written the slow, obvious way on purpose (full path
 enumeration, pair counting, brute-force neighbours, recursive trees, one CSV
-row at a time) so the package has something honest to disagree with. None
-of it imports trace_insight.
+row at a time) so the package has something honest to disagree with. Only
+the last two sections use trace_insight: the row fixtures build its
+``Table`` and ``TraceBundle`` from row tuples, and the row-by-row synthetic
+trace reuses the generator's constants, patterns and gap planting.
 """
 
 import csv
@@ -14,6 +16,25 @@ from decimal import Decimal
 from functools import lru_cache
 
 import numpy as np
+
+from trace_insight.classify import TYPE_LABELS
+from trace_insight.synth import (
+    BASE_USAGE,
+    MACHINE_CORES,
+    GroundTruth,
+    PlantKind,
+    batch_runs,
+    has_containers,
+    plant_gap,
+)
+from trace_insight.trace_model import (
+    ContainerEventType,
+    InstanceStatus,
+    MachineEventType,
+    Table,
+    TaskStatus,
+    TraceBundle,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -703,3 +724,168 @@ def repair_log_text(repairs):
                 if metric in ("cpu", "mem", "disk") else repr(value))
         lines.append(f"{machine},{metric},{ts},{method},{cell}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# trace tables from row tuples (test fixtures)
+
+# each TraceBundle attribute and the file its table holds
+BUNDLE_FILES = {"events": "server_event", "server_usage": "server_usage",
+                "container_events": "container_event",
+                "container_usage": "container_usage", "batch_tasks": "batch_task",
+                "batch_instances": "batch_instance"}
+
+_FLOAT_KINDS = {"percent", "unit", "float", "nonneg_float"}
+
+
+def _fixture_column(kind, values):
+    if kind == "enum":
+        return np.array([list(type(m)).index(m) for m in values], dtype=np.int8)
+    if kind in ("text", "cpu_set"):
+        return np.array(values, dtype=str)
+    return np.array(values, dtype=np.float64 if kind in _FLOAT_KINDS else np.int64)
+
+
+def table_from_rows(file_key, rows):
+    """A ``Table`` of row tuples in default field order: enum fields take
+    Enum members, text fields strings and percent fields fractions."""
+    fields = PARSE_FIELDS[file_key]
+    columns = list(zip(*rows)) or [()] * len(fields)
+    return Table(file_key, {name.replace("_pct", ""): _fixture_column(kind, values)
+                            for (name, kind), values in zip(fields, columns)})
+
+
+def bundle_from_rows(machine_count=0, **rows):
+    """A ``TraceBundle`` of row tuples per attribute (see
+    ``table_from_rows``); an attribute left out gets an empty table, and an
+    unknown one is a TypeError."""
+    tables = {attr: table_from_rows(key, rows.pop(attr, ()))
+              for attr, key in BUNDLE_FILES.items()}
+    return TraceBundle(**tables, **rows, machine_count=machine_count)
+
+
+# ---------------------------------------------------------------------------
+# the synthetic trace, one row tuple at a time
+
+
+def _noisy_rows(rng, base, noise, rows):
+    values = np.tile(np.asarray(base, dtype=np.float64), (rows, 1))
+    if noise > 0:
+        values += noise * rng.standard_normal(values.shape)
+    return np.clip(values, 0.0, 1.0).tolist()
+
+
+def _log_uniform_duration(rng, step):
+    return max(1, int(round(math.exp(rng.uniform(math.log(30.0),
+                                                  math.log(4.0 * step))))))
+
+
+def _synth_machine_rows(rows, ids, machine, label, plants, grid, noise, rng):
+    """Append the machine's rows to ``rows`` (per bundle attribute, in each
+    file's column order), numbering containers and jobs from ``ids``."""
+    n = grid.interval_count
+    kinds = {p.kind: p for p in plants}
+    rows["events"].append((0, machine, MachineEventType.ADD, "", MACHINE_CORES,
+                           1.0, 1.0))
+    if PlantKind.FREQUENT_SOFT_ERROR in kinds:
+        span = grid.end - grid.start
+        for i in range(4):
+            rows["events"].append((grid.start + round((i + 1) * span / 5), machine,
+                                   MachineEventType.SOFT_ERROR,
+                                   "agent check failed", 0, 0.0, 0.0))
+    if PlantKind.SOFT_ERROR_WORKLOAD_STOP in kinds:
+        rows["events"].append((grid.start + n // 2 * grid.step + 37, machine,
+                               MachineEventType.SOFT_ERROR, "disk full", 0, 0.0, 0.0))
+
+    base_cpu, base_mem, base_disk = BASE_USAGE[label]
+    if PlantKind.HEAVY_ONLINE in kinds:
+        base_mem = min(1.0, base_mem
+                       + kinds[PlantKind.HEAVY_ONLINE].param("mem_boost", 0.25))
+    idle = PlantKind.IDLE in kinds
+    base = (0.0, 0.0, 0.0) if idle else (base_cpu, base_mem, base_disk)
+    usage = _noisy_rows(rng, base, 0.0 if idle else noise, grid.timestamp_count)
+    for x, cells in enumerate(usage):
+        rows["server_usage"].append(
+            (grid.start + x * grid.step, machine, *cells, 0.0, 0.0, 0.0))
+
+    if has_containers(label) and not idle:
+        if PlantKind.HEAVY_ONLINE in kinds:
+            count = int(kinds[PlantKind.HEAVY_ONLINE].param("containers", 18))
+        elif PlantKind.LIGHTER_ONLINE_SKEW in kinds:
+            count = 1
+        else:
+            count = 2 + int(rng.integers(3))
+        for _ in range(count):
+            ids["container"] += 1
+            instance = ids["container"]
+            cpu_req = float(rng.choice((2.0, 4.0, 8.0)))
+            mem_req = float(rng.uniform(0.01, 0.05))
+            disk_req = float(rng.uniform(0.005, 0.02))
+            rows["container_events"].append((0, ContainerEventType.CREATE, instance,
+                                             machine, cpu_req, mem_req, disk_req, ""))
+            usage = _noisy_rows(rng, (0.3, 0.6, 0.1, base_disk), noise, n)
+            for x, cells in enumerate(usage):
+                rows["container_usage"].append(
+                    (grid.start + x * grid.step, instance, *cells,
+                     0.0, 0.0, 0.0, 1.5, 1.2, 2.0, 1.8))
+
+    streams = 0
+    if PlantKind.LIGHTER_ONLINE_SKEW in kinds:
+        streams = int(kinds[PlantKind.LIGHTER_ONLINE_SKEW].param("streams", 71))
+    for a, b in [] if idle else batch_runs(label, n):
+        span_start = grid.start + a * grid.step + 1
+        span_end = grid.start + (b + 1) * grid.step - 1
+        ids["job"] += 1
+        job = ids["job"]
+        if streams:
+            spans = [(span_start, span_end)] * streams
+        else:
+            spans = []
+            s = span_start
+            while s <= span_end:
+                e = min(s + _log_uniform_duration(rng, grid.step), span_end)
+                spans.append((s, e))
+                s = e + 1
+        rows["batch_tasks"].append((span_start, span_end, job, 1, len(spans),
+                                    TaskStatus.TERMINATED, 1.0, 0.01))
+        for i, (s, e) in enumerate(spans):
+            avg_cpu = float(rng.uniform(0.2, 1.2))
+            avg_mem = float(rng.uniform(0.005, 0.02))
+            max_cpu = avg_cpu * float(rng.uniform(1.0, 1.3))
+            max_mem = float(min(avg_mem * rng.uniform(1.0, 1.3), 1.0))
+            rows["batch_instances"].append((
+                s, e, job, 1, machine, InstanceStatus.TERMINATED, i + 1, len(spans),
+                max_cpu, avg_cpu, max_mem, avg_mem))
+
+
+def synth_rows_reference(config):
+    """(bundle, truth) of a valid ``SynthConfig``, built one row tuple at a
+    time: machines take types in quota order, each machine draws from its own
+    spawned stream, containers and jobs are numbered from counters, every
+    table goes through ``table_from_rows``, then the gaps are cut."""
+    types = {}
+    for label, quota in zip(TYPE_LABELS, config.quotas):
+        for _ in range(quota):
+            types[len(types) + 1] = label
+    plants_of = {}
+    for plant in config.anomaly_plants:
+        plants_of.setdefault(plant.machine, []).append(plant)
+    truth = GroundTruth(types=dict(types))
+    for machine in sorted(plants_of):
+        truth.anomalies[machine] = sorted(p.kind.value for p in plants_of[machine])
+
+    rows = {attr: [] for attr in BUNDLE_FILES}
+    ids = {"container": 0, "job": 0}
+    children = np.random.SeedSequence(config.seed).spawn(config.machine_count)
+    for machine in range(1, config.machine_count + 1):
+        rng = np.random.default_rng(children[machine - 1])
+        _synth_machine_rows(rows, ids, machine, types[machine],
+                            plants_of.get(machine, []), config.grid,
+                            config.noise_level, rng)
+    bundle = bundle_from_rows(machine_count=config.machine_count, **rows)
+    grid = config.grid
+    for gap in config.gap_plants:
+        bundle = plant_gap(bundle, gap.machine, gap.metric,
+                           [grid.start + s * grid.step for s in sorted(set(gap.slots))],
+                           truth)
+    return bundle, truth

@@ -53,8 +53,6 @@ from trace_insight.synth import (
 from trace_insight.trace_model import (
     ContainerEventType,
     IntervalGrid,
-    Table,
-    TraceBundle,
     parse_trace_dir,
 )
 
@@ -178,7 +176,7 @@ def test_criterion_04_interpolation_restores_affine_series():
         if observed.sum() < 2:
             observed[np.argsort(~observed)[:2]] = True
 
-        bundle = TraceBundle.from_rows(
+        bundle = oracles.bundle_from_rows(
             server_usage=[_usage_row(1, stamps[x], truth[x])
                           for x in range(count) if observed[x]],
             machine_count=1)
@@ -221,7 +219,8 @@ def test_criterion_05_duplicate_events_reduce_to_unique_records():
     # disk_req numbers the input rows, so rows can be traced through the split
     rows = [(*row[:6], float(i), "") for i, row in enumerate(rows)]
 
-    clean, removed = filter_container_events(Table.from_rows("container_event", rows))
+    clean, removed = filter_container_events(
+        oracles.table_from_rows("container_event", rows))
     assert len(removed) == 13
     assert (removed.mem_req > 0.9).all()
     instances = clean.instance.tolist()

@@ -25,7 +25,6 @@ from trace_insight.trace_model import (
     InstanceStatus,
     IntervalGrid,
     MachineEventType,
-    TraceBundle,
 )
 
 GRID = IntervalGrid(1000, 1400, 100)   # 4 intervals
@@ -55,7 +54,7 @@ def instance(start, end, machine=1, avg_cpu=0.8, avg_mem=0.01, job=1):
 
 
 def test_machine_cpu_counts_takes_the_positive_max():
-    bundle = TraceBundle.from_rows(events=[
+    bundle = oracles.bundle_from_rows(events=[
         add_event(1, 64),
         (5, 1, MachineEventType.SOFT_ERROR, "x", 0, 0.0, 0.0),
         add_event(2, 96),
@@ -64,7 +63,8 @@ def test_machine_cpu_counts_takes_the_positive_max():
 
 
 def test_container_aggregation_needs_a_core_count():
-    bundle = TraceBundle.from_rows(container_events=[container(7, 1)], machine_count=1)
+    bundle = oracles.bundle_from_rows(container_events=[container(7, 1)],
+                                      machine_count=1)
     with pytest.raises(ValueError, match="core count"):
         aggregate_container_usage(bundle, GRID)
 
@@ -99,7 +99,7 @@ def test_overlap_matches_the_clip_formula(start, length):
 
 
 def container_bundle(extra_events=(), extra_usage=()):
-    return TraceBundle.from_rows(
+    return oracles.bundle_from_rows(
         events=[add_event(1)],
         container_events=[container(7, 1), *extra_events],
         container_usage=[
@@ -140,7 +140,7 @@ def test_container_created_on_a_boundary_counts_in_the_earlier_interval():
 def test_container_usage_keeps_its_operation_order():
     # (0.1 + 0.2) + 0.3 and 0.3 + 0.2 + 0.1 round differently
     assert 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1
-    bundle = TraceBundle.from_rows(
+    bundle = oracles.bundle_from_rows(
         events=[add_event(1)],
         # request == cores, so containers 1-3 charge their cpu_of_req exactly
         container_events=[container(i, 1, cpu_req=64.0) for i in (1, 2, 3)]
@@ -171,8 +171,8 @@ def test_container_diagnostics_cover_unknown_and_out_of_grid():
 
 
 def batch_bundle(instances):
-    return TraceBundle.from_rows(events=[add_event(1), add_event(2)],
-                                 batch_instances=list(instances), machine_count=2)
+    return oracles.bundle_from_rows(events=[add_event(1), add_event(2)],
+                                    batch_instances=list(instances), machine_count=2)
 
 
 def test_batch_instance_fully_inside_charges_its_average():
@@ -249,15 +249,15 @@ def test_batch_charge_is_conserved_inside_the_grid(start, length):
 
 
 def test_borrowed_core_counts_are_counted():
-    bundle = TraceBundle.from_rows(events=[add_event(1, 96)],
-                                   batch_instances=[instance(1010, 1050, machine=2)],
-                                   machine_count=2)
+    bundle = oracles.bundle_from_rows(events=[add_event(1, 96)],
+                                      batch_instances=[instance(1010, 1050, machine=2)],
+                                      machine_count=2)
     diag = AggDiagnostics()
     table = aggregate_batch_usage(bundle, GRID, diagnostics=diag)
     # machine 2 has no event of its own and borrows machine 1's 96 cores
     assert table.cpu[0, 0] == 0.8 / 96.0
     assert diag.borrowed_core_machines == {2}
-    aggregate_container_usage(TraceBundle.from_rows(
+    aggregate_container_usage(oracles.bundle_from_rows(
         events=[add_event(1, 96)], container_events=[container(7, 2)],
         machine_count=2), GRID, diag)
     assert diag.counts()["borrowed_core_machines"] == 1
@@ -276,8 +276,8 @@ FRACTIONS = st.floats(0.0, 1.0)
 
 
 def cores_bundle(**records):
-    return TraceBundle.from_rows(events=[add_event(m, c) for m, c in CORES.items()],
-                                 machine_count=len(CORES), **records)
+    return oracles.bundle_from_rows(events=[add_event(m, c) for m, c in CORES.items()],
+                                    machine_count=len(CORES), **records)
 
 
 @given(st.dictionaries(st.integers(1, 5),
@@ -345,8 +345,8 @@ def dense_for(machine_values):
 
 
 def test_series_rejects_a_dense_table_that_misses_machines():
-    bundle = TraceBundle.from_rows(events=[add_event(1), add_event(2)],
-                                   machine_count=3)
+    bundle = oracles.bundle_from_rows(events=[add_event(1), add_event(2)],
+                                      machine_count=3)
     containers = aggregate_container_usage(bundle, GRID)
     batch = aggregate_batch_usage(bundle, GRID)
     for dense in (dense_for({2: [0.3] * 5}),
@@ -358,8 +358,8 @@ def test_series_rejects_a_dense_table_that_misses_machines():
 
 def test_series_averages_the_interval_endpoints():
     dense = dense_for({1: [0.1, 0.2, 0.3, 0.4, 0.5], 2: [0.0] * 5})
-    bundle = TraceBundle.from_rows(events=[add_event(1), add_event(2)],
-                                   machine_count=2)
+    bundle = oracles.bundle_from_rows(events=[add_event(1), add_event(2)],
+                                      machine_count=2)
     table = build_machine_series(bundle, GRID, dense,
                                  aggregate_container_usage(bundle, GRID),
                                  aggregate_batch_usage(bundle, GRID))
@@ -372,7 +372,7 @@ def test_series_averages_the_interval_endpoints():
 
 def test_series_places_aggregates_and_zero_fills_the_rest():
     dense = dense_for({1: [0.2] * 5, 2: [0.1] * 5})
-    bundle = TraceBundle.from_rows(
+    bundle = oracles.bundle_from_rows(
         events=[add_event(1), add_event(2)],
         container_events=[container(7, 1)],
         container_usage=[usage(7, 1000, 0.5)],
@@ -394,7 +394,7 @@ def test_series_places_aggregates_and_zero_fills_the_rest():
 
 def test_series_csv_headers_and_residuals(tmp_path):
     dense = dense_for({1: [0.2] * 5})
-    bundle = TraceBundle.from_rows(
+    bundle = oracles.bundle_from_rows(
         events=[add_event(1)],
         container_events=[container(7, 1)],
         container_usage=[usage(7, 1000, 0.5)],
@@ -428,7 +428,7 @@ def read_csv(path):
 def test_agg_lines_repeat_their_series_line_and_skip_absent_machines(tmp_path):
     # machine 1 hosts containers only, 2 batch only, 3 both and 4 neither
     dense = dense_for({m: [0.1 * m] * 5 for m in (1, 2, 3, 4)})
-    bundle = TraceBundle.from_rows(
+    bundle = oracles.bundle_from_rows(
         events=[add_event(m) for m in (1, 2, 3, 4)],
         container_events=[container(7, 1), container(8, 3, ts=1150)],
         container_usage=[usage(7, 1000, 0.5), usage(7, 1210, 0.3),

@@ -30,7 +30,6 @@ from trace_insight.anomaly import (
 from trace_insight.trace_model import (
     IntervalGrid,
     MachineEventType,
-    Table,
 )
 
 GRID = IntervalGrid(1000, 1400, 100)
@@ -359,7 +358,7 @@ def test_heavier_factor_is_configurable():
 
 def test_diagnose_ignores_other_machines_events():
     stats = population_stats(population_table())
-    events = Table.from_rows("server_event", [
+    events = oracles.table_from_rows("server_event", [
         softerror(9, 1010), softerror(9, 1120), softerror(9, 1230),
         (1200, 1, MachineEventType.ADD, "", 64, 1.0, 1.0),
         softerror(1, 1300)])

@@ -239,7 +239,26 @@ def test_a_failed_synth_leaves_the_trace_it_would_replace_untouched(tmp_path):
              r"^\[synth\] bad gap '5:cpu:12-10': the slot range runs backwards$"),
             ({"synth_plants": "HeavyOnline:1:contaners=30"},
              r"^\[synth\] HeavyOnline plant on machine 1 has no parameter "
-             "'contaners'")]:
+             "'contaners'"),
+            # parameters a plant cannot honour
+            ({"synth_plants": "LighterOnlineSkew:1:streams=-3"},
+             r"^\[synth\] LighterOnlineSkew plant on machine 1: parameter "
+             r"'streams' must be a whole number >= 1, got -3\.0$"),
+            ({"synth_plants": "LighterOnlineSkew:1:streams=0"},
+             r"^\[synth\] LighterOnlineSkew plant on machine 1: parameter "
+             r"'streams' must be a whole number >= 1, got 0\.0$"),
+            ({"synth_plants": "HeavyOnline:2:containers=0"},
+             r"^\[synth\] HeavyOnline plant on machine 2: parameter "
+             r"'containers' must be a whole number >= 1, got 0\.0$"),
+            ({"synth_plants": "HeavyOnline:2:containers=2.7"},
+             r"^\[synth\] HeavyOnline plant on machine 2: parameter "
+             r"'containers' must be a whole number >= 1, got 2\.7$"),
+            ({"synth_plants": "HeavyOnline:2:mem_boost=nan"},
+             r"^\[synth\] HeavyOnline plant on machine 2: parameter "
+             r"'mem_boost' must be in \[0, 1\], got nan$"),
+            ({"synth_plants": "HeavyOnline:2:mem_boost=-0.5"},
+             r"^\[synth\] HeavyOnline plant on machine 2: parameter "
+             r"'mem_boost' must be in \[0, 1\], got -0\.5$")]:
         with pytest.raises(StageError, match=error):
             run_synth(synth_config(trace, **bad))
         assert {path.name: path.read_bytes() for path in trace.iterdir()} == before
@@ -448,6 +467,7 @@ BAD_CONFIG_VALUES = [
     ("analyze", "dtw_seed", "-1", "must be >= 0"),
     ("analyze", "anomaly_seed", "-2", "must be >= 0"),
     ("synth", "synth_seed", "-1", "must be >= 0"),
+    ("synth", "synth_machines", "0", "must be >= 1"),
 ]
 
 

@@ -23,7 +23,6 @@ from trace_insight.trace_model import (
     ContainerEventType,
     IntervalGrid,
     Table,
-    TraceBundle,
 )
 
 GRID = IntervalGrid(1000, 1500, 100)   # 6 sample slots
@@ -34,7 +33,7 @@ def usage_row(ts, machine, cpu):
 
 
 def bundle_with(rows, machine_count=1):
-    return TraceBundle.from_rows(server_usage=rows, machine_count=machine_count)
+    return oracles.bundle_from_rows(server_usage=rows, machine_count=machine_count)
 
 
 def cpu_repairs(repairs):
@@ -200,7 +199,7 @@ def test_supplement_matches_the_cell_by_cell_reference(trace):
 def events(*pairs):
     """Container events for (instance, mem_req) pairs; disk_req numbers
     them in input order."""
-    return Table.from_rows("container_event", [
+    return oracles.table_from_rows("container_event", [
         (0, ContainerEventType.CREATE, instance, 1, 4.0, mem_req, float(i), "")
         for i, (instance, mem_req) in enumerate(pairs)])
 

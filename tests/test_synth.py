@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from trace_insight.aggregate import (
     aggregate_batch_usage,
     aggregate_container_usage,
@@ -144,10 +145,51 @@ def test_noise_rows_equal_one_clamped_draw_per_cell_row_by_row():
     expected = [[min(max(b + 0.2 * rng.standard_normal(), 0.0), 1.0) for b in base]
                 for _ in range(40)]
     rng = np.random.default_rng(5)
-    assert _noisy_rows(rng, base, 0.2, 40) == expected
+    got = _noisy_rows(rng, base, 0.2, 40)
+    assert got.dtype == np.float64 and got.shape == (40, 3)
+    assert got.tobytes() == np.array(expected).tobytes()
     state = rng.bit_generator.state
-    assert _noisy_rows(rng, base, 0.0, 2) == [list(base)] * 2
+    assert _noisy_rows(rng, base, 0.0, 2).tobytes() == np.array([base] * 2).tobytes()
     assert rng.bit_generator.state == state   # no noise, no draw
+
+
+# every plant kind, with and without parameters, on the 14-machine layout
+EVERY_PLANT = (
+    AnomalyPlant(machine=2, kind=PlantKind.FREQUENT_SOFT_ERROR),
+    AnomalyPlant(machine=2, kind=PlantKind.HEAVY_ONLINE),
+    AnomalyPlant(machine=3, kind=PlantKind.HEAVY_ONLINE,
+                 params=(("containers", 7.0), ("mem_boost", 0.1))),
+    AnomalyPlant(machine=4, kind=PlantKind.LIGHTER_ONLINE_SKEW),
+    AnomalyPlant(machine=5, kind=PlantKind.LIGHTER_ONLINE_SKEW,
+                 params=(("streams", 3.0),)),
+    AnomalyPlant(machine=6, kind=PlantKind.IDLE),
+    AnomalyPlant(machine=10, kind=PlantKind.SOFT_ERROR_WORKLOAD_STOP),
+    AnomalyPlant(machine=10, kind=PlantKind.FREQUENT_SOFT_ERROR),
+    AnomalyPlant(machine=11, kind=PlantKind.HEAVY_ONLINE,
+                 params=(("containers", 1.0), ("mem_boost", 1.0))),
+)
+GAPS = (GapPlant(machine=5, metric="cpu", slots=(3, 4, 5)),
+        GapPlant(machine=1, metric="mem", slots=(0,)),
+        GapPlant(machine=14, metric="disk", slots=(24,)))
+
+
+@pytest.mark.parametrize("seed", [7, 11, 1234])
+@pytest.mark.parametrize("layout", [
+    dict(plants=EVERY_PLANT, gaps=GAPS),
+    dict(plants=EVERY_PLANT, gaps=GAPS, noise=0.3),
+    dict(noise=0.05),
+    # Type2 has neither containers nor batch work, Type3 only batch work,
+    # Type4 only containers
+    dict(quotas=(0, 2, 0, 0, 0, 0, 0, 0), noise=0.1),
+    dict(quotas=(0, 2, 1, 1, 0, 0, 0, 0), noise=0.1,
+         plants=(AnomalyPlant(machine=1, kind=PlantKind.IDLE),)),
+], ids=["plants", "plants-noisy", "noisy", "no-container-or-batch", "mixed"])
+def test_generated_trace_equals_the_row_generator(seed, layout):
+    config = config_for(seed=seed, **layout)
+    bundle, truth = generate_trace(config)
+    want_bundle, want_truth = oracles.synth_rows_reference(config)
+    assert same_bundle(bundle, want_bundle)
+    assert ground_truth_dict(truth) == ground_truth_dict(want_truth)
 
 
 def test_quota_validation():
@@ -158,6 +200,8 @@ def test_quota_validation():
         generate_trace(config_for(quotas=(6, 1, 2, 1, 1, 2, 1, -1)))
     with pytest.raises(ValueError, match="8 quotas"):
         generate_trace(dataclasses.replace(config_for(), quotas=(14,)))
+    with pytest.raises(ValueError, match="machine_count must be >= 1, got 0"):
+        generate_trace(config_for(quotas=(0,) * 8))
 
 
 def test_short_grids_reject_split_patterns():

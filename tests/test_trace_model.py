@@ -34,7 +34,7 @@ BUNDLE_ATTRS = ("events", "server_usage", "container_events", "container_usage",
 
 
 def small_bundle() -> TraceBundle:
-    return TraceBundle.from_rows(
+    return oracles.bundle_from_rows(
         events=[
             (0, 1, MachineEventType.ADD, "", 64, 1.0, 1.0),
             (0, 2, MachineEventType.ADD, "", 64, 1.0, 1.0),
@@ -157,7 +157,7 @@ def test_interval_index_is_half_open(ts):
 # round trip through the saved columns
 
 
-@pytest.mark.parametrize("bundle", [small_bundle(), TraceBundle.from_rows()],
+@pytest.mark.parametrize("bundle", [small_bundle(), oracles.bundle_from_rows()],
                          ids=["small", "empty"])
 def test_saved_columns_load_back_with_their_dtypes(tmp_path, bundle):
     diagnostics = [RowDiagnostic("server_usage", 3, "bad number for cpu_pct"),
@@ -477,8 +477,9 @@ def test_every_checked_kind_words_its_rule():
             assert kind.valid is None or kind.rule, name
 
 
-def test_column_dtypes_and_names():
-    bundle = small_bundle()
+def test_column_dtypes_and_names(tmp_path):
+    write_trace_dir(small_bundle(), str(tmp_path))
+    bundle = parse_trace_dir(str(tmp_path))
     assert bundle.server_usage.cpu.dtype == np.float64
     assert bundle.batch_instances.status.dtype == np.int8
     assert bundle.events.timestamp.dtype == np.int64
