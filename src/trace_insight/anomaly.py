@@ -8,12 +8,16 @@ value per node, growth stopped at ceil(log2 psi). Each tree is stored as
 flat node arrays, and scoring moves every row one tree level per step.
 Scores are reported as 0.5 - 2^(-E(h)/c(psi)), so anomalous machines land
 below zero and everything lives in [-0.5, 0.5).
+
+As in the series table, machine m is row m - 1 of the feature matrix and
+of a report's lists (a per-interval matrix holds its rows as block m - 1);
+ids are made only for the ranking and where a writer prints them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -67,12 +71,11 @@ class IsolationForestModel:
 
 @dataclass
 class AnomalyReport:
-    machines: list[int]
-    scores: dict[int, float]
-    ranking: list[int]           # ascending score, ties by machine id
+    scores: list[float]          # machine m at index m - 1, as below
+    ranking: list[int]           # machine ids, ascending score, ties by id
     negative_count: int
-    causes: dict[int, list[str]] = field(default_factory=dict)
-    labels: dict[int, str] = field(default_factory=dict)
+    labels: list[str]            # "" until the caller fills them in
+    causes: list[list[str]]      # [] until the caller fills them in
 
 
 def average_path_length(n: int) -> float:
@@ -87,22 +90,19 @@ def average_path_length(n: int) -> float:
 
 def build_feature_matrix(table: SeriesTable,
                          mode: FeatureMode = FeatureMode.PER_MACHINE_MEAN,
-                         ) -> tuple[list[int], np.ndarray]:
-    """Feature rows in the table's machine order.
+                         ) -> np.ndarray:
+    """Feature rows in the table's row order.
 
     PER_MACHINE_MEAN: one row per machine (interval means). PER_INTERVAL:
-    one row per (machine, interval); rows of one machine stay contiguous so
-    the machine ids list repeats accordingly.
+    one row per (machine, interval), each machine's rows one contiguous
+    block in interval order.
     """
-    machines = table.machines.tolist()
     # (machines, intervals, features), C-ordered: a mean over the interval
     # axis adds one interval at a time, in interval order
     cube = np.stack([getattr(table, name) for name in _FEATURE_SIGNALS], axis=-1)
     if mode is FeatureMode.PER_MACHINE_MEAN:
-        return machines, cube.mean(axis=1)
-    intervals = cube.shape[1]
-    return (np.repeat(machines, intervals).tolist(),
-            cube.reshape(len(machines) * intervals, len(_FEATURE_SIGNALS)))
+        return cube.mean(axis=1)
+    return cube.reshape(-1, len(_FEATURE_SIGNALS))
 
 
 def zscore_normalize(matrix: np.ndarray) -> np.ndarray:
@@ -209,28 +209,23 @@ def iforest_scores(model: IsolationForestModel, matrix: np.ndarray) -> np.ndarra
     return np.array([0.5 - 2.0 ** (-h / norm) for h in mean_path.tolist()])
 
 
-def score_machines(model: IsolationForestModel, machines: list[int],
-                   matrix: np.ndarray,
-                   mode: FeatureMode = FeatureMode.PER_MACHINE_MEAN,
-                   ) -> AnomalyReport:
-    """Per-machine report; PER_INTERVAL collapses a machine's row scores,
-    in whatever order they come, by taking the minimum (its most anomalous
-    interval)."""
+def score_machines(model: IsolationForestModel, matrix: np.ndarray,
+                   machine_count: int) -> AnomalyReport:
+    """Report on ``machine_count`` machines, each one equal block of rows in
+    ``matrix``; a machine scores the minimum of its block (with a row per
+    interval, its most anomalous interval)."""
     raw = iforest_scores(model, matrix)
-    ids, owner, rows_per = np.unique(np.asarray(machines, dtype=np.int64),
-                                     return_inverse=True, return_counts=True)
-    if mode is FeatureMode.PER_MACHINE_MEAN and np.any(rows_per > 1):
-        raise ValueError(
-            f"duplicate rows for machine {int(ids[rows_per > 1][0])}")
-    worst = np.full(len(ids), np.inf)
-    np.minimum.at(worst, owner, raw)
-    per_machine = dict(zip(ids.tolist(), worst.tolist()))
-    ranking = sorted(per_machine, key=lambda m: (per_machine[m], m))
+    if machine_count < 1 or len(raw) % machine_count:
+        raise ValueError(f"{len(raw)} feature rows do not split evenly "
+                         f"among {machine_count} machines")
+    worst = raw.reshape(machine_count, -1).min(axis=1)
     return AnomalyReport(
-        machines=sorted(per_machine),
-        scores=per_machine,
-        ranking=ranking,
+        scores=worst.tolist(),
+        # a stable sort keeps tied rows, and so tied ids, in ascending order
+        ranking=(np.argsort(worst, kind="stable") + 1).tolist(),
         negative_count=int(np.count_nonzero(worst < 0)),
+        labels=[""] * machine_count,
+        causes=[[] for _ in range(machine_count)],
     )
 
 
@@ -323,30 +318,24 @@ def diagnose(label: str, softerrors: list[int], batch_count: np.ndarray,
 
 
 def write_scores_csv(report: AnomalyReport, path: str) -> None:
-    rank_of = {m: i + 1 for i, m in enumerate(report.ranking)}
-    machines = report.machines
+    # the ranking is a permutation of the ids, so its inverse gives the ranks
+    ranks = np.argsort(report.ranking) + 1
     with csv_file(path, ("machine", "score", "rank", "label", "tags")) as fh:
-        fh.write(csv_lines(map(str, machines),
-                           (float_text(report.scores[m]) for m in machines),
-                           (str(rank_of[m]) for m in machines),
-                           (report.labels.get(m, "") for m in machines),
-                           ("|".join(report.causes.get(m, [])) for m in machines)))
+        fh.write(csv_lines(map(str, range(1, len(ranks) + 1)),
+                           map(float_text, report.scores),
+                           map(str, ranks.tolist()), report.labels,
+                           map("|".join, report.causes)))
 
 
 def top_anomalies_dict(report: AnomalyReport, top_n: int) -> dict:
-    entries = []
-    for i, machine in enumerate(rank_anomalies(report, top_n)):
-        entries.append({
-            "rank": i + 1,
-            "machine": machine,
-            "score": report.scores[machine],
-            "category": report.labels.get(machine, ""),
-            "causes": report.causes.get(machine, []),
-        })
     return {
         "negative_count": report.negative_count,
-        "machine_count": len(report.machines),
-        "top": entries,
+        "machine_count": len(report.scores),
+        "top": [{"rank": rank, "machine": machine,
+                 "score": report.scores[machine - 1],
+                 "category": report.labels[machine - 1],
+                 "causes": report.causes[machine - 1]}
+                for rank, machine in enumerate(rank_anomalies(report, top_n), 1)],
     }
 
 
@@ -359,4 +348,4 @@ def write_score_distribution_csv(report: AnomalyReport, path: str) -> None:
     with csv_file(path, ("rank", "machine", "score")) as fh:
         fh.write(csv_lines(map(str, range(1, len(report.ranking) + 1)),
                            map(str, report.ranking),
-                           (float_text(report.scores[m]) for m in report.ranking)))
+                           (float_text(report.scores[m - 1]) for m in report.ranking)))

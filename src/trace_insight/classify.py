@@ -3,6 +3,8 @@
 Each machine becomes a 2N-bit row of one occupancy matrix, taken from the
 count columns of the series table: the first N bits say whether any batch
 instance touched interval x, the next N whether any container lived there.
+As in the series table, row m - 1 is machine m, in the matrix and in the
+model's assignments alike; ids are made only where a writer prints them.
 Lloyd k-means (k-means++ seeded) groups the vectors, and each centroid is
 labeled by rules over its batch/container occupancy pattern:
 
@@ -53,20 +55,18 @@ class LabelThresholds:
 class CategoryModel:
     k: int
     centroids: np.ndarray            # (k, 2N)
-    machines: list[int]
-    assignments: dict[int, int]      # machine -> cluster
+    assignments: np.ndarray          # (M,) cluster of each matrix row
     inertia: float
     inertia_history: list[float]
     labels: dict[int, str] = field(default_factory=dict)
     label_notes: dict[int, str] = field(default_factory=dict)
 
 
-def occupancy_matrix(table: SeriesTable) -> tuple[list[int], np.ndarray]:
-    """Machine ids and their (M, 2N) 0/1 occupancy rows, batch bits first,
-    in the table's machine order."""
+def occupancy_matrix(table: SeriesTable) -> np.ndarray:
+    """The (M, 2N) 0/1 occupancy rows, batch bits first, one per table row."""
     bits = np.concatenate((table.batch_count > 0, table.container_count > 0),
                           axis=1)
-    return table.machines.tolist(), bits.astype(float)
+    return bits.astype(float)
 
 
 def _plus_plus_init(matrix: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -123,23 +123,15 @@ def _lloyd_run(matrix: np.ndarray, k: int, rng: np.random.Generator,
     return centroids, assign, float(d2.sum()), history
 
 
-def kmeans_fit(machines: list[int], matrix: np.ndarray, k: int, seed: int,
+def kmeans_fit(matrix: np.ndarray, k: int, seed: int,
                max_iter: int = 100, n_init: int = 10) -> CategoryModel:
     """Best of ``n_init`` seeded k-means++ starts, each polished with Lloyd
     iterations; the run with the lowest inertia wins (first wins ties).
 
-    Rows are canonicalized (sorted by machine id) before any randomness is
-    consumed, so permuting the input leaves the partition and the inertia
-    unchanged. Clusters that empty out are re-seeded to the point currently
-    farthest from its own centroid.
+    Clusters that empty out are re-seeded to the point currently farthest
+    from its own centroid.
     """
-    if len(machines) != len(matrix):
-        raise ValueError("machine ids and matrix rows disagree")
-    order = np.argsort(machines, kind="stable")
-    machines = [machines[int(i)] for i in order]
-    if len(set(machines)) != len(machines):
-        raise ValueError("duplicate machine ids")
-    matrix = np.asarray(matrix, float)[order]
+    matrix = np.asarray(matrix, float)
 
     distinct = len(np.unique(matrix, axis=0))
     if k < 1 or k > distinct:
@@ -158,8 +150,7 @@ def kmeans_fit(machines: list[int], matrix: np.ndarray, k: int, seed: int,
     return CategoryModel(
         k=k,
         centroids=centroids,
-        machines=machines,
-        assignments={m: int(c) for m, c in zip(machines, assign)},
+        assignments=assign,
         inertia=inertia,
         inertia_history=history,
     )
@@ -245,22 +236,20 @@ def _usage_rows(table: SeriesTable, machines: list[int]):
 
 
 def category_report(model: CategoryModel, table: SeriesTable) -> CategoryReport:
-    """Members per label in the model's (ascending) machine order, and their
-    mean server cpu, mem and disk over all their intervals."""
+    """Members per label in ascending machine order, and their mean server
+    cpu, mem and disk over all their intervals."""
     if not model.labels:
         raise ValueError("model is unlabeled; run label_clusters first")
-    members: dict[str, list[int]] = {}
-    for machine in model.machines:
-        label = model.labels[model.assignments[machine]]
-        members.setdefault(label, []).append(machine)
-    counts = {}
-    usage_means = {}
-    for label in list(TYPE_LABELS) + [UNKNOWN_LABEL]:
-        if label in members:
-            counts[label] = len(members[label])
-            usage_means[label] = tuple(
-                float(np.mean(rows)) for rows in _usage_rows(table, members[label]))
-    return CategoryReport(counts=counts, members=members, usage_means=usage_means)
+    row_labels = np.array([model.labels[c] for c in range(model.k)])[model.assignments]
+    report = CategoryReport(counts={}, members={}, usage_means={})
+    for label in (*TYPE_LABELS, UNKNOWN_LABEL):
+        members = (np.flatnonzero(row_labels == label) + 1).tolist()
+        if members:
+            report.counts[label] = len(members)
+            report.members[label] = members
+            report.usage_means[label] = tuple(
+                float(np.mean(rows)) for rows in _usage_rows(table, members))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +257,10 @@ def category_report(model: CategoryModel, table: SeriesTable) -> CategoryReport:
 
 
 def write_assignments_csv(model: CategoryModel, path: str) -> None:
-    clusters = [model.assignments[machine] for machine in model.machines]
+    clusters = model.assignments.tolist()
     with csv_file(path, ("machine", "cluster", "label")) as fh:
-        fh.write(csv_lines(map(str, model.machines), map(str, clusters),
-                           (model.labels.get(c, "") or "" for c in clusters)))
+        fh.write(csv_lines(map(str, range(1, len(clusters) + 1)), map(str, clusters),
+                           (model.labels.get(c, "") for c in clusters)))
 
 
 def counts_dict(model: CategoryModel, report: CategoryReport) -> dict:

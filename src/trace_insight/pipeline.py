@@ -124,7 +124,10 @@ def _digest_inputs(input_dir: str, stage: str) -> dict[str, str]:
         path = os.path.join(input_dir, name)
         if not os.path.exists(path):
             raise StageError(stage, f"missing input file {path}")
-        digests[name] = _sha256(path)
+        try:
+            digests[name] = _sha256(path)
+        except OSError as e:
+            raise StageError(stage, f"cannot read input file {path}: {e}") from e
     return digests
 
 
@@ -320,9 +323,8 @@ def run_analyze(config: dict[str, str]) -> str:
         write_flags_csv(dtw_report, os.path.join(out_dir, "dtw_flags.csv"))
         write_histogram_json(dtw_report, os.path.join(out_dir, "dtw_histogram.json"))
 
-        # classification
-        machines, matrix = occupancy_matrix(table)
-        model = kmeans_fit(machines, matrix, k=values["classify_k"],
+        # classification; row m - 1 is machine m from here to the writers
+        model = kmeans_fit(occupancy_matrix(table), k=values["classify_k"],
                            seed=values["classify_seed"],
                            max_iter=values["classify_max_iter"],
                            n_init=values["classify_restarts"])
@@ -337,25 +339,21 @@ def run_analyze(config: dict[str, str]) -> str:
                              os.path.join(out_dir, "plot_type_usage.csv"))
 
         # anomaly
-        mode = values["anomaly_mode"]
-        feat_machines, feat_matrix = build_feature_matrix(table, mode)
+        feat_matrix = build_feature_matrix(table, values["anomaly_mode"])
         if values["anomaly_normalize"]:
             feat_matrix = zscore_normalize(feat_matrix)
         forest = iforest_fit(feat_matrix, tree_count=values["anomaly_trees"],
                              subsample=values["anomaly_subsample"],
                              seed=values["anomaly_seed"])
-        anomaly_report = score_machines(forest, feat_machines, feat_matrix, mode)
-        labels = {m: model.labels[model.assignments[m]] for m in model.machines}
-        anomaly_report.labels = labels
+        anomaly_report = score_machines(forest, feat_matrix, len(table.machines))
+        anomaly_report.labels = [model.labels[c] for c in model.assignments.tolist()]
         stats = population_stats(table)
         softerrors = softerror_times(bundle.events)
-        anomaly_report.causes = {
-            m: diagnose(labels.get(m, ""), softerrors.get(m, []),
-                        table.batch_count[m - 1], table.container_count[m - 1],
-                        stats, grid,
-                        heavier_factor=values["anomaly_heavier_factor"])
-            for m in anomaly_report.machines
-        }
+        anomaly_report.causes = [
+            diagnose(label, softerrors.get(row + 1, []), batch, containers,
+                     stats, grid, heavier_factor=values["anomaly_heavier_factor"])
+            for row, (label, batch, containers) in enumerate(zip(
+                anomaly_report.labels, table.batch_count, table.container_count))]
         write_scores_csv(anomaly_report, os.path.join(out_dir, "anomaly_scores.csv"))
         write_anomaly_json(anomaly_report, values["anomaly_top_n"],
                            os.path.join(out_dir, "anomaly_report.json"))
@@ -373,7 +371,7 @@ def run_analyze(config: dict[str, str]) -> str:
                        "standards": len(standards),
                        "clusters": model.k,
                        "flagged": len(dtw_report.flagged),
-                       "scored": len(anomaly_report.machines),
+                       "scored": len(anomaly_report.scores),
                        "negative_scores": anomaly_report.negative_count,
                        "top_ranked": min(values["anomaly_top_n"],
                                          len(anomaly_report.ranking)),

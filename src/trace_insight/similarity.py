@@ -2,7 +2,8 @@
 
 A resource curve is the per-interval (cpu, mem, disk) track of one machine;
 the curves of machines 1..M come as one (M, N, 3) array whose row m - 1 is
-machine m, read from the server columns of the series table.
+machine m, read from the server columns of the series table. Row m - 1 of
+a report's distances is machine m too, and the writers number the rows.
 Distance between two curves is the cumulative dynamic-time-warping cost with
 squared Euclidean point cost, reported raw (no path-length normalization);
 the normalized form sqrt(cost)/K is available behind a flag. A set of
@@ -46,7 +47,6 @@ class DtwResult:
 class DtwReport:
     standard_value: float
     standard_machines: list[int]
-    machines: list[int]
     distances: np.ndarray        # (machines, standards)
     mean_distance: np.ndarray    # (machines,)
     range_edges: tuple[float, ...]
@@ -255,7 +255,6 @@ def score_similarity(curves, standard_curves, standard_machines: list[int],
         raise ValueError("need at least one standard curve")
     if len(range_edges) < 1 or list(range_edges) != sorted(range_edges):
         raise ValueError(f"range edges must be sorted, got {range_edges}")
-    machines = list(range(1, len(curves) + 1))
     distances, steps = _dtw_batch(_as_curves(curves)[:, None],
                                   _as_curves(standard_curves)[None],
                                   path_lengths=normalized)
@@ -282,7 +281,6 @@ def score_similarity(curves, standard_curves, standard_machines: list[int],
     return DtwReport(
         standard_value=standard_value,
         standard_machines=list(standard_machines),
-        machines=machines,
         distances=distances,
         mean_distance=mean_distance,
         range_edges=tuple(float(e) for e in range_edges),
@@ -306,17 +304,18 @@ def write_distances_csv(report: DtwReport, path: str) -> None:
     header.append("dtw_mean")
     with csv_file(path, header) as fh:
         fh.write(csv_lines(
-            map(str, report.machines),
+            map(str, range(1, len(report.distances) + 1)),
             *(map(float_text, column) for column in report.distances.T.tolist()),
             map(float_text, report.mean_distance.tolist())))
 
 
 def write_flags_csv(report: DtwReport, path: str) -> None:
+    machines = range(1, len(report.mean_distance) + 1)
     flagged = set(report.flagged)
     with csv_file(path, ("machine", "dtw_mean", "flagged")) as fh:
-        fh.write(csv_lines(map(str, report.machines),
+        fh.write(csv_lines(map(str, machines),
                            map(float_text, report.mean_distance.tolist()),
-                           (str(int(m in flagged)) for m in report.machines)))
+                           (str(int(m in flagged)) for m in machines)))
 
 
 def histogram_dict(report: DtwReport) -> dict:
@@ -333,7 +332,7 @@ def histogram_dict(report: DtwReport) -> dict:
         "bins": bins,
         "flagged": list(report.flagged),
         "flagged_count": len(report.flagged),
-        "machine_count": len(report.machines),
+        "machine_count": len(report.mean_distance),
         "unsuitable_standards": report.unsuitable_standards,
     }
 

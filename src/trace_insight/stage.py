@@ -146,7 +146,9 @@ def _at_least(low: int) -> tuple:
 _FRACTION = ((lambda value: 0 <= value <= 1), "in [0, 1]")
 _EDGES = ((lambda edges: edges != [] and edges == sorted(edges)),
           "sorted and non-empty")
-_DISTINCT = ((lambda ids: len(set(ids)) == len(ids)), "free of repeated ids")
+# one pinned standard has no pair to take a median over
+_STANDARDS = ((lambda ids: not ids or 2 <= len(set(ids)) == len(ids)),
+              "empty, or two or more distinct ids")
 
 
 # One config key. ``kind`` is a name in _KINDS, the Enum of the allowed
@@ -183,7 +185,7 @@ CONFIG_KEYS = {
     "dtw_standard_count": ConfigKey("int", "4", _ANALYZE,
                                     "standards drawn from the sample"),
     "dtw_standards": ConfigKey("int list", "", _ANALYZE, "pinned standard "
-                               "machine ids, e.g. 16,19,28,36", _DISTINCT,
+                               "machine ids, e.g. 16,19,28,36", _STANDARDS,
                                flag="--standards"),
     "dtw_threshold": ConfigKey("float", "3.0", _ANALYZE, "mean-distance "
                                "flagging threshold", flag="--threshold"),

@@ -163,6 +163,12 @@ def _check_feasible(config: SynthConfig) -> None:
             raise ValueError(
                 f"{label} pattern needs at least {needs_split[label]} "
                 f"intervals, grid has {n}")
+    # batch instances last from 30 s to 4 steps, drawn log-uniform, and a run
+    # keeps a second off each end of its intervals: both need 8 s steps
+    if config.grid.step < 8 and any(quota and batch_runs(label, n) for label, quota
+                                    in zip(TYPE_LABELS, config.quotas)):
+        raise ValueError(f"grid_step must be >= 8 when any machine runs batch "
+                         f"work, got {config.grid.step}")
 
 
 _PLANT_HOMES = {

@@ -75,7 +75,8 @@ BLOCK_ROWS = 1024
 
 
 class TraceParseError(Exception):
-    """Fatal parse problem: missing file or too many rejected rows."""
+    """Fatal parse problem: a missing or unreadable file, or too many
+    rejected rows."""
 
 
 class MachineEventType(Enum):
@@ -528,16 +529,20 @@ def parse_trace_dir(path: str, *, has_header: bool = False,
                     diagnostics: list | None = None) -> TraceBundle:
     """Parse the six trace files under ``path`` into a TraceBundle.
 
-    Raises TraceParseError when a file is missing or when any file's rejected
-    row fraction exceeds ``max_skip_ratio``. Row-level diagnostics are logged
-    and, when a ``diagnostics`` list is supplied, appended to it.
+    Raises TraceParseError when a file is missing, cannot be read as UTF-8
+    text, or has a rejected row fraction above ``max_skip_ratio``. Row-level
+    diagnostics are logged and, when a ``diagnostics`` list is supplied,
+    appended to it.
     """
     tables: dict[str, Table] = {}
     for key, spec in _SPECS.items():
         file_path = os.path.join(path, TRACE_FILENAMES[key])
         if not os.path.exists(file_path):
             raise TraceParseError(f"missing trace file: {file_path}")
-        table, diags = parse_trace_file(file_path, key, has_header=has_header)
+        try:
+            table, diags = parse_trace_file(file_path, key, has_header=has_header)
+        except (OSError, UnicodeDecodeError) as e:
+            raise TraceParseError(f"cannot read trace file {file_path}: {e}") from e
         if diags and diagnostics is not None:
             diagnostics.extend(diags)
         _check_skips(TRACE_FILENAMES[key], len(table), len(diags),

@@ -248,30 +248,30 @@ def _synthetic_occupancy(seed=7):
     table = build_machine_series(bundle, grid, dense,
                                  aggregate_container_usage(bundle, grid),
                                  aggregate_batch_usage(bundle, grid))
-    machines, matrix = occupancy_matrix(table)
-    return machines, matrix, truth
+    return occupancy_matrix(table), truth
 
 
 def test_criterion_06_classification_recovers_planted_types():
-    machines, matrix, truth = _synthetic_occupancy()
-    expected = [truth.types[m] for m in machines]
+    # row m - 1 of the matrix and of the assignments is machine m
+    matrix, truth = _synthetic_occupancy()
+    expected = [truth.types[m] for m in range(1, len(matrix) + 1)]
 
     for seed in range(10):
-        model = kmeans_fit(machines, matrix, k=8, seed=seed, n_init=50)
-        predicted = [model.assignments[m] for m in machines]
+        model = kmeans_fit(matrix, k=8, seed=seed, n_init=50)
+        predicted = model.assignments.tolist()
         ari = oracles.adjusted_rand_index(expected, predicted)
         assert ari >= 0.99, (seed, ari)
         labeled = label_clusters(model)
-        got = {m: labeled.labels[labeled.assignments[m]] for m in machines}
-        assert got == truth.types, seed
+        got = [labeled.labels[c] for c in labeled.assignments.tolist()]
+        assert dict(enumerate(got, 1)) == truth.types, seed
 
     noisy_aris = []
     for seed in range(10):
         rng = np.random.default_rng((20260814, seed))
         flips = rng.random(matrix.shape) < 0.10
         noisy = np.where(flips, 1.0 - matrix, matrix)
-        model = kmeans_fit(machines, noisy, k=8, seed=seed, n_init=50)
-        predicted = [model.assignments[m] for m in machines]
+        model = kmeans_fit(noisy, k=8, seed=seed, n_init=50)
+        predicted = model.assignments.tolist()
         noisy_aris.append(oracles.adjusted_rand_index(expected, predicted))
     mean_ari = sum(noisy_aris) / len(noisy_aris)
     assert mean_ari >= 0.85, noisy_aris
@@ -300,14 +300,14 @@ def test_criterion_07_planted_anomalies_rank_in_top_five():
     table = build_machine_series(bundle, grid, dense,
                                  aggregate_container_usage(bundle, grid),
                                  aggregate_batch_usage(bundle, grid))
-    machines, matrix = build_feature_matrix(table, FeatureMode.PER_MACHINE_MEAN)
+    matrix = build_feature_matrix(table, FeatureMode.PER_MACHINE_MEAN)
 
     hits = 0
     for seed in range(10):
         forest = iforest_fit(matrix, tree_count=100, subsample=256, seed=seed)
-        report = score_machines(forest, machines, matrix,
-                                FeatureMode.PER_MACHINE_MEAN)
-        for score in report.scores.values():
+        report = score_machines(forest, matrix, len(table.machines))
+        assert len(report.scores) == 64
+        for score in report.scores:
             assert -0.5 <= score < 0.5
         hits += set(truth.anomalies) <= set(report.ranking[:5])
     assert hits >= 9, hits
@@ -382,15 +382,14 @@ def reference():
     table = build_machine_series(bundle, grid, dense,
                                  aggregate_container_usage(bundle, grid),
                                  aggregate_batch_usage(bundle, grid))
-    machines, matrix = occupancy_matrix(table)
-    return SimpleNamespace(grid=grid, table=table, machines=machines,
-                           matrix=matrix, setup_seconds=time.perf_counter() - t0)
+    return SimpleNamespace(grid=grid, table=table,
+                           matrix=occupancy_matrix(table),
+                           setup_seconds=time.perf_counter() - t0)
 
 
 @needs_reference
 def test_criterion_09_reference_type_sets(reference):
-    model = label_clusters(kmeans_fit(reference.machines, reference.matrix,
-                                      k=8, seed=0, n_init=50))
+    model = label_clusters(kmeans_fit(reference.matrix, k=8, seed=0, n_init=50))
     report = category_report(model, reference.table)
     assert set(report.members.get("Type2", [])) == REFERENCE_TYPE2
     assert set(report.members.get("Type5", [])) == REFERENCE_TYPE5
@@ -401,8 +400,8 @@ def test_criterion_09_reference_type_sets(reference):
 @needs_reference
 def test_criterion_10_reference_type_counts(reference):
     for seed in range(5):
-        model = label_clusters(kmeans_fit(reference.machines, reference.matrix,
-                                          k=8, seed=seed, n_init=50))
+        model = label_clusters(kmeans_fit(reference.matrix, k=8, seed=seed,
+                                          n_init=50))
         report = category_report(model, reference.table)
         for label, want in REFERENCE_COUNTS.items():
             got = report.counts.get(label, 0)
@@ -422,7 +421,7 @@ def test_criterion_11_reference_dtw_histogram(reference):
                               threshold=3.0)
     in_one_two = report.histogram[1]   # edges (0, 1, 2, 3, 5) -> bin [1, 2)
     assert abs(in_one_two - 478) <= 30, in_one_two
-    fraction = len(report.flagged) / len(report.machines)
+    fraction = len(report.flagged) / len(report.mean_distance)
     assert abs(fraction - 0.46) <= 0.05, fraction
     ok("11", f"histogram [1,2)={in_one_two}, flagged {fraction:.1%}, "
              f"standard value {standard_value:.2f}")
@@ -430,13 +429,11 @@ def test_criterion_11_reference_dtw_histogram(reference):
 
 @needs_reference
 def test_criterion_12_reference_anomaly_ranking(reference):
-    machines, matrix = build_feature_matrix(reference.table,
-                                            FeatureMode.PER_MACHINE_MEAN)
+    matrix = build_feature_matrix(reference.table, FeatureMode.PER_MACHINE_MEAN)
     for seed in range(5):
         forest = iforest_fit(matrix, tree_count=100, subsample=256, seed=seed)
-        report = score_machines(forest, machines, matrix,
-                                FeatureMode.PER_MACHINE_MEAN)
-        fraction = report.negative_count / len(report.machines)
+        report = score_machines(forest, matrix, len(reference.table.machines))
+        fraction = report.negative_count / len(report.scores)
         assert abs(fraction - 0.81) <= 0.20, (seed, fraction)
         overlap = len(set(report.ranking[:25]) & REFERENCE_TOP25)
         assert overlap >= 18, (seed, overlap)

@@ -89,18 +89,19 @@ def test_average_path_length_formula():
 
 
 def test_feature_matrix_per_machine_mean():
-    machines, matrix = build_feature_matrix(table_for([0.25, 0.4]))
-    assert machines == [1, 2]
+    matrix = build_feature_matrix(table_for([0.25, 0.4]))
     assert matrix.shape == (2, 5)
     assert matrix[0].tolist() == [0.25, 0.5, 0.4, 3.0, 2.0]
     assert matrix[1].tolist() == [0.4, 0.8, 0.4, 3.0, 2.0]
 
 
 def test_feature_matrix_per_interval_keeps_rows_contiguous():
-    machines, matrix = build_feature_matrix(table_for([0.2, 0.2]),
-                                            FeatureMode.PER_INTERVAL)
-    assert machines == [1] * GRID.interval_count + [2] * GRID.interval_count
-    assert matrix.shape == (2 * GRID.interval_count, 5)
+    n = GRID.interval_count
+    matrix = build_feature_matrix(table_for([0.2, 0.3]), FeatureMode.PER_INTERVAL)
+    assert matrix.shape == (2 * n, 5)
+    # machine m's intervals are block m - 1, in interval order
+    assert matrix[:n].tolist() == [[0.2, 0.4, 0.4, 3.0, 2.0]] * n
+    assert matrix[n:].tolist() == [[0.3, 0.6, 0.4, 3.0, 2.0]] * n
 
 
 def test_feature_means_add_the_intervals_in_order():
@@ -110,12 +111,12 @@ def test_feature_means_add_the_intervals_in_order():
     n = 143
     table = SeriesTable(np.arange(1, 7), *(
         rng.random((6, n)) for _ in dataclasses.fields(SeriesTable)[1:]))
-    machines, matrix = build_feature_matrix(table)
+    matrix = build_feature_matrix(table)
     signals = ("server_cpu", "server_mem", "server_disk",
                "batch_count", "container_count")
     assert matrix.tolist() == [
         [sum(getattr(table, name)[m - 1].tolist()) / n for name in signals]
-        for m in machines]
+        for m in range(1, 7)]
     stats = population_stats(table)
     assert stats.container_count_median == float(np.median(
         [np.mean(row) for row in table.container_count]))
@@ -224,10 +225,9 @@ def test_identical_rows_share_a_score():
 
 def test_the_far_point_is_ranked_first():
     matrix = blob_with_outlier()
-    machines = list(range(1, len(matrix) + 1))
     model = iforest_fit(matrix, seed=3)
-    report = score_machines(model, machines, matrix)
-    assert report.ranking[0] == machines[-1]
+    report = score_machines(model, matrix, len(matrix))
+    assert report.ranking[0] == len(matrix)   # the last row's machine
     # agrees with a plain nearest-neighbour view of the same data
     assert int(np.argmax(oracles.nearest_neighbor_distances(matrix))) == len(matrix) - 1
 
@@ -243,12 +243,17 @@ def test_farther_means_more_anomalous():
 
 
 def test_ranking_breaks_ties_by_machine_id():
-    matrix = np.tile([0.1, 0.2, 0.3], (6, 1))
-    matrix[0] = [5.0, 5.0, 5.0]
-    machines = [30, 4, 17, 2, 9, 11]
-    report = score_machines(iforest_fit(matrix, seed=1), machines, matrix)
-    assert report.ranking[0] == 30            # the outlier row
-    assert report.ranking[1:] == [2, 4, 9, 11, 17]
+    # two interleaved groups of identical rows and one outlier; numpy's
+    # default (unstable) sort mixes up the ids inside each group here
+    matrix = np.tile([0.1, 0.2, 0.3], (12, 1))
+    matrix[1::2] = [0.15, 0.2, 0.3]
+    matrix[3] = [5.0, 5.0, 5.0]
+    report = score_machines(iforest_fit(matrix, seed=1), matrix, 12)
+    assert len(set(report.scores)) == 3
+    assert report.ranking[0] == 4             # the outlier row
+    assert report.ranking[1:] == [2, 6, 8, 10, 12, 1, 3, 5, 7, 9, 11]
+    assert report.ranking == sorted(range(1, 13),
+                                    key=lambda m: (report.scores[m - 1], m))
 
 
 def test_per_interval_mode_takes_the_worst_interval():
@@ -257,38 +262,36 @@ def test_per_interval_mode_takes_the_worst_interval():
         [0.2, 0.2, 0.2], [9.0, 9.0, 9.0],    # machine 2 has one wild interval
         [0.2, 0.2, 0.2], [0.2, 0.2, 0.2],    # machine 3
     ])
-    machines = [1, 1, 2, 2, 3, 3]
+    owners = [1, 1, 2, 2, 3, 3]
     model = iforest_fit(matrix, seed=0)
     raw = iforest_scores(model, matrix)
-    worst = {m: min(float(v) for owner, v in zip(machines, raw) if owner == m)
-             for m in (1, 2, 3)}
-    # rows grouped by machine, then interleaved (machines 2, 1, 3, 1, 3, 2)
-    for order in ([0, 1, 2, 3, 4, 5], [3, 0, 4, 1, 5, 2]):
-        report = score_machines(model, [machines[i] for i in order],
-                                matrix[order], FeatureMode.PER_INTERVAL)
-        assert report.machines == [1, 2, 3]
-        assert report.scores == worst
-        assert report.scores[2] == min(raw[2], raw[3])
-        assert report.ranking[0] == 2
+    worst = [min(float(v) for owner, v in zip(owners, raw) if owner == m)
+             for m in (1, 2, 3)]
+    report = score_machines(model, matrix, 3)
+    assert report.scores == worst
+    assert report.scores[1] == min(raw[2], raw[3])
+    assert report.ranking[0] == 2
 
 
-def test_per_machine_mode_rejects_duplicate_rows():
-    matrix = np.zeros((2, 3))
+def test_score_machines_rejects_rows_that_do_not_split_evenly():
+    matrix = np.zeros((5, 3))
     matrix[1] = 1.0
-    with pytest.raises(ValueError, match="duplicate rows"):
-        score_machines(iforest_fit(matrix, seed=0), [7, 7], matrix)
+    model = iforest_fit(matrix, seed=0)
+    for machine_count in (2, 3, 4, 0, -1):
+        with pytest.raises(ValueError, match="do not split evenly"):
+            score_machines(model, matrix, machine_count)
 
 
 def test_rank_anomalies_slices_and_validates():
     matrix = blob_with_outlier(n=10)
-    report = score_machines(iforest_fit(matrix, seed=0),
-                            list(range(1, 11)), matrix)
+    report = score_machines(iforest_fit(matrix, seed=0), matrix, 10)
+    assert report.labels == [""] * 10 and report.causes == [[]] * 10
     assert rank_anomalies(report, 3) == report.ranking[:3]
     assert rank_anomalies(report, 0) == []
     with pytest.raises(ValueError):
         rank_anomalies(report, -1)
     assert report.negative_count == sum(
-        1 for v in report.scores.values() if v < 0)
+        1 for v in report.scores if v < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +376,9 @@ def test_diagnose_ignores_other_machines_events():
 
 def small_report():
     matrix = blob_with_outlier(n=8, seed=4)
-    machines = list(range(1, 9))
-    report = score_machines(iforest_fit(matrix, seed=0), machines, matrix)
-    report.labels = {m: "Type1" for m in machines}
-    report.causes = {8: ["HeavierOnlineServices", "FrequentSoftError"]}
+    report = score_machines(iforest_fit(matrix, seed=0), matrix, 8)
+    report.labels = ["Type1"] * 8
+    report.causes[7] = ["HeavierOnlineServices", "FrequentSoftError"]
     return report
 
 
@@ -401,7 +403,7 @@ def test_anomaly_json_round_trip(tmp_path):
     assert data["machine_count"] == 8
     assert [e["rank"] for e in data["top"]] == [1, 2, 3]
     assert data["top"][0]["machine"] == report.ranking[0]
-    assert data["top"][0]["causes"] == report.causes.get(report.ranking[0], [])
+    assert data["top"][0]["causes"] == report.causes[report.ranking[0] - 1]
 
 
 def test_anomaly_json_leaves_no_partial_file_when_top_n_is_bad(tmp_path):

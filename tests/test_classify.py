@@ -47,8 +47,9 @@ def table_for(batch_bits, container_bits, cpu=0.2):
 
 def model_for(centroids):
     rows = np.asarray(centroids, float)
-    return CategoryModel(k=len(rows), centroids=rows, machines=[],
-                         assignments={}, inertia=0.0, inertia_history=[])
+    return CategoryModel(k=len(rows), centroids=rows,
+                         assignments=np.zeros(0, dtype=np.intp), inertia=0.0,
+                         inertia_history=[])
 
 
 def centroid(batch, cont):
@@ -61,8 +62,7 @@ def centroid(batch, cont):
 
 def test_binarize_puts_batch_bits_first():
     table = table_for([[0, 0, 0, 0], [1, 1, 0, 0]], [[0, 0, 0, 0], [1, 1, 1, 1]])
-    machines, matrix = occupancy_matrix(table)
-    assert machines == [1, 2]
+    matrix = occupancy_matrix(table)
     assert matrix.dtype == float
     assert matrix.tolist() == [[0] * 8, [1, 1, 0, 0, 1, 1, 1, 1]]
 
@@ -72,9 +72,9 @@ def test_occupancy_matrix_sorts_rows_by_machine():
     rng = np.random.default_rng(4)
     table = table_for(rng.integers(0, 2, (6, 5)), rng.integers(0, 2, (6, 5)))
     table.batch_count *= rng.choice([0.25, 1.0, 7.0], (6, 5))
-    machines, matrix = occupancy_matrix(table)
-    assert machines == [1, 2, 3, 4, 5, 6]
-    for m in machines:
+    matrix = occupancy_matrix(table)
+    assert matrix.shape == (6, 10)
+    for m in range(1, 7):   # machine m is row m - 1
         want = np.concatenate([table.batch_count[m - 1] > 0,
                                table.container_count[m - 1] > 0])
         assert matrix[m - 1].tolist() == want.tolist(), m
@@ -93,45 +93,36 @@ def two_blob_matrix(seed=0):
 
 def test_kmeans_finds_the_optimal_two_way_split():
     matrix = two_blob_matrix()
-    machines = list(range(1, 9))
-    model = kmeans_fit(machines, matrix, k=2, seed=0)
+    model = kmeans_fit(matrix, k=2, seed=0)
     want = oracles.best_two_partition_inertia(matrix)
     assert model.inertia == pytest.approx(want, rel=1e-9)
-    groups = {model.assignments[m] for m in machines[:4]}
+    assert model.assignments.shape == (8,)
+    groups = set(model.assignments[:4].tolist())
     assert len(groups) == 1
-    assert {model.assignments[m] for m in machines[4:]} != groups
+    assert set(model.assignments[4:].tolist()) != groups
 
 
-def test_kmeans_is_deterministic_and_order_free():
+def test_kmeans_is_deterministic_in_the_seed():
     matrix = two_blob_matrix(seed=3)
-    machines = list(range(1, 9))
-    base = kmeans_fit(machines, matrix, k=2, seed=42)
-    again = kmeans_fit(machines, matrix, k=2, seed=42)
-    assert base.assignments == again.assignments
+    base = kmeans_fit(matrix, k=2, seed=42)
+    again = kmeans_fit(matrix, k=2, seed=42)
+    assert base.assignments.tolist() == again.assignments.tolist()
     assert base.inertia == again.inertia
-
-    order = [5, 2, 7, 0, 3, 6, 1, 4]
-    shuffled = kmeans_fit([machines[i] for i in order], matrix[order],
-                          k=2, seed=42)
-    assert shuffled.assignments == base.assignments
-    assert shuffled.inertia == base.inertia
 
 
 def test_kmeans_k_equal_to_distinct_rows_is_exact():
     matrix = np.array([[0, 0], [0, 1], [1, 1]], float)
-    model = kmeans_fit([1, 2, 3], matrix, k=3, seed=7)
+    model = kmeans_fit(matrix, k=3, seed=7)
     assert model.inertia == 0.0
-    assert len(set(model.assignments.values())) == 3
+    assert len(set(model.assignments.tolist())) == 3
 
 
 def test_kmeans_rejects_bad_inputs():
     matrix = np.array([[0, 0], [0, 0], [1, 1]], float)
     with pytest.raises(ValueError, match="distinct"):
-        kmeans_fit([1, 2, 3], matrix, k=3, seed=0)
-    with pytest.raises(ValueError, match="duplicate machine"):
-        kmeans_fit([1, 1, 2], matrix, k=2, seed=0)
-    with pytest.raises(ValueError, match="disagree"):
-        kmeans_fit([1, 2], matrix, k=2, seed=0)
+        kmeans_fit(matrix, k=3, seed=0)
+    with pytest.raises(ValueError, match="n_init"):
+        kmeans_fit(matrix, k=2, seed=0, n_init=0)
 
 
 @settings(max_examples=40)
@@ -143,7 +134,7 @@ def test_kmeans_inertia_never_increases(seed, data):
     matrix = np.asarray(rows, float)
     distinct = len(np.unique(matrix, axis=0))
     k = data.draw(st.integers(1, distinct))
-    model = kmeans_fit(list(range(1, len(rows) + 1)), matrix, k=k, seed=seed)
+    model = kmeans_fit(matrix, k=k, seed=seed)
     history = model.inertia_history
     assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
     assert model.inertia == history[-1]
@@ -223,8 +214,7 @@ def test_labeling_is_idempotent():
 def labeled_model_and_table():
     on, off = np.ones(N), np.zeros(N)
     table = table_for([on, on, off], [on, on, off], cpu=[0.30, 0.20, 0.01])
-    machines, matrix = occupancy_matrix(table)
-    model = label_clusters(kmeans_fit(machines, matrix, k=2, seed=5))
+    model = label_clusters(kmeans_fit(occupancy_matrix(table), k=2, seed=5))
     return model, table
 
 
@@ -249,8 +239,7 @@ def test_usage_means_equal_means_over_the_member_rows(tmp_path):
     names = ("server_cpu", "server_mem", "server_disk")
     for name in names:
         setattr(table, name, rng.random((50, n)))
-    machines, matrix = occupancy_matrix(table)
-    model = label_clusters(kmeans_fit(machines, matrix, k=2, seed=0))
+    model = label_clusters(kmeans_fit(occupancy_matrix(table), k=2, seed=0))
     report = category_report(model, table)
     assert report.members == {"Type1": list(range(1, 31)),
                               "Type2": list(range(31, 51))}
@@ -269,8 +258,7 @@ def test_usage_means_equal_means_over_the_member_rows(tmp_path):
 
 def test_category_report_requires_labels():
     table = table_for([np.ones(N), np.zeros(N)], [np.ones(N), np.zeros(N)])
-    machines, matrix = occupancy_matrix(table)
-    model = kmeans_fit(machines, matrix, k=2, seed=0)
+    model = kmeans_fit(occupancy_matrix(table), k=2, seed=0)
     with pytest.raises(ValueError, match="unlabeled"):
         category_report(model, table)
 
@@ -284,6 +272,9 @@ def test_artifact_writers(tmp_path):
     lines = apath.read_text().splitlines()
     assert lines[0] == "machine,cluster,label"
     assert len(lines) == 4
+    # row m - 1 of the assignments is printed as machine m
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3"]
+    assert [line.split(",")[2] for line in lines[1:]] == ["Type1", "Type1", "Type2"]
 
     jpath = tmp_path / "counts.json"
     write_counts_json(model, report, str(jpath))

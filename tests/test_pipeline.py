@@ -258,7 +258,19 @@ def test_a_failed_synth_leaves_the_trace_it_would_replace_untouched(tmp_path):
              r"'mem_boost' must be in \[0, 1\], got nan$"),
             ({"synth_plants": "HeavyOnline:2:mem_boost=-0.5"},
              r"^\[synth\] HeavyOnline plant on machine 2: parameter "
-             r"'mem_boost' must be in \[0, 1\], got -0\.5$")]:
+             r"'mem_boost' must be in \[0, 1\], got -0\.5$"),
+            # steps too short for a batch instance: the span draw had no
+            # range at 5 s, and a 1 s run ended before it started
+            ({"synth_machines": "8", "synth_quotas": "1,1,1,1,1,1,1,1",
+              "synth_seed": "7", "grid_start": "0", "grid_end": "100",
+              "grid_step": "5"},
+             r"^\[synth\] grid_step must be >= 8 when any machine runs batch "
+             r"work, got 5$"),
+            ({"synth_machines": "1", "synth_quotas": "0,0,0,0,1,0,0,0",
+              "synth_seed": "7", "grid_start": "0", "grid_end": "2",
+              "grid_step": "1"},
+             r"^\[synth\] grid_step must be >= 8 when any machine runs batch "
+             r"work, got 1$")]:
         with pytest.raises(StageError, match=error):
             run_synth(synth_config(trace, **bad))
         assert {path.name: path.read_bytes() for path in trace.iterdir()} == before
@@ -311,6 +323,32 @@ def noisy_trace(path, seed):
                            synth_quotas="9,1,1,1,1,1,1,1",
                            synth_noise="0.03", synth_seed=str(seed)))
     return path
+
+
+@pytest.mark.parametrize("runner", [run_preprocess, run_analyze])
+def test_a_trace_file_that_cannot_be_read_is_a_stage_error(tmp_path, runner):
+    stage = runner.__name__.removeprefix("run_")
+
+    def latin1_row(path):
+        with open(path, "ab") as fh:
+            fh.write(b"0,1,softerror,caf\xe9 down,0,0,0\n")
+
+    def directory(path):
+        path.unlink()
+        path.mkdir()
+
+    for name, spoil, problem in [
+            ("server_event.csv", latin1_row, "'utf-8' codec can't decode"),
+            ("batch_task.csv", directory, "Is a directory")]:
+        trace = noisy_trace(tmp_path / name, seed=7)
+        spoil(trace / name)
+        out = tmp_path / f"out-{name}"
+        with pytest.raises(StageError, match=rf"^\[{stage}\] cannot read "
+                                             rf"(trace|input) file .*{name}: "
+                                             f".*{problem}") as err:
+            runner(stage_config(trace, out))
+        assert err.value.stage == stage
+        assert not out.exists(), name   # refused before any write
 
 
 def analyze_counts(out):
@@ -413,7 +451,7 @@ def test_a_failed_analyze_leaves_no_manifest_claiming_a_finished_run(tmp_path):
     # the missing machine shows only after B's aggregate CSVs are rewritten
     with pytest.raises(StageError, match=r"^\[analyze\] standard machines "
                                          r"not present: \[99\]"):
-        run_analyze(stage_config(trace_b, out, dtw_standards="99"))
+        run_analyze(stage_config(trace_b, out, dtw_standards="1,99"))
     assert (out / "machine_series.csv").exists()
     assert not (out / "manifest-analyze.json").exists()
     assert not (out / "manifest-report.json").exists()
@@ -439,7 +477,9 @@ BAD_CONFIG_VALUES = [
     # ranges that need no data are checked up front too
     ("analyze", "dtw_range_edges", "3,1", "must be sorted"),
     ("analyze", "dtw_range_edges", "", "must be sorted and non-empty"),
-    ("analyze", "dtw_standards", "2,2,3", "must be free of repeated ids"),
+    ("analyze", "dtw_standards", "2,2,3", "must be empty, or two or more distinct ids"),
+    # one standard has no pairwise median; that needs no data to see
+    ("analyze", "dtw_standards", "3", "must be empty, or two or more distinct ids"),
     ("analyze", "classify_k", "0", "must be >= 1"),
     ("analyze", "classify_restarts", "0", "must be >= 1"),
     ("analyze", "anomaly_trees", "0", "must be >= 1"),

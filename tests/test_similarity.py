@@ -65,10 +65,11 @@ def test_dtw_rejects_mixed_dimensionality_and_empty_input():
 def test_report_rows_are_the_machines_in_curve_order():
     curves = sample_curves(count=5)
     report = score_similarity(curves, curves[[3, 1]], [4, 2])
-    assert report.machines == [1, 2, 3, 4, 5]
+    assert report.distances.shape == (5, 2)
+    assert report.mean_distance.shape == (5,)
     assert report.standard_machines == [4, 2]
     assert report.distances[3, 0] == report.distances[1, 1] == 0.0
-    for m in report.machines:
+    for m in range(1, 6):   # machine m is row m - 1
         for j, standard in enumerate(report.standard_machines):
             want, _ = einsum_dtw(curves[m - 1], curves[standard - 1])
             assert report.distances[m - 1, j] == want, (m, standard)

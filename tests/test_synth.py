@@ -220,8 +220,8 @@ def machine_bits(bundle, grid):
     caggs = aggregate_container_usage(bundle, grid)
     baggs = aggregate_batch_usage(bundle, grid)
     table = build_machine_series(bundle, grid, dense, caggs, baggs)
-    machines, matrix = occupancy_matrix(table)
-    return dict(zip(machines, matrix))
+    # row m - 1 of the occupancy matrix is machine m
+    return dict(enumerate(occupancy_matrix(table), 1))
 
 
 def test_zero_noise_trace_reproduces_expected_occupancy_exactly():

@@ -270,6 +270,21 @@ def test_parse_dir_missing_file_raises(tmp_path):
         parse_trace_dir(str(tmp_path))
 
 
+def test_parse_dir_names_a_file_it_cannot_read(tmp_path):
+    write_trace_dir(small_bundle(), str(tmp_path))
+    with open(tmp_path / "server_event.csv", "ab") as fh:
+        fh.write(b"0,1,softerror,caf\xe9 down,0,0,0\n")
+    with pytest.raises(TraceParseError, match=r"cannot read trace file "
+                                              r".*server_event\.csv: 'utf-8'"):
+        parse_trace_dir(str(tmp_path))
+    write_trace_dir(small_bundle(), str(tmp_path))
+    os.remove(tmp_path / "batch_task.csv")
+    os.mkdir(tmp_path / "batch_task.csv")
+    with pytest.raises(TraceParseError, match=r"cannot read trace file "
+                                              r".*batch_task\.csv: .*directory"):
+        parse_trace_dir(str(tmp_path))
+
+
 def test_header_row_is_skipped_when_declared(tmp_path):
     write_trace_dir(small_bundle(), str(tmp_path))
     for name in os.listdir(tmp_path):
