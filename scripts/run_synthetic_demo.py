@@ -59,6 +59,7 @@ def main():
         f"HeavyOnline:{firsts[0]}",             # overloaded Type1 machine
         f"LighterOnlineSkew:{firsts[0] + 1}",
         f"FrequentSoftError:{firsts[4]}",       # Type5, then batch stops
+        f"SoftErrorWorkloadStop:{firsts[5]}",   # Type6, fails as its batch stops
     ])
     gaps = f"{firsts[0] + 2}:cpu:10-14;{firsts[0] + 3}:mem:30-33"
 

@@ -1,10 +1,12 @@
 """Per-(machine, interval) usage attribution for containers and batch instances.
 
-Both aggregators work on whole arrays and return a ``UsageTable``: one row
-per machine they saw, one column per grid interval. ``build_machine_series``
-merges them with the repaired server usage into one ``SeriesTable`` of
-(machine, interval) arrays for machines 1..M, which the DTW, k-means and
-isolation-forest analyses read directly.
+Both aggregators work on whole arrays and return a ``UsageTable``: one
+column per grid interval and one row per machine, machine m in row m - 1,
+with a mask of the machines their records name. ``build_machine_series``
+takes their rows as they are, with the repaired server usage, into one
+``SeriesTable`` of (machine, interval) arrays for machines 1..M, which the
+DTW, k-means and isolation-forest analyses read directly. Machine ids are
+made only where the CSV writer prints them.
 
 Container usage is charged from its measured fraction of the request. Records
 are bucketed to the interval holding their timestamp; several records for one
@@ -39,27 +41,25 @@ from .trace_model import IntervalGrid, TraceBundle, csv_file, csv_lines
 
 @dataclass
 class UsageTable:
-    """Totals per (machine, interval) for the machines in ``machines``
-    (sorted); every other array is (len(machines), interval_count).
-    ``len()`` is the number of cells."""
+    """Totals per (machine, interval): row m - 1 of every array, an (M,
+    interval_count) one, is machine m, and ``seen`` (M,) marks the machines
+    the table's records name. ``len()`` counts the cells of seen machines."""
 
-    machines: np.ndarray
+    seen: np.ndarray
     count: np.ndarray
     cpu: np.ndarray        # fraction of machine CPU
     mem: np.ndarray        # fraction of machine memory
     cpu_cores: np.ndarray | None = None   # batch only: cpu before / cores
 
     def __len__(self) -> int:
-        return self.count.size
+        return int(np.count_nonzero(self.seen)) * self.count.shape[1]
 
 
 @dataclass
 class SeriesTable:
-    """Per-interval resource signals of machines 1..M. ``machines`` holds the
-    ids in order, so row m - 1 of every signal, an (M, interval_count)
-    float64 array, belongs to machine m."""
+    """Per-interval resource signals of machines 1..M: row m - 1 of every
+    signal, an (M, interval_count) float64 array, belongs to machine m."""
 
-    machines: np.ndarray
     server_cpu: np.ndarray
     server_mem: np.ndarray
     server_disk: np.ndarray
@@ -88,32 +88,25 @@ class AggDiagnostics:
         return counts
 
 
-def machine_cpu_counts(bundle: TraceBundle) -> dict[int, int]:
-    """Core count per machine from its events (soft errors carry 0, so take
-    the max)."""
+def machine_cpu_counts(bundle: TraceBundle) -> np.ndarray:
+    """(M,) core count of each machine from its events, 0 for a machine
+    without one (soft errors carry 0, so take the max)."""
     events = bundle.events
-    has_cores = events.cpu_count > 0
-    machines, row = np.unique(events.machine[has_cores], return_inverse=True)
-    cores = np.zeros(len(machines), dtype=np.int64)
-    np.maximum.at(cores, row, events.cpu_count[has_cores])
-    return dict(zip(machines.tolist(), cores.tolist()))
+    cores = np.zeros(bundle.machine_count, dtype=np.int64)
+    np.maximum.at(cores, events.machine - 1, events.cpu_count)
+    return cores
 
 
-def _cores_for(machines: np.ndarray, counts: dict[int, int],
+def _cores_for(seen: np.ndarray, counts: np.ndarray,
                diag: AggDiagnostics) -> np.ndarray:
-    """Core count per machine; a machine without one borrows the largest
-    count of the others and is recorded in ``diag``."""
-    fallback = max(counts.values(), default=0)
-    cores = []
-    for m in machines.tolist():
-        if m not in counts:
-            diag.borrowed_core_machines.add(m)
-        c = counts.get(m, fallback)
-        if c <= 0:
-            raise ValueError(f"cannot determine core count for machine {m}; "
-                             "no machine events with cpu_count > 0")
-        cores.append(c)
-    return np.array(cores, dtype=np.int64)
+    """Core count per machine row; a seen machine without one borrows the
+    largest count of the others and is recorded in ``diag``."""
+    borrowed = np.flatnonzero(seen & (counts == 0)) + 1
+    if len(borrowed) and not counts.any():
+        raise ValueError(f"cannot determine core count for machine {borrowed[0]}; "
+                         "no machine events with cpu_count > 0")
+    diag.borrowed_core_machines.update(borrowed.tolist())
+    return np.where(counts > 0, counts, counts.max(initial=1))
 
 
 def overlap_runtime(start, end, lo, hi):
@@ -144,34 +137,40 @@ def aggregate_container_usage(bundle: TraceBundle, grid: IntervalGrid,
                               ) -> UsageTable:
     """Container-level totals per (machine, interval).
 
-    Expects container events to be filtered (one per instance). Usage records
-    are bucketed to the interval containing their timestamp; several records
-    for one container in one interval are averaged. Records naming unknown
-    instances are skipped.
+    Expects container events to be filtered (one per instance), and raises
+    for an instance with several. Usage records are bucketed to the interval
+    containing their timestamp; several records for one container in one
+    interval are averaged. Records naming unknown instances are skipped.
     """
     diag = diagnostics if diagnostics is not None else AggDiagnostics()
-    n = grid.interval_count
+    n, rows = grid.interval_count, bundle.machine_count
     events = bundle.container_events
-    machines, ev_row = np.unique(events.machine, return_inverse=True)
-    rows = len(machines)
-    cores = _cores_for(machines, machine_cpu_counts(bundle), diag)
+    ev_row = events.machine - 1
+    seen = np.bincount(ev_row, minlength=rows) > 0
+    cores = _cores_for(seen, machine_cpu_counts(bundle), diag)
 
     # a container counts from the first interval reaching its creation on
     first = _first_interval_touching(events.timestamp, grid)
     created = _cell_sums(ev_row * (n + 1) + np.minimum(first, n), None, rows, n + 1)
     count = created[:, :n].cumsum(axis=1)
 
-    event_of = dict(zip(events.instance.tolist(), range(len(events))))
+    # each usage record's event, found in the events sorted by instance
+    by_instance = np.argsort(events.instance, kind="stable")
+    instances = events.instance[by_instance]
+    repeated = instances[1:][instances[1:] == instances[:-1]]
+    if len(repeated):
+        raise ValueError(f"instance {repeated[0]} has several container events; "
+                         "filter them first")
     usage = bundle.container_usage
-    rec_ev = np.fromiter((event_of.get(i, -1) for i in usage.instance.tolist()),
-                         np.int64, len(usage))
+    at = np.searchsorted(instances, usage.instance)
+    known = at < len(instances)
+    known[known] = instances[at[known]] == usage.instance[known]
     ts = usage.timestamp
-    known = rec_ev >= 0
     in_grid = (ts >= grid.start) & (ts < grid.end)
     diag.unknown_instance_records += int(np.count_nonzero(~known))
     diag.out_of_grid_usage_records += int(np.count_nonzero(known & ~in_grid))
     keep = known & in_grid
-    rec_ev = rec_ev[keep]
+    rec_ev = by_instance[at[keep]]
     cpu_of_req = usage.cpu_of_req[keep]
     mem_of_req = usage.mem_of_req[keep]
 
@@ -190,7 +189,7 @@ def aggregate_container_usage(bundle: TraceBundle, grid: IntervalGrid,
     # total each cell over its instances in the order they first show up
     order = np.argsort(first_rec)
     cell = (pair_row * n + pair_x)[order]
-    return UsageTable(machines, count,
+    return UsageTable(seen, count,
                       _cell_sums(cell, cpu[order], rows, n),
                       _cell_sums(cell, mem[order], rows, n))
 
@@ -206,12 +205,11 @@ def aggregate_batch_usage(bundle: TraceBundle, grid: IntervalGrid,
     default share-of-runtime scheme; it exists for sensitivity checks only.
     """
     diag = diagnostics if diagnostics is not None else AggDiagnostics()
-    n = grid.interval_count
+    n, rows = grid.interval_count, bundle.machine_count
     insts = bundle.batch_instances
     start, end, machine = insts.start, insts.end, insts.machine
-    machines = np.unique(machine[machine >= 1])
-    rows = len(machines)
-    cores = _cores_for(machines, machine_cpu_counts(bundle), diag)
+    seen = np.bincount(machine[machine >= 1] - 1, minlength=rows) > 0
+    cores = _cores_for(seen, machine_cpu_counts(bundle), diag)
 
     zero_ts = (start == 0) | (end == 0)
     unplaced = ~zero_ts & (machine < 1)
@@ -221,7 +219,7 @@ def aggregate_batch_usage(bundle: TraceBundle, grid: IntervalGrid,
     diag.invalid_span_instances += int(np.count_nonzero(invalid))
     ok = ~(zero_ts | unplaced | invalid)
     start, end = start[ok], end[ok]
-    row = np.searchsorted(machines, machine[ok])
+    row = machine[ok] - 1
     avg_cpu = insts.avg_cpu[ok]
     avg_mem = insts.avg_mem[ok]
 
@@ -242,7 +240,7 @@ def aggregate_batch_usage(bundle: TraceBundle, grid: IntervalGrid,
 
     cell = row[inst] * n + x
     cpu_cores = _cell_sums(cell, avg_cpu[inst] * share, rows, n)
-    return UsageTable(machines, _cell_sums(cell, None, rows, n),
+    return UsageTable(seen, _cell_sums(cell, None, rows, n),
                       cpu_cores / cores[:, None],
                       _cell_sums(cell, avg_mem[inst] * share, rows, n),
                       cpu_cores)
@@ -250,29 +248,23 @@ def aggregate_batch_usage(bundle: TraceBundle, grid: IntervalGrid,
 
 def build_machine_series(bundle: TraceBundle, grid: IntervalGrid, dense: DenseUsage,
                          containers: UsageTable, batch: UsageTable) -> SeriesTable:
-    """The series table of machines 1..machine_count, zeros where a machine
-    is absent from the container or batch table. Server usage per interval
-    is the mean of the interval's two endpoint samples in the dense table,
-    so all samples contribute; the dense table must hold machines
-    1..machine_count."""
-    n = grid.interval_count
-    m_count = bundle.machine_count
-    machines = np.arange(1, m_count + 1)
-    if not np.array_equal(dense.machines, machines):
-        raise ValueError(f"dense usage table must hold machines 1..{m_count} "
-                         "in order")
-
-    def place(table: UsageTable, name: str) -> np.ndarray:
-        out = np.zeros((m_count, n))
-        out[table.machines - 1] = getattr(table, name)
-        return out
-
+    """The series table of machines 1..machine_count; every input must hold
+    those machines as its rows. Server usage per interval is the mean of the
+    interval's two endpoint samples in the dense table, so all samples
+    contribute."""
+    m_count, n = bundle.machine_count, grid.interval_count
+    for name, shape, want in (
+            ("dense usage", dense.values.shape[:2], (m_count, n + 1)),
+            ("container usage", containers.count.shape, (m_count, n)),
+            ("batch usage", batch.count.shape, (m_count, n))):
+        if shape != want:
+            raise ValueError(f"{name} table has shape {shape}, but machines "
+                             f"1..{m_count} on {n} intervals need {want}")
     vals = dense.values
     return SeriesTable(
-        machines,
         *((vals[:, :-1, k] + vals[:, 1:, k]) / 2.0 for k in range(3)),
-        *(place(containers, name) for name in ("count", "cpu", "mem")),
-        *(place(batch, name) for name in ("count", "cpu_cores", "cpu", "mem")))
+        containers.count.astype(np.float64), containers.cpu, containers.mem,
+        batch.count.astype(np.float64), batch.cpu_cores, batch.cpu, batch.mem)
 
 
 # ---------------------------------------------------------------------------
@@ -290,36 +282,35 @@ BATCH_AGG_HEADER = SERIES_HEADER[:3] + ("batch_count", "total_cpu_cores", "total
 BLOCK_LINES = 96
 
 
-def write_aggregate_csvs(table: SeriesTable, container_machines: np.ndarray,
-                         batch_machines: np.ndarray, grid: IntervalGrid,
+def write_aggregate_csvs(table: SeriesTable, container_seen: np.ndarray,
+                         batch_seen: np.ndarray, grid: IntervalGrid,
                          out_dir: str) -> None:
     """Write ``machine_series.csv`` to ``out_dir``, and from the same cell
-    texts the lines of ``container_machines`` and ``batch_machines`` to
-    ``container_usage_agg.csv`` and ``batch_usage_agg.csv``."""
-    t, n = table, grid.interval_count
+    texts the lines of the machines ``container_seen`` and ``batch_seen``
+    mark to ``container_usage_agg.csv`` and ``batch_usage_agg.csv``."""
+    m_count, n = len(table.server_cpu), grid.interval_count
     outputs = (  # (file, header, series columns written under it, machines)
-        ("machine_series.csv", SERIES_HEADER, SERIES_HEADER, t.machines),
+        ("machine_series.csv", SERIES_HEADER, SERIES_HEADER,
+         np.ones(m_count, dtype=bool)),
         ("container_usage_agg.csv", CONTAINER_AGG_HEADER, SERIES_HEADER[:3] + (
-            "container_count", "container_cpu", "container_mem"), container_machines),
+            "container_count", "container_cpu", "container_mem"), container_seen),
         ("batch_usage_agg.csv", BATCH_AGG_HEADER, SERIES_HEADER[:3] + (
-            "batch_count", "batch_cpu_cores", "batch_cpu", "batch_mem"), batch_machines))
-    flat = {f.name: getattr(t, f.name).ravel() for f in dataclasses.fields(t)[1:]}
-    lines = len(t.machines) * n
+            "batch_count", "batch_cpu_cores", "batch_cpu", "batch_mem"), batch_seen))
+    flat = {name: signal.ravel() for name, signal in vars(table).items()}
+    lines = m_count * n
     with contextlib.ExitStack() as stack:
-        files = []
-        for name, header, columns, machines in outputs:
-            fh = stack.enter_context(csv_file(os.path.join(out_dir, name), header))
-            files.append((fh, columns, np.isin(t.machines, machines)))
+        files = [(stack.enter_context(csv_file(os.path.join(out_dir, name), header)),
+                  columns, seen) for name, header, columns, seen in outputs]
         for lo in range(0, lines, BLOCK_LINES):
             row, x = np.divmod(np.arange(lo, min(lo + BLOCK_LINES, lines)), n)
             b = {name: signal[lo:lo + BLOCK_LINES] for name, signal in flat.items()}
-            b.update(machine=t.machines[row], interval_index=x,
+            b.update(machine=row + 1, interval_index=x,
                      interval_start=grid.start + grid.step * x,
                      container_count=b["container_count"].astype(np.int64),
                      batch_count=b["batch_count"].astype(np.int64),
                      residual_cpu=b["server_cpu"] - b["container_cpu"] - b["batch_cpu"],
                      residual_mem=b["server_mem"] - b["container_mem"] - b["batch_mem"])
             cells = {name: list(map(repr, values.tolist())) for name, values in b.items()}
-            for fh, columns, keep in files:
-                kept = keep[row].tolist()
+            for fh, columns, seen in files:
+                kept = seen[row].tolist()
                 fh.write(csv_lines(*(compress(cells[c], kept) for c in columns)))

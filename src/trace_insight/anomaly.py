@@ -9,9 +9,10 @@ flat node arrays, and scoring moves every row one tree level per step.
 Scores are reported as 0.5 - 2^(-E(h)/c(psi)), so anomalous machines land
 below zero and everything lives in [-0.5, 0.5).
 
-As in the series table, machine m is row m - 1 of the feature matrix and
-of a report's lists (a per-interval matrix holds its rows as block m - 1);
-ids are made only for the ranking and where a writer prints them.
+As in the series table, machine m is row m - 1 of the feature matrix, of
+a report's lists and of the cause tags ``diagnose`` returns (a per-interval
+matrix holds its rows as block m - 1); ids are made only for the ranking
+and where a writer prints them.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 
 import numpy as np
 
@@ -253,64 +255,49 @@ def population_stats(table: SeriesTable) -> PopulationStats:
     )
 
 
-def _batch_stop_index(batch_count: np.ndarray) -> int | None:
-    """Interval index where batch activity stops for good, or None when the
-    machine never ran batch or still runs it at the end."""
-    active = np.flatnonzero(np.asarray(batch_count) > 0)
-    if len(active) == 0 or active[-1] == len(batch_count) - 1:
-        return None
-    return int(active[-1]) + 1
+def diagnose(labels: list[str], events: Table, table: SeriesTable,
+             stats: PopulationStats, grid: IntervalGrid,
+             heavier_factor: float = 1.5) -> list[list[str]]:
+    """Cause tags of every machine row, each row's in the fixed rule order
+    of ``CauseTag``.
 
-
-def softerror_times(events: Table) -> dict[int, list[int]]:
-    """Soft-error timestamps per machine, in event order."""
-    soft = events.event_type == enum_code(MachineEventType.SOFT_ERROR)
-    times: dict[int, list[int]] = {}
-    for machine, ts in zip(events.machine[soft].tolist(),
-                           events.timestamp[soft].tolist()):
-        times.setdefault(machine, []).append(ts)
-    return times
-
-
-def diagnose(label: str, softerrors: list[int], batch_count: np.ndarray,
-             container_count: np.ndarray, stats: PopulationStats,
-             grid: IntervalGrid, heavier_factor: float = 1.5) -> list[str]:
-    """Cause tags for one machine, in a fixed rule order.
-
-    ``softerrors`` are the machine's soft-error timestamps, and
-    ``batch_count`` and ``container_count`` its rows of the series table.
-    Rules depend only on the machine's own soft errors and counts plus the
-    population medians, so the result is independent of evaluation order.
+    ``labels`` holds each row's category and ``events`` the server events,
+    whose soft errors count for the machine they name. Each rule is an (M,)
+    mask over the machine's own soft errors and its rows of the table plus
+    the population medians, so a row's tags do not depend on the other rows.
     Several tags can apply at once.
     """
-    tags: list[str] = []
+    labels = np.asarray(labels)
+    m_count, n = table.batch_count.shape
+    soft = events.event_type == enum_code(MachineEventType.SOFT_ERROR)
+    soft_row, soft_ts = events.machine[soft] - 1, events.timestamp[soft]
+    soft_count = np.bincount(soft_row, minlength=m_count)
 
-    if len(softerrors) >= 3:
-        tags.append(CauseTag.FREQUENT_SOFT_ERROR.value)
+    # batch stops for good at the interval after its last active one, unless
+    # it never ran or still runs at the end; a soft error within one interval
+    # of the stop is linked to it
+    active = table.batch_count > 0
+    stop = n - np.argmax(active[:, ::-1], axis=1)
+    stopped = active.any(axis=1) & (stop < n)
+    x = (soft_ts - grid.start) // grid.step
+    linked = (stopped[soft_row] & (soft_ts >= grid.start) & (soft_ts < grid.end)
+              & (np.abs(x - stop[soft_row]) <= 1))
+    workload_stop = np.bincount(soft_row[linked], minlength=m_count) > 0
 
-    stop = _batch_stop_index(batch_count)
-    if stop is not None and softerrors:
-        for ts in softerrors:
-            x = grid.interval_index(ts)
-            if x is not None and abs(x - stop) <= 1:
-                tags.append(CauseTag.SOFT_ERROR_WORKLOAD_STOP.value)
-                break
-
-    if label == "Type2" and not softerrors:
-        tags.append(CauseTag.NO_WORKLOADS_SCHEDULING.value)
-    if label == "Type3":
-        tags.append(CauseTag.NO_ONLINE_SERVICES.value)
-    if label == "Type4":
-        tags.append(CauseTag.NO_BATCH_JOBS.value)
-
-    if label == "Type1":
-        container_mean = float(np.mean(container_count))
-        batch_mean = float(np.mean(batch_count))
-        if container_mean >= heavier_factor * stats.container_count_median:
-            tags.append(CauseTag.HEAVIER_ONLINE_SERVICES.value)
-        if container_mean <= 1.0 and batch_mean >= stats.batch_count_median:
-            tags.append(CauseTag.UNBALANCED_LIGHTER_ONLINE.value)
-    return tags
+    type1 = labels == "Type1"
+    container_mean = table.container_count.mean(axis=1)
+    batch_mean = table.batch_count.mean(axis=1)
+    rules = np.stack([
+        soft_count >= 3,
+        workload_stop,
+        (labels == "Type2") & (soft_count == 0),
+        labels == "Type3",
+        labels == "Type4",
+        type1 & (container_mean >= heavier_factor * stats.container_count_median),
+        type1 & (container_mean <= 1.0) & (batch_mean >= stats.batch_count_median),
+    ], axis=1)
+    tags = [tag.value for tag in CauseTag]
+    return [list(compress(tags, row)) for row in rules.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@
     trace-insight report     --config cfg [key=value ...]
 
 The config file is flat key=value text; every subcommand also accepts
-key=value overrides after its flags, and the most common knobs exist as
-named flags. The flags are derived from the config table,
-``stage.CONFIG_KEYS``: each subcommand registers the flags of the keys
-its stage reads, with their help text. Only ``analyze --seed``,
+key=value overrides before, between and after its flags, and the most
+common knobs exist as named flags. The flags are derived from the config
+table, ``stage.CONFIG_KEYS``: each subcommand registers the flags of the
+keys its stage reads, with their help text. Only ``analyze --seed``,
 ``--normalized`` and ``--label-thresholds`` are written out here.
 Precedence: config file, then named flags, then overrides. Failures exit
 nonzero with the offending stage named in the message.
@@ -97,7 +97,14 @@ def _runner(command: str):
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    # overrides that follow a flag, after the positional list was taken,
+    # join it in order; any other leftover is refused
+    unknown = [arg for arg in extra if arg.startswith("-") or "=" not in arg]
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    args.overrides += extra
     try:
         config = _collect_config(args)
         out_dir = _runner(args.command)(config)

@@ -43,7 +43,6 @@ from .anomaly import (
     iforest_fit,
     population_stats,
     score_machines,
-    softerror_times,
     write_anomaly_json,
     write_score_distribution_csv,
     write_scores_csv,
@@ -222,7 +221,7 @@ def run_preprocess(config: dict[str, str]) -> str:
                    row_counts={
                        "machines": bundle.machine_count,
                        "server_usage": len(bundle.server_usage),
-                       "dense_machines": len(dense.machines),
+                       "dense_machines": len(dense.values),
                        "repair_annotations": len(repairs),
                        "container_events": len(bundle.container_events),
                        "container_events_removed": len(removed),
@@ -273,15 +272,17 @@ def run_analyze(config: dict[str, str]) -> str:
     grid = _grid(values, stage)
     pinned = values["dtw_standards"] or None
     sample_num = values["dtw_sample_num"]
+    always = values["classify_always"]
+    checks = [("classify_none", values["classify_none"] < always,
+               f"below classify_always={always}")]
     if pinned is None:   # the sample sizes matter only to a drawn sample
-        for key, ok, rule in [
-                ("dtw_sample_num", sample_num >= 2, ">= 2"),
-                ("dtw_standard_count",
-                 1 <= values["dtw_standard_count"] <= sample_num,
-                 f"in [1, dtw_sample_num={sample_num}]")]:
-            if not ok:
-                raise _refusal(stage, key, rule,
-                               config.get(key, CONFIG_KEYS[key].default))
+        checks += [("dtw_sample_num", sample_num >= 2, ">= 2"),
+                   ("dtw_standard_count",
+                    1 <= values["dtw_standard_count"] <= sample_num,
+                    f"in [1, dtw_sample_num={sample_num}]")]
+    for key, ok, rule in checks:
+        if not ok:
+            raise _refusal(stage, key, rule, config.get(key, CONFIG_KEYS[key].default))
 
     out_dir, input_dir = values["output_dir"], values["input_dir"]
     inputs = _digest_inputs(input_dir, stage)
@@ -304,8 +305,7 @@ def run_analyze(config: dict[str, str]) -> str:
         batch = aggregate_batch_usage(
             bundle, grid, diag, duration_weighted=values["duration_weighted"])
         table = build_machine_series(bundle, grid, dense, containers, batch)
-        write_aggregate_csvs(table, containers.machines, batch.machines, grid,
-                             out_dir)
+        write_aggregate_csvs(table, containers.seen, batch.seen, grid, out_dir)
 
         # similarity; machine m is row m - 1 of the table and its curves
         curves = build_resource_curves(table)
@@ -345,15 +345,11 @@ def run_analyze(config: dict[str, str]) -> str:
         forest = iforest_fit(feat_matrix, tree_count=values["anomaly_trees"],
                              subsample=values["anomaly_subsample"],
                              seed=values["anomaly_seed"])
-        anomaly_report = score_machines(forest, feat_matrix, len(table.machines))
+        anomaly_report = score_machines(forest, feat_matrix, bundle.machine_count)
         anomaly_report.labels = [model.labels[c] for c in model.assignments.tolist()]
-        stats = population_stats(table)
-        softerrors = softerror_times(bundle.events)
-        anomaly_report.causes = [
-            diagnose(label, softerrors.get(row + 1, []), batch, containers,
-                     stats, grid, heavier_factor=values["anomaly_heavier_factor"])
-            for row, (label, batch, containers) in enumerate(zip(
-                anomaly_report.labels, table.batch_count, table.container_count))]
+        anomaly_report.causes = diagnose(
+            anomaly_report.labels, bundle.events, table, population_stats(table),
+            grid, heavier_factor=values["anomaly_heavier_factor"])
         write_scores_csv(anomaly_report, os.path.join(out_dir, "anomaly_scores.csv"))
         write_anomaly_json(anomaly_report, values["anomaly_top_n"],
                            os.path.join(out_dir, "anomaly_report.json"))
@@ -365,7 +361,7 @@ def run_analyze(config: dict[str, str]) -> str:
     write_manifest(out_dir, stage, config, inputs=inputs,
                    outputs=list(ANALYZE_FILENAMES),
                    row_counts={
-                       "machines": len(table.machines),
+                       "machines": bundle.machine_count,
                        "intervals": grid.interval_count,
                        "curves": len(curves),
                        "standards": len(standards),

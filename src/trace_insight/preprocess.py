@@ -6,7 +6,8 @@ filled linearly between the surrounding observations, boundary gaps are held
 at the nearest observed value, and machines with no rows at all are filled
 with zeros. The repair works on whole (machine, slot) arrays, and every
 synthesized value gets a row in one columnar repair log, so repairs stay
-auditable.
+auditable. Machine m is row m - 1 of the dense table; ids are made only
+where the repair log and the dense CSV print them.
 """
 
 from __future__ import annotations
@@ -39,18 +40,11 @@ class RepairMethod(Enum):
 
 @dataclass
 class DenseUsage:
-    """Per-timestamp usage with no holes: values[i, x, k] is machine
-    machines[i], grid timestamp x, metric METRICS[k]."""
+    """Per-timestamp usage with no holes: values[m - 1, x, k] is machine
+    m, grid timestamp x, metric METRICS[k]."""
 
-    machines: np.ndarray     # (M,) int64, ids 1..M
     timestamps: np.ndarray   # (T,) int64
     values: np.ndarray       # (M, T, 6) float64
-
-    def series(self, machine: int, metric: str) -> np.ndarray:
-        row = int(np.searchsorted(self.machines, machine))
-        if row >= len(self.machines) or self.machines[row] != machine:
-            raise KeyError(f"machine {machine} not in dense table")
-        return self.values[row, :, METRICS.index(metric)]
 
 
 def interpolate_gap(left_value, right_value, span_count, missing_index):
@@ -134,8 +128,7 @@ def supplement_server_usage(bundle: TraceBundle, grid: IntervalGrid,
         "method": method[hole],
         "value": values[rows[hole], cols[hole], metric],
     })
-    machines = np.arange(1, m_count + 1, dtype=np.int64)
-    return DenseUsage(machines, timestamps, values), repairs
+    return DenseUsage(timestamps, values), repairs
 
 
 class AmbiguousDuplicateError(ValueError):
@@ -181,9 +174,9 @@ def write_dense_csv(dense: DenseUsage, path: str) -> None:
     """One line per (machine, timestamp): fractions as percent text, loads as
     their ``repr``. Lines are built a block of rows at a time, which bounds
     the Python objects alive at once."""
-    t_count = len(dense.timestamps)
-    machines = np.repeat(dense.machines, t_count)
-    timestamps = np.tile(dense.timestamps, len(dense.machines))
+    m_count, t_count = dense.values.shape[:2]
+    machines = np.repeat(np.arange(1, m_count + 1), t_count)
+    timestamps = np.tile(dense.timestamps, m_count)
     values = dense.values.reshape(-1, len(METRICS))
     with csv_file(path, DENSE_HEADER) as fh:
         for lo in range(0, len(values), BLOCK_ROWS):

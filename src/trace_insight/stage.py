@@ -147,8 +147,10 @@ _FRACTION = ((lambda value: 0 <= value <= 1), "in [0, 1]")
 _EDGES = ((lambda edges: edges != [] and edges == sorted(edges)),
           "sorted and non-empty")
 # one pinned standard has no pair to take a median over
-_STANDARDS = ((lambda ids: not ids or 2 <= len(set(ids)) == len(ids)),
-              "empty, or two or more distinct ids")
+_STANDARDS = ((lambda ids: not ids or (2 <= len(set(ids)) == len(ids)
+                                       and min(ids) >= 1)),
+              "empty, or two or more distinct ids >= 1")
+_GAP = ((lambda gap: gap is None or gap >= 0), ">= 0, or empty for none")
 
 
 # One config key. ``kind`` is a name in _KINDS, the Enum of the allowed
@@ -195,7 +197,8 @@ CONFIG_KEYS = {
                                  "histogram bucket edges", _EDGES),
     "dtw_suitability_gap": ConfigKey("float or empty", "1.0", _ANALYZE,
                                      "sup-norm gap for the standard "
-                                     "suitability warning; empty for none"),
+                                     "suitability warning; empty for none",
+                                     _GAP),
     "dtw_seed": ConfigKey("int", None, _ANALYZE, "sampling seed (analyze --seed)",
                           _at_least(0)),
     "classify_k": ConfigKey("int", "8", _ANALYZE, "k-means cluster count",
@@ -225,7 +228,8 @@ CONFIG_KEYS = {
     "anomaly_normalize": ConfigKey("bool", "false", _ANALYZE,
                                    "z-score features first"),
     "anomaly_heavier_factor": ConfigKey("float", "1.5", _ANALYZE, "container-"
-                                        "count factor for the heavy-online cause"),
+                                        "count factor for the heavy-online cause",
+                                        _at_least(1)),
     "anomaly_seed": ConfigKey("int", None, _ANALYZE, "forest seed (analyze --seed)",
                               _at_least(0)),
     "synth_machines": ConfigKey("int", None, _SYNTH, "machine count",

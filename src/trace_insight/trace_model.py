@@ -677,9 +677,3 @@ class IntervalGrid:
 
     def timestamps(self) -> np.ndarray:
         return self.start + self.step * np.arange(self.timestamp_count, dtype=np.int64)
-
-    def interval_index(self, timestamp: int) -> int | None:
-        """Index x with t_x <= timestamp < t_{x+1}; None outside [start, end)."""
-        if timestamp < self.start or timestamp >= self.end:
-            return None
-        return (timestamp - self.start) // self.step

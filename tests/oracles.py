@@ -390,6 +390,49 @@ def isolation_forest_scores(train, rows, tree_count=100, subsample=256,
 
 
 # ---------------------------------------------------------------------------
+# cause tags, one machine at a time
+
+
+def diagnose_reference(label, softerrors, batch_count, container_count,
+                       container_median, batch_median, grid_start, grid_end,
+                       step, heavier_factor=1.5):
+    """Cause tags of one machine, in rule order. ``softerrors`` are its
+    soft-error timestamps, ``batch_count`` and ``container_count`` its
+    per-interval counts, and the medians those of the per-machine mean
+    counts over all machines."""
+    batch_count, container_count = list(batch_count), list(container_count)
+    tags = []
+    if len(softerrors) >= 3:
+        tags.append("FrequentSoftError")
+
+    # batch stops for good after its last active interval, unless it never
+    # ran or still runs in the last one
+    active = [x for x, count in enumerate(batch_count) if count > 0]
+    if active and active[-1] != len(batch_count) - 1:
+        stop = active[-1] + 1
+        for ts in softerrors:
+            if grid_start <= ts < grid_end and abs((ts - grid_start) // step - stop) <= 1:
+                tags.append("SoftErrorWorkloadStop")
+                break
+
+    if label == "Type2" and not softerrors:
+        tags.append("NoWorkloadsScheduling")
+    if label == "Type3":
+        tags.append("NoOnlineServices")
+    if label == "Type4":
+        tags.append("NoBatchJobs")
+
+    if label == "Type1":
+        container_mean = sum(container_count) / len(container_count)
+        batch_mean = sum(batch_count) / len(batch_count)
+        if container_mean >= heavier_factor * container_median:
+            tags.append("HeavierOnlineServices")
+        if container_mean <= 1.0 and batch_mean >= batch_median:
+            tags.append("UnbalancedLighterOnline")
+    return tags
+
+
+# ---------------------------------------------------------------------------
 # trace parsing, one row at a time
 
 # Each file's fields in their default column order, with the converter a

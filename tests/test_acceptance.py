@@ -36,11 +36,14 @@ from trace_insight.classify import (
     occupancy_matrix,
 )
 from trace_insight.cli import main as cli_main
-from trace_insight.preprocess import filter_container_events, supplement_server_usage
+from trace_insight.preprocess import (
+    METRICS,
+    filter_container_events,
+    supplement_server_usage,
+)
 from trace_insight.similarity import (
     _dtw_batch,
     build_resource_curves,
-    dtw_distance,
     score_similarity,
     select_standard,
 )
@@ -114,17 +117,34 @@ def test_criterion_01_dtw_matches_exhaustive_path_enumeration():
 
 def test_criterion_02_dtw_identities_on_seeded_random_pairs():
     rng = np.random.default_rng(20260814)
+    # each draw's four distances are kernel jobs; jobs of one shape share a
+    # _dtw_batch call, and a pair's distance is the same bits in any batch
+    batches: dict[tuple, list] = {}
+
+    def submit(q, s):
+        shape = (len(q), len(s), q.shape[1])
+        batch = batches.setdefault(shape, [])
+        batch.append((q, s))
+        return shape, len(batch) - 1
+
+    draws = []
     for _ in range(1000):
         dim = int(rng.integers(1, 4))
         q = rng.normal(size=(int(rng.integers(1, 16)), dim))
         s = rng.normal(size=(int(rng.integers(1, 16)), dim))
         c = float(rng.uniform(0.1, 3.0))
-        assert dtw_distance(q, q).distance == 0.0
-        forward = dtw_distance(q, s).distance
-        assert dtw_distance(s, q).distance == pytest.approx(forward, rel=1e-9)
-        assert dtw_distance(c * q, c * s).distance == \
-            pytest.approx(c * c * forward, rel=1e-9)
-    ok("02", "self-distance, symmetry, and c^2 scaling on 1000 pairs")
+        draws.append((c, submit(q, q), submit(q, s), submit(s, q),
+                      submit(c * q, c * s)))
+    distances = {shape: _dtw_batch(*map(np.stack, zip(*batch)),
+                                   path_lengths=False)[0].tolist()
+                 for shape, batch in batches.items()}
+    for c, *jobs in draws:
+        itself, forward, backward, scaled = (distances[shape][i] for shape, i in jobs)
+        assert itself == 0.0
+        assert backward == pytest.approx(forward, rel=1e-9)
+        assert scaled == pytest.approx(c * c * forward, rel=1e-9)
+    ok("02", "self-distance, symmetry, and c^2 scaling on 1000 pairs in "
+             f"{len(batches)} kernel calls")
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +201,7 @@ def test_criterion_04_interpolation_restores_affine_series():
                           for x in range(count) if observed[x]],
             machine_count=1)
         dense, _notes = supplement_server_usage(bundle, grid)
-        got = dense.series(1, "cpu")
+        got = dense.values[0, :, METRICS.index("cpu")]
 
         first = int(np.flatnonzero(observed)[0])
         last = int(np.flatnonzero(observed)[-1])
@@ -305,7 +325,7 @@ def test_criterion_07_planted_anomalies_rank_in_top_five():
     hits = 0
     for seed in range(10):
         forest = iforest_fit(matrix, tree_count=100, subsample=256, seed=seed)
-        report = score_machines(forest, matrix, len(table.machines))
+        report = score_machines(forest, matrix, bundle.machine_count)
         assert len(report.scores) == 64
         for score in report.scores:
             assert -0.5 <= score < 0.5
@@ -432,7 +452,7 @@ def test_criterion_12_reference_anomaly_ranking(reference):
     matrix = build_feature_matrix(reference.table, FeatureMode.PER_MACHINE_MEAN)
     for seed in range(5):
         forest = iforest_fit(matrix, tree_count=100, subsample=256, seed=seed)
-        report = score_machines(forest, matrix, len(reference.table.machines))
+        report = score_machines(forest, matrix, len(reference.table.server_cpu))
         fraction = report.negative_count / len(report.scores)
         assert abs(fraction - 0.81) <= 0.20, (seed, fraction)
         overlap = len(set(report.ranking[:25]) & REFERENCE_TOP25)

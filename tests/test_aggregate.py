@@ -58,8 +58,9 @@ def test_machine_cpu_counts_takes_the_positive_max():
         add_event(1, 64),
         (5, 1, MachineEventType.SOFT_ERROR, "x", 0, 0.0, 0.0),
         add_event(2, 96),
-    ], machine_count=2)
-    assert machine_cpu_counts(bundle) == {1: 64, 2: 96}
+    ], machine_count=3)
+    # row m - 1 is machine m; machine 3 has no event and no core count
+    assert machine_cpu_counts(bundle).tolist() == [64, 96, 0]
 
 
 def test_container_aggregation_needs_a_core_count():
@@ -114,7 +115,7 @@ def container_bundle(extra_events=(), extra_usage=()):
 
 def test_container_usage_is_scaled_by_request_over_cores():
     table = aggregate_container_usage(container_bundle(), GRID)
-    assert table.machines.tolist() == [1]
+    assert table.seen.tolist() == [True]
     # 50% of an 8-core request on a 64-core machine
     assert table.cpu[0, 0] == pytest.approx(0.5 * 8.0 / 64.0)
     assert table.mem[0, 0] == pytest.approx(0.6 * 0.05)
@@ -157,6 +158,13 @@ def test_container_usage_keeps_its_operation_order():
     assert table.cpu[0, 1] != (0.3 + 0.6 + 0.7) * 6.0 / 3 / 64
 
 
+def test_container_aggregation_refuses_unfiltered_events():
+    # a second, oversized event of instance 7 that filtering would remove
+    bundle = container_bundle(extra_events=[container(7, 1, mem_req=0.95)])
+    with pytest.raises(ValueError, match="^instance 7 has several container events"):
+        aggregate_container_usage(bundle, GRID)
+
+
 def test_container_diagnostics_cover_unknown_and_out_of_grid():
     bundle = container_bundle(extra_usage=[usage(99, 1000, 0.5),   # never created
                                            usage(7, 5000, 0.5)])   # beyond the grid
@@ -177,7 +185,8 @@ def batch_bundle(instances):
 
 def test_batch_instance_fully_inside_charges_its_average():
     table = aggregate_batch_usage(batch_bundle([instance(1010, 1050)]), GRID)
-    assert table.machines.tolist() == [1]
+    assert table.seen.tolist() == [True, False]
+    assert len(table) == GRID.interval_count   # the cells of seen machines
     assert table.count[0].tolist() == [1, 0, 0, 0]
     assert table.cpu_cores[0, 0] == 0.8
     assert table.cpu[0, 0] == 0.8 / 64.0
@@ -215,7 +224,7 @@ def test_batch_cell_adds_its_instances_in_input_order():
 
 def test_batch_instance_outside_the_grid_is_ignored():
     table = aggregate_batch_usage(batch_bundle([instance(900, 950)]), GRID)
-    assert table.machines.tolist() == [1]
+    assert table.seen.tolist() == [True, False]
     assert not table.count.any()
 
 
@@ -254,8 +263,8 @@ def test_borrowed_core_counts_are_counted():
                                       machine_count=2)
     diag = AggDiagnostics()
     table = aggregate_batch_usage(bundle, GRID, diagnostics=diag)
-    # machine 2 has no event of its own and borrows machine 1's 96 cores
-    assert table.cpu[0, 0] == 0.8 / 96.0
+    # machine 2 (row 1) has no event of its own and borrows machine 1's 96 cores
+    assert table.cpu[1, 0] == 0.8 / 96.0
     assert diag.borrowed_core_machines == {2}
     aggregate_container_usage(oracles.bundle_from_rows(
         events=[add_event(1, 96)], container_events=[container(7, 2)],
@@ -297,10 +306,14 @@ def test_container_attribution_matches_the_oracle(events, records):
     table = aggregate_container_usage(bundle, GRID, diag)
     expected, skipped = oracles.attribute_containers(
         event_rows, records, CORES, GRID.start, GRID.end, GRID.step)
-    assert table.machines.tolist() == sorted(expected)
-    for row, m in enumerate(table.machines.tolist()):
-        assert (table.count[row].tolist(), table.cpu[row].tolist(),
-                table.mem[row].tolist()) == expected[m]
+    assert table.seen.tolist() == [m in expected for m in CORES]
+    assert len(table) == len(expected) * GRID.interval_count
+    # a machine the oracle never saw is a row of zeros
+    zeros = ([0] * GRID.interval_count, [0.0] * GRID.interval_count,
+             [0.0] * GRID.interval_count)
+    for m in CORES:
+        assert (table.count[m - 1].tolist(), table.cpu[m - 1].tolist(),
+                table.mem[m - 1].tolist()) == expected.get(m, zeros)
     assert (diag.unknown_instance_records, diag.out_of_grid_usage_records) == skipped
 
 
@@ -322,10 +335,14 @@ def test_batch_attribution_matches_the_oracle(draws, duration_weighted):
                                   duration_weighted=duration_weighted)
     expected, skipped = oracles.attribute_batch(
         rows, CORES, GRID.start, GRID.end, GRID.step, duration_weighted)
-    assert table.machines.tolist() == sorted(expected)
-    for row, m in enumerate(table.machines.tolist()):
-        assert (table.count[row].tolist(), table.cpu_cores[row].tolist(),
-                table.cpu[row].tolist(), table.mem[row].tolist()) == expected[m]
+    assert table.seen.tolist() == [m in expected for m in CORES]
+    assert len(table) == len(expected) * GRID.interval_count
+    # a machine the oracle never saw is a row of zeros
+    zeros = ([0] * GRID.interval_count, *[[0.0] * GRID.interval_count] * 3)
+    for m in CORES:
+        assert (table.count[m - 1].tolist(), table.cpu_cores[m - 1].tolist(),
+                table.cpu[m - 1].tolist(), table.mem[m - 1].tolist()) == \
+            expected.get(m, zeros)
     assert (diag.zero_timestamp_instances, diag.unplaced_instances,
             diag.invalid_span_instances) == skipped
 
@@ -335,13 +352,14 @@ def test_batch_attribution_matches_the_oracle(draws, duration_weighted):
 
 
 def dense_for(machine_values):
-    machines = np.array(sorted(machine_values), dtype=np.int64)
-    values = np.zeros((len(machines), GRID.timestamp_count, len(METRICS)))
-    for i, m in enumerate(machines):
-        values[i, :, 0] = machine_values[m]
-        values[i, :, 1] = np.asarray(machine_values[m]) / 2
-        values[i, :, 2] = 0.4
-    return DenseUsage(machines, GRID.timestamps(), values)
+    """Dense usage of machines 1..max(machine_values), machine m in row
+    m - 1; a machine left out is a row of zeros."""
+    values = np.zeros((max(machine_values), GRID.timestamp_count, len(METRICS)))
+    for m, cpu in machine_values.items():
+        values[m - 1, :, 0] = cpu
+        values[m - 1, :, 1] = np.asarray(cpu) / 2
+        values[m - 1, :, 2] = 0.4
+    return DenseUsage(GRID.timestamps(), values)
 
 
 def test_series_rejects_a_dense_table_that_misses_machines():
@@ -352,8 +370,24 @@ def test_series_rejects_a_dense_table_that_misses_machines():
     for dense in (dense_for({2: [0.3] * 5}),
                   dense_for({1: [0.3] * 5, 2: [0.3] * 5}),
                   dense_for({m: [0.3] * 5 for m in (1, 2, 3, 4)})):
-        with pytest.raises(ValueError, match=r"machines 1\.\.3"):
+        with pytest.raises(ValueError, match=r"^dense usage table .* machines 1\.\.3"):
             build_machine_series(bundle, GRID, dense, containers, batch)
+
+
+def test_series_names_an_aggregate_table_that_misses_machines():
+    bundle = oracles.bundle_from_rows(events=[add_event(1), add_event(2)],
+                                      machine_count=3)
+    containers = aggregate_container_usage(bundle, GRID)
+    batch = aggregate_batch_usage(bundle, GRID)
+    dense = dense_for({m: [0.3] * 5 for m in (1, 2, 3)})
+    # aggregates of a two-machine trace do not fit a three-machine series
+    fewer = dataclasses.replace(bundle, machine_count=2)
+    for name, tables in (
+            ("container", (aggregate_container_usage(fewer, GRID), batch)),
+            ("batch", (containers, aggregate_batch_usage(fewer, GRID)))):
+        with pytest.raises(ValueError, match=rf"^{name} usage table has shape "
+                                             r"\(2, 4\), but machines 1\.\.3"):
+            build_machine_series(bundle, GRID, dense, *tables)
 
 
 def test_series_averages_the_interval_endpoints():
@@ -363,7 +397,7 @@ def test_series_averages_the_interval_endpoints():
     table = build_machine_series(bundle, GRID, dense,
                                  aggregate_container_usage(bundle, GRID),
                                  aggregate_batch_usage(bundle, GRID))
-    assert table.machines.tolist() == [1, 2]
+    assert table.server_cpu.shape == (2, GRID.interval_count)
     assert table.server_cpu[0] == pytest.approx([0.15, 0.25, 0.35, 0.45])
     assert table.server_cpu[1] == pytest.approx([0.0] * 4)
     assert table.server_mem[0] == pytest.approx([0.075, 0.125, 0.175, 0.225])
@@ -386,7 +420,7 @@ def test_series_places_aggregates_and_zero_fills_the_rest():
     assert table.batch_count.tolist() == [[0, 0, 0, 0], [0, 1, 0, 0]]
     assert table.batch_cpu[1, 1] == pytest.approx(0.8 / 64.0)
     assert table.batch_cpu[0].tolist() == [0.0] * 4
-    for field in dataclasses.fields(table)[1:]:
+    for field in dataclasses.fields(table):
         signal = getattr(table, field.name)
         assert signal.shape == (2, GRID.interval_count), field.name
         assert signal.dtype == np.float64, field.name
@@ -405,7 +439,7 @@ def test_series_csv_headers_and_residuals(tmp_path):
     baggs = aggregate_batch_usage(bundle, GRID)
     table = build_machine_series(bundle, GRID, dense, caggs, baggs)
 
-    write_aggregate_csvs(table, caggs.machines, baggs.machines, GRID, str(tmp_path))
+    write_aggregate_csvs(table, caggs.seen, baggs.seen, GRID, str(tmp_path))
     lines = (tmp_path / "machine_series.csv").read_text().splitlines()
     assert lines[0].split(",") == list(SERIES_HEADER)
     assert len(lines) == 1 + GRID.interval_count
@@ -440,7 +474,7 @@ def test_agg_lines_repeat_their_series_line_and_skip_absent_machines(tmp_path):
     caggs = aggregate_container_usage(bundle, GRID)
     baggs = aggregate_batch_usage(bundle, GRID)
     table = build_machine_series(bundle, GRID, dense, caggs, baggs)
-    write_aggregate_csvs(table, caggs.machines, baggs.machines, GRID, str(tmp_path))
+    write_aggregate_csvs(table, caggs.seen, baggs.seen, GRID, str(tmp_path))
     key = ("machine", "interval_index", "interval_start")
     series = {tuple(row[k] for k in key): row
               for row in read_csv(tmp_path / "machine_series.csv")}
@@ -475,23 +509,24 @@ def test_aggregate_csvs_match_the_row_at_a_time_oracle(tmp_path, monkeypatch,
     special = np.array([-0.0, 1e-05, 1e16, 5e-324, np.nan, np.inf, 0.25])
     signals = {
         field.name: rng.random(shape)
-        for field in dataclasses.fields(SeriesTable)[1:]}
+        for field in dataclasses.fields(SeriesTable)}
     for name in ("server_cpu", "server_mem", "server_disk"):
         signals[name] = rng.choice(special, shape)
     signals["server_cpu"][0] = [-0.0, 1e-05, 1e16, 5e-324]
     signals["server_mem"][1, :2] = [np.nan, np.inf]
     for name in ("container_count", "batch_count"):
         signals[name] = rng.integers(0, 9, shape).astype(float)
-    machines = np.arange(1, 6)
-    table = SeriesTable(machines, **signals)
-    containers, batch = np.array([1, 3, 4]), np.array([2, 3, 5])
+    table = SeriesTable(**signals)
+    # machines 1, 3 and 4 host containers, and 2, 3 and 5 batch
+    containers = np.array([True, False, True, True, False])
+    batch = np.array([False, True, True, False, True])
     new, old = tmp_path / "new", tmp_path / "oracle"
     new.mkdir()
     old.mkdir()
     write_aggregate_csvs(table, containers, batch, GRID, str(new))
-    oracles.write_aggregate_tables(str(old), machines.tolist(),
+    oracles.write_aggregate_tables(str(old), [1, 2, 3, 4, 5],
                                    GRID.timestamps()[:-1].tolist(), signals,
-                                   set(containers.tolist()), set(batch.tolist()))
+                                   {1, 3, 4}, {2, 3, 5})
     for name in ("machine_series.csv", "container_usage_agg.csv",
                  "batch_usage_agg.csv"):
         assert (new / name).read_bytes() == (old / name).read_bytes(), name

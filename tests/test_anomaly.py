@@ -20,7 +20,6 @@ from trace_insight.anomaly import (
     population_stats,
     rank_anomalies,
     score_machines,
-    softerror_times,
     top_anomalies_dict,
     write_anomaly_json,
     write_score_distribution_csv,
@@ -42,7 +41,6 @@ def table_for(cpus):
     cpu = np.asarray(cpus, float)[:, None] * np.ones(shape)
     zeros = np.zeros(shape)
     return SeriesTable(
-        machines=np.arange(1, len(cpus) + 1),
         server_cpu=cpu,
         server_mem=cpu * 2,
         server_disk=np.full(shape, 0.4),
@@ -57,7 +55,7 @@ def table_for(cpus):
 
 
 def counts(batch=(3,) * 4, containers=(2,) * 4):
-    """One machine's batch and container count rows, as diagnose takes them."""
+    """One machine's batch and container count rows."""
     return np.asarray(batch, float), np.asarray(containers, float)
 
 
@@ -109,8 +107,8 @@ def test_feature_means_add_the_intervals_in_order():
     # a machine's mean adds one interval at a time rather than pairwise
     rng = np.random.default_rng(5)
     n = 143
-    table = SeriesTable(np.arange(1, 7), *(
-        rng.random((6, n)) for _ in dataclasses.fields(SeriesTable)[1:]))
+    table = SeriesTable(*(
+        rng.random((6, n)) for _ in dataclasses.fields(SeriesTable)))
     matrix = build_feature_matrix(table)
     signals = ("server_cpu", "server_mem", "server_disk",
                "batch_count", "container_count")
@@ -302,12 +300,24 @@ def population_table():
     return table_for([0.2] * 7)
 
 
+def tags_of(label, times, batch, containers, stats, heavier_factor=1.5):
+    """Machine 1's tags from ``diagnose`` on a one-machine trace whose soft
+    errors fall at ``times``."""
+    table = table_for([0.2])
+    table.batch_count, table.container_count = batch[None], containers[None]
+    events = oracles.table_from_rows("server_event",
+                                     [softerror(1, ts) for ts in times])
+    (tags,) = diagnose([label], events, table, stats, GRID,
+                       heavier_factor=heavier_factor)
+    return tags
+
+
 def test_frequent_softerrors_need_three():
     stats = population_stats(population_table())
     times = [1010, 1120, 1230]
-    tags = diagnose("Type6", times, *counts(), stats, GRID)
+    tags = tags_of("Type6", times, *counts(), stats)
     assert CauseTag.FREQUENT_SOFT_ERROR.value in tags
-    tags = diagnose("Type6", times[:2], *counts(), stats, GRID)
+    tags = tags_of("Type6", times[:2], *counts(), stats)
     assert CauseTag.FREQUENT_SOFT_ERROR.value not in tags
 
 
@@ -316,47 +326,47 @@ def test_softerror_near_the_batch_stop_is_linked():
     stopped = counts(batch=[2, 2, 0, 0])
     # activity ends after interval 1, so the stop lands at index 2
     for ts, expect in [(1150, True), (1250, True), (1350, True), (1050, False)]:
-        tags = diagnose("Type6", [ts], *stopped, stats, GRID)
+        tags = tags_of("Type6", [ts], *stopped, stats)
         assert (CauseTag.SOFT_ERROR_WORKLOAD_STOP.value in tags) is expect, ts
 
 
 def test_batch_running_to_the_end_never_links_a_softerror():
     stats = population_stats(population_table())
-    tags = diagnose("Type6", [1250], *counts(), stats, GRID)
+    tags = tags_of("Type6", [1250], *counts(), stats)
     assert CauseTag.SOFT_ERROR_WORKLOAD_STOP.value not in tags
 
 
 def test_label_driven_tags():
     stats = population_stats(population_table())
     idle = counts(batch=[0] * 4, containers=[0] * 4)
-    assert diagnose("Type2", [], *idle, stats, GRID) == [
+    assert tags_of("Type2", [], *idle, stats) == [
         CauseTag.NO_WORKLOADS_SCHEDULING.value]
-    assert diagnose("Type2", [1100], *idle, stats, GRID) == []
-    assert CauseTag.NO_ONLINE_SERVICES.value in diagnose(
-        "Type3", [], *counts(), stats, GRID)
-    assert CauseTag.NO_BATCH_JOBS.value in diagnose(
-        "Type4", [], *counts(), stats, GRID)
+    assert tags_of("Type2", [1100], *idle, stats) == []
+    assert CauseTag.NO_ONLINE_SERVICES.value in tags_of(
+        "Type3", [], *counts(), stats)
+    assert CauseTag.NO_BATCH_JOBS.value in tags_of(
+        "Type4", [], *counts(), stats)
 
 
 def test_type1_workload_balance_tags():
     stats = population_stats(population_table())   # medians: containers 2, batch 3
     heavy = counts(containers=[9] * 4)
-    assert CauseTag.HEAVIER_ONLINE_SERVICES.value in diagnose(
-        "Type1", [], *heavy, stats, GRID)
+    assert CauseTag.HEAVIER_ONLINE_SERVICES.value in tags_of(
+        "Type1", [], *heavy, stats)
     lighter = counts(containers=[1] * 4, batch=[5] * 4)
-    assert CauseTag.UNBALANCED_LIGHTER_ONLINE.value in diagnose(
-        "Type1", [], *lighter, stats, GRID)
+    assert CauseTag.UNBALANCED_LIGHTER_ONLINE.value in tags_of(
+        "Type1", [], *lighter, stats)
     plain = counts()
-    assert diagnose("Type1", [], *plain, stats, GRID) == []
+    assert tags_of("Type1", [], *plain, stats) == []
 
 
 def test_heavier_factor_is_configurable():
     stats = population_stats(population_table())
     slightly = counts(containers=[3] * 4)   # 1.5x the median of 2
-    assert CauseTag.HEAVIER_ONLINE_SERVICES.value in diagnose(
-        "Type1", [], *slightly, stats, GRID)
-    assert CauseTag.HEAVIER_ONLINE_SERVICES.value not in diagnose(
-        "Type1", [], *slightly, stats, GRID, heavier_factor=2.0)
+    assert CauseTag.HEAVIER_ONLINE_SERVICES.value in tags_of(
+        "Type1", [], *slightly, stats)
+    assert CauseTag.HEAVIER_ONLINE_SERVICES.value not in tags_of(
+        "Type1", [], *slightly, stats, heavier_factor=2.0)
 
 
 def test_diagnose_ignores_other_machines_events():
@@ -365,9 +375,47 @@ def test_diagnose_ignores_other_machines_events():
         softerror(9, 1010), softerror(9, 1120), softerror(9, 1230),
         (1200, 1, MachineEventType.ADD, "", 64, 1.0, 1.0),
         softerror(1, 1300)])
-    times = softerror_times(events)
-    assert times == {9: [1010, 1120, 1230], 1: [1300]}
-    assert diagnose("Type6", times.get(1, []), *counts(), stats, GRID) == []
+    tags = diagnose(["Type6"] * 9, events, table_for([0.2] * 9), stats, GRID)
+    # machine 9's three soft errors are its own; machine 1 has one
+    assert tags == [[]] * 8 + [[CauseTag.FREQUENT_SOFT_ERROR.value]]
+
+
+# stamps on and around the grid [1000, 1400], boundaries included
+SOFT_STAMPS = st.one_of(st.integers(900, 1500),
+                        st.sampled_from((999, 1000, 1099, 1100, 1200, 1399, 1400)))
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_diagnose_matches_the_per_machine_rules(data):
+    m_count = data.draw(st.integers(1, 6))
+    rows = st.lists(st.lists(st.sampled_from((0, 0, 1, 2, 3)), min_size=4,
+                             max_size=4), min_size=m_count, max_size=m_count)
+    batch = np.array(data.draw(rows), float)
+    containers = np.array(data.draw(rows), float)
+    labels = data.draw(st.lists(st.sampled_from([f"Type{i}" for i in range(1, 9)]),
+                                min_size=m_count, max_size=m_count))
+    # (machine, timestamp, a soft error or else an add event)
+    drawn = data.draw(st.lists(st.tuples(st.integers(1, m_count), SOFT_STAMPS,
+                                         st.booleans()), max_size=12))
+    heavier_factor = data.draw(st.sampled_from((1.0, 1.5, 2.0)))
+    table = table_for([0.2] * m_count)
+    table.batch_count, table.container_count = batch, containers
+    stats = population_stats(table)
+    events = oracles.table_from_rows("server_event", [
+        softerror(m, ts) if soft else (ts, m, MachineEventType.ADD, "", 64, 1.0, 1.0)
+        for m, ts, soft in drawn])
+    got = diagnose(labels, events, table, stats, GRID, heavier_factor=heavier_factor)
+
+    times = {}
+    for m, ts, soft in drawn:
+        if soft:
+            times.setdefault(m, []).append(ts)
+    assert got == [oracles.diagnose_reference(
+        labels[row], times.get(row + 1, []), batch[row].tolist(),
+        containers[row].tolist(), stats.container_count_median,
+        stats.batch_count_median, GRID.start, GRID.end, GRID.step,
+        heavier_factor) for row in range(m_count)]
 
 
 # ---------------------------------------------------------------------------

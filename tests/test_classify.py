@@ -31,7 +31,6 @@ def table_for(batch_bits, container_bits, cpu=0.2):
     cont = np.asarray(container_bits, float)
     cpu = np.asarray(cpu, float).reshape(-1, 1) * np.ones(batch.shape)
     return SeriesTable(
-        machines=np.arange(1, len(batch) + 1),
         server_cpu=cpu,
         server_mem=cpu * 2,
         server_disk=np.full(batch.shape, 0.4),

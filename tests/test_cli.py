@@ -208,6 +208,29 @@ def test_bad_override_surfaces(tmp_path, capsys):
     assert "override must be key=value" in capsys.readouterr().err
 
 
+def test_overrides_may_sit_on_both_sides_of_a_flag(tmp_path, capsys):
+    # the override after --seed reaches the config, and is refused there
+    code = main(["analyze", "--input-dir", str(tmp_path), "--out-dir",
+                 str(tmp_path / "x"), "grid_end=54000", "--seed", "7",
+                 "dtw_standards=0,1"])
+    assert code == 2
+    assert "config key 'dtw_standards' must be empty, or two or more " \
+        "distinct ids >= 1, got '0,1'" in capsys.readouterr().err
+    # overrides apply in command-line order, the last one winning
+    code = main(["analyze", "--input-dir", str(tmp_path), "--out-dir",
+                 str(tmp_path / "x"), "dtw_threshold=x", "--seed", "7",
+                 "dtw_threshold=y"])
+    assert code == 2
+    assert "config key 'dtw_threshold' must be a number, got 'y'" \
+        in capsys.readouterr().err
+    # a leftover that is neither a flag nor key=value is still refused
+    for stray in ("stray", "--stray=1"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", "grid_end=54000", "--seed", "7", stray])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {stray}" in capsys.readouterr().err
+
+
 def test_bad_label_threshold_name(tmp_path, capsys):
     code = main(["analyze", "--input-dir", str(tmp_path),
                  "--out-dir", str(tmp_path), "--seed", "1",

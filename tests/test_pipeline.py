@@ -480,6 +480,15 @@ BAD_CONFIG_VALUES = [
     ("analyze", "dtw_standards", "2,2,3", "must be empty, or two or more distinct ids"),
     # one standard has no pairwise median; that needs no data to see
     ("analyze", "dtw_standards", "3", "must be empty, or two or more distinct ids"),
+    # a standard id below 1 names no machine; it failed only after the
+    # aggregate CSVs were written
+    ("analyze", "dtw_standards", "0,1", "must be empty, or two or more distinct ids >= 1"),
+    ("analyze", "dtw_suitability_gap", "-1", "must be >= 0, or empty for none"),
+    ("analyze", "anomaly_heavier_factor", "-2", "must be >= 1"),
+    ("analyze", "anomaly_heavier_factor", "0.5", "must be >= 1"),
+    # thresholds that cross leave Type5-Type8 unreachable
+    ("analyze", "classify_none", "0.95", "must be below classify_always=0.9"),
+    ("analyze", "classify_none", "0.9", "must be below classify_always=0.9"),
     ("analyze", "classify_k", "0", "must be >= 1"),
     ("analyze", "classify_restarts", "0", "must be >= 1"),
     ("analyze", "anomaly_trees", "0", "must be >= 1"),
@@ -685,6 +694,42 @@ def test_analyze_counts_what_aggregation_drops_in_its_manifest(tmp_path):
     assert counts["unknown_instance_records"] == 1
     assert counts["out_of_grid_usage_records"] == 0
     assert counts["borrowed_core_machines"] == 0
+
+
+# each planted anomaly kind, the machine it is planted on (the first or
+# second of a type block of the 36,4,4,4,4,4,4,4 layout) and the cause tag
+# it must earn
+PLANTED_TAGS = {
+    PlantKind.HEAVY_ONLINE: (1, "HeavierOnlineServices"),             # Type1
+    PlantKind.LIGHTER_ONLINE_SKEW: (2, "UnbalancedLighterOnline"),    # Type1
+    PlantKind.IDLE: (37, "NoWorkloadsScheduling"),                    # Type2
+    PlantKind.FREQUENT_SOFT_ERROR: (49, "FrequentSoftError"),         # Type5
+    PlantKind.SOFT_ERROR_WORKLOAD_STOP: (53, "SoftErrorWorkloadStop"),  # Type6
+}
+
+
+def test_every_planted_anomaly_kind_earns_its_cause_tag(tmp_path):
+    trace, out = tmp_path / "trace", tmp_path / "out"
+    grid_end = str(39600 + 48 * 300)
+    plants = ";".join(f"{kind.value}:{machine}"
+                      for kind, (machine, _tag) in PLANTED_TAGS.items())
+    run_synth(synth_config(trace, grid_end=grid_end, synth_machines="64",
+                           synth_quotas="36,4,4,4,4,4,4,4", synth_noise="0.03",
+                           synth_seed="7", synth_plants=plants))
+    run_analyze(stage_config(trace, out, grid_end=grid_end))
+    header, *lines = (out / "anomaly_scores.csv").read_text().splitlines()
+    assert header.split(",")[-1] == "tags"
+    tags = {int(line.split(",")[0]): set(filter(None, line.split(",")[-1].split("|")))
+            for line in lines}
+    assert len(tags) == 64
+    for kind, (machine, tag) in PLANTED_TAGS.items():
+        assert tag in tags[machine], kind
+    # the tags that rest on events and balance, not on the label alone, go
+    # to the planted machines only (every Type2 machine is NoWorkloadsScheduling)
+    planted = {machine for machine, _tag in PLANTED_TAGS.values()}
+    for tag in ("HeavierOnlineServices", "UnbalancedLighterOnline",
+                "FrequentSoftError", "SoftErrorWorkloadStop"):
+        assert {m for m, got in tags.items() if tag in got} <= planted, tag
 
 
 def test_stage_manifests_count_the_rows_each_file_lost(tmp_path):

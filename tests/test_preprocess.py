@@ -90,7 +90,7 @@ def test_supplement_fills_interior_gap_linearly():
     rows = [usage_row(1000, 1, 0.10), usage_row(1100, 1, 0.20),
             usage_row(1400, 1, 0.50), usage_row(1500, 1, 0.60)]
     dense, repairs = supplement_server_usage(bundle_with(rows), GRID)
-    cpu = dense.series(1, "cpu")
+    cpu = dense.values[0, :, METRICS.index("cpu")]
     assert cpu == pytest.approx([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
     filled = cpu_repairs(repairs)
     assert list(zip(filled.timestamp.tolist(), filled.method.tolist())) == [
@@ -101,7 +101,7 @@ def test_supplement_fills_interior_gap_linearly():
 def test_supplement_holds_boundary_values():
     rows = [usage_row(1200, 1, 0.30), usage_row(1300, 1, 0.40)]
     dense, repairs = supplement_server_usage(bundle_with(rows), GRID)
-    cpu = dense.series(1, "cpu")
+    cpu = dense.values[0, :, METRICS.index("cpu")]
     assert cpu == pytest.approx([0.3, 0.3, 0.3, 0.4, 0.4, 0.4])
     held = cpu_repairs(repairs)
     methods = dict(zip(held.timestamp.tolist(), held.method.tolist()))
@@ -118,7 +118,8 @@ def test_supplement_holds_boundary_values():
 def test_supplement_zero_fills_machines_with_no_rows():
     rows = [usage_row(1000 + 100 * i, 1, 0.2) for i in range(6)]
     dense, repairs = supplement_server_usage(bundle_with(rows, machine_count=2), GRID)
-    assert dense.series(2, "mem") == pytest.approx([0.0] * 6)
+    # machine 2 is row 1
+    assert dense.values[1, :, METRICS.index("mem")] == pytest.approx([0.0] * 6)
     zero_filled = repairs.take(repairs.machine == 2)
     assert len(zero_filled) == 6 * len(METRICS)
     assert set(zero_filled.method.tolist()) == {RepairMethod.ZERO_FILLED.value}
@@ -128,7 +129,7 @@ def test_supplement_averages_rows_sharing_a_slot():
     rows = [usage_row(1000 + 100 * i, 1, 0.2) for i in range(6)]
     rows.append(usage_row(1050, 1, 0.4))   # lands in slot 0 next to 0.2
     dense, _ = supplement_server_usage(bundle_with(rows), GRID)
-    assert dense.series(1, "cpu")[0] == pytest.approx(0.3)
+    assert dense.values[0, 0, METRICS.index("cpu")] == pytest.approx(0.3)
 
 
 @given(st.data())
@@ -139,7 +140,7 @@ def test_supplement_never_touches_observed_samples(data):
     values = {slot: data.draw(st.floats(0, 1)) for slot in present}
     rows = [usage_row(1000 + 100 * s, 1, v) for s, v in values.items()]
     dense, repairs = supplement_server_usage(bundle_with(rows), GRID)
-    cpu = dense.series(1, "cpu")
+    cpu = dense.values[0, :, METRICS.index("cpu")]
     for slot, value in values.items():
         assert cpu[slot] == value
     annotated = set(cpu_repairs(repairs).timestamp.tolist())
@@ -259,22 +260,17 @@ def test_dense_csv_round_trip_is_exact(tmp_path, monkeypatch):
     monkeypatch.setattr(preprocess, "BLOCK_ROWS", 5)
     rng = np.random.default_rng(5)
     values = rng.random((2, GRID.timestamp_count, len(METRICS)))
-    dense = DenseUsage(
-        machines=np.array([1, 2], dtype=np.int64),
-        timestamps=GRID.timestamps(),
-        values=values,
-    )
+    dense = DenseUsage(timestamps=GRID.timestamps(), values=values)
     path = tmp_path / "dense.csv"
     write_dense_csv(dense, str(path))
     machines, timestamps, back = oracles.read_dense_csv(str(path))
-    assert machines == dense.machines.tolist()
+    assert machines == [1, 2]   # row m - 1 is machine m
     assert timestamps == dense.timestamps.tolist()
     assert np.array(back).tobytes() == dense.values.tobytes()
 
 
 def test_dense_csv_uses_percent_cells_for_usage_fractions(tmp_path):
     dense = DenseUsage(
-        machines=np.array([1], dtype=np.int64),
         timestamps=np.array([1000], dtype=np.int64),
         values=np.array([[[0.25, 0.5, 0.125, 1.5, 1.25, 1.0]]]),
     )

@@ -356,7 +356,7 @@ def test_histogram_edges_are_configurable():
 
 def test_build_resource_curves_stacks_cpu_mem_disk():
     zeros = np.zeros((2, 2))
-    table = SeriesTable(np.arange(1, 3), *([zeros] * 10))
+    table = SeriesTable(*([zeros] * 10))
     table.server_cpu = np.array([[0.1, 0.2], [0.7, 0.8]])
     table.server_mem = np.array([[0.3, 0.4], [0.9, 1.0]])
     table.server_disk = np.array([[0.5, 0.6], [1.1, 1.2]])

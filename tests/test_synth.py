@@ -12,7 +12,7 @@ from trace_insight.aggregate import (
     build_machine_series,
 )
 from trace_insight.classify import occupancy_matrix
-from trace_insight.preprocess import supplement_server_usage
+from trace_insight.preprocess import METRICS, supplement_server_usage
 from trace_insight.synth import (
     AnomalyPlant,
     GapPlant,
@@ -331,7 +331,7 @@ def test_gap_truth_lets_interpolation_be_checked():
     bundle, truth = generate_trace(config_for(gaps=[gap]))
     dense, _ = supplement_server_usage(bundle, GRID)
     (record,) = truth.gaps
-    restored = dense.series(5, "mem")[7]
+    restored = dense.values[4, 7, METRICS.index("mem")]
     # zero noise makes the surrounding samples constant, so the repair is exact
     assert restored == pytest.approx(record.true_values[0], abs=1e-12)
 

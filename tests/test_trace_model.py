@@ -142,17 +142,6 @@ def test_interval_bounds():
         (100, 200), (200, 300), (300, 400)]
 
 
-@given(st.integers(min_value=-500, max_value=1500))
-def test_interval_index_is_half_open(ts):
-    grid = IntervalGrid(100, 1000, 100)
-    x = grid.interval_index(ts)
-    if 100 <= ts < 1000:
-        bounds = grid.timestamps()
-        assert bounds[x] <= ts < bounds[x + 1]
-    else:
-        assert x is None
-
-
 # ---------------------------------------------------------------------------
 # round trip through the saved columns
 
