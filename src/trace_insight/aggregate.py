@@ -196,13 +196,11 @@ def aggregate_container_usage(bundle: TraceBundle, grid: IntervalGrid,
 
 def aggregate_batch_usage(bundle: TraceBundle, grid: IntervalGrid,
                           diagnostics: AggDiagnostics | None = None,
-                          duration_weighted: bool = False) -> UsageTable:
+                          ) -> UsageTable:
     """Batch-level totals per (machine, interval).
 
     Instances with a zero timestamp never ran inside the recorded window and
-    are excluded (counted in diagnostics). ``duration_weighted`` switches to
-    charging avg usage by the overlapped share of the interval instead of the
-    default share-of-runtime scheme; it exists for sensitivity checks only.
+    are excluded (counted in diagnostics).
     """
     diag = diagnostics if diagnostics is not None else AggDiagnostics()
     n, rows = grid.interval_count, bundle.machine_count
@@ -231,12 +229,9 @@ def aggregate_batch_usage(bundle: TraceBundle, grid: IntervalGrid,
     x = first[inst] + np.arange(len(inst)) - np.repeat(np.cumsum(span) - span, span)
     lo = grid.start + x * grid.step
     overlap = overlap_runtime(start[inst], end[inst], lo, lo + grid.step)
-    if duration_weighted:
-        share = overlap / grid.step
-    else:
-        runtime = (end - start)[inst]
-        share = np.where(runtime > 0, overlap / np.maximum(runtime, 1),
-                         x == last[inst])
+    runtime = (end - start)[inst]
+    share = np.where(runtime > 0, overlap / np.maximum(runtime, 1),
+                     x == last[inst])
 
     cell = row[inst] * n + x
     cpu_cores = _cell_sums(cell, avg_cpu[inst] * share, rows, n)

@@ -2,10 +2,13 @@
 rule-based cause tags for the machines that stand out.
 
 Features are five columns of the series table (cpu, mem, disk, batch count,
-container count). The forest follows the classic construction: t trees, each
-on a seeded subsample of up to psi rows, random split dimension and split
-value per node, growth stopped at ceil(log2 psi). Each tree is stored as
-flat node arrays, and scoring moves every row one tree level per step.
+container count). They are not rescaled: a split value is drawn uniformly
+in the feature's [min, max], so a positive affine scaling of one feature
+moves the split with the data and leaves every tree the same. The forest
+follows the classic construction: t trees, each on a seeded subsample of up
+to psi rows, random split dimension and split value per node, growth
+stopped at ceil(log2 psi). Each tree is stored as flat node arrays, and
+scoring moves every row one tree level per step.
 Scores are reported as 0.5 - 2^(-E(h)/c(psi)), so anomalous machines land
 below zero and everything lives in [-0.5, 0.5).
 
@@ -105,15 +108,6 @@ def build_feature_matrix(table: SeriesTable,
     if mode is FeatureMode.PER_MACHINE_MEAN:
         return cube.mean(axis=1)
     return cube.reshape(-1, len(_FEATURE_SIGNALS))
-
-
-def zscore_normalize(matrix: np.ndarray) -> np.ndarray:
-    """Optional per-dimension standardization (constant dimensions pass
-    through unchanged); iForest splits are scale-sensitive across features."""
-    mean = matrix.mean(axis=0)
-    std = matrix.std(axis=0)
-    std = np.where(std > 0, std, 1.0)
-    return (matrix - mean) / std
 
 
 def _draw_split(points: np.ndarray, rng: np.random.Generator):

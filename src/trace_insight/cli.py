@@ -9,8 +9,8 @@ The config file is flat key=value text; every subcommand also accepts
 key=value overrides before, between and after its flags, and the most
 common knobs exist as named flags. The flags are derived from the config
 table, ``stage.CONFIG_KEYS``: each subcommand registers the flags of the
-keys its stage reads, with their help text. Only ``analyze --seed``,
-``--normalized`` and ``--label-thresholds`` are written out here.
+keys its stage reads, with their help text. Only ``analyze --seed`` and
+``--normalized`` are written out here.
 Precedence: config file, then named flags, then overrides. Failures exit
 nonzero with the offending stage named in the message.
 
@@ -47,16 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="report sqrt(cost)/path-length DTW distances")
     analyze.add_argument("--seed", metavar="N",
                          help="sets dtw_seed, classify_seed, and anomaly_seed")
-    analyze.add_argument("--label-thresholds", metavar="SPEC",
-                         help="e.g. 'always=0.9,none=0.05,gap_fraction=0.25'")
     return parser
-
-
-_LABEL_THRESHOLD_KEYS = {
-    "always": "classify_always",
-    "none": "classify_none",
-    "gap_fraction": "classify_gap_fraction",
-}
 
 
 def _collect_config(args: argparse.Namespace) -> dict[str, str]:
@@ -72,18 +63,6 @@ def _collect_config(args: argparse.Namespace) -> dict[str, str]:
         config["dtw_seed"] = seed
         config["classify_seed"] = seed
         config["anomaly_seed"] = seed
-    spec = getattr(args, "label_thresholds", None)
-    if spec:
-        for pair in spec.split(","):
-            if "=" not in pair:
-                raise StageError("config", f"bad label threshold {pair!r}")
-            name, value = pair.split("=", 1)
-            key = _LABEL_THRESHOLD_KEYS.get(name.strip())
-            if key is None:
-                raise StageError(
-                    "config", f"unknown label threshold {name.strip()!r} "
-                              f"(expected {sorted(_LABEL_THRESHOLD_KEYS)})")
-            config[key] = value.strip()
     return apply_overrides(config, args.overrides)
 
 
@@ -100,11 +79,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args, extra = parser.parse_known_args(argv)
     # overrides that follow a flag, after the positional list was taken,
-    # join it in order; any other leftover is refused
-    unknown = [arg for arg in extra if arg.startswith("-") or "=" not in arg]
+    # join it in order; anything else, wherever it stands, is refused
+    args.overrides += extra
+    unknown = [arg for arg in args.overrides
+               if arg.startswith("-") or "=" not in arg]
     if unknown:
         parser.error(f"unrecognized arguments: {' '.join(unknown)}")
-    args.overrides += extra
     try:
         config = _collect_config(args)
         out_dir = _runner(args.command)(config)

@@ -15,10 +15,9 @@ own manifest and those of the stages that read its artifacts, so a run that
 fails part-way leaves no manifest vouching for what it overwrote.
 ``preprocess`` also saves the columns it parsed, and ``analyze`` loads them
 in place of parsing the trace again only when manifest-preprocess.json shows
-they came from the same input files, parsed the same way, and their file
-still has the digest recorded there. All randomness comes from seeds named
-in the config; a missing seed is an error, never a fallback to wall-clock
-entropy.
+they came from the same input files and their file still has the digest
+recorded there. All randomness comes from seeds named in the config; a
+missing seed is an error, never a fallback to wall-clock entropy.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from .anomaly import (
     write_anomaly_json,
     write_score_distribution_csv,
     write_scores_csv,
-    zscore_normalize,
 )
 from .classify import (
     LabelThresholds,
@@ -77,9 +75,7 @@ from .stage import (
     CONFIG_KEYS,
     StageError,
     _misshapen,
-    _parse_disagreements,
     _prepare_out_dir,
-    _read_key,
     _refusal,
     _sha256,
     read_config,
@@ -176,13 +172,12 @@ def run_synth(config: dict[str, str]) -> str:
 # ---------------------------------------------------------------------------
 # stage: preprocess
 
-def _parse_bundle(input_dir: str, values: dict, stage: str):
-    """Parse the input trace as the config ``values`` say; returns (bundle,
-    diagnostics of skipped rows)."""
+def _parse_bundle(input_dir: str, max_skip_ratio: float, stage: str):
+    """Parse the input trace; returns (bundle, diagnostics of skipped
+    rows)."""
     diagnostics: list = []
     try:
-        bundle = parse_trace_dir(input_dir, has_header=values["has_header"],
-                                 max_skip_ratio=values["max_skip_ratio"],
+        bundle = parse_trace_dir(input_dir, max_skip_ratio=max_skip_ratio,
                                  diagnostics=diagnostics)
     except TraceParseError as e:
         raise StageError(stage, str(e)) from e
@@ -201,7 +196,7 @@ def run_preprocess(config: dict[str, str]) -> str:
     values = read_config(config, stage)
     grid = _grid(values, stage)
     out_dir, input_dir = values["output_dir"], values["input_dir"]
-    bundle, diagnostics = _parse_bundle(input_dir, values, stage)
+    bundle, diagnostics = _parse_bundle(input_dir, values["max_skip_ratio"], stage)
     _prepare_out_dir(out_dir, stage)
     try:
         dense, repairs = supplement_server_usage(bundle, grid)
@@ -221,7 +216,6 @@ def run_preprocess(config: dict[str, str]) -> str:
                    row_counts={
                        "machines": bundle.machine_count,
                        "server_usage": len(bundle.server_usage),
-                       "dense_machines": len(dense.values),
                        "repair_annotations": len(repairs),
                        "container_events": len(bundle.container_events),
                        "container_events_removed": len(removed),
@@ -237,18 +231,19 @@ def run_preprocess(config: dict[str, str]) -> str:
 # stage: analyze
 
 def _preprocessed_columns(out_dir: str, inputs: dict[str, str],
-                          config: dict[str, str], stage: str):
+                          max_skip_ratio: float, stage: str):
     """The trace a preprocess run in ``out_dir`` parsed, as (bundle, rows
     skipped per file key), when its manifest shows that it parsed these
-    ``inputs`` as ``config`` says to and the columns file is the one it
-    wrote; None otherwise, and the caller parses."""
+    ``inputs`` and the columns file is the one it wrote; None otherwise, and
+    the caller parses. The load refuses the columns as a parse would when a
+    file's skipped rows exceed ``max_skip_ratio``."""
     try:
         with open(os.path.join(out_dir, "manifest-preprocess.json"),
                   encoding="utf-8") as fh:
             manifest = json.load(fh)
     except (OSError, ValueError):   # none, or cut short by a killed run
         return None
-    if _misshapen(manifest) or _parse_disagreements(manifest, inputs, config, stage):
+    if _misshapen(manifest) or manifest["inputs"] != inputs:
         return None
     path = os.path.join(out_dir, COLUMNS_FILENAME)
     columns = manifest.get("trace_columns")
@@ -256,7 +251,7 @@ def _preprocessed_columns(out_dir: str, inputs: dict[str, str],
     if not os.path.exists(path) or _sha256(path) != recorded:
         return None
     try:
-        return load_columns(path, _read_key(config, "max_skip_ratio", stage))
+        return load_columns(path, max_skip_ratio)
     except TraceParseError as e:
         raise StageError(stage, str(e)) from e
 
@@ -286,9 +281,9 @@ def run_analyze(config: dict[str, str]) -> str:
 
     out_dir, input_dir = values["output_dir"], values["input_dir"]
     inputs = _digest_inputs(input_dir, stage)
-    loaded = _preprocessed_columns(out_dir, inputs, config, stage)
+    loaded = _preprocessed_columns(out_dir, inputs, values["max_skip_ratio"], stage)
     if loaded is None:
-        bundle, diagnostics = _parse_bundle(input_dir, values, stage)
+        bundle, diagnostics = _parse_bundle(input_dir, values["max_skip_ratio"], stage)
         skipped = Counter(diag.file for diag in diagnostics)
     else:
         bundle, skipped = loaded
@@ -302,8 +297,7 @@ def run_analyze(config: dict[str, str]) -> str:
 
         diag = AggDiagnostics()
         containers = aggregate_container_usage(bundle, grid, diag)
-        batch = aggregate_batch_usage(
-            bundle, grid, diag, duration_weighted=values["duration_weighted"])
+        batch = aggregate_batch_usage(bundle, grid, diag)
         table = build_machine_series(bundle, grid, dense, containers, batch)
         write_aggregate_csvs(table, containers.seen, batch.seen, grid, out_dir)
 
@@ -340,8 +334,6 @@ def run_analyze(config: dict[str, str]) -> str:
 
         # anomaly
         feat_matrix = build_feature_matrix(table, values["anomaly_mode"])
-        if values["anomaly_normalize"]:
-            feat_matrix = zscore_normalize(feat_matrix)
         forest = iforest_fit(feat_matrix, tree_count=values["anomaly_trees"],
                              subsample=values["anomaly_subsample"],
                              seed=values["anomaly_seed"])

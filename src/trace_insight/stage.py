@@ -177,11 +177,8 @@ CONFIG_KEYS = {
     "grid_start": ConfigKey("int", "39600", _GRID, "first interval boundary (s)"),
     "grid_end": ConfigKey("int", "82500", _GRID, "last interval boundary (s)"),
     "grid_step": ConfigKey("int", "300", _GRID, "interval length (s)"),
-    "has_header": ConfigKey("bool", "false", _PARSE, "CSVs carry a header row"),
     "max_skip_ratio": ConfigKey("float", "0.01", _PARSE, "tolerated share of "
                                 "malformed rows per file", _FRACTION),
-    "duration_weighted": ConfigKey("bool", "false", _ANALYZE,
-                                   "weight batch usage by in-interval runtime"),
     "dtw_sample_num": ConfigKey("int", "8", _ANALYZE, "curves sampled for the "
                                 "standard-value median", flag="--sample-num"),
     "dtw_standard_count": ConfigKey("int", "4", _ANALYZE,
@@ -225,8 +222,6 @@ CONFIG_KEYS = {
                               flag="--mode"),
     "anomaly_top_n": ConfigKey("int", "25", _ANALYZE, "ranking length in the "
                                "report", _at_least(0), flag="--top-n"),
-    "anomaly_normalize": ConfigKey("bool", "false", _ANALYZE,
-                                   "z-score features first"),
     "anomaly_heavier_factor": ConfigKey("float", "1.5", _ANALYZE, "container-"
                                         "count factor for the heavy-online cause",
                                         _at_least(1)),
@@ -406,19 +401,6 @@ def _recorded_key(recorded: dict, key: str, stage: str):
         return _UNREADABLE
 
 
-def _parse_disagreements(manifest: dict, inputs: dict[str, str],
-                         config: dict[str, str], stage: str,
-                         keys=("has_header",)) -> list[str]:
-    """What keeps a well-shaped preprocess manifest from vouching that its
-    run parsed ``inputs`` as ``config`` says to (and, for the grid keys
-    among ``keys``, on the same grid): an empty list when nothing does. A
-    recorded value that does not parse disagrees with every value."""
-    checks = [("input digests", manifest["inputs"] == inputs)]
-    checks += [(key, _recorded_key(manifest["config"], key, stage)
-                == _read_key(config, key, stage)) for key in keys]
-    return [what for what, agrees in checks if not agrees]
-
-
 # ---------------------------------------------------------------------------
 # stage: report
 
@@ -472,14 +454,17 @@ def _check_digests(out_dir: str, names, manifest: dict, manifest_name: str,
 
 def _preprocess_summary(out_dir: str, analyze_manifest: dict, stage: str) -> dict | None:
     """Repair counts from manifest-preprocess.json, used only when that run
-    parsed the same inputs on the same grid as the analyze run."""
+    parsed the same inputs on the same grid as the analyze run. A recorded
+    grid value that does not parse disagrees with every value."""
     name = "manifest-preprocess.json"
     if not os.path.exists(os.path.join(out_dir, name)):
         return None
     manifest = _read_manifest(out_dir, "preprocess", stage)
-    stale = _parse_disagreements(
-        manifest, analyze_manifest["inputs"], analyze_manifest["config"], stage,
-        keys=("has_header", "grid_start", "grid_end", "grid_step"))
+    checks = [("input digests", manifest["inputs"] == analyze_manifest["inputs"])]
+    checks += [(key, _recorded_key(manifest["config"], key, stage)
+                == _read_key(analyze_manifest["config"], key, stage))
+               for key in ("grid_start", "grid_end", "grid_step")]
+    stale = [what for what, agrees in checks if not agrees]
     if stale:
         raise StageError(stage, f"{name} in {out_dir} disagrees with "
                                 f"manifest-analyze.json on {', '.join(stale)}; "

@@ -1,7 +1,7 @@
 """Trace schema: one table of numpy columns per trace file, CSV parsing and
 writing, and the interval grid.
 
-A trace is a directory of six comma-separated CSV files (no header by default):
+A trace is a directory of six comma-separated CSV files with no header row:
 machine events, server usage, container events, container usage, batch tasks,
 and batch task instances. Each file parses into a ``Table``: one numpy column
 per field, one entry per accepted row, ``len(table)`` rows. One spec per file
@@ -481,7 +481,7 @@ def _convert_block(file_key: str, rows: list[list[str]], line_nos: list[int],
             for name, column in values.items()}
 
 
-def parse_trace_file(path: str, file_key: str, has_header: bool = False,
+def parse_trace_file(path: str, file_key: str,
                      ) -> tuple[Table, list[RowDiagnostic]]:
     """Parse one trace CSV, its columns in field order. Returns (table,
     diagnostics).
@@ -496,9 +496,6 @@ def parse_trace_file(path: str, file_key: str, has_header: bool = False,
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         first_line = 1
-        if has_header:
-            next(reader, None)
-            first_line = 2
         while block := list(islice(reader, BLOCK_ROWS)):
             line_nos = range(first_line, first_line + len(block))
             first_line += len(block)
@@ -524,8 +521,7 @@ def parse_trace_file(path: str, file_key: str, has_header: bool = False,
     return table, diagnostics
 
 
-def parse_trace_dir(path: str, *, has_header: bool = False,
-                    max_skip_ratio: float = 0.01,
+def parse_trace_dir(path: str, *, max_skip_ratio: float = 0.01,
                     diagnostics: list | None = None) -> TraceBundle:
     """Parse the six trace files under ``path`` into a TraceBundle.
 
@@ -540,7 +536,7 @@ def parse_trace_dir(path: str, *, has_header: bool = False,
         if not os.path.exists(file_path):
             raise TraceParseError(f"missing trace file: {file_path}")
         try:
-            table, diags = parse_trace_file(file_path, key, has_header=has_header)
+            table, diags = parse_trace_file(file_path, key)
         except (OSError, UnicodeDecodeError) as e:
             raise TraceParseError(f"cannot read trace file {file_path}: {e}") from e
         if diags and diagnostics is not None:

@@ -215,18 +215,17 @@ def attribute_containers(events, usage, cores, grid_start, grid_end, step):
     return table, (unknown, out_of_grid)
 
 
-def attribute_batch(instances, cores, grid_start, grid_end, step,
-                    duration_weighted=False):
+def attribute_batch(instances, cores, grid_start, grid_end, step):
     """Batch counts and usage per (machine, interval), one instance at a time.
 
     ``instances`` holds (start, end, machine, avg_cpu, avg_mem). Instances
     with a zero timestamp, no machine (< 1) or end < start are skipped. An
     instance counts in every closed interval its [start, end] span touches
-    and charges its average times the overlapped share of its runtime (of
-    the interval when ``duration_weighted``); a zero-runtime span charges its
-    whole average to the last interval it touches. Returns {machine:
-    (counts, cpu_cores, cpu, mem)} for every machine with a placed instance,
-    plus (zero-timestamp, unplaced, invalid-span) skip counts.
+    and charges its average times the overlapped share of its runtime; a
+    zero-runtime span charges its whole average to the last interval it
+    touches. Returns {machine: (counts, cpu_cores, cpu, mem)} for every
+    machine with a placed instance, plus (zero-timestamp, unplaced,
+    invalid-span) skip counts.
     """
     intervals = _grid_intervals(grid_start, grid_end, step)
     n = len(intervals)
@@ -250,9 +249,7 @@ def attribute_batch(instances, cores, grid_start, grid_end, step,
             counts[x] += 1
             lo, hi = intervals[x]
             overlap = clipped_overlap(start, end, lo, hi)
-            if duration_weighted:
-                share = overlap / step
-            elif end == start:
+            if end == start:
                 share = 1.0 if x == touched[-1] else 0.0
             else:
                 share = overlap / (end - start)
@@ -620,7 +617,7 @@ def _build_row(file_key, f):
             _unit(f["max_mem"], "max_mem"), _unit(f["avg_mem"], "avg_mem"))
 
 
-def parse_rows(path, file_key, has_header=False):
+def parse_rows(path, file_key):
     """(rows, diagnostics) of one trace CSV, one row at a time: each accepted
     row is a tuple in default field order (percent cells as fractions,
     enums as member positions, text stripped, cpu sets as ``1|2|3``), and
@@ -629,8 +626,6 @@ def parse_rows(path, file_key, has_header=False):
     rows, diagnostics = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         for line_no, row in enumerate(csv.reader(fh), start=1):
-            if has_header and line_no == 1:
-                continue
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != len(columns):

@@ -244,12 +244,6 @@ def test_batch_skips_carry_diagnostics():
     assert table.count[0, 0] == 1
 
 
-def test_duration_weighted_mode_charges_by_interval_share():
-    table = aggregate_batch_usage(batch_bundle([instance(1010, 1050)]), GRID,
-                                  duration_weighted=True)
-    assert table.cpu_cores[0, 0] == pytest.approx(0.8 * 40 / 100)
-
-
 @given(st.integers(1000, 1399), st.integers(0, 400))
 def test_batch_charge_is_conserved_inside_the_grid(start, length):
     end = min(start + length, 1400)
@@ -322,19 +316,17 @@ def test_container_attribution_matches_the_oracle(events, records):
                                     st.integers(-50, 450)),
                           st.booleans(), st.integers(0, 2),
                           st.floats(0.0, 16.0), FRACTIONS),
-                max_size=16),
-       st.booleans())
-def test_batch_attribution_matches_the_oracle(draws, duration_weighted):
+                max_size=16))
+def test_batch_attribution_matches_the_oracle(draws):
     rows = [(start, 0 if zero_end else start + length, m, cpu, mem)
             for start, length, zero_end, m, cpu, mem in draws]
     bundle = cores_bundle(batch_instances=[
         instance(start, end, machine=m, avg_cpu=cpu, avg_mem=mem)
         for start, end, m, cpu, mem in rows])
     diag = AggDiagnostics()
-    table = aggregate_batch_usage(bundle, GRID, diag,
-                                  duration_weighted=duration_weighted)
+    table = aggregate_batch_usage(bundle, GRID, diag)
     expected, skipped = oracles.attribute_batch(
-        rows, CORES, GRID.start, GRID.end, GRID.step, duration_weighted)
+        rows, CORES, GRID.start, GRID.end, GRID.step)
     assert table.seen.tolist() == [m in expected for m in CORES]
     assert len(table) == len(expected) * GRID.interval_count
     # a machine the oracle never saw is a row of zeros

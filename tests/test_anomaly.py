@@ -24,7 +24,6 @@ from trace_insight.anomaly import (
     write_anomaly_json,
     write_score_distribution_csv,
     write_scores_csv,
-    zscore_normalize,
 )
 from trace_insight.trace_model import (
     IntervalGrid,
@@ -122,14 +121,6 @@ def test_feature_means_add_the_intervals_in_order():
         [np.mean(row) for row in table.batch_count]))
 
 
-def test_zscore_standardizes_and_spares_constant_dims():
-    matrix = np.array([[0.0, 5.0], [2.0, 5.0], [4.0, 5.0]])
-    normed = zscore_normalize(matrix)
-    assert normed[:, 0].mean() == pytest.approx(0.0)
-    assert normed[:, 0].std() == pytest.approx(1.0)
-    assert np.array_equal(normed[:, 1], np.array([0.0, 0.0, 0.0]))
-
-
 # ---------------------------------------------------------------------------
 # forest behaviour
 
@@ -139,6 +130,16 @@ def blob_with_outlier(n=64, seed=1):
     matrix = rng.normal(0.3, 0.02, size=(n, 5))
     matrix[-1] = 4.0
     return matrix
+
+
+def test_feature_scaling_leaves_every_score_unchanged():
+    # a split value is drawn uniformly in its feature's [min, max], so it
+    # moves with a scaled feature; a power of two per feature scales
+    # exactly in floating point, so the scores must match bit for bit
+    matrix = blob_with_outlier()
+    scaled = matrix * np.array([2.0 ** 10, 2.0 ** -7, 1.0, 2.0 ** 3, 2.0 ** -20])
+    assert np.array_equal(iforest_scores(iforest_fit(matrix, seed=3), matrix),
+                          iforest_scores(iforest_fit(scaled, seed=3), scaled))
 
 
 def test_fit_validates_inputs():

@@ -119,23 +119,25 @@ def test_seed_flag_fans_out_to_all_three_stages(pipeline_dirs):
 def test_overrides_beat_flags_beat_config(pipeline_dirs, tmp_path):
     trace, _ = pipeline_dirs
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"dtw_threshold=9.0\ngrid_end={GRID_END}\n")
+    cfg.write_text(f"dtw_threshold=9.0\nanomaly_top_n=3\ngrid_end={GRID_END}\n")
 
     flag_out = tmp_path / "flag"
     run_ok(["analyze", "--config", str(cfg), "--input-dir", str(trace),
             "--out-dir", str(flag_out), "--seed", "1", "--threshold", "4.0",
-            "--normalized", "--label-thresholds", "always=0.88"])
+            "--normalized", "--top-n", "7"])
     config = json.loads((flag_out / "manifest-analyze.json").read_text())["config"]
     assert config["dtw_threshold"] == "4.0"
     assert config["dtw_normalized"] == "true"
-    assert config["classify_always"] == "0.88"
+    assert config["anomaly_top_n"] == "7"
 
     override_out = tmp_path / "override"
     run_ok(["analyze", "--config", str(cfg), "--input-dir", str(trace),
             "--out-dir", str(override_out), "--seed", "1",
-            "--threshold", "4.0", "dtw_threshold=2.5"])
+            "--threshold", "4.0", "dtw_threshold=2.5", "--top-n", "7",
+            "anomaly_top_n=5"])
     config = json.loads((override_out / "manifest-analyze.json").read_text())["config"]
     assert config["dtw_threshold"] == "2.5"
+    assert config["anomaly_top_n"] == "5"
 
     # neither run had a preprocess stage, so analyze worked off the raw
     # trace in memory without materializing a dense table
@@ -151,8 +153,7 @@ CLI_OPTIONS = {
     "preprocess": {"--input-dir", "--out-dir"},
     "analyze": {"--input-dir", "--out-dir", "--sample-num", "--standards",
                 "--threshold", "--k", "--max-iter", "--trees", "--subsample",
-                "--mode", "--top-n", "--normalized", "--seed",
-                "--label-thresholds"},
+                "--mode", "--top-n", "--normalized", "--seed"},
     "report": {"--out-dir"},
 }
 
@@ -203,9 +204,13 @@ def test_config_file_errors_surface(tmp_path, capsys):
 
 
 def test_bad_override_surfaces(tmp_path, capsys):
-    code = main(["report", "--out-dir", str(tmp_path), "threshold"])
-    assert code == 2
-    assert "override must be key=value" in capsys.readouterr().err
+    # a stray argument is refused the same way before and after a flag
+    for argv in (["report", "--out-dir", str(tmp_path), "threshold"],
+                 ["report", "threshold", "--out-dir", str(tmp_path)]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: threshold" in capsys.readouterr().err
 
 
 def test_overrides_may_sit_on_both_sides_of_a_flag(tmp_path, capsys):
@@ -229,14 +234,6 @@ def test_overrides_may_sit_on_both_sides_of_a_flag(tmp_path, capsys):
             main(["analyze", "grid_end=54000", "--seed", "7", stray])
         assert exit_info.value.code == 2
         assert f"unrecognized arguments: {stray}" in capsys.readouterr().err
-
-
-def test_bad_label_threshold_name(tmp_path, capsys):
-    code = main(["analyze", "--input-dir", str(tmp_path),
-                 "--out-dir", str(tmp_path), "--seed", "1",
-                 "--label-thresholds", "alwayz=0.5"])
-    assert code == 2
-    assert "unknown label threshold 'alwayz'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("override, problem", [

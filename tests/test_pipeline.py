@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from trace_insight import __version__
 from trace_insight.pipeline import (
     ANALYZE_FILENAMES,
@@ -26,6 +27,7 @@ from trace_insight.stage import (
     write_manifest,
 )
 from trace_insight.synth import PlantKind
+from trace_insight.trace_model import TRACE_FILENAMES
 
 
 def test_stage_error_names_its_stage():
@@ -296,7 +298,8 @@ def test_run_preprocess_repairs_planted_gaps(tmp_path):
     # two missing rows, six metrics each, all interior
     assert counts["repairs_Interpolated"] == 12
     assert counts["repair_annotations"] == 12
-    assert counts["dense_machines"] == 10
+    assert counts["machines"] == 10
+    assert "dense_machines" not in counts
     assert counts["container_events_removed"] == 0
     assert set(manifest["inputs"]) == {
         "server_event.csv", "server_usage.csv", "container_event.csv",
@@ -377,12 +380,6 @@ def test_analyze_ignores_a_dense_file_preprocessed_from_another_trace(tmp_path):
 def test_report_refuses_a_preprocess_run_that_does_not_match_analyze(tmp_path):
     trace = noisy_trace(tmp_path / "trace", seed=7)
     out = tmp_path / "out"
-    run_preprocess(stage_config(trace, out))
-    run_analyze(stage_config(trace, out, has_header="true"))
-    with pytest.raises(StageError, match=r"^\[report\] .* on has_header; "
-                                         "rerun preprocess"):
-        run_report({"output_dir": str(out)})
-
     run_preprocess(stage_config(trace, out, grid_end=str(39600 + 10 * 300)))
     run_analyze(stage_config(trace, out))
     with pytest.raises(StageError, match="on grid_end; rerun preprocess"):
@@ -498,7 +495,7 @@ BAD_CONFIG_VALUES = [
     ("analyze", "dtw_standard_count", "0", r"must be in \[1, dtw_sample_num=8\]"),
     ("analyze", "dtw_standard_count", "9", r"must be in \[1, dtw_sample_num=8\]"),
     ("preprocess", "max_skip_ratio", "some", "must be a number"),
-    ("preprocess", "has_header", "Maybe", "must be true/false"),
+    ("analyze", "dtw_normalized", "Maybe", "must be true/false"),
     # values that parse but lie outside what their key allows
     ("preprocess", "max_skip_ratio", "nan", r"must be in \[0, 1\]"),
     ("preprocess", "max_skip_ratio", "1.5", r"must be in \[0, 1\]"),
@@ -555,11 +552,14 @@ def test_every_default_passes_its_own_checks():
 
 
 def test_read_config_refuses_a_key_no_stage_reads():
-    # a misspelled key must not leave its stage on the default value
-    for stage in ("synth", "preprocess", "analyze", "report"):
-        with pytest.raises(StageError, match=rf"^\[{stage}\] unknown config key "
-                                             "'dtw_treshold'$"):
-            read_config({**REQUIRED, "dtw_treshold": "9"}, stage)
+    # a misspelled key must not leave its stage on the default value, and a
+    # retired key must not look as if it still chose a code path
+    for key in ("dtw_treshold", "has_header", "duration_weighted",
+                "anomaly_normalize"):
+        for stage in ("synth", "preprocess", "analyze", "report"):
+            with pytest.raises(StageError, match=rf"^\[{stage}\] unknown config "
+                                                 rf"key '{key}'$"):
+                read_config({**REQUIRED, key: "true"}, stage)
 
 
 @pytest.mark.parametrize("key", [
@@ -674,11 +674,11 @@ def test_report_takes_an_unreadable_recorded_value_for_a_disagreement(tmp_path):
     for run in (run_preprocess, run_analyze):
         run(stage_config(trace, out))
     manifest = json.loads((out / "manifest-preprocess.json").read_text())
-    manifest["config"]["has_header"] = "maybe"
+    manifest["config"]["grid_step"] = "maybe"
     (out / "manifest-preprocess.json").write_text(json.dumps(manifest))
     with pytest.raises(StageError, match=r"^\[report\] manifest-preprocess.json "
                                          r"in .* disagrees with manifest-analyze"
-                                         r".json on has_header; rerun preprocess$"):
+                                         r".json on grid_step; rerun preprocess$"):
         run_report({"output_dir": str(out)})
 
 
@@ -810,16 +810,16 @@ def make_the_manifest_a_list(out):
     (out / "manifest-preprocess.json").write_text("[]\n")
 
 
-def record_an_unreadable_has_header(out):
+def record_an_unreadable_input_digest(out):
     path = out / "manifest-preprocess.json"
     manifest = json.loads(path.read_text())
-    manifest["config"]["has_header"] = "maybe"
+    manifest["inputs"]["server_usage.csv"] = "maybe"
     path.write_text(json.dumps(manifest))
 
 
 @pytest.mark.parametrize("spoil", [flip_a_byte, truncate, drop_the_manifest,
                                    make_the_manifest_a_list,
-                                   record_an_unreadable_has_header])
+                                   record_an_unreadable_input_digest])
 def test_analyze_parses_when_the_columns_file_is_not_vouched_for(tmp_path, spoil):
     trace = noisy_trace(tmp_path / "trace", seed=7)
     out, clean = tmp_path / "out", tmp_path / "clean"
@@ -831,12 +831,33 @@ def test_analyze_parses_when_the_columns_file_is_not_vouched_for(tmp_path, spoil
     assert_same_analysis(out, clean)
 
 
-def test_analyze_parses_when_preprocess_parsed_another_way(tmp_path):
+def test_analyze_reuses_the_columns_on_input_digests_alone(tmp_path):
+    # the grid and the skip limit preprocess ran under do not change what
+    # it parsed; analyze applies its own limit to the loaded columns
     trace = noisy_trace(tmp_path / "trace", seed=7)
+    out, clean = tmp_path / "out", tmp_path / "clean"
+    run_preprocess(stage_config(trace, out, grid_end=str(39600 + 10 * 300),
+                                max_skip_ratio="0.5"))
+    run_analyze(stage_config(trace, out))
+    run_analyze(stage_config(trace, clean))
+    assert analyze_counts(out)["trace_columns_reused"] == 1
+    assert_same_analysis(out, clean)
+
+
+def test_a_header_line_is_counted_as_a_rejected_row(tmp_path):
+    trace = noisy_trace(tmp_path / "trace", seed=7)
+    for key, name in TRACE_FILENAMES.items():
+        header = ",".join(field for field, _ in oracles.PARSE_FIELDS[key])
+        (trace / name).write_text(header + "\n" + (trace / name).read_text())
     out = tmp_path / "out"
-    run_preprocess(stage_config(trace, out))
-    run_analyze(stage_config(trace, out, has_header="true"))
-    assert analyze_counts(out)["trace_columns_reused"] == 0
+    run_preprocess(stage_config(trace, out, max_skip_ratio="0.5"))
+    counts = json.loads((out / "manifest-preprocess.json").read_text())["row_counts"]
+    assert {key: counts[f"rows_skipped_{key}"] for key in TRACE_FILENAMES} == \
+        dict.fromkeys(TRACE_FILENAMES, 1)
+    with pytest.raises(StageError, match=r"^\[preprocess\] server_event.csv: "
+                                         r"rejected 1/\d+ rows, above the 1.00% "
+                                         r"limit$"):
+        run_preprocess(stage_config(trace, out))
 
 
 def test_reused_columns_meet_the_skip_limit_of_analyze(tmp_path, caplog):

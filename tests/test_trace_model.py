@@ -274,12 +274,19 @@ def test_parse_dir_names_a_file_it_cannot_read(tmp_path):
         parse_trace_dir(str(tmp_path))
 
 
-def test_header_row_is_skipped_when_declared(tmp_path):
+def test_a_header_row_is_a_rejected_row_on_line_1(tmp_path):
+    # the trace has no header rows: a file that starts with one has that
+    # line refused and reported like any other malformed row
     write_trace_dir(small_bundle(), str(tmp_path))
-    for name in os.listdir(tmp_path):
+    for key, name in trace_model.TRACE_FILENAMES.items():
+        columns = [field for field, _ in oracles.PARSE_FIELDS[key]]
         body = (tmp_path / name).read_text()
-        (tmp_path / name).write_text("h1,h2\n" + body)
-    bundle = parse_trace_dir(str(tmp_path), has_header=True)
+        (tmp_path / name).write_text(",".join(columns) + "\n" + body)
+    diagnostics = []
+    bundle = parse_trace_dir(str(tmp_path), max_skip_ratio=1.0,
+                             diagnostics=diagnostics)
+    assert [(d.file, d.line) for d in diagnostics] == \
+        [(key, 1) for key in trace_model.FILE_KEYS]
     assert len(bundle.server_usage) == 2
 
 
@@ -323,15 +330,15 @@ def enum_cells(file_key):
 
 @st.composite
 def trace_files(draw):
-    """(file key, has_header, CSV text) with rows of drawn cells in field
-    order, some of them blank or of the wrong width."""
+    """(file key, CSV text) with rows of drawn cells in field order, some of
+    them blank or of the wrong width, often after a header line of the field
+    names, which is one more row to refuse."""
     file_key = draw(st.sampled_from(sorted(oracles.PARSE_FIELDS)))
     fields = oracles.PARSE_FIELDS[file_key]
     columns = [name for name, _ in fields]
     kinds = dict(fields)
     lines = []
-    has_header = draw(st.booleans())
-    if has_header:
+    if draw(st.booleans()):
         lines.append(",".join(columns))
     for _ in range(draw(st.integers(0, 14))):
         shape = draw(st.sampled_from(["row"] * 6 + ["blank", "short", "long"]))
@@ -345,13 +352,13 @@ def trace_files(draw):
         elif shape == "long":
             cells.append("9")
         lines.append(",".join(cells))
-    return file_key, has_header, "\n".join(lines) + "\n"
+    return file_key, "\n".join(lines) + "\n"
 
 
 @settings(max_examples=300)
 @given(trace_files(), st.integers(1, 4))
 def test_block_parser_matches_the_row_oracle(drawn, block_rows):
-    file_key, has_header, text = drawn
+    file_key, text = drawn
     saved = trace_model.BLOCK_ROWS
     trace_model.BLOCK_ROWS = block_rows   # several blocks, the last partial
     try:
@@ -359,8 +366,8 @@ def test_block_parser_matches_the_row_oracle(drawn, block_rows):
             path = os.path.join(tmp, "trace.csv")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-            table, diags = parse_trace_file(path, file_key, has_header)
-            rows, want_diags = oracles.parse_rows(path, file_key, has_header)
+            table, diags = parse_trace_file(path, file_key)
+            rows, want_diags = oracles.parse_rows(path, file_key)
     finally:
         trace_model.BLOCK_ROWS = saved
     assert [(d.line, d.reason) for d in diags] == want_diags
