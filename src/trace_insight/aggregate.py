@@ -128,8 +128,12 @@ def _last_interval_touching(ts: np.ndarray, grid: IntervalGrid) -> np.ndarray:
 def _cell_sums(cell: np.ndarray, weights: np.ndarray | None, rows: int,
                n: int) -> np.ndarray:
     """(rows, n) totals of ``weights`` by flat cell index, each cell summed
-    from 0.0 in input order; counts of ``cell`` when ``weights`` is None."""
-    return np.bincount(cell, weights, minlength=rows * n).reshape(rows, n)
+    from 0.0 in input order and float64 even with no records (where
+    bincount gives int64); counts of ``cell`` when ``weights`` is None."""
+    sums = np.bincount(cell, weights, minlength=rows * n)
+    if weights is not None:
+        sums = sums.astype(np.float64, copy=False)
+    return sums.reshape(rows, n)
 
 
 def aggregate_container_usage(bundle: TraceBundle, grid: IntervalGrid,

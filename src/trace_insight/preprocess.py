@@ -24,8 +24,7 @@ from .trace_model import (
     TraceBundle,
     csv_file,
     csv_lines,
-    fraction_to_percent_text,
-    float_text,
+    percent_texts,
 )
 
 METRICS = ("cpu", "mem", "disk", "load1", "load5", "load15")
@@ -83,12 +82,13 @@ def supplement_server_usage(bundle: TraceBundle, grid: IntervalGrid,
     slot = (usage.timestamp - grid.start) // grid.step
     keep = ((usage.timestamp >= grid.start) & (slot < t_count)
             & (usage.machine >= 1) & (usage.machine <= m_count))
-    # rows summed per cell from 0.0 in record order
+    # rows summed per cell from 0.0 in record order, as float64 even with no
+    # rows (where bincount alone gives int64)
     cell = ((usage.machine - 1) * t_count + slot)[keep]
     size = m_count * t_count
     sums = np.stack([np.bincount(cell, getattr(usage, metric)[keep], minlength=size)
-                     for metric in METRICS], axis=-1).reshape(m_count, t_count,
-                                                                len(METRICS))
+                     for metric in METRICS], axis=-1, dtype=np.float64).reshape(
+                         m_count, t_count, len(METRICS))
     hits = np.bincount(cell, minlength=size).reshape(m_count, t_count)
 
     # every metric shares one observed mask; each hole's nearest observed
@@ -184,22 +184,21 @@ def write_dense_csv(dense: DenseUsage, path: str) -> None:
             fh.write(csv_lines(
                 map(str, machines[block].tolist()),
                 map(str, timestamps[block].tolist()),
-                *(map(fraction_to_percent_text if metric in _FRACTION_METRICS
-                      else repr, column.tolist())
+                *(percent_texts(column) if metric in _FRACTION_METRICS
+                  else map(repr, column.tolist())
                   for metric, column in zip(METRICS, values[block].T))))
 
 
 def write_repair_log_csv(repairs: Table, path: str) -> None:
     """The repair log of ``supplement_server_usage``, one line per row in its
     order: fractions as percent text, loads as their ``repr``."""
-    metrics = repairs.metric.tolist()
-    values = (fraction_to_percent_text(value) if metric in _FRACTION_METRICS
-              else float_text(value)
-              for value, metric in zip(repairs.value.tolist(), metrics))
+    fraction = np.isin(repairs.metric, list(_FRACTION_METRICS))
+    values = np.array(list(map(repr, repairs.value.tolist())), dtype=object)
+    values[fraction] = percent_texts(repairs.value[fraction])
     with csv_file(path, REPAIR_LOG_HEADER) as fh:
-        fh.write(csv_lines(map(str, repairs.machine.tolist()), metrics,
+        fh.write(csv_lines(map(str, repairs.machine.tolist()), repairs.metric.tolist(),
                            map(str, repairs.timestamp.tolist()),
-                           repairs.method.tolist(), values))
+                           repairs.method.tolist(), values.tolist()))
 
 
 def write_removed_events_csv(removed: Table, path: str) -> None:

@@ -35,6 +35,15 @@ decimal value once. Cells with an exponent, or longer than Decimal's default
 both apply. ``fraction_to_percent_text`` inverts the conversion exactly, so
 writing a bundle and parsing it again reproduces every float bit-for-bit.
 
+Writing formats a block column at a time too, each kind's ``text`` in C
+loops: ``str`` or ``repr`` of the column's Python values, and for percent
+cells the digit shift of ``percent_texts``. The shortest repr ``0.d1d2d3…``
+of a fraction in [1e-4, 1) is written ``d1d2.d3…``, with a leading zero of
+``d1d2`` dropped; every other value takes ``fraction_to_percent_text``.
+Only a file with a text field goes through ``csv.writer``, because only a
+text cell can need quoting; the lines of every other file are joined by
+``csv_lines``.
+
 ``save_columns`` writes a parsed bundle, with the rows each file lost, to
 one binary file, and ``load_columns`` reads it back with the same dtypes,
 so a later stage can skip parsing the same six files again.
@@ -53,7 +62,7 @@ from decimal import Decimal
 from enum import Enum
 from functools import partial
 from itertools import islice, repeat
-from typing import Callable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -142,6 +151,26 @@ def fraction_to_percent_text(value: float) -> str:
     return format(Decimal(repr(value)).scaleb(2), "f")
 
 
+def percent_texts(column) -> list[str]:
+    """``fraction_to_percent_text`` of each float of ``column``, in C loops
+    where it can be. A repr ``0.d1d2d3…`` with at least three fraction
+    digits is the percent text ``d1d2.d3…`` with a leading zero of ``d1d2``
+    dropped (``0.0312`` is ``3.12``, ``0.00012`` is ``0.012``); every other
+    repr (``0.0``, ``0.05``, ``1.0``, an exponent, a sign) takes the
+    definition."""
+    values = np.asarray(column, dtype=np.float64).tolist()
+    texts = list(map(repr, values))
+    heads = map(str.removeprefix, map(operator.getitem, texts, repeat(slice(2, 4))),
+                repeat("0"))
+    shifted = list(map(operator.add, map(operator.add, heads, repeat(".")),
+                       map(operator.getitem, texts, repeat(slice(4, None)))))
+    positional = (np.fromiter(map(str.startswith, texts, repeat("0.")), bool, len(texts))
+                  & (np.fromiter(map(len, texts), np.intp, len(texts)) > 4))
+    for i in np.flatnonzero(~positional).tolist():
+        shifted[i] = fraction_to_percent_text(values[i])
+    return shifted
+
+
 def float_text(value: float) -> str:
     """Shortest decimal text that parses back to exactly ``value``."""
     return repr(float(value))
@@ -199,15 +228,15 @@ class _Kind:
     the field ``name``, the cell ``text`` and the parsed ``value``; ``strip``
     kinds read and quote the cell stripped. The block parser applies
     ``parse`` and ``valid`` to whole columns, and ``check`` to the cells of a
-    rejected row to name the rule it breaks. ``text`` turns column values
-    back into cells. ``parse_all`` maps ``parse`` over a block column where
-    a faster equal form exists."""
+    rejected row to name the rule it breaks. ``text`` turns a block column
+    back into its cells. ``parse_all`` maps ``parse`` over a block column
+    where a faster equal form exists."""
 
     dtype: type
     parse: Callable[[str], object]
     valid: Callable[[np.ndarray], np.ndarray] | None
     rule: str | None
-    text: Callable[[list], list[str]]
+    text: Callable[[np.ndarray], Iterable[str]]
     parse_all: Callable[[tuple], Iterator] | None = None
     bad: str | None = None
     strip: bool = False
@@ -242,15 +271,14 @@ class _Kind:
         raise ValueError(message.format(name=name, text=text, value=value))
 
 
-def _texts(convert):
-    return lambda values: list(map(convert, values))
+def _texts(convert, dtype=None):
+    """The cells of a block column: ``convert`` over its values as ``dtype``."""
+    return lambda column: map(convert, np.asarray(column, dtype).tolist())
 
 
-_ints = _texts(str)
-_floats = _texts(float_text)
-_int_kind = partial(_Kind, np.int64, int, text=_ints,
+_int_kind = partial(_Kind, np.int64, int, text=_texts(str),
                     bad="bad integer for {name}: {text!r}")
-_float_kind = partial(_Kind, np.float64, float, text=_floats,
+_float_kind = partial(_Kind, np.float64, float, text=_texts(repr, np.float64),
                       bad="bad number for {name}: {text!r}")
 
 _MACHINE = _int_kind(lambda v: v >= 1, "machine id must be >= 1, got {value}")
@@ -258,29 +286,30 @@ _NONNEG_INT = _int_kind(lambda v: v >= 0, "{name} must be >= 0, got {value}")
 # a blank cell is machine 0, which never ran
 _OPTIONAL_MACHINE = replace(
     _NONNEG_INT, parse=lambda cell: int(cell) if cell.strip() else 0,
-    text=_texts(lambda m: str(m) if m else ""), strip=True)
+    text=lambda column: np.where(column != 0, column.astype(str), "").tolist(),
+    strip=True)
 _COUNT = _int_kind(lambda v: v >= 1, "{name} must be >= 1, got {value}")
 _PERCENT = _Kind(np.float64, percent_text_to_fraction,
                  lambda v: (v >= 0.0) & (v <= 1.0),
                  "{name} must lie in [0,100] percent, got {text!r}",
-                 _texts(fraction_to_percent_text), parse_all=_percent_column)
+                 percent_texts, parse_all=_percent_column)
 _UNIT_FRACTION = _float_kind(lambda v: (v >= 0.0) & (v <= 1.0),
                              "{name} must lie in [0,1], got {value}")
 _NONNEG_FLOAT = _float_kind(lambda v: (v >= 0.0) & (v < np.inf),
                             "{name} must be >= 0, got {value}")
 _POSITIVE_FLOAT = _float_kind(lambda v: (v > 0.0) & (v < np.inf),
                               "{name} must be > 0, got {value}")
-_TEXT = _Kind(str, str.strip, None, None, list)
-_CPU_SET = _Kind(str, _cpu_set, None, None, list)
+_TEXT = _Kind(str, str.strip, None, None, np.ndarray.tolist)
+_CPU_SET = _Kind(str, _cpu_set, None, None, np.ndarray.tolist)
 
 
 def _enum_kind(enum_cls) -> _Kind:
     """An enum field: int8 codes into the members of ``enum_cls``."""
-    members = list(enum_cls)
-    lookup = {m.value.lower(): code for code, m in enumerate(members)}
+    values = [m.value for m in enum_cls]
+    lookup = {value.lower(): code for code, value in enumerate(values)}
     return _Kind(np.int8, lambda cell: lookup.get(cell.strip().lower(), -1),
                  lambda v: v >= 0, f"unknown {enum_cls.__name__} value {{text!r}}",
-                 lambda column: [members[c].value for c in column])
+                 _texts(values.__getitem__))
 
 
 @dataclass(frozen=True)
@@ -621,20 +650,27 @@ def load_columns(path: str, max_skip_ratio: float = 0.01,
 
 
 def write_trace_dir(bundle: TraceBundle, path: str) -> None:
-    """Write the bundle back to six CSV files (byte-deterministic). Trace
-    cells may need quoting (``event_detail`` is free text), so rows go
-    through ``csv.writer`` rather than ``csv_lines``."""
+    """Write the bundle back to six CSV files (byte-deterministic), a block
+    of ``BLOCK_ROWS`` rows at a time, each block column turned into cells by
+    its kind's ``text``; percent cells shift the digits of the fraction's
+    repr (``percent_texts``). Only a file with a text field
+    (``event_detail``, ``cpu_set``) goes through ``csv.writer``, because
+    only a text cell can need quoting; other files are joined by
+    ``csv_lines``."""
     os.makedirs(path, exist_ok=True)
     for key, spec in _SPECS.items():
         table = getattr(bundle, spec.attr)
+        quoting = any(kind.dtype is str for kind in spec.fields.values())
         with open(os.path.join(path, TRACE_FILENAMES[key]), "w", newline="",
                   encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             for lo in range(0, len(table), BLOCK_ROWS):
-                writer.writerows(zip(*(
-                    spec.fields[name].text(
-                        table.columns[_column_name(name)][lo:lo + BLOCK_ROWS].tolist())
-                    for name in spec.fields)))
+                cells = [kind.text(table.columns[_column_name(name)][lo:lo + BLOCK_ROWS])
+                         for name, kind in spec.fields.items()]
+                if quoting:
+                    writer.writerows(zip(*cells))
+                else:
+                    fh.write(csv_lines(*cells))
 
 
 # ---------------------------------------------------------------------------

@@ -639,6 +639,48 @@ def parse_rows(path, file_key):
     return rows, diagnostics
 
 
+# ---------------------------------------------------------------------------
+# trace writing, one cell at a time
+
+TRACE_FILES = {"server_event": "server_event.csv", "server_usage": "server_usage.csv",
+               "container_event": "container_event.csv",
+               "container_usage": "container_usage.csv",
+               "batch_task": "batch_task.csv", "batch_instance": "batch_instance.csv"}
+
+
+def _cell_text(file_key, kind, value):
+    """One trace cell: percent fractions as exact Decimal percent text,
+    other numbers as their shortest repr, enums as their member's value and
+    an unplaced machine (0) as a blank cell."""
+    if kind == "percent":
+        return format(Decimal(repr(float(value))).scaleb(2), "f")
+    if kind in _FLOAT_KINDS:
+        return repr(float(value))
+    if kind == "enum":
+        return PARSE_ENUMS[file_key][1][int(value)]
+    if kind in ("text", "cpu_set"):
+        return str(value)
+    if kind == "optional_machine" and value == 0:
+        return ""
+    return str(int(value))
+
+
+def write_trace_reference(bundle, path):
+    """The six trace CSVs of ``bundle`` under ``path``: one ``csv.writer``
+    row per table row of per-cell texts (``_cell_text``)."""
+    os.makedirs(path, exist_ok=True)
+    for attr, file_key in BUNDLE_FILES.items():
+        table = getattr(bundle, attr)
+        fields = PARSE_FIELDS[file_key]
+        columns = [table.columns[name.replace("_pct", "")].tolist() for name, _ in fields]
+        with open(os.path.join(path, TRACE_FILES[file_key]), "w", newline="",
+                  encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            for row in zip(*columns):
+                writer.writerow([_cell_text(file_key, kind, value)
+                                 for (_, kind), value in zip(fields, row)])
+
+
 def read_dense_csv(path):
     """(machines, timestamps, values) of a dense usage CSV, cell by cell:
     values[i][x] holds machine i's six metrics at timestamp x."""

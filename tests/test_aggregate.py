@@ -418,6 +418,29 @@ def test_series_places_aggregates_and_zero_fills_the_rest():
         assert signal.dtype == np.float64, field.name
 
 
+def test_sums_over_no_records_are_float64_and_print_as_floats(tmp_path):
+    # a container with no usage record and no batch instance: every sum runs
+    # over no records, where bincount alone gives int64 zeros
+    bundle = oracles.bundle_from_rows(events=[add_event(1)],
+                                      container_events=[container(7, 1)],
+                                      machine_count=1)
+    caggs = aggregate_container_usage(bundle, GRID)
+    baggs = aggregate_batch_usage(bundle, GRID)
+    for name, sums in (("container cpu", caggs.cpu), ("container mem", caggs.mem),
+                       ("batch cpu", baggs.cpu), ("batch mem", baggs.mem),
+                       ("batch cpu_cores", baggs.cpu_cores)):
+        assert sums.dtype == np.float64, name
+        assert sums.tolist() == [[0.0] * GRID.interval_count], name
+    table = build_machine_series(bundle, GRID, dense_for({1: [0.2] * 5}), caggs, baggs)
+    write_aggregate_csvs(table, caggs.seen, baggs.seen, GRID, str(tmp_path))
+    for row in read_csv(tmp_path / "machine_series.csv"):
+        assert [row[c] for c in ("container_count", "container_cpu", "container_mem",
+                                 "batch_count", "batch_cpu", "batch_mem")] == \
+            ["1", "0.0", "0.0", "0", "0.0", "0.0"]
+    for row in read_csv(tmp_path / "container_usage_agg.csv"):
+        assert (row["total_cpu"], row["total_mem"]) == ("0.0", "0.0")
+
+
 def test_series_csv_headers_and_residuals(tmp_path):
     dense = dense_for({1: [0.2] * 5})
     bundle = oracles.bundle_from_rows(

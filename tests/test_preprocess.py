@@ -184,6 +184,8 @@ def test_supplement_matches_the_cell_by_cell_reference(trace):
     bundle = bundle_with(rows, machine_count)
     dense, repairs = supplement_server_usage(bundle, grid)
     values, expected = oracles.supplement_reference(bundle, grid)
+    # tobytes() alone cannot tell int64 zeros from float64 ones
+    assert dense.values.dtype == repairs.value.dtype == values.dtype == np.float64
     assert dense.values.tobytes() == values.tobytes()
     assert len(repairs) == len(expected)
     with tempfile.TemporaryDirectory() as tmp:
@@ -191,6 +193,24 @@ def test_supplement_matches_the_cell_by_cell_reference(trace):
         write_repair_log_csv(repairs, path)
         with open(path, encoding="utf-8", newline="") as fh:
             assert fh.read() == oracles.repair_log_text(expected)
+
+
+def test_a_trace_without_usage_rows_writes_float_loads(tmp_path):
+    # both machines are zero-filled: loads print as 0.0 in both files, as
+    # in a trace with usage rows, and fractions as the percent text 0
+    dense, repairs = supplement_server_usage(bundle_with([], machine_count=2), GRID)
+    assert dense.values.dtype == repairs.value.dtype == np.float64
+    write_dense_csv(dense, str(tmp_path / "dense.csv"))
+    write_repair_log_csv(repairs, str(tmp_path / "repairs.csv"))
+    dense_lines = (tmp_path / "dense.csv").read_text().splitlines()[1:]
+    assert dense_lines == [f"{m},{ts},0,0,0,0.0,0.0,0.0" for m in (1, 2)
+                           for ts in GRID.timestamps().tolist()]
+    repair_lines = (tmp_path / "repairs.csv").read_text().splitlines()[1:]
+    assert len(repair_lines) == 2 * len(METRICS) * GRID.timestamp_count
+    for line in repair_lines:
+        _machine, metric, _ts, method, value = line.split(",")
+        assert method == "ZeroFilled"
+        assert value == ("0" if metric in ("cpu", "mem", "disk") else "0.0"), line
 
 
 # ---------------------------------------------------------------------------

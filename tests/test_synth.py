@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from trace_insight import synth
 from trace_insight.aggregate import (
     aggregate_batch_usage,
     aggregate_container_usage,
@@ -31,6 +32,7 @@ from trace_insight.synth import (
     write_synthetic_trace,
 )
 from trace_insight.trace_model import (
+    TRACE_FILENAMES,
     IntervalGrid,
     MachineEventType,
     enum_code,
@@ -374,6 +376,41 @@ def test_written_trace_parses_back_identically(tmp_path):
     write_synthetic_trace(bundle, truth, str(tmp_path))
     back = parse_trace_dir(str(tmp_path))
     assert same_bundle(back, bundle)
+
+
+# the 64-machine demo of scripts/run_synthetic_demo.py on a 48-interval grid
+DEMO_QUOTAS = (36, 4, 4, 4, 4, 4, 4, 4)
+DEMO_PLANTS = (AnomalyPlant(machine=37, kind=PlantKind.IDLE),
+               AnomalyPlant(machine=1, kind=PlantKind.HEAVY_ONLINE),
+               AnomalyPlant(machine=2, kind=PlantKind.LIGHTER_ONLINE_SKEW),
+               AnomalyPlant(machine=49, kind=PlantKind.FREQUENT_SOFT_ERROR),
+               AnomalyPlant(machine=53, kind=PlantKind.SOFT_ERROR_WORKLOAD_STOP))
+DEMO_GAPS = (GapPlant(machine=3, metric="cpu", slots=(10, 11, 12, 13, 14)),
+             GapPlant(machine=4, metric="mem", slots=(30, 31, 32, 33)))
+
+
+@pytest.mark.parametrize("seed", [7, 11, 1234])
+def test_written_demo_trace_equals_the_cell_by_cell_writer(tmp_path, seed):
+    config = dataclasses.replace(
+        config_for(plants=DEMO_PLANTS, gaps=DEMO_GAPS, noise=0.03, seed=seed,
+                   quotas=DEMO_QUOTAS),
+        grid=IntervalGrid(39600, 39600 + 48 * 300, 300))
+    bundle, truth = generate_trace(config)
+    write_synthetic_trace(bundle, truth, str(tmp_path / "fast"))
+    oracles.write_trace_reference(bundle, str(tmp_path / "reference"))
+    for name in TRACE_FILENAMES.values():
+        assert (tmp_path / "fast" / name).read_bytes() == \
+            (tmp_path / "reference" / name).read_bytes(), name
+
+
+def test_the_trace_is_written_through_the_module_name(tmp_path, monkeypatch):
+    # the benchmark's tracer times synth.write_s around synth.write_trace_dir
+    calls = []
+    monkeypatch.setattr(synth, "write_trace_dir",
+                        lambda bundle, path: calls.append((bundle, path)))
+    bundle, truth = generate_trace(config_for())
+    write_synthetic_trace(bundle, truth, str(tmp_path))
+    assert calls == [(bundle, str(tmp_path))]
 
 
 def test_written_trace_is_byte_deterministic(tmp_path):

@@ -25,6 +25,7 @@ from trace_insight.trace_model import (
     parse_trace_dir,
     parse_trace_file,
     percent_text_to_fraction,
+    percent_texts,
     save_columns,
     write_trace_dir,
 )
@@ -94,6 +95,17 @@ def test_percent_text_rejects_junk():
 def test_percent_round_trip_is_bit_exact(value):
     text = fraction_to_percent_text(value)
     assert percent_text_to_fraction(text) == value
+
+
+# each repr shape: shifted (0.0312, 0.00012, 0.123) or not (the rest)
+PERCENT_EDGES = [0.0, -0.0, 1.0, 0.5, 0.05, 1e-4, 0.00012, 9.9e-05, 1e-05, 5e-324,
+                 0.9999999999999999, 1.5, 12.5, -0.25, 0.0312, 0.123, 0.12]
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=40))
+def test_percent_texts_equal_the_definition(values):
+    for column in (values, PERCENT_EDGES, values + PERCENT_EDGES):
+        assert percent_texts(column) == list(map(fraction_to_percent_text, column))
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -214,6 +226,48 @@ def test_write_is_byte_deterministic(tmp_path):
         first = (tmp_path / "a" / name).read_bytes()
         second = (tmp_path / "b" / name).read_bytes()
         assert first == second, name
+
+
+def quoting_bundle() -> TraceBundle:
+    """A bundle whose free text needs quoting and whose percent cells take
+    the definition's path: 1e-05, 0.0 and 1.0."""
+    return oracles.bundle_from_rows(
+        events=[
+            (0, 1, MachineEventType.ADD, "", 64, 1.0, 1.0),
+            (5, 1, MachineEventType.SOFT_ERROR, 'disk "sdb", then\nfan', 0, 0.0, 0.0),
+            (9, 1, MachineEventType.HARD_ERROR, "a,b", 0, 0.0, 0.0),
+        ],
+        server_usage=[(39600, 1, 1e-05, 0.0, 1.0, 0.0, 1e-05, 2.5),
+                      (39900, 1, 0.0312, 0.00012, 0.05, 1.0, 0.0, 0.0)],
+        container_events=[(0, ContainerEventType.CREATE, 7, 1, 8.0, 0.5, 0.0, "1|2")],
+        container_usage=[(39600, 7, 1e-05, 0.0, 1.0, 0.123456789,
+                          0.0, 0.0, 0.0, 1.5, 1.2, 2.0, 1.8)],
+        machine_count=1,
+    )
+
+
+@pytest.mark.parametrize("bundle", [small_bundle(), quoting_bundle(),
+                                    oracles.bundle_from_rows()],
+                         ids=["small", "quoting", "empty"])
+def test_write_matches_the_cell_by_cell_reference(tmp_path, bundle):
+    write_trace_dir(bundle, str(tmp_path / "fast"))
+    oracles.write_trace_reference(bundle, str(tmp_path / "reference"))
+    for name in trace_model.TRACE_FILENAMES.values():
+        assert (tmp_path / "fast" / name).read_bytes() == \
+            (tmp_path / "reference" / name).read_bytes(), name
+    back = parse_trace_dir(str(tmp_path / "fast"))
+    for attr in BUNDLE_ATTRS:
+        assert_same_columns(getattr(back, attr), getattr(bundle, attr))
+
+
+def test_integer_columns_of_float_fields_write_as_floats(tmp_path):
+    bundle = oracles.bundle_from_rows(
+        server_usage=[(39600, 1, 0.0, 1.0, 0.0, 2.0, 0.0, 1.0)], machine_count=1)
+    columns = bundle.server_usage.columns
+    for name in ("cpu", "mem", "disk", "load1", "load5", "load15"):
+        columns[name] = columns[name].astype(np.int64)
+    write_trace_dir(bundle, str(tmp_path))
+    assert (tmp_path / "server_usage.csv").read_text() == "39600,1,0,100,0,2.0,0.0,1.0\n"
 
 
 def test_blank_machine_cell_round_trips_as_unplaced(tmp_path):
