@@ -34,8 +34,7 @@ def main():
     args = ap.parse_args()
 
     out = Path(args.out_dir)
-    analyze = ["analyze", "--input-dir", args.trace_dir, "--out-dir", str(out),
-               "--seed", str(args.seed)]
+    analyze = ["analyze", "--out-dir", str(out), "--seed", str(args.seed)]
     if args.standards:
         analyze += ["--standards", args.standards]
 
@@ -47,14 +46,14 @@ def main():
     elapsed = time.perf_counter() - t0
 
     report = json.loads((out / "report.json").read_text())
-    pre = report["preprocess"] or {}
+    pre = report["preprocess"]
     sim = report["similarity"]
     cls = report["classification"]
     anom = report["anomalies"]
 
     print()
     print(f"pipeline finished in {elapsed:.1f}s, artifacts in {out}/")
-    print(f"repairs: {pre.get('repairs', {})}")
+    print(f"repairs: {pre['repairs']}")
     print()
     print("machines per type:")
     for label in sorted(cls["counts"]):

@@ -71,8 +71,8 @@ def main():
                "--out-dir", str(trace), f"grid_end={GRID_END}"])
     run_stage(["preprocess", "--input-dir", str(trace), "--out-dir", str(out),
                f"grid_end={GRID_END}"])
-    run_stage(["analyze", "--input-dir", str(trace), "--out-dir", str(out),
-               "--seed", str(args.seed), f"grid_end={GRID_END}"])
+    run_stage(["analyze", "--out-dir", str(out), "--seed", str(args.seed),
+               f"grid_end={GRID_END}"])
     run_stage(["report", "--out-dir", str(out)])
     elapsed = time.perf_counter() - t0
 

@@ -13,17 +13,18 @@ directory, and writes its manifest-<stage>.json last. Stages never touch
 another stage's artifacts, but before its first write a stage deletes its
 own manifest and those of the stages that read its artifacts, so a run that
 fails part-way leaves no manifest vouching for what it overwrote.
-``preprocess`` also saves the columns it parsed, and ``analyze`` loads them
-in place of parsing the trace again only when manifest-preprocess.json shows
-they came from the same input files and their file still has the digest
-recorded there. All randomness comes from seeds named in the config; a
-missing seed is an error, never a fallback to wall-clock entropy.
+``preprocess`` is the one stage that reads the trace. It hands analyze one
+file, ``trace_columns.bin``: the parsed columns with the filtered container
+events, the rows each file lost, and the repaired dense usage. ``analyze``
+reads nothing else of its input, and loads that file only when
+manifest-preprocess.json records its digest and ran on the same grid. All
+randomness comes from seeds named in the config; a missing seed is an
+error, never a fallback to wall-clock entropy.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 from collections import Counter
 
@@ -57,6 +58,7 @@ from .classify import (
     write_type_usage_csv,
 )
 from .preprocess import (
+    DenseUsage,
     filter_container_events,
     supplement_server_usage,
     write_dense_csv,
@@ -74,8 +76,9 @@ from .similarity import (
 from .stage import (
     CONFIG_KEYS,
     StageError,
-    _misshapen,
     _prepare_out_dir,
+    _read_manifest,
+    _recorded_key,
     _refusal,
     _sha256,
     read_config,
@@ -172,18 +175,6 @@ def run_synth(config: dict[str, str]) -> str:
 # ---------------------------------------------------------------------------
 # stage: preprocess
 
-def _parse_bundle(input_dir: str, max_skip_ratio: float, stage: str):
-    """Parse the input trace; returns (bundle, diagnostics of skipped
-    rows)."""
-    diagnostics: list = []
-    try:
-        bundle = parse_trace_dir(input_dir, max_skip_ratio=max_skip_ratio,
-                                 diagnostics=diagnostics)
-    except TraceParseError as e:
-        raise StageError(stage, str(e)) from e
-    return bundle, diagnostics
-
-
 def _skipped_counts(skipped) -> dict[str, int]:
     """``rows_skipped_<file key>`` of every file, from rows skipped per key."""
     return {f"rows_skipped_{key}": skipped.get(key, 0) for key in FILE_KEYS}
@@ -196,7 +187,13 @@ def run_preprocess(config: dict[str, str]) -> str:
     values = read_config(config, stage)
     grid = _grid(values, stage)
     out_dir, input_dir = values["output_dir"], values["input_dir"]
-    bundle, diagnostics = _parse_bundle(input_dir, values["max_skip_ratio"], stage)
+    diagnostics: list = []
+    try:
+        bundle = parse_trace_dir(input_dir, max_skip_ratio=values["max_skip_ratio"],
+                                 diagnostics=diagnostics)
+    except TraceParseError as e:
+        raise StageError(stage, str(e)) from e
+    skipped = Counter(diag.file for diag in diagnostics)
     _prepare_out_dir(out_dir, stage)
     try:
         dense, repairs = supplement_server_usage(bundle, grid)
@@ -207,7 +204,8 @@ def run_preprocess(config: dict[str, str]) -> str:
     write_repair_log_csv(repairs, os.path.join(out_dir, REPAIR_LOG_FILENAME))
     write_removed_events_csv(removed,
                              os.path.join(out_dir, REMOVED_EVENTS_FILENAME))
-    save_columns(bundle, diagnostics, os.path.join(out_dir, COLUMNS_FILENAME))
+    save_columns(dataclasses.replace(bundle, container_events=clean), skipped,
+                 dense.values, os.path.join(out_dir, COLUMNS_FILENAME))
     methods, method_counts = np.unique(repairs.method, return_counts=True)
     write_manifest(out_dir, stage, config,
                    inputs=_digest_inputs(input_dir, stage),
@@ -221,7 +219,7 @@ def run_preprocess(config: dict[str, str]) -> str:
                        "container_events_removed": len(removed),
                        **{f"repairs_{name}": count for name, count
                           in zip(methods.tolist(), method_counts.tolist())},
-                       **_skipped_counts(Counter(diag.file for diag in diagnostics)),
+                       **_skipped_counts(skipped),
                    },
                    trace_columns=COLUMNS_FILENAME)
     return out_dir
@@ -230,30 +228,29 @@ def run_preprocess(config: dict[str, str]) -> str:
 # ---------------------------------------------------------------------------
 # stage: analyze
 
-def _preprocessed_columns(out_dir: str, inputs: dict[str, str],
-                          max_skip_ratio: float, stage: str):
-    """The trace a preprocess run in ``out_dir`` parsed, as (bundle, rows
-    skipped per file key), when its manifest shows that it parsed these
-    ``inputs`` and the columns file is the one it wrote; None otherwise, and
-    the caller parses. The load refuses the columns as a parse would when a
-    file's skipped rows exceed ``max_skip_ratio``."""
-    try:
-        with open(os.path.join(out_dir, "manifest-preprocess.json"),
-                  encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (OSError, ValueError):   # none, or cut short by a killed run
-        return None
-    if _misshapen(manifest) or manifest["inputs"] != inputs:
-        return None
+def _hand_off(out_dir: str, values: dict, stage: str):
+    """What preprocess saved in ``out_dir`` for analyze, as (bundle, rows
+    skipped per file key, dense usage values, sha256 of their file); refused
+    unless manifest-preprocess.json records that digest under
+    ``trace_columns`` and ran on the grid in ``values``. A recorded grid
+    value that does not parse disagrees with every value."""
+    name = "manifest-preprocess.json"
+    manifest = _read_manifest(out_dir, "preprocess", stage)
     path = os.path.join(out_dir, COLUMNS_FILENAME)
-    columns = manifest.get("trace_columns")
-    recorded = columns.get(COLUMNS_FILENAME) if isinstance(columns, dict) else None
-    if not os.path.exists(path) or _sha256(path) != recorded:
-        return None
+    digest = _sha256(path) if os.path.isfile(path) else None
+    if digest is None or manifest.get("trace_columns") != {COLUMNS_FILENAME: digest}:
+        raise StageError(stage, f"no {COLUMNS_FILENAME} in {out_dir} that {name} "
+                                "vouches for; run preprocess first")
+    stale = [key for key in ("grid_start", "grid_end", "grid_step")
+             if _recorded_key(manifest["config"], key, stage) != values[key]]
+    if stale:
+        raise StageError(stage, f"{name} in {out_dir} disagrees with this run "
+                                f"on {', '.join(stale)}; rerun preprocess")
     try:
-        return load_columns(path, max_skip_ratio)
-    except TraceParseError as e:
-        raise StageError(stage, str(e)) from e
+        return (*load_columns(path), digest)
+    except (ValueError, EOFError) as e:   # another layout, or cut short
+        raise StageError(stage, f"{COLUMNS_FILENAME} in {out_dir} does not load "
+                                f"({e}); rerun preprocess") from e
 
 
 def run_analyze(config: dict[str, str]) -> str:
@@ -279,26 +276,16 @@ def run_analyze(config: dict[str, str]) -> str:
         if not ok:
             raise _refusal(stage, key, rule, config.get(key, CONFIG_KEYS[key].default))
 
-    out_dir, input_dir = values["output_dir"], values["input_dir"]
-    inputs = _digest_inputs(input_dir, stage)
-    loaded = _preprocessed_columns(out_dir, inputs, values["max_skip_ratio"], stage)
-    if loaded is None:
-        bundle, diagnostics = _parse_bundle(input_dir, values["max_skip_ratio"], stage)
-        skipped = Counter(diag.file for diag in diagnostics)
-    else:
-        bundle, skipped = loaded
+    out_dir = values["output_dir"]
+    bundle, skipped, dense, digest = _hand_off(out_dir, values, stage)
     _prepare_out_dir(out_dir, stage)
     try:
-        clean, _removed = filter_container_events(bundle.container_events)
-        bundle = dataclasses.replace(bundle, container_events=clean)
-        # the same repair preprocess writes to dense_usage.csv, redone from
-        # the parsed trace rather than read back
-        dense, _repairs = supplement_server_usage(bundle, grid)
-
         diag = AggDiagnostics()
         containers = aggregate_container_usage(bundle, grid, diag)
         batch = aggregate_batch_usage(bundle, grid, diag)
-        table = build_machine_series(bundle, grid, dense, containers, batch)
+        table = build_machine_series(bundle, grid,
+                                     DenseUsage(grid.timestamps(), dense),
+                                     containers, batch)
         write_aggregate_csvs(table, containers.seen, batch.seen, grid, out_dir)
 
         # similarity; machine m is row m - 1 of the table and its curves
@@ -350,7 +337,7 @@ def run_analyze(config: dict[str, str]) -> str:
     except ValueError as e:
         raise StageError(stage, str(e)) from e
 
-    write_manifest(out_dir, stage, config, inputs=inputs,
+    write_manifest(out_dir, stage, config, inputs={COLUMNS_FILENAME: digest},
                    outputs=list(ANALYZE_FILENAMES),
                    row_counts={
                        "machines": bundle.machine_count,
@@ -365,7 +352,6 @@ def run_analyze(config: dict[str, str]) -> str:
                                          len(anomaly_report.ranking)),
                        **diag.counts(),
                        **_skipped_counts(skipped),
-                       "trace_columns_reused": int(loaded is not None),
                    })
     return out_dir
 

@@ -165,19 +165,19 @@ ConfigKey = namedtuple("ConfigKey", "kind default stages help rule flag",
 
 _EVERY = ("synth", "preprocess", "analyze", "report")
 _GRID = ("synth", "preprocess", "analyze")
-_PARSE = ("preprocess", "analyze")
+_PREPROCESS = ("preprocess",)
 _SYNTH = ("synth",)
 _ANALYZE = ("analyze",)
 
 CONFIG_KEYS = {
-    "input_dir": ConfigKey("text", None, _PARSE, "trace directory",
+    "input_dir": ConfigKey("text", None, _PREPROCESS, "trace directory",
                            flag="--input-dir"),
     "output_dir": ConfigKey("text", None, _EVERY, "where the stage writes "
                             "(the trace, for synth)", flag="--out-dir"),
     "grid_start": ConfigKey("int", "39600", _GRID, "first interval boundary (s)"),
     "grid_end": ConfigKey("int", "82500", _GRID, "last interval boundary (s)"),
     "grid_step": ConfigKey("int", "300", _GRID, "interval length (s)"),
-    "max_skip_ratio": ConfigKey("float", "0.01", _PARSE, "tolerated share of "
+    "max_skip_ratio": ConfigKey("float", "0.01", _PREPROCESS, "tolerated share of "
                                 "malformed rows per file", _FRACTION),
     "dtw_sample_num": ConfigKey("int", "8", _ANALYZE, "curves sampled for the "
                                 "standard-value median", flag="--sample-num"),
@@ -408,7 +408,8 @@ def _read_json(out_dir: str, name: str, stage: str, writer: str = "analyze"):
     """The JSON file ``name`` that stage ``writer`` wrote into ``out_dir``."""
     path = os.path.join(out_dir, name)
     if not os.path.exists(path):
-        raise StageError(stage, f"{writer} stage missing: no {name} in {out_dir}")
+        raise StageError(stage, f"{writer} stage missing: no {name} in {out_dir}; "
+                                f"run {writer} first")
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -452,23 +453,16 @@ def _check_digests(out_dir: str, names, manifest: dict, manifest_name: str,
                                     "stage that writes it")
 
 
-def _preprocess_summary(out_dir: str, analyze_manifest: dict, stage: str) -> dict | None:
+def _preprocess_summary(out_dir: str, analyze_manifest: dict, stage: str) -> dict:
     """Repair counts from manifest-preprocess.json, used only when that run
-    parsed the same inputs on the same grid as the analyze run. A recorded
-    grid value that does not parse disagrees with every value."""
+    wrote the parsed columns the analyze run read: what it records under
+    ``trace_columns`` is analyze's ``inputs``."""
     name = "manifest-preprocess.json"
-    if not os.path.exists(os.path.join(out_dir, name)):
-        return None
     manifest = _read_manifest(out_dir, "preprocess", stage)
-    checks = [("input digests", manifest["inputs"] == analyze_manifest["inputs"])]
-    checks += [(key, _recorded_key(manifest["config"], key, stage)
-                == _read_key(analyze_manifest["config"], key, stage))
-               for key in ("grid_start", "grid_end", "grid_step")]
-    stale = [what for what, agrees in checks if not agrees]
-    if stale:
-        raise StageError(stage, f"{name} in {out_dir} disagrees with "
-                                f"manifest-analyze.json on {', '.join(stale)}; "
-                                "rerun preprocess")
+    if manifest.get("trace_columns") != analyze_manifest["inputs"]:
+        raise StageError(stage, f"{name} in {out_dir} vouches for other parsed "
+                                "columns than manifest-analyze.json read; "
+                                "rerun analyze")
     _check_digests(out_dir, manifest["outputs"], manifest, name, stage)
     rows = manifest["row_counts"]
     return {

@@ -44,9 +44,9 @@ Only a file with a text field goes through ``csv.writer``, because only a
 text cell can need quoting; the lines of every other file are joined by
 ``csv_lines``.
 
-``save_columns`` writes a parsed bundle, with the rows each file lost, to
-one binary file, and ``load_columns`` reads it back with the same dtypes,
-so a later stage can skip parsing the same six files again.
+``save_columns`` writes a bundle, the rows each file lost and the repaired
+dense usage to one binary file, and ``load_columns`` reads them back with
+the same dtypes: the one hand-off from preprocess to analyze.
 """
 
 from __future__ import annotations
@@ -570,79 +570,66 @@ def parse_trace_dir(path: str, *, max_skip_ratio: float = 0.01,
             raise TraceParseError(f"cannot read trace file {file_path}: {e}") from e
         if diags and diagnostics is not None:
             diagnostics.extend(diags)
-        _check_skips(TRACE_FILENAMES[key], len(table), len(diags),
-                     diags[0] if diags else None, max_skip_ratio)
+        name, total = TRACE_FILENAMES[key], len(table) + len(diags)
+        if diags:
+            log.warning("%s: skipped %d of %d rows (first: line %d, %s)",
+                        name, len(diags), total, diags[0].line, diags[0].reason)
+        if total and len(diags) / total > max_skip_ratio:
+            raise TraceParseError(f"{name}: rejected {len(diags)}/{total} rows, "
+                                  f"above the {max_skip_ratio:.2%} limit")
         tables[spec.attr] = table
     machine_count = max((int(t.machine.max()) for t in tables.values()
                          if "machine" in t.columns and len(t)), default=0)
     return TraceBundle(**tables, machine_count=machine_count)
 
 
-def _check_skips(name: str, kept: int, skipped: int, first: RowDiagnostic | None,
-                 max_skip_ratio: float) -> None:
-    """Log a file's skipped rows, naming the first, and raise TraceParseError
-    when they exceed ``max_skip_ratio`` of its rows."""
-    total = kept + skipped
-    if skipped:
-        log.warning("%s: skipped %d of %d rows (first: line %d, %s)",
-                    name, skipped, total, first.line, first.reason)
-    if total and skipped / total > max_skip_ratio:
-        raise TraceParseError(f"{name}: rejected {skipped}/{total} rows, above "
-                              f"the {max_skip_ratio:.2%} limit")
-
-
 # ---------------------------------------------------------------------------
 # parsed columns on disk
 
+# The first record of a ``save_columns`` file; a new layout of its records
+# takes a new name, so a file saved in an older one is refused.
+COLUMNS_LAYOUT = "trace columns, skipped counts, dense usage"
 
-def save_columns(bundle: TraceBundle, diagnostics: list[RowDiagnostic],
-                 path: str) -> None:
-    """Write ``bundle`` and the rows its parse skipped to ``path``, so that
-    ``load_columns`` can stand in for parsing the same files again.
+
+def save_columns(bundle: TraceBundle, skipped: dict[str, int],
+                 dense: np.ndarray, path: str) -> None:
+    """Write ``bundle``, the rows its parse skipped per file key and the
+    repaired dense usage values to ``path``, for ``load_columns``.
 
     The file is consecutive ``np.save`` records (no pickles, no zip
-    timestamps, so the bytes are deterministic): the machine count, then per
-    file in ``_SPECS`` order its columns in field order, the skipped-row
-    count with the line of the first skipped row (0 if none), and that row's
-    reason. ``diagnostics`` are those ``parse_trace_dir`` collected.
+    timestamps, so the bytes are deterministic): ``COLUMNS_LAYOUT``, the
+    machine count, then per file in ``_SPECS`` order its columns in field
+    order and its skipped-row count, then ``dense``.
     """
-    skipped = dict.fromkeys(_SPECS, 0)
-    first: dict[str, RowDiagnostic] = {}
-    for diag in diagnostics:
-        skipped[diag.file] += 1
-        first.setdefault(diag.file, diag)
     with open(path, "wb") as fh:
         save = partial(np.save, fh, allow_pickle=False)
+        save(np.array([COLUMNS_LAYOUT]))
         save(np.array([bundle.machine_count], dtype=np.int64))
         for key, spec in _SPECS.items():
             columns = getattr(bundle, spec.attr).columns
             for name in spec.fields:
                 save(columns[_column_name(name)])
-            diag = first.get(key)
-            save(np.array([skipped[key], diag.line if diag else 0], dtype=np.int64))
-            save(np.array([diag.reason if diag else ""]))
+            save(np.array([skipped.get(key, 0)], dtype=np.int64))
+        save(dense)
 
 
-def load_columns(path: str, max_skip_ratio: float = 0.01,
-                 ) -> tuple[TraceBundle, dict[str, int]]:
-    """The bundle ``save_columns`` wrote to ``path``, and the rows skipped
-    per file key. Logs each file's skipped rows and applies
-    ``max_skip_ratio`` to them as ``parse_trace_dir`` does, in the same file
-    order and with the same messages."""
+def load_columns(path: str) -> tuple[TraceBundle, dict[str, int], np.ndarray]:
+    """The bundle, rows skipped per file key and dense values that
+    ``save_columns`` wrote to ``path``, with the dtypes they were saved
+    with. Raises ValueError for a file in another layout."""
     tables: dict[str, Table] = {}
     skipped: dict[str, int] = {}
     with open(path, "rb") as fh:
         load = partial(np.load, fh, allow_pickle=False)
+        if load().tolist() != [COLUMNS_LAYOUT]:
+            raise ValueError("not in the layout save_columns writes")
         machine_count = int(load()[0])
         for key, spec in _SPECS.items():
-            table = Table(key, {_column_name(name): load() for name in spec.fields})
-            count, line = load().tolist()
-            reason = str(load()[0])
-            _check_skips(TRACE_FILENAMES[key], len(table), count,
-                         RowDiagnostic(key, line, reason), max_skip_ratio)
-            tables[spec.attr] = table
-            skipped[key] = count
-    return TraceBundle(**tables, machine_count=machine_count), skipped
+            tables[spec.attr] = Table(key, {_column_name(name): load()
+                                            for name in spec.fields})
+            skipped[key] = int(load()[0])
+        dense = load()
+    return TraceBundle(**tables, machine_count=machine_count), skipped, dense
 
 
 # ---------------------------------------------------------------------------

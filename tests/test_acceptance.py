@@ -351,7 +351,7 @@ def test_criterion_08_reruns_are_byte_identical(tmp_path, monkeypatch):
              f"grid_end={grid_end}"],
             ["preprocess", "--input-dir", "trace", "--out-dir", "out",
              f"grid_end={grid_end}"],
-            ["analyze", "--input-dir", "trace", "--out-dir", "out",
+            ["analyze", "--out-dir", "out",
              "--seed", "9", f"grid_end={grid_end}"],
             ["report", "--out-dir", "out"],
         )

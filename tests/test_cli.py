@@ -35,8 +35,8 @@ def pipeline_dirs(tmp_path_factory):
             "--out-dir", str(trace), f"grid_end={GRID_END}"])
     run_ok(["preprocess", "--input-dir", str(trace), "--out-dir", str(out),
             f"grid_end={GRID_END}"])
-    run_ok(["analyze", "--input-dir", str(trace), "--out-dir", str(out),
-            "--seed", "9", f"grid_end={GRID_END}"])
+    run_ok(["analyze", "--out-dir", str(out), "--seed", "9",
+            f"grid_end={GRID_END}"])
     run_ok(["report", "--out-dir", str(out)])
     return trace, out
 
@@ -121,8 +121,11 @@ def test_overrides_beat_flags_beat_config(pipeline_dirs, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"dtw_threshold=9.0\nanomaly_top_n=3\ngrid_end={GRID_END}\n")
 
-    flag_out = tmp_path / "flag"
-    run_ok(["analyze", "--config", str(cfg), "--input-dir", str(trace),
+    flag_out, override_out = tmp_path / "flag", tmp_path / "override"
+    for out in (flag_out, override_out):
+        run_ok(["preprocess", "--config", str(cfg), "--input-dir", str(trace),
+                "--out-dir", str(out)])
+    run_ok(["analyze", "--config", str(cfg),
             "--out-dir", str(flag_out), "--seed", "1", "--threshold", "4.0",
             "--normalized", "--top-n", "7"])
     config = json.loads((flag_out / "manifest-analyze.json").read_text())["config"]
@@ -130,18 +133,13 @@ def test_overrides_beat_flags_beat_config(pipeline_dirs, tmp_path):
     assert config["dtw_normalized"] == "true"
     assert config["anomaly_top_n"] == "7"
 
-    override_out = tmp_path / "override"
-    run_ok(["analyze", "--config", str(cfg), "--input-dir", str(trace),
+    run_ok(["analyze", "--config", str(cfg),
             "--out-dir", str(override_out), "--seed", "1",
             "--threshold", "4.0", "dtw_threshold=2.5", "--top-n", "7",
             "anomaly_top_n=5"])
     config = json.loads((override_out / "manifest-analyze.json").read_text())["config"]
     assert config["dtw_threshold"] == "2.5"
     assert config["anomaly_top_n"] == "5"
-
-    # neither run had a preprocess stage, so analyze worked off the raw
-    # trace in memory without materializing a dense table
-    assert not (flag_out / "dense_usage.csv").exists()
     assert set(ANALYZE_FILENAMES) <= set(os.listdir(flag_out))
 
 
@@ -151,7 +149,7 @@ CLI_OPTIONS = {
     "synth": {"--machines", "--quotas", "--plants", "--gaps", "--noise",
               "--seed", "--out-dir"},
     "preprocess": {"--input-dir", "--out-dir"},
-    "analyze": {"--input-dir", "--out-dir", "--sample-num", "--standards",
+    "analyze": {"--out-dir", "--sample-num", "--standards",
                 "--threshold", "--k", "--max-iter", "--trees", "--subsample",
                 "--mode", "--top-n", "--normalized", "--seed"},
     "report": {"--out-dir"},
@@ -178,8 +176,8 @@ def test_success_message_names_stage_and_directory(tmp_path, capsys):
 
 def test_missing_seed_is_spelled_out(pipeline_dirs, tmp_path, capsys):
     trace, _ = pipeline_dirs
-    code = main(["analyze", "--input-dir", str(trace),
-                 "--out-dir", str(tmp_path / "x"), f"grid_end={GRID_END}"])
+    code = main(["analyze", "--out-dir", str(tmp_path / "x"),
+                 f"grid_end={GRID_END}"])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("trace-insight: error [analyze]")
@@ -215,21 +213,22 @@ def test_bad_override_surfaces(tmp_path, capsys):
 
 def test_overrides_may_sit_on_both_sides_of_a_flag(tmp_path, capsys):
     # the override after --seed reaches the config, and is refused there
-    code = main(["analyze", "--input-dir", str(tmp_path), "--out-dir",
+    code = main(["analyze", "--out-dir",
                  str(tmp_path / "x"), "grid_end=54000", "--seed", "7",
                  "dtw_standards=0,1"])
     assert code == 2
     assert "config key 'dtw_standards' must be empty, or two or more " \
         "distinct ids >= 1, got '0,1'" in capsys.readouterr().err
     # overrides apply in command-line order, the last one winning
-    code = main(["analyze", "--input-dir", str(tmp_path), "--out-dir",
+    code = main(["analyze", "--out-dir",
                  str(tmp_path / "x"), "dtw_threshold=x", "--seed", "7",
                  "dtw_threshold=y"])
     assert code == 2
     assert "config key 'dtw_threshold' must be a number, got 'y'" \
         in capsys.readouterr().err
-    # a leftover that is neither a flag nor key=value is still refused
-    for stray in ("stray", "--stray=1"):
+    # a leftover that is neither a flag nor key=value is still refused, as
+    # is a flag of another stage: analyze reads no trace directory
+    for stray in ("stray", "--stray=1", "--input-dir=trace"):
         with pytest.raises(SystemExit) as exit_info:
             main(["analyze", "grid_end=54000", "--seed", "7", stray])
         assert exit_info.value.code == 2
@@ -262,6 +261,26 @@ def test_synthetic_demo_script_runs_the_whole_pipeline(tmp_path, monkeypatch,
     except SystemExit as stop:   # the script exits only when a stage fails
         pytest.fail(f"demo exited with {stop.code}")
     assert (tmp_path / "analysis" / "report.json").is_file()
+    assert "pipeline finished" in capsys.readouterr().out
+
+
+def test_reference_trace_script_runs_the_whole_pipeline(tmp_path, monkeypatch,
+                                                       capsys):
+    # the script the README points at for the real trace, here on a small
+    # synthetic one on the default grid; too few machines for the published
+    # standards, so it draws its own
+    trace, out = tmp_path / "trace", tmp_path / "out"
+    run_ok(["synth", "--machines", "16", "--quotas", "9,1,1,1,1,1,1,1",
+            "--noise", "0.02", "--seed", "3", "--out-dir", str(trace)])
+    script = Path(__file__).resolve().parents[1] / "scripts"
+    script /= "run_reference_trace.py"
+    monkeypatch.setattr(sys, "argv", [str(script), str(trace), "--out-dir",
+                                      str(out), "--standards", ""])
+    try:
+        runpy.run_path(str(script), run_name="__main__")
+    except SystemExit as stop:   # the script exits only when a stage fails
+        pytest.fail(f"reference script exited with {stop.code}")
+    assert (out / "report.json").is_file()
     assert "pipeline finished" in capsys.readouterr().out
 
 

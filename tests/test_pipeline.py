@@ -1,12 +1,15 @@
 import hashlib
+import io
 import json
 import os
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oracles
-from trace_insight import __version__
+from trace_insight import __version__, pipeline
 from trace_insight.pipeline import (
     ANALYZE_FILENAMES,
     run_analyze,
@@ -27,7 +30,7 @@ from trace_insight.stage import (
     write_manifest,
 )
 from trace_insight.synth import PlantKind
-from trace_insight.trace_model import TRACE_FILENAMES
+from trace_insight.trace_model import TRACE_FILENAMES, load_columns
 
 
 def test_stage_error_names_its_stage():
@@ -321,6 +324,13 @@ def stage_config(trace, out, **extra):
     return config
 
 
+def preprocess_and_analyze(trace, out, **extra):
+    """Run preprocess, then analyze on what it handed over, under one
+    config."""
+    run_preprocess(stage_config(trace, out, **extra))
+    run_analyze(stage_config(trace, out, **extra))
+
+
 def noisy_trace(path, seed):
     run_synth(synth_config(path, synth_machines="16",
                            synth_quotas="9,1,1,1,1,1,1,1",
@@ -328,10 +338,7 @@ def noisy_trace(path, seed):
     return path
 
 
-@pytest.mark.parametrize("runner", [run_preprocess, run_analyze])
-def test_a_trace_file_that_cannot_be_read_is_a_stage_error(tmp_path, runner):
-    stage = runner.__name__.removeprefix("run_")
-
+def test_a_trace_file_that_cannot_be_read_is_a_stage_error(tmp_path):
     def latin1_row(path):
         with open(path, "ab") as fh:
             fh.write(b"0,1,softerror,caf\xe9 down,0,0,0\n")
@@ -346,11 +353,11 @@ def test_a_trace_file_that_cannot_be_read_is_a_stage_error(tmp_path, runner):
         trace = noisy_trace(tmp_path / name, seed=7)
         spoil(trace / name)
         out = tmp_path / f"out-{name}"
-        with pytest.raises(StageError, match=rf"^\[{stage}\] cannot read "
-                                             rf"(trace|input) file .*{name}: "
+        with pytest.raises(StageError, match=rf"^\[preprocess\] cannot read "
+                                             rf"trace file .*{name}: "
                                              f".*{problem}") as err:
-            runner(stage_config(trace, out))
-        assert err.value.stage == stage
+            run_preprocess(stage_config(trace, out))
+        assert err.value.stage == "preprocess"
         assert not out.exists(), name   # refused before any write
 
 
@@ -358,34 +365,35 @@ def analyze_counts(out):
     return json.loads((out / "manifest-analyze.json").read_text())["row_counts"]
 
 
-def test_analyze_ignores_a_dense_file_preprocessed_from_another_trace(tmp_path):
+CHAIN_BROKEN = (r"^\[report\] manifest-preprocess.json in .* vouches for other "
+                r"parsed columns than manifest-analyze.json read; rerun analyze$")
+
+
+def test_report_refuses_a_preprocess_run_after_analyze(tmp_path):
+    # preprocess reran on another trace after analyze, so its repair counts
+    # are not those of the trace analyze read
     trace_a = noisy_trace(tmp_path / "a", seed=7)
     trace_b = noisy_trace(tmp_path / "b", seed=8)
-    out = tmp_path / "out"
+    out, clean = tmp_path / "out", tmp_path / "clean"
+    preprocess_and_analyze(trace_a, out)
     run_preprocess(stage_config(trace_b, out))
-    run_analyze(stage_config(trace_a, out))
-    clean = tmp_path / "clean"
-    run_analyze(stage_config(trace_a, clean))
+    with pytest.raises(StageError, match=CHAIN_BROKEN) as err:
+        run_report({"output_dir": str(out)})
+    assert err.value.stage == "report"
+    # analyze rerun on B's hand-off mends the chain, and its artifacts are
+    # those of a directory that only ever saw B
+    run_analyze(stage_config(trace_b, out))
+    run_report({"output_dir": str(out)})
+    preprocess_and_analyze(trace_b, clean)
     assert len(ANALYZE_FILENAMES) == 12
     for name in ANALYZE_FILENAMES:
         assert (out / name).read_bytes() == (clean / name).read_bytes(), name
-    assert analyze_counts(out)["trace_columns_reused"] == 0
-    # report will not pair B's repair counts with A's analysis
-    with pytest.raises(StageError, match="disagrees with manifest-analyze.json "
-                                         "on input digests") as err:
-        run_report({"output_dir": str(out)})
-    assert err.value.stage == "report"
 
 
 def test_report_refuses_a_preprocess_run_that_does_not_match_analyze(tmp_path):
     trace = noisy_trace(tmp_path / "trace", seed=7)
     out = tmp_path / "out"
-    run_preprocess(stage_config(trace, out, grid_end=str(39600 + 10 * 300)))
-    run_analyze(stage_config(trace, out))
-    with pytest.raises(StageError, match="on grid_end; rerun preprocess"):
-        run_report({"output_dir": str(out)})
-
-    run_preprocess(stage_config(trace, out))
+    preprocess_and_analyze(trace, out)
     run_report({"output_dir": str(out)})
     report = json.loads((out / "report.json").read_text())
     assert report["preprocess"]["machines"] == 16
@@ -400,15 +408,18 @@ def test_report_refuses_a_preprocess_run_that_does_not_match_analyze(tmp_path):
 
     manifest_path = out / "manifest-preprocess.json"
     manifest = json.loads(manifest_path.read_text())
-    manifest["inputs"]["server_usage.csv"] = "0" * 64
+    manifest["trace_columns"]["trace_columns.bin"] = "0" * 64
     manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(StageError, match="on input digests"):
+    with pytest.raises(StageError, match=CHAIN_BROKEN):
         run_report({"output_dir": str(out)})
 
-    # without a preprocess manifest there is nothing to vouch for its counts
+    # without a preprocess manifest nothing vouches for the repair counts or
+    # for the columns analyze read
     manifest_path.unlink()
-    run_report({"output_dir": str(out)})
-    assert json.loads((out / "report.json").read_text())["preprocess"] is None
+    with pytest.raises(StageError, match=r"^\[report\] preprocess stage missing: "
+                                         r"no manifest-preprocess.json in .*; "
+                                         r"run preprocess first$"):
+        run_report({"output_dir": str(out)})
 
 
 def test_report_refuses_artifacts_a_failed_analyze_overwrote(tmp_path):
@@ -427,10 +438,9 @@ def test_report_refuses_artifacts_a_failed_analyze_overwrote(tmp_path):
         run_report({"output_dir": str(out)})
     assert err.value.stage == "report"
 
-    # an artifact changed outside any stage run is caught by its digest,
-    # with no preprocess run in the directory
+    # an artifact changed outside any stage run is caught by its digest
     alone = tmp_path / "alone"
-    run_analyze(stage_config(trace_a, alone))
+    preprocess_and_analyze(trace_a, alone)
     histogram = alone / "dtw_histogram.json"
     histogram.write_text(histogram.read_text() + "\n")
     with pytest.raises(StageError, match="dtw_histogram.json in .* does not "
@@ -440,15 +450,14 @@ def test_report_refuses_artifacts_a_failed_analyze_overwrote(tmp_path):
 
 
 def test_a_failed_analyze_leaves_no_manifest_claiming_a_finished_run(tmp_path):
-    trace_a = noisy_trace(tmp_path / "a", seed=7)
-    trace_b = noisy_trace(tmp_path / "b", seed=8)
+    trace = noisy_trace(tmp_path / "trace", seed=7)
     out = tmp_path / "out"
-    for run in (run_analyze, run_report):
-        run(stage_config(trace_a, out))
-    # the missing machine shows only after B's aggregate CSVs are rewritten
+    for run in (run_preprocess, run_analyze, run_report):
+        run(stage_config(trace, out))
+    # the missing machine shows only after the aggregate CSVs are rewritten
     with pytest.raises(StageError, match=r"^\[analyze\] standard machines "
                                          r"not present: \[99\]"):
-        run_analyze(stage_config(trace_b, out, dtw_standards="1,99"))
+        run_analyze(stage_config(trace, out, dtw_standards="1,99"))
     assert (out / "machine_series.csv").exists()
     assert not (out / "manifest-analyze.json").exists()
     assert not (out / "manifest-report.json").exists()
@@ -456,9 +465,9 @@ def test_a_failed_analyze_leaves_no_manifest_claiming_a_finished_run(tmp_path):
         run_report({"output_dir": str(out)})
 
     # preprocess takes back its own manifest and report's, not analyze's
-    run_analyze(stage_config(trace_a, out))
+    run_analyze(stage_config(trace, out))
     run_report({"output_dir": str(out)})
-    run_preprocess(stage_config(trace_a, out))
+    run_preprocess(stage_config(trace, out))
     assert (out / "manifest-analyze.json").exists()
     assert not (out / "manifest-report.json").exists()
     run_report({"output_dir": str(out)})
@@ -551,6 +560,13 @@ def test_every_default_passes_its_own_checks():
                                if stage in row.stages}, stage
 
 
+def test_only_preprocess_reads_the_trace_directory_and_the_skip_limit():
+    # analyze reads what preprocess handed over, never the trace itself
+    for key in ("input_dir", "max_skip_ratio"):
+        assert CONFIG_KEYS[key].stages == ("preprocess",), key
+        assert key not in read_config(REQUIRED, "analyze"), key
+
+
 def test_read_config_refuses_a_key_no_stage_reads():
     # a misspelled key must not leave its stage on the default value, and a
     # retired key must not look as if it still chose a code path
@@ -600,8 +616,8 @@ def test_pinned_standards_need_no_sample_size(tmp_path):
     # dtw_sample_num and dtw_standard_count only size a drawn sample
     trace = noisy_trace(tmp_path / "trace", seed=7)
     out = tmp_path / "out"
-    run_analyze(stage_config(trace, out, dtw_standards="1,2",
-                             dtw_sample_num="0", dtw_standard_count="0"))
+    preprocess_and_analyze(trace, out, dtw_standards="1,2",
+                           dtw_sample_num="0", dtw_standard_count="0")
     histogram = json.loads((out / "dtw_histogram.json").read_text())
     assert histogram["standard_machines"] == [1, 2]
 
@@ -671,15 +687,23 @@ def test_report_takes_an_unreadable_recorded_value_for_a_disagreement(tmp_path):
     trace = tmp_path / "trace"
     run_synth(synth_config(trace))
     out = tmp_path / "out"
-    for run in (run_preprocess, run_analyze):
-        run(stage_config(trace, out))
-    manifest = json.loads((out / "manifest-preprocess.json").read_text())
-    manifest["config"]["grid_step"] = "maybe"
-    (out / "manifest-preprocess.json").write_text(json.dumps(manifest))
-    with pytest.raises(StageError, match=r"^\[report\] manifest-preprocess.json "
-                                         r"in .* disagrees with manifest-analyze"
-                                         r".json on grid_step; rerun preprocess$"):
-        run_report({"output_dir": str(out)})
+    preprocess_and_analyze(trace, out)
+    for name, spoil in [
+            ("manifest-preprocess.json",
+             lambda manifest: manifest.update(trace_columns="maybe")),
+            ("manifest-preprocess.json",
+             lambda manifest: manifest.pop("trace_columns")),
+            ("manifest-analyze.json",
+             lambda manifest: manifest["inputs"].update({"trace_columns.bin": 7}))]:
+        path = out / name
+        body = path.read_text()
+        manifest = json.loads(body)
+        spoil(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(StageError, match=CHAIN_BROKEN):
+            run_report({"output_dir": str(out)})
+        path.write_text(body)
+    run_report({"output_dir": str(out)})
 
 
 def test_analyze_counts_what_aggregation_drops_in_its_manifest(tmp_path):
@@ -689,7 +713,7 @@ def test_analyze_counts_what_aggregation_drops_in_its_manifest(tmp_path):
         # no container event names instance 999999
         fh.write("39600,999999,10.0,10.0,1.0,1.0,0.0,0.0,0.0,1.5,1.2,2.0,1.8\n")
     out = tmp_path / "out"
-    run_analyze(stage_config(trace, out))
+    preprocess_and_analyze(trace, out)
     counts = json.loads((out / "manifest-analyze.json").read_text())["row_counts"]
     assert counts["unknown_instance_records"] == 1
     assert counts["out_of_grid_usage_records"] == 0
@@ -716,7 +740,7 @@ def test_every_planted_anomaly_kind_earns_its_cause_tag(tmp_path):
     run_synth(synth_config(trace, grid_end=grid_end, synth_machines="64",
                            synth_quotas="36,4,4,4,4,4,4,4", synth_noise="0.03",
                            synth_seed="7", synth_plants=plants))
-    run_analyze(stage_config(trace, out, grid_end=grid_end))
+    preprocess_and_analyze(trace, out, grid_end=grid_end)
     header, *lines = (out / "anomaly_scores.csv").read_text().splitlines()
     assert header.split(",")[-1] == "tags"
     tags = {int(line.split(",")[0]): set(filter(None, line.split(",")[-1].split("|")))
@@ -755,39 +779,51 @@ def test_stage_manifests_count_the_rows_each_file_lost(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# analyze reusing the columns preprocess parsed
-
-
-def assert_same_analysis(out, clean):
-    """Byte-identical artifacts, and manifests that differ only in where
-    they were written and in whether the columns were reused."""
-    for name in ANALYZE_FILENAMES:
-        assert (out / name).read_bytes() == (clean / name).read_bytes(), name
-    got, want = (json.loads((d / "manifest-analyze.json").read_text())
-                 for d in (out, clean))
-    for manifest in (got, want):
-        del manifest["config"]["output_dir"]
-        del manifest["row_counts"]["trace_columns_reused"]
-    assert got == want
+# the hand-off from preprocess to analyze
 
 
 def test_analyze_reuses_the_columns_preprocess_parsed(tmp_path):
     trace = noisy_trace(tmp_path / "trace", seed=7)
     with open(trace / "container_usage.csv", "a", encoding="utf-8") as fh:
         fh.write("39600,not-an-instance,10.0\n")
-    out, clean = tmp_path / "out", tmp_path / "clean"
-    run_preprocess(stage_config(trace, out))
-    run_analyze(stage_config(trace, out))
-    run_analyze(stage_config(trace, clean))
-    assert analyze_counts(out)["trace_columns_reused"] == 1
-    assert analyze_counts(clean)["trace_columns_reused"] == 0
+    out = tmp_path / "out"
+    preprocess_and_analyze(trace, out)
     assert analyze_counts(out)["rows_skipped_container_usage"] == 1
-    assert_same_analysis(out, clean)
-    # the columns file is vouched for under its own key, not as an artifact
+    # the columns file is vouched for under its own key, not as an artifact,
+    # and it is the one input analyze records
     manifest = json.loads((out / "manifest-preprocess.json").read_text())
     assert "trace_columns.bin" not in manifest["outputs"]
     digest = hashlib.sha256((out / "trace_columns.bin").read_bytes()).hexdigest()
     assert manifest["trace_columns"] == {"trace_columns.bin": digest}
+    analyzed = json.loads((out / "manifest-analyze.json").read_text())
+    assert analyzed["inputs"] == {"trace_columns.bin": digest}
+    # it holds the filtered container events and the repaired dense values
+    bundle, skipped, dense = load_columns(str(out / "trace_columns.bin"))
+    counts = manifest["row_counts"]
+    assert len(bundle.container_events) == \
+        counts["container_events"] - counts["container_events_removed"]
+    assert skipped["container_usage"] == 1
+    assert dense.shape == (16, 13, 6)
+
+
+def test_analyze_reads_only_the_output_directory(tmp_path, monkeypatch):
+    # once preprocess ran, the trace can go: analyze and report read only
+    # what preprocess left in the output directory
+    kept, gone = tmp_path / "kept", tmp_path / "gone"
+    for root in (kept, gone):
+        run_preprocess(stage_config(noisy_trace(root / "trace", seed=7),
+                                    root / "out"))
+    shutil.rmtree(gone / "trace")
+    # nor does analyze parse or repair again what preprocess handed over
+    for name in ("parse_trace_dir", "filter_container_events",
+                 "supplement_server_usage"):
+        monkeypatch.setattr(pipeline, name, None)
+    for root in (kept, gone):
+        run_analyze(stage_config(root / "trace", root / "out"))
+        run_report({"output_dir": str(root / "out")})
+    for name in (*ANALYZE_FILENAMES, "report.json"):
+        assert (gone / "out" / name).read_bytes() == \
+            (kept / "out" / name).read_bytes(), name
 
 
 def flip_a_byte(out):
@@ -810,38 +846,87 @@ def make_the_manifest_a_list(out):
     (out / "manifest-preprocess.json").write_text("[]\n")
 
 
-def record_an_unreadable_input_digest(out):
+def record_an_unreadable_columns_digest(out):
     path = out / "manifest-preprocess.json"
     manifest = json.loads(path.read_text())
-    manifest["inputs"]["server_usage.csv"] = "maybe"
+    manifest["trace_columns"]["trace_columns.bin"] = "maybe"
     path.write_text(json.dumps(manifest))
+
+
+def copy_in_another_traces_columns(out):
+    other = out.parent / "other"
+    run_preprocess(stage_config(noisy_trace(out.parent / "trace-8", seed=8), other))
+    shutil.copyfile(other / "trace_columns.bin", out / "trace_columns.bin")
 
 
 @pytest.mark.parametrize("spoil", [flip_a_byte, truncate, drop_the_manifest,
                                    make_the_manifest_a_list,
-                                   record_an_unreadable_input_digest])
-def test_analyze_parses_when_the_columns_file_is_not_vouched_for(tmp_path, spoil):
+                                   record_an_unreadable_columns_digest,
+                                   copy_in_another_traces_columns])
+def test_analyze_refuses_a_hand_off_its_manifest_does_not_vouch_for(tmp_path,
+                                                                    spoil):
     trace = noisy_trace(tmp_path / "trace", seed=7)
-    out, clean = tmp_path / "out", tmp_path / "clean"
+    out = tmp_path / "out"
     run_preprocess(stage_config(trace, out))
     spoil(out)
-    run_analyze(stage_config(trace, out))
-    run_analyze(stage_config(trace, clean))
-    assert analyze_counts(out)["trace_columns_reused"] == 0
-    assert_same_analysis(out, clean)
+    refusal = r"^\[analyze\] .*preprocess.*(run preprocess first|rerun preprocess)$"
+    with pytest.raises(StageError, match=refusal) as err:
+        run_analyze(stage_config(trace, out))
+    assert err.value.stage == "analyze"
+    assert not (out / "manifest-analyze.json").exists()
+    assert not any((out / name).exists() for name in ANALYZE_FILENAMES)
 
 
-def test_analyze_reuses_the_columns_on_input_digests_alone(tmp_path):
-    # the grid and the skip limit preprocess ran under do not change what
-    # it parsed; analyze applies its own limit to the loaded columns
+def test_analyze_refuses_a_hand_off_made_on_another_grid(tmp_path):
+    # a grid shifted by one step has as many intervals, so the saved dense
+    # values have the shape build_machine_series checks; only the grid
+    # preprocess recorded tells the two apart
     trace = noisy_trace(tmp_path / "trace", seed=7)
-    out, clean = tmp_path / "out", tmp_path / "clean"
-    run_preprocess(stage_config(trace, out, grid_end=str(39600 + 10 * 300),
-                                max_skip_ratio="0.5"))
-    run_analyze(stage_config(trace, out))
-    run_analyze(stage_config(trace, clean))
-    assert analyze_counts(out)["trace_columns_reused"] == 1
-    assert_same_analysis(out, clean)
+    out = tmp_path / "out"
+    run_preprocess(stage_config(trace, out, grid_start="39900",
+                                grid_end=str(39900 + 12 * 300)))
+    with pytest.raises(StageError, match=r"^\[analyze\] manifest-preprocess.json "
+                                         r"in .* disagrees with this run on "
+                                         r"grid_start, grid_end; rerun "
+                                         r"preprocess$") as err:
+        run_analyze(stage_config(trace, out))
+    assert err.value.stage == "analyze"
+    assert not (out / "manifest-analyze.json").exists()
+    assert not (out / "machine_series.csv").exists()
+
+    # a recorded grid value that does not parse disagrees with every value
+    run_preprocess(stage_config(trace, out))
+    path = out / "manifest-preprocess.json"
+    manifest = json.loads(path.read_text())
+    manifest["config"]["grid_step"] = "maybe"
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(StageError, match=r"^\[analyze\] manifest-preprocess.json "
+                                         r"in .* disagrees with this run on "
+                                         r"grid_step; rerun preprocess$"):
+        run_analyze(stage_config(trace, out))
+
+
+def test_analyze_refuses_a_vouched_for_hand_off_it_cannot_load(tmp_path):
+    trace = noisy_trace(tmp_path / "trace", seed=7)
+    out = tmp_path / "out"
+    run_preprocess(stage_config(trace, out))
+    path = out / "trace_columns.bin"
+    body = path.read_bytes()
+    older = io.BytesIO()   # the machine count first, as an older layout has it
+    np.save(older, np.array([16], dtype=np.int64))
+    manifest_path = out / "manifest-preprocess.json"
+    manifest = json.loads(manifest_path.read_text())
+    for spoiled in (body[:len(body) // 2], older.getvalue() + body):
+        # its digest recorded, as a preprocess run of that layout records it
+        path.write_bytes(spoiled)
+        manifest["trace_columns"]["trace_columns.bin"] = \
+            hashlib.sha256(spoiled).hexdigest()
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(StageError, match=r"^\[analyze\] trace_columns.bin in "
+                                             r".* does not load .*; rerun "
+                                             r"preprocess$"):
+            run_analyze(stage_config(trace, out))
+    assert not (out / "manifest-analyze.json").exists()
 
 
 def test_a_header_line_is_counted_as_a_rejected_row(tmp_path):
@@ -860,26 +945,25 @@ def test_a_header_line_is_counted_as_a_rejected_row(tmp_path):
         run_preprocess(stage_config(trace, out))
 
 
-def test_reused_columns_meet_the_skip_limit_of_analyze(tmp_path, caplog):
+def test_a_parse_over_the_skip_limit_leaves_no_hand_off(tmp_path, caplog):
     trace = noisy_trace(tmp_path / "trace", seed=7)
     rows = len((trace / "server_usage.csv").read_text().splitlines())
     bad = rows // 49   # about 2% of the rows once they are added
     with open(trace / "server_usage.csv", "a", encoding="utf-8") as fh:
         fh.write("39600,1,not-a-percent,55,50,1.0,1.0,1.0\n" * bad)
-    out, clean = tmp_path / "out", tmp_path / "clean"
-    run_preprocess(stage_config(trace, out, max_skip_ratio="0.5"))
-    errors, warnings = [], []
-    for out_dir in (out, clean):
-        caplog.clear()
-        with pytest.raises(StageError) as err:
-            run_analyze(stage_config(trace, out_dir))
-        errors.append(str(err.value))
-        warnings.append([r.getMessage() for r in caplog.records
-                         if r.levelname == "WARNING"])
-    assert errors[0] == errors[1]
-    assert errors[0].startswith("[analyze] server_usage.csv: rejected "
-                                f"{bad}/{rows + bad} rows, above the 1.00% limit")
-    assert warnings[0] == warnings[1] != []
-    run_analyze(stage_config(trace, out, max_skip_ratio="0.5"))
-    assert analyze_counts(out)["trace_columns_reused"] == 1
+    out = tmp_path / "out"
+    with pytest.raises(StageError, match=r"^\[preprocess\] server_usage.csv: "
+                                         rf"rejected {bad}/{rows + bad} rows, "
+                                         r"above the 1.00% limit$"):
+        run_preprocess(stage_config(trace, out))
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert warnings == [f"server_usage.csv: skipped {bad} of {rows + bad} rows "
+                        f"(first: line {rows + 1}, bad percent value 'not-a-percent')"]
+    # the limit is applied once, by the parse; what it refuses is never saved
+    assert not out.exists()
+    with pytest.raises(StageError, match=r"^\[analyze\] preprocess stage missing: "
+                                         r"no manifest-preprocess.json in .*; "
+                                         r"run preprocess first$"):
+        run_analyze(stage_config(trace, out))
+    preprocess_and_analyze(trace, out, max_skip_ratio="0.5")
     assert analyze_counts(out)["rows_skipped_server_usage"] == bad

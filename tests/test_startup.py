@@ -47,7 +47,7 @@ def stage_modules(tmp_path_factory):
                **dict(item.split("=") for item in GRID)})
     stages = {
         "preprocess": [f"input_dir={trace}", *GRID],
-        "analyze": ["--seed", "7", f"input_dir={trace}", *GRID],
+        "analyze": ["--seed", "7", *GRID],
         "report": [],
     }
     return {stage: loaded_modules("-c", PROBE, stage, "--out-dir", str(out),

@@ -14,7 +14,6 @@ from trace_insight.trace_model import (
     InstanceStatus,
     IntervalGrid,
     MachineEventType,
-    RowDiagnostic,
     TaskStatus,
     TraceBundle,
     TraceParseError,
@@ -161,48 +160,28 @@ def test_interval_bounds():
 @pytest.mark.parametrize("bundle", [small_bundle(), oracles.bundle_from_rows()],
                          ids=["small", "empty"])
 def test_saved_columns_load_back_with_their_dtypes(tmp_path, bundle):
-    diagnostics = [RowDiagnostic("server_usage", 3, "bad number for cpu_pct"),
-                   RowDiagnostic("server_usage", 7, "expected 8 columns, got 1"),
-                   RowDiagnostic("batch_task", 2, "instance_count must be >= 1")]
+    skipped = {"server_usage": 2, "batch_task": 1}
+    # repaired values with long reprs, and a negative zero, keep every bit
+    dense = np.random.default_rng(7).random((bundle.machine_count, 4, 6)) / 3
+    dense[:, 0, 0] = -0.0
     path = str(tmp_path / "columns")
-    save_columns(bundle, diagnostics, path)
-    back, skipped = load_columns(path, max_skip_ratio=1.0)
+    save_columns(bundle, skipped, dense, path)
+    back, back_skipped, back_dense = load_columns(path)
     for attr in BUNDLE_ATTRS:
         assert_same_columns(getattr(back, attr), getattr(bundle, attr))
     assert back.machine_count == bundle.machine_count
-    assert skipped == {"server_event": 0, "server_usage": 2, "container_event": 0,
-                       "container_usage": 0, "batch_task": 1, "batch_instance": 0}
+    assert back_skipped == {"server_event": 0, "server_usage": 2,
+                            "container_event": 0, "container_usage": 0,
+                            "batch_task": 1, "batch_instance": 0}
+    assert (back_dense.dtype, back_dense.shape) == (dense.dtype, dense.shape)
+    assert back_dense.tobytes() == dense.tobytes()
     # text columns and int8 enum codes keep their dtypes
     assert back.events.event_detail.dtype.kind == "U"
     assert back.batch_instances.status.dtype == np.int8
     # no timestamps or archive metadata: saving again gives the same bytes
     first = (tmp_path / "columns").read_bytes()
-    save_columns(bundle, diagnostics, path)
+    save_columns(bundle, skipped, dense, path)
     assert (tmp_path / "columns").read_bytes() == first
-
-
-def test_loaded_columns_meet_the_skip_limit_as_parsing_does(tmp_path, caplog):
-    write_trace_dir(small_bundle(), str(tmp_path))
-    (tmp_path / "server_usage.csv").write_text(
-        "39600,1,25,55,50,1.0,1.0,1.0\n"
-        "broken row\n"
-    )
-    diagnostics = []
-    bundle = parse_trace_dir(str(tmp_path), max_skip_ratio=0.9,
-                             diagnostics=diagnostics)
-    save_columns(bundle, diagnostics, str(tmp_path / "columns"))
-    messages = []
-    for read in (lambda: parse_trace_dir(str(tmp_path)),
-                 lambda: load_columns(str(tmp_path / "columns"))):
-        caplog.clear()
-        with pytest.raises(TraceParseError) as err:
-            read()
-        messages.append((str(err.value), caplog.messages))
-    assert messages[0] == messages[1]
-    assert messages[0][0] == ("server_usage.csv: rejected 1/2 rows, above "
-                              "the 1.00% limit")
-    assert messages[0][1] == ["server_usage.csv: skipped 1 of 2 rows "
-                              "(first: line 2, expected 8 columns, got 1)"]
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +272,18 @@ def test_parse_skips_malformed_rows_with_diagnostics(tmp_path):
     assert diags[0].line == 2
 
 
-def test_parse_dir_rejects_high_skip_ratio(tmp_path):
+def test_parse_dir_rejects_high_skip_ratio(tmp_path, caplog):
     write_trace_dir(small_bundle(), str(tmp_path))
     (tmp_path / "server_usage.csv").write_text(
         "39600,1,25,55,50,1.0,1.0,1.0\n"
         "broken row\n"
     )
-    with pytest.raises(TraceParseError, match="rejected"):
+    with pytest.raises(TraceParseError, match=r"^server_usage.csv: rejected "
+                                              r"1/2 rows, above the 1.00% limit$"):
         parse_trace_dir(str(tmp_path), max_skip_ratio=0.01)
+    # the file's skipped rows are logged, naming the first
+    assert caplog.messages == ["server_usage.csv: skipped 1 of 2 rows "
+                               "(first: line 2, expected 8 columns, got 1)"]
     # a permissive ratio lets the same directory through
     bundle = parse_trace_dir(str(tmp_path), max_skip_ratio=0.9)
     assert len(bundle.server_usage) == 1
