@@ -184,6 +184,33 @@ def test_saved_columns_load_back_with_their_dtypes(tmp_path, bundle):
     assert (tmp_path / "columns").read_bytes() == first
 
 
+def test_loaded_columns_meet_the_skip_limit_as_parsing_does(tmp_path, caplog):
+    write_trace_dir(small_bundle(), str(tmp_path))
+    (tmp_path / "server_usage.csv").write_text(
+        "39600,1,25,55,50,1.0,1.0,1.0\n"
+        "broken row\n"
+    )
+    # the limit is met once, by the parse: over it there is nothing to save
+    with pytest.raises(TraceParseError, match="rejected 1/2 rows"):
+        parse_trace_dir(str(tmp_path))
+    diagnostics = []
+    bundle = parse_trace_dir(str(tmp_path), max_skip_ratio=0.9,
+                             diagnostics=diagnostics)
+    skipped = {diag.file: 1 for diag in diagnostics}
+    path = str(tmp_path / "columns")
+    save_columns(bundle, skipped, np.zeros((bundle.machine_count, 0, 0)), path)
+    caplog.clear()
+    back, back_skipped, _ = load_columns(path)
+    # loading keeps the rows and the skip count the parse let through, and
+    # neither logs the skips again nor applies a limit of its own
+    for attr in BUNDLE_ATTRS:
+        assert_same_columns(getattr(back, attr), getattr(bundle, attr))
+    assert len(back.server_usage) == 1
+    assert back_skipped["server_usage"] == 1
+    assert sum(back_skipped.values()) == 1
+    assert caplog.messages == []
+
+
 # ---------------------------------------------------------------------------
 # round trip through the six-file layout
 
