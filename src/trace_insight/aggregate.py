@@ -115,6 +115,20 @@ def overlap_runtime(start, end, lo, hi):
     return np.maximum(0, np.minimum(end, hi) - np.maximum(start, lo))
 
 
+def median(values) -> float:
+    """``np.median`` of a non-empty 1-D float array, bit for bit, without
+    the ``numpy.ma`` import its NaN check costs: the same partition, whose
+    trailing -1 brings the largest value (or a NaN) to the end, then the
+    mean of the one or two middle values; a NaN in gives that NaN out."""
+    values = np.asarray(values, float)
+    half = len(values) // 2
+    odd = len(values) % 2
+    part = np.partition(values, ([half] if odd else [half - 1, half]) + [-1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    return float(np.mean(part[half - 1 + odd:half + 1]))
+
+
 def _first_interval_touching(ts: np.ndarray, grid: IntervalGrid) -> np.ndarray:
     """Smallest interval index whose closed interval intersects [ts, inf)."""
     return np.where(ts <= grid.start, 0, -(-(ts - grid.start) // grid.step) - 1)

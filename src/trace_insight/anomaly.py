@@ -7,8 +7,12 @@ in the feature's [min, max], so a positive affine scaling of one feature
 moves the split with the data and leaves every tree the same. The forest
 follows the classic construction: t trees, each on a seeded subsample of up
 to psi rows, random split dimension and split value per node, growth
-stopped at ceil(log2 psi). Each tree is stored as flat node arrays, and
-scoring moves every row one tree level per step.
+stopped at ceil(log2 psi). All trees grow in lockstep, one depth-first
+node of each per step, with array operations over the rows of all those
+nodes; each tree still draws from its own RNG, one node at a time and in
+the order of a recursive build, so the trees are that build's node for
+node. Each tree is stored as flat node arrays, and scoring moves every row
+one tree level per step.
 Scores are reported as 0.5 - 2^(-E(h)/c(psi)), so anomalous machines land
 below zero and everything lives in [-0.5, 0.5).
 
@@ -27,7 +31,7 @@ from itertools import compress
 
 import numpy as np
 
-from .aggregate import SeriesTable
+from .aggregate import SeriesTable, median
 from .stage import FeatureMode, write_json
 from .trace_model import (IntervalGrid, MachineEventType, Table, csv_file,
                           csv_lines, enum_code, float_text)
@@ -110,74 +114,136 @@ def build_feature_matrix(table: SeriesTable,
     return cube.reshape(-1, len(_FEATURE_SIGNALS))
 
 
-def _draw_split(points: np.ndarray, rng: np.random.Generator):
-    """(dim, value, mask of the rows going left) for a random split of
-    ``points``, or None when the draw separates nothing."""
-    lo = points.min(axis=0)
-    hi = points.max(axis=0)
-    splittable = np.flatnonzero(hi > lo)
-    if len(splittable) == 0:
-        return None
-    dim = int(splittable[rng.integers(len(splittable))])
-    value = float(rng.uniform(lo[dim], hi[dim]))
-    mask = points[:, dim] < value
-    if not mask.any() or mask.all():
-        return None
-    return dim, value, mask
-
-
-def _grow(sample: np.ndarray, limit: int,
-          rng: np.random.Generator) -> IsolationTree:
-    """Grow one tree depth-first, the left subtree before the right, so the
-    split draws come in the order of a recursive build."""
-    nodes: list[list] = []   # [dim, value, left, right, path] per node
-    stack = [(sample, 0, -1, 0)]   # (points, depth, parent, 2 left/3 right)
-    while stack:
-        points, depth, parent, link = stack.pop()
-        node = len(nodes)
-        if parent >= 0:
-            nodes[parent][link] = node
-        split = (_draw_split(points, rng)
-                 if len(points) > 1 and depth < limit else None)
-        if split is None:
-            nodes.append([-1, 0.0, node, node,
-                          depth + average_path_length(len(points))])
-            continue
-        dim, value, mask = split
-        nodes.append([dim, value, node, node, 0.0])
-        stack.append((points[~mask], depth + 1, node, 3))
-        stack.append((points[mask], depth + 1, node, 2))
-    dim, value, left, right, path = zip(*nodes)
-    return IsolationTree(dim=np.array(dim, dtype=np.intp), value=np.array(value),
-                         left=np.array(left, dtype=np.intp),
-                         right=np.array(right, dtype=np.intp),
-                         path=np.array(path))
-
-
 def iforest_fit(matrix: np.ndarray, tree_count: int = 100,
                 subsample: int = 256, seed: int = 0) -> IsolationForestModel:
     """Forest of seeded random isolation trees.
 
     Each tree draws its own subsample of min(subsample, n) rows without
     replacement; per-tree RNGs derive from (seed, tree index) so the forest
-    is reproducible and trees are independent.
+    is reproducible and trees are independent. Every cell must be finite.
+
+    All trees grow in lockstep: step s takes the s-th depth-first node of
+    every tree still growing. A node of more than one row above the depth
+    limit draws ``integers(k)`` over its k splittable columns and then
+    ``uniform(lo, hi)`` in the chosen one from its tree's RNG, and stays a
+    leaf when that draw separates nothing. A split pushes its right child
+    before its left, so each tree takes its nodes, and its draws, in the
+    order of a recursive build that grows the left subtree first.
     """
     matrix = np.asarray(matrix, float)
-    if matrix.ndim != 2 or len(matrix) < 2:
-        raise ValueError("need a matrix with at least 2 rows")
+    if matrix.ndim != 2 or len(matrix) < 2 or not matrix.shape[1]:
+        raise ValueError("need a matrix with at least 2 rows and 1 column")
     if tree_count < 1:
         raise ValueError(f"tree_count must be >= 1, got {tree_count}")
     if subsample < 2:
         raise ValueError(f"subsample must be >= 2, got {subsample}")
+    bad = np.argwhere(~np.isfinite(matrix))
+    if len(bad):
+        row, col = bad[0].tolist()
+        raise ValueError(f"feature row {row}, column {col} is not finite: "
+                         f"{float(matrix[row, col])}")
     psi = min(subsample, len(matrix))
     limit = math.ceil(math.log2(psi))
-    trees = []
-    for t in range(tree_count):
-        rng = np.random.default_rng((seed, t))
-        picks = rng.choice(len(matrix), size=psi, replace=False)
-        trees.append(_grow(matrix[picks], limit, rng))
-    return IsolationForestModel(tree_count=tree_count, subsample_size=psi,
-                                depth_limit=limit, trees=trees)
+    leaf_path = np.array([average_path_length(n) for n in range(psi + 1)])
+    columns = range(matrix.shape[1])
+    rngs = [np.random.default_rng((seed, t)) for t in range(tree_count)]
+    # tree t's sample rows fill order[t * psi:(t + 1) * psi]; a node owns a
+    # run of them, and a split moves its left rows before its right rows
+    order = np.concatenate([rng.choice(len(matrix), size=psi, replace=False)
+                            for rng in rngs])
+    # each tree's stack of (start, stop, depth, parent) nodes still to take;
+    # a right child's parent is its split's node number, anyone else's -1
+    stack = np.empty((4, tree_count, limit + 1), dtype=np.intp)
+    trees = np.arange(tree_count)
+    stack[:2, :, 0] = trees * psi, (trees + 1) * psi
+    stack[2:, :, 0] = [[0], [-1]]
+    height = np.ones(tree_count, dtype=np.intp)
+    # per step: the trees, leaf paths and parents of the nodes taken, and
+    # which of them split, on what dims and values
+    steps = []
+    while (live := np.flatnonzero(height)).size:
+        s = len(steps)
+        height[live] -= 1
+        start, stop, depth, parent = stack[:, live, height[live]]
+        size = stop - start
+        grow = np.flatnonzero((size > 1) & (depth < limit))
+        counts = size[grow]
+        offsets = np.cumsum(counts) - counts
+        runs = np.repeat(start[grow] - offsets, counts)
+        runs += np.arange(len(runs))
+        rows = order[runs]
+        # a column at a time, so only one column of the rows is held
+        lows = np.empty((matrix.shape[1], len(grow)))
+        highs = np.empty_like(lows)
+        for f, column in enumerate(matrix.T):
+            cells = column[rows]
+            np.minimum.reduceat(cells, offsets, out=lows[f])
+            np.maximum.reduceat(cells, offsets, out=highs[f])
+        del cells
+        # a node that draws nothing splits at -inf, so no row goes left
+        dims, values = [], []
+        for t, lo, hi, spread in zip(live[grow].tolist(), lows.T.tolist(),
+                                     highs.T.tolist(), (highs > lows).T.tolist()):
+            splittable = list(compress(columns, spread))
+            if splittable:
+                f = splittable[rngs[t].integers(len(splittable))]
+                dims.append(f)
+                values.append(rngs[t].uniform(lo[f], hi[f]))
+            else:
+                dims.append(0)
+                values.append(-math.inf)
+        dims = np.array(dims, dtype=np.intp)
+        values = np.array(values)
+        left = matrix[rows, np.repeat(dims, counts)] < np.repeat(values, counts)
+        n_left = np.add.reduceat(left, offsets, dtype=np.intp)
+        split = np.flatnonzero((n_left > 0) & (n_left < counts))
+        at = grow[split]
+        # (parent is a row of the stack entries taken, so it is copied out)
+        steps.append((live, depth + leaf_path[size], parent.copy(), at,
+                      dims[split], values[split]))
+        if not len(at):
+            continue
+        # a stable sort on (node, goes right) keeps each run where it is
+        key = np.repeat(np.arange(0, 2 * len(grow), 2), counts)
+        key += ~left
+        order[runs] = rows[np.argsort(key, kind="stable")]
+        t = live[at]
+        top = height[t]
+        mid = start[at] + n_left[split]
+        stack[:3, t, top] = mid, stop[at], depth[at] + 1
+        stack[3, t, top] = s
+        stack[:3, t, top + 1] = start[at], mid, depth[at] + 1
+        stack[3, t, top + 1] = -1
+        height[t] += 2
+    del order, rngs
+    # tree t's s-th node is the one it took at step s; the trees' nodes go
+    # one block per tree into flat arrays, and each tree's arrays view its
+    # block
+    sizes = np.bincount(np.concatenate([step[0] for step in steps]),
+                        minlength=tree_count)
+    first = np.cumsum(sizes) - sizes
+    dim = np.full(sizes.sum(), -1, dtype=np.intp)
+    value = np.zeros(len(dim))
+    left = np.empty_like(dim)
+    right = np.empty_like(dim)
+    path = np.empty(len(dim))
+    for s, (live, leaf, parent, at, dims, values) in enumerate(steps):
+        place = first[live] + s
+        left[place] = right[place] = s
+        path[place] = leaf
+        child = np.flatnonzero(parent >= 0)
+        right[first[live[child]] + parent[child]] = s
+        place = place[at]
+        dim[place] = dims
+        value[place] = values
+        left[place] = s + 1
+        path[place] = 0.0
+    del steps
+    blocks = [np.split(column, first[1:])
+              for column in (dim, value, left, right, path)]
+    return IsolationForestModel(
+        tree_count=tree_count, subsample_size=psi, depth_limit=limit,
+        trees=[IsolationTree(*arrays) for arrays in zip(*blocks)])
 
 
 def iforest_scores(model: IsolationForestModel, matrix: np.ndarray) -> np.ndarray:
@@ -244,8 +310,8 @@ def population_stats(table: SeriesTable) -> PopulationStats:
     counts = np.stack([table.container_count, table.batch_count])
     container_means, batch_means = counts.mean(axis=-1)
     return PopulationStats(
-        container_count_median=float(np.median(container_means)),
-        batch_count_median=float(np.median(batch_means)),
+        container_count_median=median(container_means),
+        batch_count_median=median(batch_means),
     )
 
 

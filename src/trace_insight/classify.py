@@ -133,7 +133,9 @@ def kmeans_fit(matrix: np.ndarray, k: int, seed: int,
     """
     matrix = np.asarray(matrix, float)
 
-    distinct = len(np.unique(matrix, axis=0))
+    # return_index keeps np.unique on its sort path, which, unlike its
+    # hash path, does not import numpy.ma; the rows it finds are the same
+    distinct = len(np.unique(matrix, axis=0, return_index=True)[0])
     if k < 1 or k > distinct:
         raise ValueError(f"k must be in [1, {distinct}] "
                          f"(distinct vectors), got {k}")

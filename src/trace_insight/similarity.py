@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregate import SeriesTable
+from .aggregate import SeriesTable, median
 from .stage import write_json
 from .trace_model import csv_file, csv_lines, float_text
 
@@ -230,7 +230,7 @@ def select_standard(curves, sample_num: int, seed: int,
     points = _as_curves(curves)[sample]
     a, b = np.triu_indices(len(sample), 1)
     pair_values, _ = _dtw_batch(points[a], points[b], path_lengths=False)
-    return float(np.median(pair_values)), (chosen + 1).tolist()
+    return median(pair_values), (chosen + 1).tolist()
 
 
 def score_similarity(curves, standard_curves, standard_machines: list[int],

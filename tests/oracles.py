@@ -365,12 +365,9 @@ def _walk(tree, row) -> float:
     return depth + _c(tree[1])
 
 
-def isolation_forest_scores(train, rows, tree_count=100, subsample=256,
-                            seed=0) -> np.ndarray:
-    """0.5 - 2^(-E(h)/c(psi)) per row of ``rows`` for a forest grown on
-    ``train``: per tree a (seed, tree) RNG, a subsample without replacement
-    and a recursive grow; then one walk per row and tree, summed left to
-    right."""
+def isolation_trees(train, tree_count=100, subsample=256, seed=0) -> list:
+    """Per tree a (seed, tree) RNG, a subsample without replacement and a
+    recursive grow."""
     train = np.asarray(train, float)
     psi = min(subsample, len(train))
     limit = math.ceil(math.log2(psi))
@@ -379,6 +376,43 @@ def isolation_forest_scores(train, rows, tree_count=100, subsample=256,
         rng = np.random.default_rng((seed, t))
         picks = rng.choice(len(train), size=psi, replace=False)
         trees.append(_isolation_tree(train[picks], 0, limit, rng))
+    return trees
+
+
+def isolation_tree_arrays(tree) -> tuple:
+    """``(dim, value, left, right, path)`` of a nested-tuple tree, its nodes
+    numbered in pre-order with the left subtree first: a leaf has dim -1,
+    value 0.0, both links on itself and path depth + c(size); a split has
+    path 0.0."""
+    dim, value, left, right, path = [], [], [], [], []
+
+    def visit(node, depth):
+        index = len(dim)
+        dim.append(-1)
+        value.append(0.0)
+        left.append(index)
+        right.append(index)
+        path.append(0.0)
+        if node[0] == "leaf":
+            path[index] = depth + _c(node[1])
+        else:
+            dim[index], value[index] = node[1], node[2]
+            left[index] = visit(node[3], depth + 1)
+            right[index] = visit(node[4], depth + 1)
+        return index
+
+    visit(tree, 0)
+    return (np.array(dim, dtype=np.intp), np.array(value),
+            np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
+            np.array(path))
+
+
+def isolation_forest_scores(train, rows, tree_count=100, subsample=256,
+                            seed=0) -> np.ndarray:
+    """0.5 - 2^(-E(h)/c(psi)) per row of ``rows`` for the forest of
+    ``isolation_trees``: one walk per row and tree, summed left to right."""
+    psi = min(subsample, len(train))
+    trees = isolation_trees(train, tree_count, subsample, seed)
     scores = []
     for row in np.asarray(rows, float):
         mean_path = sum(_walk(tree, row) for tree in trees) / tree_count

@@ -1,8 +1,9 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from trace_insight import aggregate
@@ -15,6 +16,7 @@ from trace_insight.aggregate import (
     aggregate_container_usage,
     build_machine_series,
     machine_cpu_counts,
+    median,
     SeriesTable,
     overlap_runtime,
     write_aggregate_csvs,
@@ -93,6 +95,42 @@ def test_overlap_matches_the_clip_formula(start, length):
     assert overlaps.tolist() == [
         oracles.clipped_overlap(start, end, lo, hi)
         for lo, hi in zip(ts[:-1].tolist(), ts[1:].tolist())]
+
+
+# ties, signed zeros, infinities and NaN, mixed with any float
+MEDIAN_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf, math.nan]),
+    st.floats())
+
+
+@settings(max_examples=300)
+@given(st.lists(MEDIAN_CELLS, min_size=1, max_size=40))
+def test_median_is_np_median_bit_for_bit(cells):
+    values = np.array(cells)
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = np.median(values)
+        got = median(values)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert values.tobytes() == np.array(cells).tobytes()   # left as it was
+
+
+@pytest.mark.parametrize("cells, want", [
+    ([3.0], 3.0),
+    ([4.0, 1.0], 2.5),
+    ([5.0, 1.0, 3.0], 3.0),
+    ([2.0, 2.0, 1.0, 9.0], 2.0),
+    ([-0.0, -0.0], 0.0),   # np.mean adds from +0.0, as np.median does
+    ([math.inf, -math.inf], math.nan),
+    ([1.0, math.nan, 2.0], math.nan),
+])
+def test_median_takes_the_middle_value_or_the_two_middle_values(cells, want):
+    with np.errstate(invalid="ignore"):
+        got = median(np.array(cells))
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 # ---------------------------------------------------------------------------

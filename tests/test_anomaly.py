@@ -145,6 +145,8 @@ def test_feature_scaling_leaves_every_score_unchanged():
 def test_fit_validates_inputs():
     with pytest.raises(ValueError, match="2 rows"):
         iforest_fit(np.zeros((1, 3)))
+    with pytest.raises(ValueError, match="1 column"):
+        iforest_fit(np.zeros((4, 0)))
     with pytest.raises(ValueError, match="tree_count"):
         iforest_fit(np.zeros((4, 3)), tree_count=0)
     with pytest.raises(ValueError, match="subsample"):
@@ -201,6 +203,66 @@ def test_flat_forest_matches_the_recursive_oracle(data):
     want = oracles.isolation_forest_scores(train, rows, tree_count=tree_count,
                                            subsample=subsample, seed=seed)
     assert iforest_scores(model, rows).tobytes() == want.tobytes()
+
+
+TREE_ARRAYS = ("dim", "value", "left", "right", "path")
+
+
+def assert_trees_are_the_recursive_build(train, tree_count, subsample, seed):
+    """Each tree's node arrays equal the recursive build's, flattened in
+    pre-order, by dtype and byte for byte."""
+    model = iforest_fit(train, tree_count=tree_count, subsample=subsample,
+                        seed=seed)
+    want = oracles.isolation_trees(train, tree_count, subsample, seed)
+    assert len(model.trees) == len(want)
+    for t, (tree, oracle) in enumerate(zip(model.trees, want)):
+        for name, array in zip(TREE_ARRAYS, oracles.isolation_tree_arrays(oracle)):
+            got = getattr(tree, name)
+            assert got.dtype == array.dtype, (t, name)
+            assert got.tobytes() == array.tobytes(), (t, name)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_lockstep_trees_are_the_recursive_build_node_for_node(data):
+    train, _, tree_count, subsample, seed = _forest_case(data)
+    assert_trees_are_the_recursive_build(train, tree_count, subsample, seed)
+
+
+def ties_and_constant_columns(rng):
+    matrix = rng.integers(0, 2, size=(60, 4)).astype(float)
+    matrix[:, 2] = 7.0
+    return matrix
+
+
+def one_splittable_column(rng):
+    # each split draws integers(1) over the one column, then its value
+    matrix = np.full((50, 3), 0.5)
+    matrix[:, 1] = rng.normal(size=50)
+    return matrix
+
+
+@pytest.mark.parametrize("make, subsample", [
+    (ties_and_constant_columns, 32),
+    (one_splittable_column, 16),
+    (lambda rng: rng.normal(size=(20, 3)), 256),   # subsample above n
+    (lambda rng: rng.normal(size=(40, 2)), 2),     # psi = 2, one level
+    (lambda rng: np.ones((30, 3)), 8),             # nothing ever splits
+])
+def test_lockstep_trees_are_the_recursive_build_in_edge_cases(make, subsample):
+    for seed in range(3):
+        train = make(np.random.default_rng(seed))
+        assert_trees_are_the_recursive_build(train, 12, subsample, seed)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fit_refuses_a_non_finite_feature(bad):
+    matrix = blob_with_outlier()
+    matrix[3, 1] = bad
+    matrix[5, 0] = bad   # a later row is not the one named
+    with pytest.raises(ValueError, match=rf"^feature row 3, column 1 is not "
+                                         rf"finite: {bad}$"):
+        iforest_fit(matrix)
 
 
 @settings(max_examples=25)

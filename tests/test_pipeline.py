@@ -10,6 +10,7 @@ import pytest
 
 import oracles
 from trace_insight import __version__, pipeline
+from trace_insight.anomaly import build_feature_matrix, iforest_fit
 from trace_insight.pipeline import (
     ANALYZE_FILENAMES,
     run_analyze,
@@ -718,6 +719,42 @@ def test_analyze_counts_what_aggregation_drops_in_its_manifest(tmp_path):
     assert counts["unknown_instance_records"] == 1
     assert counts["out_of_grid_usage_records"] == 0
     assert counts["borrowed_core_machines"] == 0
+
+
+def test_analyze_counts_the_forest_nodes_in_its_manifest(tmp_path, monkeypatch):
+    fitted = []
+
+    def recorded_fit(matrix, **settings):
+        fitted.append((matrix, settings))
+        return iforest_fit(matrix, **settings)
+
+    monkeypatch.setattr(pipeline, "iforest_fit", recorded_fit)
+    trace, out = noisy_trace(tmp_path / "trace", seed=7), tmp_path / "out"
+    preprocess_and_analyze(trace, out)
+    count = analyze_counts(out)["tree_nodes"]
+    run_analyze(stage_config(trace, out))
+    assert analyze_counts(out)["tree_nodes"] == count
+    # the node total of the recursive build on the matrix the forest saw
+    (matrix, settings), _ = fitted
+    trees = oracles.isolation_trees(matrix, settings["tree_count"],
+                                    settings["subsample"], settings["seed"])
+    assert count == sum(len(oracles.isolation_tree_arrays(tree)[0])
+                        for tree in trees)
+
+
+def test_analyze_refuses_a_non_finite_feature(tmp_path, monkeypatch):
+    def features_with_a_nan(table, mode):
+        matrix = build_feature_matrix(table, mode)
+        matrix[2, 4] = np.nan
+        return matrix
+
+    monkeypatch.setattr(pipeline, "build_feature_matrix", features_with_a_nan)
+    trace, out = noisy_trace(tmp_path / "trace", seed=7), tmp_path / "out"
+    run_preprocess(stage_config(trace, out))
+    with pytest.raises(StageError, match=r"^\[analyze\] feature row 2, column 4 "
+                                         r"is not finite: nan$"):
+        run_analyze(stage_config(trace, out))
+    assert not (out / "manifest-analyze.json").exists()
 
 
 # each planted anomaly kind, the machine it is planted on (the first or

@@ -1,6 +1,7 @@
 """Each CLI stage, run as its own child process, loads only the modules it
 runs: ``report`` no numpy, ``preprocess`` and ``analyze`` no
-``trace_insight.synth``, and ``import trace_insight`` no submodule at all."""
+``trace_insight.synth``, ``analyze`` no ``numpy.ma``, and
+``import trace_insight`` no submodule at all."""
 
 import json
 import os
@@ -64,6 +65,12 @@ def test_report_loads_no_numpy(stage_modules):
 def test_preprocess_and_analyze_load_no_synth(stage_modules, stage):
     assert "trace_insight.pipeline" in stage_modules[stage]
     assert "trace_insight.synth" not in stage_modules[stage]
+
+
+def test_analyze_loads_no_numpy_ma(stage_modules):
+    # np.median's NaN check and the hash path of np.unique import it
+    assert "numpy" in stage_modules["analyze"]
+    assert "numpy.ma" not in stage_modules["analyze"]
 
 
 def test_importing_the_package_loads_no_submodule():
