@@ -250,20 +250,25 @@ def iforest_scores(model: IsolationForestModel, matrix: np.ndarray) -> np.ndarra
     """Shifted anomaly score per row: 0.5 - 2^(-E(h)/c(psi)), in [-0.5, 0.5).
 
     One tree at a time, every row takes one level per step (a value equal to
-    the split value goes right); path lengths add up in tree order from 0.0.
+    the split value, or NaN, goes right); path lengths add up in tree order
+    from 0.0. Cells are read from one column-major copy of the matrix, and
+    a node's two children from one link array, right then left.
     """
     matrix = np.asarray(matrix, float)
     norm = average_path_length(model.subsample_size)
     if norm <= 0:
         raise ValueError("subsample too small to normalize path lengths")
-    rows = np.arange(len(matrix))
-    total = np.zeros(len(matrix))
+    n = len(matrix)
+    cells = matrix.T.ravel()   # cell (row, dim) at dim * n + row
+    rows = np.arange(n)
+    total = np.zeros(n)
     for tree in model.trees:
-        node = np.zeros(len(matrix), dtype=np.intp)
+        # a leaf reads column 0, but both its links stay put
+        offset = np.maximum(tree.dim, 0) * n
+        links = np.stack([tree.right, tree.left], axis=1).ravel()
+        node = np.zeros(n, dtype=np.intp)
         for _ in range(model.depth_limit):
-            # a leaf's dim of -1 reads some column, but both links stay put
-            node = np.where(matrix[rows, tree.dim[node]] < tree.value[node],
-                            tree.left[node], tree.right[node])
+            node = links[2 * node + (cells[offset[node] + rows] < tree.value[node])]
         total += tree.path[node]
     mean_path = total / model.tree_count
     # Python's float power, row by row: numpy's vector power may round the

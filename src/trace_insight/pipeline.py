@@ -14,8 +14,9 @@ another stage's artifacts, but before its first write a stage deletes its
 own manifest and those of the stages that read its artifacts, so a run that
 fails part-way leaves no manifest vouching for what it overwrote.
 ``preprocess`` is the one stage that reads the trace. It hands analyze one
-file, ``trace_columns.bin``: the parsed columns with the filtered container
-events, the rows each file lost, and the repaired dense usage. ``analyze``
+file, ``trace_columns.bin``: the parsed columns analyze reads, with the
+container events filtered, the rows each file lost, and the repaired cpu,
+mem and disk usage. ``analyze``
 reads nothing else of its input, and loads that file only when
 manifest-preprocess.json records its digest and ran on the same grid. All
 randomness comes from seeds named in the config; a missing seed is an
@@ -204,8 +205,9 @@ def run_preprocess(config: dict[str, str]) -> str:
     write_repair_log_csv(repairs, os.path.join(out_dir, REPAIR_LOG_FILENAME))
     write_removed_events_csv(removed,
                              os.path.join(out_dir, REMOVED_EVENTS_FILENAME))
+    columns_path = os.path.join(out_dir, COLUMNS_FILENAME)
     save_columns(dataclasses.replace(bundle, container_events=clean), skipped,
-                 dense.values, os.path.join(out_dir, COLUMNS_FILENAME))
+                 dense.values, columns_path)
     methods, method_counts = np.unique(repairs.method, return_counts=True)
     write_manifest(out_dir, stage, config,
                    inputs=_digest_inputs(input_dir, stage),
@@ -220,6 +222,7 @@ def run_preprocess(config: dict[str, str]) -> str:
                        **{f"repairs_{name}": count for name, count
                           in zip(methods.tolist(), method_counts.tolist())},
                        **_skipped_counts(skipped),
+                       "trace_columns_bytes": os.path.getsize(columns_path),
                    },
                    trace_columns=COLUMNS_FILENAME)
     return out_dir

@@ -40,10 +40,11 @@ class RepairMethod(Enum):
 @dataclass
 class DenseUsage:
     """Per-timestamp usage with no holes: values[m - 1, x, k] is machine
-    m, grid timestamp x, metric METRICS[k]."""
+    m, grid timestamp x, metric METRICS[k]. The repair gives all six
+    metrics; analyze holds only the first three, cpu, mem and disk."""
 
     timestamps: np.ndarray   # (T,) int64
-    values: np.ndarray       # (M, T, 6) float64
+    values: np.ndarray       # (M, T, 6 or 3) float64
 
 
 def interpolate_gap(left_value, right_value, span_count, missing_index):

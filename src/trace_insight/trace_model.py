@@ -44,9 +44,10 @@ Only a file with a text field goes through ``csv.writer``, because only a
 text cell can need quoting; the lines of every other file are joined by
 ``csv_lines``.
 
-``save_columns`` writes a bundle, the rows each file lost and the repaired
-dense usage to one binary file, and ``load_columns`` reads them back with
-the same dtypes: the one hand-off from preprocess to analyze.
+``save_columns`` writes the columns of a bundle that analyze reads
+(``SAVED_COLUMNS``), the rows each file lost and the repaired cpu, mem and
+disk of the dense usage to one binary file, and ``load_columns`` reads them
+back with the same dtypes: the one hand-off from preprocess to analyze.
 """
 
 from __future__ import annotations
@@ -424,6 +425,8 @@ class Table:
                              f"column {name!r}")
 
     def __len__(self) -> int:
+        if not self.columns:
+            raise TypeError(f"{self.file_key} table has no columns, so no row count")
         return len(next(iter(self.columns.values())))
 
     def take(self, rows) -> Table:
@@ -555,7 +558,8 @@ def parse_trace_dir(path: str, *, max_skip_ratio: float = 0.01,
     """Parse the six trace files under ``path`` into a TraceBundle.
 
     Raises TraceParseError when a file is missing, cannot be read as UTF-8
-    text, or has a rejected row fraction above ``max_skip_ratio``. Row-level
+    CSV text (a cell longer than the csv module's field limit included), or
+    has a rejected row fraction above ``max_skip_ratio``. Row-level
     diagnostics are logged and, when a ``diagnostics`` list is supplied,
     appended to it.
     """
@@ -566,7 +570,7 @@ def parse_trace_dir(path: str, *, max_skip_ratio: float = 0.01,
             raise TraceParseError(f"missing trace file: {file_path}")
         try:
             table, diags = parse_trace_file(file_path, key)
-        except (OSError, UnicodeDecodeError) as e:
+        except (OSError, UnicodeDecodeError, csv.Error) as e:
             raise TraceParseError(f"cannot read trace file {file_path}: {e}") from e
         if diags and diagnostics is not None:
             diagnostics.extend(diags)
@@ -588,18 +592,33 @@ def parse_trace_dir(path: str, *, max_skip_ratio: float = 0.01,
 
 # The first record of a ``save_columns`` file; a new layout of its records
 # takes a new name, so a file saved in an older one is refused.
-COLUMNS_LAYOUT = "trace columns, skipped counts, dense usage"
+COLUMNS_LAYOUT = "analyze columns, skipped counts, dense cpu/mem/disk"
+
+# The columns analyze reads, in field order per file key: the only ones
+# ``save_columns`` keeps. Machine and container counts, core counts, usage
+# and soft errors come from them; server usage reaches analyze as the dense
+# values, and batch tasks not at all.
+SAVED_COLUMNS = {
+    "server_event": ("timestamp", "machine", "event_type", "cpu_count"),
+    "server_usage": (),
+    "container_event": ("timestamp", "instance", "machine", "cpu_req", "mem_req"),
+    "container_usage": ("timestamp", "instance", "cpu_of_req", "mem_of_req"),
+    "batch_task": (),
+    "batch_instance": ("start", "end", "machine", "avg_cpu", "avg_mem"),
+}
 
 
 def save_columns(bundle: TraceBundle, skipped: dict[str, int],
                  dense: np.ndarray, path: str) -> None:
-    """Write ``bundle``, the rows its parse skipped per file key and the
-    repaired dense usage values to ``path``, for ``load_columns``.
+    """Write the ``SAVED_COLUMNS`` of ``bundle``, the rows its parse skipped
+    per file key and the cpu, mem and disk planes (the first three of the
+    last axis, the only metrics analyze reads) of the repaired dense usage
+    values to ``path``, for ``load_columns``.
 
     The file is consecutive ``np.save`` records (no pickles, no zip
     timestamps, so the bytes are deterministic): ``COLUMNS_LAYOUT``, the
-    machine count, then per file in ``_SPECS`` order its columns in field
-    order and its skipped-row count, then ``dense``.
+    machine count, then per file in ``_SPECS`` order its saved columns and
+    its skipped-row count, then the dense planes.
     """
     with open(path, "wb") as fh:
         save = partial(np.save, fh, allow_pickle=False)
@@ -607,16 +626,19 @@ def save_columns(bundle: TraceBundle, skipped: dict[str, int],
         save(np.array([bundle.machine_count], dtype=np.int64))
         for key, spec in _SPECS.items():
             columns = getattr(bundle, spec.attr).columns
-            for name in spec.fields:
-                save(columns[_column_name(name)])
+            for name in SAVED_COLUMNS[key]:
+                save(columns[name])
             save(np.array([skipped.get(key, 0)], dtype=np.int64))
-        save(dense)
+        save(dense[..., :3])
 
 
 def load_columns(path: str) -> tuple[TraceBundle, dict[str, int], np.ndarray]:
-    """The bundle, rows skipped per file key and dense values that
-    ``save_columns`` wrote to ``path``, with the dtypes they were saved
-    with. Raises ValueError for a file in another layout."""
+    """The bundle, rows skipped per file key and dense cpu, mem and disk
+    values that ``save_columns`` wrote to ``path``, with the dtypes they
+    were saved with. Each table holds its ``SAVED_COLUMNS`` alone, so
+    reading another column raises the table's AttributeError, and a table
+    with none has no length. Raises ValueError for a file in another
+    layout."""
     tables: dict[str, Table] = {}
     skipped: dict[str, int] = {}
     with open(path, "rb") as fh:
@@ -625,8 +647,7 @@ def load_columns(path: str) -> tuple[TraceBundle, dict[str, int], np.ndarray]:
             raise ValueError("not in the layout save_columns writes")
         machine_count = int(load()[0])
         for key, spec in _SPECS.items():
-            tables[spec.attr] = Table(key, {_column_name(name): load()
-                                            for name in spec.fields})
+            tables[spec.attr] = Table(key, {name: load() for name in SAVED_COLUMNS[key]})
             skipped[key] = int(load()[0])
         dense = load()
     return TraceBundle(**tables, machine_count=machine_count), skipped, dense

@@ -184,6 +184,22 @@ def test_missing_seed_is_spelled_out(pipeline_dirs, tmp_path, capsys):
     assert "seeds must be explicit" in err
 
 
+def test_an_oversized_trace_cell_exits_2_with_preprocess_named(tmp_path, capsys):
+    trace = tmp_path / "trace"
+    run_ok(["synth", "--machines", "10", "--quotas", "3,1,1,1,1,1,1,1",
+            "--seed", "5", "--out-dir", str(trace), f"grid_end={GRID_END}"])
+    with open(trace / "server_event.csv", "a", encoding="utf-8") as fh:
+        fh.write("0,1,softerror," + "x" * 140_000 + ",0,0,0\n")
+    code = main(["preprocess", "--input-dir", str(trace),
+                 "--out-dir", str(tmp_path / "out"), f"grid_end={GRID_END}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trace-insight: error [preprocess] cannot read trace "
+                          "file ")
+    assert "server_event.csv: field larger than field limit (131072)" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_report_before_analyze_fails(tmp_path, capsys):
     code = main(["report", "--out-dir", str(tmp_path)])
     assert code == 2

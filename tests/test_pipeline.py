@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -17,6 +18,7 @@ from trace_insight.pipeline import (
     run_preprocess,
     run_synth,
 )
+from trace_insight.preprocess import filter_container_events, supplement_server_usage
 from trace_insight.stage import (
     CONFIG_KEYS,
     StageError,
@@ -31,7 +33,14 @@ from trace_insight.stage import (
     write_manifest,
 )
 from trace_insight.synth import PlantKind
-from trace_insight.trace_model import TRACE_FILENAMES, load_columns
+from trace_insight.trace_model import (
+    SAVED_COLUMNS,
+    TRACE_FILENAMES,
+    IntervalGrid,
+    Table,
+    load_columns,
+    parse_trace_dir,
+)
 
 
 def test_stage_error_names_its_stage():
@@ -834,13 +843,57 @@ def test_analyze_reuses_the_columns_preprocess_parsed(tmp_path):
     assert manifest["trace_columns"] == {"trace_columns.bin": digest}
     analyzed = json.loads((out / "manifest-analyze.json").read_text())
     assert analyzed["inputs"] == {"trace_columns.bin": digest}
-    # it holds the filtered container events and the repaired dense values
-    bundle, skipped, dense = load_columns(str(out / "trace_columns.bin"))
     counts = manifest["row_counts"]
+    assert counts["trace_columns_bytes"] == (out / "trace_columns.bin").stat().st_size
+    # it holds the saved columns of the parse, with the container events
+    # filtered, and the repaired cpu, mem and disk, every bit as preprocess
+    # made them; no other column
+    bundle, skipped, dense = load_columns(str(out / "trace_columns.bin"))
+    parsed = parse_trace_dir(str(trace))
+    parsed = dataclasses.replace(
+        parsed, container_events=filter_container_events(parsed.container_events)[0])
     assert len(bundle.container_events) == \
         counts["container_events"] - counts["container_events_removed"]
+    for attr, key in oracles.BUNDLE_FILES.items():
+        got, want = getattr(bundle, attr).columns, getattr(parsed, attr).columns
+        assert list(got) == list(SAVED_COLUMNS[key]), key
+        for name in SAVED_COLUMNS[key]:
+            assert got[name].dtype == want[name].dtype, (key, name)
+            assert got[name].tobytes() == want[name].tobytes(), (key, name)
+    assert bundle.machine_count == parsed.machine_count
     assert skipped["container_usage"] == 1
-    assert dense.shape == (16, 13, 6)
+    repaired, _ = supplement_server_usage(parsed, IntervalGrid(39600, 39600 + 12 * 300,
+                                                               300))
+    assert dense.shape == (16, 13, 3)
+    assert dense.tobytes() == repaired.values[..., :3].tobytes()
+
+
+def test_analyze_reads_exactly_the_columns_preprocess_saves(tmp_path, monkeypatch):
+    # every saved column is one that analyze reads, so the list cannot carry
+    # a column the code dropped (a column it reads but is not saved fails
+    # analyze outright)
+    trace, out = tmp_path / "trace", tmp_path / "out"
+    grid_end = str(39600 + 48 * 300)
+    plants = ";".join(f"{kind.value}:{machine}"
+                      for kind, (machine, _tag) in PLANTED_TAGS.items())
+    run_synth(synth_config(trace, grid_end=grid_end, synth_machines="64",
+                           synth_quotas="36,4,4,4,4,4,4,4", synth_noise="0.03",
+                           synth_seed="7", synth_plants=plants))
+    run_preprocess(stage_config(trace, out, grid_end=grid_end))
+    read = set()
+    column = Table.__getattr__
+
+    def recorded(table, name):
+        value = column(table, name)
+        read.add((table.file_key, name))
+        return value
+
+    monkeypatch.setattr(Table, "__getattr__", recorded)
+    saved = {(key, name) for key, names in SAVED_COLUMNS.items() for name in names}
+    for extra in ({}, {"anomaly_mode": "per_interval", "dtw_normalized": "true"}):
+        read.clear()
+        run_analyze(stage_config(trace, out, grid_end=grid_end, **extra))
+        assert read == saved, extra
 
 
 def test_analyze_reads_only_the_output_directory(tmp_path, monkeypatch):
@@ -951,9 +1004,15 @@ def test_analyze_refuses_a_vouched_for_hand_off_it_cannot_load(tmp_path):
     body = path.read_bytes()
     older = io.BytesIO()   # the machine count first, as an older layout has it
     np.save(older, np.array([16], dtype=np.int64))
+    # the name of the layout that saved every parsed column
+    every_column = io.BytesIO()
+    np.save(every_column, np.array(["trace columns, skipped counts, dense usage"]))
+    records = io.BytesIO(body)
+    np.load(records)   # past this layout's name
     manifest_path = out / "manifest-preprocess.json"
     manifest = json.loads(manifest_path.read_text())
-    for spoiled in (body[:len(body) // 2], older.getvalue() + body):
+    for spoiled in (body[:len(body) // 2], older.getvalue() + body,
+                    every_column.getvalue() + body[records.tell():]):
         # its digest recorded, as a preprocess run of that layout records it
         path.write_bytes(spoiled)
         manifest["trace_columns"]["trace_columns.bin"] = \

@@ -14,6 +14,8 @@ from trace_insight.trace_model import (
     InstanceStatus,
     IntervalGrid,
     MachineEventType,
+    SAVED_COLUMNS,
+    Table,
     TaskStatus,
     TraceBundle,
     TraceParseError,
@@ -69,6 +71,15 @@ def assert_same_columns(got, want):
     for name, column in want.columns.items():
         assert got.columns[name].dtype == column.dtype, name
         assert got.columns[name].tobytes() == column.tobytes(), name
+
+
+def assert_saved_columns(back, bundle):
+    """``back`` holds the ``SAVED_COLUMNS`` of every table of ``bundle``,
+    each with its dtype and bytes, and no other column."""
+    for attr, key in oracles.BUNDLE_FILES.items():
+        table = getattr(bundle, attr)
+        assert_same_columns(getattr(back, attr), Table(key, {
+            name: table.columns[name] for name in SAVED_COLUMNS[key]}))
 
 
 # ---------------------------------------------------------------------------
@@ -161,35 +172,44 @@ def test_interval_bounds():
                          ids=["small", "empty"])
 def test_saved_columns_load_back_with_their_dtypes(tmp_path, bundle):
     skipped = {"server_usage": 2, "batch_task": 1}
-    # repaired values with long reprs, and a negative zero, keep every bit
+    # repaired values with long reprs, and negative zeros, keep every bit
     dense = np.random.default_rng(7).random((bundle.machine_count, 4, 6)) / 3
-    dense[:, 0, 0] = -0.0
+    dense[:, 0, 0] = dense[:, 1, 2] = -0.0
     path = str(tmp_path / "columns")
     save_columns(bundle, skipped, dense, path)
     back, back_skipped, back_dense = load_columns(path)
-    for attr in BUNDLE_ATTRS:
-        assert_same_columns(getattr(back, attr), getattr(bundle, attr))
+    assert_saved_columns(back, bundle)
     assert back.machine_count == bundle.machine_count
     assert back_skipped == {"server_event": 0, "server_usage": 2,
                             "container_event": 0, "container_usage": 0,
                             "batch_task": 1, "batch_instance": 0}
-    assert (back_dense.dtype, back_dense.shape) == (dense.dtype, dense.shape)
-    assert back_dense.tobytes() == dense.tobytes()
-    # text columns and int8 enum codes keep their dtypes
-    assert back.events.event_detail.dtype.kind == "U"
-    assert back.batch_instances.status.dtype == np.int8
+    # the cpu, mem and disk planes, and nothing of the loads
+    assert (back_dense.dtype, back_dense.shape) == \
+        (dense.dtype, (bundle.machine_count, 4, 3))
+    assert back_dense.tobytes() == dense[..., :3].tobytes()
+    # int8 enum codes keep their dtype
+    assert back.events.event_type.dtype == np.int8
+    # a column not saved stays absent
+    with pytest.raises(AttributeError, match="server_event table has no column "
+                                             "'event_detail'"):
+        back.events.event_detail
     # no timestamps or archive metadata: saving again gives the same bytes
     first = (tmp_path / "columns").read_bytes()
     save_columns(bundle, skipped, dense, path)
     assert (tmp_path / "columns").read_bytes() == first
 
 
+def test_a_table_without_columns_has_no_length():
+    with pytest.raises(TypeError, match="^server_usage table has no columns, "
+                                        "so no row count$"):
+        len(Table("server_usage", {}))
+    assert len(Table("server_usage", {"machine": np.array([], np.int64)})) == 0
+
+
 def test_loaded_columns_meet_the_skip_limit_as_parsing_does(tmp_path, caplog):
     write_trace_dir(small_bundle(), str(tmp_path))
-    (tmp_path / "server_usage.csv").write_text(
-        "39600,1,25,55,50,1.0,1.0,1.0\n"
-        "broken row\n"
-    )
+    with open(tmp_path / "container_usage.csv", "a", encoding="utf-8") as fh:
+        fh.write("broken row\n")
     # the limit is met once, by the parse: over it there is nothing to save
     with pytest.raises(TraceParseError, match="rejected 1/2 rows"):
         parse_trace_dir(str(tmp_path))
@@ -203,10 +223,9 @@ def test_loaded_columns_meet_the_skip_limit_as_parsing_does(tmp_path, caplog):
     back, back_skipped, _ = load_columns(path)
     # loading keeps the rows and the skip count the parse let through, and
     # neither logs the skips again nor applies a limit of its own
-    for attr in BUNDLE_ATTRS:
-        assert_same_columns(getattr(back, attr), getattr(bundle, attr))
-    assert len(back.server_usage) == 1
-    assert back_skipped["server_usage"] == 1
+    assert_saved_columns(back, bundle)
+    assert len(back.container_usage) == 1
+    assert back_skipped["container_usage"] == 1
     assert sum(back_skipped.values()) == 1
     assert caplog.messages == []
 
@@ -336,6 +355,14 @@ def test_parse_dir_names_a_file_it_cannot_read(tmp_path):
     with pytest.raises(TraceParseError, match=r"cannot read trace file "
                                               r".*batch_task\.csv: .*directory"):
         parse_trace_dir(str(tmp_path))
+    # a cell longer than the csv module's field limit
+    write_trace_dir(small_bundle(), str(tmp_path / "long"))
+    with open(tmp_path / "long" / "server_event.csv", "a", encoding="utf-8") as fh:
+        fh.write("0,1,softerror," + "x" * 140_000 + ",0,0,0\n")
+    with pytest.raises(TraceParseError, match=r"cannot read trace file "
+                                              r".*server_event\.csv: field "
+                                              r"larger than field limit"):
+        parse_trace_dir(str(tmp_path / "long"))
 
 
 def test_a_header_row_is_a_rejected_row_on_line_1(tmp_path):
