@@ -20,6 +20,9 @@ As in the series table, machine m is row m - 1 of the feature matrix, of
 a report's lists and of the cause tags ``diagnose`` returns (a per-interval
 matrix holds its rows as block m - 1); ids are made only for the ranking
 and where a writer prints them.
+
+A Type1 machine is tagged HeavierOnlineServices when its mean container
+count is at least HEAVIER_FACTOR (1.5) times the population median.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .trace_model import (IntervalGrid, MachineEventType, Table, csv_file,
                           csv_lines, enum_code, float_text)
 
 EULER_GAMMA = 0.5772156649
+HEAVIER_FACTOR = 1.5
 
 _FEATURE_SIGNALS = ("server_cpu", "server_mem", "server_disk",
                     "batch_count", "container_count")
@@ -321,8 +325,7 @@ def population_stats(table: SeriesTable) -> PopulationStats:
 
 
 def diagnose(labels: list[str], events: Table, table: SeriesTable,
-             stats: PopulationStats, grid: IntervalGrid,
-             heavier_factor: float = 1.5) -> list[list[str]]:
+             stats: PopulationStats, grid: IntervalGrid) -> list[list[str]]:
     """Cause tags of every machine row, each row's in the fixed rule order
     of ``CauseTag``.
 
@@ -358,7 +361,7 @@ def diagnose(labels: list[str], events: Table, table: SeriesTable,
         (labels == "Type2") & (soft_count == 0),
         labels == "Type3",
         labels == "Type4",
-        type1 & (container_mean >= heavier_factor * stats.container_count_median),
+        type1 & (container_mean >= HEAVIER_FACTOR * stats.container_count_median),
         type1 & (container_mean <= 1.0) & (batch_mean >= stats.batch_count_median),
     ], axis=1)
     tags = [tag.value for tag in CauseTag]

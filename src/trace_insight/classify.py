@@ -17,7 +17,11 @@ labeled by rules over its batch/container occupancy pattern:
   Type7  co-located, one short batch gap
   Type8  co-located, batch absent early
 
-Centroids matching no rule are labeled Unknown and reported, not hidden.
+A centroid's mean occupancy at or above ALWAYS_OCCUPANCY (0.90) counts as
+"throughout" and at or below NONE_OCCUPANCY (0.05) as "absent"; a single
+interior batch gap shorter than GAP_FRACTION (0.25) of the grid is still
+Type7. Centroids matching no rule are labeled Unknown and reported, not
+hidden.
 """
 
 from __future__ import annotations
@@ -35,20 +39,10 @@ TYPE_LABELS = ("Type1", "Type2", "Type3", "Type4",
                "Type5", "Type6", "Type7", "Type8")
 UNKNOWN_LABEL = "Unknown"
 
-
-@dataclass(frozen=True, slots=True)
-class LabelThresholds:
-    """Cutoffs mapping fuzzy centroid occupancy onto the verbal patterns.
-
-    ``always``: mean occupancy at or above this counts as "throughout".
-    ``none``: at or below this counts as "absent".
-    ``gap_fraction``: a single contiguous batch gap shorter than this share
-    of the grid still counts as Type7 rather than Unknown.
-    """
-
-    always: float = 0.90
-    none: float = 0.05
-    gap_fraction: float = 0.25
+# the cutoffs that map fuzzy centroid occupancy onto the verbal patterns
+ALWAYS_OCCUPANCY = 0.90
+NONE_OCCUPANCY = 0.05
+GAP_FRACTION = 0.25
 
 
 @dataclass
@@ -173,8 +167,7 @@ def _zero_runs(bits: np.ndarray) -> list[tuple[int, int]]:
     return runs
 
 
-def _label_centroid(centroid: np.ndarray,
-                    thresholds: LabelThresholds) -> tuple[str, str]:
+def _label_centroid(centroid: np.ndarray) -> tuple[str, str]:
     n = len(centroid) // 2
     batch = centroid[:n]
     cont = centroid[n:]
@@ -184,18 +177,18 @@ def _label_centroid(centroid: np.ndarray,
     b_late = float(batch[half:].mean())
     note = f"batch={b_mean:.3f} container={c_mean:.3f}"
 
-    if c_mean <= thresholds.none:
-        if b_mean <= thresholds.none:
+    if c_mean <= NONE_OCCUPANCY:
+        if b_mean <= NONE_OCCUPANCY:
             return "Type2", note
-        if b_late <= thresholds.none:
+        if b_late <= NONE_OCCUPANCY:
             return "Type5", note
         return "Type3", note
-    if b_mean <= thresholds.none:
+    if b_mean <= NONE_OCCUPANCY:
         return "Type4", note
 
     runs = _zero_runs(batch >= 0.5)
     if not runs:
-        if b_mean >= thresholds.always and c_mean >= thresholds.always:
+        if b_mean >= ALWAYS_OCCUPANCY and c_mean >= ALWAYS_OCCUPANCY:
             return "Type1", note
         return UNKNOWN_LABEL, note + " (batch present everywhere but not solid)"
     if len(runs) == 1:
@@ -206,21 +199,19 @@ def _label_centroid(centroid: np.ndarray,
             return "Type6", note
         if start == 0:
             return "Type8", note
-        if stop - start < thresholds.gap_fraction * n:
+        if stop - start < GAP_FRACTION * n:
             return "Type7", note
         return UNKNOWN_LABEL, note + f" (interior batch gap of {stop - start})"
     return UNKNOWN_LABEL, note + f" ({len(runs)} batch gaps)"
 
 
-def label_clusters(model: CategoryModel,
-                   thresholds: LabelThresholds | None = None) -> CategoryModel:
+def label_clusters(model: CategoryModel) -> CategoryModel:
     """Attach a type label to every centroid; pure in the centroids, so
     relabeling an already labeled model changes nothing."""
-    thresholds = thresholds or LabelThresholds()
     labels = {}
     notes = {}
     for c in range(model.k):
-        labels[c], notes[c] = _label_centroid(model.centroids[c], thresholds)
+        labels[c], notes[c] = _label_centroid(model.centroids[c])
     return replace(model, labels=labels, label_notes=notes)
 
 

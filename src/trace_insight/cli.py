@@ -9,10 +9,12 @@ The config file is flat key=value text; every subcommand also accepts
 key=value overrides before, between and after its flags, and the most
 common knobs exist as named flags. The flags are derived from the config
 table, ``stage.CONFIG_KEYS``: each subcommand registers the flags of the
-keys its stage reads, with their help text. Only ``analyze --seed`` and
-``--normalized`` are written out here.
-Precedence: config file, then named flags, then overrides. Failures exit
-nonzero with the offending stage named in the message.
+keys its stage reads, with their help text. Only ``analyze --seed``, which
+sets all three analyze seeds, is written out here.
+Precedence: config file, then named flags, then overrides. A given key that
+the stage does not read is named in a warning on stderr and ignored.
+Failures, a path the stage cannot read or write included, exit 2 with the
+offending stage named in the message.
 
 Only ``stage``, which loads no numpy, is imported up front; ``pipeline`` and
 the analysis modules are imported when synth, preprocess or analyze runs.
@@ -24,7 +26,7 @@ import argparse
 import sys
 
 from .stage import (CONFIG_KEYS, STAGE_HELP, StageError, apply_overrides,
-                    parse_config_file, run_report)
+                    keys_read, parse_config_file, run_report)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,11 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
             if row.flag and stage in row.stages:
                 sub.add_argument(row.flag, dest=key, metavar="VALUE",
                                  help=row.help)
-    analyze = subparsers.choices["analyze"]
-    analyze.add_argument("--normalized", action="store_true",
-                         help="report sqrt(cost)/path-length DTW distances")
-    analyze.add_argument("--seed", metavar="N",
-                         help="sets dtw_seed, classify_seed, and anomaly_seed")
+    subparsers.choices["analyze"].add_argument(
+        "--seed", metavar="N", help="sets dtw_seed, classify_seed, and anomaly_seed")
     return parser
 
 
@@ -56,8 +55,6 @@ def _collect_config(args: argparse.Namespace) -> dict[str, str]:
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
-    if getattr(args, "normalized", False):
-        config["dtw_normalized"] = "true"
     seed = getattr(args, "seed", None)
     if seed is not None:
         config["dtw_seed"] = seed
@@ -85,13 +82,21 @@ def main(argv: list[str] | None = None) -> int:
                if arg.startswith("-") or "=" not in arg]
     if unknown:
         parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    stage = args.command
     try:
         config = _collect_config(args)
-        out_dir = _runner(args.command)(config)
-    except StageError as e:
-        print(f"trace-insight: error {e}", file=sys.stderr)
+        read = keys_read(config, stage)
+        for key in config:
+            if key not in read:
+                print(f"trace-insight: warning [{stage}] config key {key!r} is "
+                      f"not read by {stage}; ignored", file=sys.stderr)
+        out_dir = _runner(stage)(config)
+    except (StageError, OSError) as e:
+        # an OSError is a path the stage could not make, write or read
+        error = e if isinstance(e, StageError) else StageError(stage, str(e))
+        print(f"trace-insight: error {error}", file=sys.stderr)
         return 2
-    print(f"{args.command}: ok ({out_dir})")
+    print(f"{stage}: ok ({out_dir})")
     return 0
 
 

@@ -49,7 +49,6 @@ from .anomaly import (
     write_scores_csv,
 )
 from .classify import (
-    LabelThresholds,
     category_report,
     kmeans_fit,
     label_clusters,
@@ -82,6 +81,7 @@ from .stage import (
     _recorded_key,
     _refusal,
     _sha256,
+    keys_read,
     read_config,
     run_report,
     write_manifest,
@@ -158,7 +158,8 @@ def run_synth(config: dict[str, str]) -> str:
     _prepare_out_dir(out_dir, stage)
     synth.write_synthetic_trace(bundle, truth, out_dir)
     outputs = sorted(TRACE_FILENAMES.values()) + ["ground_truth.json"]
-    write_manifest(out_dir, stage, config, inputs={}, outputs=outputs,
+    write_manifest(out_dir, stage, keys_read(config, stage), inputs={},
+                   outputs=outputs,
                    row_counts={
                        "machines": bundle.machine_count,
                        "server_events": len(bundle.events),
@@ -209,7 +210,7 @@ def run_preprocess(config: dict[str, str]) -> str:
     save_columns(dataclasses.replace(bundle, container_events=clean), skipped,
                  dense.values, columns_path)
     methods, method_counts = np.unique(repairs.method, return_counts=True)
-    write_manifest(out_dir, stage, config,
+    write_manifest(out_dir, stage, keys_read(config, stage),
                    inputs=_digest_inputs(input_dir, stage),
                    outputs=[DENSE_FILENAME, REPAIR_LOG_FILENAME,
                             REMOVED_EVENTS_FILENAME],
@@ -267,14 +268,10 @@ def run_analyze(config: dict[str, str]) -> str:
     grid = _grid(values, stage)
     pinned = values["dtw_standards"] or None
     sample_num = values["dtw_sample_num"]
-    always = values["classify_always"]
-    checks = [("classify_none", values["classify_none"] < always,
-               f"below classify_always={always}")]
-    if pinned is None:   # the sample sizes matter only to a drawn sample
-        checks += [("dtw_sample_num", sample_num >= 2, ">= 2"),
-                   ("dtw_standard_count",
-                    1 <= values["dtw_standard_count"] <= sample_num,
-                    f"in [1, dtw_sample_num={sample_num}]")]
+    checks = () if pinned else (   # they matter only to a drawn sample
+        ("dtw_sample_num", sample_num >= 2, ">= 2"),
+        ("dtw_standard_count", 1 <= values["dtw_standard_count"] <= sample_num,
+         f"in [1, dtw_sample_num={sample_num}]"))
     for key, ok, rule in checks:
         if not ok:
             raise _refusal(stage, key, rule, config.get(key, CONFIG_KEYS[key].default))
@@ -300,21 +297,16 @@ def run_analyze(config: dict[str, str]) -> str:
         dtw_report = score_similarity(
             curves, curves[[m - 1 for m in standards]], standards,
             standard_value=standard_value, threshold=values["dtw_threshold"],
-            range_edges=tuple(values["dtw_range_edges"]),
-            normalized=values["dtw_normalized"],
-            suitability_gap=values["dtw_suitability_gap"])
+            normalized=values["dtw_normalized"])
         write_distances_csv(dtw_report, os.path.join(out_dir, "dtw_distances.csv"))
         write_flags_csv(dtw_report, os.path.join(out_dir, "dtw_flags.csv"))
         write_histogram_json(dtw_report, os.path.join(out_dir, "dtw_histogram.json"))
 
         # classification; row m - 1 is machine m from here to the writers
-        model = kmeans_fit(occupancy_matrix(table), k=values["classify_k"],
-                           seed=values["classify_seed"],
-                           max_iter=values["classify_max_iter"],
-                           n_init=values["classify_restarts"])
-        model = label_clusters(model, LabelThresholds(
-            always=values["classify_always"], none=values["classify_none"],
-            gap_fraction=values["classify_gap_fraction"]))
+        model = label_clusters(kmeans_fit(
+            occupancy_matrix(table), k=values["classify_k"],
+            seed=values["classify_seed"], max_iter=values["classify_max_iter"],
+            n_init=values["classify_restarts"]))
         cat_report = category_report(model, table)
         write_assignments_csv(model, os.path.join(out_dir, "assignments.csv"))
         write_counts_json(model, cat_report,
@@ -329,9 +321,8 @@ def run_analyze(config: dict[str, str]) -> str:
                              seed=values["anomaly_seed"])
         anomaly_report = score_machines(forest, feat_matrix, bundle.machine_count)
         anomaly_report.labels = [model.labels[c] for c in model.assignments.tolist()]
-        anomaly_report.causes = diagnose(
-            anomaly_report.labels, bundle.events, table, population_stats(table),
-            grid, heavier_factor=values["anomaly_heavier_factor"])
+        anomaly_report.causes = diagnose(anomaly_report.labels, bundle.events,
+                                         table, population_stats(table), grid)
         write_scores_csv(anomaly_report, os.path.join(out_dir, "anomaly_scores.csv"))
         write_anomaly_json(anomaly_report, values["anomaly_top_n"],
                            os.path.join(out_dir, "anomaly_report.json"))
@@ -340,7 +331,8 @@ def run_analyze(config: dict[str, str]) -> str:
     except ValueError as e:
         raise StageError(stage, str(e)) from e
 
-    write_manifest(out_dir, stage, config, inputs={COLUMNS_FILENAME: digest},
+    write_manifest(out_dir, stage, keys_read(config, stage),
+                   inputs={COLUMNS_FILENAME: digest},
                    outputs=list(ANALYZE_FILENAMES),
                    row_counts={
                        "machines": bundle.machine_count,

@@ -9,7 +9,10 @@ squared Euclidean point cost, reported raw (no path-length normalization);
 the normalized form sqrt(cost)/K is available behind a flag. A set of
 standard curves is drawn from a seeded sample, the median pairwise distance
 within the sample is the baseline value, and machines whose mean distance to
-the standards exceeds a threshold get flagged.
+the standards exceeds a threshold get flagged. Mean distances are counted in
+the bins of RANGE_EDGES, [0, 1), [1, 2), [2, 3), [3, 5) and [5, inf), and a
+standard whose sorted distance profile lies further than SUITABILITY_GAP
+(1.0, in sup norm) from every other standard's is reported as unsuitable.
 
 The sample's pairwise distances, the machine x standard distances and
 ``dtw_distance``, which is a batch of one pair, all come from one batched
@@ -34,7 +37,8 @@ from .stage import write_json
 from .trace_model import csv_file, csv_lines, float_text
 
 DEFAULT_THRESHOLD = 3.0
-DEFAULT_RANGE_EDGES = (0.0, 1.0, 2.0, 3.0, 5.0)
+RANGE_EDGES = (0.0, 1.0, 2.0, 3.0, 5.0)
+SUITABILITY_GAP = 1.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,8 +53,7 @@ class DtwReport:
     standard_machines: list[int]
     distances: np.ndarray        # (machines, standards)
     mean_distance: np.ndarray    # (machines,)
-    range_edges: tuple[float, ...]
-    histogram: list[int]         # len(range_edges) bins, last is unbounded
+    histogram: list[int]         # one bin per RANGE_EDGES, last is unbounded
     threshold: float
     flagged: list[int]
     normalized: bool = False
@@ -236,25 +239,21 @@ def select_standard(curves, sample_num: int, seed: int,
 def score_similarity(curves, standard_curves, standard_machines: list[int],
                      standard_value: float = 0.0,
                      threshold: float = DEFAULT_THRESHOLD,
-                     range_edges: tuple[float, ...] = DEFAULT_RANGE_EDGES,
-                     normalized: bool = False,
-                     suitability_gap: float | None = None) -> DtwReport:
+                     normalized: bool = False) -> DtwReport:
     """Distance of every machine to every standard curve.
 
     ``curves`` holds one curve per machine, machine m at row m - 1, and
     ``standard_curves`` the curves of ``standard_machines``.
 
-    Flags machines whose mean distance exceeds the threshold. The histogram
-    buckets mean distances into [e0,e1), [e1,e2), ..., [e_last, inf). With
-    ``normalized`` the sqrt/path-length form is used everywhere (pick the
-    threshold accordingly). ``suitability_gap`` enables a warning for any
-    standard whose sorted distance profile sits further than the gap (in sup
-    norm) from every other standard's profile.
+    Flags machines whose mean distance exceeds the threshold, and buckets
+    mean distances into the bins of RANGE_EDGES. With ``normalized`` the
+    sqrt/path-length form is used everywhere (pick the threshold
+    accordingly). A standard whose sorted distance profile sits further than
+    SUITABILITY_GAP (in sup norm) from every other standard's profile is
+    listed as unsuitable.
     """
     if len(standard_curves) == 0:
         raise ValueError("need at least one standard curve")
-    if len(range_edges) < 1 or list(range_edges) != sorted(range_edges):
-        raise ValueError(f"range edges must be sorted, got {range_edges}")
     distances, steps = _dtw_batch(_as_curves(curves)[:, None],
                                   _as_curves(standard_curves)[None],
                                   path_lengths=normalized)
@@ -263,19 +262,19 @@ def score_similarity(curves, standard_curves, standard_machines: list[int],
     mean_distance = distances.mean(axis=1)
 
     # slot 0 is below the first edge and is not a bin
-    slots = np.searchsorted(range_edges, mean_distance, side="right")
-    histogram = np.bincount(slots, minlength=len(range_edges) + 1)[1:].tolist()
+    slots = np.searchsorted(RANGE_EDGES, mean_distance, side="right")
+    histogram = np.bincount(slots, minlength=len(RANGE_EDGES) + 1)[1:].tolist()
     flagged = (np.flatnonzero(mean_distance > threshold) + 1).tolist()
 
     unsuitable: list[int] = []
-    if suitability_gap is not None and len(standard_curves) >= 2:
+    if len(standard_curves) >= 2:
         profiles = np.sort(distances, axis=0)
         for j in range(len(standard_curves)):
             gaps = [
                 float(np.max(np.abs(profiles[:, j] - profiles[:, o])))
                 for o in range(len(standard_curves)) if o != j
             ]
-            if min(gaps) > suitability_gap:
+            if min(gaps) > SUITABILITY_GAP:
                 unsuitable.append(standard_machines[j])
 
     return DtwReport(
@@ -283,7 +282,6 @@ def score_similarity(curves, standard_curves, standard_machines: list[int],
         standard_machines=list(standard_machines),
         distances=distances,
         mean_distance=mean_distance,
-        range_edges=tuple(float(e) for e in range_edges),
         histogram=histogram,
         threshold=threshold,
         flagged=flagged,
@@ -319,11 +317,8 @@ def write_flags_csv(report: DtwReport, path: str) -> None:
 
 
 def histogram_dict(report: DtwReport) -> dict:
-    edges = report.range_edges
-    bins = []
-    for i, count in enumerate(report.histogram):
-        hi = edges[i + 1] if i + 1 < len(edges) else None
-        bins.append({"lo": edges[i], "hi": hi, "count": count})
+    bins = [{"lo": lo, "hi": hi, "count": count} for lo, hi, count
+            in zip(RANGE_EDGES, (*RANGE_EDGES[1:], None), report.histogram)]
     return {
         "standard_value": report.standard_value,
         "standard_machines": report.standard_machines,

@@ -7,11 +7,11 @@ synth, preprocess and analyze runners and is imported only for those. The
 one exception is ``synth`` (numpy), which ``_parse_plants`` and
 ``_parse_gaps`` import when the synth stage reads its plants and gaps.
 
-Every stage drops a manifest-<stage>.json recording the config snapshot,
-input and output digests, row counts, and the tool version; no timestamps,
-so reruns of the same config are byte-identical. ``report`` refuses a
-manifest that is not shaped as ``write_manifest`` writes it, and an artifact
-whose digest is not the one its manifest records.
+Every stage drops a manifest-<stage>.json recording the given config keys
+it reads, input and output digests, row counts, and the tool version; no
+timestamps, so reruns of the same config are byte-identical. ``report``
+refuses a manifest that is not shaped as ``write_manifest`` writes it, and
+an artifact whose digest is not the one its manifest records.
 """
 
 from __future__ import annotations
@@ -123,18 +123,16 @@ def _bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
-def _list_of(number):
-    return lambda raw: [number(part) for part in raw.split(",") if part.strip() != ""]
+def _int_list(raw: str) -> list[int]:
+    return [int(part) for part in raw.split(",") if part.strip() != ""]
 
 
 # kind: (parse, what the value must be when parse raises ValueError)
 _KINDS = {
     "int": (int, "an integer"),
     "float": (float, "a number"),
-    "float or empty": (lambda raw: float(raw) if raw.strip() else None, "a number"),
     "bool": (_bool, "true/false"),
-    "int list": (_list_of(int), "a comma-separated list of integers"),
-    "float list": (_list_of(float), "a comma-separated list of numbers"),
+    "int list": (_int_list, "a comma-separated list of integers"),
     "text": (str, "text"),
 }
 
@@ -144,13 +142,10 @@ def _at_least(low: int) -> tuple:
 
 
 _FRACTION = ((lambda value: 0 <= value <= 1), "in [0, 1]")
-_EDGES = ((lambda edges: edges != [] and edges == sorted(edges)),
-          "sorted and non-empty")
 # one pinned standard has no pair to take a median over
 _STANDARDS = ((lambda ids: not ids or (2 <= len(set(ids)) == len(ids)
                                        and min(ids) >= 1)),
               "empty, or two or more distinct ids >= 1")
-_GAP = ((lambda gap: gap is None or gap >= 0), ">= 0, or empty for none")
 
 
 # One config key. ``kind`` is a name in _KINDS, the Enum of the allowed
@@ -190,12 +185,6 @@ CONFIG_KEYS = {
                                "flagging threshold", flag="--threshold"),
     "dtw_normalized": ConfigKey("bool", "false", _ANALYZE,
                                 "use sqrt(cost)/path-length distances"),
-    "dtw_range_edges": ConfigKey("float list", "0,1,2,3,5", _ANALYZE,
-                                 "histogram bucket edges", _EDGES),
-    "dtw_suitability_gap": ConfigKey("float or empty", "1.0", _ANALYZE,
-                                     "sup-norm gap for the standard "
-                                     "suitability warning; empty for none",
-                                     _GAP),
     "dtw_seed": ConfigKey("int", None, _ANALYZE, "sampling seed (analyze --seed)",
                           _at_least(0)),
     "classify_k": ConfigKey("int", "8", _ANALYZE, "k-means cluster count",
@@ -204,13 +193,6 @@ CONFIG_KEYS = {
                                    _at_least(1), flag="--max-iter"),
     "classify_restarts": ConfigKey("int", "10", _ANALYZE, "k-means++ restarts, "
                                    "best inertia wins", _at_least(1)),
-    "classify_always": ConfigKey("float", "0.90", _ANALYZE, "centroid occupancy "
-                                 "that counts as throughout", _FRACTION),
-    "classify_none": ConfigKey("float", "0.05", _ANALYZE, "centroid occupancy "
-                               "that counts as absent", _FRACTION),
-    "classify_gap_fraction": ConfigKey("float", "0.25", _ANALYZE, "batch gap, as "
-                                       "a share of the grid, that is still "
-                                       "Type7", _FRACTION),
     "classify_seed": ConfigKey("int", None, _ANALYZE,
                                "k-means seed (analyze --seed)", _at_least(0)),
     "anomaly_trees": ConfigKey("int", "100", _ANALYZE, "isolation forest size",
@@ -222,9 +204,6 @@ CONFIG_KEYS = {
                               flag="--mode"),
     "anomaly_top_n": ConfigKey("int", "25", _ANALYZE, "ranking length in the "
                                "report", _at_least(0), flag="--top-n"),
-    "anomaly_heavier_factor": ConfigKey("float", "1.5", _ANALYZE, "container-"
-                                        "count factor for the heavy-online cause",
-                                        _at_least(1)),
     "anomaly_seed": ConfigKey("int", None, _ANALYZE, "forest seed (analyze --seed)",
                               _at_least(0)),
     "synth_machines": ConfigKey("int", None, _SYNTH, "machine count",
@@ -305,8 +284,7 @@ def _read_key(config: dict[str, str], key: str, stage: str):
         value = kind(raw, stage)
     if row.rule is not None and not row.rule[0](value):
         raise _refusal(stage, key, row.rule[1], raw)
-    numbers = value if isinstance(value, list) else [value]
-    if not all(math.isfinite(x) for x in numbers if isinstance(x, float)):
+    if isinstance(value, float) and not math.isfinite(value):
         raise _refusal(stage, key, "finite", raw)
     return value
 
@@ -320,6 +298,13 @@ def read_config(config: dict[str, str], stage: str) -> dict:
             raise StageError(stage, f"unknown config key {key!r}")
     return {key: _read_key(config, key, stage)
             for key, row in CONFIG_KEYS.items() if stage in row.stages}
+
+
+def keys_read(config: dict[str, str], stage: str) -> dict[str, str]:
+    """The given keys of ``config`` that ``stage`` reads, as its manifest
+    records them; a key of another stage is ignored, and left out."""
+    return {key: value for key, value in config.items()
+            if stage in CONFIG_KEYS[key].stages}
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +514,7 @@ def run_report(config: dict[str, str]) -> str:
     report = build_report(out_dir)
     _prepare_out_dir(out_dir, stage)
     write_json(os.path.join(out_dir, REPORT_FILENAME), report)
-    write_manifest(out_dir, stage, config, inputs={}, outputs=[REPORT_FILENAME],
+    write_manifest(out_dir, stage, keys_read(config, stage), inputs={},
+                   outputs=[REPORT_FILENAME],
                    row_counts={"top_ranked": len(report["anomalies"]["top"])})
     return out_dir

@@ -389,13 +389,12 @@ REFERENCE_TOP25 = {602, 930, 1075, 550, 372, 478, 983, 924, 676, 481,
                    149, 1039, 800, 1069, 949}
 
 
-@pytest.fixture(scope="module")
-def reference():
-    if not REFERENCE_DIR:
-        pytest.skip("TRACE_INSIGHT_REFERENCE_DIR not set")
+def load_reference(trace_dir):
+    """What criteria 9-12 share: the series table and occupancy matrix of
+    the trace in ``trace_dir`` on the default grid, and the seconds taken."""
     t0 = time.perf_counter()
     grid = IntervalGrid(39600, 82500, 300)
-    bundle = parse_trace_dir(REFERENCE_DIR)
+    bundle = parse_trace_dir(trace_dir)
     clean, _removed = filter_container_events(bundle.container_events)
     bundle = dataclasses.replace(bundle, container_events=clean)
     dense, _notes = supplement_server_usage(bundle, grid)
@@ -407,10 +406,43 @@ def reference():
                            setup_seconds=time.perf_counter() - t0)
 
 
+@pytest.fixture(scope="module")
+def reference():
+    if not REFERENCE_DIR:
+        pytest.skip("TRACE_INSIGHT_REFERENCE_DIR not set")
+    return load_reference(REFERENCE_DIR)
+
+
+def reference_types(reference, seed):
+    """Criteria 9 and 10: the category report of one k-means seed."""
+    model = label_clusters(kmeans_fit(reference.matrix, k=8, seed=seed,
+                                      n_init=50))
+    return category_report(model, reference.table)
+
+
+def reference_similarity(reference):
+    """Criterion 11: the standard value of the published standards, and
+    every machine's DTW scores against them."""
+    curves = build_resource_curves(reference.table)
+    standard_value, standards = select_standard(
+        curves, sample_num=8, seed=0, standard_count=4,
+        standard_machines=REFERENCE_STANDARDS)
+    report = score_similarity(curves, curves[[m - 1 for m in standards]],
+                              standards, standard_value=standard_value,
+                              threshold=3.0)
+    return standard_value, report
+
+
+def reference_ranking(reference, seed):
+    """Criterion 12: the anomaly report of one forest seed."""
+    matrix = build_feature_matrix(reference.table, FeatureMode.PER_MACHINE_MEAN)
+    forest = iforest_fit(matrix, tree_count=100, subsample=256, seed=seed)
+    return score_machines(forest, matrix, len(reference.table.server_cpu))
+
+
 @needs_reference
 def test_criterion_09_reference_type_sets(reference):
-    model = label_clusters(kmeans_fit(reference.matrix, k=8, seed=0, n_init=50))
-    report = category_report(model, reference.table)
+    report = reference_types(reference, seed=0)
     assert set(report.members.get("Type2", [])) == REFERENCE_TYPE2
     assert set(report.members.get("Type5", [])) == REFERENCE_TYPE5
     assert set(report.members.get("Type8", [])) == REFERENCE_TYPE8
@@ -420,9 +452,7 @@ def test_criterion_09_reference_type_sets(reference):
 @needs_reference
 def test_criterion_10_reference_type_counts(reference):
     for seed in range(5):
-        model = label_clusters(kmeans_fit(reference.matrix, k=8, seed=seed,
-                                          n_init=50))
-        report = category_report(model, reference.table)
+        report = reference_types(reference, seed)
         for label, want in REFERENCE_COUNTS.items():
             got = report.counts.get(label, 0)
             assert abs(got - want) <= 0.03 * want, (seed, label, got, want)
@@ -431,14 +461,8 @@ def test_criterion_10_reference_type_counts(reference):
 
 @needs_reference
 def test_criterion_11_reference_dtw_histogram(reference):
-    curves = build_resource_curves(reference.table)
-    standard_value, standards = select_standard(
-        curves, sample_num=8, seed=0, standard_count=4,
-        standard_machines=REFERENCE_STANDARDS)
+    standard_value, report = reference_similarity(reference)
     assert standard_value == pytest.approx(1.72, abs=0.4)
-    report = score_similarity(curves, curves[[m - 1 for m in standards]],
-                              standards, standard_value=standard_value,
-                              threshold=3.0)
     in_one_two = report.histogram[1]   # edges (0, 1, 2, 3, 5) -> bin [1, 2)
     assert abs(in_one_two - 478) <= 30, in_one_two
     fraction = len(report.flagged) / len(report.mean_distance)
@@ -449,15 +473,47 @@ def test_criterion_11_reference_dtw_histogram(reference):
 
 @needs_reference
 def test_criterion_12_reference_anomaly_ranking(reference):
-    matrix = build_feature_matrix(reference.table, FeatureMode.PER_MACHINE_MEAN)
     for seed in range(5):
-        forest = iforest_fit(matrix, tree_count=100, subsample=256, seed=seed)
-        report = score_machines(forest, matrix, len(reference.table.server_cpu))
+        report = reference_ranking(reference, seed)
         fraction = report.negative_count / len(report.scores)
         assert abs(fraction - 0.81) <= 0.20, (seed, fraction)
         overlap = len(set(report.ranking[:25]) & REFERENCE_TOP25)
         assert overlap >= 18, (seed, overlap)
     ok("12", "negative-score share and top-25 overlap hold over 5 seeds")
+
+
+def test_reference_criteria_run_on_the_demo_trace(tmp_path):
+    # criteria 9-12 skip without the real trace, so their set-up and calls
+    # run here on the 64-machine demo trace on the default grid; only shapes
+    # and types are checked, since the published numbers are the real trace's
+    trace = tmp_path / "trace"
+    assert cli_main([
+        "synth", "--machines", "64", "--quotas", "36,4,4,4,4,4,4,4",
+        "--plants", "Idle:37;HeavyOnline:1;LighterOnlineSkew:2;"
+                    "FrequentSoftError:49;SoftErrorWorkloadStop:53",
+        "--gaps", "3:cpu:10-14;4:mem:30-33", "--noise", "0.03",
+        "--seed", "7", "--out-dir", str(trace)]) == 0
+    reference = load_reference(str(trace))
+    assert reference.table.server_cpu.shape == (64, 143)
+    assert reference.matrix.shape == (64, 286)
+    assert isinstance(reference.setup_seconds, float)
+
+    types = reference_types(reference, seed=0)
+    assert sum(types.counts.values()) == 64
+    assert sorted(m for members in types.members.values() for m in members) \
+        == list(range(1, 65))
+
+    standard_value, dtw = reference_similarity(reference)
+    assert isinstance(standard_value, float)
+    assert dtw.standard_machines == REFERENCE_STANDARDS
+    assert dtw.distances.shape == (64, 4)
+    assert len(dtw.histogram) == 5 and sum(dtw.histogram) == 64
+    assert all(isinstance(m, int) for m in dtw.flagged)
+
+    ranking = reference_ranking(reference, seed=0)
+    assert len(ranking.scores) == 64
+    assert sorted(ranking.ranking) == list(range(1, 65))
+    assert isinstance(ranking.negative_count, int)
 
 
 @needs_reference

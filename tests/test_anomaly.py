@@ -363,15 +363,14 @@ def population_table():
     return table_for([0.2] * 7)
 
 
-def tags_of(label, times, batch, containers, stats, heavier_factor=1.5):
+def tags_of(label, times, batch, containers, stats):
     """Machine 1's tags from ``diagnose`` on a one-machine trace whose soft
     errors fall at ``times``."""
     table = table_for([0.2])
     table.batch_count, table.container_count = batch[None], containers[None]
     events = oracles.table_from_rows("server_event",
                                      [softerror(1, ts) for ts in times])
-    (tags,) = diagnose([label], events, table, stats, GRID,
-                       heavier_factor=heavier_factor)
+    (tags,) = diagnose([label], events, table, stats, GRID)
     return tags
 
 
@@ -424,12 +423,15 @@ def test_type1_workload_balance_tags():
 
 
 def test_heavier_factor_is_configurable():
+    # the factor is fixed at 1.5: exactly 1.5x the median of 2 is heavier,
+    # the next float below it is not
     stats = population_stats(population_table())
-    slightly = counts(containers=[3] * 4)   # 1.5x the median of 2
+    exactly = counts(containers=[3] * 4)
     assert CauseTag.HEAVIER_ONLINE_SERVICES.value in tags_of(
-        "Type1", [], *slightly, stats)
+        "Type1", [], *exactly, stats)
+    below = counts(containers=[np.nextafter(3, 0)] * 4)
     assert CauseTag.HEAVIER_ONLINE_SERVICES.value not in tags_of(
-        "Type1", [], *slightly, stats, heavier_factor=2.0)
+        "Type1", [], *below, stats)
 
 
 def test_diagnose_ignores_other_machines_events():
@@ -461,14 +463,13 @@ def test_diagnose_matches_the_per_machine_rules(data):
     # (machine, timestamp, a soft error or else an add event)
     drawn = data.draw(st.lists(st.tuples(st.integers(1, m_count), SOFT_STAMPS,
                                          st.booleans()), max_size=12))
-    heavier_factor = data.draw(st.sampled_from((1.0, 1.5, 2.0)))
     table = table_for([0.2] * m_count)
     table.batch_count, table.container_count = batch, containers
     stats = population_stats(table)
     events = oracles.table_from_rows("server_event", [
         softerror(m, ts) if soft else (ts, m, MachineEventType.ADD, "", 64, 1.0, 1.0)
         for m, ts, soft in drawn])
-    got = diagnose(labels, events, table, stats, GRID, heavier_factor=heavier_factor)
+    got = diagnose(labels, events, table, stats, GRID)
 
     times = {}
     for m, ts, soft in drawn:
@@ -478,7 +479,7 @@ def test_diagnose_matches_the_per_machine_rules(data):
         labels[row], times.get(row + 1, []), batch[row].tolist(),
         containers[row].tolist(), stats.container_count_median,
         stats.batch_count_median, GRID.start, GRID.end, GRID.step,
-        heavier_factor) for row in range(m_count)]
+        1.5) for row in range(m_count)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import oracles
 from trace_insight.aggregate import SeriesTable
 from trace_insight.classify import (
     CategoryModel,
-    LabelThresholds,
     UNKNOWN_LABEL,
     category_report,
     counts_dict,
@@ -190,12 +189,21 @@ def test_undecidable_centroids_become_unknown():
 
 
 def test_thresholds_change_the_verdict():
-    mushy = np.full(N, 0.6)
-    model = model_for([centroid(mushy, mushy)])
-    strict = label_clusters(model)
-    assert strict.labels[0] == UNKNOWN_LABEL
-    relaxed = label_clusters(model, LabelThresholds(always=0.5, none=0.05))
-    assert relaxed.labels[0] == "Type1"
+    # occupancy of 0.90 or more counts as throughout, of 0.05 or less as
+    # absent, and an interior batch gap under a quarter of the grid is short
+    ones = np.ones(N)
+    cases = [
+        (centroid(np.full(N, 0.90), np.full(N, 0.90)), "Type1"),
+        (centroid(np.full(N, np.nextafter(0.90, 0)), np.full(N, 0.90)),
+         UNKNOWN_LABEL),
+        (centroid(ones, np.full(N, 0.05)), "Type3"),
+        (centroid(ones, np.full(N, np.nextafter(0.05, 1))), UNKNOWN_LABEL),
+        (centroid(np.r_[1, 1, 1, 0, 1, 1, 1, 1], ones), "Type7"),   # 1 < 2
+        (centroid(np.r_[1, 1, 0, 0, 1, 1, 1, 1], ones), UNKNOWN_LABEL),
+    ]
+    labeled = label_clusters(model_for([c for c, _ in cases]))
+    assert [labeled.labels[c] for c in range(len(cases))] == [
+        want for _, want in cases]
 
 
 def test_labeling_is_idempotent():

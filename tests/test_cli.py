@@ -127,7 +127,7 @@ def test_overrides_beat_flags_beat_config(pipeline_dirs, tmp_path):
                 "--out-dir", str(out)])
     run_ok(["analyze", "--config", str(cfg),
             "--out-dir", str(flag_out), "--seed", "1", "--threshold", "4.0",
-            "--normalized", "--top-n", "7"])
+            "dtw_normalized=true", "--top-n", "7"])
     config = json.loads((flag_out / "manifest-analyze.json").read_text())["config"]
     assert config["dtw_threshold"] == "4.0"
     assert config["dtw_normalized"] == "true"
@@ -151,7 +151,7 @@ CLI_OPTIONS = {
     "preprocess": {"--input-dir", "--out-dir"},
     "analyze": {"--out-dir", "--sample-num", "--standards",
                 "--threshold", "--k", "--max-iter", "--trees", "--subsample",
-                "--mode", "--top-n", "--normalized", "--seed"},
+                "--mode", "--top-n", "--seed"},
     "report": {"--out-dir"},
 }
 
@@ -198,6 +198,58 @@ def test_an_oversized_trace_cell_exits_2_with_preprocess_named(tmp_path, capsys)
                           "file ")
     assert "server_event.csv: field larger than field limit (131072)" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_key_the_stage_does_not_read_is_named_and_left_out(pipeline_dirs,
+                                                             tmp_path, capsys):
+    trace, _ = pipeline_dirs
+    out = tmp_path / "out"
+    run_ok(["preprocess", "--input-dir", str(trace), "--out-dir", str(out),
+            f"grid_end={GRID_END}"])
+    analyze = ["analyze", "--out-dir", str(out), "--seed", "9",
+               f"grid_end={GRID_END}"]
+    run_ok(analyze)
+    names = [*ANALYZE_FILENAMES, "manifest-analyze.json"]
+    before = {name: (out / name).read_bytes() for name in names}
+    capsys.readouterr()
+    run_ok([*analyze, "input_dir=x"])
+    assert capsys.readouterr().err == (
+        "trace-insight: warning [analyze] config key 'input_dir' is not read "
+        "by analyze; ignored\n")
+    # the manifest records only what analyze read, so it too is unchanged
+    for name in names:
+        assert (out / name).read_bytes() == before[name], name
+    config = json.loads((out / "manifest-analyze.json").read_text())["config"]
+    assert "input_dir" not in config and config["dtw_seed"] == "9"
+
+
+def test_an_output_path_that_is_a_file_exits_2_with_the_stage_named(
+        pipeline_dirs, tmp_path, capsys):
+    trace, _ = pipeline_dirs
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    for argv in (["synth", "--machines", "10", "--quotas", "3,1,1,1,1,1,1,1",
+                  "--seed", "5", "--out-dir", str(taken)],
+                 ["preprocess", f"input_dir={trace}", f"output_dir={taken}",
+                  f"grid_end={GRID_END}"]):
+        assert main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith(f"trace-insight: error [{argv[0]}] "), err
+        assert str(taken) in err
+    assert taken.read_text() == "not a directory\n"
+
+
+def test_report_on_an_unreadable_artifact_exits_2(pipeline_dirs, tmp_path,
+                                                  capsys):
+    _, out = pipeline_dirs
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    (copy / "dtw_histogram.json").unlink()
+    (copy / "dtw_histogram.json").mkdir()
+    assert main(["report", "--out-dir", str(copy)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trace-insight: error [report] ")
+    assert str(copy / "dtw_histogram.json") in err
 
 
 def test_report_before_analyze_fails(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from trace_insight.aggregate import SeriesTable
 from trace_insight.similarity import (
-    DEFAULT_RANGE_EDGES,
+    RANGE_EDGES,
     _dtw_batch,
     build_resource_curves,
     dtw_distance,
@@ -278,8 +278,7 @@ def test_score_similarity_bins_and_strict_threshold():
     standards = np.array([flat_curve(0.0, length=1), flat_curve(0.0, length=1),
                           flat_curve(3.0, length=1)])
     ids = [101, 102, 103]
-    report = score_similarity(machines, standards, ids, standard_value=1.0,
-                              suitability_gap=1.0)
+    report = score_similarity(machines, standards, ids, standard_value=1.0)
     # each machine: distances (0, 0, 9), mean exactly 3
     assert report.mean_distance == pytest.approx([3.0] * 5)
     assert report.flagged == []               # 3 is not strictly above 3
@@ -347,11 +346,16 @@ def test_batch_callers_reject_curves_of_different_lengths():
 
 
 def test_histogram_edges_are_configurable():
-    machines = [flat_curve(0.0, length=1), flat_curve(1.0, length=1)]
-    report = score_similarity(machines, [flat_curve(0.0, length=1)], [9],
-                              range_edges=(0.0, 0.5))
-    assert report.range_edges == (0.0, 0.5)
-    assert report.histogram == [1, 1]
+    # the edges are fixed at 0, 1, 2, 3, 5, and a mean on an edge counts in
+    # the bin that edge opens: distances 1, 3 and 5 are exact
+    machines = [flat_curve(0.0, length=1), flat_curve(1.0, length=1),
+                flat_curve(1.0, 1.0, 1.0, length=1),
+                flat_curve(2.0, 1.0, length=1)]
+    report = score_similarity(machines, [flat_curve(0.0, length=1)], [9])
+    assert report.mean_distance.tolist() == [0.0, 1.0, 3.0, 5.0]
+    assert report.histogram == [1, 1, 0, 1, 1]
+    assert [(b["lo"], b["hi"]) for b in histogram_dict(report)["bins"]] == [
+        (0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (3.0, 5.0), (5.0, None)]
 
 
 def test_build_resource_curves_stacks_cpu_mem_disk():
@@ -386,7 +390,7 @@ def test_artifact_writers(tmp_path):
     write_histogram_json(report, str(jpath))
     data = json.loads(jpath.read_text())
     assert data == histogram_dict(report)
-    assert [b["lo"] for b in data["bins"]] == list(DEFAULT_RANGE_EDGES)
+    assert [b["lo"] for b in data["bins"]] == list(RANGE_EDGES)
     assert data["bins"][-1]["hi"] is None
     assert data["flagged"] == report.flagged
     assert sum(b["count"] for b in data["bins"]) == len(machines)
