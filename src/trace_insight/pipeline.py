@@ -223,6 +223,7 @@ def run_preprocess(config: dict[str, str]) -> str:
                        **{f"repairs_{name}": count for name, count
                           in zip(methods.tolist(), method_counts.tolist())},
                        **_skipped_counts(skipped),
+                       "rows_parsed_in_python": bundle.python_rows,
                        "trace_columns_bytes": os.path.getsize(columns_path),
                    },
                    trace_columns=COLUMNS_FILENAME)

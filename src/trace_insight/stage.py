@@ -322,7 +322,9 @@ def write_json(path: str, data) -> None:
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        # 64 KiB reads: a larger buffer sets the peak RSS of a stage that
+        # digests its trace
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
 

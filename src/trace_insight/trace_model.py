@@ -22,18 +22,28 @@ Kinds and units, applied at parse time and inverted on write:
 
 Each kind states its rule once: its parse, the mask of the values it
 accepts, and the words for a cell that fails either. Parsing reads
-``BLOCK_ROWS`` rows at a time, converts each column of a block with one
-``np.fromiter`` and applies the masks to whole columns. A row that any check
-rejects has its cells checked one at a time by the same parse and mask, in
-the spec's check order, to name the first rule it breaks in its
-``RowDiagnostic``.
+``BLOCK_ROWS`` records at a time and applies the masks and the cross-column
+rules to whole columns. A block of the four files without a text field goes
+to numpy's C reader, ``np.loadtxt``: int and float cells parse in C, with
+the ``PyOS_string_to_double`` of ``float()``, every other cell by its kind's
+parse. On ASCII text without information separators it accepts a subset
+of what ``int()`` and ``float()`` accept, to the same values, so a block it
+refuses or could read otherwise (``_c_read``) takes the column path and
+gives the same columns: ``csv.reader`` rows, each column converted with one
+``np.fromiter``. The event files take
+that path throughout, and so does the rest of a file from a block that only
+``csv.reader`` reads right (a quote, a CR, a NUL, a line over its field
+limit). A row that any check rejects has its cells checked one at a time by
+the same parse and mask, in the spec's check order, to name the first rule
+it breaks in its ``RowDiagnostic``.
 
 A percent cell converts as ``float(text + "e-2")``, which rounds the exact
-decimal value once. Cells with an exponent, or longer than Decimal's default
-28-digit precision, take the ``decimal.Decimal`` exponent shift of
-``percent_text_to_fraction`` instead, which gives the same float wherever
-both apply. ``fraction_to_percent_text`` inverts the conversion exactly, so
-writing a bundle and parsing it again reproduces every float bit-for-bit.
+decimal value once. Cells where that raises (an exponent, trailing space),
+or longer than Decimal's default 28-digit precision, take the
+``decimal.Decimal`` exponent shift of ``percent_text_to_fraction`` instead,
+which gives the same float wherever both apply. ``fraction_to_percent_text``
+inverts the conversion exactly, so writing a bundle and parsing it again
+reproduces every float bit-for-bit.
 
 Writing formats a block column at a time too, each kind's ``text`` in C
 loops: ``str`` or ``repr`` of the column's Python values, and for percent
@@ -57,12 +67,13 @@ import logging
 import math
 import operator
 import os
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from enum import Enum
-from functools import partial
-from itertools import islice, repeat
+from functools import cached_property, partial
+from itertools import chain, islice, repeat
 from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
@@ -196,14 +207,17 @@ def csv_lines(*columns) -> str:
 _DECIMAL_DIGITS = 28
 
 
-def _percent_column(cells: tuple[str, ...]):
-    """``percent_text_to_fraction`` over a block column, in C where it can
-    be: up to 28 characters, ``float(cell + "e-2")`` gives the same float.
-    It raises on a cell with an exponent or surrounding space, which sends
-    the block to the cell-by-cell path."""
-    if max(map(len, cells)) > _DECIMAL_DIGITS:
-        return map(percent_text_to_fraction, cells)
-    return map(float, map(operator.add, cells, repeat("e-2")))
+def _percent(text: str) -> float:
+    """``percent_text_to_fraction`` of a cell, in C where it can be: up to 28
+    characters, ``float(text + "e-2")`` gives the same float. A longer cell,
+    or one where that raises (an exponent, trailing space), takes the
+    definition."""
+    if len(text) <= _DECIMAL_DIGITS:
+        try:
+            return float(text + "e-2")
+        except ValueError:
+            pass
+    return percent_text_to_fraction(text)
 
 
 def _cpu_set(text: str) -> str:
@@ -230,21 +244,19 @@ class _Kind:
     kinds read and quote the cell stripped. The block parser applies
     ``parse`` and ``valid`` to whole columns, and ``check`` to the cells of a
     rejected row to name the rule it breaks. ``text`` turns a block column
-    back into its cells. ``parse_all`` maps ``parse`` over a block column
-    where a faster equal form exists."""
+    back into its cells."""
 
     dtype: type
     parse: Callable[[str], object]
     valid: Callable[[np.ndarray], np.ndarray] | None
     rule: str | None
     text: Callable[[np.ndarray], Iterable[str]]
-    parse_all: Callable[[tuple], Iterator] | None = None
     bad: str | None = None
     strip: bool = False
 
     def column(self, cells: tuple[str, ...]) -> np.ndarray:
         """A block column; raises on the first cell that does not parse."""
-        parsed = (self.parse_all or partial(map, self.parse))(cells)
+        parsed = map(self.parse, cells)
         if self.dtype is str:
             return np.array(list(parsed), dtype=str)
         return np.fromiter(parsed, self.dtype, len(cells))
@@ -290,10 +302,9 @@ _OPTIONAL_MACHINE = replace(
     text=lambda column: np.where(column != 0, column.astype(str), "").tolist(),
     strip=True)
 _COUNT = _int_kind(lambda v: v >= 1, "{name} must be >= 1, got {value}")
-_PERCENT = _Kind(np.float64, percent_text_to_fraction,
-                 lambda v: (v >= 0.0) & (v <= 1.0),
+_PERCENT = _Kind(np.float64, _percent, lambda v: (v >= 0.0) & (v <= 1.0),
                  "{name} must lie in [0,100] percent, got {text!r}",
-                 percent_texts, parse_all=_percent_column)
+                 percent_texts)
 _UNIT_FRACTION = _float_kind(lambda v: (v >= 0.0) & (v <= 1.0),
                              "{name} must lie in [0,1], got {value}")
 _NONNEG_FLOAT = _float_kind(lambda v: (v >= 0.0) & (v < np.inf),
@@ -352,6 +363,17 @@ class _FileSpec:
 
     def rules(self) -> list[_Rule]:
         return [step for step in self.check_first if isinstance(step, _Rule)]
+
+    @cached_property
+    def c_reader(self) -> tuple[np.dtype, dict[int, Callable]] | None:
+        """The structured dtype and converters ``np.loadtxt`` reads a block
+        of this file with, None for a file with a text field. Plain int and
+        float fields parse in C; every other field by its kind's ``parse``."""
+        if any(kind.dtype is str for kind in self.fields.values()):
+            return None
+        return (np.dtype([(name, kind.dtype) for name, kind in self.fields.items()]),
+                {i: kind.parse for i, kind in enumerate(self.fields.values())
+                 if kind.parse not in (int, float)})
 
 
 _SPECS = {
@@ -437,7 +459,9 @@ class Table:
 
 @dataclass(eq=False)
 class TraceBundle:
-    """The six parsed files plus the derived machine count.
+    """The six parsed files plus the derived machine count and, for a bundle
+    ``parse_trace_dir`` read, the rows of the blocks numpy's C reader did not
+    take (``python_rows``).
 
     Treated as immutable after construction; pipeline stages that need a
     modified view (e.g. filtered container events) build a new bundle with
@@ -451,17 +475,18 @@ class TraceBundle:
     batch_tasks: Table
     batch_instances: Table
     machine_count: int = 0
+    python_rows: int = 0
 
 
 # ---------------------------------------------------------------------------
 # parsing
 
 
-def _convert(kind: _Kind, cells: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """One block column as (values, mask of the cells that pass)."""
+def _convert(kind: _Kind, cells: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray | None]:
+    """One block column as (values, mask of the cells that parse, None when
+    all do)."""
     try:
-        values = kind.column(cells)
-        parsed = None
+        return kind.column(cells), None
     except (ValueError, OverflowError):
         # some cell does not convert: convert cell by cell and mark it
         values = np.zeros(len(cells), dtype=object if kind.dtype is str else kind.dtype)
@@ -471,10 +496,7 @@ def _convert(kind: _Kind, cells: tuple[str, ...]) -> tuple[np.ndarray, np.ndarra
                 values[i] = kind.parse(cell)
             except (ValueError, OverflowError):
                 parsed[i] = False
-        if kind.dtype is str:
-            values = values.astype(str)
-    ok = np.ones(len(cells), dtype=bool) if kind.valid is None else kind.valid(values)
-    return values, ok if parsed is None else ok & parsed
+        return (values.astype(str) if kind.dtype is str else values), parsed
 
 
 def _reason(spec: _FileSpec, cells: dict[str, str]) -> str:
@@ -492,45 +514,116 @@ def _reason(spec: _FileSpec, cells: dict[str, str]) -> str:
     raise RuntimeError(f"row {cells} was rejected but passes every check")
 
 
-def _convert_block(file_key: str, rows: list[list[str]], line_nos: list[int],
-                   diagnostics: list[RowDiagnostic]) -> dict[str, np.ndarray]:
-    """Accepted rows of one block as columns; rejected ones go to
-    ``diagnostics``."""
+def _accept(file_key: str, values: dict[str, np.ndarray], ok: np.ndarray,
+            cells: Callable[[int], list[str]], line_nos,
+            diagnostics: list[RowDiagnostic]) -> dict[str, np.ndarray]:
+    """The rows of a block's parsed columns ``values`` that every mask and
+    rule accepts, as columns; ``ok`` marks the rows whose cells all parse.
+    Each rejected row goes to ``diagnostics``, its reason found from its
+    cells, ``cells(i)`` for the block's row i."""
     spec = _SPECS[file_key]
-    values: dict[str, np.ndarray] = {}
-    ok = np.ones(len(rows), dtype=bool)
-    for (name, kind), cells in zip(spec.fields.items(), zip(*rows)):
-        values[name], passed = _convert(kind, cells)
-        ok &= passed
+    for name, kind in spec.fields.items():
+        if kind.valid is not None:
+            ok &= kind.valid(values[name])
     for rule in spec.rules():
         ok &= ~rule.violated(*(values[name] for name in rule.fields))
     for i in np.flatnonzero(~ok).tolist():
         diagnostics.append(RowDiagnostic(
-            file_key, line_nos[i], _reason(spec, dict(zip(spec.fields, rows[i])))))
+            file_key, line_nos[i], _reason(spec, dict(zip(spec.fields, cells(i))))))
     # a text column is rebuilt so its width is that of the accepted rows
     return {name: (np.array(column[ok].tolist(), dtype=str)
                    if column.dtype.kind == "U" else column[ok])
             for name, column in values.items()}
 
 
-def parse_trace_file(path: str, file_key: str,
-                     ) -> tuple[Table, list[RowDiagnostic]]:
-    """Parse one trace CSV, its columns in field order. Returns (table,
-    diagnostics).
+def _convert_block(file_key: str, rows: list[list[str]], line_nos: list[int],
+                   diagnostics: list[RowDiagnostic]) -> dict[str, np.ndarray]:
+    """Accepted rows of one block of csv rows as columns, converted a column
+    at a time; rejected ones go to ``diagnostics``."""
+    values: dict[str, np.ndarray] = {}
+    ok = np.ones(len(rows), dtype=bool)
+    for (name, kind), cells in zip(_SPECS[file_key].fields.items(), zip(*rows)):
+        values[name], parsed = _convert(kind, cells)
+        if parsed is not None:
+            ok &= parsed
+    return _accept(file_key, values, ok, rows.__getitem__, line_nos, diagnostics)
 
-    Malformed rows are skipped and reported in line order; nothing is raised
-    here so callers decide what rejection rate is tolerable.
-    """
+
+# What only csv.reader reads right: a quote, a CR line end and NUL
+_CSV_ONLY = '"\r\0'
+# ASCII information separators: numpy's C reader strips them as space around
+# a number, where int() and float() refuse the cell
+_NUMPY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _c_read(spec: _FileSpec, lines: list[str]) -> dict[str, np.ndarray] | None:
+    """The columns of a block of plain lines as numpy's C reader parses them,
+    or None where they could differ from the column path's: a block with a
+    character outside ASCII (the reader takes some letters for digits) or a
+    ``_NUMPY_SPACE``, a cell it refuses or warns about, a blank line it
+    skips. Every cell it does read, ``int()``, ``float()`` or the kind's
+    ``parse`` reads to the same value."""
+    text = "".join(lines)
+    if not text.isascii() or any(map(text.__contains__, _NUMPY_SPACE)):
+        return None
+    dtype, converters = spec.c_reader
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # encoding=None hands the converters str; numpy 1.x's default,
+            # "bytes", would hand them bytes
+            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
+                               dtype=dtype, converters=converters, encoding=None)
+    except (ValueError, OverflowError, Warning):
+        return None
+    if len(table) != len(lines):
+        return None
+    return {name: table[name] for name in spec.fields}
+
+
+def _record_blocks(fh: TextIO, spec: _FileSpec) -> Iterator[tuple[list, bool]]:
+    """The records of the trace file open as ``fh``, ``BLOCK_ROWS`` at a time:
+    (lines, True) for plain lines, one record each, that ``str.split`` cuts
+    as csv.reader does; (csv rows, False) for a file with a text field, and
+    from the first block with a ``_CSV_ONLY`` character or a line over the
+    csv field limit on, so csv.reader reads or refuses those as it does."""
+    if spec.c_reader is not None:
+        limit = csv.field_size_limit()
+        while lines := list(islice(fh, BLOCK_ROWS)):
+            text = "".join(lines)
+            if any(map(text.__contains__, _CSV_ONLY)) or max(map(len, lines)) > limit:
+                fh = chain(lines, fh)
+                break
+            yield lines, True
+    reader = csv.reader(fh)
+    while rows := list(islice(reader, BLOCK_ROWS)):
+        yield rows, False
+
+
+def _parse_file(path: str, file_key: str,
+                ) -> tuple[Table, list[RowDiagnostic], int]:
+    """``parse_trace_file``, and the rows of the blocks numpy's C reader did
+    not take."""
     spec = _SPECS[file_key]
     width = len(spec.fields)
     blocks: list[dict[str, np.ndarray]] = []
     diagnostics: list[RowDiagnostic] = []
+    python_rows = 0
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         first_line = 1
-        while block := list(islice(reader, BLOCK_ROWS)):
+        for block, plain in _record_blocks(fh, spec):
             line_nos = range(first_line, first_line + len(block))
             first_line += len(block)
+            if plain:
+                columns = _c_read(spec, block)
+                if columns is not None:
+                    blocks.append(_accept(
+                        file_key, columns, np.ones(len(block), dtype=bool),
+                        lambda i: block[i].rstrip("\n").split(","), line_nos,
+                        diagnostics))
+                    continue
+                block = list(csv.reader(block))
+            python_rows += len(block)
             rows = block
             if set(map(len, block)) != {width}:
                 rows, kept = [], []
@@ -550,6 +643,21 @@ def parse_trace_file(path: str, file_key: str,
         _column_name(name): (np.concatenate([b[name] for b in blocks]) if blocks
                              else np.array([], dtype=kind.dtype))
         for name, kind in spec.fields.items()})
+    return table, diagnostics, python_rows
+
+
+def parse_trace_file(path: str, file_key: str,
+                     ) -> tuple[Table, list[RowDiagnostic]]:
+    """Parse one trace CSV, its columns in field order. Returns (table,
+    diagnostics).
+
+    Malformed rows are skipped and reported in line order; nothing is raised
+    here so callers decide what rejection rate is tolerable. A block of plain
+    ASCII lines of a file without a text field is read by numpy's C reader,
+    every other block by ``csv.reader`` and the column path (see the module
+    docstring); both give the same columns and diagnostics.
+    """
+    table, diagnostics, _ = _parse_file(path, file_key)
     return table, diagnostics
 
 
@@ -564,12 +672,13 @@ def parse_trace_dir(path: str, *, max_skip_ratio: float = 0.01,
     appended to it.
     """
     tables: dict[str, Table] = {}
+    python_rows = 0
     for key, spec in _SPECS.items():
         file_path = os.path.join(path, TRACE_FILENAMES[key])
         if not os.path.exists(file_path):
             raise TraceParseError(f"missing trace file: {file_path}")
         try:
-            table, diags = parse_trace_file(file_path, key)
+            table, diags, file_python_rows = _parse_file(file_path, key)
         except (OSError, UnicodeDecodeError, csv.Error) as e:
             raise TraceParseError(f"cannot read trace file {file_path}: {e}") from e
         if diags and diagnostics is not None:
@@ -582,9 +691,10 @@ def parse_trace_dir(path: str, *, max_skip_ratio: float = 0.01,
             raise TraceParseError(f"{name}: rejected {len(diags)}/{total} rows, "
                                   f"above the {max_skip_ratio:.2%} limit")
         tables[spec.attr] = table
+        python_rows += file_python_rows
     machine_count = max((int(t.machine.max()) for t in tables.values()
                          if "machine" in t.columns and len(t)), default=0)
-    return TraceBundle(**tables, machine_count=machine_count)
+    return TraceBundle(**tables, machine_count=machine_count, python_rows=python_rows)
 
 
 # ---------------------------------------------------------------------------

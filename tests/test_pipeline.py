@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from trace_insight import __version__, pipeline
+from trace_insight import __version__, pipeline, trace_model
 from trace_insight.anomaly import build_feature_matrix, iforest_fit
 from trace_insight.pipeline import (
     ANALYZE_FILENAMES,
@@ -809,6 +809,75 @@ def test_stage_manifests_count_the_rows_each_file_lost(tmp_path):
             "rows_skipped_batch_task": 0,
             "rows_skipped_batch_instance": 0,
         }, stage
+
+
+DEMO_GRID_END = str(39600 + 48 * 300)
+NUMERIC_FILES = ("server_usage", "container_usage", "batch_task", "batch_instance")
+
+
+@pytest.fixture(scope="module")
+def demo_trace(tmp_path_factory):
+    """The 64-machine trace of scripts/run_synthetic_demo.py at seed 7, on
+    its 48-interval grid."""
+    trace = tmp_path_factory.mktemp("demo") / "trace"
+    run_synth(synth_config(
+        trace, grid_end=DEMO_GRID_END, synth_machines="64",
+        synth_quotas="36,4,4,4,4,4,4,4",
+        synth_plants="Idle:37;HeavyOnline:1;LighterOnlineSkew:2;"
+                     "FrequentSoftError:49;SoftErrorWorkloadStop:53",
+        synth_gaps="3:cpu:10-14;4:mem:30-33", synth_noise="0.03", synth_seed="7"))
+    return trace
+
+
+def test_every_block_of_a_numeric_file_takes_the_c_reader(demo_trace, monkeypatch):
+    # a block that falls back to the column path changes no byte, only the
+    # time, so which reader the blocks take is checked here
+    # numpy 1.x hands the converters bytes unless the call names an
+    # encoding; the spy gives numpy 2 that default, so the call must name one
+    taken, cell_types = {}, set()
+    loadtxt = np.loadtxt
+
+    def spy(lines, *args, **kwargs):
+        kwargs.setdefault("encoding", "bytes")
+        kwargs["converters"] = {
+            i: lambda cell, parse=parse: cell_types.add(type(cell)) or parse(cell)
+            for i, parse in kwargs["converters"].items()}
+        table = loadtxt(lines, *args, **kwargs)
+        if len(table) == len(lines):
+            taken.setdefault(kwargs["dtype"].names, []).append(len(lines))
+        return table
+
+    monkeypatch.setattr(trace_model.np, "loadtxt", spy)
+    bundle = parse_trace_dir(str(demo_trace))
+    for key in NUMERIC_FILES:
+        spec = trace_model._SPECS[key]
+        rows = len(getattr(bundle, spec.attr))
+        blocks = [min(trace_model.BLOCK_ROWS, rows - lo)
+                  for lo in range(0, rows, trace_model.BLOCK_ROWS)]
+        assert taken.pop(tuple(spec.fields)) == blocks, key
+    assert taken == {}
+    assert cell_types == {str}
+
+
+def test_preprocess_counts_the_rows_the_c_reader_did_not_take(demo_trace, tmp_path):
+    trace = tmp_path / "trace"
+    shutil.copytree(demo_trace, trace)
+    synth_counts = json.loads((trace / "manifest-synth.json").read_text())["row_counts"]
+    manifests = {}
+    for run in ("lf", "crlf"):
+        if run == "crlf":
+            # CR line ends are csv.reader's to read, for the whole file
+            path = trace / "server_usage.csv"
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        out = tmp_path / run
+        run_preprocess(stage_config(trace, out, grid_end=DEMO_GRID_END))
+        manifests[run] = json.loads((out / "manifest-preprocess.json").read_text())
+    lf, crlf = (manifests[run]["row_counts"]["rows_parsed_in_python"]
+                for run in ("lf", "crlf"))
+    assert lf == synth_counts["server_events"] + synth_counts["container_events"]
+    assert crlf == lf + synth_counts["server_usage"]
+    for key in ("outputs", "trace_columns"):
+        assert manifests["crlf"][key] == manifests["lf"][key], key
 
 
 # ---------------------------------------------------------------------------
