@@ -11,8 +11,9 @@ stopped at ceil(log2 psi). All trees grow in lockstep, one depth-first
 node of each per step, with array operations over the rows of all those
 nodes; each tree still draws from its own RNG, one node at a time and in
 the order of a recursive build, so the trees are that build's node for
-node. Each tree is stored as flat node arrays, and scoring moves every row
-one tree level per step.
+node. The forest is one node table, numbered in the order the growth takes
+its nodes, and scoring moves every row one tree level per step through its
+one link array.
 Scores are reported as 0.5 - 2^(-E(h)/c(psi)), so anomalous machines land
 below zero and everything lives in [-0.5, 0.5).
 
@@ -56,30 +57,25 @@ class CauseTag(Enum):
     UNBALANCED_LIGHTER_ONLINE = "UnbalancedLighterOnline"
 
 
-@dataclass(frozen=True, slots=True)
-class IsolationTree:
-    """One isolation tree as parallel node arrays in depth-first pre-order.
-
-    Node 0 is the root. ``dim`` is a split's dimension, or -1 at a leaf; a
-    row goes ``left`` when its value in ``dim`` is below ``value`` and
-    ``right`` otherwise. A leaf's ``left`` and ``right`` point at the leaf
-    itself, so a row that reaches it stays there. ``path`` is the leaf's
-    depth + c(size), and 0.0 at a split.
-    """
-
-    dim: np.ndarray
-    value: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    path: np.ndarray
-
-
 @dataclass
 class IsolationForestModel:
+    """The forest as one node table, its nodes numbered in the order the
+    lockstep growth takes them, so node t is tree t's root.
+
+    ``dim`` is a split's dimension, or -1 at a leaf; a row at node i goes to
+    ``links[2*i + 1]`` (left) when its value in ``dim[i]`` is below
+    ``value[i]``, and to ``links[2*i]`` (right) otherwise. A leaf links to
+    itself both ways, so a row that reaches it stays there, and has value
+    0.0. ``path`` is a leaf's depth + c(size), and 0.0 at a split.
+    """
+
     tree_count: int
     subsample_size: int
     depth_limit: int
-    trees: list[IsolationTree]
+    dim: np.ndarray
+    value: np.ndarray
+    links: np.ndarray
+    path: np.ndarray
 
 
 @dataclass
@@ -133,6 +129,12 @@ def iforest_fit(matrix: np.ndarray, tree_count: int = 100,
     leaf when that draw separates nothing. A split pushes its right child
     before its left, so each tree takes its nodes, and its draws, in the
     order of a recursive build that grows the left subtree first.
+
+    Each node is numbered as it is taken, in tree order within a step, so
+    node t is tree t's root, and writes its number into the link slot its
+    parent pushed it with: ``2*parent`` for a right child, ``2*parent + 1``
+    for a left one. Until then a node links to itself both ways, which a
+    leaf keeps.
     """
     matrix = np.asarray(matrix, float)
     if matrix.ndim != 2 or len(matrix) < 2 or not matrix.shape[1]:
@@ -155,21 +157,33 @@ def iforest_fit(matrix: np.ndarray, tree_count: int = 100,
     # run of them, and a split moves its left rows before its right rows
     order = np.concatenate([rng.choice(len(matrix), size=psi, replace=False)
                             for rng in rngs])
-    # each tree's stack of (start, stop, depth, parent) nodes still to take;
-    # a right child's parent is its split's node number, anyone else's -1
+    # each tree's stack of (start, stop, depth, slot) nodes still to take; a
+    # node writes its number into links[slot] when taken, a root's slot is -1
     stack = np.empty((4, tree_count, limit + 1), dtype=np.intp)
     trees = np.arange(tree_count)
     stack[:2, :, 0] = trees * psi, (trees + 1) * psi
     stack[2:, :, 0] = [[0], [-1]]
     height = np.ones(tree_count, dtype=np.intp)
-    # per step: the trees, leaf paths and parents of the nodes taken, and
-    # which of them split, on what dims and values
-    steps = []
+    # node fields are written as nodes are taken, so only the pages of the
+    # nodes grown are touched
+    bound = tree_count * (2 * psi - 1)
+    dim = np.empty(bound, dtype=np.intp)
+    value = np.empty(bound)
+    links = np.empty(2 * bound, dtype=np.intp)
+    path = np.empty(bound)
+    taken = 0
     while (live := np.flatnonzero(height)).size:
-        s = len(steps)
         height[live] -= 1
-        start, stop, depth, parent = stack[:, live, height[live]]
+        start, stop, depth, slot = stack[:, live, height[live]]
+        first, taken = taken, taken + len(live)
+        node = np.arange(first, taken)
+        child = slot >= 0
+        links[slot[child]] = node[child]
         size = stop - start
+        dim[first:taken] = -1
+        value[first:taken] = 0.0
+        links[2 * first:2 * taken] = np.repeat(node, 2)
+        path[first:taken] = depth + leaf_path[size]
         grow = np.flatnonzero((size > 1) & (depth < limit))
         counts = size[grow]
         offsets = np.cumsum(counts) - counts
@@ -201,12 +215,13 @@ def iforest_fit(matrix: np.ndarray, tree_count: int = 100,
         left = matrix[rows, np.repeat(dims, counts)] < np.repeat(values, counts)
         n_left = np.add.reduceat(left, offsets, dtype=np.intp)
         split = np.flatnonzero((n_left > 0) & (n_left < counts))
-        at = grow[split]
-        # (parent is a row of the stack entries taken, so it is copied out)
-        steps.append((live, depth + leaf_path[size], parent.copy(), at,
-                      dims[split], values[split]))
-        if not len(at):
+        if not len(split):
             continue
+        at = grow[split]
+        parent = node[at]
+        dim[parent] = dims[split]
+        value[parent] = values[split]
+        path[parent] = 0.0
         # a stable sort on (node, goes right) keeps each run where it is
         key = np.repeat(np.arange(0, 2 * len(grow), 2), counts)
         key += ~left
@@ -214,40 +229,14 @@ def iforest_fit(matrix: np.ndarray, tree_count: int = 100,
         t = live[at]
         top = height[t]
         mid = start[at] + n_left[split]
-        stack[:3, t, top] = mid, stop[at], depth[at] + 1
-        stack[3, t, top] = s
-        stack[:3, t, top + 1] = start[at], mid, depth[at] + 1
-        stack[3, t, top + 1] = -1
+        stack[:, t, top] = mid, stop[at], depth[at] + 1, 2 * parent
+        stack[:, t, top + 1] = start[at], mid, depth[at] + 1, 2 * parent + 1
         height[t] += 2
-    del order, rngs
-    # tree t's s-th node is the one it took at step s; the trees' nodes go
-    # one block per tree into flat arrays, and each tree's arrays view its
-    # block
-    sizes = np.bincount(np.concatenate([step[0] for step in steps]),
-                        minlength=tree_count)
-    first = np.cumsum(sizes) - sizes
-    dim = np.full(sizes.sum(), -1, dtype=np.intp)
-    value = np.zeros(len(dim))
-    left = np.empty_like(dim)
-    right = np.empty_like(dim)
-    path = np.empty(len(dim))
-    for s, (live, leaf, parent, at, dims, values) in enumerate(steps):
-        place = first[live] + s
-        left[place] = right[place] = s
-        path[place] = leaf
-        child = np.flatnonzero(parent >= 0)
-        right[first[live[child]] + parent[child]] = s
-        place = place[at]
-        dim[place] = dims
-        value[place] = values
-        left[place] = s + 1
-        path[place] = 0.0
-    del steps
-    blocks = [np.split(column, first[1:])
-              for column in (dim, value, left, right, path)]
+    # copies, so the unused rest of each bound is given back
     return IsolationForestModel(
         tree_count=tree_count, subsample_size=psi, depth_limit=limit,
-        trees=[IsolationTree(*arrays) for arrays in zip(*blocks)])
+        dim=dim[:taken].copy(), value=value[:taken].copy(),
+        links=links[:2 * taken].copy(), path=path[:taken].copy())
 
 
 def iforest_scores(model: IsolationForestModel, matrix: np.ndarray) -> np.ndarray:
@@ -255,8 +244,9 @@ def iforest_scores(model: IsolationForestModel, matrix: np.ndarray) -> np.ndarra
 
     One tree at a time, every row takes one level per step (a value equal to
     the split value, or NaN, goes right); path lengths add up in tree order
-    from 0.0. Cells are read from one column-major copy of the matrix, and
-    a node's two children from one link array, right then left.
+    from 0.0. Tree t's walk starts at node t. Cells are read from one
+    column-major copy of the matrix, and a row at node i moves to
+    ``links[2*i + 1]`` when it goes left and to ``links[2*i]`` otherwise.
     """
     matrix = np.asarray(matrix, float)
     norm = average_path_length(model.subsample_size)
@@ -266,14 +256,14 @@ def iforest_scores(model: IsolationForestModel, matrix: np.ndarray) -> np.ndarra
     cells = matrix.T.ravel()   # cell (row, dim) at dim * n + row
     rows = np.arange(n)
     total = np.zeros(n)
-    for tree in model.trees:
-        # a leaf reads column 0, but both its links stay put
-        offset = np.maximum(tree.dim, 0) * n
-        links = np.stack([tree.right, tree.left], axis=1).ravel()
-        node = np.zeros(n, dtype=np.intp)
+    # a leaf reads column 0, but both its links stay put
+    offset = np.maximum(model.dim, 0) * n
+    links, value = model.links, model.value
+    for root in range(model.tree_count):
+        node = np.full(n, root, dtype=np.intp)
         for _ in range(model.depth_limit):
-            node = links[2 * node + (cells[offset[node] + rows] < tree.value[node])]
-        total += tree.path[node]
+            node = links[2 * node + (cells[offset[node] + rows] < value[node])]
+        total += model.path[node]
     mean_path = total / model.tree_count
     # Python's float power, row by row: numpy's vector power may round the
     # last bit differently

@@ -343,7 +343,7 @@ def run_analyze(config: dict[str, str]) -> str:
                        "clusters": model.k,
                        "flagged": len(dtw_report.flagged),
                        "scored": len(anomaly_report.scores),
-                       "tree_nodes": sum(len(tree.dim) for tree in forest.trees),
+                       "tree_nodes": len(forest.dim),
                        "negative_scores": anomaly_report.negative_count,
                        "top_ranked": min(values["anomaly_top_n"],
                                          len(anomaly_report.ranking)),

@@ -298,7 +298,7 @@ _MACHINE = _int_kind(lambda v: v >= 1, "machine id must be >= 1, got {value}")
 _NONNEG_INT = _int_kind(lambda v: v >= 0, "{name} must be >= 0, got {value}")
 # a blank cell is machine 0, which never ran
 _OPTIONAL_MACHINE = replace(
-    _NONNEG_INT, parse=lambda cell: int(cell) if cell.strip() else 0,
+    _NONNEG_INT, parse=lambda cell: int(cell.strip() or 0),
     text=lambda column: np.where(column != 0, column.astype(str), "").tolist(),
     strip=True)
 _COUNT = _int_kind(lambda v: v >= 1, "{name} must be >= 1, got {value}")

@@ -524,7 +524,7 @@ def _percent(text):
 
 def _int(text, name):
     try:
-        return int(text.strip())
+        return int(text)
     except ValueError as exc:
         raise ValueError(f"bad integer for {name}: {text!r}") from exc
 
@@ -545,7 +545,7 @@ def _machine(text):
 
 def _float(text, name):
     try:
-        value = float(text.strip())
+        value = float(text)
     except ValueError as exc:
         raise ValueError(f"bad number for {name}: {text!r}") from exc
     if not math.isfinite(value):

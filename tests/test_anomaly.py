@@ -193,9 +193,9 @@ def test_flat_forest_matches_the_recursive_oracle(data):
     train, fresh, tree_count, subsample, seed = _forest_case(data)
     model = iforest_fit(train, tree_count=tree_count, subsample=subsample,
                         seed=seed)
-    assert len(model.trees) == tree_count
-    splits = [(int(d), float(v)) for tree in model.trees
-              for d, v in zip(tree.dim, tree.value) if d >= 0][:40]
+    assert model.tree_count == tree_count
+    splits = [(int(d), float(v)) for d, v in zip(model.dim, model.value)
+              if d >= 0][:40]
     on_split = train[np.arange(len(splits)) % len(train)].copy()
     for i, (dim, value) in enumerate(splits):
         on_split[i, dim] = value
@@ -205,21 +205,45 @@ def test_flat_forest_matches_the_recursive_oracle(data):
     assert iforest_scores(model, rows).tobytes() == want.tobytes()
 
 
-TREE_ARRAYS = ("dim", "value", "left", "right", "path")
+def tree_arrays(model, root):
+    """``(dim, value, left, right, path)`` of the tree at ``root`` in the
+    model's node table, its nodes renumbered in pre-order with the left
+    subtree first and its links read by the rule: left at ``2*i + 1``, right
+    at ``2*i``."""
+    nodes, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        assert len(nodes) < len(model.dim), f"tree {root}'s links cycle"
+        nodes.append(node)
+        left, right = model.links[2 * node + 1], model.links[2 * node]
+        if left != node:
+            stack += [right, left]
+    nodes = np.array(nodes, dtype=np.intp)
+    local = {int(node): i for i, node in enumerate(nodes)}
+    renumber = np.vectorize(local.__getitem__, otypes=[np.intp])
+    return (model.dim[nodes], model.value[nodes],
+            renumber(model.links[2 * nodes + 1]), renumber(model.links[2 * nodes]),
+            model.path[nodes])
 
 
 def assert_trees_are_the_recursive_build(train, tree_count, subsample, seed):
     """Each tree's node arrays equal the recursive build's, flattened in
-    pre-order, by dtype and byte for byte."""
+    pre-order, by dtype and byte for byte, and the node table holds those
+    trees' nodes and nothing else."""
     model = iforest_fit(train, tree_count=tree_count, subsample=subsample,
                         seed=seed)
     want = oracles.isolation_trees(train, tree_count, subsample, seed)
-    assert len(model.trees) == len(want)
-    for t, (tree, oracle) in enumerate(zip(model.trees, want)):
-        for name, array in zip(TREE_ARRAYS, oracles.isolation_tree_arrays(oracle)):
-            got = getattr(tree, name)
-            assert got.dtype == array.dtype, (t, name)
-            assert got.tobytes() == array.tobytes(), (t, name)
+    assert model.tree_count == len(want)
+    nodes = 0
+    for t, oracle in enumerate(want):
+        got = tree_arrays(model, t)
+        for name, a, b in zip(("dim", "value", "left", "right", "path"), got,
+                              oracles.isolation_tree_arrays(oracle)):
+            assert a.dtype == b.dtype, (t, name)
+            assert a.tobytes() == b.tobytes(), (t, name)
+        nodes += len(got[0])
+    assert len(model.dim) == nodes
+    assert len(model.links) == 2 * nodes
 
 
 @settings(max_examples=60)

@@ -397,15 +397,18 @@ LONG_PERCENTS = ["54.4229225295951912766412306154961697757",
 # one or two checks and the first failure decides the reason. The odd ones
 # include cells numpy's C reader refuses, some of which int() or float()
 # read (``3.0`` as an int, underscores, digits outside ASCII, a comment
-# sign), a cell it would misread (a letter outside ASCII as a digit) and a
-# quoted number.
+# sign), cells it would misread (a letter outside ASCII as a digit, an
+# ASCII information separator at the edge as space, which int() and
+# float() refuse but str.strip removes) and a quoted number.
 INT_CELLS = st.one_of(st.integers(0, 60).map(str), st.integers(0, 60).map(str),
                       st.sampled_from(["", "x", " 7 ", "+3", "1_0", "2.5", "-0", "-2",
-                                       "3.0", "\u0663", " 7", '"5"', "\u01fe5"]))
+                                       "3.0", "\u0663", " 7", '"5"', "\u01fe5",
+                                       "5\x1f", "\x1c7"]))
 FLOAT_CELLS = st.one_of(
     st.floats(0.0, 20.0).map(repr), st.floats(-2.0, 20.0).map(repr),
     st.sampled_from(["nan", "inf", "-inf", "1e400", "-0.0", " 0.5 ", "", "x",
-                     "1.0000000001", "1e-1", "0", "1_0.5", "\u0663.5", "#1", '"5"']))
+                     "1.0000000001", "1e-1", "0", "1_0.5", "\u0663.5", "#1", '"5"',
+                     "0.5\x1f"]))
 PERCENT_CELLS = st.one_of(
     st.floats(0.0, 100.0).map(repr),
     st.from_regex(r"\A[+-]?[0-9]{1,3}(\.[0-9]{0,40})?\Z"),
@@ -422,19 +425,24 @@ CELLS = {
     "text": st.sampled_from(["", "disk full", " padded ", "agent check failed"]),
     "cpu_set": st.sampled_from(["", "1|2|3", "4 5", "1||2", "x|1", " 7 ", "+3"]),
 }
-# Cells each field accepts, for rows that all pass, so that most blocks of a
-# numeric file reach numpy's C reader; the batch instance spans and cpu pair
-# are drawn so that their rules hold too.
+# Cells each kind accepts, for rows that all pass, so that most blocks of a
+# numeric file reach numpy's C reader. An optional machine with an
+# information separator at its edge sends its block down the column path.
 VALID_CELLS = {
     "nonneg_int": st.integers(0, 60).map(str), "int": st.integers(1, 60).map(str),
     "machine": st.integers(1, 60).map(str),
-    "optional_machine": st.one_of(st.integers(0, 60).map(str), st.just("")),
+    "optional_machine": st.one_of(st.integers(0, 60).map(str),
+                                  st.sampled_from(["", "5\x1f"])),
     "float": st.floats(0.5, 20.0).map(repr), "nonneg_float": st.floats(0.0, 20.0).map(repr),
     "unit": st.floats(0.0, 1.0).map(repr),
     "percent": st.one_of(st.floats(0.0, 100.0).map(repr),
                          st.from_regex(r"\A[0-9]{1,2}(\.[0-9]{0,40})?\Z"),
                          st.sampled_from(LONG_PERCENTS)),
     "text": CELLS["text"], "cpu_set": st.sampled_from(["", "1|2|3", "4 5"]),
+}
+# The batch instance spans and cpu pair, by field name, drawn so that their
+# rules hold too.
+VALID_RULE_CELLS = {
     "start": st.integers(1, 30).map(str), "end": st.integers(30, 60).map(str),
     "max_cpu": st.floats(10.0, 20.0).map(repr), "avg_cpu": st.floats(0.0, 10.0).map(repr),
 }
@@ -474,7 +482,7 @@ def trace_files(draw):
         if valid:
             cells = [draw(st.sampled_from(oracles.PARSE_ENUMS[file_key][1])
                           if kinds[name] == "enum"
-                          else VALID_CELLS.get(name, VALID_CELLS[kinds[name]]))
+                          else VALID_RULE_CELLS.get(name, VALID_CELLS[kinds[name]]))
                      for name in columns]
         else:
             cells = [draw(enum_cells(file_key) if kinds[name] == "enum"
@@ -592,6 +600,8 @@ REJECTED_CELLS = [
     # the optional machine quotes its cell stripped
     ("batch_instance", "machine", " x ", "bad integer for machine: 'x'"),
     ("batch_instance", "machine", "-3", "machine must be >= 0, got -3"),
+    ("batch_instance", "machine", "5\x1f", None),
+    ("server_usage", "machine", "5\x1f", "bad integer for machine: '5\\x1f'"),
     # numpy's C reader strips an information separator as space and reads
     # some letters outside ASCII as digits, where int() and float() refuse
     ("server_usage", "load1", "1.0\x1c", "bad number for load1: '1.0\\x1c'"),
