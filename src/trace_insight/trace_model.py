@@ -22,20 +22,20 @@ Kinds and units, applied at parse time and inverted on write:
 
 Each kind states its rule once: its parse, the mask of the values it
 accepts, and the words for a cell that fails either. Parsing reads
-``BLOCK_ROWS`` records at a time and applies the masks and the cross-column
-rules to whole columns. A block of the four files without a text field goes
-to numpy's C reader, ``np.loadtxt``: int and float cells parse in C, with
-the ``PyOS_string_to_double`` of ``float()``, every other cell by its kind's
-parse. On ASCII text without information separators it accepts a subset
-of what ``int()`` and ``float()`` accept, to the same values, so a block it
-refuses or could read otherwise (``_c_read``) takes the column path and
-gives the same columns: ``csv.reader`` rows, each column converted with one
-``np.fromiter``. The event files take
-that path throughout, and so does the rest of a file from a block that only
-``csv.reader`` reads right (a quote, a CR, a NUL, a line over its field
-limit). A row that any check rejects has its cells checked one at a time by
-the same parse and mask, in the spec's check order, to name the first rule
-it breaks in its ``RowDiagnostic``.
+``BLOCK_ROWS`` records at a time and has two readers. A block of plain lines
+goes to numpy's C reader, ``np.loadtxt``: int and float cells parse in C,
+with the ``PyOS_string_to_double`` of ``float()``, every other cell by its
+kind's parse (a text cell into an ``object`` field), and the masks and the
+cross-column rules apply to whole columns. On ASCII text without information
+separators it accepts a subset of what ``int()`` and ``float()`` accept, to
+the same values. Every other block goes to the row rule, ``_row``: a block
+the C reader refuses or could read otherwise (``_c_read``), and the rest of
+a file from its first block that only ``csv.reader`` reads right (a quote, a
+CR, a NUL, a line over its field limit). The row rule checks a row's width,
+then its cells one at a time by the same parse and mask, and the
+cross-column rules, in the spec's check order. It also names the first rule
+broken by a row the C reader's masks reject, in its ``RowDiagnostic``, so
+each row is accepted and explained by the same code.
 
 A percent cell converts as ``float(text + "e-2")``, which rounds the exact
 decimal value once. Cells where that raises (an exponent, trailing space),
@@ -45,7 +45,7 @@ which gives the same float wherever both apply. ``fraction_to_percent_text``
 inverts the conversion exactly, so writing a bundle and parsing it again
 reproduces every float bit-for-bit.
 
-Writing formats a block column at a time too, each kind's ``text`` in C
+Writing formats a block a column at a time, each kind's ``text`` in C
 loops: ``str`` or ``repr`` of the column's Python values, and for percent
 cells the digit shift of ``percent_texts``. The shortest repr ``0.d1d2d3…``
 of a fraction in [1e-4, 1) is written ``d1d2.d3…``, with a leading zero of
@@ -241,10 +241,9 @@ class _Kind:
     accepts; ``rule`` words a value ``valid`` refuses, and ``bad`` a cell
     ``parse`` refuses (None: the parse error's own text). Both format over
     the field ``name``, the cell ``text`` and the parsed ``value``; ``strip``
-    kinds read and quote the cell stripped. The block parser applies
-    ``parse`` and ``valid`` to whole columns, and ``check`` to the cells of a
-    rejected row to name the rule it breaks. ``text`` turns a block column
-    back into its cells."""
+    kinds read and quote the cell stripped. The C reader applies ``parse``
+    and ``valid`` to whole columns, and the row rule ``check`` to the cells
+    of one row. ``text`` turns a block column back into its cells."""
 
     dtype: type
     parse: Callable[[str], object]
@@ -253,13 +252,6 @@ class _Kind:
     text: Callable[[np.ndarray], Iterable[str]]
     bad: str | None = None
     strip: bool = False
-
-    def column(self, cells: tuple[str, ...]) -> np.ndarray:
-        """A block column; raises on the first cell that does not parse."""
-        parsed = map(self.parse, cells)
-        if self.dtype is str:
-            return np.array(list(parsed), dtype=str)
-        return np.fromiter(parsed, self.dtype, len(cells))
 
     def check(self, text: str, name: str):
         """The value of one cell. Raises ValueError worded for the first
@@ -357,21 +349,22 @@ class _FileSpec:
     fields: dict[str, _Kind]
     check_first: tuple = ()
 
+    @cached_property
     def check_order(self) -> list:
         first = [step for step in self.check_first if isinstance(step, str)]
         return list(self.check_first) + [f for f in self.fields if f not in first]
 
+    @cached_property
     def rules(self) -> list[_Rule]:
         return [step for step in self.check_first if isinstance(step, _Rule)]
 
     @cached_property
-    def c_reader(self) -> tuple[np.dtype, dict[int, Callable]] | None:
+    def c_reader(self) -> tuple[np.dtype, dict[int, Callable]]:
         """The structured dtype and converters ``np.loadtxt`` reads a block
-        of this file with, None for a file with a text field. Plain int and
-        float fields parse in C; every other field by its kind's ``parse``."""
-        if any(kind.dtype is str for kind in self.fields.values()):
-            return None
-        return (np.dtype([(name, kind.dtype) for name, kind in self.fields.items()]),
+        of this file with. Plain int and float fields parse in C; every other
+        field by its kind's ``parse``, a text field into an ``object`` field."""
+        return (np.dtype([(name, object if kind.dtype is str else kind.dtype)
+                          for name, kind in self.fields.items()]),
                 {i: kind.parse for i, kind in enumerate(self.fields.values())
                  if kind.parse not in (int, float)})
 
@@ -460,8 +453,8 @@ class Table:
 @dataclass(eq=False)
 class TraceBundle:
     """The six parsed files plus the derived machine count and, for a bundle
-    ``parse_trace_dir`` read, the rows of the blocks numpy's C reader did not
-    take (``python_rows``).
+    ``parse_trace_dir`` read, the rows the row rule read (``python_rows``):
+    those of the blocks numpy's C reader did not take.
 
     Treated as immutable after construction; pipeline stages that need a
     modified view (e.g. filtered container events) build a new bundle with
@@ -482,71 +475,72 @@ class TraceBundle:
 # parsing
 
 
-def _convert(kind: _Kind, cells: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray | None]:
-    """One block column as (values, mask of the cells that parse, None when
-    all do)."""
-    try:
-        return kind.column(cells), None
-    except (ValueError, OverflowError):
-        # some cell does not convert: convert cell by cell and mark it
-        values = np.zeros(len(cells), dtype=object if kind.dtype is str else kind.dtype)
-        parsed = np.ones(len(cells), dtype=bool)
-        for i, cell in enumerate(cells):
-            try:
-                values[i] = kind.parse(cell)
-            except (ValueError, OverflowError):
-                parsed[i] = False
-        return (values.astype(str) if kind.dtype is str else values), parsed
-
-
-def _reason(spec: _FileSpec, cells: dict[str, str]) -> str:
-    """The first check a rejected row breaks, in the spec's check order."""
+def _row(spec: _FileSpec, cells: list[str]) -> tuple[list | None, str | None]:
+    """The row rule: (the values of one row's cells in field order, None)
+    for a row every check accepts, else (None, the first check it breaks, in
+    the spec's check order); a blank row is (None, None), skipped unnamed."""
+    if len(cells) != len(spec.fields):
+        if not cells or (len(cells) == 1 and not cells[0].strip()):
+            return None, None
+        return None, f"expected {len(spec.fields)} columns, got {len(cells)}"
+    texts = dict(zip(spec.fields, cells))
     values: dict[str, object] = {}
-    for step in spec.check_order():
+    for step in spec.check_order:
         if isinstance(step, _Rule):
             if step.violated(*(values[name] for name in step.fields)):
-                return step.message.format(**values)
+                return None, step.message.format(**values)
             continue
         try:
-            values[step] = spec.fields[step].check(cells[step], step)
+            values[step] = spec.fields[step].check(texts[step], step)
         except ValueError as exc:
-            return str(exc)
-    raise RuntimeError(f"row {cells} was rejected but passes every check")
+            return None, str(exc)
+    return [values[name] for name in spec.fields], None
 
 
-def _accept(file_key: str, values: dict[str, np.ndarray], ok: np.ndarray,
-            cells: Callable[[int], list[str]], line_nos,
-            diagnostics: list[RowDiagnostic]) -> dict[str, np.ndarray]:
-    """The rows of a block's parsed columns ``values`` that every mask and
-    rule accepts, as columns; ``ok`` marks the rows whose cells all parse.
-    Each rejected row goes to ``diagnostics``, its reason found from its
-    cells, ``cells(i)`` for the block's row i."""
+def _split(line: str) -> list[str]:
+    """The cells of a plain line, as csv.reader cuts them."""
+    return line.rstrip("\n").split(",")
+
+
+def _accept(file_key: str, values: dict[str, np.ndarray], lines: list[str],
+            line_nos, diagnostics: list[RowDiagnostic]) -> dict[str, np.ndarray]:
+    """The rows of the columns ``values`` the C reader read from ``lines``
+    that every mask and rule accepts, as columns. Each rejected row goes to
+    ``diagnostics``, with the reason the row rule finds in its cells."""
     spec = _SPECS[file_key]
+    ok = np.ones(len(lines), dtype=bool)
     for name, kind in spec.fields.items():
         if kind.valid is not None:
             ok &= kind.valid(values[name])
-    for rule in spec.rules():
+    for rule in spec.rules:
         ok &= ~rule.violated(*(values[name] for name in rule.fields))
     for i in np.flatnonzero(~ok).tolist():
-        diagnostics.append(RowDiagnostic(
-            file_key, line_nos[i], _reason(spec, dict(zip(spec.fields, cells(i))))))
-    # a text column is rebuilt so its width is that of the accepted rows
+        cells = _split(lines[i])
+        row, reason = _row(spec, cells)
+        if row is not None:
+            raise RuntimeError(f"row {cells} was rejected but passes every check")
+        diagnostics.append(RowDiagnostic(file_key, line_nos[i], reason))
+    # a text column is rebuilt as str, as wide as the accepted rows
     return {name: (np.array(column[ok].tolist(), dtype=str)
-                   if column.dtype.kind == "U" else column[ok])
+                   if column.dtype == object else column[ok])
             for name, column in values.items()}
 
 
-def _convert_block(file_key: str, rows: list[list[str]], line_nos: list[int],
-                   diagnostics: list[RowDiagnostic]) -> dict[str, np.ndarray]:
-    """Accepted rows of one block of csv rows as columns, converted a column
-    at a time; rejected ones go to ``diagnostics``."""
-    values: dict[str, np.ndarray] = {}
-    ok = np.ones(len(rows), dtype=bool)
-    for (name, kind), cells in zip(_SPECS[file_key].fields.items(), zip(*rows)):
-        values[name], parsed = _convert(kind, cells)
-        if parsed is not None:
-            ok &= parsed
-    return _accept(file_key, values, ok, rows.__getitem__, line_nos, diagnostics)
+def _read_rows(file_key: str, rows: Iterable[list[str]], line_nos,
+               diagnostics: list[RowDiagnostic]) -> dict[str, np.ndarray]:
+    """The rows of a block that the row rule accepts, as columns; each row
+    it rejects goes to ``diagnostics``."""
+    spec = _SPECS[file_key]
+    accepted = []
+    for line_no, cells in zip(line_nos, rows):
+        row, reason = _row(spec, cells)
+        if row is not None:
+            accepted.append(row)
+        elif reason is not None:
+            diagnostics.append(RowDiagnostic(file_key, line_no, reason))
+    columns = zip(*accepted) if accepted else repeat(())
+    return {name: np.array(column, dtype=kind.dtype)
+            for (name, kind), column in zip(spec.fields.items(), columns)}
 
 
 # What only csv.reader reads right: a quote, a CR line end and NUL
@@ -558,11 +552,11 @@ _NUMPY_SPACE = "\x1c\x1d\x1e\x1f"
 
 def _c_read(spec: _FileSpec, lines: list[str]) -> dict[str, np.ndarray] | None:
     """The columns of a block of plain lines as numpy's C reader parses them,
-    or None where they could differ from the column path's: a block with a
-    character outside ASCII (the reader takes some letters for digits) or a
-    ``_NUMPY_SPACE``, a cell it refuses or warns about, a blank line it
-    skips. Every cell it does read, ``int()``, ``float()`` or the kind's
-    ``parse`` reads to the same value."""
+    a text field as an ``object`` column, or None where they could differ
+    from the row rule's values: a block with a character outside ASCII (the
+    reader takes some letters for digits) or a ``_NUMPY_SPACE``, a cell it
+    refuses or warns about, a blank line it skips. Every cell it does read,
+    ``int()``, ``float()`` or the kind's ``parse`` reads to the same value."""
     text = "".join(lines)
     if not text.isascii() or any(map(text.__contains__, _NUMPY_SPACE)):
         return None
@@ -581,20 +575,19 @@ def _c_read(spec: _FileSpec, lines: list[str]) -> dict[str, np.ndarray] | None:
     return {name: table[name] for name in spec.fields}
 
 
-def _record_blocks(fh: TextIO, spec: _FileSpec) -> Iterator[tuple[list, bool]]:
+def _record_blocks(fh: TextIO) -> Iterator[tuple[list, bool]]:
     """The records of the trace file open as ``fh``, ``BLOCK_ROWS`` at a time:
     (lines, True) for plain lines, one record each, that ``str.split`` cuts
-    as csv.reader does; (csv rows, False) for a file with a text field, and
-    from the first block with a ``_CSV_ONLY`` character or a line over the
-    csv field limit on, so csv.reader reads or refuses those as it does."""
-    if spec.c_reader is not None:
-        limit = csv.field_size_limit()
-        while lines := list(islice(fh, BLOCK_ROWS)):
-            text = "".join(lines)
-            if any(map(text.__contains__, _CSV_ONLY)) or max(map(len, lines)) > limit:
-                fh = chain(lines, fh)
-                break
-            yield lines, True
+    as csv.reader does; (csv rows, False) from the first block with a
+    ``_CSV_ONLY`` character or a line over the csv field limit on, so
+    csv.reader reads or refuses those as it does."""
+    limit = csv.field_size_limit()
+    while lines := list(islice(fh, BLOCK_ROWS)):
+        text = "".join(lines)
+        if any(map(text.__contains__, _CSV_ONLY)) or max(map(len, lines)) > limit:
+            fh = chain(lines, fh)
+            break
+        yield lines, True
     reader = csv.reader(fh)
     while rows := list(islice(reader, BLOCK_ROWS)):
         yield rows, False
@@ -602,43 +595,24 @@ def _record_blocks(fh: TextIO, spec: _FileSpec) -> Iterator[tuple[list, bool]]:
 
 def _parse_file(path: str, file_key: str,
                 ) -> tuple[Table, list[RowDiagnostic], int]:
-    """``parse_trace_file``, and the rows of the blocks numpy's C reader did
-    not take."""
+    """``parse_trace_file``, and the rows the row rule read, all of a block
+    numpy's C reader did not take."""
     spec = _SPECS[file_key]
-    width = len(spec.fields)
     blocks: list[dict[str, np.ndarray]] = []
     diagnostics: list[RowDiagnostic] = []
     python_rows = 0
     with open(path, newline="", encoding="utf-8") as fh:
         first_line = 1
-        for block, plain in _record_blocks(fh, spec):
+        for block, plain in _record_blocks(fh):
             line_nos = range(first_line, first_line + len(block))
             first_line += len(block)
-            if plain:
-                columns = _c_read(spec, block)
-                if columns is not None:
-                    blocks.append(_accept(
-                        file_key, columns, np.ones(len(block), dtype=bool),
-                        lambda i: block[i].rstrip("\n").split(","), line_nos,
-                        diagnostics))
-                    continue
-                block = list(csv.reader(block))
+            columns = _c_read(spec, block) if plain else None
+            if columns is not None:
+                blocks.append(_accept(file_key, columns, block, line_nos, diagnostics))
+                continue
             python_rows += len(block)
-            rows = block
-            if set(map(len, block)) != {width}:
-                rows, kept = [], []
-                for line_no, row in zip(line_nos, block):
-                    if len(row) == width:
-                        rows.append(row)
-                        kept.append(line_no)
-                    elif row and not (len(row) == 1 and not row[0].strip()):
-                        diagnostics.append(RowDiagnostic(
-                            file_key, line_no,
-                            f"expected {width} columns, got {len(row)}"))
-                line_nos = kept
-            if rows:
-                blocks.append(_convert_block(file_key, rows, line_nos, diagnostics))
-    diagnostics.sort(key=lambda diag: diag.line)
+            blocks.append(_read_rows(file_key, map(_split, block) if plain else block,
+                                     line_nos, diagnostics))
     table = Table(file_key, {
         _column_name(name): (np.concatenate([b[name] for b in blocks]) if blocks
                              else np.array([], dtype=kind.dtype))
@@ -653,9 +627,9 @@ def parse_trace_file(path: str, file_key: str,
 
     Malformed rows are skipped and reported in line order; nothing is raised
     here so callers decide what rejection rate is tolerable. A block of plain
-    ASCII lines of a file without a text field is read by numpy's C reader,
-    every other block by ``csv.reader`` and the column path (see the module
-    docstring); both give the same columns and diagnostics.
+    ASCII lines is read by numpy's C reader, every other block a row at a
+    time by the row rule (see the module docstring); both give the same
+    columns and diagnostics.
     """
     table, diagnostics, _ = _parse_file(path, file_key)
     return table, diagnostics

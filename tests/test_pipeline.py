@@ -812,7 +812,6 @@ def test_stage_manifests_count_the_rows_each_file_lost(tmp_path):
 
 
 DEMO_GRID_END = str(39600 + 48 * 300)
-NUMERIC_FILES = ("server_usage", "container_usage", "batch_task", "batch_instance")
 
 
 @pytest.fixture(scope="module")
@@ -829,8 +828,8 @@ def demo_trace(tmp_path_factory):
     return trace
 
 
-def test_every_block_of_a_numeric_file_takes_the_c_reader(demo_trace, monkeypatch):
-    # a block that falls back to the column path changes no byte, only the
+def test_every_block_of_every_trace_file_takes_the_c_reader(demo_trace, monkeypatch):
+    # a block that falls back to the row rule changes no byte, only the
     # time, so which reader the blocks take is checked here
     # numpy 1.x hands the converters bytes unless the call names an
     # encoding; the spy gives numpy 2 that default, so the call must name one
@@ -849,8 +848,8 @@ def test_every_block_of_a_numeric_file_takes_the_c_reader(demo_trace, monkeypatc
 
     monkeypatch.setattr(trace_model.np, "loadtxt", spy)
     bundle = parse_trace_dir(str(demo_trace))
-    for key in NUMERIC_FILES:
-        spec = trace_model._SPECS[key]
+    assert bundle.python_rows == 0
+    for key, spec in trace_model._SPECS.items():
         rows = len(getattr(bundle, spec.attr))
         blocks = [min(trace_model.BLOCK_ROWS, rows - lo)
                   for lo in range(0, rows, trace_model.BLOCK_ROWS)]
@@ -860,24 +859,43 @@ def test_every_block_of_a_numeric_file_takes_the_c_reader(demo_trace, monkeypatc
 
 
 def test_preprocess_counts_the_rows_the_c_reader_did_not_take(demo_trace, tmp_path):
-    trace = tmp_path / "trace"
-    shutil.copytree(demo_trace, trace)
-    synth_counts = json.loads((trace / "manifest-synth.json").read_text())["row_counts"]
+    synth_counts = json.loads((demo_trace / "manifest-synth.json").read_text())["row_counts"]
+    block_rows = trace_model.BLOCK_ROWS
+
+    def crlf(trace):
+        # CR line ends are csv.reader's to read, for the whole file
+        path = trace / "server_usage.csv"
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+
+    def bad_cell(trace):
+        # a cell the C reader refuses sends its block, and no other, to the
+        # row rule
+        path = trace / "container_usage.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        cells = lines[block_rows + 5].split(",")
+        cells[1] = "not-an-instance"
+        lines[block_rows + 5] = ",".join(cells)
+        path.write_text("".join(lines), encoding="utf-8")
+
     manifests = {}
-    for run in ("lf", "crlf"):
-        if run == "crlf":
-            # CR line ends are csv.reader's to read, for the whole file
-            path = trace / "server_usage.csv"
-            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        out = tmp_path / run
+    for run, edit in (("lf", None), ("crlf", crlf), ("bad_cell", bad_cell)):
+        trace = tmp_path / run / "trace"
+        shutil.copytree(demo_trace, trace)
+        if edit is not None:
+            edit(trace)
+        out = tmp_path / run / "out"
         run_preprocess(stage_config(trace, out, grid_end=DEMO_GRID_END))
         manifests[run] = json.loads((out / "manifest-preprocess.json").read_text())
-    lf, crlf = (manifests[run]["row_counts"]["rows_parsed_in_python"]
-                for run in ("lf", "crlf"))
-    assert lf == synth_counts["server_events"] + synth_counts["container_events"]
-    assert crlf == lf + synth_counts["server_usage"]
+    counts = {run: manifest["row_counts"] for run, manifest in manifests.items()}
+    assert counts["lf"]["rows_parsed_in_python"] == 0
+    assert counts["crlf"]["rows_parsed_in_python"] == synth_counts["server_usage"]
     for key in ("outputs", "trace_columns"):
         assert manifests["crlf"][key] == manifests["lf"][key], key
+    usage_rows = synth_counts["container_usage"]
+    assert usage_rows > block_rows
+    assert counts["bad_cell"]["rows_parsed_in_python"] == \
+        min(block_rows, usage_rows - block_rows)
+    assert counts["bad_cell"]["rows_skipped_container_usage"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -422,12 +422,15 @@ CELLS = {
     "optional_machine": st.one_of(INT_CELLS, st.sampled_from(["", "  "])),
     "float": FLOAT_CELLS, "nonneg_float": FLOAT_CELLS, "unit": FLOAT_CELLS,
     "percent": PERCENT_CELLS,
-    "text": st.sampled_from(["", "disk full", " padded ", "agent check failed"]),
-    "cpu_set": st.sampled_from(["", "1|2|3", "4 5", "1||2", "x|1", " 7 ", "+3"]),
+    "text": st.sampled_from(["", "disk full", " padded ", "agent check failed",
+                             "caf\u00e9", "a\x1fb"]),
+    "cpu_set": st.sampled_from(["", "1|2|3", "4 5", "1||2", "x|1", " 7 ", "+3",
+                                "1|2\x1c"]),
 }
-# Cells each kind accepts, for rows that all pass, so that most blocks of a
-# numeric file reach numpy's C reader. An optional machine with an
-# information separator at its edge sends its block down the column path.
+# Cells each kind accepts, for rows that all pass, so that most blocks reach
+# numpy's C reader. An optional machine with an information separator at its
+# edge, a text cell outside ASCII or holding one, and a cpu set holding one
+# send their block to the row rule.
 VALID_CELLS = {
     "nonneg_int": st.integers(0, 60).map(str), "int": st.integers(1, 60).map(str),
     "machine": st.integers(1, 60).map(str),
@@ -438,7 +441,7 @@ VALID_CELLS = {
     "percent": st.one_of(st.floats(0.0, 100.0).map(repr),
                          st.from_regex(r"\A[0-9]{1,2}(\.[0-9]{0,40})?\Z"),
                          st.sampled_from(LONG_PERCENTS)),
-    "text": CELLS["text"], "cpu_set": st.sampled_from(["", "1|2|3", "4 5"]),
+    "text": CELLS["text"], "cpu_set": st.sampled_from(["", "1|2|3", "4 5", "1|2\x1c"]),
 }
 # The batch instance spans and cpu pair, by field name, drawn so that their
 # rules hold too.
@@ -464,7 +467,7 @@ def trace_files(draw):
     names, which is one more row to refuse; or, in the valid mode (one file
     in four), rows of valid cells alone. Lines end in LF or, in a CRLF
     variant (one file in four), in CR LF. The mixed files with LF line ends,
-    where C-reader blocks and column-path blocks meet, stay the majority."""
+    where C-reader blocks and row-rule blocks meet, stay the majority."""
     file_key = draw(st.sampled_from(sorted(oracles.PARSE_FIELDS)))
     fields = oracles.PARSE_FIELDS[file_key]
     columns = [name for name, _ in fields]
