@@ -16,11 +16,11 @@ fails part-way leaves no manifest vouching for what it overwrote.
 ``preprocess`` is the one stage that reads the trace. It hands analyze one
 file, ``trace_columns.bin``: the parsed columns analyze reads, with the
 container events filtered, the rows each file lost, and the repaired cpu,
-mem and disk usage. ``analyze``
-reads nothing else of its input, and loads that file only when
-manifest-preprocess.json records its digest and ran on the same grid. All
-randomness comes from seeds named in the config; a missing seed is an
-error, never a fallback to wall-clock entropy.
+mem and disk usage, and the grid of the repair. ``analyze`` reads nothing
+else of its input, and loads that file only when manifest-preprocess.json
+records its digest and the file's grid is its own. All randomness comes
+from seeds named in the config; a missing seed is an error, never a
+fallback to wall-clock entropy.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .anomaly import (
     write_scores_csv,
 )
 from .classify import (
+    TYPE_LABELS,
     category_report,
     kmeans_fit,
     label_clusters,
@@ -78,7 +79,6 @@ from .stage import (
     StageError,
     _prepare_out_dir,
     _read_manifest,
-    _recorded_key,
     _refusal,
     _sha256,
     keys_read,
@@ -208,7 +208,7 @@ def run_preprocess(config: dict[str, str]) -> str:
                              os.path.join(out_dir, REMOVED_EVENTS_FILENAME))
     columns_path = os.path.join(out_dir, COLUMNS_FILENAME)
     save_columns(dataclasses.replace(bundle, container_events=clean), skipped,
-                 dense.values, columns_path)
+                 dense.values, grid, columns_path)
     methods, method_counts = np.unique(repairs.method, return_counts=True)
     write_manifest(out_dir, stage, keys_read(config, stage),
                    inputs=_digest_inputs(input_dir, stage),
@@ -217,6 +217,7 @@ def run_preprocess(config: dict[str, str]) -> str:
                    row_counts={
                        "machines": bundle.machine_count,
                        "server_usage": len(bundle.server_usage),
+                       "out_of_grid_server_usage_records": dense.out_of_grid,
                        "repair_annotations": len(repairs),
                        "container_events": len(bundle.container_events),
                        "container_events_removed": len(removed),
@@ -233,29 +234,29 @@ def run_preprocess(config: dict[str, str]) -> str:
 # ---------------------------------------------------------------------------
 # stage: analyze
 
-def _hand_off(out_dir: str, values: dict, stage: str):
+def _hand_off(out_dir: str, grid: IntervalGrid, stage: str):
     """What preprocess saved in ``out_dir`` for analyze, as (bundle, rows
     skipped per file key, dense usage values, sha256 of their file); refused
     unless manifest-preprocess.json records that digest under
-    ``trace_columns`` and ran on the grid in ``values``. A recorded grid
-    value that does not parse disagrees with every value."""
-    name = "manifest-preprocess.json"
+    ``trace_columns`` and the file records ``grid``, the grid of this run.
+    Nothing of the manifest's ``config`` is read."""
     manifest = _read_manifest(out_dir, "preprocess", stage)
     path = os.path.join(out_dir, COLUMNS_FILENAME)
     digest = _sha256(path) if os.path.isfile(path) else None
     if digest is None or manifest.get("trace_columns") != {COLUMNS_FILENAME: digest}:
-        raise StageError(stage, f"no {COLUMNS_FILENAME} in {out_dir} that {name} "
-                                "vouches for; run preprocess first")
-    stale = [key for key in ("grid_start", "grid_end", "grid_step")
-             if _recorded_key(manifest["config"], key, stage) != values[key]]
-    if stale:
-        raise StageError(stage, f"{name} in {out_dir} disagrees with this run "
-                                f"on {', '.join(stale)}; rerun preprocess")
+        raise StageError(stage, f"no {COLUMNS_FILENAME} in {out_dir} that manifest-"
+                                "preprocess.json vouches for; run preprocess first")
     try:
-        return (*load_columns(path), digest)
+        bundle, skipped, dense, saved = load_columns(path)
     except (ValueError, EOFError) as e:   # another layout, or cut short
         raise StageError(stage, f"{COLUMNS_FILENAME} in {out_dir} does not load "
                                 f"({e}); rerun preprocess") from e
+    stale = [f"grid_{field}" for field in ("start", "end", "step")
+             if getattr(saved, field) != getattr(grid, field)]
+    if stale:
+        raise StageError(stage, f"{COLUMNS_FILENAME} in {out_dir} disagrees with "
+                                f"this run on {', '.join(stale)}; rerun preprocess")
+    return bundle, skipped, dense, digest
 
 
 def run_analyze(config: dict[str, str]) -> str:
@@ -278,7 +279,7 @@ def run_analyze(config: dict[str, str]) -> str:
             raise _refusal(stage, key, rule, config.get(key, CONFIG_KEYS[key].default))
 
     out_dir = values["output_dir"]
-    bundle, skipped, dense, digest = _hand_off(out_dir, values, stage)
+    bundle, skipped, dense, digest = _hand_off(out_dir, grid, stage)
     _prepare_out_dir(out_dir, stage)
     try:
         diag = AggDiagnostics()
@@ -305,9 +306,8 @@ def run_analyze(config: dict[str, str]) -> str:
 
         # classification; row m - 1 is machine m from here to the writers
         model = label_clusters(kmeans_fit(
-            occupancy_matrix(table), k=values["classify_k"],
-            seed=values["classify_seed"], max_iter=values["classify_max_iter"],
-            n_init=values["classify_restarts"]))
+            occupancy_matrix(table), k=len(TYPE_LABELS),
+            seed=values["classify_seed"]))
         cat_report = category_report(model, table)
         write_assignments_csv(model, os.path.join(out_dir, "assignments.csv"))
         write_counts_json(model, cat_report,
@@ -317,9 +317,7 @@ def run_analyze(config: dict[str, str]) -> str:
 
         # anomaly
         feat_matrix = build_feature_matrix(table, values["anomaly_mode"])
-        forest = iforest_fit(feat_matrix, tree_count=values["anomaly_trees"],
-                             subsample=values["anomaly_subsample"],
-                             seed=values["anomaly_seed"])
+        forest = iforest_fit(feat_matrix, seed=values["anomaly_seed"])
         anomaly_report = score_machines(forest, feat_matrix, bundle.machine_count)
         anomaly_report.labels = [model.labels[c] for c in model.assignments.tolist()]
         anomaly_report.causes = diagnose(anomaly_report.labels, bundle.events,

@@ -45,6 +45,7 @@ class DenseUsage:
 
     timestamps: np.ndarray   # (T,) int64
     values: np.ndarray       # (M, T, 6 or 3) float64
+    out_of_grid: int = 0     # server-usage rows the repair dropped off the grid
 
 
 def interpolate_gap(left_value, right_value, span_count, missing_index):
@@ -71,7 +72,8 @@ def supplement_server_usage(bundle: TraceBundle, grid: IntervalGrid,
                             ) -> tuple[DenseUsage, Table]:
     """Densify server usage over every (machine, grid timestamp) pair.
 
-    Rows sharing a slot are averaged; observed values pass through unchanged.
+    Rows sharing a slot are averaged; observed values pass through unchanged,
+    and rows off the grid are dropped and counted as ``out_of_grid``.
     Returns the dense table and the repair log: one row (machine, metric,
     timestamp, method, value) per synthesized value, per machine and metric
     the boundary holds in slot order, then the interpolated slots in slot
@@ -81,8 +83,8 @@ def supplement_server_usage(bundle: TraceBundle, grid: IntervalGrid,
     m_count = bundle.machine_count
     usage = bundle.server_usage
     slot = (usage.timestamp - grid.start) // grid.step
-    keep = ((usage.timestamp >= grid.start) & (slot < t_count)
-            & (usage.machine >= 1) & (usage.machine <= m_count))
+    in_grid = (usage.timestamp >= grid.start) & (slot < t_count)
+    keep = in_grid & (usage.machine >= 1) & (usage.machine <= m_count)
     # rows summed per cell from 0.0 in record order, as float64 even with no
     # rows (where bincount alone gives int64)
     cell = ((usage.machine - 1) * t_count + slot)[keep]
@@ -129,7 +131,7 @@ def supplement_server_usage(bundle: TraceBundle, grid: IntervalGrid,
         "method": method[hole],
         "value": values[rows[hole], cols[hole], metric],
     })
-    return DenseUsage(timestamps, values), repairs
+    return DenseUsage(timestamps, values, int(np.count_nonzero(~in_grid))), repairs
 
 
 class AmbiguousDuplicateError(ValueError):

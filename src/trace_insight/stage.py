@@ -124,7 +124,8 @@ def _bool(raw: str) -> bool:
 
 
 def _int_list(raw: str) -> list[int]:
-    return [int(part) for part in raw.split(",") if part.strip() != ""]
+    """Blank text is the empty list; an empty item (``3,,1``) is refused."""
+    return [int(part) for part in raw.split(",")] if raw.strip() else []
 
 
 # kind: (parse, what the value must be when parse raises ValueError)
@@ -187,18 +188,8 @@ CONFIG_KEYS = {
                                 "use sqrt(cost)/path-length distances"),
     "dtw_seed": ConfigKey("int", None, _ANALYZE, "sampling seed (analyze --seed)",
                           _at_least(0)),
-    "classify_k": ConfigKey("int", "8", _ANALYZE, "k-means cluster count",
-                            _at_least(1), flag="--k"),
-    "classify_max_iter": ConfigKey("int", "100", _ANALYZE, "Lloyd iteration cap",
-                                   _at_least(1), flag="--max-iter"),
-    "classify_restarts": ConfigKey("int", "10", _ANALYZE, "k-means++ restarts, "
-                                   "best inertia wins", _at_least(1)),
     "classify_seed": ConfigKey("int", None, _ANALYZE,
                                "k-means seed (analyze --seed)", _at_least(0)),
-    "anomaly_trees": ConfigKey("int", "100", _ANALYZE, "isolation forest size",
-                               _at_least(1), flag="--trees"),
-    "anomaly_subsample": ConfigKey("int", "256", _ANALYZE, "rows per tree",
-                                   _at_least(2), flag="--subsample"),
     "anomaly_mode": ConfigKey(FeatureMode, "per_machine_mean", _ANALYZE,
                               "per_machine_mean or per_interval features",
                               flag="--mode"),
@@ -223,7 +214,10 @@ CONFIG_KEYS = {
 
 
 def parse_config_file(path: str) -> dict[str, str]:
+    """The key=value lines of the file at ``path``; a key set twice is
+    refused with both line numbers named."""
     config: dict[str, str] = {}
+    lines: dict[str, int] = {}   # the line that set each key
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -237,7 +231,10 @@ def parse_config_file(path: str) -> dict[str, str]:
                 key = key.strip()
                 if key not in CONFIG_KEYS:
                     raise StageError("config", f"{path}:{lineno}: unknown key {key!r}")
-                config[key] = value.strip()
+                if key in lines:
+                    raise StageError("config", f"{path}:{lineno}: key {key!r} is "
+                                               f"already set on line {lines[key]}")
+                config[key], lines[key] = value.strip(), lineno
     except OSError as e:
         raise StageError("config", f"cannot read config file: {e}") from e
     return config
@@ -371,21 +368,6 @@ def _prepare_out_dir(out_dir: str, stage: str) -> None:
     for name in (stage, *readers):
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(out_dir, f"manifest-{name}.json"))
-
-
-# A recorded config value that does not parse; equal to no parsed value.
-_UNREADABLE = object()
-
-
-def _recorded_key(recorded: dict, key: str, stage: str):
-    """``key`` as a manifest's ``config`` recorded it, parsed, or
-    _UNREADABLE when the recorded text is not one the key accepts."""
-    if not isinstance(recorded.get(key, ""), str):
-        return _UNREADABLE
-    try:
-        return _read_key(recorded, key, stage)
-    except StageError:
-        return _UNREADABLE
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ Only a file with a text field goes through ``csv.writer``, because only a
 text cell can need quoting; the lines of every other file are joined by
 ``csv_lines``.
 
-``save_columns`` writes the columns of a bundle that analyze reads
+``save_columns`` writes the grid, the columns of a bundle that analyze reads
 (``SAVED_COLUMNS``), the rows each file lost and the repaired cpu, mem and
 disk of the dense usage to one binary file, and ``load_columns`` reads them
 back with the same dtypes: the one hand-off from preprocess to analyze.
@@ -676,7 +676,7 @@ def parse_trace_dir(path: str, *, max_skip_ratio: float = 0.01,
 
 # The first record of a ``save_columns`` file; a new layout of its records
 # takes a new name, so a file saved in an older one is refused.
-COLUMNS_LAYOUT = "analyze columns, skipped counts, dense cpu/mem/disk"
+COLUMNS_LAYOUT = "grid, analyze columns, skipped counts, dense cpu/mem/disk"
 
 # The columns analyze reads, in field order per file key: the only ones
 # ``save_columns`` keeps. Machine and container counts, core counts, usage
@@ -693,20 +693,22 @@ SAVED_COLUMNS = {
 
 
 def save_columns(bundle: TraceBundle, skipped: dict[str, int],
-                 dense: np.ndarray, path: str) -> None:
+                 dense: np.ndarray, grid: IntervalGrid, path: str) -> None:
     """Write the ``SAVED_COLUMNS`` of ``bundle``, the rows its parse skipped
-    per file key and the cpu, mem and disk planes (the first three of the
-    last axis, the only metrics analyze reads) of the repaired dense usage
-    values to ``path``, for ``load_columns``.
+    per file key, and the cpu, mem and disk planes (the first three of the
+    last axis, the only metrics analyze reads) of the dense usage repaired
+    on ``grid`` to ``path``, for ``load_columns``; the file records its grid.
 
     The file is consecutive ``np.save`` records (no pickles, no zip
     timestamps, so the bytes are deterministic): ``COLUMNS_LAYOUT``, the
-    machine count, then per file in ``_SPECS`` order its saved columns and
-    its skipped-row count, then the dense planes.
+    grid's start, end and step, the machine count, then per file in
+    ``_SPECS`` order its saved columns and its skipped-row count, then the
+    dense planes.
     """
     with open(path, "wb") as fh:
         save = partial(np.save, fh, allow_pickle=False)
         save(np.array([COLUMNS_LAYOUT]))
+        save(np.array([grid.start, grid.end, grid.step], dtype=np.int64))
         save(np.array([bundle.machine_count], dtype=np.int64))
         for key, spec in _SPECS.items():
             columns = getattr(bundle, spec.attr).columns
@@ -716,9 +718,10 @@ def save_columns(bundle: TraceBundle, skipped: dict[str, int],
         save(dense[..., :3])
 
 
-def load_columns(path: str) -> tuple[TraceBundle, dict[str, int], np.ndarray]:
-    """The bundle, rows skipped per file key and dense cpu, mem and disk
-    values that ``save_columns`` wrote to ``path``, with the dtypes they
+def load_columns(path: str) -> tuple[TraceBundle, dict[str, int], np.ndarray,
+                                      IntervalGrid]:
+    """The bundle, rows skipped per file key, dense cpu, mem and disk values
+    and grid that ``save_columns`` wrote to ``path``, with the dtypes they
     were saved with. Each table holds its ``SAVED_COLUMNS`` alone, so
     reading another column raises the table's AttributeError, and a table
     with none has no length. Raises ValueError for a file in another
@@ -729,12 +732,13 @@ def load_columns(path: str) -> tuple[TraceBundle, dict[str, int], np.ndarray]:
         load = partial(np.load, fh, allow_pickle=False)
         if load().tolist() != [COLUMNS_LAYOUT]:
             raise ValueError("not in the layout save_columns writes")
+        grid = IntervalGrid(*load().tolist())
         machine_count = int(load()[0])
         for key, spec in _SPECS.items():
             tables[spec.attr] = Table(key, {name: load() for name in SAVED_COLUMNS[key]})
             skipped[key] = int(load()[0])
         dense = load()
-    return TraceBundle(**tables, machine_count=machine_count), skipped, dense
+    return TraceBundle(**tables, machine_count=machine_count), skipped, dense, grid
 
 
 # ---------------------------------------------------------------------------

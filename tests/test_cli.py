@@ -150,8 +150,7 @@ CLI_OPTIONS = {
               "--seed", "--out-dir"},
     "preprocess": {"--input-dir", "--out-dir"},
     "analyze": {"--out-dir", "--sample-num", "--standards",
-                "--threshold", "--k", "--max-iter", "--trees", "--subsample",
-                "--mode", "--top-n", "--seed"},
+                "--threshold", "--mode", "--top-n", "--seed"},
     "report": {"--out-dir"},
 }
 

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 import oracles
 from trace_insight import __version__, pipeline, trace_model
 from trace_insight.anomaly import build_feature_matrix, iforest_fit
+from trace_insight.classify import TYPE_LABELS, kmeans_fit
 from trace_insight.pipeline import (
     ANALYZE_FILENAMES,
     run_analyze,
@@ -60,12 +62,12 @@ def test_config_file_skips_comments_and_blanks(tmp_path):
         "# pipeline settings\n"
         "\n"
         "grid_step = 300\n"
-        "classify_k=4\n"
+        "anomaly_top_n=4\n"
         "   # trailing comment line\n"
         "dtw_standards = 1, 2\n")
     assert parse_config_file(str(path)) == {
         "grid_step": "300",
-        "classify_k": "4",
+        "anomaly_top_n": "4",
         "dtw_standards": "1, 2",
     }
 
@@ -84,22 +86,37 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         parse_config_file(str(path))
 
 
+def test_config_file_refuses_a_key_set_twice(tmp_path):
+    # the second value used to win without a word
+    path = tmp_path / "run.cfg"
+    path.write_text("dtw_threshold=2.0\n# later\ngrid_step=300\n"
+                    "dtw_threshold = 9.0\n")
+    with pytest.raises(StageError, match=r"^\[config\] .*run.cfg:4: key "
+                                         r"'dtw_threshold' is already set on "
+                                         r"line 1$"):
+        parse_config_file(str(path))
+
+
 def test_missing_config_file_is_a_stage_error(tmp_path):
     with pytest.raises(StageError, match="cannot read config file"):
         parse_config_file(str(tmp_path / "nope.cfg"))
 
 
 def test_overrides_apply_last():
-    merged = apply_overrides({"classify_k": "8"},
-                             ["classify_k=3", "dtw_threshold = 2.5"])
-    assert merged == {"classify_k": "3", "dtw_threshold": "2.5"}
+    merged = apply_overrides({"anomaly_top_n": "8"},
+                             ["anomaly_top_n=3", "dtw_threshold = 2.5"])
+    assert merged == {"anomaly_top_n": "3", "dtw_threshold": "2.5"}
+    # unlike a config file, overrides may set a key twice: the last one wins
+    assert apply_overrides({}, ["anomaly_top_n=3", "anomaly_top_n=5"]) == \
+        {"anomaly_top_n": "5"}
 
 
 def test_override_validation():
     with pytest.raises(StageError, match="override must be key=value"):
-        apply_overrides({}, ["classify_k"])
-    with pytest.raises(StageError, match="unknown override key"):
-        apply_overrides({}, ["klassify_k=3"])
+        apply_overrides({}, ["anomaly_top_n"])
+    for key in ("anomaly_top_m", "classify_k"):
+        with pytest.raises(StageError, match=f"unknown override key '{key}'"):
+            apply_overrides({}, [f"{key}=3"])
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +365,24 @@ def noisy_trace(path, seed):
     return path
 
 
+def test_preprocess_counts_the_server_usage_rows_off_the_grid(tmp_path):
+    trace = noisy_trace(tmp_path / "trace", seed=7)
+    runs = {}
+    for name in ("inside", "outside"):
+        out = tmp_path / name
+        run_preprocess(stage_config(trace, out))
+        runs[name] = json.loads((out / "manifest-preprocess.json").read_text())
+        # one row before the grid's start and one after its last slot
+        with open(trace / "server_usage.csv", "a", encoding="utf-8") as fh:
+            fh.write("100,1,10,20,30,1.0,1.0,1.0\n90000,2,10,20,30,1.0,1.0,1.0\n")
+    inside, outside = runs["inside"]["row_counts"], runs["outside"]["row_counts"]
+    assert inside["out_of_grid_server_usage_records"] == 0
+    assert outside["out_of_grid_server_usage_records"] == 2
+    assert outside["server_usage"] == inside["server_usage"] + 2
+    # the repair drops them: every artifact is the same
+    assert runs["outside"]["outputs"] == runs["inside"]["outputs"]
+
+
 def test_a_trace_file_that_cannot_be_read_is_a_stage_error(tmp_path):
     def latin1_row(path):
         with open(path, "ab") as fh:
@@ -484,8 +519,12 @@ def test_a_failed_analyze_leaves_no_manifest_claiming_a_finished_run(tmp_path):
 
 
 BAD_CONFIG_VALUES = [
-    ("analyze", "anomaly_trees", "x", "must be an integer"),
+    ("analyze", "anomaly_top_n", "x", "must be an integer"),
     ("analyze", "dtw_standards", "1,a", "must be a comma-separated list of integers"),
+    # an empty item is no integer; it used to be dropped without a word
+    ("analyze", "dtw_standards", "16,,19", "must be a comma-separated list of integers"),
+    ("synth", "synth_quotas", "3,,1,1,1,1,1,1,1",
+     "must be a comma-separated list of integers"),
     ("analyze", "anomaly_mode", "worst", "anomaly_mode must be one of"),
     # ranges that need no data are checked up front too
     ("analyze", "dtw_standards", "2,2,3", "must be empty, or two or more distinct ids"),
@@ -494,10 +533,6 @@ BAD_CONFIG_VALUES = [
     # a standard id below 1 names no machine; it failed only after the
     # aggregate CSVs were written
     ("analyze", "dtw_standards", "0,1", "must be empty, or two or more distinct ids >= 1"),
-    ("analyze", "classify_k", "0", "must be >= 1"),
-    ("analyze", "classify_restarts", "0", "must be >= 1"),
-    ("analyze", "anomaly_trees", "0", "must be >= 1"),
-    ("analyze", "anomaly_subsample", "1", "must be >= 2"),
     ("analyze", "anomaly_top_n", "-1", "must be >= 0"),
     ("analyze", "dtw_sample_num", "1", "must be >= 2"),
     ("analyze", "dtw_standard_count", "0", r"must be in \[1, dtw_sample_num=8\]"),
@@ -508,7 +543,6 @@ BAD_CONFIG_VALUES = [
     ("preprocess", "max_skip_ratio", "nan", r"must be in \[0, 1\]"),
     ("preprocess", "max_skip_ratio", "1.5", r"must be in \[0, 1\]"),
     ("preprocess", "max_skip_ratio", "-1", r"must be in \[0, 1\]"),
-    ("analyze", "classify_max_iter", "0", "must be >= 1"),
     ("analyze", "dtw_threshold", "nan", "must be finite"),
     ("synth", "synth_noise", "nan", "must be >= 0"),
     ("synth", "synth_noise", "inf", "must be finite"),
@@ -555,6 +589,12 @@ def test_every_default_passes_its_own_checks():
                                if stage in row.stages}, stage
 
 
+def test_a_blank_int_list_is_the_empty_list():
+    for raw in ("", "  "):
+        values = read_config({**REQUIRED, "dtw_standards": raw}, "analyze")
+        assert values["dtw_standards"] == [], raw
+
+
 def test_only_preprocess_reads_the_trace_directory_and_the_skip_limit():
     # analyze reads what preprocess handed over, never the trace itself
     for key in ("input_dir", "max_skip_ratio"):
@@ -568,7 +608,9 @@ def test_read_config_refuses_a_key_no_stage_reads():
     for key in ("dtw_treshold", "has_header", "duration_weighted",
                 "anomaly_normalize", "classify_always", "classify_none",
                 "classify_gap_fraction", "anomaly_heavier_factor",
-                "dtw_range_edges", "dtw_suitability_gap"):
+                "dtw_range_edges", "dtw_suitability_gap", "classify_k",
+                "classify_max_iter", "classify_restarts", "anomaly_trees",
+                "anomaly_subsample"):
         for stage in ("synth", "preprocess", "analyze", "report"):
             with pytest.raises(StageError, match=rf"^\[{stage}\] unknown config "
                                                  rf"key '{key}'$"):
@@ -730,12 +772,44 @@ def test_analyze_counts_the_forest_nodes_in_its_manifest(tmp_path, monkeypatch):
     count = analyze_counts(out)["tree_nodes"]
     run_analyze(stage_config(trace, out))
     assert analyze_counts(out)["tree_nodes"] == count
-    # the node total of the recursive build on the matrix the forest saw
+    # the node total of the recursive build on the matrix the forest saw,
+    # with the forest size and subsample iforest_fit takes by default
     (matrix, settings), _ = fitted
-    trees = oracles.isolation_trees(matrix, settings["tree_count"],
-                                    settings["subsample"], settings["seed"])
+    defaults = inspect.signature(iforest_fit).parameters
+    trees = oracles.isolation_trees(matrix, defaults["tree_count"].default,
+                                    defaults["subsample"].default, settings["seed"])
     assert count == sum(len(oracles.isolation_tree_arrays(tree)[0])
                         for tree in trees)
+
+
+def test_analyze_fits_the_papers_learners_with_the_library_defaults(tmp_path,
+                                                                   monkeypatch):
+    # k is the number of workload types, and every other setting of the two
+    # learners is its library default: 100 Lloyd iterations, 10 restarts,
+    # 100 trees of 256 rows
+    calls = {}   # name: (the arguments given, every argument's value)
+
+    def spy(name, fit):
+        def recorded(*args, **kwargs):
+            bound = inspect.signature(fit).bind(*args, **kwargs)
+            given = set(bound.arguments)
+            bound.apply_defaults()
+            calls[name] = given, bound.arguments
+            return fit(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, recorded)
+
+    spy("kmeans_fit", kmeans_fit)
+    spy("iforest_fit", iforest_fit)
+    preprocess_and_analyze(noisy_trace(tmp_path / "trace", seed=7), tmp_path / "out",
+                           classify_seed="3", anomaly_seed="4")
+    (kmeans_given, kmeans), (forest_given, forest) = \
+        calls["kmeans_fit"], calls["iforest_fit"]
+    assert kmeans_given == {"matrix", "k", "seed"}
+    assert forest_given == {"matrix", "seed"}
+    assert (kmeans["k"], kmeans["seed"], kmeans["max_iter"], kmeans["n_init"]) == \
+        (len(TYPE_LABELS), 3, 100, 10)
+    assert (forest["tree_count"], forest["subsample"], forest["seed"]) == (100, 256, 4)
+    assert analyze_counts(tmp_path / "out")["clusters"] == len(TYPE_LABELS) == 8
 
 
 def test_analyze_refuses_a_non_finite_feature(tmp_path, monkeypatch):
@@ -922,7 +996,8 @@ def test_analyze_reuses_the_columns_preprocess_parsed(tmp_path):
     # it holds the saved columns of the parse, with the container events
     # filtered, and the repaired cpu, mem and disk, every bit as preprocess
     # made them; no other column
-    bundle, skipped, dense = load_columns(str(out / "trace_columns.bin"))
+    bundle, skipped, dense, grid = load_columns(str(out / "trace_columns.bin"))
+    assert grid == IntervalGrid(39600, 39600 + 12 * 300, 300)
     parsed = parse_trace_dir(str(trace))
     parsed = dataclasses.replace(
         parsed, container_events=filter_container_events(parsed.container_events)[0])
@@ -1041,33 +1116,49 @@ def test_analyze_refuses_a_hand_off_its_manifest_does_not_vouch_for(tmp_path,
     assert not any((out / name).exists() for name in ANALYZE_FILENAMES)
 
 
+SHIFTED_GRID = {"grid_start": "39900", "grid_end": str(39900 + 12 * 300)}
+OTHER_GRID = (r"^\[analyze\] trace_columns.bin in .* disagrees with this run "
+              r"on grid_start, grid_end; rerun preprocess$")
+
+
 def test_analyze_refuses_a_hand_off_made_on_another_grid(tmp_path):
     # a grid shifted by one step has as many intervals, so the saved dense
     # values have the shape build_machine_series checks; only the grid
-    # preprocess recorded tells the two apart
+    # the hand-off records tells the two apart
     trace = noisy_trace(tmp_path / "trace", seed=7)
     out = tmp_path / "out"
-    run_preprocess(stage_config(trace, out, grid_start="39900",
-                                grid_end=str(39900 + 12 * 300)))
-    with pytest.raises(StageError, match=r"^\[analyze\] manifest-preprocess.json "
-                                         r"in .* disagrees with this run on "
-                                         r"grid_start, grid_end; rerun "
-                                         r"preprocess$") as err:
+    run_preprocess(stage_config(trace, out, **SHIFTED_GRID))
+    with pytest.raises(StageError, match=OTHER_GRID) as err:
         run_analyze(stage_config(trace, out))
     assert err.value.stage == "analyze"
     assert not (out / "manifest-analyze.json").exists()
     assert not (out / "machine_series.csv").exists()
 
-    # a recorded grid value that does not parse disagrees with every value
-    run_preprocess(stage_config(trace, out))
+
+def test_analyze_takes_the_grid_from_the_hand_off_not_from_the_manifest_config(
+        tmp_path):
+    # the manifest's config is what preprocess was given, not what the file
+    # it vouches for holds: edited to match this run, it must not let the
+    # columns of another grid through
+    trace = noisy_trace(tmp_path / "trace", seed=7)
+    out = tmp_path / "out"
+    run_preprocess(stage_config(trace, out, **SHIFTED_GRID))
     path = out / "manifest-preprocess.json"
     manifest = json.loads(path.read_text())
-    manifest["config"]["grid_step"] = "maybe"
+    manifest["config"].update(grid_start="39600", grid_end=str(39600 + 12 * 300))
     path.write_text(json.dumps(manifest))
-    with pytest.raises(StageError, match=r"^\[analyze\] manifest-preprocess.json "
-                                         r"in .* disagrees with this run on "
-                                         r"grid_step; rerun preprocess$"):
+    with pytest.raises(StageError, match=OTHER_GRID):
         run_analyze(stage_config(trace, out))
+    assert not (out / "manifest-analyze.json").exists()
+    assert not (out / "machine_series.csv").exists()
+
+    # and a hand-off on this run's grid loads whatever that config says
+    run_preprocess(stage_config(trace, out))
+    manifest = json.loads(path.read_text())
+    manifest["config"].update(grid_start="39900", grid_step="maybe")
+    path.write_text(json.dumps(manifest))
+    run_analyze(stage_config(trace, out))
+    assert analyze_counts(out)["intervals"] == 12
 
 
 def test_analyze_refuses_a_vouched_for_hand_off_it_cannot_load(tmp_path):
@@ -1083,10 +1174,16 @@ def test_analyze_refuses_a_vouched_for_hand_off_it_cannot_load(tmp_path):
     np.save(every_column, np.array(["trace columns, skipped counts, dense usage"]))
     records = io.BytesIO(body)
     np.load(records)   # past this layout's name
+    after_the_name = records.tell()
+    np.load(records)   # past the grid
+    # the layout before the file recorded its grid
+    gridless = io.BytesIO()
+    np.save(gridless, np.array(["analyze columns, skipped counts, dense cpu/mem/disk"]))
     manifest_path = out / "manifest-preprocess.json"
     manifest = json.loads(manifest_path.read_text())
     for spoiled in (body[:len(body) // 2], older.getvalue() + body,
-                    every_column.getvalue() + body[records.tell():]):
+                    every_column.getvalue() + body[after_the_name:],
+                    gridless.getvalue() + body[records.tell():]):
         # its digest recorded, as a preprocess run of that layout records it
         path.write_bytes(spoiled)
         manifest["trace_columns"]["trace_columns.bin"] = \

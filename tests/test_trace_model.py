@@ -176,8 +176,10 @@ def test_saved_columns_load_back_with_their_dtypes(tmp_path, bundle):
     dense = np.random.default_rng(7).random((bundle.machine_count, 4, 6)) / 3
     dense[:, 0, 0] = dense[:, 1, 2] = -0.0
     path = str(tmp_path / "columns")
-    save_columns(bundle, skipped, dense, path)
-    back, back_skipped, back_dense = load_columns(path)
+    grid = IntervalGrid(39600, 39600 + 3 * 300, 300)
+    save_columns(bundle, skipped, dense, grid, path)
+    back, back_skipped, back_dense, back_grid = load_columns(path)
+    assert back_grid == grid
     assert_saved_columns(back, bundle)
     assert back.machine_count == bundle.machine_count
     assert back_skipped == {"server_event": 0, "server_usage": 2,
@@ -195,7 +197,7 @@ def test_saved_columns_load_back_with_their_dtypes(tmp_path, bundle):
         back.events.event_detail
     # no timestamps or archive metadata: saving again gives the same bytes
     first = (tmp_path / "columns").read_bytes()
-    save_columns(bundle, skipped, dense, path)
+    save_columns(bundle, skipped, dense, grid, path)
     assert (tmp_path / "columns").read_bytes() == first
 
 
@@ -218,9 +220,10 @@ def test_loaded_columns_meet_the_skip_limit_as_parsing_does(tmp_path, caplog):
                              diagnostics=diagnostics)
     skipped = {diag.file: 1 for diag in diagnostics}
     path = str(tmp_path / "columns")
-    save_columns(bundle, skipped, np.zeros((bundle.machine_count, 0, 0)), path)
+    save_columns(bundle, skipped, np.zeros((bundle.machine_count, 0, 0)),
+                 IntervalGrid(0, 300, 300), path)
     caplog.clear()
-    back, back_skipped, _ = load_columns(path)
+    back, back_skipped, _, _ = load_columns(path)
     # loading keeps the rows and the skip count the parse let through, and
     # neither logs the skips again nor applies a limit of its own
     assert_saved_columns(back, bundle)
