@@ -42,6 +42,8 @@ from .trace_model import (IntervalGrid, MachineEventType, Table, csv_file,
 
 EULER_GAMMA = 0.5772156649
 HEAVIER_FACTOR = 1.5
+# machines that analyze lists in anomaly_report.json, best ranked first
+TOP_N = 25
 
 _FEATURE_SIGNALS = ("server_cpu", "server_mem", "server_disk",
                     "batch_count", "container_count")

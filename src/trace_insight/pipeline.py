@@ -39,6 +39,7 @@ from .aggregate import (
     write_aggregate_csvs,
 )
 from .anomaly import (
+    TOP_N,
     build_feature_matrix,
     diagnose,
     iforest_fit,
@@ -67,6 +68,7 @@ from .preprocess import (
     write_repair_log_csv,
 )
 from .similarity import (
+    SAMPLE_NUM,
     build_resource_curves,
     score_similarity,
     select_standard,
@@ -75,11 +77,9 @@ from .similarity import (
     write_histogram_json,
 )
 from .stage import (
-    CONFIG_KEYS,
     StageError,
     _prepare_out_dir,
     _read_manifest,
-    _refusal,
     _sha256,
     keys_read,
     read_config,
@@ -263,20 +263,11 @@ def run_analyze(config: dict[str, str]) -> str:
     """Run the analyze stage under ``config``; returns its output
     directory."""
     stage = "analyze"
-    # every value is read, and fails here, before any input is opened; so
-    # are the ranges that need no data (k against the distinct rows and the
-    # standards against the machines wait for the trace)
+    # every value is read, and fails here, before any input is opened; the
+    # ranges that need data (k against the distinct rows, the sample and the
+    # standards against the machines) wait for the trace
     values = read_config(config, stage)
     grid = _grid(values, stage)
-    pinned = values["dtw_standards"] or None
-    sample_num = values["dtw_sample_num"]
-    checks = () if pinned else (   # they matter only to a drawn sample
-        ("dtw_sample_num", sample_num >= 2, ">= 2"),
-        ("dtw_standard_count", 1 <= values["dtw_standard_count"] <= sample_num,
-         f"in [1, dtw_sample_num={sample_num}]"))
-    for key, ok, rule in checks:
-        if not ok:
-            raise _refusal(stage, key, rule, config.get(key, CONFIG_KEYS[key].default))
 
     out_dir = values["output_dir"]
     bundle, skipped, dense, digest = _hand_off(out_dir, grid, stage)
@@ -293,9 +284,8 @@ def run_analyze(config: dict[str, str]) -> str:
         # similarity; machine m is row m - 1 of the table and its curves
         curves = build_resource_curves(table)
         standard_value, standards = select_standard(
-            curves, sample_num=sample_num, seed=values["dtw_seed"],
-            standard_count=values["dtw_standard_count"],
-            standard_machines=pinned)
+            curves, sample_num=SAMPLE_NUM, seed=values["dtw_seed"],
+            standard_machines=values["dtw_standards"] or None)
         dtw_report = score_similarity(
             curves, curves[[m - 1 for m in standards]], standards,
             standard_value=standard_value, threshold=values["dtw_threshold"],
@@ -323,7 +313,7 @@ def run_analyze(config: dict[str, str]) -> str:
         anomaly_report.causes = diagnose(anomaly_report.labels, bundle.events,
                                          table, population_stats(table), grid)
         write_scores_csv(anomaly_report, os.path.join(out_dir, "anomaly_scores.csv"))
-        write_anomaly_json(anomaly_report, values["anomaly_top_n"],
+        write_anomaly_json(anomaly_report, TOP_N,
                            os.path.join(out_dir, "anomaly_report.json"))
         write_score_distribution_csv(
             anomaly_report, os.path.join(out_dir, "plot_score_distribution.csv"))
@@ -343,8 +333,7 @@ def run_analyze(config: dict[str, str]) -> str:
                        "scored": len(anomaly_report.scores),
                        "tree_nodes": len(forest.dim),
                        "negative_scores": anomaly_report.negative_count,
-                       "top_ranked": min(values["anomaly_top_n"],
-                                         len(anomaly_report.ranking)),
+                       "top_ranked": min(TOP_N, len(anomaly_report.ranking)),
                        **diag.counts(),
                        **_skipped_counts(skipped),
                    })

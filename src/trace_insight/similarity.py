@@ -39,6 +39,10 @@ from .trace_model import csv_file, csv_lines, float_text
 DEFAULT_THRESHOLD = 3.0
 RANGE_EDGES = (0.0, 1.0, 2.0, 3.0, 5.0)
 SUITABILITY_GAP = 1.0
+# analyze draws the standard value from the pairs of 8 sampled curves, and 4
+# of those curves as the standards
+SAMPLE_NUM = 8
+STANDARD_COUNT = 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,7 +195,7 @@ def normalized_distance(result: DtwResult) -> float:
 
 
 def select_standard(curves, sample_num: int, seed: int,
-                    standard_count: int = 4,
+                    standard_count: int = STANDARD_COUNT,
                     standard_machines: list[int] | None = None,
                     ) -> tuple[float, list[int]]:
     """Baseline distance and the machines whose curves are the standards.

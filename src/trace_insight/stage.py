@@ -62,7 +62,7 @@ class FeatureMode(Enum):
 # config handling: one table row per key, and one reader
 
 def _parse_plants(raw: str, stage: str) -> tuple:
-    """Parse 'Kind:machine[:key=val,...]' items separated by ';' into
+    """Parse 'Kind:machine' items separated by ';' into
     ``synth.AnomalyPlant``s."""
     from .synth import AnomalyPlant, PlantKind   # only synth reads plants
     plants = []
@@ -71,20 +71,15 @@ def _parse_plants(raw: str, stage: str) -> tuple:
         pieces = item.split(":")
         if len(pieces) < 2:
             raise StageError(stage, f"plant must be Kind:machine, got {item!r}")
-        kind_name, machine = pieces[0], pieces[1]
+        if len(pieces) > 2:
+            raise StageError(stage, f"bad plant {item!r}: a plant takes no "
+                                    "parameters, only Kind:machine")
+        kind_name, machine = pieces
         if kind_name not in kinds:
             raise StageError(stage, f"unknown plant kind {kind_name!r} "
                                     f"(expected one of {sorted(kinds)})")
-        params = []
         try:
-            for pair in pieces[2].split(",") if len(pieces) > 2 else ():
-                if "=" not in pair:
-                    raise StageError(stage, f"bad plant param {pair!r}")
-                name, value = pair.split("=", 1)
-                params.append((name.strip(), float(value)))
-            plants.append(AnomalyPlant(machine=int(machine),
-                                       kind=kinds[kind_name],
-                                       params=tuple(params)))
+            plants.append(AnomalyPlant(machine=int(machine), kind=kinds[kind_name]))
         except ValueError as e:
             raise StageError(stage, f"bad plant {item!r}: {e}") from e
     return tuple(plants)
@@ -175,10 +170,6 @@ CONFIG_KEYS = {
     "grid_step": ConfigKey("int", "300", _GRID, "interval length (s)"),
     "max_skip_ratio": ConfigKey("float", "0.01", _PREPROCESS, "tolerated share of "
                                 "malformed rows per file", _FRACTION),
-    "dtw_sample_num": ConfigKey("int", "8", _ANALYZE, "curves sampled for the "
-                                "standard-value median", flag="--sample-num"),
-    "dtw_standard_count": ConfigKey("int", "4", _ANALYZE,
-                                    "standards drawn from the sample"),
     "dtw_standards": ConfigKey("int list", "", _ANALYZE, "pinned standard "
                                "machine ids, e.g. 16,19,28,36", _STANDARDS,
                                flag="--standards"),
@@ -193,8 +184,6 @@ CONFIG_KEYS = {
     "anomaly_mode": ConfigKey(FeatureMode, "per_machine_mean", _ANALYZE,
                               "per_machine_mean or per_interval features",
                               flag="--mode"),
-    "anomaly_top_n": ConfigKey("int", "25", _ANALYZE, "ranking length in the "
-                               "report", _at_least(0), flag="--top-n"),
     "anomaly_seed": ConfigKey("int", None, _ANALYZE, "forest seed (analyze --seed)",
                               _at_least(0)),
     "synth_machines": ConfigKey("int", None, _SYNTH, "machine count",
@@ -206,8 +195,7 @@ CONFIG_KEYS = {
     "synth_noise": ConfigKey("float", "0.0", _SYNTH, "usage noise sigma",
                              _at_least(0), flag="--noise"),
     "synth_plants": ConfigKey(_parse_plants, "", _SYNTH, "anomaly plants "
-                              "Kind:machine[:key=val,...], ;-separated",
-                              flag="--plants"),
+                              "Kind:machine, ;-separated", flag="--plants"),
     "synth_gaps": ConfigKey(_parse_gaps, "", _SYNTH, "sensor gaps "
                             "machine:metric:lo-hi, ;-separated", flag="--gaps"),
 }

@@ -3,7 +3,9 @@
 Produces a full six-file bundle in which every machine follows one of the
 eight workload-distribution patterns, selected anomalies are planted on
 specific machines, and server-usage samples can be knocked out to exercise
-the gap-repair path. The generator is the oracle for the desk-scale
+the gap-repair path. A plant is a kind and a machine; what each kind does is
+fixed (``HEAVY_ONLINE_CONTAINERS``, ``HEAVY_ONLINE_MEM_BOOST`` and
+``SKEW_STREAMS`` below). The generator is the oracle for the desk-scale
 acceptance tests: whatever it plants is recorded in a GroundTruth object
 that ships alongside the bundle as ground_truth.json.
 
@@ -74,10 +76,6 @@ class PlantKind(Enum):
 class AnomalyPlant:
     machine: int
     kind: PlantKind
-    params: tuple[tuple[str, float], ...] = ()
-
-    def param(self, name: str, default: float) -> float:
-        return dict(self.params).get(name, default)
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,15 +176,12 @@ _PLANT_HOMES = {
     PlantKind.LIGHTER_ONLINE_SKEW: {"Type1"},
 }
 
-# the parameters each plant kind reads, each with the (test, wording) of the
-# values it can honour; any other parameter is refused
-_WHOLE = ((lambda value: float(value).is_integer() and value >= 1),
-          "a whole number >= 1")
-_FRACTION = ((lambda value: 0 <= value <= 1), "in [0, 1]")
-_PLANT_PARAMS = {
-    PlantKind.HEAVY_ONLINE: {"containers": _WHOLE, "mem_boost": _FRACTION},
-    PlantKind.LIGHTER_ONLINE_SKEW: {"streams": _WHOLE},
-}
+# what a plant does to its machine: HeavyOnline runs 18 containers and adds
+# 0.25 to the memory base; LighterOnlineSkew runs each batch run as 71
+# instances that share its span
+HEAVY_ONLINE_CONTAINERS = 18
+HEAVY_ONLINE_MEM_BOOST = 0.25
+SKEW_STREAMS = 71
 
 
 def _check_plants(config: SynthConfig, types: dict[int, str]) -> None:
@@ -198,18 +193,6 @@ def _check_plants(config: SynthConfig, types: dict[int, str]) -> None:
             raise ValueError(f"duplicate {plant.kind.value} plant "
                              f"on machine {plant.machine}")
         seen.add((plant.kind, plant.machine))
-        reads = _PLANT_PARAMS.get(plant.kind, {})
-        unread = [name for name, _value in plant.params if name not in reads]
-        if unread:
-            raise ValueError(
-                f"{plant.kind.value} plant on machine {plant.machine} has no "
-                f"parameter {unread[0]!r} (it reads {list(reads)})")
-        for name, value in plant.params:
-            test, wording = reads[name]
-            if not test(value):
-                raise ValueError(
-                    f"{plant.kind.value} plant on machine {plant.machine}: "
-                    f"parameter {name!r} must be {wording}, got {value}")
         homes = _PLANT_HOMES.get(plant.kind)
         label = types[plant.machine]
         if homes is not None and label not in homes:
@@ -249,7 +232,7 @@ def _noisy_rows(rng: np.random.Generator, base: tuple[float, ...], noise: float,
 
 
 def _gen_machine(drawn: dict[str, list], machine: int, label: str,
-                 kinds: dict[PlantKind, AnomalyPlant], grid: IntervalGrid,
+                 kinds: set[PlantKind], grid: IntervalGrid,
                  noise: float, rng: np.random.Generator) -> None:
     """Append what the machine draws to ``drawn``, in draw order: its server
     usage, each container's requests and usage, each batch run's spans and draws."""
@@ -257,8 +240,7 @@ def _gen_machine(drawn: dict[str, list], machine: int, label: str,
 
     base_cpu, base_mem, base_disk = BASE_USAGE[label]
     if PlantKind.HEAVY_ONLINE in kinds:
-        base_mem = min(1.0, base_mem
-                       + kinds[PlantKind.HEAVY_ONLINE].param("mem_boost", 0.25))
+        base_mem = min(1.0, base_mem + HEAVY_ONLINE_MEM_BOOST)
     idle = PlantKind.IDLE in kinds
     # an idle machine reads 0 throughout and draws no noise
     base = (0.0, 0.0, 0.0) if idle else (base_cpu, base_mem, base_disk)
@@ -267,7 +249,7 @@ def _gen_machine(drawn: dict[str, list], machine: int, label: str,
 
     if has_containers(label) and not idle:
         if PlantKind.HEAVY_ONLINE in kinds:
-            count = int(kinds[PlantKind.HEAVY_ONLINE].param("containers", 18))
+            count = HEAVY_ONLINE_CONTAINERS
         elif PlantKind.LIGHTER_ONLINE_SKEW in kinds:
             count = 1
         else:
@@ -280,9 +262,7 @@ def _gen_machine(drawn: dict[str, list], machine: int, label: str,
                 _noisy_rows(rng, (0.3, 0.6, 0.1, base_disk), noise, n))
 
     runs = [] if idle else batch_runs(label, n)
-    streams = 0
-    if PlantKind.LIGHTER_ONLINE_SKEW in kinds:
-        streams = int(kinds[PlantKind.LIGHTER_ONLINE_SKEW].param("streams", 71))
+    streams = SKEW_STREAMS if PlantKind.LIGHTER_ONLINE_SKEW in kinds else 0
     for a, b in runs:
         span_start = grid.start + a * grid.step + 1
         span_end = grid.start + (b + 1) * grid.step - 1
@@ -408,10 +388,10 @@ def generate_trace(config: SynthConfig) -> tuple[TraceBundle, GroundTruth]:
     types = _assign_types(config)
     _check_plants(config, types)
 
-    # each planted machine's plants by kind (a kind appears once per machine)
-    plants_of: dict[int, dict[PlantKind, AnomalyPlant]] = {}
+    # each planted machine's plant kinds (a kind appears once per machine)
+    plants_of: dict[int, set[PlantKind]] = {}
     for plant in config.anomaly_plants:
-        plants_of.setdefault(plant.machine, {})[plant.kind] = plant
+        plants_of.setdefault(plant.machine, set()).add(plant.kind)
 
     grid = config.grid
     stop = grid.start + grid.interval_count // 2 * grid.step + 37
@@ -430,7 +410,7 @@ def generate_trace(config: SynthConfig) -> tuple[TraceBundle, GroundTruth]:
     drawn: dict[str, list] = defaultdict(list)
     children = np.random.SeedSequence(config.seed).spawn(config.machine_count)
     for machine, child in enumerate(children, start=1):
-        _gen_machine(drawn, machine, types[machine], plants_of.get(machine, {}),
+        _gen_machine(drawn, machine, types[machine], plants_of.get(machine, set()),
                      grid, config.noise_level, np.random.default_rng(child))
     bundle = _bundle(drawn, events, grid, config.machine_count)
 

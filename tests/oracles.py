@@ -896,9 +896,12 @@ def _log_uniform_duration(rng, step):
 
 def _synth_machine_rows(rows, ids, machine, label, plants, grid, noise, rng):
     """Append the machine's rows to ``rows`` (per bundle attribute, in each
-    file's column order), numbering containers and jobs from ``ids``."""
+    file's column order), numbering containers and jobs from ``ids``. A
+    HeavyOnline plant runs 18 containers on a memory base 0.25 higher, and a
+    LighterOnlineSkew plant runs each batch run as 71 instances: the effects
+    are written out here, not read from ``synth``."""
     n = grid.interval_count
-    kinds = {p.kind: p for p in plants}
+    kinds = {p.kind for p in plants}
     rows["events"].append((0, machine, MachineEventType.ADD, "", MACHINE_CORES,
                            1.0, 1.0))
     if PlantKind.FREQUENT_SOFT_ERROR in kinds:
@@ -913,8 +916,7 @@ def _synth_machine_rows(rows, ids, machine, label, plants, grid, noise, rng):
 
     base_cpu, base_mem, base_disk = BASE_USAGE[label]
     if PlantKind.HEAVY_ONLINE in kinds:
-        base_mem = min(1.0, base_mem
-                       + kinds[PlantKind.HEAVY_ONLINE].param("mem_boost", 0.25))
+        base_mem = min(1.0, base_mem + 0.25)
     idle = PlantKind.IDLE in kinds
     base = (0.0, 0.0, 0.0) if idle else (base_cpu, base_mem, base_disk)
     usage = _noisy_rows(rng, base, 0.0 if idle else noise, grid.timestamp_count)
@@ -924,7 +926,7 @@ def _synth_machine_rows(rows, ids, machine, label, plants, grid, noise, rng):
 
     if has_containers(label) and not idle:
         if PlantKind.HEAVY_ONLINE in kinds:
-            count = int(kinds[PlantKind.HEAVY_ONLINE].param("containers", 18))
+            count = 18
         elif PlantKind.LIGHTER_ONLINE_SKEW in kinds:
             count = 1
         else:
@@ -943,9 +945,7 @@ def _synth_machine_rows(rows, ids, machine, label, plants, grid, noise, rng):
                     (grid.start + x * grid.step, instance, *cells,
                      0.0, 0.0, 0.0, 1.5, 1.2, 2.0, 1.8))
 
-    streams = 0
-    if PlantKind.LIGHTER_ONLINE_SKEW in kinds:
-        streams = int(kinds[PlantKind.LIGHTER_ONLINE_SKEW].param("streams", 71))
+    streams = 71 if PlantKind.LIGHTER_ONLINE_SKEW in kinds else 0
     for a, b in [] if idle else batch_runs(label, n):
         span_start = grid.start + a * grid.step + 1
         span_end = grid.start + (b + 1) * grid.step - 1

@@ -119,7 +119,8 @@ def test_seed_flag_fans_out_to_all_three_stages(pipeline_dirs):
 def test_overrides_beat_flags_beat_config(pipeline_dirs, tmp_path):
     trace, _ = pipeline_dirs
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"dtw_threshold=9.0\nanomaly_top_n=3\ngrid_end={GRID_END}\n")
+    cfg.write_text(f"dtw_threshold=9.0\nanomaly_mode=per_interval\n"
+                   f"grid_end={GRID_END}\n")
 
     flag_out, override_out = tmp_path / "flag", tmp_path / "override"
     for out in (flag_out, override_out):
@@ -127,19 +128,19 @@ def test_overrides_beat_flags_beat_config(pipeline_dirs, tmp_path):
                 "--out-dir", str(out)])
     run_ok(["analyze", "--config", str(cfg),
             "--out-dir", str(flag_out), "--seed", "1", "--threshold", "4.0",
-            "dtw_normalized=true", "--top-n", "7"])
+            "dtw_normalized=true", "--mode", "per_machine_mean"])
     config = json.loads((flag_out / "manifest-analyze.json").read_text())["config"]
     assert config["dtw_threshold"] == "4.0"
     assert config["dtw_normalized"] == "true"
-    assert config["anomaly_top_n"] == "7"
+    assert config["anomaly_mode"] == "per_machine_mean"
 
     run_ok(["analyze", "--config", str(cfg),
             "--out-dir", str(override_out), "--seed", "1",
-            "--threshold", "4.0", "dtw_threshold=2.5", "--top-n", "7",
-            "anomaly_top_n=5"])
+            "--threshold", "4.0", "dtw_threshold=2.5", "--mode",
+            "per_machine_mean", "anomaly_mode=per_interval"])
     config = json.loads((override_out / "manifest-analyze.json").read_text())["config"]
     assert config["dtw_threshold"] == "2.5"
-    assert config["anomaly_top_n"] == "5"
+    assert config["anomaly_mode"] == "per_interval"
     assert set(ANALYZE_FILENAMES) <= set(os.listdir(flag_out))
 
 
@@ -149,8 +150,7 @@ CLI_OPTIONS = {
     "synth": {"--machines", "--quotas", "--plants", "--gaps", "--noise",
               "--seed", "--out-dir"},
     "preprocess": {"--input-dir", "--out-dir"},
-    "analyze": {"--out-dir", "--sample-num", "--standards",
-                "--threshold", "--mode", "--top-n", "--seed"},
+    "analyze": {"--out-dir", "--standards", "--threshold", "--mode", "--seed"},
     "report": {"--out-dir"},
 }
 
@@ -305,6 +305,7 @@ def test_overrides_may_sit_on_both_sides_of_a_flag(tmp_path, capsys):
 @pytest.mark.parametrize("override, problem", [
     ("synth_quotas=2,2,2,2,2,2,2,x", "config key 'synth_quotas'"),
     ("synth_plants=Idle:3:level=abc", "bad plant 'Idle:3:level=abc'"),
+    ("synth_plants=Idle:abc", "bad plant 'Idle:abc'"),
 ])
 def test_bad_synth_numbers_exit_2_with_the_stage_named(tmp_path, capsys,
                                                        override, problem):

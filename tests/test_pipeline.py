@@ -62,12 +62,12 @@ def test_config_file_skips_comments_and_blanks(tmp_path):
         "# pipeline settings\n"
         "\n"
         "grid_step = 300\n"
-        "anomaly_top_n=4\n"
+        "dtw_threshold=4\n"
         "   # trailing comment line\n"
         "dtw_standards = 1, 2\n")
     assert parse_config_file(str(path)) == {
         "grid_step": "300",
-        "anomaly_top_n": "4",
+        "dtw_threshold": "4",
         "dtw_standards": "1, 2",
     }
 
@@ -103,18 +103,18 @@ def test_missing_config_file_is_a_stage_error(tmp_path):
 
 
 def test_overrides_apply_last():
-    merged = apply_overrides({"anomaly_top_n": "8"},
-                             ["anomaly_top_n=3", "dtw_threshold = 2.5"])
-    assert merged == {"anomaly_top_n": "3", "dtw_threshold": "2.5"}
+    merged = apply_overrides({"dtw_threshold": "8"},
+                             ["dtw_threshold=3", "grid_step = 60"])
+    assert merged == {"dtw_threshold": "3", "grid_step": "60"}
     # unlike a config file, overrides may set a key twice: the last one wins
-    assert apply_overrides({}, ["anomaly_top_n=3", "anomaly_top_n=5"]) == \
-        {"anomaly_top_n": "5"}
+    assert apply_overrides({}, ["dtw_threshold=3", "dtw_threshold=5"]) == \
+        {"dtw_threshold": "5"}
 
 
 def test_override_validation():
     with pytest.raises(StageError, match="override must be key=value"):
-        apply_overrides({}, ["anomaly_top_n"])
-    for key in ("anomaly_top_m", "classify_k"):
+        apply_overrides({}, ["dtw_threshold"])
+    for key in ("dtw_treshold", "classify_k", "anomaly_top_n"):
         with pytest.raises(StageError, match=f"unknown override key '{key}'"):
             apply_overrides({}, [f"{key}=3"])
 
@@ -124,14 +124,11 @@ def test_override_validation():
 
 
 def test_plant_syntax_round_trip():
-    plants = _parse_plants(
-        "HeavyOnline:3:containers=12,mem_boost=0.1; Idle:41", "synth")
+    plants = _parse_plants("HeavyOnline:3; Idle:41", "synth")
     assert len(plants) == 2
     heavy, idle = plants
     assert heavy.kind is PlantKind.HEAVY_ONLINE
     assert heavy.machine == 3
-    assert heavy.param("containers", 0) == 12.0
-    assert heavy.param("mem_boost", 0) == 0.1
     assert idle.kind is PlantKind.IDLE and idle.machine == 41
     assert _parse_plants("", "synth") == ()
 
@@ -141,8 +138,13 @@ def test_plant_syntax_errors():
         _parse_plants("Idle", "synth")
     with pytest.raises(StageError, match="unknown plant kind 'idle'"):
         _parse_plants("idle:4", "synth")
-    with pytest.raises(StageError, match="bad plant param"):
-        _parse_plants("HeavyOnline:3:containers", "synth")
+    # a plant is a kind and a machine, nothing more
+    for item in ("HeavyOnline:3:containers", "HeavyOnline:3:containers=18",
+                 "HeavyOnline:3:"):
+        with pytest.raises(StageError, match=rf"^\[synth\] bad plant '{item}': "
+                                             "a plant takes no parameters, "
+                                             "only Kind:machine$"):
+            _parse_plants(item, "synth")
     with pytest.raises(StageError, match="bad plant"):
         _parse_plants("Idle:four", "synth")
 
@@ -246,8 +248,8 @@ def test_run_synth_names_the_key_or_plant_of_a_bad_number(tmp_path):
                                          "integers, got '2,2,2,2,2,2,2,x'$"):
         run_synth(synth_config(out, synth_quotas="2,2,2,2,2,2,2,x"))
     with pytest.raises(StageError, match=r"^\[synth\] bad plant "
-                                         "'Idle:3:level=abc': could not convert"):
-        run_synth(synth_config(out, synth_plants="Idle:3:level=abc"))
+                                         "'Idle:abc': invalid literal for int"):
+        run_synth(synth_config(out, synth_plants="Idle:abc"))
     assert not out.exists()
 
 
@@ -269,28 +271,10 @@ def test_a_failed_synth_leaves_the_trace_it_would_replace_untouched(tmp_path):
             # input that would plant nothing, or nothing different
             ({"synth_gaps": "5:cpu:12-10"},
              r"^\[synth\] bad gap '5:cpu:12-10': the slot range runs backwards$"),
-            ({"synth_plants": "HeavyOnline:1:contaners=30"},
-             r"^\[synth\] HeavyOnline plant on machine 1 has no parameter "
-             "'contaners'"),
-            # parameters a plant cannot honour
-            ({"synth_plants": "LighterOnlineSkew:1:streams=-3"},
-             r"^\[synth\] LighterOnlineSkew plant on machine 1: parameter "
-             r"'streams' must be a whole number >= 1, got -3\.0$"),
-            ({"synth_plants": "LighterOnlineSkew:1:streams=0"},
-             r"^\[synth\] LighterOnlineSkew plant on machine 1: parameter "
-             r"'streams' must be a whole number >= 1, got 0\.0$"),
-            ({"synth_plants": "HeavyOnline:2:containers=0"},
-             r"^\[synth\] HeavyOnline plant on machine 2: parameter "
-             r"'containers' must be a whole number >= 1, got 0\.0$"),
-            ({"synth_plants": "HeavyOnline:2:containers=2.7"},
-             r"^\[synth\] HeavyOnline plant on machine 2: parameter "
-             r"'containers' must be a whole number >= 1, got 2\.7$"),
-            ({"synth_plants": "HeavyOnline:2:mem_boost=nan"},
-             r"^\[synth\] HeavyOnline plant on machine 2: parameter "
-             r"'mem_boost' must be in \[0, 1\], got nan$"),
-            ({"synth_plants": "HeavyOnline:2:mem_boost=-0.5"},
-             r"^\[synth\] HeavyOnline plant on machine 2: parameter "
-             r"'mem_boost' must be in \[0, 1\], got -0\.5$"),
+            # a plant takes no parameters: its kind fixes what it does
+            ({"synth_plants": "HeavyOnline:2:containers=18"},
+             r"^\[synth\] bad plant 'HeavyOnline:2:containers=18': a plant "
+             r"takes no parameters, only Kind:machine$"),
             # steps too short for a batch instance: the span draw had no
             # range at 5 s, and a 1 s run ended before it started
             ({"synth_machines": "8", "synth_quotas": "1,1,1,1,1,1,1,1",
@@ -519,7 +503,7 @@ def test_a_failed_analyze_leaves_no_manifest_claiming_a_finished_run(tmp_path):
 
 
 BAD_CONFIG_VALUES = [
-    ("analyze", "anomaly_top_n", "x", "must be an integer"),
+    ("analyze", "dtw_seed", "x", "must be an integer"),
     ("analyze", "dtw_standards", "1,a", "must be a comma-separated list of integers"),
     # an empty item is no integer; it used to be dropped without a word
     ("analyze", "dtw_standards", "16,,19", "must be a comma-separated list of integers"),
@@ -533,10 +517,7 @@ BAD_CONFIG_VALUES = [
     # a standard id below 1 names no machine; it failed only after the
     # aggregate CSVs were written
     ("analyze", "dtw_standards", "0,1", "must be empty, or two or more distinct ids >= 1"),
-    ("analyze", "anomaly_top_n", "-1", "must be >= 0"),
-    ("analyze", "dtw_sample_num", "1", "must be >= 2"),
-    ("analyze", "dtw_standard_count", "0", r"must be in \[1, dtw_sample_num=8\]"),
-    ("analyze", "dtw_standard_count", "9", r"must be in \[1, dtw_sample_num=8\]"),
+    ("analyze", "classify_seed", "-1", "must be >= 0"),
     ("preprocess", "max_skip_ratio", "some", "must be a number"),
     ("analyze", "dtw_normalized", "Maybe", "must be true/false"),
     # values that parse but lie outside what their key allows
@@ -610,7 +591,8 @@ def test_read_config_refuses_a_key_no_stage_reads():
                 "classify_gap_fraction", "anomaly_heavier_factor",
                 "dtw_range_edges", "dtw_suitability_gap", "classify_k",
                 "classify_max_iter", "classify_restarts", "anomaly_trees",
-                "anomaly_subsample"):
+                "anomaly_subsample", "dtw_sample_num", "dtw_standard_count",
+                "anomaly_top_n"):
         for stage in ("synth", "preprocess", "analyze", "report"):
             with pytest.raises(StageError, match=rf"^\[{stage}\] unknown config "
                                                  rf"key '{key}'$"):
@@ -649,16 +631,6 @@ def test_readme_config_table_matches_the_code():
     while end < len(readme) and readme[end].startswith("|"):
         end += 1
     assert readme[start:end] == config_table_lines()
-
-
-def test_pinned_standards_need_no_sample_size(tmp_path):
-    # dtw_sample_num and dtw_standard_count only size a drawn sample
-    trace = noisy_trace(tmp_path / "trace", seed=7)
-    out = tmp_path / "out"
-    preprocess_and_analyze(trace, out, dtw_standards="1,2",
-                           dtw_sample_num="0", dtw_standard_count="0")
-    histogram = json.loads((out / "dtw_histogram.json").read_text())
-    assert histogram["standard_machines"] == [1, 2]
 
 
 def test_report_without_analyze_artifacts_fails_loudly(tmp_path):
