@@ -1,17 +1,16 @@
 """Command-line interface.
 
-    trace-insight synth      --config cfg [key=value ...]
-    trace-insight preprocess --config cfg [key=value ...]
-    trace-insight analyze    --config cfg [key=value ...]
-    trace-insight report     --config cfg [key=value ...]
+    trace-insight synth      [flags] [key=value ...]
+    trace-insight preprocess [flags] [key=value ...]
+    trace-insight analyze    [flags] [key=value ...]
+    trace-insight report     [flags] [key=value ...]
 
-The config file is flat key=value text; every subcommand also accepts
-key=value overrides before, between and after its flags, and the most
-common knobs exist as named flags. The flags are derived from the config
-table, ``stage.CONFIG_KEYS``: each subcommand registers the flags of the
-keys its stage reads, with their help text. Only ``analyze --seed``, which
-sets all three analyze seeds, is written out here.
-Precedence: config file, then named flags, then overrides. A given key that
+Every subcommand accepts key=value overrides before, between and after its
+flags, and the most common knobs exist as named flags. The flags are derived
+from the config table, ``stage.CONFIG_KEYS``: each subcommand registers the
+flags of the keys its stage reads, with their help text. Only
+``analyze --seed``, which sets all three analyze seeds, is written out here.
+Precedence: defaults, then named flags, then overrides. A given key that
 the stage does not read is named in a warning on stderr and ignored.
 Failures, a path the stage cannot read or write included, exit 2 with the
 offending stage named in the message.
@@ -26,7 +25,7 @@ import argparse
 import sys
 
 from .stage import (CONFIG_KEYS, STAGE_HELP, StageError, apply_overrides,
-                    keys_read, parse_config_file, run_report)
+                    keys_read, run_report)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,8 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
     for stage, help_text in STAGE_HELP.items():
         sub = subparsers.add_parser(stage, help=help_text)
-        sub.add_argument("--config", metavar="FILE",
-                         help="flat key=value config file")
         sub.add_argument("overrides", nargs="*", metavar="key=value",
                          help="config overrides, applied last")
         for key, row in CONFIG_KEYS.items():
@@ -50,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _collect_config(args: argparse.Namespace) -> dict[str, str]:
-    config = parse_config_file(args.config) if args.config else {}
+    config: dict[str, str] = {}
     for key in CONFIG_KEYS:   # the flags of this subcommand's keys
         value = getattr(args, key, None)
         if value is not None:

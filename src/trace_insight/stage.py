@@ -201,33 +201,6 @@ CONFIG_KEYS = {
 }
 
 
-def parse_config_file(path: str) -> dict[str, str]:
-    """The key=value lines of the file at ``path``; a key set twice is
-    refused with both line numbers named."""
-    config: dict[str, str] = {}
-    lines: dict[str, int] = {}   # the line that set each key
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise StageError(
-                        "config", f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, value = line.split("=", 1)
-                key = key.strip()
-                if key not in CONFIG_KEYS:
-                    raise StageError("config", f"{path}:{lineno}: unknown key {key!r}")
-                if key in lines:
-                    raise StageError("config", f"{path}:{lineno}: key {key!r} is "
-                                               f"already set on line {lines[key]}")
-                config[key], lines[key] = value.strip(), lineno
-    except OSError as e:
-        raise StageError("config", f"cannot read config file: {e}") from e
-    return config
-
-
 def apply_overrides(config: dict[str, str], overrides: list[str]) -> dict[str, str]:
     merged = dict(config)
     for item in overrides:

@@ -116,36 +116,34 @@ def test_seed_flag_fans_out_to_all_three_stages(pipeline_dirs):
         == config["anomaly_seed"] == "9"
 
 
-def test_overrides_beat_flags_beat_config(pipeline_dirs, tmp_path):
+def test_overrides_beat_flags(pipeline_dirs, tmp_path):
     trace, _ = pipeline_dirs
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"dtw_threshold=9.0\nanomaly_mode=per_interval\n"
-                   f"grid_end={GRID_END}\n")
-
+    grid = f"grid_end={GRID_END}"
     flag_out, override_out = tmp_path / "flag", tmp_path / "override"
     for out in (flag_out, override_out):
-        run_ok(["preprocess", "--config", str(cfg), "--input-dir", str(trace),
-                "--out-dir", str(out)])
-    run_ok(["analyze", "--config", str(cfg),
-            "--out-dir", str(flag_out), "--seed", "1", "--threshold", "4.0",
-            "dtw_normalized=true", "--mode", "per_machine_mean"])
+        run_ok(["preprocess", "--input-dir", str(trace), "--out-dir", str(out),
+                grid])
+    # a flag beats the default (3.0 and per_machine_mean)
+    run_ok(["analyze", "--out-dir", str(flag_out), "--seed", "1",
+            "--threshold", "4.0", "dtw_normalized=true", "--mode",
+            "per_interval", grid])
     config = json.loads((flag_out / "manifest-analyze.json").read_text())["config"]
     assert config["dtw_threshold"] == "4.0"
     assert config["dtw_normalized"] == "true"
-    assert config["anomaly_mode"] == "per_machine_mean"
+    assert config["anomaly_mode"] == "per_interval"
 
-    run_ok(["analyze", "--config", str(cfg),
-            "--out-dir", str(override_out), "--seed", "1",
+    # an override beats the flag
+    run_ok(["analyze", "--out-dir", str(override_out), "--seed", "1",
             "--threshold", "4.0", "dtw_threshold=2.5", "--mode",
-            "per_machine_mean", "anomaly_mode=per_interval"])
+            "per_interval", "anomaly_mode=per_machine_mean", grid])
     config = json.loads((override_out / "manifest-analyze.json").read_text())["config"]
     assert config["dtw_threshold"] == "2.5"
-    assert config["anomaly_mode"] == "per_interval"
+    assert config["anomaly_mode"] == "per_machine_mean"
     assert set(ANALYZE_FILENAMES) <= set(os.listdir(flag_out))
 
 
-# every subcommand also has --config; deriving the flags from the config
-# table must not add, drop or rename any of these
+# deriving the flags from the config table must not add, drop or rename any
+# of these
 CLI_OPTIONS = {
     "synth": {"--machines", "--quotas", "--plants", "--gaps", "--noise",
               "--seed", "--out-dir"},
@@ -162,7 +160,7 @@ def test_each_subcommand_keeps_its_options():
     for command, sub in subparsers.choices.items():
         options = {option for action in sub._actions
                    for option in action.option_strings}
-        assert options - {"-h", "--help"} == CLI_OPTIONS[command] | {"--config"}
+        assert options - {"-h", "--help"} == CLI_OPTIONS[command]
 
 
 def test_success_message_names_stage_and_directory(tmp_path, capsys):
@@ -257,15 +255,6 @@ def test_report_before_analyze_fails(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("trace-insight: error [report]")
     assert "analyze stage missing" in err
-
-
-def test_config_file_errors_surface(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("not_a_key=1\n")
-    code = main(["synth", "--config", str(cfg), "--seed", "1",
-                 "--out-dir", str(tmp_path / "t")])
-    assert code == 2
-    assert "unknown key 'not_a_key'" in capsys.readouterr().err
 
 
 def test_bad_override_surfaces(tmp_path, capsys):

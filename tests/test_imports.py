@@ -1,13 +1,18 @@
-"""Import hygiene: no module of the package imports a name it never uses, and
-every name the package root re-exports still exists where it comes from."""
+"""Import hygiene: no module of the package imports a name it never uses, the
+package root's only public names are its submodules, and the declared Python
+floor is one that the installed numpy runs on."""
 
 import ast
 import importlib
+import importlib.metadata
+import re
+import tomllib
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "trace_insight"
+PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
 
@@ -31,14 +36,31 @@ def test_no_module_imports_a_name_it_never_uses(path):
     assert unused == [], f"{path.name} imports names it never uses"
 
 
-def test_every_reexported_name_resolves():
+def test_the_package_root_exports_only_its_submodules():
     package = importlib.import_module("trace_insight")
-    exported = package.EXPORTS   # name -> module, resolved on first use
-    assert {"interpolate_gap", "supplement_server_usage"} <= exported.keys()
-    for name, module in exported.items():
-        source = importlib.import_module(f"trace_insight.{module}")
-        assert hasattr(source, name), f"trace_insight.{module} has no {name}"
-        assert getattr(package, name) is getattr(source, name), name
+    for path in MODULES:
+        importlib.import_module(f"trace_insight.{path.stem}")
+    public = {name: value for name, value in vars(package).items()
+              if not name.startswith("_")}
+    assert sorted(public) == [path.stem for path in MODULES]
+    assert all(value.__name__ == f"trace_insight.{name}"
+               for name, value in public.items())
+    assert "__getattr__" not in vars(package)
+
+
+def _floor(spec: str) -> tuple[int, ...]:
+    """The (major, minor, micro) of a lone ``>=X.Y`` specifier."""
+    match = re.fullmatch(r">=\s*(\d+(?:\.\d+){0,2})", spec.strip())
+    assert match, f"expected a lone >= floor, got {spec!r}"
+    return (*map(int, match.group(1).split(".")), 0, 0)[:3]
+
+
+def test_python_floor_is_not_below_numpys():
+    with open(PYPROJECT, "rb") as fh:
+        declared = tomllib.load(fh)["project"]["requires-python"]
+    numpy_floor = importlib.metadata.metadata("numpy")["Requires-Python"]
+    assert _floor(declared) >= _floor(numpy_floor), \
+        f"requires-python {declared!r} is below numpy's {numpy_floor!r}"
 
 
 # Where an artifact's format is decided: the one function allowed to make

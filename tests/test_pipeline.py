@@ -28,7 +28,6 @@ from trace_insight.stage import (
     _parse_plants,
     apply_overrides,
     build_report,
-    parse_config_file,
     read_config,
     run_report,
     write_json,
@@ -53,60 +52,14 @@ def test_stage_error_names_its_stage():
 
 
 # ---------------------------------------------------------------------------
-# config files and overrides
-
-
-def test_config_file_skips_comments_and_blanks(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text(
-        "# pipeline settings\n"
-        "\n"
-        "grid_step = 300\n"
-        "dtw_threshold=4\n"
-        "   # trailing comment line\n"
-        "dtw_standards = 1, 2\n")
-    assert parse_config_file(str(path)) == {
-        "grid_step": "300",
-        "dtw_threshold": "4",
-        "dtw_standards": "1, 2",
-    }
-
-
-def test_config_file_rejects_shapeless_lines(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text("grid_step\n")
-    with pytest.raises(StageError, match="expected key=value"):
-        parse_config_file(str(path))
-
-
-def test_config_file_rejects_unknown_keys(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text("grid_stop=10\n")
-    with pytest.raises(StageError, match="unknown key 'grid_stop'"):
-        parse_config_file(str(path))
-
-
-def test_config_file_refuses_a_key_set_twice(tmp_path):
-    # the second value used to win without a word
-    path = tmp_path / "run.cfg"
-    path.write_text("dtw_threshold=2.0\n# later\ngrid_step=300\n"
-                    "dtw_threshold = 9.0\n")
-    with pytest.raises(StageError, match=r"^\[config\] .*run.cfg:4: key "
-                                         r"'dtw_threshold' is already set on "
-                                         r"line 1$"):
-        parse_config_file(str(path))
-
-
-def test_missing_config_file_is_a_stage_error(tmp_path):
-    with pytest.raises(StageError, match="cannot read config file"):
-        parse_config_file(str(tmp_path / "nope.cfg"))
+# overrides
 
 
 def test_overrides_apply_last():
     merged = apply_overrides({"dtw_threshold": "8"},
                              ["dtw_threshold=3", "grid_step = 60"])
     assert merged == {"dtw_threshold": "3", "grid_step": "60"}
-    # unlike a config file, overrides may set a key twice: the last one wins
+    # a key set twice takes the last value
     assert apply_overrides({}, ["dtw_threshold=3", "dtw_threshold=5"]) == \
         {"dtw_threshold": "5"}
 
