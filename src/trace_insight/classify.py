@@ -32,11 +32,9 @@ from itertools import repeat
 import numpy as np
 
 from .aggregate import SeriesTable
-from .stage import write_json
+from .stage import TYPE_LABELS, write_json
 from .trace_model import csv_file, csv_lines, float_text
 
-TYPE_LABELS = ("Type1", "Type2", "Type3", "Type4",
-               "Type5", "Type6", "Type7", "Type8")
 UNKNOWN_LABEL = "Unknown"
 
 # the cutoffs that map fuzzy centroid occupancy onto the verbal patterns

@@ -15,13 +15,22 @@ the stage does not read is named in a warning on stderr and ignored.
 Failures, a path the stage cannot read or write included, exit 2 with the
 offending stage named in the message.
 
-Only ``stage``, which loads no numpy, is imported up front; ``pipeline`` and
-the analysis modules are imported when synth, preprocess or analyze runs.
+Only ``stage``, which loads no numpy, is imported up front; ``pipeline`` is
+imported when synth, preprocess or analyze runs, and the analysis modules
+only when analyze does.
+
+A process that runs one stage and ends goes through ``run``: it freezes
+every object left after ``main`` returns (``gc.freeze``), so the
+interpreter's last collections skip numpy's objects and the arrays of the
+stage, which the exit frees anyway. atexit handlers and the flush of the
+standard streams still run. ``main`` itself never freezes, since tests and
+library callers run it inside a process that goes on.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .stage import (CONFIG_KEYS, STAGE_HELP, StageError, apply_overrides,
@@ -97,5 +106,13 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def run() -> None:
+    """Run ``main`` on the command line and exit with its code, without a
+    collection over what the stage left (the console script's entry)."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -4,9 +4,12 @@
 What every stage shares (``StageError``, the config table, the manifests)
 and the report stage live in ``stage``, which loads no numpy; the CLI
 imports this module only for the three stages here. ``synth`` is imported
-by ``run_synth`` alone, so preprocess and analyze never load it. The analyze
-modules are imported by name at the top, and the runners call them through
-these module globals, where a tracer can wrap them.
+by ``run_synth`` alone, so preprocess and analyze never load it. The parse
+and repair names are imported at the top; the four analysis modules
+(``aggregate``, ``similarity``, ``classify``, ``anomaly``) are imported when
+``run_analyze`` first looks their names up on this module, so synth and
+preprocess never load them. Either way the runners call the names through
+this module's globals, where a tracer can wrap them.
 
 Every stage reads its inputs from disk, writes its artifacts into the output
 directory, and writes its manifest-<stage>.json last. Stages never touch
@@ -26,39 +29,13 @@ fallback to wall-clock entropy.
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import os
+import sys
 from collections import Counter
 
 import numpy as np
 
-from .aggregate import (
-    AggDiagnostics,
-    aggregate_batch_usage,
-    aggregate_container_usage,
-    build_machine_series,
-    write_aggregate_csvs,
-)
-from .anomaly import (
-    TOP_N,
-    build_feature_matrix,
-    diagnose,
-    iforest_fit,
-    population_stats,
-    score_machines,
-    write_anomaly_json,
-    write_score_distribution_csv,
-    write_scores_csv,
-)
-from .classify import (
-    TYPE_LABELS,
-    category_report,
-    kmeans_fit,
-    label_clusters,
-    occupancy_matrix,
-    write_assignments_csv,
-    write_counts_json,
-    write_type_usage_csv,
-)
 from .preprocess import (
     DenseUsage,
     filter_container_events,
@@ -67,16 +44,8 @@ from .preprocess import (
     write_removed_events_csv,
     write_repair_log_csv,
 )
-from .similarity import (
-    SAMPLE_NUM,
-    build_resource_curves,
-    score_similarity,
-    select_standard,
-    write_distances_csv,
-    write_flags_csv,
-    write_histogram_json,
-)
 from .stage import (
+    TYPE_LABELS,
     StageError,
     _prepare_out_dir,
     _read_manifest,
@@ -101,12 +70,41 @@ REPAIR_LOG_FILENAME = "repair_log.csv"
 REMOVED_EVENTS_FILENAME = "removed_container_events.csv"
 COLUMNS_FILENAME = "trace_columns.bin"
 
+# the names run_analyze calls from each analysis module, imported on first
+# lookup (``__getattr__``)
+ANALYSIS_NAMES = {
+    "aggregate": ("AggDiagnostics", "aggregate_batch_usage",
+                  "aggregate_container_usage", "build_machine_series",
+                  "write_aggregate_csvs"),
+    "anomaly": ("TOP_N", "build_feature_matrix", "diagnose", "iforest_fit",
+                "population_stats", "score_machines", "write_anomaly_json",
+                "write_score_distribution_csv", "write_scores_csv"),
+    "classify": ("category_report", "kmeans_fit", "label_clusters",
+                 "occupancy_matrix", "write_assignments_csv",
+                 "write_counts_json", "write_type_usage_csv"),
+    "similarity": ("SAMPLE_NUM", "build_resource_curves", "score_similarity",
+                   "select_standard", "write_distances_csv", "write_flags_csv",
+                   "write_histogram_json"),
+}
+_HOME = {name: module for module, names in ANALYSIS_NAMES.items()
+         for name in names}
+
 ANALYZE_FILENAMES = (
     "container_usage_agg.csv", "batch_usage_agg.csv", "machine_series.csv",
     "dtw_distances.csv", "dtw_flags.csv", "dtw_histogram.json",
     "assignments.csv", "category_counts.json", "plot_type_usage.csv",
     "anomaly_scores.csv", "anomaly_report.json", "plot_score_distribution.csv",
 )
+
+
+def __getattr__(name: str):
+    """An analysis name, imported from its module and bound here, where a
+    tracer or a test may wrap it (PEP 562)."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_HOME[name]}", __package__)
+    globals()[name] = value = getattr(module, name)
+    return value
 
 
 def _grid(values: dict, stage: str) -> IntervalGrid:
@@ -263,6 +261,9 @@ def run_analyze(config: dict[str, str]) -> str:
     """Run the analyze stage under ``config``; returns its output
     directory."""
     stage = "analyze"
+    module = sys.modules[__name__]
+    for name in _HOME:   # binds each one not bound (or wrapped) yet
+        getattr(module, name)
     # every value is read, and fails here, before any input is opened; the
     # ranges that need data (k against the distinct rows, the sample and the
     # standards against the machines) wait for the trace

@@ -1,5 +1,6 @@
 """What every stage shares, and the report stage: ``StageError``, the config
-table and its reader, ``write_json``, the run manifests, and ``run_report``.
+table and its reader, the workload ``TYPE_LABELS``, ``write_json``, the run
+manifests, and ``run_report``.
 
 This module imports no numpy and no other module of the package, so the CLI
 can parse its flags and run ``report`` without them; ``pipeline`` holds the
@@ -56,6 +57,12 @@ class FeatureMode(Enum):
 
     PER_MACHINE_MEAN = "per_machine_mean"
     PER_INTERVAL = "per_interval"
+
+
+# the paper's eight workload-distribution categories; here, not in classify,
+# so that synth plants them without loading the analysis modules
+TYPE_LABELS = ("Type1", "Type2", "Type3", "Type4",
+               "Type5", "Type6", "Type7", "Type8")
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,8 @@ from enum import Enum
 
 import numpy as np
 
-from .classify import TYPE_LABELS
 from .preprocess import METRICS
-from .stage import write_json
+from .stage import TYPE_LABELS, write_json
 from .trace_model import (
     ContainerEventType,
     InstanceStatus,

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -339,6 +340,75 @@ def test_reference_trace_script_runs_the_whole_pipeline(tmp_path, monkeypatch,
         pytest.fail(f"reference script exited with {stop.code}")
     assert (out / "report.json").is_file()
     assert "pipeline finished" in capsys.readouterr().out
+
+
+# one run of every stage, its paths relative to the run's directory
+RELATIVE_RUN = (
+    ["synth", "--machines", "16", "--quotas", "9,1,1,1,1,1,1,1", "--seed", "3",
+     "--out-dir", "trace", f"grid_end={GRID_END}"],
+    ["preprocess", "--input-dir", "trace", "--out-dir", "out", f"grid_end={GRID_END}"],
+    ["analyze", "--out-dir", "out", "--seed", "3", f"grid_end={GRID_END}"],
+    ["report", "--out-dir", "out"],
+)
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def child(cwd, *args):
+    """``python args`` in a fresh interpreter with PYTHONPATH=src."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def digests(root):
+    return {str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in root.rglob("*") if path.is_file()}
+
+
+def test_main_in_process_freezes_nothing(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    frozen = gc.get_freeze_count()
+    for argv in RELATIVE_RUN:
+        run_ok(argv)
+    assert main(["report", "--out-dir", "nowhere"]) == 2
+    assert gc.get_freeze_count() == frozen
+
+
+def test_a_cli_child_exits_0_or_2_and_writes_what_main_writes(tmp_path,
+                                                              monkeypatch):
+    by_child, in_process = tmp_path / "child", tmp_path / "main"
+    by_child.mkdir()
+    for argv in RELATIVE_RUN:
+        done = child(by_child, "-m", "trace_insight.cli", *argv)
+        out_dir = argv[argv.index("--out-dir") + 1]
+        assert (done.returncode, done.stdout) == (0, f"{argv[0]}: ok ({out_dir})\n"), \
+            done.stderr
+    failed = child(by_child, "-m", "trace_insight.cli", "analyze", "--out-dir",
+                   "nowhere", "--seed", "3")
+    assert failed.returncode == 2
+    assert failed.stderr.startswith("trace-insight: error [analyze] ")
+    in_process.mkdir()
+    monkeypatch.chdir(in_process)
+    for argv in RELATIVE_RUN:
+        run_ok(argv)
+    assert digests(by_child) == digests(in_process)
+
+
+def test_run_freezes_before_the_exit_and_keeps_atexit(tmp_path):
+    # the atexit handler still runs, after the freeze, and its output is
+    # still flushed
+    probe = """
+import atexit, gc, sys
+from trace_insight.cli import run
+print("before", gc.get_freeze_count())
+atexit.register(lambda: print("at exit", gc.get_freeze_count() > 0))
+sys.argv = ["trace-insight", "report", "--out-dir", "nowhere"]
+run()
+"""
+    done = child(tmp_path, "-c", probe)
+    assert done.returncode == 2
+    assert done.stdout.splitlines() == ["before 0", "at exit True"]
+    assert done.stderr.startswith("trace-insight: error [report] ")
 
 
 def test_console_script_is_installed():

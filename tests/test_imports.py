@@ -1,6 +1,7 @@
 """Import hygiene: no module of the package imports a name it never uses, the
-package root's only public names are its submodules, and the declared Python
-floor is one that the installed numpy runs on."""
+package root's only public names are its submodules, the declared Python
+floor is one that the installed numpy runs on, and the console script is
+``cli.run``."""
 
 import ast
 import importlib
@@ -61,6 +62,16 @@ def test_python_floor_is_not_below_numpys():
     numpy_floor = importlib.metadata.metadata("numpy")["Requires-Python"]
     assert _floor(declared) >= _floor(numpy_floor), \
         f"requires-python {declared!r} is below numpy's {numpy_floor!r}"
+
+
+def test_the_console_script_exits_through_cli_run():
+    # run, not main: the installed script skips the exit-time collection
+    # as `python -m trace_insight.cli` does
+    from trace_insight import cli
+    with open(PYPROJECT, "rb") as fh:
+        entry = tomllib.load(fh)["project"]["scripts"]["trace-insight"]
+    module, _, attr = entry.partition(":")
+    assert getattr(importlib.import_module(module), attr) is cli.run
 
 
 # Where an artifact's format is decided: the one function allowed to make

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib
 import inspect
 import io
 import json
@@ -750,6 +751,50 @@ def test_analyze_refuses_a_non_finite_feature(tmp_path, monkeypatch):
                                          r"is not finite: nan$"):
         run_analyze(stage_config(trace, out))
     assert not (out / "manifest-analyze.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# the analysis names, imported on first use
+
+
+@pytest.fixture
+def unbound_analysis_names(monkeypatch):
+    """``pipeline`` as a fresh import leaves it: no analysis name bound yet
+    (restored afterwards)."""
+    for name in pipeline._HOME:
+        monkeypatch.delitem(vars(pipeline), name, raising=False)
+
+
+def test_an_analysis_name_is_its_modules_own(unbound_analysis_names):
+    from trace_insight.pipeline import kmeans_fit as imported
+    assert imported is kmeans_fit
+    assert vars(pipeline)["kmeans_fit"] is kmeans_fit   # bound on first use
+    for module, names in pipeline.ANALYSIS_NAMES.items():
+        home = importlib.import_module(f"trace_insight.{module}")
+        assert all(getattr(pipeline, name) is getattr(home, name)
+                   for name in names), module
+
+
+def test_an_unknown_name_is_still_an_attribute_error():
+    with pytest.raises(AttributeError, match=r"^module 'trace_insight.pipeline' "
+                                             r"has no attribute 'no_such_name'$"):
+        pipeline.no_such_name
+    assert getattr(pipeline, "no_such_name", None) is None
+
+
+def test_analyze_calls_a_wrapper_set_before_the_names_are_bound(
+        tmp_path, monkeypatch, unbound_analysis_names):
+    calls = []
+
+    def recorded_fit(*args, **kwargs):
+        calls.append(kwargs["seed"])
+        return kmeans_fit(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "kmeans_fit", recorded_fit)
+    preprocess_and_analyze(noisy_trace(tmp_path / "trace", seed=7), tmp_path / "out")
+    assert calls == [7]
+    assert pipeline.kmeans_fit is recorded_fit
+    assert vars(pipeline)["iforest_fit"] is iforest_fit   # bound by analyze
 
 
 # each planted anomaly kind, the machine it is planted on (the first or

@@ -1,7 +1,8 @@
 """Each CLI stage, run as its own child process, loads only the modules it
 runs: ``report`` no numpy, ``preprocess`` and ``analyze`` no
-``trace_insight.synth``, ``analyze`` no ``numpy.ma``, and
-``import trace_insight`` no submodule at all."""
+``trace_insight.synth``, ``synth`` and ``preprocess`` none of the four
+analysis modules, ``analyze`` no ``numpy.ma``, and ``import trace_insight``
+no submodule at all."""
 
 import json
 import os
@@ -10,8 +11,6 @@ import sys
 from pathlib import Path
 
 import pytest
-
-from trace_insight.pipeline import run_synth
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -26,6 +25,8 @@ sys.exit(code)
 """
 
 GRID = ["grid_start=39600", f"grid_end={39600 + 12 * 300}", "grid_step=300"]
+ANALYSIS_MODULES = {f"trace_insight.{name}" for name in
+                    ("aggregate", "anomaly", "classify", "similarity")}
 
 
 def loaded_modules(*args: str) -> set[str]:
@@ -43,17 +44,15 @@ def stage_modules(tmp_path_factory):
     """The modules each stage's CLI child had loaded when it finished."""
     root = tmp_path_factory.mktemp("startup")
     trace, out = root / "trace", root / "out"
-    run_synth({"output_dir": str(trace), "synth_machines": "10",
-               "synth_quotas": "3,1,1,1,1,1,1,1", "synth_seed": "5",
-               **dict(item.split("=") for item in GRID)})
-    stages = {
-        "preprocess": [f"input_dir={trace}", *GRID],
-        "analyze": ["--seed", "7", *GRID],
-        "report": [],
+    stages = {   # in the order they run
+        "synth": [str(trace), "--machines", "10", "--quotas", "3,1,1,1,1,1,1,1",
+                  "--seed", "5", *GRID],
+        "preprocess": [str(out), f"input_dir={trace}", *GRID],
+        "analyze": [str(out), "--seed", "7", *GRID],
+        "report": [str(out)],
     }
-    return {stage: loaded_modules("-c", PROBE, stage, "--out-dir", str(out),
-                                  *overrides)
-            for stage, overrides in stages.items()}
+    return {stage: loaded_modules("-c", PROBE, stage, "--out-dir", *args)
+            for stage, args in stages.items()}
 
 
 def test_report_loads_no_numpy(stage_modules):
@@ -65,6 +64,16 @@ def test_report_loads_no_numpy(stage_modules):
 def test_preprocess_and_analyze_load_no_synth(stage_modules, stage):
     assert "trace_insight.pipeline" in stage_modules[stage]
     assert "trace_insight.synth" not in stage_modules[stage]
+
+
+@pytest.mark.parametrize("stage", ["synth", "preprocess"])
+def test_synth_and_preprocess_load_no_analysis_module(stage_modules, stage):
+    assert "trace_insight.pipeline" in stage_modules[stage]
+    assert stage_modules[stage] & ANALYSIS_MODULES == set()
+
+
+def test_analyze_loads_every_analysis_module(stage_modules):
+    assert ANALYSIS_MODULES <= stage_modules["analyze"]
 
 
 def test_analyze_loads_no_numpy_ma(stage_modules):
