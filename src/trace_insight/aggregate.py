@@ -31,12 +31,12 @@ import contextlib
 import dataclasses
 import os
 from dataclasses import dataclass, field
-from itertools import compress
 
 import numpy as np
 
+from .cells import csv_lines, float_cells, int_cells
 from .preprocess import DenseUsage
-from .trace_model import IntervalGrid, TraceBundle, csv_file, csv_lines
+from .trace_model import IntervalGrid, TraceBundle, csv_file
 
 
 @dataclass
@@ -291,15 +291,20 @@ CONTAINER_AGG_HEADER = SERIES_HEADER[:3] + ("container_count", "total_cpu", "tot
 BATCH_AGG_HEADER = SERIES_HEADER[:3] + ("batch_count", "total_cpu_cores", "total_cpu",
                                         "total_mem")
 
-# Lines formatted at once; bounds the Python strings alive while writing.
-BLOCK_LINES = 96
+# Lines formatted at once: bounds the cell grids and their uint64 working
+# arrays alive while writing to about 1 MB.
+BLOCK_LINES = 512
+
+# the series columns written as integers
+_INT_COLUMNS = ("machine", "interval_index", "interval_start",
+                "container_count", "batch_count")
 
 
 def write_aggregate_csvs(table: SeriesTable, container_seen: np.ndarray,
                          batch_seen: np.ndarray, grid: IntervalGrid,
                          out_dir: str) -> None:
     """Write ``machine_series.csv`` to ``out_dir``, and from the same cell
-    texts the lines of the machines ``container_seen`` and ``batch_seen``
+    grids the lines of the machines ``container_seen`` and ``batch_seen``
     mark to ``container_usage_agg.csv`` and ``batch_usage_agg.csv``."""
     m_count, n = len(table.server_cpu), grid.interval_count
     outputs = (  # (file, header, series columns written under it, machines)
@@ -310,6 +315,8 @@ def write_aggregate_csvs(table: SeriesTable, container_seen: np.ndarray,
         ("batch_usage_agg.csv", BATCH_AGG_HEADER, SERIES_HEADER[:3] + (
             "batch_count", "batch_cpu_cores", "batch_cpu", "batch_mem"), batch_seen))
     flat = {name: signal.ravel() for name, signal in vars(table).items()}
+    floats = [name for name in (*SERIES_HEADER, "batch_cpu_cores")
+              if name not in _INT_COLUMNS]
     lines = m_count * n
     with contextlib.ExitStack() as stack:
         files = [(stack.enter_context(csv_file(os.path.join(out_dir, name), header)),
@@ -323,7 +330,10 @@ def write_aggregate_csvs(table: SeriesTable, container_seen: np.ndarray,
                      batch_count=b["batch_count"].astype(np.int64),
                      residual_cpu=b["server_cpu"] - b["container_cpu"] - b["batch_cpu"],
                      residual_mem=b["server_mem"] - b["container_mem"] - b["batch_mem"])
-            cells = {name: list(map(repr, values.tolist())) for name, values in b.items()}
+            ints = int_cells(np.stack([b[name] for name in _INT_COLUMNS], axis=1))
+            reals = float_cells(np.stack([b[name] for name in floats], axis=1))
             for fh, columns, seen in files:
-                kept = seen[row].tolist()
-                fh.write(csv_lines(*(compress(cells[c], kept) for c in columns)))
+                kept = seen[row]
+                cells = {**dict(zip(_INT_COLUMNS, ints[kept].swapaxes(0, 1))),
+                         **dict(zip(floats, reals[kept].swapaxes(0, 1)))}
+                fh.write(csv_lines(*(cells[c] for c in columns)))

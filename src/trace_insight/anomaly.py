@@ -36,9 +36,9 @@ from itertools import compress
 import numpy as np
 
 from .aggregate import SeriesTable, median
+from .cells import csv_lines, float_cells, int_cells, text_cells
 from .stage import FeatureMode, write_json
-from .trace_model import (IntervalGrid, MachineEventType, Table, csv_file,
-                          csv_lines, enum_code, float_text)
+from .trace_model import IntervalGrid, MachineEventType, Table, csv_file, enum_code
 
 EULER_GAMMA = 0.5772156649
 HEAVIER_FACTOR = 1.5
@@ -368,10 +368,10 @@ def write_scores_csv(report: AnomalyReport, path: str) -> None:
     # the ranking is a permutation of the ids, so its inverse gives the ranks
     ranks = np.argsort(report.ranking) + 1
     with csv_file(path, ("machine", "score", "rank", "label", "tags")) as fh:
-        fh.write(csv_lines(map(str, range(1, len(ranks) + 1)),
-                           map(float_text, report.scores),
-                           map(str, ranks.tolist()), report.labels,
-                           map("|".join, report.causes)))
+        fh.write(csv_lines(int_cells(np.arange(1, len(ranks) + 1)),
+                           float_cells(report.scores), int_cells(ranks),
+                           text_cells(report.labels),
+                           text_cells(list(map("|".join, report.causes)))))
 
 
 def top_anomalies_dict(report: AnomalyReport, top_n: int) -> dict:
@@ -392,7 +392,7 @@ def write_anomaly_json(report: AnomalyReport, top_n: int, path: str) -> None:
 
 def write_score_distribution_csv(report: AnomalyReport, path: str) -> None:
     """Scores in ranking order, for plotting the score curve."""
+    ranking = np.asarray(report.ranking, np.int64)
     with csv_file(path, ("rank", "machine", "score")) as fh:
-        fh.write(csv_lines(map(str, range(1, len(report.ranking) + 1)),
-                           map(str, report.ranking),
-                           (float_text(report.scores[m - 1]) for m in report.ranking)))
+        fh.write(csv_lines(int_cells(np.arange(1, len(ranking) + 1)), int_cells(ranking),
+                           float_cells(np.asarray(report.scores)[ranking - 1])))

@@ -27,13 +27,13 @@ hidden.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import repeat
 
 import numpy as np
 
 from .aggregate import SeriesTable
+from .cells import csv_lines, float_cells, int_cells, text_cells
 from .stage import TYPE_LABELS, write_json
-from .trace_model import csv_file, csv_lines, float_text
+from .trace_model import csv_file
 
 UNKNOWN_LABEL = "Unknown"
 
@@ -84,7 +84,10 @@ def _plus_plus_init(matrix: np.ndarray, k: int, rng: np.random.Generator) -> np.
 
 
 def _assign(matrix: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d2 = ((matrix[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    # a centroid at a time: no (M, k, 2N) difference cube, the same sums
+    d2 = np.empty((len(matrix), len(centroids)))
+    for c, centroid in enumerate(centroids):
+        d2[:, c] = ((matrix - centroid) ** 2).sum(axis=1)
     assign = d2.argmin(axis=1)
     return assign, d2[np.arange(len(matrix)), assign]
 
@@ -248,10 +251,10 @@ def category_report(model: CategoryModel, table: SeriesTable) -> CategoryReport:
 
 
 def write_assignments_csv(model: CategoryModel, path: str) -> None:
-    clusters = model.assignments.tolist()
+    clusters = model.assignments
     with csv_file(path, ("machine", "cluster", "label")) as fh:
-        fh.write(csv_lines(map(str, range(1, len(clusters) + 1)), map(str, clusters),
-                           (model.labels.get(c, "") for c in clusters)))
+        fh.write(csv_lines(int_cells(np.arange(1, len(clusters) + 1)), int_cells(clusters),
+                           text_cells([model.labels.get(c, "") for c in clusters.tolist()])))
 
 
 def counts_dict(model: CategoryModel, report: CategoryReport) -> dict:
@@ -280,7 +283,7 @@ def write_type_usage_csv(report: CategoryReport, table: SeriesTable,
     """Per-type mean cpu/mem/disk per interval, for external plotting."""
     with csv_file(path, ("label", "interval_index", "cpu", "mem", "disk")) as fh:
         for label in sorted(report.members):
-            means = [np.mean(rows, axis=0).tolist() for rows in
-                     _usage_rows(table, report.members[label])]
-            fh.write(csv_lines(repeat(label), map(str, range(len(means[0]))),
-                               *(map(float_text, mean) for mean in means)))
+            means = np.array([np.mean(rows, axis=0) for rows in
+                              _usage_rows(table, report.members[label])])
+            fh.write(csv_lines(text_cells([label] * means.shape[1]),
+                               int_cells(np.arange(means.shape[1])), *float_cells(means)))

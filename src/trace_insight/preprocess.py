@@ -17,18 +17,12 @@ from enum import Enum
 
 import numpy as np
 
-from .trace_model import (
-    BLOCK_ROWS,
-    IntervalGrid,
-    Table,
-    TraceBundle,
-    csv_file,
-    csv_lines,
-    percent_texts,
-)
+from .cells import csv_lines, float_cells, int_cells, text_cells
+from .trace_model import IntervalGrid, Table, TraceBundle, csv_file
 
 METRICS = ("cpu", "mem", "disk", "load1", "load5", "load15")
-_FRACTION_METRICS = frozenset(("cpu", "mem", "disk"))
+# the metrics written as percent text lead METRICS
+_FRACTION_METRICS = METRICS[:3]
 
 
 class RepairMethod(Enum):
@@ -169,44 +163,47 @@ def filter_container_events(events: Table) -> tuple[Table, Table]:
 # artifact I/O
 
 DENSE_HEADER = ("machine", "timestamp", "cpu", "mem", "disk", "load1", "load5", "load15")
+# Dense rows formatted at once: bounds the cell grids and their uint64
+# working arrays alive while writing to about 1 MB.
+BLOCK_ROWS = 512
 REPAIR_LOG_HEADER = ("machine", "metric", "timestamp", "method", "value")
 REMOVED_EVENTS_HEADER = ("instance", "machine", "mem_req")
 
 
 def write_dense_csv(dense: DenseUsage, path: str) -> None:
     """One line per (machine, timestamp): fractions as percent text, loads as
-    their ``repr``. Lines are built a block of rows at a time, which bounds
-    the Python objects alive at once."""
+    their ``repr``, a block of ``BLOCK_ROWS`` rows at a time."""
     m_count, t_count = dense.values.shape[:2]
     machines = np.repeat(np.arange(1, m_count + 1), t_count)
     timestamps = np.tile(dense.timestamps, m_count)
     values = dense.values.reshape(-1, len(METRICS))
+    fractions = len(_FRACTION_METRICS)
     with csv_file(path, DENSE_HEADER) as fh:
         for lo in range(0, len(values), BLOCK_ROWS):
             block = slice(lo, lo + BLOCK_ROWS)
             fh.write(csv_lines(
-                map(str, machines[block].tolist()),
-                map(str, timestamps[block].tolist()),
-                *(percent_texts(column) if metric in _FRACTION_METRICS
-                  else map(repr, column.tolist())
-                  for metric, column in zip(METRICS, values[block].T))))
+                int_cells(machines[block]), int_cells(timestamps[block]),
+                *float_cells(values[block, :fractions], percent=True).swapaxes(0, 1),
+                *float_cells(values[block, fractions:]).swapaxes(0, 1)))
 
 
 def write_repair_log_csv(repairs: Table, path: str) -> None:
     """The repair log of ``supplement_server_usage``, one line per row in its
     order: fractions as percent text, loads as their ``repr``."""
-    fraction = np.isin(repairs.metric, list(_FRACTION_METRICS))
-    values = np.array(list(map(repr, repairs.value.tolist())), dtype=object)
-    values[fraction] = percent_texts(repairs.value[fraction])
+    fraction = np.isin(repairs.metric, _FRACTION_METRICS)
+    percent = float_cells(repairs.value[fraction], percent=True)
+    plain = float_cells(repairs.value[~fraction])
+    values = np.zeros((len(fraction), max(percent.shape[1], plain.shape[1])), np.uint8)
+    values[fraction, :percent.shape[1]] = percent
+    values[~fraction, :plain.shape[1]] = plain
     with csv_file(path, REPAIR_LOG_HEADER) as fh:
-        fh.write(csv_lines(map(str, repairs.machine.tolist()), repairs.metric.tolist(),
-                           map(str, repairs.timestamp.tolist()),
-                           repairs.method.tolist(), values.tolist()))
+        fh.write(csv_lines(int_cells(repairs.machine), text_cells(repairs.metric),
+                           int_cells(repairs.timestamp), text_cells(repairs.method),
+                           values))
 
 
 def write_removed_events_csv(removed: Table, path: str) -> None:
     """The container events ``filter_container_events`` removed."""
     with csv_file(path, REMOVED_EVENTS_HEADER) as fh:
-        fh.write(csv_lines(map(str, removed.instance.tolist()),
-                           map(str, removed.machine.tolist()),
-                           map(repr, removed.mem_req.tolist())))
+        fh.write(csv_lines(int_cells(removed.instance), int_cells(removed.machine),
+                           float_cells(removed.mem_req)))

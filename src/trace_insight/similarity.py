@@ -33,8 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aggregate import SeriesTable, median
+from .cells import csv_lines, float_cells, int_cells
 from .stage import write_json
-from .trace_model import csv_file, csv_lines, float_text
+from .trace_model import csv_file
 
 DEFAULT_THRESHOLD = 3.0
 RANGE_EDGES = (0.0, 1.0, 2.0, 3.0, 5.0)
@@ -305,19 +306,16 @@ def write_distances_csv(report: DtwReport, path: str) -> None:
     header += [f"dtw_std_{m}" for m in report.standard_machines]
     header.append("dtw_mean")
     with csv_file(path, header) as fh:
-        fh.write(csv_lines(
-            map(str, range(1, len(report.distances) + 1)),
-            *(map(float_text, column) for column in report.distances.T.tolist()),
-            map(float_text, report.mean_distance.tolist())))
+        fh.write(csv_lines(int_cells(np.arange(1, len(report.distances) + 1)),
+                           *float_cells(report.distances.T),
+                           float_cells(report.mean_distance)))
 
 
 def write_flags_csv(report: DtwReport, path: str) -> None:
-    machines = range(1, len(report.mean_distance) + 1)
-    flagged = set(report.flagged)
+    machines = np.arange(1, len(report.mean_distance) + 1)
     with csv_file(path, ("machine", "dtw_mean", "flagged")) as fh:
-        fh.write(csv_lines(map(str, machines),
-                           map(float_text, report.mean_distance.tolist()),
-                           (str(int(m in flagged)) for m in machines)))
+        fh.write(csv_lines(int_cells(machines), float_cells(report.mean_distance),
+                           int_cells(np.isin(machines, report.flagged))))
 
 
 def histogram_dict(report: DtwReport) -> dict:

@@ -41,18 +41,18 @@ A percent cell converts as ``float(text + "e-2")``, which rounds the exact
 decimal value once. Cells where that raises (an exponent, trailing space),
 or longer than Decimal's default 28-digit precision, take the
 ``decimal.Decimal`` exponent shift of ``percent_text_to_fraction`` instead,
-which gives the same float wherever both apply. ``fraction_to_percent_text``
-inverts the conversion exactly, so writing a bundle and parsing it again
-reproduces every float bit-for-bit.
+which gives the same float wherever both apply.
+``cells.fraction_to_percent_text`` inverts the conversion exactly, so
+writing a bundle and parsing it again reproduces every float bit-for-bit.
 
-Writing formats a block a column at a time, each kind's ``text`` in C
-loops: ``str`` or ``repr`` of the column's Python values, and for percent
-cells the digit shift of ``percent_texts``. The shortest repr ``0.d1d2d3…``
-of a fraction in [1e-4, 1) is written ``d1d2.d3…``, with a leading zero of
-``d1d2`` dropped; every other value takes ``fraction_to_percent_text``.
-Only a file with a text field goes through ``csv.writer``, because only a
-text cell can need quoting; the lines of every other file are joined by
-``csv_lines``.
+Writing turns a block of ``BLOCK_ROWS`` rows into bytes a kind at a time:
+the block columns of one kind go to its ``cells`` together, which makes the
+cells of all of them as one uint8 grid by numpy array arithmetic
+(``cells.py``): ``str`` of an int, ``repr`` of a float, the
+``fraction_to_percent_text`` of a percent cell, an enum's name. One
+``cells.csv_lines`` call joins the grids of the block into its lines. Only a
+file with a text field goes through ``csv.writer``, with the same cell
+texts, because only a text cell can need quoting.
 
 ``save_columns`` writes the grid, the columns of a bundle that analyze reads
 (``SAVED_COLUMNS``), the rows each file lost and the repaired cpu, mem and
@@ -65,7 +65,6 @@ from __future__ import annotations
 import csv
 import logging
 import math
-import operator
 import os
 import warnings
 from contextlib import contextmanager
@@ -74,9 +73,11 @@ from decimal import Decimal
 from enum import Enum
 from functools import cached_property, partial
 from itertools import chain, islice, repeat
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, TextIO
 
 import numpy as np
+
+from .cells import csv_lines, float_cells, int_cells, text_cells
 
 log = logging.getLogger(__name__)
 
@@ -148,7 +149,8 @@ def percent_text_to_fraction(text: str) -> float:
 
     ``Decimal.scaleb`` shifts the decimal exponent exactly (up to the
     context's 28 digits), so the only rounding happens in the final
-    ``float()``; ``fraction_to_percent_text`` inverts the conversion exactly.
+    ``float()``; ``cells.fraction_to_percent_text`` inverts the conversion
+    exactly.
     """
     try:
         value = float(Decimal(text.strip()).scaleb(-2))
@@ -159,49 +161,14 @@ def percent_text_to_fraction(text: str) -> float:
     return value
 
 
-def fraction_to_percent_text(value: float) -> str:
-    return format(Decimal(repr(value)).scaleb(2), "f")
-
-
-def percent_texts(column) -> list[str]:
-    """``fraction_to_percent_text`` of each float of ``column``, in C loops
-    where it can be. A repr ``0.d1d2d3…`` with at least three fraction
-    digits is the percent text ``d1d2.d3…`` with a leading zero of ``d1d2``
-    dropped (``0.0312`` is ``3.12``, ``0.00012`` is ``0.012``); every other
-    repr (``0.0``, ``0.05``, ``1.0``, an exponent, a sign) takes the
-    definition."""
-    values = np.asarray(column, dtype=np.float64).tolist()
-    texts = list(map(repr, values))
-    heads = map(str.removeprefix, map(operator.getitem, texts, repeat(slice(2, 4))),
-                repeat("0"))
-    shifted = list(map(operator.add, map(operator.add, heads, repeat(".")),
-                       map(operator.getitem, texts, repeat(slice(4, None)))))
-    positional = (np.fromiter(map(str.startswith, texts, repeat("0.")), bool, len(texts))
-                  & (np.fromiter(map(len, texts), np.intp, len(texts)) > 4))
-    for i in np.flatnonzero(~positional).tolist():
-        shifted[i] = fraction_to_percent_text(values[i])
-    return shifted
-
-
-def float_text(value: float) -> str:
-    """Shortest decimal text that parses back to exactly ``value``."""
-    return repr(float(value))
-
-
 @contextmanager
-def csv_file(path: str, header) -> Iterator[TextIO]:
-    """An artifact CSV at ``path``, open for writing in the dialect of every
-    artifact (UTF-8, ``\\n`` line ends) with its ``header`` line written."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
+def csv_file(path: str, header) -> Iterator[BinaryIO]:
+    """An artifact CSV at ``path``, open for writing the bytes of
+    ``cells.csv_lines`` in the dialect of every artifact (UTF-8, ``\\n``
+    line ends) with its ``header`` line written."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         yield fh
-
-
-def csv_lines(*columns) -> str:
-    """CSV lines, each ended by a newline, of the rows zipped from columns of
-    cell texts. Cells are joined as they are, so none may need quoting."""
-    lines = "\n".join(map(",".join, zip(*columns)))
-    return lines + "\n" if lines else lines
 
 
 _DECIMAL_DIGITS = 28
@@ -243,13 +210,15 @@ class _Kind:
     the field ``name``, the cell ``text`` and the parsed ``value``; ``strip``
     kinds read and quote the cell stripped. The C reader applies ``parse``
     and ``valid`` to whole columns, and the row rule ``check`` to the cells
-    of one row. ``text`` turns a block column back into its cells."""
+    of one row. ``cells`` turns block columns of the kind, in any shape,
+    back into a grid of their cells (``cells.py``); a text kind has none,
+    as ``csv.writer`` writes and quotes its cells."""
 
     dtype: type
     parse: Callable[[str], object]
     valid: Callable[[np.ndarray], np.ndarray] | None
     rule: str | None
-    text: Callable[[np.ndarray], Iterable[str]]
+    cells: Callable[[np.ndarray], np.ndarray] | None
     bad: str | None = None
     strip: bool = False
 
@@ -276,14 +245,9 @@ class _Kind:
         raise ValueError(message.format(name=name, text=text, value=value))
 
 
-def _texts(convert, dtype=None):
-    """The cells of a block column: ``convert`` over its values as ``dtype``."""
-    return lambda column: map(convert, np.asarray(column, dtype).tolist())
-
-
-_int_kind = partial(_Kind, np.int64, int, text=_texts(str),
+_int_kind = partial(_Kind, np.int64, int, cells=int_cells,
                     bad="bad integer for {name}: {text!r}")
-_float_kind = partial(_Kind, np.float64, float, text=_texts(repr, np.float64),
+_float_kind = partial(_Kind, np.float64, float, cells=float_cells,
                       bad="bad number for {name}: {text!r}")
 
 _MACHINE = _int_kind(lambda v: v >= 1, "machine id must be >= 1, got {value}")
@@ -291,29 +255,30 @@ _NONNEG_INT = _int_kind(lambda v: v >= 0, "{name} must be >= 0, got {value}")
 # a blank cell is machine 0, which never ran
 _OPTIONAL_MACHINE = replace(
     _NONNEG_INT, parse=lambda cell: int(cell.strip() or 0),
-    text=lambda column: np.where(column != 0, column.astype(str), "").tolist(),
+    cells=lambda block: np.where((block != 0)[..., None], int_cells(block), 0),
     strip=True)
 _COUNT = _int_kind(lambda v: v >= 1, "{name} must be >= 1, got {value}")
 _PERCENT = _Kind(np.float64, _percent, lambda v: (v >= 0.0) & (v <= 1.0),
                  "{name} must lie in [0,100] percent, got {text!r}",
-                 percent_texts)
+                 partial(float_cells, percent=True))
 _UNIT_FRACTION = _float_kind(lambda v: (v >= 0.0) & (v <= 1.0),
                              "{name} must lie in [0,1], got {value}")
 _NONNEG_FLOAT = _float_kind(lambda v: (v >= 0.0) & (v < np.inf),
                             "{name} must be >= 0, got {value}")
 _POSITIVE_FLOAT = _float_kind(lambda v: (v > 0.0) & (v < np.inf),
                               "{name} must be > 0, got {value}")
-_TEXT = _Kind(str, str.strip, None, None, np.ndarray.tolist)
-_CPU_SET = _Kind(str, _cpu_set, None, None, np.ndarray.tolist)
+_TEXT = _Kind(str, str.strip, None, None, None)
+_CPU_SET = _Kind(str, _cpu_set, None, None, None)
 
 
 def _enum_kind(enum_cls) -> _Kind:
     """An enum field: int8 codes into the members of ``enum_cls``."""
     values = [m.value for m in enum_cls]
     lookup = {value.lower(): code for code, value in enumerate(values)}
+    names = text_cells(values)
     return _Kind(np.int8, lambda cell: lookup.get(cell.strip().lower(), -1),
                  lambda v: v >= 0, f"unknown {enum_cls.__name__} value {{text!r}}",
-                 _texts(values.__getitem__))
+                 names.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -747,26 +712,38 @@ def load_columns(path: str) -> tuple[TraceBundle, dict[str, int], np.ndarray,
 
 def write_trace_dir(bundle: TraceBundle, path: str) -> None:
     """Write the bundle back to six CSV files (byte-deterministic), a block
-    of ``BLOCK_ROWS`` rows at a time, each block column turned into cells by
-    its kind's ``text``; percent cells shift the digits of the fraction's
-    repr (``percent_texts``). Only a file with a text field
-    (``event_detail``, ``cpu_set``) goes through ``csv.writer``, because
-    only a text cell can need quoting; other files are joined by
-    ``csv_lines``."""
+    of ``BLOCK_ROWS`` rows at a time: the block columns of one kind make one
+    grid of cells by the kind's ``cells``, and ``csv_lines`` joins the
+    grids. Only a file with a text field (``event_detail``, ``cpu_set``)
+    goes through ``csv.writer``, because only a text cell can need
+    quoting."""
     os.makedirs(path, exist_ok=True)
     for key, spec in _SPECS.items():
         table = getattr(bundle, spec.attr)
-        quoting = any(kind.dtype is str for kind in spec.fields.values())
+        kinds = list(spec.fields.values())
+        columns = [table.columns[_column_name(name)] for name in spec.fields]
+        # the fields of each cells function: one grid each in a block
+        groups: dict[Callable, list[int]] = {}
+        for i, kind in enumerate(kinds):
+            if kind.cells is not None:
+                groups.setdefault(kind.cells, []).append(i)
+        quoting = any(kind.cells is None for kind in kinds)
         with open(os.path.join(path, TRACE_FILENAMES[key]), "w", newline="",
                   encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             for lo in range(0, len(table), BLOCK_ROWS):
-                cells = [kind.text(table.columns[_column_name(name)][lo:lo + BLOCK_ROWS])
-                         for name, kind in spec.fields.items()]
+                cells = [column[lo:lo + BLOCK_ROWS] for column in columns]
+                for make, fields in groups.items():
+                    grid = make(np.stack([cells[i] for i in fields], axis=1))
+                    for j, i in enumerate(fields):
+                        cells[i] = grid[:, j]
                 if quoting:
-                    writer.writerows(zip(*cells))
+                    writer.writerows(zip(*(
+                        block.tolist() if kind.cells is None
+                        else csv_lines(block).decode().splitlines()
+                        for kind, block in zip(kinds, cells))))
                 else:
-                    fh.write(csv_lines(*cells))
+                    fh.write(csv_lines(*cells).decode())
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from trace_insight import classify
 from trace_insight.aggregate import SeriesTable
 from trace_insight.classify import (
     CategoryModel,
@@ -18,7 +19,6 @@ from trace_insight.classify import (
     write_counts_json,
     write_type_usage_csv,
 )
-from trace_insight.trace_model import float_text
 
 N = 8
 
@@ -121,6 +121,20 @@ def test_kmeans_rejects_bad_inputs():
         kmeans_fit(matrix, k=3, seed=0)
     with pytest.raises(ValueError, match="n_init"):
         kmeans_fit(matrix, k=2, seed=0, n_init=0)
+
+
+@pytest.mark.parametrize("rows, cols", [(64, 286), (384, 32), (16, 576), (1024, 286)])
+def test_assign_sums_distances_as_the_difference_cube_does(rows, cols):
+    # the (M, k, 2N) cube of squared differences is the oracle
+    rng = np.random.default_rng(rows)
+    for matrix in (rng.integers(0, 2, (rows, cols)).astype(float),
+                   rng.random((rows, cols))):
+        centroids = np.concatenate((rng.random((6, cols)), matrix[:2]))
+        cube = ((matrix[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        want = cube.argmin(axis=1)
+        assign, d2 = classify._assign(matrix, centroids)
+        assert assign.tolist() == want.tolist()
+        assert d2.tobytes() == cube[np.arange(rows), want].tobytes()
 
 
 @settings(max_examples=40)
@@ -257,7 +271,7 @@ def test_usage_means_equal_means_over_the_member_rows(tmp_path):
         rows = [[getattr(table, name)[m - 1] for m in members] for name in names]
         assert report.usage_means[label] == tuple(float(np.mean(r)) for r in rows)
         per_interval = [np.mean(r, axis=0) for r in rows]
-        want = [",".join([label, str(x)] + [float_text(float(v[x]))
+        want = [",".join([label, str(x)] + [repr(float(v[x]))
                                              for v in per_interval])
                 for x in range(n)]
         assert [line for line in lines if line.startswith(label + ",")] == want

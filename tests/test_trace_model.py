@@ -1,5 +1,3 @@
-import csv
-import io
 import os
 import tempfile
 
@@ -9,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from trace_insight import trace_model
+from trace_insight.cells import fraction_to_percent_text
 from trace_insight.trace_model import (
     ContainerEventType,
     InstanceStatus,
@@ -19,14 +18,10 @@ from trace_insight.trace_model import (
     TaskStatus,
     TraceBundle,
     TraceParseError,
-    csv_lines,
-    float_text,
-    fraction_to_percent_text,
     load_columns,
     parse_trace_dir,
     parse_trace_file,
     percent_text_to_fraction,
-    percent_texts,
     save_columns,
     write_trace_dir,
 )
@@ -105,34 +100,6 @@ def test_percent_text_rejects_junk():
 def test_percent_round_trip_is_bit_exact(value):
     text = fraction_to_percent_text(value)
     assert percent_text_to_fraction(text) == value
-
-
-# each repr shape: shifted (0.0312, 0.00012, 0.123) or not (the rest)
-PERCENT_EDGES = [0.0, -0.0, 1.0, 0.5, 0.05, 1e-4, 0.00012, 9.9e-05, 1e-05, 5e-324,
-                 0.9999999999999999, 1.5, 12.5, -0.25, 0.0312, 0.123, 0.12]
-
-
-@given(st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=40))
-def test_percent_texts_equal_the_definition(values):
-    for column in (values, PERCENT_EDGES, values + PERCENT_EDGES):
-        assert percent_texts(column) == list(map(fraction_to_percent_text, column))
-
-
-@given(st.floats(allow_nan=False, allow_infinity=False))
-def test_float_text_round_trip(value):
-    assert float(float_text(value)) == value
-    # csv_lines cells are this text; csv.writer writes a Python float the same
-    line = io.StringIO()
-    csv.writer(line, lineterminator="\n").writerow([value])
-    assert line.getvalue() == float_text(value) + "\n"
-
-
-@given(st.lists(st.tuples(st.integers(), st.floats(), st.floats()), max_size=6))
-def test_csv_lines_writes_number_texts_as_csv_writer_does(rows):
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
-    assert csv_lines(*([repr(v) for v in column] for column in zip(*rows))) \
-        == out.getvalue()
 
 
 # ---------------------------------------------------------------------------
