@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cells import csv_lines, float_cells, int_cells
-from .preprocess import DenseUsage
 from .trace_model import IntervalGrid, TraceBundle, csv_file
 
 
@@ -259,23 +258,22 @@ def aggregate_batch_usage(bundle: TraceBundle, grid: IntervalGrid,
                       cpu_cores)
 
 
-def build_machine_series(bundle: TraceBundle, grid: IntervalGrid, dense: DenseUsage,
+def build_machine_series(bundle: TraceBundle, grid: IntervalGrid, dense: np.ndarray,
                          containers: UsageTable, batch: UsageTable) -> SeriesTable:
     """The series table of machines 1..machine_count; every input must hold
-    those machines as its rows. Server usage per interval is the mean of the
-    interval's two endpoint samples in the dense table, so all samples
-    contribute."""
+    those machines as its rows. ``dense`` is the repaired usage, (M, grid
+    timestamps, 3) cpu/mem/disk samples. Server usage per interval is the
+    mean of the interval's two endpoint samples, so all samples contribute."""
     m_count, n = bundle.machine_count, grid.interval_count
     for name, shape, want in (
-            ("dense usage", dense.values.shape[:2], (m_count, n + 1)),
+            ("dense usage", dense.shape[:2], (m_count, n + 1)),
             ("container usage", containers.count.shape, (m_count, n)),
             ("batch usage", batch.count.shape, (m_count, n))):
         if shape != want:
             raise ValueError(f"{name} table has shape {shape}, but machines "
                              f"1..{m_count} on {n} intervals need {want}")
-    vals = dense.values
     return SeriesTable(
-        *((vals[:, :-1, k] + vals[:, 1:, k]) / 2.0 for k in range(3)),
+        *((dense[:, :-1, k] + dense[:, 1:, k]) / 2.0 for k in range(3)),
         containers.count.astype(np.float64), containers.cpu, containers.mem,
         batch.count.astype(np.float64), batch.cpu_cores, batch.cpu, batch.mem)
 

@@ -292,12 +292,6 @@ def score_machines(model: IsolationForestModel, matrix: np.ndarray,
     )
 
 
-def rank_anomalies(report: AnomalyReport, top_n: int) -> list[int]:
-    if top_n < 0:
-        raise ValueError(f"top_n must be >= 0, got {top_n}")
-    return report.ranking[:top_n]
-
-
 @dataclass(frozen=True, slots=True)
 class PopulationStats:
     """Medians of the per-machine mean counts, shared by all diagnoses."""
@@ -374,20 +368,20 @@ def write_scores_csv(report: AnomalyReport, path: str) -> None:
                            text_cells(list(map("|".join, report.causes)))))
 
 
-def top_anomalies_dict(report: AnomalyReport, top_n: int) -> dict:
-    return {
+def write_anomaly_json(report: AnomalyReport, top_n: int, path: str) -> None:
+    """The first ``top_n`` machines of the ranking, with their scores,
+    categories and causes."""
+    if top_n < 0:
+        raise ValueError(f"top_n must be >= 0, got {top_n}")
+    write_json(path, {
         "negative_count": report.negative_count,
         "machine_count": len(report.scores),
         "top": [{"rank": rank, "machine": machine,
                  "score": report.scores[machine - 1],
                  "category": report.labels[machine - 1],
                  "causes": report.causes[machine - 1]}
-                for rank, machine in enumerate(rank_anomalies(report, top_n), 1)],
-    }
-
-
-def write_anomaly_json(report: AnomalyReport, top_n: int, path: str) -> None:
-    write_json(path, top_anomalies_dict(report, top_n))
+                for rank, machine in enumerate(report.ranking[:top_n], 1)],
+    })
 
 
 def write_score_distribution_csv(report: AnomalyReport, path: str) -> None:

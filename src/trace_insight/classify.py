@@ -257,25 +257,18 @@ def write_assignments_csv(model: CategoryModel, path: str) -> None:
                            text_cells([model.labels.get(c, "") for c in clusters.tolist()])))
 
 
-def counts_dict(model: CategoryModel, report: CategoryReport) -> dict:
-    return {
+def write_counts_json(model: CategoryModel, report: CategoryReport,
+                      path: str) -> None:
+    write_json(path, {
         "k": model.k,
         "inertia": model.inertia,
         "counts": report.counts,
-        "members": {label: report.members[label] for label in report.members},
-        "usage_means": {
-            label: {"cpu": u[0], "mem": u[1], "disk": u[2]}
-            for label, u in report.usage_means.items()
-        },
-        "cluster_labels": {str(c): model.labels[c] for c in sorted(model.labels)},
-        "label_notes": {str(c): model.label_notes[c]
-                        for c in sorted(model.label_notes)},
-    }
-
-
-def write_counts_json(model: CategoryModel, report: CategoryReport,
-                      path: str) -> None:
-    write_json(path, counts_dict(model, report))
+        "members": report.members,
+        "usage_means": {label: {"cpu": u[0], "mem": u[1], "disk": u[2]}
+                        for label, u in report.usage_means.items()},
+        "cluster_labels": {str(c): label for c, label in model.labels.items()},
+        "label_notes": {str(c): note for c, note in model.label_notes.items()},
+    })
 
 
 def write_type_usage_csv(report: CategoryReport, table: SeriesTable,

@@ -37,7 +37,6 @@ from collections import Counter
 import numpy as np
 
 from .preprocess import (
-    DenseUsage,
     filter_container_events,
     supplement_server_usage,
     write_dense_csv,
@@ -277,9 +276,7 @@ def run_analyze(config: dict[str, str]) -> str:
         diag = AggDiagnostics()
         containers = aggregate_container_usage(bundle, grid, diag)
         batch = aggregate_batch_usage(bundle, grid, diag)
-        table = build_machine_series(bundle, grid,
-                                     DenseUsage(grid.timestamps(), dense),
-                                     containers, batch)
+        table = build_machine_series(bundle, grid, dense, containers, batch)
         write_aggregate_csvs(table, containers.seen, batch.seen, grid, out_dir)
 
         # similarity; machine m is row m - 1 of the table and its curves

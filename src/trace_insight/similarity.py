@@ -14,14 +14,13 @@ the bins of RANGE_EDGES, [0, 1), [1, 2), [2, 3), [3, 5) and [5, inf), and a
 standard whose sorted distance profile lies further than SUITABILITY_GAP
 (1.0, in sup norm) from every other standard's is reported as unsuitable.
 
-The sample's pairwise distances, the machine x standard distances and
-``dtw_distance``, which is a batch of one pair, all come from one batched
-DP: a single anti-diagonal sweep over all pairs, whatever the curve length.
-It holds the curves as per-dimension planes with the pairs on the contiguous
-last axis, and sums each point's squared differences in the order einsum
-would (even dimensions, then odd, then the two sums). Each cell's optimal
-path length is carried forward in place of a traceback, but only when the
-caller reads it: the normalized form and ``dtw_distance`` do, the standard
+The sample's pairwise distances and the machine x standard distances come
+from one batched DP: a single anti-diagonal sweep over all pairs, whatever
+the curve length. It holds the curves as per-dimension planes with the pairs
+on the contiguous last axis, and sums each point's squared differences in the
+order einsum would (even dimensions, then odd, then the two sums). Each
+cell's optimal path length is carried forward in place of a traceback, but
+only when the caller reads it: the normalized form does, the standard
 selection and the raw scores do not.
 """
 
@@ -37,19 +36,12 @@ from .cells import csv_lines, float_cells, int_cells
 from .stage import write_json
 from .trace_model import csv_file
 
-DEFAULT_THRESHOLD = 3.0
 RANGE_EDGES = (0.0, 1.0, 2.0, 3.0, 5.0)
 SUITABILITY_GAP = 1.0
 # analyze draws the standard value from the pairs of 8 sampled curves, and 4
 # of those curves as the standards
 SAMPLE_NUM = 8
 STANDARD_COUNT = 4
-
-
-@dataclass(frozen=True, slots=True)
-class DtwResult:
-    distance: float
-    path_length: int
 
 
 @dataclass
@@ -83,8 +75,8 @@ def _as_curves(curves) -> np.ndarray:
         raise
     if points.ndim == 2:
         points = points[..., None]
-    if points.ndim != 3 or points.shape[1] == 0:
-        raise ValueError("curves must be non-empty sequences of points")
+    if points.ndim != 3:
+        raise ValueError("curves must be sequences of points")
     return points
 
 
@@ -93,11 +85,12 @@ def _dtw_batch(q: np.ndarray, s: np.ndarray, path_lengths: bool = True,
     """DTW cost and optimal path length of every pair of curves in q and s.
 
     ``q`` is (..., n, d) and ``s`` is (..., l, d); their leading axes
-    broadcast against each other into the pair axes of both results. This is
-    the package's only DTW recurrence; ``dtw_distance`` is a batch of one
-    pair. The curves are held as per-dimension planes, q as (d, n, ...) and
-    s reversed as (d, l, ...), with the pair axes last and contiguous, so
-    each step below is a handful of elementwise calls over whole diagonals.
+    broadcast against each other into the pair axes of both results, and the
+    curves must be non-empty and of one dimensionality. This is the
+    package's only DTW recurrence. The curves are held as per-dimension
+    planes, q as (d, n, ...) and s reversed as (d, l, ...), with the pair
+    axes last and contiguous, so each step below is a handful of elementwise
+    calls over whole diagonals.
 
     The sweep over the anti-diagonals i + j = k keeps the last three, indexed
     by row i at offset 1 with inf padding, so the first row and column need
@@ -112,6 +105,9 @@ def _dtw_batch(q: np.ndarray, s: np.ndarray, path_lengths: bool = True,
     the distances are the same bits either way.
     """
     n, l, d = q.shape[-2], s.shape[-2], q.shape[-1]
+    if not n or not l or s.shape[-1] != d:
+        raise ValueError(f"curves must be non-empty and agree on dimensionality, "
+                         f"got points of shapes {q.shape[-2:]} and {s.shape[-2:]}")
     pairs = np.broadcast_shapes(q.shape[:-2], s.shape[:-2])
     width = min(n, l)                            # cells on the longest diagonal
 
@@ -174,27 +170,6 @@ def _dtw_batch(q: np.ndarray, s: np.ndarray, path_lengths: bool = True,
             steps[last, n].copy() if path_lengths else None)
 
 
-def dtw_distance(q, s) -> DtwResult:
-    """Cumulative DTW cost between two curves plus an optimal path length.
-
-    Accepts any array-like of points; scalar series are treated as
-    1-vectors. The alignment is unconstrained (no warping window). The two
-    curves are a one-pair batch of ``_dtw_batch``, so they may differ in
-    length but not in dimensionality.
-    """
-    qp, sp = _as_curves([q]), _as_curves([s])
-    if qp.shape[-1] != sp.shape[-1]:
-        raise ValueError(f"curves disagree on dimensionality: "
-                         f"{qp.shape[-1]} vs {sp.shape[-1]}")
-    distance, path_length = _dtw_batch(qp, sp)
-    return DtwResult(float(distance[0]), int(path_length[0]))
-
-
-def normalized_distance(result: DtwResult) -> float:
-    """Path-length-normalized form: sqrt(cumulative cost) / K."""
-    return float(np.sqrt(result.distance)) / result.path_length
-
-
 def select_standard(curves, sample_num: int, seed: int,
                     standard_count: int = STANDARD_COUNT,
                     standard_machines: list[int] | None = None,
@@ -242,8 +217,7 @@ def select_standard(curves, sample_num: int, seed: int,
 
 
 def score_similarity(curves, standard_curves, standard_machines: list[int],
-                     standard_value: float = 0.0,
-                     threshold: float = DEFAULT_THRESHOLD,
+                     standard_value: float, threshold: float,
                      normalized: bool = False) -> DtwReport:
     """Distance of every machine to every standard curve.
 
@@ -318,10 +292,10 @@ def write_flags_csv(report: DtwReport, path: str) -> None:
                            int_cells(np.isin(machines, report.flagged))))
 
 
-def histogram_dict(report: DtwReport) -> dict:
+def write_histogram_json(report: DtwReport, path: str) -> None:
     bins = [{"lo": lo, "hi": hi, "count": count} for lo, hi, count
             in zip(RANGE_EDGES, (*RANGE_EDGES[1:], None), report.histogram)]
-    return {
+    write_json(path, {
         "standard_value": report.standard_value,
         "standard_machines": report.standard_machines,
         "threshold": report.threshold,
@@ -331,8 +305,4 @@ def histogram_dict(report: DtwReport) -> dict:
         "flagged_count": len(report.flagged),
         "machine_count": len(report.mean_distance),
         "unsuitable_standards": report.unsuitable_standards,
-    }
-
-
-def write_histogram_json(report: DtwReport, path: str) -> None:
-    write_json(path, histogram_dict(report))
+    })

@@ -23,7 +23,6 @@ equals the planted pattern exactly.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from collections import defaultdict
@@ -198,6 +197,7 @@ def _check_plants(config: SynthConfig, types: dict[int, str]) -> None:
             raise ValueError(
                 f"{plant.kind.value} plant needs a machine of "
                 f"{sorted(homes)}, machine {plant.machine} is {label}")
+    placed: dict[int, list[GapPlant]] = defaultdict(list)
     for gap in config.gap_plants:
         if not 1 <= gap.machine <= config.machine_count:
             raise ValueError(f"gap machine {gap.machine} out of range")
@@ -207,6 +207,14 @@ def _check_plants(config: SynthConfig, types: dict[int, str]) -> None:
         bad = [s for s in gap.slots if not 0 <= s < slot_count]
         if bad:
             raise ValueError(f"gap slots out of range: {bad}")
+        # a gap removes the machine's whole sample row at each of its slots
+        for other in placed[gap.machine]:
+            shared = sorted(set(gap.slots) & set(other.slots))
+            if shared:
+                raise ValueError(f"{other.metric} and {gap.metric} gaps on machine "
+                                 f"{gap.machine} share slots {shared}; a gap removes "
+                                 "the whole sample, so they must not overlap")
+        placed[gap.machine].append(gap)
 
 
 def _assign_types(config: SynthConfig) -> dict[int, str]:
@@ -425,33 +433,16 @@ def generate_trace(config: SynthConfig) -> tuple[TraceBundle, GroundTruth]:
 GROUND_TRUTH_FILENAME = "ground_truth.json"
 
 
-def ground_truth_dict(truth: GroundTruth) -> dict:
-    return {
-        "types": {str(m): label for m, label in sorted(truth.types.items())},
-        "anomalies": {str(m): kinds for m, kinds in sorted(truth.anomalies.items())},
+def write_ground_truth(truth: GroundTruth, path: str) -> None:
+    write_json(path, {
+        "types": {str(m): label for m, label in truth.types.items()},
+        "anomalies": {str(m): kinds for m, kinds in truth.anomalies.items()},
         "gaps": [
             {"machine": g.machine, "metric": g.metric,
              "timestamps": g.timestamps, "true_values": g.true_values}
             for g in truth.gaps
         ],
-    }
-
-
-def write_ground_truth(truth: GroundTruth, path: str) -> None:
-    write_json(path, ground_truth_dict(truth))
-
-
-def read_ground_truth(path: str) -> GroundTruth:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return GroundTruth(
-        types={int(m): label for m, label in raw["types"].items()},
-        anomalies={int(m): list(kinds) for m, kinds in raw["anomalies"].items()},
-        gaps=[GapRecord(machine=g["machine"], metric=g["metric"],
-                        timestamps=list(g["timestamps"]),
-                        true_values=list(g["true_values"]))
-              for g in raw["gaps"]],
-    )
+    })
 
 
 def write_synthetic_trace(bundle: TraceBundle, truth: GroundTruth, out_dir: str) -> None:

@@ -558,10 +558,18 @@ def _record_blocks(fh: TextIO) -> Iterator[tuple[list, bool]]:
         yield rows, False
 
 
-def _parse_file(path: str, file_key: str,
-                ) -> tuple[Table, list[RowDiagnostic], int]:
-    """``parse_trace_file``, and the rows the row rule read, all of a block
-    numpy's C reader did not take."""
+def parse_trace_file(path: str, file_key: str,
+                     ) -> tuple[Table, list[RowDiagnostic], int]:
+    """Parse one trace CSV, its columns in field order. Returns (table,
+    diagnostics, rows the row rule read).
+
+    Malformed rows are skipped and reported in line order; nothing is raised
+    here so callers decide what rejection rate is tolerable. A block of plain
+    ASCII lines is read by numpy's C reader, every other block a row at a
+    time by the row rule (see the module docstring); both give the same
+    columns and diagnostics, and the third value counts the rows of the
+    blocks the C reader did not take.
+    """
     spec = _SPECS[file_key]
     blocks: list[dict[str, np.ndarray]] = []
     diagnostics: list[RowDiagnostic] = []
@@ -585,21 +593,6 @@ def _parse_file(path: str, file_key: str,
     return table, diagnostics, python_rows
 
 
-def parse_trace_file(path: str, file_key: str,
-                     ) -> tuple[Table, list[RowDiagnostic]]:
-    """Parse one trace CSV, its columns in field order. Returns (table,
-    diagnostics).
-
-    Malformed rows are skipped and reported in line order; nothing is raised
-    here so callers decide what rejection rate is tolerable. A block of plain
-    ASCII lines is read by numpy's C reader, every other block a row at a
-    time by the row rule (see the module docstring); both give the same
-    columns and diagnostics.
-    """
-    table, diagnostics, _ = _parse_file(path, file_key)
-    return table, diagnostics
-
-
 def parse_trace_dir(path: str, *, max_skip_ratio: float = 0.01,
                     diagnostics: list | None = None) -> TraceBundle:
     """Parse the six trace files under ``path`` into a TraceBundle.
@@ -617,7 +610,7 @@ def parse_trace_dir(path: str, *, max_skip_ratio: float = 0.01,
         if not os.path.exists(file_path):
             raise TraceParseError(f"missing trace file: {file_path}")
         try:
-            table, diags, file_python_rows = _parse_file(file_path, key)
+            table, diags, file_python_rows = parse_trace_file(file_path, key)
         except (OSError, UnicodeDecodeError, csv.Error) as e:
             raise TraceParseError(f"cannot read trace file {file_path}: {e}") from e
         if diags and diagnostics is not None:

@@ -265,7 +265,7 @@ def _synthetic_occupancy(seed=7):
     config = SynthConfig(machine_count=64, grid=grid, quotas=(8,) * 8, seed=seed)
     bundle, truth = generate_trace(config)
     dense, _ = supplement_server_usage(bundle, grid)
-    table = build_machine_series(bundle, grid, dense,
+    table = build_machine_series(bundle, grid, dense.values,
                                  aggregate_container_usage(bundle, grid),
                                  aggregate_batch_usage(bundle, grid))
     return occupancy_matrix(table), truth
@@ -317,7 +317,7 @@ def test_criterion_07_planted_anomalies_rank_in_top_five():
     bundle, truth = generate_trace(config)
     assert set(truth.anomalies) == {3, 7, 46}
     dense, _ = supplement_server_usage(bundle, grid)
-    table = build_machine_series(bundle, grid, dense,
+    table = build_machine_series(bundle, grid, dense.values,
                                  aggregate_container_usage(bundle, grid),
                                  aggregate_batch_usage(bundle, grid))
     matrix = build_feature_matrix(table, FeatureMode.PER_MACHINE_MEAN)
@@ -398,7 +398,7 @@ def load_reference(trace_dir):
     clean, _removed = filter_container_events(bundle.container_events)
     bundle = dataclasses.replace(bundle, container_events=clean)
     dense, _notes = supplement_server_usage(bundle, grid)
-    table = build_machine_series(bundle, grid, dense,
+    table = build_machine_series(bundle, grid, dense.values,
                                  aggregate_container_usage(bundle, grid),
                                  aggregate_batch_usage(bundle, grid))
     return SimpleNamespace(grid=grid, table=table,

@@ -21,7 +21,7 @@ from trace_insight.aggregate import (
     overlap_runtime,
     write_aggregate_csvs,
 )
-from trace_insight.preprocess import DenseUsage, METRICS
+from trace_insight.preprocess import METRICS
 from trace_insight.trace_model import (
     ContainerEventType,
     InstanceStatus,
@@ -389,7 +389,7 @@ def dense_for(machine_values):
         values[m - 1, :, 0] = cpu
         values[m - 1, :, 1] = np.asarray(cpu) / 2
         values[m - 1, :, 2] = 0.4
-    return DenseUsage(GRID.timestamps(), values)
+    return values
 
 
 def test_series_rejects_a_dense_table_that_misses_machines():

@@ -18,9 +18,7 @@ from trace_insight.anomaly import (
     iforest_fit,
     iforest_scores,
     population_stats,
-    rank_anomalies,
     score_machines,
-    top_anomalies_dict,
     write_anomaly_json,
     write_score_distribution_csv,
     write_scores_csv,
@@ -367,14 +365,17 @@ def test_score_machines_rejects_rows_that_do_not_split_evenly():
             score_machines(model, matrix, machine_count)
 
 
-def test_rank_anomalies_slices_and_validates():
+def test_anomaly_json_lists_the_head_of_the_ranking(tmp_path):
     matrix = blob_with_outlier(n=10)
     report = score_machines(iforest_fit(matrix, seed=0), matrix, 10)
     assert report.labels == [""] * 10 and report.causes == [[]] * 10
-    assert rank_anomalies(report, 3) == report.ranking[:3]
-    assert rank_anomalies(report, 0) == []
+    path = tmp_path / "anomalies.json"
+    for top_n in (3, 0, 10, 11):
+        write_anomaly_json(report, top_n, str(path))
+        top = json.loads(path.read_text())["top"]
+        assert [e["machine"] for e in top] == report.ranking[:top_n]
     with pytest.raises(ValueError):
-        rank_anomalies(report, -1)
+        write_anomaly_json(report, -1, str(path))
     assert report.negative_count == sum(
         1 for v in report.scores if v < 0)
 
@@ -535,11 +536,13 @@ def test_anomaly_json_round_trip(tmp_path):
     path = tmp_path / "anomalies.json"
     write_anomaly_json(report, 3, str(path))
     data = json.loads(path.read_text())
-    assert data == top_anomalies_dict(report, 3)
-    assert data["machine_count"] == 8
-    assert [e["rank"] for e in data["top"]] == [1, 2, 3]
-    assert data["top"][0]["machine"] == report.ranking[0]
-    assert data["top"][0]["causes"] == report.causes[report.ranking[0] - 1]
+    assert data == {
+        "negative_count": report.negative_count,
+        "machine_count": 8,
+        "top": [{"rank": rank, "machine": m, "score": report.scores[m - 1],
+                 "category": "Type1", "causes": report.causes[m - 1]}
+                for rank, m in enumerate(report.ranking[:3], 1)],
+    }
 
 
 def test_anomaly_json_leaves_no_partial_file_when_top_n_is_bad(tmp_path):

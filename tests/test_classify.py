@@ -11,7 +11,6 @@ from trace_insight.classify import (
     CategoryModel,
     UNKNOWN_LABEL,
     category_report,
-    counts_dict,
     kmeans_fit,
     label_clusters,
     occupancy_matrix,
@@ -300,10 +299,17 @@ def test_artifact_writers(tmp_path):
     jpath = tmp_path / "counts.json"
     write_counts_json(model, report, str(jpath))
     data = json.loads(jpath.read_text())
-    assert data == counts_dict(model, report)
-    assert data["counts"] == {"Type1": 2, "Type2": 1}
-    assert data["members"]["Type1"] == [1, 2]
-    assert data["k"] == 2
+    assert sorted(model.labels.values()) == ["Type1", "Type2"]
+    assert data == {
+        "k": 2,
+        "inertia": model.inertia,
+        "counts": {"Type1": 2, "Type2": 1},
+        "members": {"Type1": [1, 2], "Type2": [3]},
+        "usage_means": {label: dict(zip(("cpu", "mem", "disk"), means))
+                        for label, means in report.usage_means.items()},
+        "cluster_labels": {str(c): label for c, label in model.labels.items()},
+        "label_notes": {str(c): note for c, note in model.label_notes.items()},
+    }
 
     upath = tmp_path / "usage.csv"
     write_type_usage_csv(report, table, str(upath))

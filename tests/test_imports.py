@@ -1,6 +1,7 @@
 """Import hygiene: no module of the package imports a name it never uses, the
-package root's only public names are its submodules, the declared Python
-floor is one that the installed numpy runs on, and the console script is
+package root's only public names are its submodules, every public function
+and class has a caller outside its own definition, the declared Python floor
+is one that the installed numpy runs on, and the console script is
 ``cli.run``."""
 
 import ast
@@ -121,3 +122,45 @@ def test_artifact_formats_are_decided_in_one_place(path):
              and (callee != "open" or opens_for_writing(call))
              and (path.name, function) not in FORMAT_CALLS[callee]]
     assert stray == [], f"{path.name} writes an artifact format of its own"
+
+
+# Public names the package keeps for its tests alone: oracles that state in
+# another way what a stage computes.
+TEST_ORACLES = {
+    "synth.expected_occupancy_bits",   # the bits a clean machine binarizes to
+}
+# Files outside the package whose words count as callers.
+CALLER_FILES = sorted([*PACKAGE.parents[1].glob("scripts/*.py"),
+                       *PACKAGE.parents[1].glob("perfbench/*.py"), PYPROJECT])
+
+
+def referenced_names(node):
+    """Every name, attribute name and identifier string in ``node``."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+              and sub.value.isidentifier()):
+            yield sub.value
+
+
+def test_every_public_function_and_class_has_a_caller():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in MODULES}
+    # (module, top-level statement, the names it references)
+    statements = [(module, node, set(referenced_names(node)))
+                  for module, tree in trees.items() for node in tree.body]
+    outside = "\n".join(path.read_text(encoding="utf-8") for path in CALLER_FILES)
+    uncalled = [
+        f"{module}.{node.name}" for module, node, _ in statements
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and not any(node.name in names for _, other, names in statements
+                    if other is not node)
+        and not re.search(rf"\b{node.name}\b", outside)]
+    unused = sorted(set(uncalled) - TEST_ORACLES)
+    assert not unused, f"no stage, script or benchmark uses {unused}"
+    called = sorted(TEST_ORACLES - set(uncalled))
+    assert not called, f"{called} got a caller; take them off TEST_ORACLES"

@@ -225,6 +225,12 @@ def test_a_failed_synth_leaves_the_trace_it_would_replace_untouched(tmp_path):
             # input that would plant nothing, or nothing different
             ({"synth_gaps": "5:cpu:12-10"},
              r"^\[synth\] bad gap '5:cpu:12-10': the slot range runs backwards$"),
+            # a gap removes the whole sample, so a second gap on its slots
+            # would find nothing left to remove
+            ({"synth_gaps": "1:cpu:4-6;1:mem:5-7"},
+             r"^\[synth\] cpu and mem gaps on machine 1 share slots \[5, 6\]; "),
+            ({"synth_gaps": "1:cpu:4-6;1:cpu:4-6"},
+             r"^\[synth\] cpu and cpu gaps on machine 1 share slots \[4, 5, 6\]; "),
             # a plant takes no parameters: its kind fixes what it does
             ({"synth_plants": "HeavyOnline:2:containers=18"},
              r"^\[synth\] bad plant 'HeavyOnline:2:containers=18': a plant "
@@ -244,6 +250,11 @@ def test_a_failed_synth_leaves_the_trace_it_would_replace_untouched(tmp_path):
         with pytest.raises(StageError, match=error):
             run_synth(synth_config(trace, **bad))
         assert {path.name: path.read_bytes() for path in trace.iterdir()} == before
+    # gaps of one machine on slots apart are planted
+    run_synth(synth_config(trace, synth_gaps="1:cpu:4-6;1:mem:9-11"))
+    gaps = json.loads((trace / "ground_truth.json").read_text())["gaps"]
+    assert [(g["machine"], g["metric"], len(g["timestamps"])) for g in gaps] == [
+        (1, "cpu", 3), (1, "mem", 3)]
 
 
 def test_run_preprocess_repairs_planted_gaps(tmp_path):

@@ -9,11 +9,9 @@ import oracles
 from trace_insight.aggregate import SeriesTable
 from trace_insight.similarity import (
     RANGE_EDGES,
+    _as_curves,
     _dtw_batch,
     build_resource_curves,
-    dtw_distance,
-    histogram_dict,
-    normalized_distance,
     score_similarity,
     select_standard,
     write_distances_csv,
@@ -30,6 +28,13 @@ def flat_curve(cpu, mem=0.0, disk=0.0, length=4):
     return np.tile([cpu, mem, disk], (length, 1))
 
 
+def dtw_pair(q, s):
+    """(distance, path length) of one pair of curves, a batch of one of the
+    kernel; scalar series are curves of 1-vectors."""
+    distance, path_length = _dtw_batch(_as_curves([q]), _as_curves([s]))
+    return float(distance[0]), int(path_length[0])
+
+
 def einsum_dtw(q, s):
     """The oracle recurrence over point costs summed the way einsum sums a
     contiguous axis, which is the kernel's order; full-precision points give
@@ -43,28 +48,32 @@ def einsum_dtw(q, s):
 
 
 def test_dtw_known_scalar_answers():
-    assert dtw_distance([1, 2, 3], [2, 3, 4]).distance == 2.0
-    assert dtw_distance([0, 0], [1, 1]).distance == 2.0
-    assert dtw_distance([5], [5]).distance == 0.0
+    assert dtw_pair([1, 2, 3], [2, 3, 4]) == (2.0, 4)
+    assert dtw_pair([0, 0], [1, 1]) == (2.0, 2)
+    assert dtw_pair([5], [5]) == (0.0, 1)
 
 
 def test_dtw_self_distance_is_exactly_zero():
     rng = np.random.default_rng(0)
     for _ in range(20):
         pts = rng.random((rng.integers(1, 10), 3))
-        assert dtw_distance(pts, pts).distance == 0.0
+        assert dtw_pair(pts, pts)[0] == 0.0
 
 
 def test_dtw_rejects_mixed_dimensionality_and_empty_input():
     with pytest.raises(ValueError, match="dimension"):
-        dtw_distance(np.zeros((3, 2)), np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        dtw_distance(np.zeros((0, 3)), np.zeros((3, 3)))
+        _dtw_batch(np.zeros((1, 3, 2)), np.zeros((1, 3, 3)))
+    with pytest.raises(ValueError, match="dimension"):
+        _dtw_batch(np.zeros((1, 3, 3)), np.zeros((1, 3, 1)))
+    for q, s in ((0, 3), (3, 0)):
+        with pytest.raises(ValueError, match="non-empty"):
+            _dtw_batch(np.zeros((1, q, 3)), np.zeros((1, s, 3)))
 
 
 def test_report_rows_are_the_machines_in_curve_order():
     curves = sample_curves(count=5)
-    report = score_similarity(curves, curves[[3, 1]], [4, 2])
+    report = score_similarity(curves, curves[[3, 1]], [4, 2], standard_value=0.0,
+                              threshold=3.0)
     assert report.distances.shape == (5, 2)
     assert report.mean_distance.shape == (5,)
     assert report.standard_machines == [4, 2]
@@ -77,26 +86,28 @@ def test_report_rows_are_the_machines_in_curve_order():
 
 @given(curve_points, curve_points)
 def test_dtw_path_length_is_bounded(q, s):
-    result = dtw_distance(q, s)
-    assert max(len(q), len(s)) <= result.path_length <= len(q) + len(s) - 1
+    _, path_length = dtw_pair(q, s)
+    assert max(len(q), len(s)) <= path_length <= len(q) + len(s) - 1
 
 
 @given(curve_points, curve_points)
 def test_dtw_is_symmetric(q, s):
-    assert dtw_distance(q, s).distance == dtw_distance(s, q).distance
+    # the distance only: the tie rule prefers up, which is left once the
+    # pair is swapped, so the path lengths may differ
+    assert dtw_pair(q, s)[0] == dtw_pair(s, q)[0]
 
 
 @given(curve_points, curve_points, st.floats(0.1, 3.0))
 def test_dtw_scales_quadratically(q, s, c):
-    base = dtw_distance(q, s).distance
-    scaled = dtw_distance(c * q, c * s).distance
+    base, _ = dtw_pair(q, s)
+    scaled, _ = dtw_pair(c * q, c * s)
     assert scaled == pytest.approx(c * c * base, rel=1e-9, abs=1e-12)
 
 
 @settings(max_examples=60)
 @given(curve_points, curve_points)
 def test_dtw_agrees_with_path_enumeration(q, s):
-    got = dtw_distance(q, s).distance
+    got, _ = dtw_pair(q, s)
     want = oracles.brute_force_dtw(q, s)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -119,9 +130,8 @@ def test_kernel_matches_the_recurrence_on_every_shape():
                 distance, path_length = _dtw_batch(a, b)
                 for p in range(len(a)):
                     want = oracles.dtw_recurrence(a[p], b[p])
-                    single = dtw_distance(a[p], b[p])
                     assert (distance[p], path_length[p]) == want, (n, l, d, p)
-                    assert (single.distance, single.path_length) == want
+                    assert dtw_pair(a[p], b[p]) == want
 
 
 def test_path_length_steps_up_when_up_and_left_tie():
@@ -130,8 +140,7 @@ def test_path_length_steps_up_when_up_and_left_tie():
     q = np.array([0, 1, 0, 0, 2]) / 8
     s = np.array([0, 2, 0]) / 8
     assert oracles.dtw_recurrence(q, s) == (0.078125, 5)
-    assert dtw_distance(q, s).path_length == 5
-    assert _dtw_batch(q[None, :, None], s[None, :, None])[1].tolist() == [5]
+    assert dtw_pair(q, s) == (0.078125, 5)
 
 
 def test_batched_long_curves_match_the_recurrence():
@@ -184,10 +193,10 @@ def test_plane_point_cost_matches_einsum_up_to_seven_dimensions():
 
 
 def test_normalized_distance_formula():
-    result = dtw_distance([0, 0, 0], [2, 2, 2])
-    assert result.distance == 12.0
-    assert normalized_distance(result) == pytest.approx(
-        np.sqrt(12.0) / result.path_length)
+    assert dtw_pair([0, 0, 0], [2, 2, 2]) == (12.0, 3)
+    report = score_similarity([[0, 0, 0]], [[2, 2, 2]], [9], standard_value=0.0,
+                              threshold=3.0, normalized=True)
+    assert report.distances.tolist() == [[np.sqrt(12.0) / 3]]
 
 
 def test_three_dimensional_cost_keeps_its_summation_order():
@@ -195,9 +204,10 @@ def test_three_dimensional_cost_keeps_its_summation_order():
     # every pinned artifact digest was produced with the first order
     point = [0.1, 0.2, 0.5]
     assert (0.1 ** 2 + 0.2 ** 2) + 0.5 ** 2 == 0.3
-    assert dtw_distance([point], [[0.0, 0.0, 0.0]]).distance == 0.30000000000000004
+    assert dtw_pair([point], [[0.0, 0.0, 0.0]]) == (0.30000000000000004, 1)
     machines = np.array([[point, point]] * 2)
-    report = score_similarity(machines, np.zeros((1, 2, 3)), [9])
+    report = score_similarity(machines, np.zeros((1, 2, 3)), [9], standard_value=0.0,
+                              threshold=3.0)
     assert report.distances.tolist() == [[0.6000000000000001]] * 2
 
 
@@ -278,20 +288,23 @@ def test_score_similarity_bins_and_strict_threshold():
     standards = np.array([flat_curve(0.0, length=1), flat_curve(0.0, length=1),
                           flat_curve(3.0, length=1)])
     ids = [101, 102, 103]
-    report = score_similarity(machines, standards, ids, standard_value=1.0)
+    report = score_similarity(machines, standards, ids, standard_value=1.0,
+                              threshold=3.0)
     # each machine: distances (0, 0, 9), mean exactly 3
     assert report.mean_distance == pytest.approx([3.0] * 5)
     assert report.flagged == []               # 3 is not strictly above 3
     assert report.histogram == [0, 0, 0, 5, 0]
     assert report.unsuitable_standards == [103]
 
-    lower = score_similarity(machines, standards, ids, threshold=2.9)
+    lower = score_similarity(machines, standards, ids, standard_value=1.0,
+                             threshold=2.9)
     assert lower.flagged == [1, 2, 3, 4, 5]
 
 
 def test_score_similarity_identical_everything():
     machines = np.array([flat_curve(0.3, 0.4, 0.5)] * 3)
-    report = score_similarity(machines, machines[:2], [1, 2])
+    report = score_similarity(machines, machines[:2], [1, 2], standard_value=0.0,
+                              threshold=3.0)
     assert report.mean_distance == pytest.approx([0.0] * 3)
     assert report.histogram == [3, 0, 0, 0, 0]
     assert report.flagged == []
@@ -301,9 +314,10 @@ def test_score_similarity_identical_everything():
 def test_score_similarity_normalized_uses_the_sqrt_form():
     machines = [flat_curve(0.0, length=3)]
     standards = [flat_curve(2.0, length=3)]
-    plain = score_similarity(machines, standards, [9])
-    normed = score_similarity(machines, standards, [9], normalized=True,
-                              threshold=0.5)
+    plain = score_similarity(machines, standards, [9], standard_value=0.0,
+                             threshold=3.0)
+    normed = score_similarity(machines, standards, [9], standard_value=0.0,
+                              threshold=0.5, normalized=True)
     want = np.sqrt(plain.distances[0, 0]) / 3.0
     assert normed.distances[0, 0] == pytest.approx(want)
     assert normed.normalized is True
@@ -324,8 +338,10 @@ def machines_and_standards(draw):
 def test_batch_scores_equal_single_pair_scores(curves):
     machines, standards = curves
     ids = list(range(101, 101 + len(standards)))
-    plain = score_similarity(machines, standards, ids)
-    normed = score_similarity(machines, standards, ids, normalized=True)
+    plain = score_similarity(machines, standards, ids, standard_value=0.0,
+                             threshold=3.0)
+    normed = score_similarity(machines, standards, ids, standard_value=0.0,
+                              threshold=3.0, normalized=True)
     for i, curve in enumerate(machines):
         for j, std in enumerate(standards):
             distance, path_length = einsum_dtw(curve, std)
@@ -336,26 +352,31 @@ def test_batch_scores_equal_single_pair_scores(curves):
 def test_batch_callers_reject_curves_of_different_lengths():
     ragged = [np.zeros((4, 3)), np.zeros((5, 3))]
     with pytest.raises(ValueError, match="differ in length"):
-        score_similarity(ragged, ragged[:1], [1])
+        score_similarity(ragged, ragged[:1], [1], standard_value=0.0, threshold=3.0)
     with pytest.raises(ValueError, match="differ in length"):
-        score_similarity(ragged[:1], ragged, [1, 2])
+        score_similarity(ragged[:1], ragged, [1, 2], standard_value=0.0,
+                         threshold=3.0)
     with pytest.raises(ValueError, match="differ in length"):
         select_standard(ragged, sample_num=2, seed=0, standard_count=1)
     # a single pair may still differ in length
-    assert dtw_distance(ragged[0], ragged[1]).distance == 0.0
+    assert dtw_pair(ragged[0], ragged[1]) == (0.0, 5)
 
 
-def test_histogram_edges_are_configurable():
+def test_histogram_edges_are_configurable(tmp_path):
     # the edges are fixed at 0, 1, 2, 3, 5, and a mean on an edge counts in
     # the bin that edge opens: distances 1, 3 and 5 are exact
     machines = [flat_curve(0.0, length=1), flat_curve(1.0, length=1),
                 flat_curve(1.0, 1.0, 1.0, length=1),
                 flat_curve(2.0, 1.0, length=1)]
-    report = score_similarity(machines, [flat_curve(0.0, length=1)], [9])
+    report = score_similarity(machines, [flat_curve(0.0, length=1)], [9],
+                              standard_value=0.0, threshold=3.0)
     assert report.mean_distance.tolist() == [0.0, 1.0, 3.0, 5.0]
     assert report.histogram == [1, 1, 0, 1, 1]
-    assert [(b["lo"], b["hi"]) for b in histogram_dict(report)["bins"]] == [
-        (0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (3.0, 5.0), (5.0, None)]
+    path = tmp_path / "hist.json"
+    write_histogram_json(report, str(path))
+    bins = json.loads(path.read_text())["bins"]
+    assert [(b["lo"], b["hi"], b["count"]) for b in bins] == [
+        (0.0, 1.0, 1), (1.0, 2.0, 1), (2.0, 3.0, 0), (3.0, 5.0, 1), (5.0, None, 1)]
 
 
 def test_build_resource_curves_stacks_cpu_mem_disk():
@@ -371,10 +392,10 @@ def test_build_resource_curves_stacks_cpu_mem_disk():
     assert curves.flags.c_contiguous
 
 
-
 def test_artifact_writers(tmp_path):
     machines = np.array([flat_curve(0.1 * m, length=2) for m in range(1, 4)])
-    report = score_similarity(machines, machines[:2], [1, 2], standard_value=0.5)
+    report = score_similarity(machines, machines[:2], [1, 2], standard_value=0.5,
+                              threshold=0.02)
 
     dpath = tmp_path / "distances.csv"
     write_distances_csv(report, str(dpath))
@@ -389,8 +410,13 @@ def test_artifact_writers(tmp_path):
     jpath = tmp_path / "hist.json"
     write_histogram_json(report, str(jpath))
     data = json.loads(jpath.read_text())
-    assert data == histogram_dict(report)
     assert [b["lo"] for b in data["bins"]] == list(RANGE_EDGES)
-    assert data["bins"][-1]["hi"] is None
-    assert data["flagged"] == report.flagged
+    assert [b["hi"] for b in data["bins"]] == [*RANGE_EDGES[1:], None]
+    assert [b["count"] for b in data["bins"]] == report.histogram
     assert sum(b["count"] for b in data["bins"]) == len(machines)
+    assert report.flagged == [3]   # mean distances 0.01, 0.01 and 0.05
+    del data["bins"]
+    assert data == {"standard_value": 0.5, "standard_machines": [1, 2],
+                    "threshold": 0.02, "normalized": False, "flagged": [3],
+                    "flagged_count": 1, "machine_count": 3,
+                    "unsuitable_standards": report.unsuitable_standards}

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 
 import numpy as np
@@ -24,10 +25,8 @@ from trace_insight.synth import (
     batch_runs,
     expected_occupancy_bits,
     generate_trace,
-    ground_truth_dict,
     has_containers,
     plant_gap,
-    read_ground_truth,
     write_ground_truth,
     write_synthetic_trace,
 )
@@ -122,7 +121,7 @@ def test_generation_is_deterministic():
     a_bundle, a_truth = generate_trace(config_for(noise=0.05))
     b_bundle, b_truth = generate_trace(config_for(noise=0.05))
     assert same_bundle(a_bundle, b_bundle)
-    assert ground_truth_dict(a_truth) == ground_truth_dict(b_truth)
+    assert a_truth == b_truth
     c_bundle, _ = generate_trace(config_for(noise=0.05, seed=12))
     assert not same_bundle(c_bundle, a_bundle)
 
@@ -188,7 +187,7 @@ def test_generated_trace_equals_the_row_generator(seed, layout):
     bundle, truth = generate_trace(config)
     want_bundle, want_truth = oracles.synth_rows_reference(config)
     assert same_bundle(bundle, want_bundle)
-    assert ground_truth_dict(truth) == ground_truth_dict(want_truth)
+    assert truth == want_truth
 
 
 def test_quota_validation():
@@ -218,7 +217,7 @@ def machine_bits(bundle, grid):
     dense, _ = supplement_server_usage(bundle, grid)
     caggs = aggregate_container_usage(bundle, grid)
     baggs = aggregate_batch_usage(bundle, grid)
-    table = build_machine_series(bundle, grid, dense, caggs, baggs)
+    table = build_machine_series(bundle, grid, dense.values, caggs, baggs)
     # row m - 1 of the occupancy matrix is machine m
     return dict(enumerate(occupancy_matrix(table), 1))
 
@@ -354,10 +353,14 @@ def test_ground_truth_json_round_trip(tmp_path):
     _, truth = generate_trace(config_for(plants=plants, gaps=gaps))
     path = tmp_path / "truth.json"
     write_ground_truth(truth, str(path))
-    back = read_ground_truth(str(path))
-    assert back.types == truth.types
-    assert back.anomalies == truth.anomalies
-    assert ground_truth_dict(back) == ground_truth_dict(truth)
+    assert truth.anomalies == {6: ["Idle"]} and len(truth.gaps) == 1
+    data = json.loads(path.read_text())
+    assert data == {
+        "types": {str(m): label for m, label in truth.types.items()},
+        "anomalies": {"6": ["Idle"]},
+        "gaps": [dataclasses.asdict(gap) for gap in truth.gaps],
+    }
+    assert data["gaps"][0]["machine"] == 5 and data["gaps"][0]["metric"] == "cpu"
 
 
 def test_written_trace_parses_back_identically(tmp_path):
@@ -428,7 +431,7 @@ def test_plants_move_the_features_they_claim_to_move():
     dense, _ = supplement_server_usage(bundle, GRID)
     caggs = aggregate_container_usage(bundle, GRID)
     baggs = aggregate_batch_usage(bundle, GRID)
-    table = build_machine_series(bundle, GRID, dense, caggs, baggs)
+    table = build_machine_series(bundle, GRID, dense.values, caggs, baggs)
     mem, containers, batches = (signal.mean(axis=1) for signal in (
         table.server_mem, table.container_count, table.batch_count))
 

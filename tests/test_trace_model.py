@@ -282,7 +282,7 @@ def test_parse_skips_malformed_rows_with_diagnostics(tmp_path):
         "oops\n"
         "39900,1,not_a_number,55,50,1.0,1.0,1.0\n"
     )
-    table, diags = parse_trace_file(str(path), "server_usage")
+    table, diags, _ = parse_trace_file(str(path), "server_usage")
     assert len(table) == 1
     assert len(diags) == 2
     assert diags[0].line == 2
@@ -480,7 +480,7 @@ def test_block_parser_matches_the_row_oracle(drawn, block_rows):
             path = os.path.join(tmp, "trace.csv")
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 fh.write(text)
-            table, diags = parse_trace_file(path, file_key)
+            table, diags, _ = parse_trace_file(path, file_key)
             rows, want_diags = oracles.parse_rows(path, file_key)
     finally:
         trace_model.BLOCK_ROWS = saved
@@ -505,7 +505,7 @@ def test_percent_columns_equal_the_decimal_conversion(texts):
         path = os.path.join(tmp, "server_usage.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(f"39600,1,{t},{t},{t},0,0,0\n" for t in texts)
-        table, diags = parse_trace_file(path, "server_usage")
+        table, diags, _ = parse_trace_file(path, "server_usage")
     assert diags == []
     want = np.array([percent_text_to_fraction(t) for t in texts], dtype=np.float64)
     for column in (table.cpu, table.mem, table.disk):
@@ -530,7 +530,7 @@ def test_a_row_breaking_several_rules_names_the_first_one_checked(tmp_path):
     ]
     for file_key, line, reason in cases:
         path.write_text(line + "\n")
-        table, diags = parse_trace_file(str(path), file_key)
+        table, diags, _ = parse_trace_file(str(path), file_key)
         assert len(table) == 0
         assert [(d.line, d.reason) for d in diags] == [(1, reason)], line
 
@@ -589,7 +589,7 @@ def test_each_rejected_cell_is_named_by_its_rule(tmp_path, file_key, field, cell
     cells[list(trace_model._SPECS[file_key].fields).index(field)] = cell
     path = tmp_path / "trace.csv"
     path.write_text(VALID_ROWS[file_key] + "\n" + ",".join(cells) + "\n")
-    table, diags = parse_trace_file(str(path), file_key)
+    table, diags, _ = parse_trace_file(str(path), file_key)
     assert [(d.line, d.reason) for d in diags] == ([] if reason is None
                                                    else [(2, reason)])
     assert len(table) == (2 if reason is None else 1)
