@@ -7,13 +7,17 @@ in the feature's [min, max], so a positive affine scaling of one feature
 moves the split with the data and leaves every tree the same. The forest
 follows the classic construction: t trees, each on a seeded subsample of up
 to psi rows, random split dimension and split value per node, growth
-stopped at ceil(log2 psi). All trees grow in lockstep, one depth-first
-node of each per step, with array operations over the rows of all those
-nodes; each tree still draws from its own RNG, one node at a time and in
-the order of a recursive build, so the trees are that build's node for
-node. The forest is one node table, numbered in the order the growth takes
-its nodes, and scoring moves every row one tree level per step through its
-one link array.
+stopped at ceil(log2 psi). All trees grow in lockstep, one split
+candidate of each per step, with array operations over the rows of all
+those candidates. Each tree still draws from its own RNG, in the order of a
+recursive build, so the trees are that build's node for node. The draws
+of all trees are made at once from their raw PCG64 words with numpy's own
+algorithms: Lemire's multiply-shift on a 32-bit half for ``integers(k)``,
+``lo + (hi - lo) * ((w >> 11) * 2**-53)`` on a word for ``uniform(lo, hi)``
+(``_SplitDraws``; ``test_split_draws_are_the_generator_calls`` holds them
+equal to the Generator's). The forest is one node table, the roots first
+and both children of a split numbered at the split, and scoring moves every
+row one tree level per step through its one link array.
 Scores are reported as 0.5 - 2^(-E(h)/c(psi)), so anomalous machines land
 below zero and everything lives in [-0.5, 0.5).
 
@@ -61,8 +65,8 @@ class CauseTag(Enum):
 
 @dataclass
 class IsolationForestModel:
-    """The forest as one node table, its nodes numbered in the order the
-    lockstep growth takes them, so node t is tree t's root.
+    """The forest as one node table: node t is tree t's root, and the
+    lockstep growth numbers both children of a split when it splits.
 
     ``dim`` is a split's dimension, or -1 at a leaf; a row at node i goes to
     ``links[2*i + 1]`` (left) when its value in ``dim[i]`` is below
@@ -116,6 +120,64 @@ def build_feature_matrix(table: SeriesTable,
     return cube.reshape(-1, len(_FEATURE_SIGNALS))
 
 
+class _SplitDraws:
+    """``integers(k)`` and ``uniform(lo, hi)`` of many PCG64 Generators at
+    once, one draw per generator named, with numpy 2.4's own algorithms on
+    each one's raw words (see ``iforest_fit``). A generator's words come in
+    blocks of ``BLOCK`` from ``random_raw``, in stream order, after the
+    cached 32-bit half its ``state`` holds at the start.
+    """
+
+    BLOCK = 64
+
+    def __init__(self, rngs):
+        self._bits = [rng.bit_generator for rng in rngs]
+        states = [bits.state for bits in self._bits]
+        self._cached = np.array([s["has_uint32"] for s in states], dtype=bool)
+        self._half = np.array([s["uinteger"] for s in states], dtype=np.uint64)
+        self._block = np.empty((len(rngs), self.BLOCK), dtype=np.uint64)
+        self._next = np.full(len(rngs), self.BLOCK)
+
+    def _words(self, gens):
+        """The next raw word of each of the distinct generators ``gens``."""
+        spent = gens[self._next[gens] == self.BLOCK]
+        for g in spent.tolist():
+            self._block[g] = self._bits[g].random_raw(self.BLOCK)
+        self._next[spent] = 0
+        words = self._block[gens, self._next[gens]]
+        self._next[gens] += 1
+        return words
+
+    def integers(self, gens, k):
+        """``integers(k)`` of each generator in ``gens``, for k >= 1."""
+        k = np.asarray(k, dtype=np.uint64)
+        out = np.zeros(len(gens), dtype=np.intp)
+        # Lemire: redraw while the product's low half is below this; k = 1
+        # draws nothing
+        threshold = (np.uint64(2**32) - k) % k
+        pending = np.flatnonzero(k > 1)
+        while pending.size:
+            # the cached half if set, else the low half of a new word, whose
+            # high half is cached
+            g = gens[pending]
+            cached = self._cached[g]
+            halves = self._half[g]
+            fresh = g[~cached]
+            words = self._words(fresh)
+            halves[~cached] = words & np.uint64(0xFFFFFFFF)
+            self._half[fresh] = words >> np.uint64(32)
+            self._cached[g] = ~cached
+            product = halves * k[pending]
+            out[pending] = product >> np.uint64(32)
+            pending = pending[product & np.uint64(0xFFFFFFFF) < threshold[pending]]
+        return out
+
+    def uniform(self, gens, lo, hi):
+        """``uniform(lo, hi)`` of each generator in ``gens``."""
+        unit = (self._words(gens) >> np.uint64(11)) * 2.0**-53
+        return lo + (hi - lo) * unit
+
+
 def iforest_fit(matrix: np.ndarray, tree_count: int = 100,
                 subsample: int = 256, seed: int = 0) -> IsolationForestModel:
     """Forest of seeded random isolation trees.
@@ -124,19 +186,28 @@ def iforest_fit(matrix: np.ndarray, tree_count: int = 100,
     replacement; per-tree RNGs derive from (seed, tree index) so the forest
     is reproducible and trees are independent. Every cell must be finite.
 
-    All trees grow in lockstep: step s takes the s-th depth-first node of
-    every tree still growing. A node of more than one row above the depth
-    limit draws ``integers(k)`` over its k splittable columns and then
-    ``uniform(lo, hi)`` in the chosen one from its tree's RNG, and stays a
-    leaf when that draw separates nothing. A split pushes its right child
-    before its left, so each tree takes its nodes, and its draws, in the
-    order of a recursive build that grows the left subtree first.
+    All trees grow in lockstep: each step takes one split candidate, a node
+    of more than one row above the depth limit, from every tree that still
+    has one. The candidate draws ``integers(k)`` over its k splittable
+    columns and then ``uniform(lo, hi)`` in the chosen one from its tree's
+    RNG, and stays a leaf when that draw separates nothing. A split pushes
+    its right child before its left, so each tree takes its candidates, and
+    its draws, in the order of a recursive build that grows the left
+    subtree first; a child that cannot grow (one row, or at the depth
+    limit) draws nothing and is finished at its parent's split.
 
-    Each node is numbered as it is taken, in tree order within a step, so
-    node t is tree t's root, and writes its number into the link slot its
-    parent pushed it with: ``2*parent`` for a right child, ``2*parent + 1``
-    for a left one. Until then a node links to itself both ways, which a
-    leaf keeps.
+    No Generator method is called per node: ``_SplitDraws`` makes the draws
+    of all candidates of a step at once from each tree's raw PCG64 words,
+    ``integers(k)`` by Lemire's multiply-shift on a 32-bit half and
+    ``uniform(lo, hi)`` as ``lo + (hi - lo) * ((w >> 11) * 2**-53)`` on a
+    word, as numpy's Generator does; ``test_split_draws_are_the_generator_calls``
+    guards that they stay numpy's numbers.
+
+    Roots are nodes 0 to t - 1, so node t is tree t's root. A split numbers
+    both its children at once, after the nodes numbered before, right then
+    left, and links them at ``2*parent`` (right) and ``2*parent + 1``
+    (left). A node links to itself both ways until it splits, which a leaf
+    keeps.
     """
     matrix = np.asarray(matrix, float)
     if matrix.ndim != 2 or len(matrix) < 2 or not matrix.shape[1]:
@@ -153,87 +224,98 @@ def iforest_fit(matrix: np.ndarray, tree_count: int = 100,
     psi = min(subsample, len(matrix))
     limit = math.ceil(math.log2(psi))
     leaf_path = np.array([average_path_length(n) for n in range(psi + 1)])
-    columns = range(matrix.shape[1])
     rngs = [np.random.default_rng((seed, t)) for t in range(tree_count)]
     # tree t's sample rows fill order[t * psi:(t + 1) * psi]; a node owns a
     # run of them, and a split moves its left rows before its right rows
     order = np.concatenate([rng.choice(len(matrix), size=psi, replace=False)
                             for rng in rngs])
-    # each tree's stack of (start, stop, depth, slot) nodes still to take; a
-    # node writes its number into links[slot] when taken, a root's slot is -1
-    stack = np.empty((4, tree_count, limit + 1), dtype=np.intp)
-    trees = np.arange(tree_count)
-    stack[:2, :, 0] = trees * psi, (trees + 1) * psi
-    stack[2:, :, 0] = [[0], [-1]]
-    height = np.ones(tree_count, dtype=np.intp)
-    # node fields are written as nodes are taken, so only the pages of the
-    # nodes grown are touched
+    draws = _SplitDraws(rngs)
+    # node fields are written as nodes are numbered, so only the pages of
+    # the nodes grown are touched
     bound = tree_count * (2 * psi - 1)
     dim = np.empty(bound, dtype=np.intp)
     value = np.empty(bound)
     links = np.empty(2 * bound, dtype=np.intp)
     path = np.empty(bound)
-    taken = 0
+
+    def number(first, start, stop, depth):
+        """Number nodes from ``first`` on as leaves, and return their numbers."""
+        end = first + len(start)
+        node = np.arange(first, end)
+        dim[first:end] = -1
+        value[first:end] = 0.0
+        links[2 * first:2 * end] = node.repeat(2)
+        path[first:end] = depth + leaf_path[stop - start]
+        return node
+
+    # each tree's stack of (start, stop, depth, node) candidates still to take
+    stack = np.empty((4, tree_count, limit + 1), dtype=np.intp)
+    trees = np.arange(tree_count)
+    roots = trees * psi, (trees + 1) * psi, np.zeros_like(trees)
+    stack[:, :, 0] = *roots, number(0, *roots)
+    height = np.ones(tree_count, dtype=np.intp)
+    taken = tree_count
     while (live := np.flatnonzero(height)).size:
         height[live] -= 1
-        start, stop, depth, slot = stack[:, live, height[live]]
-        first, taken = taken, taken + len(live)
-        node = np.arange(first, taken)
-        child = slot >= 0
-        links[slot[child]] = node[child]
+        start, stop, depth, node = stack[:, live, height[live]]
         size = stop - start
-        dim[first:taken] = -1
-        value[first:taken] = 0.0
-        links[2 * first:2 * taken] = np.repeat(node, 2)
-        path[first:taken] = depth + leaf_path[size]
-        grow = np.flatnonzero((size > 1) & (depth < limit))
-        counts = size[grow]
-        offsets = np.cumsum(counts) - counts
-        runs = np.repeat(start[grow] - offsets, counts)
+        offsets = np.cumsum(size) - size
+        runs = np.repeat(start - offsets, size)
         runs += np.arange(len(runs))
         rows = order[runs]
         # a column at a time, so only one column of the rows is held
-        lows = np.empty((matrix.shape[1], len(grow)))
+        lows = np.empty((matrix.shape[1], len(live)))
         highs = np.empty_like(lows)
         for f, column in enumerate(matrix.T):
             cells = column[rows]
             np.minimum.reduceat(cells, offsets, out=lows[f])
             np.maximum.reduceat(cells, offsets, out=highs[f])
         del cells
-        # a node that draws nothing splits at -inf, so no row goes left
-        dims, values = [], []
-        for t, lo, hi, spread in zip(live[grow].tolist(), lows.T.tolist(),
-                                     highs.T.tolist(), (highs > lows).T.tolist()):
-            splittable = list(compress(columns, spread))
-            if splittable:
-                f = splittable[rngs[t].integers(len(splittable))]
-                dims.append(f)
-                values.append(rngs[t].uniform(lo[f], hi[f]))
-            else:
-                dims.append(0)
-                values.append(-math.inf)
-        dims = np.array(dims, dtype=np.intp)
-        values = np.array(values)
-        left = matrix[rows, np.repeat(dims, counts)] < np.repeat(values, counts)
+        # a candidate that draws nothing splits at -inf, so no row goes left
+        spread = highs > lows
+        ranks = np.cumsum(spread, axis=0)
+        drawn = np.flatnonzero(ranks[-1])
+        dims = np.zeros(len(live), dtype=np.intp)
+        values = np.full(len(live), -math.inf)
+        picks = draws.integers(live[drawn], ranks[-1, drawn])
+        # the picks-th splittable column (from 0) comes after exactly the
+        # columns that have at most picks splittable columns up to their own
+        dims[drawn] = (ranks[:, drawn] <= picks).sum(axis=0)
+        values[drawn] = draws.uniform(live[drawn], lows[dims[drawn], drawn],
+                                      highs[dims[drawn], drawn])
+        left = matrix[rows, np.repeat(dims, size)] < np.repeat(values, size)
         n_left = np.add.reduceat(left, offsets, dtype=np.intp)
-        split = np.flatnonzero((n_left > 0) & (n_left < counts))
+        split = np.flatnonzero((n_left > 0) & (n_left < size))
         if not len(split):
             continue
-        at = grow[split]
-        parent = node[at]
+        parent = node[split]
         dim[parent] = dims[split]
         value[parent] = values[split]
         path[parent] = 0.0
         # a stable sort on (node, goes right) keeps each run where it is
-        key = np.repeat(np.arange(0, 2 * len(grow), 2), counts)
+        key = np.repeat(np.arange(0, 2 * len(live), 2), size)
         key += ~left
         order[runs] = rows[np.argsort(key, kind="stable")]
-        t = live[at]
-        top = height[t]
-        mid = start[at] + n_left[split]
-        stack[:, t, top] = mid, stop[at], depth[at] + 1, 2 * parent
-        stack[:, t, top + 1] = start[at], mid, depth[at] + 1, 2 * parent + 1
-        height[t] += 2
+        # children as (right, left) pairs, numbered in that order
+        mid = start[split] + n_left[split]
+        child_start = mid.repeat(2)
+        child_start[1::2] = start[split]
+        child_stop = stop[split].repeat(2)
+        child_stop[1::2] = mid
+        child_depth = (depth[split] + 1).repeat(2)
+        child = number(taken, child_start, child_stop, child_depth)
+        taken += len(child)
+        links[2 * parent] = child[0::2]
+        links[2 * parent + 1] = child[1::2]
+        # push the children that can grow, the right one below the left one
+        pushed = (child_stop - child_start > 1) & (child_depth < limit)
+        t = live[split]
+        slots = height[t].repeat(2)
+        slots[1::2] += pushed[0::2]
+        height[t] = slots[1::2] + pushed[1::2]
+        t = t.repeat(2)[pushed]
+        stack[:, t, slots[pushed]] = (child_start[pushed], child_stop[pushed],
+                                      child_depth[pushed], child[pushed])
     # copies, so the unused rest of each bound is given back
     return IsolationForestModel(
         tree_count=tree_count, subsample_size=psi, depth_limit=limit,

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from trace_insight import anomaly
 from trace_insight.aggregate import SeriesTable
 from trace_insight.anomaly import (
     CauseTag,
     EULER_GAMMA,
     FeatureMode,
+    _SplitDraws,
     average_path_length,
     build_feature_matrix,
     diagnose,
@@ -275,6 +277,87 @@ def test_lockstep_trees_are_the_recursive_build_in_edge_cases(make, subsample):
     for seed in range(3):
         train = make(np.random.default_rng(seed))
         assert_trees_are_the_recursive_build(train, 12, subsample, seed)
+
+
+def test_split_draws_are_the_generator_calls():
+    # 1,000 generators, each first advanced by 0-2 integers(7) calls so that
+    # its cached 32-bit half is set or clear; then 100 rounds of integers(k)
+    # and uniform(lo, hi) on two thirds of them, k = 1..7 in turn, so every
+    # generator draws each k and takes at least 66 words, past its first
+    # 64-word block
+    want = [np.random.default_rng(seed) for seed in range(1000)]
+    got = [np.random.default_rng(seed) for seed in range(1000)]
+    for seed, (a, b) in enumerate(zip(want, got)):
+        for _ in range(seed % 3):
+            a.integers(7)
+            b.integers(7)
+    assert {a.bit_generator.state["has_uint32"] for a in want} == {0, 1}
+    draws = _SplitDraws(got)
+    every = np.arange(len(got))
+    lows = np.linspace(-3.0, 2.0, len(got))
+    highs = lows + np.geomspace(1e-6, 1e6, len(got))
+    for r in range(100):
+        gens = every[(every + r) % 3 > 0]
+        ks = (gens + r // 3) % 7 + 1
+        lo, hi = lows[gens], highs[gens]
+        expect = [(want[g].integers(k), want[g].uniform(l, h)) for g, k, l, h
+                  in zip(gens.tolist(), ks.tolist(), lo.tolist(), hi.tolist())]
+        assert draws.integers(gens, ks).tolist() == [i for i, _ in expect]
+        assert (draws.uniform(gens, lo, hi).tobytes()
+                == np.array([v for _, v in expect]).tobytes())
+
+
+@pytest.mark.parametrize("k, redraws", [
+    (1, False), (2, False), (3, True), (4, False), (5, True), (6, True),
+    (7, True)])
+def test_split_draws_redraw_where_the_generator_does(k, redraws):
+    # a cached half of 0 makes a product whose low 32 bits are 0, which is
+    # redrawn exactly when the threshold (2**32 - k) % k is not 0
+    want, got = np.random.default_rng(11), np.random.default_rng(11)
+    for rng in (want, got):
+        rng.bit_generator.state = {**rng.bit_generator.state,
+                                   "has_uint32": 1, "uinteger": 0}
+    draws = _SplitDraws([got])
+    one = np.array([0])
+    before = want.bit_generator.state["state"]
+    assert draws.integers(one, [k]).tolist() == [want.integers(k)]
+    assert (want.bit_generator.state["state"] != before) == redraws
+    for then in (7, 3):   # and the cached half is where numpy leaves it
+        assert draws.uniform(one, -1.0, 3.0).tolist() == [want.uniform(-1.0, 3.0)]
+        assert draws.integers(one, [then]).tolist() == [want.integers(then)]
+
+
+class _DrawlessGenerator:
+    """A Generator whose per-node draws raise; ``choice`` and the bit
+    generator pass through."""
+
+    # the default binds numpy's own default_rng before a test patches it
+    def __init__(self, seed, _make=np.random.default_rng):
+        rng = _make(seed)
+        self.choice = rng.choice
+        self.bit_generator = rng.bit_generator
+
+    def integers(self, *args, **kwargs):
+        raise AssertionError("Generator.integers called by the fit")
+
+    def uniform(self, *args, **kwargs):
+        raise AssertionError("Generator.uniform called by the fit")
+
+
+def test_fit_calls_no_generator_method_per_node(monkeypatch):
+    rng = np.random.default_rng(5)
+    cases = [
+        (rng.normal(size=(40, 3)), dict(tree_count=12, subsample=2, seed=3)),
+        (blob_with_outlier(), dict(tree_count=1, seed=4)),
+        (rng.normal(size=(300, 5)), dict(tree_count=20, seed=6)),
+    ]
+    want = [oracles.isolation_forest_scores(m, m, **kw) for m, kw in cases]
+    monkeypatch.setattr(anomaly.np.random, "default_rng", _DrawlessGenerator)
+    # every root is a leaf that draws nothing
+    assert len(iforest_fit(np.ones((30, 3)), tree_count=7).dim) == 7
+    for (matrix, kw), scores in zip(cases, want):
+        got = iforest_scores(iforest_fit(matrix, **kw), matrix)
+        assert got.tobytes() == scores.tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
