@@ -21,10 +21,10 @@ row one tree level per step through its one link array.
 Scores are reported as 0.5 - 2^(-E(h)/c(psi)), so anomalous machines land
 below zero and everything lives in [-0.5, 0.5).
 
-As in the series table, machine m is row m - 1 of the feature matrix, of
-a report's lists and of the cause tags ``diagnose`` returns (a per-interval
-matrix holds its rows as block m - 1); ids are made only for the ranking
-and where a writer prints them.
+As in the series table, machine m is row m - 1 of the feature matrix, of a
+report's scores, of the (M,) categories from classify and of the cause tags
+``diagnose`` returns (a per-interval matrix holds its rows as block m - 1);
+ids are made only for the ranking and where a writer prints them.
 
 A Type1 machine is tagged HeavierOnlineServices when its mean container
 count is at least HEAVIER_FACTOR (1.5) times the population median.
@@ -89,8 +89,6 @@ class AnomalyReport:
     scores: list[float]          # machine m at index m - 1, as below
     ranking: list[int]           # machine ids, ascending score, ties by id
     negative_count: int
-    labels: list[str]            # "" until the caller fills them in
-    causes: list[list[str]]      # [] until the caller fills them in
 
 
 def average_path_length(n: int) -> float:
@@ -369,8 +367,6 @@ def score_machines(model: IsolationForestModel, matrix: np.ndarray,
         # a stable sort keeps tied rows, and so tied ids, in ascending order
         ranking=(np.argsort(worst, kind="stable") + 1).tolist(),
         negative_count=int(np.count_nonzero(worst < 0)),
-        labels=[""] * machine_count,
-        causes=[[] for _ in range(machine_count)],
     )
 
 
@@ -392,18 +388,17 @@ def population_stats(table: SeriesTable) -> PopulationStats:
     )
 
 
-def diagnose(labels: list[str], events: Table, table: SeriesTable,
+def diagnose(categories: np.ndarray, events: Table, table: SeriesTable,
              stats: PopulationStats, grid: IntervalGrid) -> list[list[str]]:
     """Cause tags of every machine row, each row's in the fixed rule order
     of ``CauseTag``.
 
-    ``labels`` holds each row's category and ``events`` the server events,
+    ``categories`` holds each row's label and ``events`` the server events,
     whose soft errors count for the machine they name. Each rule is an (M,)
     mask over the machine's own soft errors and its rows of the table plus
     the population medians, so a row's tags do not depend on the other rows.
     Several tags can apply at once.
     """
-    labels = np.asarray(labels)
     m_count, n = table.batch_count.shape
     soft = events.event_type == enum_code(MachineEventType.SOFT_ERROR)
     soft_row, soft_ts = events.machine[soft] - 1, events.timestamp[soft]
@@ -420,15 +415,15 @@ def diagnose(labels: list[str], events: Table, table: SeriesTable,
               & (np.abs(x - stop[soft_row]) <= 1))
     workload_stop = np.bincount(soft_row[linked], minlength=m_count) > 0
 
-    type1 = labels == "Type1"
+    type1 = categories == "Type1"
     container_mean = table.container_count.mean(axis=1)
     batch_mean = table.batch_count.mean(axis=1)
     rules = np.stack([
         soft_count >= 3,
         workload_stop,
-        (labels == "Type2") & (soft_count == 0),
-        labels == "Type3",
-        labels == "Type4",
+        (categories == "Type2") & (soft_count == 0),
+        categories == "Type3",
+        categories == "Type4",
         type1 & (container_mean >= HEAVIER_FACTOR * stats.container_count_median),
         type1 & (container_mean <= 1.0) & (batch_mean >= stats.batch_count_median),
     ], axis=1)
@@ -440,19 +435,21 @@ def diagnose(labels: list[str], events: Table, table: SeriesTable,
 # artifact I/O
 
 
-def write_scores_csv(report: AnomalyReport, path: str) -> None:
+def write_scores_csv(report: AnomalyReport, categories: np.ndarray,
+                     causes: list[list[str]], path: str) -> None:
     # the ranking is a permutation of the ids, so its inverse gives the ranks
     ranks = np.argsort(report.ranking) + 1
     with csv_file(path, ("machine", "score", "rank", "label", "tags")) as fh:
         fh.write(csv_lines(int_cells(np.arange(1, len(ranks) + 1)),
                            float_cells(report.scores), int_cells(ranks),
-                           text_cells(report.labels),
-                           text_cells(list(map("|".join, report.causes)))))
+                           text_cells(categories),
+                           text_cells(list(map("|".join, causes)))))
 
 
-def write_anomaly_json(report: AnomalyReport, top_n: int, path: str) -> None:
-    """The first ``top_n`` machines of the ranking, with their scores,
-    categories and causes."""
+def write_anomaly_json(report: AnomalyReport, categories: np.ndarray,
+                       causes: list[list[str]], top_n: int, path: str) -> None:
+    """The first ``top_n`` machines of the ranking, with their scores, and
+    their rows of ``categories`` and ``causes``."""
     if top_n < 0:
         raise ValueError(f"top_n must be >= 0, got {top_n}")
     write_json(path, {
@@ -460,8 +457,8 @@ def write_anomaly_json(report: AnomalyReport, top_n: int, path: str) -> None:
         "machine_count": len(report.scores),
         "top": [{"rank": rank, "machine": machine,
                  "score": report.scores[machine - 1],
-                 "category": report.labels[machine - 1],
-                 "causes": report.causes[machine - 1]}
+                 "category": categories[machine - 1],
+                 "causes": causes[machine - 1]}
                 for rank, machine in enumerate(report.ranking[:top_n], 1)],
     })
 

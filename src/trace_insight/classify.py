@@ -3,8 +3,9 @@
 Each machine becomes a 2N-bit row of one occupancy matrix, taken from the
 count columns of the series table: the first N bits say whether any batch
 instance touched interval x, the next N whether any container lived there.
-As in the series table, row m - 1 is machine m, in the matrix and in the
-model's assignments alike; ids are made only where a writer prints them.
+As in the series table, row m - 1 is machine m, in the matrix, the model's
+assignments and the report's (M,) ``categories``, which the rest of analyze
+reads; ids are made only where a writer prints them.
 Lloyd k-means (k-means++ seeded) groups the vectors, and each centroid is
 labeled by rules over its batch/container occupancy pattern:
 
@@ -131,11 +132,11 @@ def kmeans_fit(matrix: np.ndarray, k: int, seed: int,
     # return_index keeps np.unique on its sort path, which, unlike its
     # hash path, does not import numpy.ma; the rows it finds are the same
     distinct = len(np.unique(matrix, axis=0, return_index=True)[0])
-    if k < 1 or k > distinct:
-        raise ValueError(f"k must be in [1, {distinct}] "
-                         f"(distinct vectors), got {k}")
-    if n_init < 1:
-        raise ValueError(f"n_init must be >= 1, got {n_init}")
+    if k > distinct:
+        raise ValueError(f"the {k} workload categories need {k} distinct "
+                         f"occupancy patterns, and the trace has {distinct}")
+    if k < 1 or n_init < 1:
+        raise ValueError(f"k and n_init must be >= 1, got {k} and {n_init}")
 
     best = None
     for child in np.random.SeedSequence(seed).spawn(n_init):
@@ -218,31 +219,31 @@ def label_clusters(model: CategoryModel) -> CategoryModel:
 
 @dataclass
 class CategoryReport:
+    categories: np.ndarray                       # (M,) label of each row
     counts: dict[str, int]                       # label -> machine count
     members: dict[str, list[int]]                # label -> machine ids
     usage_means: dict[str, tuple[float, float, float]]  # label -> cpu/mem/disk
 
 
-def _usage_rows(table: SeriesTable, machines: list[int]):
-    """The (machines, N) server cpu, mem and disk rows of ``machines``."""
-    rows = np.subtract(machines, 1)
+def _usage_rows(table: SeriesTable, rows: np.ndarray):
+    """The server cpu, mem and disk rows that the (M,) mask ``rows`` picks."""
     return table.server_cpu[rows], table.server_mem[rows], table.server_disk[rows]
 
 
 def category_report(model: CategoryModel, table: SeriesTable) -> CategoryReport:
-    """Members per label in ascending machine order, and their mean server
-    cpu, mem and disk over all their intervals."""
+    """Each row's label; per label, its members in ascending machine order
+    and their mean server cpu, mem and disk over all their intervals."""
     if not model.labels:
         raise ValueError("model is unlabeled; run label_clusters first")
-    row_labels = np.array([model.labels[c] for c in range(model.k)])[model.assignments]
-    report = CategoryReport(counts={}, members={}, usage_means={})
+    categories = np.array([model.labels[c] for c in range(model.k)])[model.assignments]
+    report = CategoryReport(categories, counts={}, members={}, usage_means={})
     for label in (*TYPE_LABELS, UNKNOWN_LABEL):
-        members = (np.flatnonzero(row_labels == label) + 1).tolist()
-        if members:
-            report.counts[label] = len(members)
-            report.members[label] = members
+        rows = categories == label
+        if rows.any():
+            report.members[label] = (np.flatnonzero(rows) + 1).tolist()
+            report.counts[label] = len(report.members[label])
             report.usage_means[label] = tuple(
-                float(np.mean(rows)) for rows in _usage_rows(table, members))
+                float(np.mean(usage)) for usage in _usage_rows(table, rows))
     return report
 
 
@@ -250,11 +251,12 @@ def category_report(model: CategoryModel, table: SeriesTable) -> CategoryReport:
 # artifact I/O
 
 
-def write_assignments_csv(model: CategoryModel, path: str) -> None:
+def write_assignments_csv(model: CategoryModel, categories: np.ndarray,
+                          path: str) -> None:
     clusters = model.assignments
     with csv_file(path, ("machine", "cluster", "label")) as fh:
         fh.write(csv_lines(int_cells(np.arange(1, len(clusters) + 1)), int_cells(clusters),
-                           text_cells([model.labels.get(c, "") for c in clusters.tolist()])))
+                           text_cells(categories)))
 
 
 def write_counts_json(model: CategoryModel, report: CategoryReport,
@@ -276,7 +278,7 @@ def write_type_usage_csv(report: CategoryReport, table: SeriesTable,
     """Per-type mean cpu/mem/disk per interval, for external plotting."""
     with csv_file(path, ("label", "interval_index", "cpu", "mem", "disk")) as fh:
         for label in sorted(report.members):
-            means = np.array([np.mean(rows, axis=0) for rows in
-                              _usage_rows(table, report.members[label])])
+            means = np.array([np.mean(usage, axis=0) for usage in
+                              _usage_rows(table, report.categories == label)])
             fh.write(csv_lines(text_cells([label] * means.shape[1]),
                                int_cells(np.arange(means.shape[1])), *float_cells(means)))

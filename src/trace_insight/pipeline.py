@@ -21,9 +21,10 @@ file, ``trace_columns.bin``: the parsed columns analyze reads, with the
 container events filtered, the rows each file lost, and the repaired cpu,
 mem and disk usage, and the grid of the repair. ``analyze`` reads nothing
 else of its input, and loads that file only when manifest-preprocess.json
-records its digest and the file's grid is its own. All randomness comes
-from seeds named in the config; a missing seed is an error, never a
-fallback to wall-clock entropy.
+records its digest and the file's grid is its own. It classifies right after
+aggregating: the cause tags and every writer read the (M,) categories. All
+randomness comes from seeds named in the config; a missing seed is an error,
+never a fallback to wall-clock entropy.
 """
 
 from __future__ import annotations
@@ -279,7 +280,19 @@ def run_analyze(config: dict[str, str]) -> str:
         table = build_machine_series(bundle, grid, dense, containers, batch)
         write_aggregate_csvs(table, containers.seen, batch.seen, grid, out_dir)
 
-        # similarity; machine m is row m - 1 of the table and its curves
+        # classification; row m - 1 is machine m from here to the writers
+        model = label_clusters(kmeans_fit(
+            occupancy_matrix(table), k=len(TYPE_LABELS),
+            seed=values["classify_seed"]))
+        cat_report = category_report(model, table)
+        categories = cat_report.categories
+        write_assignments_csv(model, categories, os.path.join(out_dir, "assignments.csv"))
+        write_counts_json(model, cat_report,
+                          os.path.join(out_dir, "category_counts.json"))
+        write_type_usage_csv(cat_report, table,
+                             os.path.join(out_dir, "plot_type_usage.csv"))
+
+        # similarity
         curves = build_resource_curves(table)
         standard_value, standards = select_standard(
             curves, sample_num=SAMPLE_NUM, seed=values["dtw_seed"],
@@ -292,26 +305,14 @@ def run_analyze(config: dict[str, str]) -> str:
         write_flags_csv(dtw_report, os.path.join(out_dir, "dtw_flags.csv"))
         write_histogram_json(dtw_report, os.path.join(out_dir, "dtw_histogram.json"))
 
-        # classification; row m - 1 is machine m from here to the writers
-        model = label_clusters(kmeans_fit(
-            occupancy_matrix(table), k=len(TYPE_LABELS),
-            seed=values["classify_seed"]))
-        cat_report = category_report(model, table)
-        write_assignments_csv(model, os.path.join(out_dir, "assignments.csv"))
-        write_counts_json(model, cat_report,
-                          os.path.join(out_dir, "category_counts.json"))
-        write_type_usage_csv(cat_report, table,
-                             os.path.join(out_dir, "plot_type_usage.csv"))
-
         # anomaly
         feat_matrix = build_feature_matrix(table, values["anomaly_mode"])
         forest = iforest_fit(feat_matrix, seed=values["anomaly_seed"])
         anomaly_report = score_machines(forest, feat_matrix, bundle.machine_count)
-        anomaly_report.labels = [model.labels[c] for c in model.assignments.tolist()]
-        anomaly_report.causes = diagnose(anomaly_report.labels, bundle.events,
-                                         table, population_stats(table), grid)
-        write_scores_csv(anomaly_report, os.path.join(out_dir, "anomaly_scores.csv"))
-        write_anomaly_json(anomaly_report, TOP_N,
+        causes = diagnose(categories, bundle.events, table, population_stats(table), grid)
+        write_scores_csv(anomaly_report, categories, causes,
+                         os.path.join(out_dir, "anomaly_scores.csv"))
+        write_anomaly_json(anomaly_report, categories, causes, TOP_N,
                            os.path.join(out_dir, "anomaly_report.json"))
         write_score_distribution_csv(
             anomaly_report, os.path.join(out_dir, "plot_score_distribution.csv"))

@@ -34,7 +34,7 @@ REPORT_FILENAME = "report.json"
 STAGE_HELP = {
     "synth": "generate a synthetic trace with planted ground truth",
     "preprocess": "repair gaps and filter duplicate container events",
-    "analyze": "aggregate, DTW-score, classify, and rank anomalies",
+    "analyze": "aggregate, classify, DTW-score, and rank anomalies",
     "report": "bundle analysis artifacts into one JSON summary",
 }
 

@@ -451,14 +451,18 @@ def test_score_machines_rejects_rows_that_do_not_split_evenly():
 def test_anomaly_json_lists_the_head_of_the_ranking(tmp_path):
     matrix = blob_with_outlier(n=10)
     report = score_machines(iforest_fit(matrix, seed=0), matrix, 10)
-    assert report.labels == [""] * 10 and report.causes == [[]] * 10
+    # the categories and causes are the caller's, not the report's
+    assert [f.name for f in dataclasses.fields(report)] == [
+        "scores", "ranking", "negative_count"]
+    categories, causes = np.array([""] * 10), [[] for _ in range(10)]
     path = tmp_path / "anomalies.json"
     for top_n in (3, 0, 10, 11):
-        write_anomaly_json(report, top_n, str(path))
+        write_anomaly_json(report, categories, causes, top_n, str(path))
         top = json.loads(path.read_text())["top"]
         assert [e["machine"] for e in top] == report.ranking[:top_n]
+        assert all(e["category"] == "" and e["causes"] == [] for e in top)
     with pytest.raises(ValueError):
-        write_anomaly_json(report, -1, str(path))
+        write_anomaly_json(report, categories, causes, -1, str(path))
     assert report.negative_count == sum(
         1 for v in report.scores if v < 0)
 
@@ -478,7 +482,7 @@ def tags_of(label, times, batch, containers, stats):
     table.batch_count, table.container_count = batch[None], containers[None]
     events = oracles.table_from_rows("server_event",
                                      [softerror(1, ts) for ts in times])
-    (tags,) = diagnose([label], events, table, stats, GRID)
+    (tags,) = diagnose(np.array([label]), events, table, stats, GRID)
     return tags
 
 
@@ -548,7 +552,7 @@ def test_diagnose_ignores_other_machines_events():
         softerror(9, 1010), softerror(9, 1120), softerror(9, 1230),
         (1200, 1, MachineEventType.ADD, "", 64, 1.0, 1.0),
         softerror(1, 1300)])
-    tags = diagnose(["Type6"] * 9, events, table_for([0.2] * 9), stats, GRID)
+    tags = diagnose(np.array(["Type6"] * 9), events, table_for([0.2] * 9), stats, GRID)
     # machine 9's three soft errors are its own; machine 1 has one
     assert tags == [[]] * 8 + [[CauseTag.FREQUENT_SOFT_ERROR.value]]
 
@@ -577,7 +581,7 @@ def test_diagnose_matches_the_per_machine_rules(data):
     events = oracles.table_from_rows("server_event", [
         softerror(m, ts) if soft else (ts, m, MachineEventType.ADD, "", 64, 1.0, 1.0)
         for m, ts, soft in drawn])
-    got = diagnose(labels, events, table, stats, GRID)
+    got = diagnose(np.array(labels), events, table, stats, GRID)
 
     times = {}
     for m, ts, soft in drawn:
@@ -595,17 +599,18 @@ def test_diagnose_matches_the_per_machine_rules(data):
 
 
 def small_report():
+    """(report, categories, causes) of 8 Type1 machines, machine 8 with two
+    cause tags."""
     matrix = blob_with_outlier(n=8, seed=4)
     report = score_machines(iforest_fit(matrix, seed=0), matrix, 8)
-    report.labels = ["Type1"] * 8
-    report.causes[7] = ["HeavierOnlineServices", "FrequentSoftError"]
-    return report
+    causes = [[] for _ in range(8)]
+    causes[7] = ["HeavierOnlineServices", "FrequentSoftError"]
+    return report, np.array(["Type1"] * 8), causes
 
 
 def test_scores_csv_layout(tmp_path):
-    report = small_report()
     path = tmp_path / "scores.csv"
-    write_scores_csv(report, str(path))
+    write_scores_csv(*small_report(), str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == "machine,score,rank,label,tags"
     assert len(lines) == 9
@@ -615,15 +620,15 @@ def test_scores_csv_layout(tmp_path):
 
 
 def test_anomaly_json_round_trip(tmp_path):
-    report = small_report()
+    report, categories, causes = small_report()
     path = tmp_path / "anomalies.json"
-    write_anomaly_json(report, 3, str(path))
+    write_anomaly_json(report, categories, causes, 3, str(path))
     data = json.loads(path.read_text())
     assert data == {
         "negative_count": report.negative_count,
         "machine_count": 8,
         "top": [{"rank": rank, "machine": m, "score": report.scores[m - 1],
-                 "category": "Type1", "causes": report.causes[m - 1]}
+                 "category": "Type1", "causes": causes[m - 1]}
                 for rank, m in enumerate(report.ranking[:3], 1)],
     }
 
@@ -631,12 +636,12 @@ def test_anomaly_json_round_trip(tmp_path):
 def test_anomaly_json_leaves_no_partial_file_when_top_n_is_bad(tmp_path):
     path = tmp_path / "anomalies.json"
     with pytest.raises(ValueError, match="top_n must be >= 0"):
-        write_anomaly_json(small_report(), -1, str(path))
+        write_anomaly_json(*small_report(), -1, str(path))
     assert not path.exists()
 
 
 def test_score_distribution_csv(tmp_path):
-    report = small_report()
+    report, _, _ = small_report()
     path = tmp_path / "dist.csv"
     write_score_distribution_csv(report, str(path))
     lines = path.read_text().splitlines()

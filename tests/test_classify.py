@@ -241,6 +241,7 @@ def labeled_model_and_table():
 def test_category_report_counts_members_and_usage():
     model, table = labeled_model_and_table()
     report = category_report(model, table)
+    assert report.categories.tolist() == ["Type1", "Type1", "Type2"]
     assert report.counts == {"Type1": 2, "Type2": 1}
     assert report.members == {"Type1": [1, 2], "Type2": [3]}
     cpu, mem, disk = report.usage_means["Type1"]
@@ -288,7 +289,7 @@ def test_artifact_writers(tmp_path):
     report = category_report(model, table)
 
     apath = tmp_path / "assignments.csv"
-    write_assignments_csv(model, str(apath))
+    write_assignments_csv(model, report.categories, str(apath))
     lines = apath.read_text().splitlines()
     assert lines[0] == "machine,cluster,label"
     assert len(lines) == 4

@@ -1,8 +1,8 @@
 """Import hygiene: no module of the package imports a name it never uses, the
 package root's only public names are its submodules, every public function
-and class has a caller outside its own definition, the declared Python floor
-is one that the installed numpy runs on, and the console script is
-``cli.run``."""
+and class has a caller outside its own definition, every dataclass field is
+read somewhere, the declared Python floor is one that the installed numpy
+runs on, and the console script is ``cli.run``."""
 
 import ast
 import importlib
@@ -164,3 +164,46 @@ def test_every_public_function_and_class_has_a_caller():
     assert not unused, f"no stage, script or benchmark uses {unused}"
     called = sorted(TEST_ORACLES - set(uncalled))
     assert not called, f"{called} got a caller; take them off TEST_ORACLES"
+
+
+def field_reads(tree):
+    """Every attribute name ``tree`` reads (not one it only assigns), and
+    every identifier string, such as a key of ``vars()`` or ``asdict``."""
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Attribute) and not isinstance(sub.ctx, ast.Store):
+            yield sub.attr
+        elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+              and sub.value.isidentifier()):
+            yield sub.value
+
+
+DATACLASS_DECORATORS = {"dataclass", "dataclasses.dataclass"}
+# calls in a dataclass's own methods that read all its fields at once
+READS_EVERY_FIELD = {"asdict(self)", "dataclasses.asdict(self)", "vars(self)"}
+
+
+def dataclass_fields(module, tree):
+    """``module.Class.field`` of every field of every dataclass in ``tree``
+    that does not read all its fields at once."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = {ast.unparse(getattr(d, "func", d)) for d in node.decorator_list}
+        calls = {ast.unparse(sub) for sub in ast.walk(node) if isinstance(sub, ast.Call)}
+        if decorators & DATACLASS_DECORATORS and not calls & READS_EVERY_FIELD:
+            for statement in node.body:
+                if isinstance(statement, ast.AnnAssign):
+                    yield f"{module}.{node.name}.{statement.target.id}"
+
+
+def test_every_dataclass_field_is_read():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in MODULES}
+    reads = set()
+    for tree in [*trees.values(), *(ast.parse(path.read_text(encoding="utf-8"))
+                                    for path in CALLER_FILES if path.suffix == ".py")]:
+        reads.update(field_reads(tree))
+    unread = [name for module, tree in trees.items()
+              for name in dataclass_fields(module, tree)
+              if name.rsplit(".", 1)[1] not in reads]
+    assert unread == [], f"no stage, script or benchmark reads {unread}"

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import importlib
@@ -13,7 +14,7 @@ import pytest
 
 import oracles
 from trace_insight import __version__, pipeline, trace_model
-from trace_insight.anomaly import build_feature_matrix, iforest_fit
+from trace_insight.anomaly import AnomalyReport, build_feature_matrix, iforest_fit
 from trace_insight.classify import TYPE_LABELS, kmeans_fit
 from trace_insight.pipeline import (
     ANALYZE_FILENAMES,
@@ -762,6 +763,82 @@ def test_analyze_refuses_a_non_finite_feature(tmp_path, monkeypatch):
                                          r"is not finite: nan$"):
         run_analyze(stage_config(trace, out))
     assert not (out / "manifest-analyze.json").exists()
+
+
+def test_analyze_refuses_a_trace_with_fewer_occupancy_patterns_than_categories(
+        tmp_path):
+    # twelve Type1 machines binarize to one occupancy pattern; classification
+    # runs before similarity, so no DTW artifact is written
+    trace, out = tmp_path / "trace", tmp_path / "out"
+    run_synth(synth_config(trace, synth_machines="12",
+                           synth_quotas="12,0,0,0,0,0,0,0"))
+    run_preprocess(stage_config(trace, out))
+    with pytest.raises(StageError, match=r"^\[analyze\] the 8 workload categories "
+                                         r"need 8 distinct occupancy patterns, "
+                                         r"and the trace has 1$") as raised:
+        run_analyze(stage_config(trace, out))
+    assert raised.value.stage == "analyze"
+    assert not (out / "manifest-analyze.json").exists()
+    assert not (out / "dtw_distances.csv").exists()
+
+
+def test_analyze_classifies_once_and_hands_every_step_one_category_array(
+        tmp_path, monkeypatch):
+    calls = {}   # name: (positional arguments, result) of every call
+    names = ("label_clusters", "category_report", "diagnose",
+             "write_assignments_csv", "write_scores_csv", "write_anomaly_json")
+
+    def spy(name, original):
+        def recorded(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls.setdefault(name, []).append((args, result))
+            return result
+        monkeypatch.setattr(pipeline, name, recorded)
+
+    for name in names:
+        spy(name, getattr(pipeline, name))
+    preprocess_and_analyze(noisy_trace(tmp_path / "trace", seed=7), tmp_path / "out")
+    assert {name: len(made) for name, made in calls.items()} == dict.fromkeys(names, 1)
+    ((_, report),) = calls["category_report"]
+    ((diagnose_args, causes),) = calls["diagnose"]
+    categories = report.categories
+    assert isinstance(categories, np.ndarray) and categories.shape == (16,)
+    assert diagnose_args[0] is categories
+    for writer in ("write_assignments_csv", "write_scores_csv", "write_anomaly_json"):
+        ((args, _),) = calls[writer]
+        assert args[1] is categories, writer
+    for writer in ("write_scores_csv", "write_anomaly_json"):
+        ((args, _),) = calls[writer]
+        assert args[2] is causes, writer
+    # the report carries no labels of its own, and analyze patches none on
+    assert {field.name for field in dataclasses.fields(AnomalyReport)}.isdisjoint(
+        {"labels", "causes"})
+    stores = [ast.unparse(node) for node in
+              ast.walk(ast.parse(inspect.getsource(pipeline.run_analyze)))
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)]
+    assert stores == []
+
+
+def test_the_artifacts_agree_on_every_machines_category(tmp_path):
+    trace, out = noisy_trace(tmp_path / "trace", seed=7), tmp_path / "out"
+    for run in (run_preprocess, run_analyze, run_report):
+        run(stage_config(trace, out))
+
+    def labels(name):
+        """(machine, label) of every row of ``name``."""
+        header, *lines = (out / name).read_text().splitlines()
+        column = header.split(",").index("label")
+        return [(int(cells[0]), cells[column])
+                for cells in (line.split(",") for line in lines)]
+
+    assigned = labels("assignments.csv")
+    assert [machine for machine, _ in assigned] == list(range(1, 17))
+    assert labels("anomaly_scores.csv") == assigned
+    members = json.loads((out / "category_counts.json").read_text())["members"]
+    top = json.loads((out / "anomaly_report.json").read_text())["top"]
+    assert len(top) == 16
+    for entry in top:
+        assert entry["machine"] in members[entry["category"]], entry
 
 
 # ---------------------------------------------------------------------------
