@@ -11,11 +11,15 @@ made only where the CSV writer prints them.
 Container usage is charged from its measured fraction of the request. Records
 are bucketed to the interval holding their timestamp; several records for one
 container in one interval are averaged, and a cell totals its containers in
-the order they first appear in its records.
+the order they first appear in its records. One stable sort of the records'
+(instance, interval) keys groups them, and each record-length array is
+dropped after its last use, so a few of them are alive at once.
 
 Batch usage is charged per overlap between the instance's [start, end] span
-and each closed grid interval, by expanding every (instance, interval) pair
-and accumulating the pairs in instance order. An instance charges the
+and each closed grid interval, by expanding the (instance, interval) pairs of
+BLOCK_INSTANCES instances at a time and accumulating the pairs in instance
+order; each cell's running total carries from block to block, so the blocks
+add in the order one pass over all pairs would. An instance charges the
 overlapped share of its runtime, so one fully inside an interval charges its
 whole average usage there. A zero-runtime instance is inside every interval
 it touches, and it charges its whole average once, to the last of them.
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -128,6 +133,11 @@ def median(values) -> float:
     return float(np.mean(part[half - 1 + odd:half + 1]))
 
 
+# aggregate_batch_usage expands this many instances into their (instance,
+# interval) pairs at a time, which bounds the pair arrays alive at once
+BLOCK_INSTANCES = 1 << 10
+
+
 def _first_interval_touching(ts: np.ndarray, grid: IntervalGrid) -> np.ndarray:
     """Smallest interval index whose closed interval intersects [ts, inf)."""
     return np.where(ts <= grid.start, 0, -(-(ts - grid.start) // grid.step) - 1)
@@ -138,15 +148,15 @@ def _last_interval_touching(ts: np.ndarray, grid: IntervalGrid) -> np.ndarray:
     return np.minimum(grid.interval_count - 1, (ts - grid.start) // grid.step)
 
 
-def _cell_sums(cell: np.ndarray, weights: np.ndarray | None, rows: int,
-               n: int) -> np.ndarray:
-    """(rows, n) totals of ``weights`` by flat cell index, each cell summed
-    from 0.0 in input order and float64 even with no records (where
-    bincount gives int64); counts of ``cell`` when ``weights`` is None."""
-    sums = np.bincount(cell, weights, minlength=rows * n)
+def _sums(index: np.ndarray, weights: np.ndarray | None,
+          *shape: int) -> np.ndarray:
+    """Totals of ``weights`` by flat index into ``shape``, each summed from
+    0.0 in input order and float64 even with no records (where bincount
+    gives int64); counts of ``index`` when ``weights`` is None."""
+    sums = np.bincount(index, weights, minlength=math.prod(shape))
     if weights is not None:
         sums = sums.astype(np.float64, copy=False)
-    return sums.reshape(rows, n)
+    return sums.reshape(shape)
 
 
 def aggregate_container_usage(bundle: TraceBundle, grid: IntervalGrid,
@@ -168,7 +178,7 @@ def aggregate_container_usage(bundle: TraceBundle, grid: IntervalGrid,
 
     # a container counts from the first interval reaching its creation on
     first = _first_interval_touching(events.timestamp, grid)
-    created = _cell_sums(ev_row * (n + 1) + np.minimum(first, n), None, rows, n + 1)
+    created = _sums(ev_row * (n + 1) + np.minimum(first, n), None, rows, n + 1)
     count = created[:, :n].cumsum(axis=1)
 
     # each usage record's event, found in the events sorted by instance
@@ -183,32 +193,45 @@ def aggregate_container_usage(bundle: TraceBundle, grid: IntervalGrid,
     known = at < len(instances)
     known[known] = instances[at[known]] == usage.instance[known]
     ts = usage.timestamp
-    in_grid = (ts >= grid.start) & (ts < grid.end)
+    keep = (ts >= grid.start) & (ts < grid.end)
     diag.unknown_instance_records += int(np.count_nonzero(~known))
-    diag.out_of_grid_usage_records += int(np.count_nonzero(known & ~in_grid))
-    keep = known & in_grid
-    rec_ev = by_instance[at[keep]]
-    cpu_of_req = usage.cpu_of_req[keep]
-    mem_of_req = usage.mem_of_req[keep]
+    diag.out_of_grid_usage_records += int(np.count_nonzero(known & ~keep))
+    keep &= known
 
-    # average each (instance, interval) over its records, summed in order
-    pair, first_rec, pair_of_rec = np.unique(
-        rec_ev * n + (ts[keep] - grid.start) // grid.step,
-        return_index=True, return_inverse=True)
-    hits = np.bincount(pair_of_rec)
-    pair_ev, pair_x = pair // n, pair % n
-    cpu_req = events.cpu_req[pair_ev]
-    mem_req = events.mem_req[pair_ev]
-    pair_row = ev_row[pair_ev]
-    cpu = np.bincount(pair_of_rec, cpu_of_req) / hits * cpu_req / cores[pair_row]
-    mem = np.bincount(pair_of_rec, mem_of_req) / hits * mem_req
+    # the (instance, interval) pair of each kept record, sorted stably, so a
+    # pair's records stay in record order and the first of them leads it;
+    # each record-length array is dropped after its last use
+    pair = by_instance[at[keep]] * n + (ts[keep] - grid.start) // grid.step
+    del at
+    by_pair = np.argsort(pair, kind="stable")
+    pair = pair[by_pair]
+    rec = np.flatnonzero(keep)[by_pair]
+    del by_pair
+    lead = np.ones(len(pair), dtype=bool)
+    np.not_equal(pair[1:], pair[:-1], out=lead[1:])
+    pair = pair[lead]
+    pair_of_rec = np.cumsum(lead) - 1
+    # cells total their pairs in the order the pairs first show up
+    order = np.argsort(rec[lead])
 
-    # total each cell over its instances in the order they first show up
-    order = np.argsort(first_rec)
-    cell = (pair_row * n + pair_x)[order]
+    # average each pair over its records, summed in record order
+    cpu = _sums(pair_of_rec, usage.cpu_of_req[rec], len(pair))
+    mem = _sums(pair_of_rec, usage.mem_of_req[rec], len(pair))
+    hits = _sums(pair_of_rec, None, len(pair))
+    del pair_of_rec, rec
+    pair_ev, cell = np.divmod(pair, n)
+    del pair
+    cpu /= hits
+    mem /= hits
+    del hits
+    cpu *= events.cpu_req[pair_ev]
+    cpu /= cores[ev_row[pair_ev]]
+    mem *= events.mem_req[pair_ev]
+    cell += ev_row[pair_ev] * n
+    cell = cell[order]
     return UsageTable(seen, count,
-                      _cell_sums(cell, cpu[order], rows, n),
-                      _cell_sums(cell, mem[order], rows, n))
+                      _sums(cell, cpu[order], rows, n),
+                      _sums(cell, mem[order], rows, n))
 
 
 def aggregate_batch_usage(bundle: TraceBundle, grid: IntervalGrid,
@@ -233,29 +256,32 @@ def aggregate_batch_usage(bundle: TraceBundle, grid: IntervalGrid,
     diag.unplaced_instances += int(np.count_nonzero(unplaced))
     diag.invalid_span_instances += int(np.count_nonzero(invalid))
     ok = ~(zero_ts | unplaced | invalid)
-    start, end = start[ok], end[ok]
-    row = machine[ok] - 1
-    avg_cpu = insts.avg_cpu[ok]
-    avg_mem = insts.avg_mem[ok]
 
-    # every (instance, interval) pair it touches, instance-major
-    first = _first_interval_touching(start, grid)
-    last = _last_interval_touching(end, grid)
-    span = np.maximum(last - first + 1, 0)
-    inst = np.repeat(np.arange(len(start)), span)
-    x = first[inst] + np.arange(len(inst)) - np.repeat(np.cumsum(span) - span, span)
-    lo = grid.start + x * grid.step
-    overlap = overlap_runtime(start[inst], end[inst], lo, lo + grid.step)
-    runtime = (end - start)[inst]
-    share = np.where(runtime > 0, overlap / np.maximum(runtime, 1),
-                     x == last[inst])
-
-    cell = row[inst] * n + x
-    cpu_cores = _cell_sums(cell, avg_cpu[inst] * share, rows, n)
-    return UsageTable(seen, _cell_sums(cell, None, rows, n),
-                      cpu_cores / cores[:, None],
-                      _cell_sums(cell, avg_mem[inst] * share, rows, n),
-                      cpu_cores)
+    # the (instance, interval) pairs of a block of kept instances,
+    # instance-major; np.add.at carries each cell's total across blocks,
+    # adding in the order one bincount over all pairs would
+    count = np.zeros(rows * n, dtype=np.int64)
+    cpu_cores, mem = np.zeros(rows * n), np.zeros(rows * n)
+    for lo in range(0, len(ok), BLOCK_INSTANCES):
+        take = lo + np.flatnonzero(ok[lo:lo + BLOCK_INSTANCES])
+        first = _first_interval_touching(start[take], grid)
+        last = _last_interval_touching(end[take], grid)
+        span = np.maximum(last - first + 1, 0)
+        at = np.repeat(np.arange(len(take)), span)
+        x = first[at] + np.arange(len(at)) - np.repeat(np.cumsum(span) - span, span)
+        inst = take[at]
+        begin = grid.start + x * grid.step
+        overlap = overlap_runtime(start[inst], end[inst], begin, begin + grid.step)
+        runtime = end[inst] - start[inst]
+        share = np.where(runtime > 0, overlap / np.maximum(runtime, 1),
+                         x == last[at])
+        cell = (machine[inst] - 1) * n + x
+        np.add.at(count, cell, 1)
+        np.add.at(cpu_cores, cell, insts.avg_cpu[inst] * share)
+        np.add.at(mem, cell, insts.avg_mem[inst] * share)
+    cpu_cores = cpu_cores.reshape(rows, n)
+    return UsageTable(seen, count.reshape(rows, n), cpu_cores / cores[:, None],
+                      mem.reshape(rows, n), cpu_cores)
 
 
 def build_machine_series(bundle: TraceBundle, grid: IntervalGrid, dense: np.ndarray,

@@ -297,6 +297,9 @@ def run_analyze(config: dict[str, str]) -> str:
         standard_value, standards = select_standard(
             curves, sample_num=SAMPLE_NUM, seed=values["dtw_seed"],
             standard_machines=values["dtw_standards"] or None)
+        # every pair inside the sample, then every machine x standard pair
+        sampled = len(values["dtw_standards"]) or SAMPLE_NUM
+        dtw_pairs = sampled * (sampled - 1) // 2 + len(curves) * len(standards)
         dtw_report = score_similarity(
             curves, curves[[m - 1 for m in standards]], standards,
             standard_value=standard_value, threshold=values["dtw_threshold"],
@@ -327,6 +330,8 @@ def run_analyze(config: dict[str, str]) -> str:
                        "intervals": grid.interval_count,
                        "curves": len(curves),
                        "standards": len(standards),
+                       "dtw_pairs": dtw_pairs,
+                       "dtw_cells": dtw_pairs * curves.shape[1] ** 2,
                        "clusters": model.k,
                        "flagged": len(dtw_report.flagged),
                        "scored": len(anomaly_report.scores),

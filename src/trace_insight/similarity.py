@@ -15,13 +15,18 @@ standard whose sorted distance profile lies further than SUITABILITY_GAP
 (1.0, in sup norm) from every other standard's is reported as unsuitable.
 
 The sample's pairwise distances and the machine x standard distances come
-from one batched DP: a single anti-diagonal sweep over all pairs, whatever
-the curve length. It holds the curves as per-dimension planes with the pairs
-on the contiguous last axis, and sums each point's squared differences in the
-order einsum would (even dimensions, then odd, then the two sums). Each
-cell's optimal path length is carried forward in place of a traceback, but
-only when the caller reads it: the normalized form does, the standard
-selection and the raw scores do not.
+from one batched DP: an anti-diagonal sweep over many pairs at once, whatever
+the curve length. The sample's pairs take one sweep. The machine x standard
+pairs take one sweep per chunk of machines: the machines split evenly into
+chunks of about PAIR_POINTS points (pairs x curve length), so a sweep's work
+arrays stay a few MB however many machines there are; every pair's DP is its
+own, so the chunks give the bits of one sweep over all pairs. The sweep holds
+the curves as per-dimension planes with the pairs on the contiguous last
+axis, and sums each point's squared differences in the order einsum would
+(even dimensions, then odd, then the two sums). Each cell's optimal path
+length is carried forward in place of a traceback, but only when the caller
+reads it: the normalized form does, the standard selection and the raw scores
+do not.
 """
 
 from __future__ import annotations
@@ -42,6 +47,9 @@ SUITABILITY_GAP = 1.0
 # of those curves as the standards
 SAMPLE_NUM = 8
 STANDARD_COUNT = 4
+# score_similarity sweeps as many machines at once as keep about this many
+# points (pairs x curve length) in a sweep's work arrays
+PAIR_POINTS = 1 << 14
 
 
 @dataclass
@@ -233,11 +241,19 @@ def score_similarity(curves, standard_curves, standard_machines: list[int],
     """
     if len(standard_curves) == 0:
         raise ValueError("need at least one standard curve")
-    distances, steps = _dtw_batch(_as_curves(curves)[:, None],
-                                  _as_curves(standard_curves)[None],
-                                  path_lengths=normalized)
-    if normalized:
-        distances = np.sqrt(distances) / steps
+    points, standards = _as_curves(curves), _as_curves(standard_curves)[None]
+    if not len(points):
+        raise ValueError("no curves to score")
+    # the machines split evenly between as many sweeps as their pairs' points
+    # fill PAIR_POINTS, rounded, so that no sweep is a small remainder
+    machines, per_machine = len(points), standards.shape[1] * points.shape[1]
+    sweeps = min(machines, max(1, round(machines * per_machine / PAIR_POINTS)))
+    bounds = [i * machines // sweeps for i in range(sweeps + 1)]
+    distances = np.empty((machines, standards.shape[1]))
+    for lo, hi in zip(bounds, bounds[1:]):
+        cost, steps = _dtw_batch(points[lo:hi, None], standards,
+                                 path_lengths=normalized)
+        distances[lo:hi] = np.sqrt(cost) / steps if normalized else cost
     mean_distance = distances.mean(axis=1)
 
     # slot 0 is below the first edge and is not a bin

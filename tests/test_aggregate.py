@@ -22,6 +22,7 @@ from trace_insight.aggregate import (
     write_aggregate_csvs,
 )
 from trace_insight.preprocess import METRICS
+from trace_insight.synth import SynthConfig, generate_trace
 from trace_insight.trace_model import (
     ContainerEventType,
     InstanceStatus,
@@ -390,6 +391,23 @@ def dense_for(machine_values):
         values[m - 1, :, 1] = np.asarray(cpu) / 2
         values[m - 1, :, 2] = 0.4
     return values
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_batch_blocks_give_the_bits_of_one_pass(monkeypatch, block):
+    # 16 machines of many short runs: cells collect several instances each,
+    # so a block that summed its own cells first would change their bits
+    grid = IntervalGrid(39600, 39600 + 24 * 300, 300)
+    bundle, _ = generate_trace(SynthConfig(
+        machine_count=16, grid=grid, quotas=(9, 1, 1, 1, 1, 1, 1, 1), seed=7,
+        noise_level=0.03))
+    one_pass = aggregate_batch_usage(bundle, grid)
+    assert np.count_nonzero(one_pass.count > 1) > 100
+    monkeypatch.setattr(aggregate, "BLOCK_INSTANCES", block)
+    blocked = aggregate_batch_usage(bundle, grid)
+    for name in ("seen", "count", "cpu", "mem", "cpu_cores"):
+        assert getattr(blocked, name).tobytes() == getattr(one_pass, name).tobytes()
+        assert getattr(blocked, name).dtype == getattr(one_pass, name).dtype
 
 
 def test_series_rejects_a_dense_table_that_misses_machines():

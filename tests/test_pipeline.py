@@ -697,6 +697,21 @@ def test_analyze_counts_what_aggregation_drops_in_its_manifest(tmp_path):
     assert counts["borrowed_core_machines"] == 0
 
 
+def test_analyze_counts_its_dtw_pairs_and_cells_in_its_manifest(tmp_path):
+    # 16 machines on 12 intervals: the 8 sampled curves give 8 * 7 / 2 pairs
+    # and every machine meets 4 standards; each pair is 12 x 12 DP cells
+    trace, out = noisy_trace(tmp_path / "trace", seed=7), tmp_path / "out"
+    preprocess_and_analyze(trace, out)
+    counts = analyze_counts(out)
+    assert counts["dtw_pairs"] == 8 * 7 // 2 + 16 * 4
+    assert counts["dtw_cells"] == counts["dtw_pairs"] * 12 ** 2
+    # pinned standards are the whole sample
+    run_analyze(stage_config(trace, out, dtw_standards="2,5,9"))
+    counts = analyze_counts(out)
+    assert counts["dtw_pairs"] == 3 * 2 // 2 + 16 * 3
+    assert counts["dtw_cells"] == counts["dtw_pairs"] * 12 ** 2
+
+
 def test_analyze_counts_the_forest_nodes_in_its_manifest(tmp_path, monkeypatch):
     fitted = []
 

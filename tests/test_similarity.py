@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from trace_insight import similarity
 from trace_insight.aggregate import SeriesTable
 from trace_insight.similarity import (
+    PAIR_POINTS,
     RANGE_EDGES,
     _as_curves,
     _dtw_batch,
@@ -347,6 +349,47 @@ def test_batch_scores_equal_single_pair_scores(curves):
             distance, path_length = einsum_dtw(curve, std)
             assert plain.distances[i, j] == distance
             assert normed.distances[i, j] == np.sqrt(distance) / path_length
+
+
+# 7 machines against 3 standards of 5 points: 105 points of pairs in all
+@pytest.mark.parametrize("normalized", [False, True])
+@pytest.mark.parametrize("pair_points, chunks", [
+    (35, [2, 2, 3]),          # chunks of unequal size
+    (70, [3, 4]),             # 1.5 sweeps' worth rounds to 2
+    (1, [1] * 7),             # less than one machine's points: one per sweep
+    (105, [7]),               # all machines fill one sweep exactly
+    (PAIR_POINTS, [7]),       # fewer machines than one sweep holds
+])
+def test_chunked_scoring_gives_the_bits_of_one_whole_sweep(
+        monkeypatch, normalized, pair_points, chunks):
+    rng = np.random.default_rng(3)
+    machines, standards = rng.random((7, 5, 3)), rng.random((3, 5, 3))
+    whole, whole_steps = _dtw_batch(machines[:, None], standards[None])
+    sweeps = []
+
+    def recorded(q, s, path_lengths=True):
+        sweeps.append(_dtw_batch(q, s, path_lengths))
+        return sweeps[-1]
+
+    monkeypatch.setattr(similarity, "PAIR_POINTS", pair_points)
+    monkeypatch.setattr(similarity, "_dtw_batch", recorded)
+    report = score_similarity(machines, standards, [1, 2, 3], standard_value=0.0,
+                              threshold=3.0, normalized=normalized)
+    assert [len(cost) for cost, _ in sweeps] == chunks
+    if normalized:
+        steps = np.concatenate([length for _, length in sweeps])
+        assert steps.tobytes() == whole_steps.tobytes()
+        whole = np.sqrt(whole) / whole_steps
+    else:
+        assert [length for _, length in sweeps] == [None] * len(chunks)
+    assert report.distances.tobytes() == whole.tobytes()
+    assert report.mean_distance.tobytes() == whole.mean(axis=1).tobytes()
+
+
+def test_score_similarity_needs_curves_to_score():
+    with pytest.raises(ValueError, match="no curves to score"):
+        score_similarity(np.empty((0, 5, 3)), np.ones((2, 5, 3)), [1, 2],
+                         standard_value=0.0, threshold=3.0)
 
 
 def test_batch_callers_reject_curves_of_different_lengths():
