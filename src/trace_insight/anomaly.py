@@ -51,6 +51,9 @@ TOP_N = 25
 
 _FEATURE_SIGNALS = ("server_cpu", "server_mem", "server_disk",
                     "batch_count", "container_count")
+# Machines whose (machine, interval, feature) cube one interval mean stacks
+# at once: bounds the cube, and keeps up to 128 machines to one block.
+MEAN_MACHINES = 128
 
 
 class CauseTag(Enum):
@@ -110,12 +113,17 @@ def build_feature_matrix(table: SeriesTable,
     one row per (machine, interval), each machine's rows one contiguous
     block in interval order.
     """
-    # (machines, intervals, features), C-ordered: a mean over the interval
-    # axis adds one interval at a time, in interval order
-    cube = np.stack([getattr(table, name) for name in _FEATURE_SIGNALS], axis=-1)
-    if mode is FeatureMode.PER_MACHINE_MEAN:
-        return cube.mean(axis=1)
-    return cube.reshape(-1, len(_FEATURE_SIGNALS))
+    signals = [getattr(table, name) for name in _FEATURE_SIGNALS]
+    if mode is FeatureMode.PER_INTERVAL:
+        return np.stack(signals, axis=-1).reshape(-1, len(signals))
+    # (machines, intervals, features) cubes of MEAN_MACHINES machines,
+    # C-ordered: a mean over the interval axis adds one interval at a time,
+    # in interval order, in a block of any size
+    means = np.empty((len(signals[0]), len(signals)))
+    for lo in range(0, len(means), MEAN_MACHINES):
+        cube = np.stack([signal[lo:lo + MEAN_MACHINES] for signal in signals], axis=-1)
+        means[lo:lo + MEAN_MACHINES] = cube.mean(axis=1)
+    return means
 
 
 class _SplitDraws:

@@ -57,6 +57,7 @@ from .stage import (
 )
 from .trace_model import (
     FILE_KEYS,
+    PREPROCESS_COLUMNS,
     TRACE_FILENAMES,
     IntervalGrid,
     TraceParseError,
@@ -190,7 +191,7 @@ def run_preprocess(config: dict[str, str]) -> str:
     diagnostics: list = []
     try:
         bundle = parse_trace_dir(input_dir, max_skip_ratio=values["max_skip_ratio"],
-                                 diagnostics=diagnostics)
+                                 diagnostics=diagnostics, keep=PREPROCESS_COLUMNS)
     except TraceParseError as e:
         raise StageError(stage, str(e)) from e
     skipped = Counter(diag.file for diag in diagnostics)
@@ -223,6 +224,7 @@ def run_preprocess(config: dict[str, str]) -> str:
                           in zip(methods.tolist(), method_counts.tolist())},
                        **_skipped_counts(skipped),
                        "rows_parsed_in_python": bundle.python_rows,
+                       "parsed_column_bytes": bundle.nbytes,
                        "trace_columns_bytes": os.path.getsize(columns_path),
                    },
                    trace_columns=COLUMNS_FILENAME)

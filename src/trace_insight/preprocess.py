@@ -8,6 +8,12 @@ with zeros. The repair works on whole (machine, slot) arrays, and every
 synthesized value gets a row in one columnar repair log, so repairs stay
 auditable. Machine m is row m - 1 of the dense table; ids are made only
 where the repair log and the dense CSV print them.
+
+The repair reads only the server-usage columns and the machine count of a
+bundle, so preprocess parses the trace keeping only the columns it reads or
+saves (``trace_model.PREPROCESS_COLUMNS``). Its one (machine, timestamp,
+metric) array is the dense output itself: each metric's rows are summed into
+it, and it is divided in place by each cell's row count.
 """
 
 from __future__ import annotations
@@ -79,14 +85,18 @@ def supplement_server_usage(bundle: TraceBundle, grid: IntervalGrid,
     slot = (usage.timestamp - grid.start) // grid.step
     in_grid = (usage.timestamp >= grid.start) & (slot < t_count)
     keep = in_grid & (usage.machine >= 1) & (usage.machine <= m_count)
-    # rows summed per cell from 0.0 in record order, as float64 even with no
-    # rows (where bincount alone gives int64)
+    # rows summed per cell from 0.0 in record order into one float64 array,
+    # float64 even with no rows (where bincount alone gives int64), then
+    # divided in place by the cell's row count: an unobserved cell is
+    # 0.0 / 1, so machines with no rows stay zero
     cell = ((usage.machine - 1) * t_count + slot)[keep]
     size = m_count * t_count
-    sums = np.stack([np.bincount(cell, getattr(usage, metric)[keep], minlength=size)
-                     for metric in METRICS], axis=-1, dtype=np.float64).reshape(
-                         m_count, t_count, len(METRICS))
+    values = np.empty((size, len(METRICS)))
+    for k, metric in enumerate(METRICS):
+        values[:, k] = np.bincount(cell, getattr(usage, metric)[keep], minlength=size)
+    values = values.reshape(m_count, t_count, len(METRICS))
     hits = np.bincount(cell, minlength=size).reshape(m_count, t_count)
+    values /= np.maximum(hits, 1)[..., None]
 
     # every metric shares one observed mask; each hole's nearest observed
     # slot before it (-1: none) and after it (t_count: none)
@@ -100,8 +110,6 @@ def supplement_server_usage(bundle: TraceBundle, grid: IntervalGrid,
     interior = (left >= 0) & (right < t_count)
     held = (left >= 0) != (right < t_count)
 
-    values = np.zeros_like(sums)   # machines with no rows stay zero
-    values[observed] = sums[observed] / hits[observed][:, None]
     source = np.where(left >= 0, left, right)[held]
     values[rows[held], cols[held]] = values[rows[held], source]
     row, col, lo, hi = rows[interior], cols[interior], left[interior], right[interior]

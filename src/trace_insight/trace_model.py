@@ -37,6 +37,13 @@ cross-column rules, in the spec's check order. It also names the first rule
 broken by a row the C reader's masks reject, in its ``RowDiagnostic``, so
 each row is accepted and explained by the same code.
 
+A parse keeps every column, or only those a ``keep`` set names
+(``PREPROCESS_COLUMNS``, which preprocess passes). The checks run on every
+column either way: the C reader's masks and rules on whole block columns,
+the row rule on every cell. So the rows accepted and the diagnostics do not
+depend on ``keep``; only the kept columns are copied out of each block and
+concatenated, a column at a time, each freeing its blocks as it goes.
+
 A percent cell converts as ``float(text + "e-2")``, which rounds the exact
 decimal value once. Cells where that raises (an exponent, trailing space),
 or longer than Decimal's default 28-digit precision, take the
@@ -435,6 +442,12 @@ class TraceBundle:
     machine_count: int = 0
     python_rows: int = 0
 
+    @property
+    def nbytes(self) -> int:
+        """The bytes of the columns the six tables hold."""
+        return sum(column.nbytes for spec in _SPECS.values()
+                   for column in getattr(self, spec.attr).columns.values())
+
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -468,9 +481,11 @@ def _split(line: str) -> list[str]:
 
 
 def _accept(file_key: str, values: dict[str, np.ndarray], lines: list[str],
-            line_nos, diagnostics: list[RowDiagnostic]) -> dict[str, np.ndarray]:
-    """The rows of the columns ``values`` the C reader read from ``lines``
-    that every mask and rule accepts, as columns. Each rejected row goes to
+            line_nos, diagnostics: list[RowDiagnostic],
+            kept: list[str]) -> dict[str, np.ndarray]:
+    """The rows of the ``kept`` fields of the columns ``values`` the C reader
+    read from ``lines`` that every mask and rule accepts, as columns; every
+    field's mask applies, kept or not. Each rejected row goes to
     ``diagnostics``, with the reason the row rule finds in its cells."""
     spec = _SPECS[file_key]
     ok = np.ones(len(lines), dtype=bool)
@@ -488,13 +503,14 @@ def _accept(file_key: str, values: dict[str, np.ndarray], lines: list[str],
     # a text column is rebuilt as str, as wide as the accepted rows
     return {name: (np.array(column[ok].tolist(), dtype=str)
                    if column.dtype == object else column[ok])
-            for name, column in values.items()}
+            for name, column in values.items() if name in kept}
 
 
 def _read_rows(file_key: str, rows: Iterable[list[str]], line_nos,
-               diagnostics: list[RowDiagnostic]) -> dict[str, np.ndarray]:
-    """The rows of a block that the row rule accepts, as columns; each row
-    it rejects goes to ``diagnostics``."""
+               diagnostics: list[RowDiagnostic],
+               kept: list[str]) -> dict[str, np.ndarray]:
+    """The rows of a block that the row rule accepts, as columns of the
+    ``kept`` fields; each row it rejects goes to ``diagnostics``."""
     spec = _SPECS[file_key]
     accepted = []
     for line_no, cells in zip(line_nos, rows):
@@ -505,7 +521,8 @@ def _read_rows(file_key: str, rows: Iterable[list[str]], line_nos,
             diagnostics.append(RowDiagnostic(file_key, line_no, reason))
     columns = zip(*accepted) if accepted else repeat(())
     return {name: np.array(column, dtype=kind.dtype)
-            for (name, kind), column in zip(spec.fields.items(), columns)}
+            for (name, kind), column in zip(spec.fields.items(), columns)
+            if name in kept}
 
 
 # What only csv.reader reads right: a quote, a CR line end and NUL
@@ -558,19 +575,25 @@ def _record_blocks(fh: TextIO) -> Iterator[tuple[list, bool]]:
         yield rows, False
 
 
-def parse_trace_file(path: str, file_key: str,
+def parse_trace_file(path: str, file_key: str, keep: tuple[str, ...] | None = None,
                      ) -> tuple[Table, list[RowDiagnostic], int]:
-    """Parse one trace CSV, its columns in field order. Returns (table,
-    diagnostics, rows the row rule read).
+    """Parse one trace CSV, its columns in field order: all of them, or
+    those named in ``keep``. Returns (table, diagnostics, rows the row rule
+    read).
 
     Malformed rows are skipped and reported in line order; nothing is raised
     here so callers decide what rejection rate is tolerable. A block of plain
     ASCII lines is read by numpy's C reader, every other block a row at a
     time by the row rule (see the module docstring); both give the same
     columns and diagnostics, and the third value counts the rows of the
-    blocks the C reader did not take.
+    blocks the C reader did not take. Every cell is checked, whichever
+    columns are kept, so ``keep`` changes neither the rows accepted nor the
+    diagnostics; a ``keep`` that names no column of the file keeps its
+    first, so ``len(table)`` still counts its rows.
     """
     spec = _SPECS[file_key]
+    kept = [name for name in spec.fields if keep is None or _column_name(name) in keep]
+    kept = kept or list(spec.fields)[:1]
     blocks: list[dict[str, np.ndarray]] = []
     diagnostics: list[RowDiagnostic] = []
     python_rows = 0
@@ -581,21 +604,26 @@ def parse_trace_file(path: str, file_key: str,
             first_line += len(block)
             columns = _c_read(spec, block) if plain else None
             if columns is not None:
-                blocks.append(_accept(file_key, columns, block, line_nos, diagnostics))
+                blocks.append(_accept(file_key, columns, block, line_nos,
+                                      diagnostics, kept))
                 continue
             python_rows += len(block)
             blocks.append(_read_rows(file_key, map(_split, block) if plain else block,
-                                     line_nos, diagnostics))
+                                     line_nos, diagnostics, kept))
     table = Table(file_key, {
-        _column_name(name): (np.concatenate([b[name] for b in blocks]) if blocks
-                             else np.array([], dtype=kind.dtype))
-        for name, kind in spec.fields.items()})
+        _column_name(name): (np.concatenate([b.pop(name) for b in blocks]) if blocks
+                             else np.array([], dtype=spec.fields[name].dtype))
+        for name in kept})
     return table, diagnostics, python_rows
 
 
 def parse_trace_dir(path: str, *, max_skip_ratio: float = 0.01,
-                    diagnostics: list | None = None) -> TraceBundle:
-    """Parse the six trace files under ``path`` into a TraceBundle.
+                    diagnostics: list | None = None,
+                    keep: dict[str, tuple[str, ...]] | None = None) -> TraceBundle:
+    """Parse the six trace files under ``path`` into a TraceBundle, each
+    table with every column, or with the columns ``keep`` names for its file
+    key (``PREPROCESS_COLUMNS``; see ``parse_trace_file``). The machine
+    count reads every kept ``machine`` column.
 
     Raises TraceParseError when a file is missing, cannot be read as UTF-8
     CSV text (a cell longer than the csv module's field limit included), or
@@ -610,7 +638,8 @@ def parse_trace_dir(path: str, *, max_skip_ratio: float = 0.01,
         if not os.path.exists(file_path):
             raise TraceParseError(f"missing trace file: {file_path}")
         try:
-            table, diags, file_python_rows = parse_trace_file(file_path, key)
+            table, diags, file_python_rows = parse_trace_file(
+                file_path, key, None if keep is None else keep[key])
         except (OSError, UnicodeDecodeError, csv.Error) as e:
             raise TraceParseError(f"cannot read trace file {file_path}: {e}") from e
         if diags and diagnostics is not None:
@@ -648,6 +677,13 @@ SAVED_COLUMNS = {
     "batch_task": (),
     "batch_instance": ("start", "end", "machine", "avg_cpu", "avg_mem"),
 }
+
+# The columns ``pipeline.run_preprocess`` has the parse keep: the saved ones
+# plus every server-usage column, as the repair reads all six metrics, the
+# timestamp and the machine. Every file with a ``machine`` column keeps it,
+# so the machine count is that of the full parse.
+PREPROCESS_COLUMNS = {**SAVED_COLUMNS, "server_usage": tuple(
+    _column_name(name) for name in _SPECS["server_usage"].fields)}
 
 
 def save_columns(bundle: TraceBundle, skipped: dict[str, int],

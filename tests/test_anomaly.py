@@ -121,6 +121,21 @@ def test_feature_means_add_the_intervals_in_order():
         [np.mean(row) for row in table.batch_count]))
 
 
+def test_feature_means_a_block_of_machines_at_a_time_are_the_cubes(monkeypatch):
+    # numpy's reduction order may follow the shape, so the means of each
+    # block, a ragged last block of one machine included, are held to those
+    # of the whole (machines, intervals, features) cube bit for bit
+    rng = np.random.default_rng(11)
+    table = SeriesTable(*(rng.random((9, 143)) * 10.0 ** rng.integers(-3, 4)
+                          for _ in dataclasses.fields(SeriesTable)))
+    cube = np.stack([table.server_cpu, table.server_mem, table.server_disk,
+                     table.batch_count, table.container_count], axis=-1)
+    want = cube.mean(axis=1)
+    for machines in (1, 4, 8, 9, anomaly.MEAN_MACHINES):
+        monkeypatch.setattr(anomaly, "MEAN_MACHINES", machines)
+        assert build_feature_matrix(table).tobytes() == want.tobytes(), machines
+
+
 # ---------------------------------------------------------------------------
 # forest behaviour
 

@@ -1,9 +1,12 @@
-"""Transient memory of analyze's largest layers, read with tracemalloc.
+"""Transient memory of the largest layers of preprocess and analyze, read
+with tracemalloc.
 
 tracemalloc counts numpy's buffers byte for byte, so these bounds are
 deterministic where the peak RSS of a process follows heap layout. Each
-bound is stated in arrays of the size that grows with the trace: DTW pairs,
-container usage records or batch instances.
+bound is stated in arrays of the size that grows with the trace: the cells
+of the columns preprocess keeps from the parse, (machine, timestamp,
+metric) usage cubes in the repair, and in analyze DTW pairs, container
+usage records or batch instances.
 """
 
 import tracemalloc
@@ -11,11 +14,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from trace_insight import aggregate, similarity
 from trace_insight.aggregate import aggregate_batch_usage, aggregate_container_usage
+from trace_insight.preprocess import METRICS, supplement_server_usage
 from trace_insight.similarity import score_similarity
 from trace_insight.synth import SynthConfig, generate_trace
-from trace_insight.trace_model import IntervalGrid
+from trace_insight.trace_model import (
+    PREPROCESS_COLUMNS,
+    IntervalGrid,
+    parse_trace_dir,
+    write_trace_dir,
+)
 
 
 def traced_peak(call, *args, **kwargs):
@@ -79,3 +89,27 @@ def test_batch_aggregation_holds_a_few_instance_arrays(trace):
     table, peak = traced_peak(aggregate_batch_usage, bundle, grid)
     # expanding every instance's pairs at once held about 26
     assert peak - table_bytes(table) < 4 * 8 * instances
+
+
+def test_the_preprocess_parse_holds_about_its_kept_columns(trace, tmp_path):
+    bundle, _ = trace
+    write_trace_dir(bundle, str(tmp_path))
+    kept_cells = sum(len(getattr(bundle, attr)) * len(PREPROCESS_COLUMNS[key])
+                     for attr, key in oracles.BUNDLE_FILES.items())
+    parsed, peak = traced_peak(parse_trace_dir, str(tmp_path), keep=PREPROCESS_COLUMNS)
+    # 8 bytes a kept cell, plus the last file's blocks of one column while
+    # it is concatenated; every column parsed, and each concatenated
+    # alongside its blocks, held 27 bytes a kept cell
+    assert parsed.nbytes < 9 * kept_cells
+    assert peak < 12 * kept_cells
+
+
+def test_the_repair_holds_about_one_usage_cube_besides_its_output(trace):
+    bundle, grid = trace
+    (dense, _), peak = traced_peak(supplement_server_usage, bundle, grid)
+    cube = dense.values.nbytes
+    assert dense.values.shape == (bundle.machine_count, grid.timestamp_count,
+                                  len(METRICS))
+    # stacking the per-metric sums, then dividing them into a zeroed copy,
+    # held about 4 cubes besides the output
+    assert peak - cube < 2 * cube

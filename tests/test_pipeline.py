@@ -37,6 +37,8 @@ from trace_insight.stage import (
 )
 from trace_insight.synth import PlantKind
 from trace_insight.trace_model import (
+    FILE_KEYS,
+    PREPROCESS_COLUMNS,
     SAVED_COLUMNS,
     TRACE_FILENAMES,
     IntervalGrid,
@@ -1116,6 +1118,41 @@ def test_analyze_reads_exactly_the_columns_preprocess_saves(tmp_path, monkeypatc
         read.clear()
         run_analyze(stage_config(trace, out, grid_end=grid_end, **extra))
         assert read == saved, extra
+
+
+def test_preprocess_keeps_only_the_columns_it_reads_or_saves(demo_trace, tmp_path,
+                                                             monkeypatch):
+    # every kept column is read by a call of run_preprocess (the parse's
+    # machine count included) or saved for analyze, so the keep set cannot
+    # carry a column the code dropped (a column read but not kept fails
+    # preprocess outright)
+    read = set()
+    column = Table.__getattr__
+
+    def recorded(table, name):
+        value = column(table, name)
+        read.add((table.file_key, name))
+        return value
+
+    monkeypatch.setattr(Table, "__getattr__", recorded)
+    run_preprocess(stage_config(demo_trace, tmp_path / "out", grid_end=DEMO_GRID_END))
+    kept = {(key, name) for key, names in PREPROCESS_COLUMNS.items() for name in names}
+    saved = {(key, name) for key, names in SAVED_COLUMNS.items() for name in names}
+    assert kept == {(key, name) for key, name in read if key in FILE_KEYS} | saved
+
+
+def test_preprocess_counts_the_bytes_of_the_columns_it_parsed(demo_trace, tmp_path):
+    out = tmp_path / "out"
+    run_preprocess(stage_config(demo_trace, out, grid_end=DEMO_GRID_END))
+    counts = json.loads((out / "manifest-preprocess.json").read_text())["row_counts"]
+    full = parse_trace_dir(str(demo_trace))
+    # the kept columns, a file that keeps none holding its first
+    kept_bytes = sum(
+        getattr(full, attr).columns[name].nbytes
+        for attr, key in oracles.BUNDLE_FILES.items()
+        for name in PREPROCESS_COLUMNS[key] or list(getattr(full, attr).columns)[:1])
+    assert counts["parsed_column_bytes"] == kept_bytes
+    assert kept_bytes < full.nbytes / 2
 
 
 def test_analyze_reads_only_the_output_directory(tmp_path, monkeypatch):

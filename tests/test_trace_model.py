@@ -1,5 +1,7 @@
+import json
 import os
 import tempfile
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +10,11 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from trace_insight import trace_model
 from trace_insight.cells import fraction_to_percent_text
+from trace_insight.pipeline import run_preprocess
+from trace_insight.synth import SynthConfig, generate_trace
 from trace_insight.trace_model import (
+    FILE_KEYS,
+    PREPROCESS_COLUMNS,
     ContainerEventType,
     InstanceStatus,
     IntervalGrid,
@@ -611,3 +617,86 @@ def test_column_dtypes_and_names(tmp_path):
     assert bundle.container_events.cpu_set.tolist() == ["1|2|3"]
     with pytest.raises(AttributeError, match="cpu_pct"):
         bundle.server_usage.cpu_pct
+
+
+# ---------------------------------------------------------------------------
+# the columns preprocess keeps
+
+# (file key, line, field, cell): one fault per row, each in a column that
+# ``PREPROCESS_COLUMNS`` drops, including one cell no kind parses (cpu_set),
+# an unknown enum member and a cross-column rule over a dropped and a kept
+# field (max_cpu below avg_cpu)
+DROPPED_FAULTS = [
+    ("server_event", 3, "norm_memory", "1.5"),
+    ("container_event", 2, "disk_req", "-1"),
+    ("container_event", 4, "cpu_set", "x"),
+    ("container_usage", 5, "disk_pct", "150"),
+    ("container_usage", 7, "avg_cpi", "-2"),
+    ("batch_task", 3, "status", "Lost"),
+    ("batch_instance", 4, "max_mem", "2"),
+    ("batch_instance", 6, "max_cpu", "0.0001"),
+    ("batch_instance", 8, "status", "Lost"),
+]
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["c_reader", "row_rule"])
+def test_a_bad_cell_in_a_dropped_column_still_rejects_its_row(tmp_path, line_end):
+    grid = IntervalGrid(39600, 39600 + 12 * 300, 300)
+    bundle, _ = generate_trace(SynthConfig(
+        machine_count=16, grid=grid, quotas=(9, 1, 1, 1, 1, 1, 1, 1), seed=7,
+        noise_level=0.03))
+    trace = tmp_path / "trace"
+    write_trace_dir(bundle, str(trace))
+    for key in FILE_KEYS:
+        path = trace / trace_model.TRACE_FILENAMES[key]
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        for file_key, line, field, cell in DROPPED_FAULTS:
+            if file_key == key:
+                rows[line - 1][list(trace_model._SPECS[key].fields).index(field)] = cell
+        # a CR line end sends every block to the row rule
+        path.write_bytes("".join(",".join(row) + line_end for row in rows).encode())
+
+    parsed = {}
+    for keep in (None, PREPROCESS_COLUMNS):
+        diagnostics = []
+        parsed[keep is None] = (parse_trace_dir(str(trace), max_skip_ratio=1.0,
+                                                diagnostics=diagnostics,
+                                                keep=keep), diagnostics)
+    (full, full_diags), (kept, kept_diags) = parsed[True], parsed[False]
+    assert [(d.file, d.line) for d in full_diags] == \
+        [(key, line) for key, line, _, _ in DROPPED_FAULTS]
+    assert kept_diags == full_diags
+    assert kept.machine_count == full.machine_count == 16
+    # both readers are exercised: the C reader takes every block but the
+    # container events' (a cell no kind parses) unless a CR sends every
+    # block to the row rule
+    rows = {key: len(getattr(full, attr)) + sum(d.file == key for d in full_diags)
+            for attr, key in oracles.BUNDLE_FILES.items()}
+    assert kept.python_rows == full.python_rows == (
+        sum(rows.values()) if line_end == "\r\n" else rows["container_event"])
+    for attr, key in oracles.BUNDLE_FILES.items():
+        got, want = getattr(kept, attr), getattr(full, attr)
+        assert len(got) == len(want), key
+        # a file preprocess reads nothing of keeps its first column, so
+        # len() still counts its rows
+        assert list(got.columns) == list(PREPROCESS_COLUMNS[key]
+                                         or list(want.columns)[:1]), key
+        for name, column in got.columns.items():
+            assert column.dtype == want.columns[name].dtype, (key, name)
+            assert column.tobytes() == want.columns[name].tobytes(), (key, name)
+
+    # the skip limit is met as by the full parse ...
+    errors = []
+    for keep in (None, PREPROCESS_COLUMNS):
+        with pytest.raises(TraceParseError) as caught:
+            parse_trace_dir(str(trace), keep=keep)
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]
+    # ... and preprocess counts the same rows skipped per file
+    out = tmp_path / "out"
+    run_preprocess({"input_dir": str(trace), "output_dir": str(out),
+                    "grid_end": str(grid.end), "max_skip_ratio": "1.0"})
+    counts = json.loads((out / "manifest-preprocess.json").read_text())["row_counts"]
+    lost = Counter(d.file for d in full_diags)
+    assert {key: counts[f"rows_skipped_{key}"] for key in FILE_KEYS} == \
+        {key: lost[key] for key in FILE_KEYS}
