@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cells import csv_lines, float_cells, int_cells
+from .cells import csv_lines, float_cells, int_cells, line_blocks
 from .trace_model import IntervalGrid, TraceBundle, csv_file
 
 
@@ -315,10 +315,6 @@ CONTAINER_AGG_HEADER = SERIES_HEADER[:3] + ("container_count", "total_cpu", "tot
 BATCH_AGG_HEADER = SERIES_HEADER[:3] + ("batch_count", "total_cpu_cores", "total_cpu",
                                         "total_mem")
 
-# Lines formatted at once: bounds the cell grids and their uint64 working
-# arrays alive while writing to about 1 MB.
-BLOCK_LINES = 512
-
 # the series columns written as integers
 _INT_COLUMNS = ("machine", "interval_index", "interval_start",
                 "container_count", "batch_count")
@@ -345,9 +341,9 @@ def write_aggregate_csvs(table: SeriesTable, container_seen: np.ndarray,
     with contextlib.ExitStack() as stack:
         files = [(stack.enter_context(csv_file(os.path.join(out_dir, name), header)),
                   columns, seen) for name, header, columns, seen in outputs]
-        for lo in range(0, lines, BLOCK_LINES):
-            row, x = np.divmod(np.arange(lo, min(lo + BLOCK_LINES, lines)), n)
-            b = {name: signal[lo:lo + BLOCK_LINES] for name, signal in flat.items()}
+        for block in line_blocks(lines):
+            row, x = np.divmod(np.arange(block.start, block.stop), n)
+            b = {name: signal[block] for name, signal in flat.items()}
             b.update(machine=row + 1, interval_index=x,
                      interval_start=grid.start + grid.step * x,
                      container_count=b["container_count"].astype(np.int64),

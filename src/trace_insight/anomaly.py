@@ -455,11 +455,9 @@ def write_scores_csv(report: AnomalyReport, categories: np.ndarray,
 
 
 def write_anomaly_json(report: AnomalyReport, categories: np.ndarray,
-                       causes: list[list[str]], top_n: int, path: str) -> None:
-    """The first ``top_n`` machines of the ranking, with their scores, and
-    their rows of ``categories`` and ``causes``."""
-    if top_n < 0:
-        raise ValueError(f"top_n must be >= 0, got {top_n}")
+                       causes: list[list[str]], path: str) -> None:
+    """The first TOP_N machines of the ranking, with their scores, and their
+    rows of ``categories`` and ``causes``."""
     write_json(path, {
         "negative_count": report.negative_count,
         "machine_count": len(report.scores),
@@ -467,7 +465,7 @@ def write_anomaly_json(report: AnomalyReport, categories: np.ndarray,
                  "score": report.scores[machine - 1],
                  "category": categories[machine - 1],
                  "causes": causes[machine - 1]}
-                for rank, machine in enumerate(report.ranking[:top_n], 1)],
+                for rank, machine in enumerate(report.ranking[:TOP_N], 1)],
     })
 
 

@@ -260,3 +260,14 @@ def csv_lines(*columns: np.ndarray) -> bytes:
     parts[-1] = np.full((rows, 1), ord("\n"), np.uint8)
     lines = np.concatenate(parts, axis=1).ravel()
     return np.compress(lines != 0, lines).tobytes()
+
+
+# Lines the blocked writers format at once: bounds the cell grids and their
+# uint64 working arrays alive while writing to about 1 MB.
+BLOCK_LINES = 512
+
+
+def line_blocks(lines: int) -> list[slice]:
+    """``lines`` lines as slices of BLOCK_LINES, the last one short."""
+    return [slice(lo, min(lo + BLOCK_LINES, lines))
+            for lo in range(0, lines, BLOCK_LINES)]

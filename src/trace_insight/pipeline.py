@@ -190,8 +190,8 @@ def run_preprocess(config: dict[str, str]) -> str:
     out_dir, input_dir = values["output_dir"], values["input_dir"]
     diagnostics: list = []
     try:
-        bundle = parse_trace_dir(input_dir, max_skip_ratio=values["max_skip_ratio"],
-                                 diagnostics=diagnostics, keep=PREPROCESS_COLUMNS)
+        bundle = parse_trace_dir(input_dir, diagnostics=diagnostics,
+                                 keep=PREPROCESS_COLUMNS)
     except TraceParseError as e:
         raise StageError(stage, str(e)) from e
     skipped = Counter(diag.file for diag in diagnostics)
@@ -304,8 +304,7 @@ def run_analyze(config: dict[str, str]) -> str:
         dtw_pairs = sampled * (sampled - 1) // 2 + len(curves) * len(standards)
         dtw_report = score_similarity(
             curves, curves[[m - 1 for m in standards]], standards,
-            standard_value=standard_value, threshold=values["dtw_threshold"],
-            normalized=values["dtw_normalized"])
+            standard_value=standard_value, normalized=values["dtw_normalized"])
         write_distances_csv(dtw_report, os.path.join(out_dir, "dtw_distances.csv"))
         write_flags_csv(dtw_report, os.path.join(out_dir, "dtw_flags.csv"))
         write_histogram_json(dtw_report, os.path.join(out_dir, "dtw_histogram.json"))
@@ -317,7 +316,7 @@ def run_analyze(config: dict[str, str]) -> str:
         causes = diagnose(categories, bundle.events, table, population_stats(table), grid)
         write_scores_csv(anomaly_report, categories, causes,
                          os.path.join(out_dir, "anomaly_scores.csv"))
-        write_anomaly_json(anomaly_report, categories, causes, TOP_N,
+        write_anomaly_json(anomaly_report, categories, causes,
                            os.path.join(out_dir, "anomaly_report.json"))
         write_score_distribution_csv(
             anomaly_report, os.path.join(out_dir, "plot_score_distribution.csv"))

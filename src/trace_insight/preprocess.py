@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .cells import csv_lines, float_cells, int_cells, text_cells
+from .cells import csv_lines, float_cells, int_cells, line_blocks, text_cells
 from .trace_model import IntervalGrid, Table, TraceBundle, csv_file
 
 METRICS = ("cpu", "mem", "disk", "load1", "load5", "load15")
@@ -171,24 +171,20 @@ def filter_container_events(events: Table) -> tuple[Table, Table]:
 # artifact I/O
 
 DENSE_HEADER = ("machine", "timestamp", "cpu", "mem", "disk", "load1", "load5", "load15")
-# Dense rows formatted at once: bounds the cell grids and their uint64
-# working arrays alive while writing to about 1 MB.
-BLOCK_ROWS = 512
 REPAIR_LOG_HEADER = ("machine", "metric", "timestamp", "method", "value")
 REMOVED_EVENTS_HEADER = ("instance", "machine", "mem_req")
 
 
 def write_dense_csv(dense: DenseUsage, path: str) -> None:
     """One line per (machine, timestamp): fractions as percent text, loads as
-    their ``repr``, a block of ``BLOCK_ROWS`` rows at a time."""
+    their ``repr``, a block of ``cells.BLOCK_LINES`` rows at a time."""
     m_count, t_count = dense.values.shape[:2]
     machines = np.repeat(np.arange(1, m_count + 1), t_count)
     timestamps = np.tile(dense.timestamps, m_count)
     values = dense.values.reshape(-1, len(METRICS))
     fractions = len(_FRACTION_METRICS)
     with csv_file(path, DENSE_HEADER) as fh:
-        for lo in range(0, len(values), BLOCK_ROWS):
-            block = slice(lo, lo + BLOCK_ROWS)
+        for block in line_blocks(len(values)):
             fh.write(csv_lines(
                 int_cells(machines[block]), int_cells(timestamps[block]),
                 *float_cells(values[block, :fractions], percent=True).swapaxes(0, 1),

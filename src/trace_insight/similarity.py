@@ -9,9 +9,9 @@ squared Euclidean point cost, reported raw (no path-length normalization);
 the normalized form sqrt(cost)/K is available behind a flag. A set of
 standard curves is drawn from a seeded sample, the median pairwise distance
 within the sample is the baseline value, and machines whose mean distance to
-the standards exceeds a threshold get flagged. Mean distances are counted in
-the bins of RANGE_EDGES, [0, 1), [1, 2), [2, 3), [3, 5) and [5, inf), and a
-standard whose sorted distance profile lies further than SUITABILITY_GAP
+the standards exceeds THRESHOLD (3.0) get flagged. Mean distances are counted
+in the bins of RANGE_EDGES, [0, 1), [1, 2), [2, 3), [3, 5) and [5, inf), and
+a standard whose sorted distance profile lies further than SUITABILITY_GAP
 (1.0, in sup norm) from every other standard's is reported as unsuitable.
 
 The sample's pairwise distances and the machine x standard distances come
@@ -43,6 +43,8 @@ from .trace_model import csv_file
 
 RANGE_EDGES = (0.0, 1.0, 2.0, 3.0, 5.0)
 SUITABILITY_GAP = 1.0
+# a machine whose mean distance to the standards exceeds this is flagged
+THRESHOLD = 3.0
 # analyze draws the standard value from the pairs of 8 sampled curves, and 4
 # of those curves as the standards
 SAMPLE_NUM = 8
@@ -59,7 +61,6 @@ class DtwReport:
     distances: np.ndarray        # (machines, standards)
     mean_distance: np.ndarray    # (machines,)
     histogram: list[int]         # one bin per RANGE_EDGES, last is unbounded
-    threshold: float
     flagged: list[int]
     normalized: bool = False
     unsuitable_standards: list[int] = field(default_factory=list)
@@ -69,23 +70,6 @@ def build_resource_curves(table: SeriesTable) -> np.ndarray:
     """(M, N, 3) cpu/mem/disk curves, in the table's machine order."""
     return np.stack((table.server_cpu, table.server_mem, table.server_disk),
                     axis=-1)
-
-
-def _as_curves(curves) -> np.ndarray:
-    """(curves, n, d) float array of equal-length curves; curves of scalars
-    get a trailing axis of one."""
-    try:
-        points = np.asarray(curves, float)
-    except ValueError:
-        lengths = sorted({len(c) for c in curves})
-        if len(lengths) > 1:
-            raise ValueError(f"curves differ in length: {lengths}") from None
-        raise
-    if points.ndim == 2:
-        points = points[..., None]
-    if points.ndim != 3:
-        raise ValueError("curves must be sequences of points")
-    return points
 
 
 def _dtw_batch(q: np.ndarray, s: np.ndarray, path_lengths: bool = True,
@@ -178,17 +162,17 @@ def _dtw_batch(q: np.ndarray, s: np.ndarray, path_lengths: bool = True,
             steps[last, n].copy() if path_lengths else None)
 
 
-def select_standard(curves, sample_num: int, seed: int,
-                    standard_count: int = STANDARD_COUNT,
+def select_standard(curves: np.ndarray, sample_num: int, seed: int,
                     standard_machines: list[int] | None = None,
                     ) -> tuple[float, list[int]]:
     """Baseline distance and the machines whose curves are the standards.
 
-    ``curves`` holds one curve per machine, machine m at row m - 1. Samples
+    ``curves`` is the (machines, points, dims) array of
+    ``build_resource_curves``, machine m at row m - 1. Samples
     ``sample_num`` machines without replacement (seeded), computes all
     pairwise DTW distances inside the sample, and takes their median as the
-    baseline. ``standard_count`` of the sampled machines are then drawn as
-    the standards. Passing ``standard_machines`` pins the sample to those
+    baseline. STANDARD_COUNT of the sampled machines are then drawn as the
+    standards. Passing ``standard_machines`` pins the sample to those
     machine ids instead (all of them become standards; none may repeat).
     """
     count = len(curves)
@@ -204,54 +188,49 @@ def select_standard(curves, sample_num: int, seed: int,
         sample = np.asarray(standard_machines, dtype=np.int64) - 1
         chosen = sample
     else:
-        if sample_num < 2:
-            raise ValueError(f"sample_num must be >= 2, got {sample_num}")
+        if sample_num < STANDARD_COUNT:   # the standards come from the sample
+            raise ValueError(f"sample_num must be >= {STANDARD_COUNT}, got {sample_num}")
         if sample_num > count:
             raise ValueError(
                 f"sample_num {sample_num} exceeds curve count {count}")
-        if not 1 <= standard_count <= sample_num:
-            raise ValueError(f"standard_count must be in [1, sample_num], "
-                             f"got {standard_count}")
         rng = np.random.default_rng(seed)
         sample = np.sort(rng.choice(count, size=sample_num, replace=False))
-        chosen = sample[np.sort(rng.choice(sample_num, size=standard_count,
+        chosen = sample[np.sort(rng.choice(sample_num, size=STANDARD_COUNT,
                                            replace=False))]
     if len(sample) < 2:
         raise ValueError("need at least 2 sampled curves for a pairwise median")
-    points = _as_curves(curves)[sample]
     a, b = np.triu_indices(len(sample), 1)
-    pair_values, _ = _dtw_batch(points[a], points[b], path_lengths=False)
+    pair_values, _ = _dtw_batch(curves[sample[a]], curves[sample[b]], path_lengths=False)
     return median(pair_values), (chosen + 1).tolist()
 
 
-def score_similarity(curves, standard_curves, standard_machines: list[int],
-                     standard_value: float, threshold: float,
+def score_similarity(curves: np.ndarray, standard_curves: np.ndarray,
+                     standard_machines: list[int], standard_value: float,
                      normalized: bool = False) -> DtwReport:
     """Distance of every machine to every standard curve.
 
-    ``curves`` holds one curve per machine, machine m at row m - 1, and
-    ``standard_curves`` the curves of ``standard_machines``.
+    ``curves`` is the (machines, points, dims) array of
+    ``build_resource_curves``, machine m at row m - 1, and
+    ``standard_curves`` the rows of ``standard_machines``.
 
-    Flags machines whose mean distance exceeds the threshold, and buckets
-    mean distances into the bins of RANGE_EDGES. With ``normalized`` the
-    sqrt/path-length form is used everywhere (pick the threshold
-    accordingly). A standard whose sorted distance profile sits further than
-    SUITABILITY_GAP (in sup norm) from every other standard's profile is
-    listed as unsuitable.
+    Flags machines whose mean distance exceeds THRESHOLD, and buckets mean
+    distances into the bins of RANGE_EDGES. With ``normalized`` the
+    sqrt/path-length form is used everywhere. A standard whose sorted
+    distance profile sits further than SUITABILITY_GAP (in sup norm) from
+    every other standard's profile is listed as unsuitable.
     """
     if len(standard_curves) == 0:
         raise ValueError("need at least one standard curve")
-    points, standards = _as_curves(curves), _as_curves(standard_curves)[None]
-    if not len(points):
+    if not len(curves):
         raise ValueError("no curves to score")
     # the machines split evenly between as many sweeps as their pairs' points
     # fill PAIR_POINTS, rounded, so that no sweep is a small remainder
-    machines, per_machine = len(points), standards.shape[1] * points.shape[1]
+    machines, per_machine = len(curves), len(standard_curves) * curves.shape[1]
     sweeps = min(machines, max(1, round(machines * per_machine / PAIR_POINTS)))
     bounds = [i * machines // sweeps for i in range(sweeps + 1)]
-    distances = np.empty((machines, standards.shape[1]))
+    distances = np.empty((machines, len(standard_curves)))
     for lo, hi in zip(bounds, bounds[1:]):
-        cost, steps = _dtw_batch(points[lo:hi, None], standards,
+        cost, steps = _dtw_batch(curves[lo:hi, None], standard_curves[None],
                                  path_lengths=normalized)
         distances[lo:hi] = np.sqrt(cost) / steps if normalized else cost
     mean_distance = distances.mean(axis=1)
@@ -259,7 +238,7 @@ def score_similarity(curves, standard_curves, standard_machines: list[int],
     # slot 0 is below the first edge and is not a bin
     slots = np.searchsorted(RANGE_EDGES, mean_distance, side="right")
     histogram = np.bincount(slots, minlength=len(RANGE_EDGES) + 1)[1:].tolist()
-    flagged = (np.flatnonzero(mean_distance > threshold) + 1).tolist()
+    flagged = (np.flatnonzero(mean_distance > THRESHOLD) + 1).tolist()
 
     unsuitable: list[int] = []
     if len(standard_curves) >= 2:
@@ -278,7 +257,6 @@ def score_similarity(curves, standard_curves, standard_machines: list[int],
         distances=distances,
         mean_distance=mean_distance,
         histogram=histogram,
-        threshold=threshold,
         flagged=flagged,
         normalized=normalized,
         unsuitable_standards=unsuitable,
@@ -314,7 +292,7 @@ def write_histogram_json(report: DtwReport, path: str) -> None:
     write_json(path, {
         "standard_value": report.standard_value,
         "standard_machines": report.standard_machines,
-        "threshold": report.threshold,
+        "threshold": THRESHOLD,
         "normalized": report.normalized,
         "bins": bins,
         "flagged": list(report.flagged),

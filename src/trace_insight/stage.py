@@ -144,7 +144,6 @@ def _at_least(low: int) -> tuple:
     return (lambda value: value >= low), f">= {low}"
 
 
-_FRACTION = ((lambda value: 0 <= value <= 1), "in [0, 1]")
 # one pinned standard has no pair to take a median over
 _STANDARDS = ((lambda ids: not ids or (2 <= len(set(ids)) == len(ids)
                                        and min(ids) >= 1)),
@@ -175,13 +174,9 @@ CONFIG_KEYS = {
     "grid_start": ConfigKey("int", "39600", _GRID, "first interval boundary (s)"),
     "grid_end": ConfigKey("int", "82500", _GRID, "last interval boundary (s)"),
     "grid_step": ConfigKey("int", "300", _GRID, "interval length (s)"),
-    "max_skip_ratio": ConfigKey("float", "0.01", _PREPROCESS, "tolerated share of "
-                                "malformed rows per file", _FRACTION),
     "dtw_standards": ConfigKey("int list", "", _ANALYZE, "pinned standard "
                                "machine ids, e.g. 16,19,28,36", _STANDARDS,
                                flag="--standards"),
-    "dtw_threshold": ConfigKey("float", "3.0", _ANALYZE, "mean-distance "
-                               "flagging threshold", flag="--threshold"),
     "dtw_normalized": ConfigKey("bool", "false", _ANALYZE,
                                 "use sqrt(cost)/path-length distances"),
     "dtw_seed": ConfigKey("int", None, _ANALYZE, "sampling seed (analyze --seed)",
@@ -316,14 +311,17 @@ def write_manifest(out_dir: str, stage: str, config: dict[str, str],
     write_json(os.path.join(out_dir, f"manifest-{stage}.json"), manifest)
 
 
-def _misshapen(manifest) -> str | None:
-    """How ``manifest`` differs from the shape ``write_manifest`` gives it,
-    e.g. "has no 'config' object"; None when it does not."""
+def _misshapen(manifest, counts=()) -> str | None:
+    """How ``manifest`` lacks the shape ``write_manifest`` gives it or a row
+    count named in ``counts``, e.g. "has no 'config' object"; None if not."""
     if not isinstance(manifest, dict):
         return "is not a JSON object"
     for key in ("config", "inputs", "outputs", "row_counts"):
         if not isinstance(manifest.get(key), dict):
             return f"has no {key!r} object"
+    for key in counts:
+        if not isinstance(manifest["row_counts"].get(key), int):
+            return f"has no row count {key!r}"
     return None
 
 
@@ -355,12 +353,12 @@ def _read_json(out_dir: str, name: str, stage: str, writer: str = "analyze"):
                                     f"({e}); rerun {writer}") from e
 
 
-def _read_manifest(out_dir: str, writer: str, stage: str) -> dict:
+def _read_manifest(out_dir: str, writer: str, stage: str, counts=()) -> dict:
     """manifest-<writer>.json in ``out_dir``, refused unless it has the
-    shape ``write_manifest`` gives it."""
+    shape ``write_manifest`` gives it and the row counts ``counts``."""
     name = f"manifest-{writer}.json"
     manifest = _read_json(out_dir, name, stage, writer)
-    problem = _misshapen(manifest)
+    problem = _misshapen(manifest, counts)
     if problem is not None:
         raise StageError(stage, f"{name} in {out_dir} {problem}; rerun {writer}")
     return manifest
@@ -395,7 +393,8 @@ def _preprocess_summary(out_dir: str, analyze_manifest: dict, stage: str) -> dic
     wrote the parsed columns the analyze run read: what it records under
     ``trace_columns`` is analyze's ``inputs``."""
     name = "manifest-preprocess.json"
-    manifest = _read_manifest(out_dir, "preprocess", stage)
+    manifest = _read_manifest(out_dir, "preprocess", stage, counts=(
+        "machines", "repair_annotations", "container_events_removed"))
     if manifest.get("trace_columns") != analyze_manifest["inputs"]:
         raise StageError(stage, f"{name} in {out_dir} vouches for other parsed "
                                 "columns than manifest-analyze.json read; "
@@ -403,19 +402,20 @@ def _preprocess_summary(out_dir: str, analyze_manifest: dict, stage: str) -> dic
     _check_digests(out_dir, manifest["outputs"], manifest, name, stage)
     rows = manifest["row_counts"]
     return {
-        "machines": rows.get("machines", 0),
-        "repair_annotations": rows.get("repair_annotations", 0),
+        "machines": rows["machines"],
+        "repair_annotations": rows["repair_annotations"],
         "repairs": {
             key.removeprefix("repairs_"): value
             for key, value in rows.items() if key.startswith("repairs_")
         },
-        "container_events_removed": rows.get("container_events_removed", 0),
+        "container_events_removed": rows["container_events_removed"],
     }
 
 
 def build_report(out_dir: str) -> dict:
     stage = "report"
-    analyze_manifest = _read_manifest(out_dir, "analyze", stage)
+    analyze_manifest = _read_manifest(out_dir, "analyze", stage,
+                                      counts=("intervals",))
     _check_digests(out_dir, ("dtw_histogram.json", "category_counts.json",
                              "anomaly_report.json", *PLOT_DATA.values()),
                    analyze_manifest, "manifest-analyze.json", stage)

@@ -358,13 +358,12 @@ def _bundle(drawn: dict[str, list], events: list[tuple], grid: IntervalGrid,
 
 
 def plant_gap(bundle: TraceBundle, machine: int, metric: str,
-              timestamps: list[int],
-              ground_truth: GroundTruth | None = None) -> TraceBundle:
+              timestamps: list[int], ground_truth: GroundTruth) -> TraceBundle:
     """Remove the machine's server-usage samples at the given timestamps.
 
     The trace format stores one row per (machine, timestamp), so a gap always
     removes the whole sample; ``metric`` names the series whose true values
-    get recorded in the ground truth for later restoration checks.
+    get recorded in ``ground_truth`` for later restoration checks.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
@@ -380,7 +379,7 @@ def plant_gap(bundle: TraceBundle, machine: int, metric: str,
     missing = sorted(wanted - set(removed))
     if missing:
         raise ValueError(f"machine {machine} has no samples at {missing}")
-    if ground_truth is not None and removed:
+    if removed:
         ts_sorted = sorted(removed)
         ground_truth.gaps.append(GapRecord(
             machine=machine, metric=metric, timestamps=ts_sorted,

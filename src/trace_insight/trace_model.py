@@ -101,6 +101,8 @@ FILE_KEYS = tuple(TRACE_FILENAMES)
 
 # Rows converted per block: bounds the parser's transient memory.
 BLOCK_ROWS = 1024
+# The share of a file's rows the parse may reject before it refuses the file.
+MAX_SKIP_RATIO = 0.01
 
 
 class TraceParseError(Exception):
@@ -617,8 +619,7 @@ def parse_trace_file(path: str, file_key: str, keep: tuple[str, ...] | None = No
     return table, diagnostics, python_rows
 
 
-def parse_trace_dir(path: str, *, max_skip_ratio: float = 0.01,
-                    diagnostics: list | None = None,
+def parse_trace_dir(path: str, *, diagnostics: list | None = None,
                     keep: dict[str, tuple[str, ...]] | None = None) -> TraceBundle:
     """Parse the six trace files under ``path`` into a TraceBundle, each
     table with every column, or with the columns ``keep`` names for its file
@@ -627,7 +628,7 @@ def parse_trace_dir(path: str, *, max_skip_ratio: float = 0.01,
 
     Raises TraceParseError when a file is missing, cannot be read as UTF-8
     CSV text (a cell longer than the csv module's field limit included), or
-    has a rejected row fraction above ``max_skip_ratio``. Row-level
+    has a rejected row fraction above MAX_SKIP_RATIO. Row-level
     diagnostics are logged and, when a ``diagnostics`` list is supplied,
     appended to it.
     """
@@ -648,9 +649,9 @@ def parse_trace_dir(path: str, *, max_skip_ratio: float = 0.01,
         if diags:
             log.warning("%s: skipped %d of %d rows (first: line %d, %s)",
                         name, len(diags), total, diags[0].line, diags[0].reason)
-        if total and len(diags) / total > max_skip_ratio:
+        if total and len(diags) / total > MAX_SKIP_RATIO:
             raise TraceParseError(f"{name}: rejected {len(diags)}/{total} rows, "
-                                  f"above the {max_skip_ratio:.2%} limit")
+                                  f"above the {MAX_SKIP_RATIO:.2%} limit")
         tables[spec.attr] = table
         python_rows += file_python_rows
     machine_count = max((int(t.machine.max()) for t in tables.values()

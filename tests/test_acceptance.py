@@ -425,11 +425,9 @@ def reference_similarity(reference):
     every machine's DTW scores against them."""
     curves = build_resource_curves(reference.table)
     standard_value, standards = select_standard(
-        curves, sample_num=8, seed=0, standard_count=4,
-        standard_machines=REFERENCE_STANDARDS)
+        curves, sample_num=8, seed=0, standard_machines=REFERENCE_STANDARDS)
     report = score_similarity(curves, curves[[m - 1 for m in standards]],
-                              standards, standard_value=standard_value,
-                              threshold=3.0)
+                              standards, standard_value=standard_value)
     return standard_value, report
 
 

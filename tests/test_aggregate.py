@@ -574,7 +574,7 @@ def test_aggregate_csvs_match_the_row_at_a_time_oracle(tmp_path, monkeypatch,
     # 4 intervals a machine: blocks of 3 lines split machines apart, blocks
     # of 8 fall between machines 2 and 3 and leave machine 5 on its own, and
     # one block of 256 holds all 20 lines
-    monkeypatch.setattr(aggregate, "BLOCK_LINES", block_lines)
+    monkeypatch.setattr("trace_insight.cells.BLOCK_LINES", block_lines)
     rng = np.random.default_rng(11)
     shape = (5, GRID.interval_count)
     special = np.array([-0.0, 1e-05, 1e16, 5e-324, np.nan, np.inf, 0.25])

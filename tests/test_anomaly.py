@@ -463,7 +463,7 @@ def test_score_machines_rejects_rows_that_do_not_split_evenly():
             score_machines(model, matrix, machine_count)
 
 
-def test_anomaly_json_lists_the_head_of_the_ranking(tmp_path):
+def test_anomaly_json_lists_the_head_of_the_ranking(tmp_path, monkeypatch):
     matrix = blob_with_outlier(n=10)
     report = score_machines(iforest_fit(matrix, seed=0), matrix, 10)
     # the categories and causes are the caller's, not the report's
@@ -472,12 +472,11 @@ def test_anomaly_json_lists_the_head_of_the_ranking(tmp_path):
     categories, causes = np.array([""] * 10), [[] for _ in range(10)]
     path = tmp_path / "anomalies.json"
     for top_n in (3, 0, 10, 11):
-        write_anomaly_json(report, categories, causes, top_n, str(path))
+        monkeypatch.setattr(anomaly, "TOP_N", top_n)
+        write_anomaly_json(report, categories, causes, str(path))
         top = json.loads(path.read_text())["top"]
         assert [e["machine"] for e in top] == report.ranking[:top_n]
         assert all(e["category"] == "" and e["causes"] == [] for e in top)
-    with pytest.raises(ValueError):
-        write_anomaly_json(report, categories, causes, -1, str(path))
     assert report.negative_count == sum(
         1 for v in report.scores if v < 0)
 
@@ -637,22 +636,16 @@ def test_scores_csv_layout(tmp_path):
 def test_anomaly_json_round_trip(tmp_path):
     report, categories, causes = small_report()
     path = tmp_path / "anomalies.json"
-    write_anomaly_json(report, categories, causes, 3, str(path))
+    write_anomaly_json(report, categories, causes, str(path))
     data = json.loads(path.read_text())
+    # TOP_N (25) is more than the 8 machines: all of them are listed
     assert data == {
         "negative_count": report.negative_count,
         "machine_count": 8,
         "top": [{"rank": rank, "machine": m, "score": report.scores[m - 1],
                  "category": "Type1", "causes": causes[m - 1]}
-                for rank, m in enumerate(report.ranking[:3], 1)],
+                for rank, m in enumerate(report.ranking, 1)],
     }
-
-
-def test_anomaly_json_leaves_no_partial_file_when_top_n_is_bad(tmp_path):
-    path = tmp_path / "anomalies.json"
-    with pytest.raises(ValueError, match="top_n must be >= 0"):
-        write_anomaly_json(*small_report(), -1, str(path))
-    assert not path.exists()
 
 
 def test_score_distribution_csv(tmp_path):

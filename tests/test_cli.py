@@ -124,21 +124,23 @@ def test_overrides_beat_flags(pipeline_dirs, tmp_path):
     for out in (flag_out, override_out):
         run_ok(["preprocess", "--input-dir", str(trace), "--out-dir", str(out),
                 grid])
-    # a flag beats the default (3.0 and per_machine_mean)
+    # a flag beats the default (drawn standards and per_machine_mean)
     run_ok(["analyze", "--out-dir", str(flag_out), "--seed", "1",
-            "--threshold", "4.0", "dtw_normalized=true", "--mode",
+            "--standards", "2,5,7", "dtw_normalized=true", "--mode",
             "per_interval", grid])
     config = json.loads((flag_out / "manifest-analyze.json").read_text())["config"]
-    assert config["dtw_threshold"] == "4.0"
+    assert config["dtw_standards"] == "2,5,7"
     assert config["dtw_normalized"] == "true"
     assert config["anomaly_mode"] == "per_interval"
 
     # an override beats the flag
     run_ok(["analyze", "--out-dir", str(override_out), "--seed", "1",
-            "--threshold", "4.0", "dtw_threshold=2.5", "--mode",
+            "--standards", "2,5,7", "dtw_standards=3,4", "--mode",
             "per_interval", "anomaly_mode=per_machine_mean", grid])
     config = json.loads((override_out / "manifest-analyze.json").read_text())["config"]
-    assert config["dtw_threshold"] == "2.5"
+    assert config["dtw_standards"] == "3,4"
+    histogram = json.loads((override_out / "dtw_histogram.json").read_text())
+    assert histogram["standard_machines"] == [3, 4]
     assert config["anomaly_mode"] == "per_machine_mean"
     assert set(ANALYZE_FILENAMES) <= set(os.listdir(flag_out))
 
@@ -149,7 +151,7 @@ CLI_OPTIONS = {
     "synth": {"--machines", "--quotas", "--plants", "--gaps", "--noise",
               "--seed", "--out-dir"},
     "preprocess": {"--input-dir", "--out-dir"},
-    "analyze": {"--out-dir", "--standards", "--threshold", "--mode", "--seed"},
+    "analyze": {"--out-dir", "--standards", "--mode", "--seed"},
     "report": {"--out-dir"},
 }
 
@@ -250,6 +252,34 @@ def test_report_on_an_unreadable_artifact_exits_2(pipeline_dirs, tmp_path,
     assert str(copy / "dtw_histogram.json") in err
 
 
+@pytest.mark.parametrize("name, spoil, key", [
+    ("manifest-analyze.json", {"intervals": None}, "intervals"),
+    ("manifest-analyze.json", {"intervals": "24"}, "intervals"),
+    ("manifest-preprocess.json", {"machines": None, "repair_annotations": None},
+     "machines"),
+    ("manifest-preprocess.json", {"container_events_removed": None},
+     "container_events_removed"),
+], ids=["analyze-no-intervals", "analyze-intervals-as-text", "preprocess-no-machines",
+        "preprocess-no-events-removed"])
+def test_report_on_a_manifest_without_a_row_count_exits_2(pipeline_dirs, tmp_path,
+                                                          capsys, name, spoil, key):
+    # report copies these counts: a missing one is neither a traceback nor a 0
+    _, out = pipeline_dirs
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    manifest = json.loads((copy / name).read_text())
+    manifest["row_counts"] = {k: v for k, v in {**manifest["row_counts"], **spoil}.items()
+                              if v is not None}
+    (copy / name).write_text(json.dumps(manifest))
+    report = (copy / "report.json").read_bytes()
+    assert main(["report", "--out-dir", str(copy)]) == 2
+    writer = name.removeprefix("manifest-").removesuffix(".json")
+    assert capsys.readouterr().err == (
+        f"trace-insight: error [report] {name} in {copy} has no row count "
+        f"{key!r}; rerun {writer}\n")
+    assert (copy / "report.json").read_bytes() == report
+
+
 def test_report_before_analyze_fails(tmp_path, capsys):
     code = main(["report", "--out-dir", str(tmp_path)])
     assert code == 2
@@ -266,6 +296,21 @@ def test_bad_override_surfaces(tmp_path, capsys):
             main(argv)
         assert exit_info.value.code == 2
         assert "unrecognized arguments: threshold" in capsys.readouterr().err
+    # so is the retired threshold flag, and a retired key is refused by name:
+    # the flagging threshold and the skip limit are module constants now
+    with pytest.raises(SystemExit) as exit_info:
+        main(["analyze", "--out-dir", str(tmp_path), "--seed", "7",
+              "--threshold", "4"])
+    assert exit_info.value.code == 2
+    refusal = capsys.readouterr().err.splitlines()[-1]
+    assert "unrecognized arguments:" in refusal and "--threshold" in refusal
+    for argv in (["analyze", "--seed", "7", "dtw_threshold=4"],
+                 ["preprocess", "--input-dir", "trace", "max_skip_ratio=0.5"]):
+        assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+        key = argv[-1].split("=")[0]
+        assert capsys.readouterr().err == (
+            f"trace-insight: error [config] unknown override key {key!r}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_overrides_may_sit_on_both_sides_of_a_flag(tmp_path, capsys):
@@ -278,10 +323,10 @@ def test_overrides_may_sit_on_both_sides_of_a_flag(tmp_path, capsys):
         "distinct ids >= 1, got '0,1'" in capsys.readouterr().err
     # overrides apply in command-line order, the last one winning
     code = main(["analyze", "--out-dir",
-                 str(tmp_path / "x"), "dtw_threshold=x", "--seed", "7",
-                 "dtw_threshold=y"])
+                 str(tmp_path / "x"), "dtw_normalized=x", "--seed", "7",
+                 "dtw_normalized=y"])
     assert code == 2
-    assert "config key 'dtw_threshold' must be a number, got 'y'" \
+    assert "config key 'dtw_normalized' must be true/false, got 'y'" \
         in capsys.readouterr().err
     # a leftover that is neither a flag nor key=value is still refused, as
     # is a flag of another stage: analyze reads no trace directory

@@ -6,6 +6,7 @@ import inspect
 import io
 import json
 import os
+import re
 import shutil
 from pathlib import Path
 
@@ -60,18 +61,19 @@ def test_stage_error_names_its_stage():
 
 
 def test_overrides_apply_last():
-    merged = apply_overrides({"dtw_threshold": "8"},
-                             ["dtw_threshold=3", "grid_step = 60"])
-    assert merged == {"dtw_threshold": "3", "grid_step": "60"}
+    merged = apply_overrides({"dtw_seed": "8"},
+                             ["dtw_seed=3", "grid_step = 60"])
+    assert merged == {"dtw_seed": "3", "grid_step": "60"}
     # a key set twice takes the last value
-    assert apply_overrides({}, ["dtw_threshold=3", "dtw_threshold=5"]) == \
-        {"dtw_threshold": "5"}
+    assert apply_overrides({}, ["dtw_seed=3", "dtw_seed=5"]) == \
+        {"dtw_seed": "5"}
 
 
 def test_override_validation():
     with pytest.raises(StageError, match="override must be key=value"):
-        apply_overrides({}, ["dtw_threshold"])
-    for key in ("dtw_treshold", "classify_k", "anomaly_top_n"):
+        apply_overrides({}, ["dtw_seed"])
+    for key in ("dtw_treshold", "classify_k", "anomaly_top_n", "dtw_threshold",
+                "max_skip_ratio"):
         with pytest.raises(StageError, match=f"unknown override key '{key}'"):
             apply_overrides({}, [f"{key}=3"])
 
@@ -486,13 +488,9 @@ BAD_CONFIG_VALUES = [
     # aggregate CSVs were written
     ("analyze", "dtw_standards", "0,1", "must be empty, or two or more distinct ids >= 1"),
     ("analyze", "classify_seed", "-1", "must be >= 0"),
-    ("preprocess", "max_skip_ratio", "some", "must be a number"),
+    ("synth", "synth_noise", "some", "must be a number"),
     ("analyze", "dtw_normalized", "Maybe", "must be true/false"),
     # values that parse but lie outside what their key allows
-    ("preprocess", "max_skip_ratio", "nan", r"must be in \[0, 1\]"),
-    ("preprocess", "max_skip_ratio", "1.5", r"must be in \[0, 1\]"),
-    ("preprocess", "max_skip_ratio", "-1", r"must be in \[0, 1\]"),
-    ("analyze", "dtw_threshold", "nan", "must be finite"),
     ("synth", "synth_noise", "nan", "must be >= 0"),
     ("synth", "synth_noise", "inf", "must be finite"),
     ("synth", "synth_noise", "-1", "must be >= 0"),
@@ -546,9 +544,11 @@ def test_a_blank_int_list_is_the_empty_list():
 
 def test_only_preprocess_reads_the_trace_directory_and_the_skip_limit():
     # analyze reads what preprocess handed over, never the trace itself
-    for key in ("input_dir", "max_skip_ratio"):
-        assert CONFIG_KEYS[key].stages == ("preprocess",), key
-        assert key not in read_config(REQUIRED, "analyze"), key
+    assert CONFIG_KEYS["input_dir"].stages == ("preprocess",)
+    assert "input_dir" not in read_config(REQUIRED, "analyze")
+    # the skip limit is the parse's own constant, and only preprocess parses
+    assert trace_model.MAX_SKIP_RATIO == 0.01
+    assert "max_skip_ratio" not in CONFIG_KEYS
 
 
 def test_read_config_refuses_a_key_no_stage_reads():
@@ -560,11 +560,31 @@ def test_read_config_refuses_a_key_no_stage_reads():
                 "dtw_range_edges", "dtw_suitability_gap", "classify_k",
                 "classify_max_iter", "classify_restarts", "anomaly_trees",
                 "anomaly_subsample", "dtw_sample_num", "dtw_standard_count",
-                "anomaly_top_n"):
+                "anomaly_top_n", "dtw_threshold", "max_skip_ratio"):
         for stage in ("synth", "preprocess", "analyze", "report"):
             with pytest.raises(StageError, match=rf"^\[{stage}\] unknown config "
                                                  rf"key '{key}'$"):
                 read_config({**REQUIRED, key: "true"}, stage)
+
+
+# grid_start and grid_step describe how the input trace was sampled: where its
+# timestamps start, and their period. They are settings for a trace sampled
+# otherwise, not choices a run makes, so no script needs to set them.
+SAMPLING_KEYS = ("grid_start", "grid_step")
+
+
+def test_every_config_key_with_a_default_is_set_by_a_script_or_the_benchmark():
+    # a key that no caller sets is a constant kept as a setting: its value
+    # belongs in the module that reads it
+    root = Path(__file__).parents[1]
+    code = "\n".join(path.read_text(encoding="utf-8")
+                     for folder in ("scripts", "perfbench")
+                     for path in sorted((root / folder).rglob("*.py")))
+    unset = [key for key, row in CONFIG_KEYS.items()
+             if row.default is not None and key not in SAMPLING_KEYS
+             and not any(re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", code)
+                         for name in (key, row.flag) if name)]
+    assert unset == []
 
 
 @pytest.mark.parametrize("key", [
@@ -1306,13 +1326,15 @@ def test_analyze_refuses_a_vouched_for_hand_off_it_cannot_load(tmp_path):
     assert not (out / "manifest-analyze.json").exists()
 
 
-def test_a_header_line_is_counted_as_a_rejected_row(tmp_path):
+def test_a_header_line_is_counted_as_a_rejected_row(tmp_path, monkeypatch):
     trace = noisy_trace(tmp_path / "trace", seed=7)
     for key, name in TRACE_FILENAMES.items():
         header = ",".join(field for field, _ in oracles.PARSE_FIELDS[key])
         (trace / name).write_text(header + "\n" + (trace / name).read_text())
     out = tmp_path / "out"
-    run_preprocess(stage_config(trace, out, max_skip_ratio="0.5"))
+    with monkeypatch.context() as permissive:
+        permissive.setattr(trace_model, "MAX_SKIP_RATIO", 0.5)
+        run_preprocess(stage_config(trace, out))
     counts = json.loads((out / "manifest-preprocess.json").read_text())["row_counts"]
     assert {key: counts[f"rows_skipped_{key}"] for key in TRACE_FILENAMES} == \
         dict.fromkeys(TRACE_FILENAMES, 1)
@@ -1322,7 +1344,8 @@ def test_a_header_line_is_counted_as_a_rejected_row(tmp_path):
         run_preprocess(stage_config(trace, out))
 
 
-def test_a_parse_over_the_skip_limit_leaves_no_hand_off(tmp_path, caplog):
+def test_a_parse_over_the_skip_limit_leaves_no_hand_off(tmp_path, caplog,
+                                                        monkeypatch):
     trace = noisy_trace(tmp_path / "trace", seed=7)
     rows = len((trace / "server_usage.csv").read_text().splitlines())
     bad = rows // 49   # about 2% of the rows once they are added
@@ -1342,5 +1365,6 @@ def test_a_parse_over_the_skip_limit_leaves_no_hand_off(tmp_path, caplog):
                                          r"no manifest-preprocess.json in .*; "
                                          r"run preprocess first$"):
         run_analyze(stage_config(trace, out))
-    preprocess_and_analyze(trace, out, max_skip_ratio="0.5")
+    monkeypatch.setattr(trace_model, "MAX_SKIP_RATIO", 0.5)
+    preprocess_and_analyze(trace, out)
     assert analyze_counts(out)["rows_skipped_server_usage"] == bad

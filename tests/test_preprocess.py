@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from trace_insight import preprocess
 from trace_insight.preprocess import (
     METRICS,
     AmbiguousDuplicateError,
@@ -277,7 +276,7 @@ def test_removed_events_csv_lists_each_removed_event(tmp_path):
 
 def test_dense_csv_round_trip_is_exact(tmp_path, monkeypatch):
     # blocks of 5 lines split machines apart and leave a short last block
-    monkeypatch.setattr(preprocess, "BLOCK_ROWS", 5)
+    monkeypatch.setattr("trace_insight.cells.BLOCK_LINES", 5)
     rng = np.random.default_rng(5)
     values = rng.random((2, GRID.timestamp_count, len(METRICS)))
     dense = DenseUsage(timestamps=GRID.timestamps(), values=values)

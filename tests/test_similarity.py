@@ -11,7 +11,7 @@ from trace_insight.aggregate import SeriesTable
 from trace_insight.similarity import (
     PAIR_POINTS,
     RANGE_EDGES,
-    _as_curves,
+    THRESHOLD,
     _dtw_batch,
     build_resource_curves,
     score_similarity,
@@ -30,10 +30,17 @@ def flat_curve(cpu, mem=0.0, disk=0.0, length=4):
     return np.tile([cpu, mem, disk], (length, 1))
 
 
+def as_curves(*curves):
+    """(curves, points, dims) array of equal-length curves; scalar series are
+    curves of 1-vectors."""
+    points = np.array(curves, float)
+    return points.reshape(*points.shape[:2], -1)
+
+
 def dtw_pair(q, s):
     """(distance, path length) of one pair of curves, a batch of one of the
-    kernel; scalar series are curves of 1-vectors."""
-    distance, path_length = _dtw_batch(_as_curves([q]), _as_curves([s]))
+    kernel."""
+    distance, path_length = _dtw_batch(as_curves(q), as_curves(s))
     return float(distance[0]), int(path_length[0])
 
 
@@ -74,8 +81,7 @@ def test_dtw_rejects_mixed_dimensionality_and_empty_input():
 
 def test_report_rows_are_the_machines_in_curve_order():
     curves = sample_curves(count=5)
-    report = score_similarity(curves, curves[[3, 1]], [4, 2], standard_value=0.0,
-                              threshold=3.0)
+    report = score_similarity(curves, curves[[3, 1]], [4, 2], standard_value=0.0)
     assert report.distances.shape == (5, 2)
     assert report.mean_distance.shape == (5,)
     assert report.standard_machines == [4, 2]
@@ -196,8 +202,8 @@ def test_plane_point_cost_matches_einsum_up_to_seven_dimensions():
 
 def test_normalized_distance_formula():
     assert dtw_pair([0, 0, 0], [2, 2, 2]) == (12.0, 3)
-    report = score_similarity([[0, 0, 0]], [[2, 2, 2]], [9], standard_value=0.0,
-                              threshold=3.0, normalized=True)
+    report = score_similarity(as_curves([0, 0, 0]), as_curves([2, 2, 2]), [9],
+                              standard_value=0.0, normalized=True)
     assert report.distances.tolist() == [[np.sqrt(12.0) / 3]]
 
 
@@ -208,8 +214,7 @@ def test_three_dimensional_cost_keeps_its_summation_order():
     assert (0.1 ** 2 + 0.2 ** 2) + 0.5 ** 2 == 0.3
     assert dtw_pair([point], [[0.0, 0.0, 0.0]]) == (0.30000000000000004, 1)
     machines = np.array([[point, point]] * 2)
-    report = score_similarity(machines, np.zeros((1, 2, 3)), [9], standard_value=0.0,
-                              threshold=3.0)
+    report = score_similarity(machines, np.zeros((1, 2, 3)), [9], standard_value=0.0)
     assert report.distances.tolist() == [[0.6000000000000001]] * 2
 
 
@@ -265,12 +270,11 @@ def test_select_standard_with_pinned_machines():
 
 def test_select_standard_input_validation():
     curves = sample_curves(count=4)
-    with pytest.raises(ValueError, match="sample_num"):
-        select_standard(curves, sample_num=1, seed=0)
+    # the four standards are drawn from the sample
+    with pytest.raises(ValueError, match="sample_num must be >= 4, got 3"):
+        select_standard(curves, sample_num=3, seed=0)
     with pytest.raises(ValueError, match="exceeds"):
         select_standard(curves, sample_num=9, seed=0)
-    with pytest.raises(ValueError, match="standard_count"):
-        select_standard(curves, sample_num=4, seed=0, standard_count=5)
     with pytest.raises(ValueError, match=r"not present: \[99, 0\]"):
         select_standard(curves, sample_num=4, seed=0,
                         standard_machines=[99, 2, 0])
@@ -290,23 +294,22 @@ def test_score_similarity_bins_and_strict_threshold():
     standards = np.array([flat_curve(0.0, length=1), flat_curve(0.0, length=1),
                           flat_curve(3.0, length=1)])
     ids = [101, 102, 103]
-    report = score_similarity(machines, standards, ids, standard_value=1.0,
-                              threshold=3.0)
+    report = score_similarity(machines, standards, ids, standard_value=1.0)
     # each machine: distances (0, 0, 9), mean exactly 3
+    assert THRESHOLD == 3.0
     assert report.mean_distance == pytest.approx([3.0] * 5)
     assert report.flagged == []               # 3 is not strictly above 3
     assert report.histogram == [0, 0, 0, 5, 0]
     assert report.unsuitable_standards == [103]
 
-    lower = score_similarity(machines, standards, ids, standard_value=1.0,
-                             threshold=2.9)
-    assert lower.flagged == [1, 2, 3, 4, 5]
+    # 0.1 off in each dimension: distances (0.03, 0.03, 9.63), mean 3.23
+    above = score_similarity(machines - 0.1, standards, ids, standard_value=1.0)
+    assert above.flagged == [1, 2, 3, 4, 5]
 
 
 def test_score_similarity_identical_everything():
     machines = np.array([flat_curve(0.3, 0.4, 0.5)] * 3)
-    report = score_similarity(machines, machines[:2], [1, 2], standard_value=0.0,
-                              threshold=3.0)
+    report = score_similarity(machines, machines[:2], [1, 2], standard_value=0.0)
     assert report.mean_distance == pytest.approx([0.0] * 3)
     assert report.histogram == [3, 0, 0, 0, 0]
     assert report.flagged == []
@@ -314,12 +317,11 @@ def test_score_similarity_identical_everything():
 
 
 def test_score_similarity_normalized_uses_the_sqrt_form():
-    machines = [flat_curve(0.0, length=3)]
-    standards = [flat_curve(2.0, length=3)]
-    plain = score_similarity(machines, standards, [9], standard_value=0.0,
-                             threshold=3.0)
+    machines = flat_curve(0.0, length=3)[None]
+    standards = flat_curve(2.0, length=3)[None]
+    plain = score_similarity(machines, standards, [9], standard_value=0.0)
     normed = score_similarity(machines, standards, [9], standard_value=0.0,
-                              threshold=0.5, normalized=True)
+                              normalized=True)
     want = np.sqrt(plain.distances[0, 0]) / 3.0
     assert normed.distances[0, 0] == pytest.approx(want)
     assert normed.normalized is True
@@ -340,10 +342,9 @@ def machines_and_standards(draw):
 def test_batch_scores_equal_single_pair_scores(curves):
     machines, standards = curves
     ids = list(range(101, 101 + len(standards)))
-    plain = score_similarity(machines, standards, ids, standard_value=0.0,
-                             threshold=3.0)
+    plain = score_similarity(machines, standards, ids, standard_value=0.0)
     normed = score_similarity(machines, standards, ids, standard_value=0.0,
-                              threshold=3.0, normalized=True)
+                              normalized=True)
     for i, curve in enumerate(machines):
         for j, std in enumerate(standards):
             distance, path_length = einsum_dtw(curve, std)
@@ -374,7 +375,7 @@ def test_chunked_scoring_gives_the_bits_of_one_whole_sweep(
     monkeypatch.setattr(similarity, "PAIR_POINTS", pair_points)
     monkeypatch.setattr(similarity, "_dtw_batch", recorded)
     report = score_similarity(machines, standards, [1, 2, 3], standard_value=0.0,
-                              threshold=3.0, normalized=normalized)
+                              normalized=normalized)
     assert [len(cost) for cost, _ in sweeps] == chunks
     if normalized:
         steps = np.concatenate([length for _, length in sweeps])
@@ -389,30 +390,17 @@ def test_chunked_scoring_gives_the_bits_of_one_whole_sweep(
 def test_score_similarity_needs_curves_to_score():
     with pytest.raises(ValueError, match="no curves to score"):
         score_similarity(np.empty((0, 5, 3)), np.ones((2, 5, 3)), [1, 2],
-                         standard_value=0.0, threshold=3.0)
-
-
-def test_batch_callers_reject_curves_of_different_lengths():
-    ragged = [np.zeros((4, 3)), np.zeros((5, 3))]
-    with pytest.raises(ValueError, match="differ in length"):
-        score_similarity(ragged, ragged[:1], [1], standard_value=0.0, threshold=3.0)
-    with pytest.raises(ValueError, match="differ in length"):
-        score_similarity(ragged[:1], ragged, [1, 2], standard_value=0.0,
-                         threshold=3.0)
-    with pytest.raises(ValueError, match="differ in length"):
-        select_standard(ragged, sample_num=2, seed=0, standard_count=1)
-    # a single pair may still differ in length
-    assert dtw_pair(ragged[0], ragged[1]) == (0.0, 5)
+                         standard_value=0.0)
 
 
 def test_histogram_edges_are_configurable(tmp_path):
     # the edges are fixed at 0, 1, 2, 3, 5, and a mean on an edge counts in
     # the bin that edge opens: distances 1, 3 and 5 are exact
-    machines = [flat_curve(0.0, length=1), flat_curve(1.0, length=1),
-                flat_curve(1.0, 1.0, 1.0, length=1),
-                flat_curve(2.0, 1.0, length=1)]
-    report = score_similarity(machines, [flat_curve(0.0, length=1)], [9],
-                              standard_value=0.0, threshold=3.0)
+    machines = np.array([flat_curve(0.0, length=1), flat_curve(1.0, length=1),
+                         flat_curve(1.0, 1.0, 1.0, length=1),
+                         flat_curve(2.0, 1.0, length=1)])
+    report = score_similarity(machines, flat_curve(0.0, length=1)[None], [9],
+                              standard_value=0.0)
     assert report.mean_distance.tolist() == [0.0, 1.0, 3.0, 5.0]
     assert report.histogram == [1, 1, 0, 1, 1]
     path = tmp_path / "hist.json"
@@ -436,9 +424,8 @@ def test_build_resource_curves_stacks_cpu_mem_disk():
 
 
 def test_artifact_writers(tmp_path):
-    machines = np.array([flat_curve(0.1 * m, length=2) for m in range(1, 4)])
-    report = score_similarity(machines, machines[:2], [1, 2], standard_value=0.5,
-                              threshold=0.02)
+    machines = np.array([flat_curve(m, length=2) for m in range(1, 4)])
+    report = score_similarity(machines, machines[:2], [1, 2], standard_value=0.5)
 
     dpath = tmp_path / "distances.csv"
     write_distances_csv(report, str(dpath))
@@ -457,9 +444,9 @@ def test_artifact_writers(tmp_path):
     assert [b["hi"] for b in data["bins"]] == [*RANGE_EDGES[1:], None]
     assert [b["count"] for b in data["bins"]] == report.histogram
     assert sum(b["count"] for b in data["bins"]) == len(machines)
-    assert report.flagged == [3]   # mean distances 0.01, 0.01 and 0.05
+    assert report.flagged == [3]   # mean distances 1, 1 and 5
     del data["bins"]
     assert data == {"standard_value": 0.5, "standard_machines": [1, 2],
-                    "threshold": 0.02, "normalized": False, "flagged": [3],
+                    "threshold": 3.0, "normalized": False, "flagged": [3],
                     "flagged_count": 1, "machine_count": 3,
                     "unsuitable_standards": report.unsuitable_standards}

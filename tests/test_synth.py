@@ -328,13 +328,14 @@ def test_gap_truth_lets_interpolation_be_checked():
 
 
 def test_plant_gap_validates_its_target():
-    bundle, _ = generate_trace(config_for())
+    bundle, truth = generate_trace(config_for())
     with pytest.raises(ValueError, match="unknown metric"):
-        plant_gap(bundle, 1, "watts", [GRID.start])
+        plant_gap(bundle, 1, "watts", [GRID.start], truth)
     with pytest.raises(ValueError, match="no server-usage samples"):
-        plant_gap(bundle, 99, "cpu", [GRID.start])
+        plant_gap(bundle, 99, "cpu", [GRID.start], truth)
     with pytest.raises(ValueError, match="no samples at"):
-        plant_gap(bundle, 1, "cpu", [GRID.start + 13])
+        plant_gap(bundle, 1, "cpu", [GRID.start + 13], truth)
+    assert truth.gaps == []   # a refused gap records nothing
 
 
 def test_gap_slots_must_exist_on_the_grid():

@@ -181,7 +181,8 @@ def test_a_table_without_columns_has_no_length():
     assert len(Table("server_usage", {"machine": np.array([], np.int64)})) == 0
 
 
-def test_loaded_columns_meet_the_skip_limit_as_parsing_does(tmp_path, caplog):
+def test_loaded_columns_meet_the_skip_limit_as_parsing_does(tmp_path, caplog,
+                                                            monkeypatch):
     write_trace_dir(small_bundle(), str(tmp_path))
     with open(tmp_path / "container_usage.csv", "a", encoding="utf-8") as fh:
         fh.write("broken row\n")
@@ -189,8 +190,9 @@ def test_loaded_columns_meet_the_skip_limit_as_parsing_does(tmp_path, caplog):
     with pytest.raises(TraceParseError, match="rejected 1/2 rows"):
         parse_trace_dir(str(tmp_path))
     diagnostics = []
-    bundle = parse_trace_dir(str(tmp_path), max_skip_ratio=0.9,
-                             diagnostics=diagnostics)
+    with monkeypatch.context() as permissive:
+        permissive.setattr(trace_model, "MAX_SKIP_RATIO", 0.9)
+        bundle = parse_trace_dir(str(tmp_path), diagnostics=diagnostics)
     skipped = {diag.file: 1 for diag in diagnostics}
     path = str(tmp_path / "columns")
     save_columns(bundle, skipped, np.zeros((bundle.machine_count, 0, 0)),
@@ -294,7 +296,7 @@ def test_parse_skips_malformed_rows_with_diagnostics(tmp_path):
     assert diags[0].line == 2
 
 
-def test_parse_dir_rejects_high_skip_ratio(tmp_path, caplog):
+def test_parse_dir_rejects_high_skip_ratio(tmp_path, caplog, monkeypatch):
     write_trace_dir(small_bundle(), str(tmp_path))
     (tmp_path / "server_usage.csv").write_text(
         "39600,1,25,55,50,1.0,1.0,1.0\n"
@@ -302,12 +304,13 @@ def test_parse_dir_rejects_high_skip_ratio(tmp_path, caplog):
     )
     with pytest.raises(TraceParseError, match=r"^server_usage.csv: rejected "
                                               r"1/2 rows, above the 1.00% limit$"):
-        parse_trace_dir(str(tmp_path), max_skip_ratio=0.01)
+        parse_trace_dir(str(tmp_path))
     # the file's skipped rows are logged, naming the first
     assert caplog.messages == ["server_usage.csv: skipped 1 of 2 rows "
                                "(first: line 2, expected 8 columns, got 1)"]
     # a permissive ratio lets the same directory through
-    bundle = parse_trace_dir(str(tmp_path), max_skip_ratio=0.9)
+    monkeypatch.setattr(trace_model, "MAX_SKIP_RATIO", 0.9)
+    bundle = parse_trace_dir(str(tmp_path))
     assert len(bundle.server_usage) == 1
 
 
@@ -344,7 +347,7 @@ def test_parse_dir_names_a_file_it_cannot_read(tmp_path):
             parse_trace_dir(str(tmp_path / name))
 
 
-def test_a_header_row_is_a_rejected_row_on_line_1(tmp_path):
+def test_a_header_row_is_a_rejected_row_on_line_1(tmp_path, monkeypatch):
     # the trace has no header rows: a file that starts with one has that
     # line refused and reported like any other malformed row
     write_trace_dir(small_bundle(), str(tmp_path))
@@ -353,8 +356,8 @@ def test_a_header_row_is_a_rejected_row_on_line_1(tmp_path):
         body = (tmp_path / name).read_text()
         (tmp_path / name).write_text(",".join(columns) + "\n" + body)
     diagnostics = []
-    bundle = parse_trace_dir(str(tmp_path), max_skip_ratio=1.0,
-                             diagnostics=diagnostics)
+    monkeypatch.setattr(trace_model, "MAX_SKIP_RATIO", 1.0)
+    bundle = parse_trace_dir(str(tmp_path), diagnostics=diagnostics)
     assert [(d.file, d.line) for d in diagnostics] == \
         [(key, 1) for key in trace_model.FILE_KEYS]
     assert len(bundle.server_usage) == 2
@@ -640,7 +643,8 @@ DROPPED_FAULTS = [
 
 
 @pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["c_reader", "row_rule"])
-def test_a_bad_cell_in_a_dropped_column_still_rejects_its_row(tmp_path, line_end):
+def test_a_bad_cell_in_a_dropped_column_still_rejects_its_row(tmp_path, monkeypatch,
+                                                              line_end):
     grid = IntervalGrid(39600, 39600 + 12 * 300, 300)
     bundle, _ = generate_trace(SynthConfig(
         machine_count=16, grid=grid, quotas=(9, 1, 1, 1, 1, 1, 1, 1), seed=7,
@@ -657,11 +661,12 @@ def test_a_bad_cell_in_a_dropped_column_still_rejects_its_row(tmp_path, line_end
         path.write_bytes("".join(",".join(row) + line_end for row in rows).encode())
 
     parsed = {}
-    for keep in (None, PREPROCESS_COLUMNS):
-        diagnostics = []
-        parsed[keep is None] = (parse_trace_dir(str(trace), max_skip_ratio=1.0,
-                                                diagnostics=diagnostics,
-                                                keep=keep), diagnostics)
+    with monkeypatch.context() as permissive:
+        permissive.setattr(trace_model, "MAX_SKIP_RATIO", 1.0)
+        for keep in (None, PREPROCESS_COLUMNS):
+            diagnostics = []
+            parsed[keep is None] = (parse_trace_dir(str(trace), diagnostics=diagnostics,
+                                                    keep=keep), diagnostics)
     (full, full_diags), (kept, kept_diags) = parsed[True], parsed[False]
     assert [(d.file, d.line) for d in full_diags] == \
         [(key, line) for key, line, _, _ in DROPPED_FAULTS]
@@ -694,8 +699,9 @@ def test_a_bad_cell_in_a_dropped_column_still_rejects_its_row(tmp_path, line_end
     assert errors[0] == errors[1]
     # ... and preprocess counts the same rows skipped per file
     out = tmp_path / "out"
+    monkeypatch.setattr(trace_model, "MAX_SKIP_RATIO", 1.0)
     run_preprocess({"input_dir": str(trace), "output_dir": str(out),
-                    "grid_end": str(grid.end), "max_skip_ratio": "1.0"})
+                    "grid_end": str(grid.end)})
     counts = json.loads((out / "manifest-preprocess.json").read_text())["row_counts"]
     lost = Counter(d.file for d in full_diags)
     assert {key: counts[f"rows_skipped_{key}"] for key in FILE_KEYS} == \
