@@ -26,7 +26,6 @@ the definition, a cell at a time.
 
 from __future__ import annotations
 
-from decimal import Decimal
 from functools import cache
 
 import numpy as np
@@ -34,6 +33,7 @@ import numpy as np
 
 def fraction_to_percent_text(value: float) -> str:
     """The percent cell of a fraction: its ``repr``, decimal point shifted."""
+    from decimal import Decimal   # the definition's alone, for a rare cell
     return format(Decimal(repr(value)).scaleb(2), "f")
 
 

@@ -43,9 +43,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="co-located datacenter trace analysis pipeline")
     subparsers = parser.add_subparsers(dest="command", required=True)
     for stage, help_text in STAGE_HELP.items():
-        sub = subparsers.add_parser(stage, help=help_text)
-        sub.add_argument("overrides", nargs="*", metavar="key=value",
-                         help="config overrides, applied last")
+        # no positional: the key=value overrides are what no flag takes
+        sub = subparsers.add_parser(
+            stage, help=help_text, usage="%(prog)s [flags] [key=value ...]",
+            description=f"{help_text}; key=value config overrides, anywhere "
+                        "among the flags, apply last")
         for key, row in CONFIG_KEYS.items():
             if row.flag and stage in row.stages:
                 sub.add_argument(row.flag, dest=key, metavar="VALUE",
@@ -80,10 +82,9 @@ def _runner(command: str):
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args, extra = parser.parse_known_args(argv)
-    # overrides that follow a flag, after the positional list was taken,
-    # join it in order; anything else, wherever it stands, is refused
-    args.overrides += extra
+    # what no flag takes, in command-line order: the key=value overrides,
+    # and anything else, which is refused
+    args, args.overrides = parser.parse_known_args(argv)
     unknown = [arg for arg in args.overrides
                if arg.startswith("-") or "=" not in arg]
     if unknown:

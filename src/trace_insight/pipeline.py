@@ -5,11 +5,11 @@ What every stage shares (``StageError``, the config table, the manifests)
 and the report stage live in ``stage``, which loads no numpy; the CLI
 imports this module only for the three stages here. ``synth`` is imported
 by ``run_synth`` alone, so preprocess and analyze never load it. The parse
-and repair names are imported at the top; the four analysis modules
+names are imported at the top; ``preprocess`` and the four analysis modules
 (``aggregate``, ``similarity``, ``classify``, ``anomaly``) are imported when
-``run_analyze`` first looks their names up on this module, so synth and
-preprocess never load them. Either way the runners call the names through
-this module's globals, where a tracer can wrap them.
+``run_preprocess`` or ``run_analyze`` first looks their names up on this
+module, so each stage loads only what it runs. Either way the runners call
+the names through this module's globals, where a tracer can wrap them.
 
 Every stage reads its inputs from disk, writes its artifacts into the output
 directory, and writes its manifest-<stage>.json last. Stages never touch
@@ -37,13 +37,6 @@ from collections import Counter
 
 import numpy as np
 
-from .preprocess import (
-    filter_container_events,
-    supplement_server_usage,
-    write_dense_csv,
-    write_removed_events_csv,
-    write_repair_log_csv,
-)
 from .stage import (
     TYPE_LABELS,
     StageError,
@@ -71,8 +64,11 @@ REPAIR_LOG_FILENAME = "repair_log.csv"
 REMOVED_EVENTS_FILENAME = "removed_container_events.csv"
 COLUMNS_FILENAME = "trace_columns.bin"
 
-# the names run_analyze calls from each analysis module, imported on first
-# lookup (``__getattr__``)
+# the names run_preprocess and run_analyze call from the modules only their
+# stage runs, imported on first lookup (``__getattr__``)
+PREPROCESS_NAMES = {"preprocess": (
+    "filter_container_events", "supplement_server_usage", "write_dense_csv",
+    "write_removed_events_csv", "write_repair_log_csv")}
 ANALYSIS_NAMES = {
     "aggregate": ("AggDiagnostics", "aggregate_batch_usage",
                   "aggregate_container_usage", "build_machine_series",
@@ -87,8 +83,8 @@ ANALYSIS_NAMES = {
                    "select_standard", "write_distances_csv", "write_flags_csv",
                    "write_histogram_json"),
 }
-_HOME = {name: module for module, names in ANALYSIS_NAMES.items()
-         for name in names}
+_HOME = {name: module for stage in (PREPROCESS_NAMES, ANALYSIS_NAMES)
+         for module, names in stage.items() for name in names}
 
 ANALYZE_FILENAMES = (
     "container_usage_agg.csv", "batch_usage_agg.csv", "machine_series.csv",
@@ -99,13 +95,20 @@ ANALYZE_FILENAMES = (
 
 
 def __getattr__(name: str):
-    """An analysis name, imported from its module and bound here, where a
-    tracer or a test may wrap it (PEP 562)."""
+    """A preprocess or analysis name, imported from its module and bound
+    here, where a tracer or a test may wrap it (PEP 562)."""
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     module = importlib.import_module(f".{_HOME[name]}", __package__)
     globals()[name] = value = getattr(module, name)
     return value
+
+
+def _bind(stage_names: dict[str, tuple[str, ...]]) -> None:
+    """Binds each of ``stage_names`` not bound (or wrapped) yet: a runner
+    calls them as globals, which ``__getattr__`` does not reach."""
+    for name in (name for names in stage_names.values() for name in names):
+        getattr(sys.modules[__name__], name)
 
 
 def _grid(values: dict, stage: str) -> IntervalGrid:
@@ -185,6 +188,7 @@ def run_preprocess(config: dict[str, str]) -> str:
     """Run the preprocess stage under ``config``; returns its output
     directory."""
     stage = "preprocess"
+    _bind(PREPROCESS_NAMES)
     values = read_config(config, stage)
     grid = _grid(values, stage)
     out_dir, input_dir = values["output_dir"], values["input_dir"]
@@ -263,9 +267,7 @@ def run_analyze(config: dict[str, str]) -> str:
     """Run the analyze stage under ``config``; returns its output
     directory."""
     stage = "analyze"
-    module = sys.modules[__name__]
-    for name in _HOME:   # binds each one not bound (or wrapped) yet
-        getattr(module, name)
+    _bind(ANALYSIS_NAMES)
     # every value is read, and fails here, before any input is opened; the
     # ranges that need data (k against the distinct rows, the sample and the
     # standards against the machines) wait for the trace

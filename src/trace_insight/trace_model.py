@@ -24,18 +24,23 @@ Each kind states its rule once: its parse, the mask of the values it
 accepts, and the words for a cell that fails either. Parsing reads
 ``BLOCK_ROWS`` records at a time and has two readers. A block of plain lines
 goes to numpy's C reader, ``np.loadtxt``: int and float cells parse in C,
-with the ``PyOS_string_to_double`` of ``float()``, every other cell by its
-kind's parse (a text cell into an ``object`` field), and the masks and the
-cross-column rules apply to whole columns. On ASCII text without information
-separators it accepts a subset of what ``int()`` and ``float()`` accept, to
-the same values. Every other block goes to the row rule, ``_row``: a block
-the C reader refuses or could read otherwise (``_c_read``), and the rest of
-a file from its first block that only ``csv.reader`` reads right (a quote, a
-CR, a NUL, a line over its field limit). The row rule checks a row's width,
-then its cells one at a time by the same parse and mask, and the
-cross-column rules, in the spec's check order. It also names the first rule
-broken by a row the C reader's masks reject, in its ``RowDiagnostic``, so
-each row is accepted and explained by the same code.
+with the ``PyOS_string_to_double`` of ``float()``. Percent, enum and
+blank-machine cells are read as bytes (``_CELL_BYTES``) and converted a
+whole column at a time: a percent column by numpy's bytes-to-float cast,
+"e-2" appended, and an enum or blank-machine column by mapping its few
+distinct cells through the kind's parse, once each. Only a text cell takes
+its kind's parse one cell at a time, into an ``object`` field. The masks and
+the cross-column rules apply to whole columns. On ASCII text without
+information separators it accepts a subset of what ``int()``, ``float()``
+and the kinds' parses accept, to the same values. Every other block goes to
+the row rule, ``_row``: a block the C reader refuses or could read otherwise
+(``_c_read``), and the rest of a file from its first block that only
+``csv.reader`` reads right (a quote, a CR, a NUL, a line over its field
+limit). The row rule checks a row's width, then its cells one at a time by
+the same parse and mask, and the cross-column rules, in the spec's check
+order. It also names the first rule broken by a row the C reader's masks
+reject, in its ``RowDiagnostic``, so each row is accepted and explained by
+the same code.
 
 A parse keeps every column, or only those a ``keep`` set names
 (``PREPROCESS_COLUMNS``, which preprocess passes). The checks run on every
@@ -48,7 +53,8 @@ A percent cell converts as ``float(text + "e-2")``, which rounds the exact
 decimal value once. Cells where that raises (an exponent, trailing space),
 or longer than Decimal's default 28-digit precision, take the
 ``decimal.Decimal`` exponent shift of ``percent_text_to_fraction`` instead,
-which gives the same float wherever both apply.
+which gives the same float wherever both apply; such a cell sends its block
+to the row rule.
 ``cells.fraction_to_percent_text`` inverts the conversion exactly, so
 writing a bundle and parsing it again reproduces every float bit-for-bit.
 
@@ -69,14 +75,11 @@ back with the same dtypes: the one hand-off from preprocess to analyze.
 
 from __future__ import annotations
 
-import csv
-import logging
 import math
 import os
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from decimal import Decimal
 from enum import Enum
 from functools import cached_property, partial
 from itertools import chain, islice, repeat
@@ -85,8 +88,6 @@ from typing import BinaryIO, Callable, Iterable, Iterator, TextIO
 import numpy as np
 
 from .cells import csv_lines, float_cells, int_cells, text_cells
-
-log = logging.getLogger(__name__)
 
 TRACE_FILENAMES = {
     "server_event": "server_event.csv",
@@ -161,6 +162,7 @@ def percent_text_to_fraction(text: str) -> float:
     ``float()``; ``cells.fraction_to_percent_text`` inverts the conversion
     exactly.
     """
+    from decimal import Decimal   # the row rule's alone, for a rare cell
     try:
         value = float(Decimal(text.strip()).scaleb(-2))
     except (ArithmeticError, ValueError) as exc:   # decimal's errors included
@@ -181,6 +183,10 @@ def csv_file(path: str, header) -> Iterator[BinaryIO]:
 
 
 _DECIMAL_DIGITS = 28
+# The C reader's field for a percent, enum or blank-machine cell: a cell that
+# fills it may be cut short, or a percent past 28 characters, so its block
+# goes to the row rule.
+_CELL_BYTES = np.dtype(f"S{_DECIMAL_DIGITS + 1}")
 
 
 def _percent(text: str) -> float:
@@ -335,12 +341,14 @@ class _FileSpec:
     @cached_property
     def c_reader(self) -> tuple[np.dtype, dict[int, Callable]]:
         """The structured dtype and converters ``np.loadtxt`` reads a block
-        of this file with. Plain int and float fields parse in C; every other
-        field by its kind's ``parse``, a text field into an ``object`` field."""
-        return (np.dtype([(name, object if kind.dtype is str else kind.dtype)
+        of this file with. Plain int and float fields parse in C, a text
+        field by its kind's ``parse`` into an ``object`` field, every other
+        one into a ``_CELL_BYTES`` field that ``_c_read`` converts."""
+        return (np.dtype([(name, object if kind.dtype is str else kind.dtype
+                           if kind.parse in (int, float) else _CELL_BYTES)
                           for name, kind in self.fields.items()]),
                 {i: kind.parse for i, kind in enumerate(self.fields.values())
-                 if kind.parse not in (int, float)})
+                 if kind.dtype is str})
 
 
 _SPECS = {
@@ -539,8 +547,10 @@ def _c_read(spec: _FileSpec, lines: list[str]) -> dict[str, np.ndarray] | None:
     a text field as an ``object`` column, or None where they could differ
     from the row rule's values: a block with a character outside ASCII (the
     reader takes some letters for digits) or a ``_NUMPY_SPACE``, a cell it
-    refuses or warns about, a blank line it skips. Every cell it does read,
-    ``int()``, ``float()`` or the kind's ``parse`` reads to the same value."""
+    refuses or warns about, a blank line it skips, a ``_CELL_BYTES`` cell
+    that fills its field or that its column's conversion refuses. Every
+    cell it does read, ``int()``, ``float()`` or the kind's ``parse`` reads
+    to the same value."""
     text = "".join(lines)
     if not text.isascii() or any(map(text.__contains__, _NUMPY_SPACE)):
         return None
@@ -552,11 +562,22 @@ def _c_read(spec: _FileSpec, lines: list[str]) -> dict[str, np.ndarray] | None:
             # "bytes", would hand them bytes
             table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
                                dtype=dtype, converters=converters, encoding=None)
+        columns = {name: table[name] for name in spec.fields}
+        for name, kind in spec.fields.items():
+            cells = columns[name]
+            if cells.dtype != _CELL_BYTES:
+                continue
+            if np.strings.str_len(cells).max() == _CELL_BYTES.itemsize:
+                return None
+            if kind.parse is _percent:   # float(text + "e-2"), cast in C
+                columns[name] = np.strings.add(cells, b"e-2").astype(np.float64)
+            else:   # each distinct cell once, through the kind's parse
+                distinct, at = np.unique(cells, return_inverse=True)
+                columns[name] = np.array([kind.parse(cell.decode()) for cell
+                                          in distinct.tolist()], kind.dtype)[at]
     except (ValueError, OverflowError, Warning):
         return None
-    if len(table) != len(lines):
-        return None
-    return {name: table[name] for name in spec.fields}
+    return columns if len(table) == len(lines) else None
 
 
 def _record_blocks(fh: TextIO) -> Iterator[tuple[list, bool]]:
@@ -565,6 +586,7 @@ def _record_blocks(fh: TextIO) -> Iterator[tuple[list, bool]]:
     as csv.reader does; (csv rows, False) from the first block with a
     ``_CSV_ONLY`` character or a line over the csv field limit on, so
     csv.reader reads or refuses those as it does."""
+    import csv   # a parse or a write loads it, analyze never
     limit = csv.field_size_limit()
     while lines := list(islice(fh, BLOCK_ROWS)):
         text = "".join(lines)
@@ -632,6 +654,7 @@ def parse_trace_dir(path: str, *, diagnostics: list | None = None,
     diagnostics are logged and, when a ``diagnostics`` list is supplied,
     appended to it.
     """
+    import csv
     tables: dict[str, Table] = {}
     python_rows = 0
     for key, spec in _SPECS.items():
@@ -647,8 +670,10 @@ def parse_trace_dir(path: str, *, diagnostics: list | None = None,
             diagnostics.extend(diags)
         name, total = TRACE_FILENAMES[key], len(table) + len(diags)
         if diags:
-            log.warning("%s: skipped %d of %d rows (first: line %d, %s)",
-                        name, len(diags), total, diags[0].line, diags[0].reason)
+            import logging   # only a trace with a skipped row loads it
+            logging.getLogger(__name__).warning(
+                "%s: skipped %d of %d rows (first: line %d, %s)",
+                name, len(diags), total, diags[0].line, diags[0].reason)
         if total and len(diags) / total > MAX_SKIP_RATIO:
             raise TraceParseError(f"{name}: rejected {len(diags)}/{total} rows, "
                                   f"above the {MAX_SKIP_RATIO:.2%} limit")
@@ -747,6 +772,7 @@ def write_trace_dir(bundle: TraceBundle, path: str) -> None:
     grids. Only a file with a text field (``event_detail``, ``cpu_set``)
     goes through ``csv.writer``, because only a text cell can need
     quoting."""
+    import csv
     os.makedirs(path, exist_ok=True)
     for key, spec in _SPECS.items():
         table = getattr(bundle, spec.attr)

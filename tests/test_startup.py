@@ -1,8 +1,11 @@
 """Each CLI stage, run as its own child process, loads only the modules it
 runs: ``report`` no numpy, ``preprocess`` and ``analyze`` no
 ``trace_insight.synth``, ``synth`` and ``preprocess`` none of the four
-analysis modules, ``analyze`` no ``numpy.ma``, and ``import trace_insight``
-no submodule at all."""
+analysis modules, ``analyze`` neither ``numpy.ma`` nor
+``trace_insight.preprocess``, and ``import trace_insight`` no submodule at
+all. Of the standard modules only a trace's parse or write needs
+(``PARSE_ONLY``), ``analyze`` loads none and ``preprocess`` of a clean trace
+only ``csv``."""
 
 import json
 import os
@@ -80,6 +83,21 @@ def test_analyze_loads_no_numpy_ma(stage_modules):
     # np.median's NaN check and the hash path of np.unique import it
     assert "numpy" in stage_modules["analyze"]
     assert "numpy.ma" not in stage_modules["analyze"]
+
+
+# csv reads and writes traces, decimal converts a rare percent cell either
+# way, and logging warns of skipped rows
+PARSE_ONLY = {"csv", "decimal", "logging"}
+
+
+def test_analyze_loads_neither_preprocess_nor_a_parse_module(stage_modules):
+    assert "trace_insight.preprocess" not in stage_modules["analyze"]
+    assert stage_modules["analyze"] & PARSE_ONLY == set()
+
+
+def test_preprocess_of_a_clean_trace_loads_no_rare_cell_module(stage_modules):
+    assert "trace_insight.preprocess" in stage_modules["preprocess"]
+    assert stage_modules["preprocess"] & PARSE_ONLY == {"csv"}
 
 
 def test_importing_the_package_loads_no_submodule():

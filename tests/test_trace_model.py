@@ -371,6 +371,14 @@ def test_a_header_row_is_a_rejected_row_on_line_1(tmp_path, monkeypatch):
 LONG_PERCENTS = ["54.4229225295951912766412306154961697757",
                  "62.5720304108054070635347443385398946702",
                  "6.55288592398131156113727513456979067996"]
+# Percent cells the C reader casts as bytes or hands to the row rule: 28
+# characters (the longest it casts), 29 (the width of its bytes field, so
+# the block goes to the row rule) and 33, and the forms float() and
+# Decimal both read: underscores, leading space or tab, a sign, a bare
+# point either side, an exponent.
+EDGE_PERCENTS = ["54.4229225295951912766412306", "54.42292252959519127664123061",
+                 "54.422922529595191276641230615496", "1_0", " 5", "\t5", "+5",
+                 ".5", "5.", "5e1", "0.5E+1"]
 
 # Valid cells are drawn more often than odd ones, so that rows often fail
 # one or two checks and the first failure decides the reason. The odd ones
@@ -395,10 +403,12 @@ PERCENT_CELLS = st.one_of(
     st.sampled_from(["", " 25 ", "+5", "-0", "-0.0", "nan", "NaN", "inf",
                      "-inf", "Infinity", "100.0000001", "-0.0000001", "100",
                      "1e3", "abc", " 4.5e1 ", "00.5", "1_0", "1e999999999",
-                     "1.1e0", "77.442e0", "61.248e-2", *LONG_PERCENTS]))
+                     "1.1e0", "77.442e0", "61.248e-2", *LONG_PERCENTS,
+                     *EDGE_PERCENTS]))
 CELLS = {
     "nonneg_int": INT_CELLS, "int": INT_CELLS, "machine": INT_CELLS,
-    "optional_machine": st.one_of(INT_CELLS, st.sampled_from(["", "  "])),
+    "optional_machine": st.one_of(INT_CELLS,
+                                  st.sampled_from(["", "  ", "\t", " 7", "5 "])),
     "float": FLOAT_CELLS, "nonneg_float": FLOAT_CELLS, "unit": FLOAT_CELLS,
     "percent": PERCENT_CELLS,
     "text": st.sampled_from(["", "disk full", " padded ", "agent check failed",
@@ -408,18 +418,19 @@ CELLS = {
 }
 # Cells each kind accepts, for rows that all pass, so that most blocks reach
 # numpy's C reader. An optional machine with an information separator at its
-# edge, a text cell outside ASCII or holding one, and a cpu set holding one
-# send their block to the row rule.
+# edge, one of 29 characters or more (it fills the C reader's bytes field),
+# a text cell outside ASCII or holding one, and a cpu set holding one send
+# their block to the row rule.
 VALID_CELLS = {
     "nonneg_int": st.integers(0, 60).map(str), "int": st.integers(1, 60).map(str),
     "machine": st.integers(1, 60).map(str),
-    "optional_machine": st.one_of(st.integers(0, 60).map(str),
-                                  st.sampled_from(["", "5\x1f"])),
+    "optional_machine": st.one_of(st.integers(0, 60).map(str), st.sampled_from(
+        ["", "  ", "\t", " 5 ", "5\x1f", "0" * 29 + "5"])),
     "float": st.floats(0.5, 20.0).map(repr), "nonneg_float": st.floats(0.0, 20.0).map(repr),
     "unit": st.floats(0.0, 1.0).map(repr),
     "percent": st.one_of(st.floats(0.0, 100.0).map(repr),
                          st.from_regex(r"\A[0-9]{1,2}(\.[0-9]{0,40})?\Z"),
-                         st.sampled_from(LONG_PERCENTS)),
+                         st.sampled_from(LONG_PERCENTS + EDGE_PERCENTS)),
     "text": CELLS["text"], "cpu_set": st.sampled_from(["", "1|2|3", "4 5", "1|2\x1c"]),
 }
 # The batch instance spans and cpu pair, by field name, drawn so that their
@@ -430,13 +441,19 @@ VALID_RULE_CELLS = {
 }
 
 
-def enum_cells(file_key):
-    """The file's enum values in mixed case, and words it does not know."""
-    values = oracles.PARSE_ENUMS[file_key][1]
-    return st.one_of(
-        st.sampled_from(values),
-        st.sampled_from(values).map(lambda v: f" {v.upper()} "),
-        st.sampled_from(["bogus", "", "Create", "add"]))
+def enum_cells(file_key, valid=False):
+    """The file's enum values in mixed case and with space around them, one
+    of those past the C reader's 29-byte field; unless ``valid``, also words
+    it does not know, one whose first 29 bytes are a member's value
+    followed by spaces."""
+    values = st.sampled_from(oracles.PARSE_ENUMS[file_key][1])
+    known = st.one_of(values, values.map(lambda v: f" {v.upper()} "),
+                      values.map(str.swapcase),
+                      values.map(lambda v: f"\t{v}{' ' * 30}"))
+    if valid:
+        return known
+    return st.one_of(known, values.map(lambda v: f"{v}{' ' * 30}x"),
+                     st.sampled_from(["bogus", "", "Create", "add"]))
 
 
 @st.composite
@@ -462,8 +479,7 @@ def trace_files(draw):
             lines.append(draw(st.sampled_from(["", "  "])))
             continue
         if valid:
-            cells = [draw(st.sampled_from(oracles.PARSE_ENUMS[file_key][1])
-                          if kinds[name] == "enum"
+            cells = [draw(enum_cells(file_key, valid=True) if kinds[name] == "enum"
                           else VALID_RULE_CELLS.get(name, VALID_CELLS[kinds[name]]))
                      for name in columns]
         else:
@@ -506,7 +522,7 @@ def test_block_parser_matches_the_row_oracle(drawn, block_rows):
 
 @given(st.lists(st.one_of(
     st.from_regex(r"\A[0-9]{1,2}(\.[0-9]{1,3})?[eE][+-]?[0-2]\Z"),
-    st.floats(0.0, 100.0).map(repr), st.sampled_from(LONG_PERCENTS)),
+    st.floats(0.0, 100.0).map(repr), st.sampled_from(LONG_PERCENTS + EDGE_PERCENTS)),
     min_size=1, max_size=30))
 def test_percent_columns_equal_the_decimal_conversion(texts):
     texts = [t for t in texts if percent_text_to_fraction(t) <= 1.0]
@@ -519,6 +535,36 @@ def test_percent_columns_equal_the_decimal_conversion(texts):
     want = np.array([percent_text_to_fraction(t) for t in texts], dtype=np.float64)
     for column in (table.cpu, table.mem, table.disk):
         assert column.tobytes() == want.tobytes()
+
+
+# Cells the C reader's cast gets, each with "e-2" appended: the edge cells
+# up to 28 characters, a negative zero, a 27-digit mantissa, and cells both
+# float() and the cast refuse.
+CAST_CELLS = [cell for cell in EDGE_PERCENTS if len(cell) <= 28] + [
+    "-0", "0" * 27 + "1", "99.9999999999999999999999999", "5 ", "nan", "inf",
+    "1__0", "0x10", "", "1e400", "\x0b5", "5\x0c"]
+
+
+@pytest.mark.parametrize("text", CAST_CELLS)
+def test_numpys_bytes_cast_reads_a_percent_cell_as_float_does(text):
+    cells = np.strings.add(np.array([text.encode()], trace_model._CELL_BYTES), b"e-2")
+    try:
+        want = float(text + "e-2")
+    except ValueError:
+        with pytest.raises(ValueError):
+            cells.astype(np.float64)
+    else:
+        assert cells.astype(np.float64).tobytes() == np.float64(want).tobytes()
+
+
+def test_only_text_fields_reach_the_c_reader_through_a_converter():
+    # percent, enum and blank-machine cells are read as bytes and converted
+    # a column at a time, with no Python call per cell
+    for key, spec in trace_model._SPECS.items():
+        _, converters = spec.c_reader
+        kinds = list(spec.fields.values())
+        assert sorted(converters) == [i for i, kind in enumerate(kinds)
+                                      if kind.dtype is str], key
 
 
 def test_a_row_breaking_several_rules_names_the_first_one_checked(tmp_path):
