@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .aggregate import SeriesTable
-from .cells import csv_lines, float_cells, int_cells, text_cells
+from .cells import csv_lines, float_cells, int_cells, line_blocks, text_cells
 from .stage import TYPE_LABELS, write_json
 from .trace_model import csv_file
 
@@ -275,10 +275,18 @@ def write_counts_json(model: CategoryModel, report: CategoryReport,
 
 def write_type_usage_csv(report: CategoryReport, table: SeriesTable,
                          path: str) -> None:
-    """Per-type mean cpu/mem/disk per interval, for external plotting."""
+    """Per-type mean cpu/mem/disk per interval, for external plotting. The
+    lines of all types are formatted together, ``cells.BLOCK_LINES`` at a
+    time."""
+    labels = sorted(report.members)
+    means = np.array([[np.mean(usage, axis=0) for usage in
+                       _usage_rows(table, report.categories == label)]
+                      for label in labels]).transpose(1, 0, 2)
+    intervals = means.shape[2]
+    means = means.reshape(3, -1)
+    names = np.repeat(labels, intervals)
+    index = np.tile(np.arange(intervals), len(labels))
     with csv_file(path, ("label", "interval_index", "cpu", "mem", "disk")) as fh:
-        for label in sorted(report.members):
-            means = np.array([np.mean(usage, axis=0) for usage in
-                              _usage_rows(table, report.categories == label)])
-            fh.write(csv_lines(text_cells([label] * means.shape[1]),
-                               int_cells(np.arange(means.shape[1])), *float_cells(means)))
+        for block in line_blocks(len(names)):
+            fh.write(csv_lines(text_cells(names[block]), int_cells(index[block]),
+                               *float_cells(means[:, block])))

@@ -48,6 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
             stage, help=help_text, usage="%(prog)s [flags] [key=value ...]",
             description=f"{help_text}; key=value config overrides, anywhere "
                         "among the flags, apply last")
+        # a stray argument is refused under this subcommand's usage line
+        sub.set_defaults(refuse=sub.error)
         for key, row in CONFIG_KEYS.items():
             if row.flag and stage in row.stages:
                 sub.add_argument(row.flag, dest=key, metavar="VALUE",
@@ -88,7 +90,7 @@ def main(argv: list[str] | None = None) -> int:
     unknown = [arg for arg in args.overrides
                if arg.startswith("-") or "=" not in arg]
     if unknown:
-        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+        args.refuse(f"unrecognized arguments: {' '.join(unknown)}")
     stage = args.command
     try:
         config = _collect_config(args)

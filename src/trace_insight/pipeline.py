@@ -298,15 +298,15 @@ def run_analyze(config: dict[str, str]) -> str:
 
         # similarity
         curves = build_resource_curves(table)
-        standard_value, standards = select_standard(
+        sample, standards = select_standard(
             curves, sample_num=SAMPLE_NUM, seed=values["dtw_seed"],
             standard_machines=values["dtw_standards"] or None)
-        # every pair inside the sample, then every machine x standard pair
-        sampled = len(values["dtw_standards"]) or SAMPLE_NUM
-        dtw_pairs = sampled * (sampled - 1) // 2 + len(curves) * len(standards)
+        # the reported pairs: every pair inside the sample, then every
+        # machine x standard pair (the DP computes each of them once)
+        dtw_pairs = len(sample) * (len(sample) - 1) // 2 + len(curves) * len(standards)
         dtw_report = score_similarity(
-            curves, curves[[m - 1 for m in standards]], standards,
-            standard_value=standard_value, normalized=values["dtw_normalized"])
+            curves, curves[[m - 1 for m in standards]], standards, sample,
+            normalized=values["dtw_normalized"])
         write_distances_csv(dtw_report, os.path.join(out_dir, "dtw_distances.csv"))
         write_flags_csv(dtw_report, os.path.join(out_dir, "dtw_flags.csv"))
         write_histogram_json(dtw_report, os.path.join(out_dir, "dtw_histogram.json"))

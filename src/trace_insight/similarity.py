@@ -14,19 +14,21 @@ in the bins of RANGE_EDGES, [0, 1), [1, 2), [2, 3), [3, 5) and [5, inf), and
 a standard whose sorted distance profile lies further than SUITABILITY_GAP
 (1.0, in sup norm) from every other standard's is reported as unsuitable.
 
-The sample's pairwise distances and the machine x standard distances come
-from one batched DP: an anti-diagonal sweep over many pairs at once, whatever
-the curve length. The sample's pairs take one sweep. The machine x standard
-pairs take one sweep per chunk of machines: the machines split evenly into
-chunks of about PAIR_POINTS points (pairs x curve length), so a sweep's work
-arrays stay a few MB however many machines there are; every pair's DP is its
-own, so the chunks give the bits of one sweep over all pairs. The sweep holds
-the curves as per-dimension planes with the pairs on the contiguous last
-axis, and sums each point's squared differences in the order einsum would
-(even dimensions, then odd, then the two sums). Each cell's optimal path
-length is carried forward in place of a traceback, but only when the caller
-reads it: the normalized form does, the standard selection and the raw scores
-do not.
+Every DTW cost comes from one batched DP: an anti-diagonal sweep over many
+pairs at once, whatever the curve length. The machine x standard pairs and
+the sample's pairs form one flat list, and each pair in it is computed once:
+a sample pair that holds a standard is the machine x standard pair of its
+other member (raw DTW cost is the same bits either way round), so only the
+sample pairs without a standard are added after the grid. The list splits
+evenly into sweeps of about PAIR_POINTS points (pairs x curve length), so a
+sweep's work arrays stay a few MB however many machines there are; every
+pair's DP is its own, so the sweeps give the bits of one sweep over all
+pairs. The sweep holds the curves as per-dimension planes with the pairs on
+the contiguous last axis, gathered straight into that layout, and sums each
+point's squared differences in the order einsum would (even dimensions,
+then odd, then the two sums). Each cell's optimal path length is carried
+forward in place of a traceback, but only when the caller reads it: the
+normalized form does, the raw scores do not.
 """
 
 from __future__ import annotations
@@ -73,16 +75,19 @@ def build_resource_curves(table: SeriesTable) -> np.ndarray:
 
 
 def _dtw_batch(q: np.ndarray, s: np.ndarray, path_lengths: bool = True,
+               pairs: tuple[np.ndarray, np.ndarray] | None = None,
                ) -> tuple[np.ndarray, np.ndarray | None]:
     """DTW cost and optimal path length of every pair of curves in q and s.
 
     ``q`` is (..., n, d) and ``s`` is (..., l, d); their leading axes
     broadcast against each other into the pair axes of both results, and the
-    curves must be non-empty and of one dimensionality. This is the
-    package's only DTW recurrence. The curves are held as per-dimension
-    planes, q as (d, n, ...) and s reversed as (d, l, ...), with the pair
-    axes last and contiguous, so each step below is a handful of elementwise
-    calls over whole diagonals.
+    curves must be non-empty and of one dimensionality. With ``pairs``, two
+    index arrays of one shape, ``q`` and ``s`` are stacks of curves instead,
+    and pair p is curve ``pairs[0][p]`` of q against curve ``pairs[1][p]`` of
+    s. This is the package's only DTW recurrence. The curves are held as
+    per-dimension planes, q as (d, n, pairs) and s reversed as (d, l, pairs),
+    with the pairs last and contiguous, so each step below is a handful of
+    elementwise calls over whole diagonals.
 
     The sweep over the anti-diagonals i + j = k keeps the last three, indexed
     by row i at offset 1 with inf padding, so the first row and column need
@@ -93,25 +98,36 @@ def _dtw_batch(q: np.ndarray, s: np.ndarray, path_lengths: bool = True,
     adds its cost to min(diagonal, up, left), written in place into the
     rolling rows. With ``path_lengths`` it also extends the path of the
     predecessor a traceback would take: diagonal if it is <= both others,
-    else up if up <= left, else left. Without it the second result is None;
-    the distances are the same bits either way.
+    else up if up <= left, else left; the lengths are int16 while a path of
+    n + l - 1 cells fits. Without it the second result is None; the
+    distances are the same bits either way.
     """
     n, l, d = q.shape[-2], s.shape[-2], q.shape[-1]
     if not n or not l or s.shape[-1] != d:
         raise ValueError(f"curves must be non-empty and agree on dimensionality, "
                          f"got points of shapes {q.shape[-2:]} and {s.shape[-2:]}")
-    pairs = np.broadcast_shapes(q.shape[:-2], s.shape[:-2])
+    if pairs is None:
+        shape = np.broadcast_shapes(q.shape[:-2], s.shape[:-2])
+        pairs = tuple(np.broadcast_to(np.arange(np.prod(c.shape[:-2], dtype=int))
+                                      .reshape(c.shape[:-2]), shape) for c in (q, s))
+        q, s = q.reshape(-1, n, d), s.reshape(-1, l, d)
+    shape = np.shape(pairs[0])
     width = min(n, l)                            # cells on the longest diagonal
 
-    def planes(curves: np.ndarray) -> np.ndarray:
-        # every pair gets its own copy: a broadcast (stride 0) operand would
-        # cut each ufunc call into inner loops as short as its last axis
-        curves = np.broadcast_to(curves, pairs + curves.shape[-2:])
-        return np.ascontiguousarray(np.moveaxis(curves, (-1, -2), (0, 1)))
+    def planes(curves: np.ndarray, index: np.ndarray) -> np.ndarray:
+        # each curve a pair reads is laid out as planes once, then gathered
+        # into pair order along the contiguous last axis; a run of
+        # consecutive curves is sliced, which spares the heap a copy
+        used, local = np.unique(np.ravel(index), return_inverse=True)
+        if len(used) and used[-1] - used[0] == len(used) - 1:
+            used = slice(used[0], used[-1] + 1)
+        return np.ascontiguousarray(curves[used].transpose(2, 1, 0)).take(
+            local, axis=2)
 
-    rows = planes(q)
-    cols = planes(s[..., ::-1, :])               # cols[:, r] is point l-1-r
-    squares = np.empty((d, width, *pairs))
+    rows = planes(q, pairs[0])
+    cols = planes(s[:, ::-1], pairs[1])          # cols[:, r] is point l-1-r
+    count = rows.shape[-1]
+    squares = np.empty((d, width, count))
 
     def diagonal_cost(k: int, lo: int, hi: int) -> np.ndarray:
         sq = squares[:, :hi + 1 - lo]
@@ -125,13 +141,14 @@ def _dtw_batch(q: np.ndarray, s: np.ndarray, path_lengths: bool = True,
             np.add(sq[0], sq[1], out=sq[0])
         return sq[0]
 
-    acc = np.full((3, n + 1, *pairs), np.inf)   # diagonal k lives at k % 3
+    acc = np.full((3, n + 1, count), np.inf)    # diagonal k lives at k % 3
     acc[0, 1] = diagonal_cost(0, 0, 0)[0]
     if path_lengths:
-        steps = np.zeros((3, n + 1, *pairs), dtype=np.int32)
+        length_type = np.int16 if n + l - 1 < 2 ** 15 else np.int32
+        steps = np.zeros((3, n + 1, count), dtype=length_type)
         steps[0, 1] = 1
-        wins = np.empty((2, width, *pairs), dtype=bool)
-        spare = np.empty((width, *pairs), dtype=np.int32)
+        wins = np.empty((2, width, count), dtype=bool)
+        spare = np.empty((width, count), dtype=length_type)
     for k in range(1, n + l - 1):
         lo, hi = max(0, k - l + 1), min(n - 1, k)
         here, prev, back = k % 3, (k - 1) % 3, (k - 2) % 3
@@ -158,22 +175,23 @@ def _dtw_batch(q: np.ndarray, s: np.ndarray, path_lengths: bool = True,
             length += 1
         np.add(best, diagonal_cost(k, lo, hi), out=best)
     last = (n + l - 2) % 3
-    return (acc[last, n].copy(),
-            steps[last, n].copy() if path_lengths else None)
+    return (acc[last, n].reshape(shape).copy(),
+            steps[last, n].reshape(shape).copy() if path_lengths else None)
 
 
 def select_standard(curves: np.ndarray, sample_num: int, seed: int,
                     standard_machines: list[int] | None = None,
-                    ) -> tuple[float, list[int]]:
-    """Baseline distance and the machines whose curves are the standards.
+                    ) -> tuple[list[int], list[int]]:
+    """The sampled machines and, of those, the machines whose curves are the
+    standards.
 
     ``curves`` is the (machines, points, dims) array of
     ``build_resource_curves``, machine m at row m - 1. Samples
-    ``sample_num`` machines without replacement (seeded), computes all
-    pairwise DTW distances inside the sample, and takes their median as the
-    baseline. STANDARD_COUNT of the sampled machines are then drawn as the
-    standards. Passing ``standard_machines`` pins the sample to those
-    machine ids instead (all of them become standards; none may repeat).
+    ``sample_num`` machines without replacement (seeded); STANDARD_COUNT of
+    the sampled machines are then drawn as the standards. Passing
+    ``standard_machines`` pins the sample to those machine ids instead (all
+    of them become standards; none may repeat). ``score_similarity`` takes
+    the median DTW cost of the pairs inside the sample as the baseline.
     """
     count = len(curves)
     if not count:
@@ -185,33 +203,29 @@ def select_standard(curves: np.ndarray, sample_num: int, seed: int,
         repeated = sorted(m for m, n in Counter(standard_machines).items() if n > 1)
         if repeated:
             raise ValueError(f"standard machines repeated: {repeated}")
-        sample = np.asarray(standard_machines, dtype=np.int64) - 1
-        chosen = sample
-    else:
-        if sample_num < STANDARD_COUNT:   # the standards come from the sample
-            raise ValueError(f"sample_num must be >= {STANDARD_COUNT}, got {sample_num}")
-        if sample_num > count:
-            raise ValueError(
-                f"sample_num {sample_num} exceeds curve count {count}")
-        rng = np.random.default_rng(seed)
-        sample = np.sort(rng.choice(count, size=sample_num, replace=False))
-        chosen = sample[np.sort(rng.choice(sample_num, size=STANDARD_COUNT,
-                                           replace=False))]
-    if len(sample) < 2:
-        raise ValueError("need at least 2 sampled curves for a pairwise median")
-    a, b = np.triu_indices(len(sample), 1)
-    pair_values, _ = _dtw_batch(curves[sample[a]], curves[sample[b]], path_lengths=False)
-    return median(pair_values), (chosen + 1).tolist()
+        return list(standard_machines), list(standard_machines)
+    if sample_num < STANDARD_COUNT:   # the standards come from the sample
+        raise ValueError(f"sample_num must be >= {STANDARD_COUNT}, got {sample_num}")
+    if sample_num > count:
+        raise ValueError(
+            f"sample_num {sample_num} exceeds curve count {count}")
+    rng = np.random.default_rng(seed)
+    sample = np.sort(rng.choice(count, size=sample_num, replace=False))
+    chosen = sample[np.sort(rng.choice(sample_num, size=STANDARD_COUNT,
+                                       replace=False))]
+    return (sample + 1).tolist(), (chosen + 1).tolist()
 
 
 def score_similarity(curves: np.ndarray, standard_curves: np.ndarray,
-                     standard_machines: list[int], standard_value: float,
+                     standard_machines: list[int], sample: list[int],
                      normalized: bool = False) -> DtwReport:
-    """Distance of every machine to every standard curve.
+    """Distance of every machine to every standard curve, and the baseline.
 
     ``curves`` is the (machines, points, dims) array of
     ``build_resource_curves``, machine m at row m - 1, and
-    ``standard_curves`` the rows of ``standard_machines``.
+    ``standard_curves`` the rows of ``standard_machines``. The standard
+    value is the median raw DTW cost over the pairs inside ``sample``, the
+    sampled machine ids of ``select_standard``.
 
     Flags machines whose mean distance exceeds THRESHOLD, and buckets mean
     distances into the bins of RANGE_EDGES. With ``normalized`` the
@@ -223,16 +237,48 @@ def score_similarity(curves: np.ndarray, standard_curves: np.ndarray,
         raise ValueError("need at least one standard curve")
     if not len(curves):
         raise ValueError("no curves to score")
-    # the machines split evenly between as many sweeps as their pairs' points
-    # fill PAIR_POINTS, rounded, so that no sweep is a small remainder
-    machines, per_machine = len(curves), len(standard_curves) * curves.shape[1]
-    sweeps = min(machines, max(1, round(machines * per_machine / PAIR_POINTS)))
-    bounds = [i * machines // sweeps for i in range(sweeps + 1)]
-    distances = np.empty((machines, len(standard_curves)))
+    if len(sample) < 2:
+        raise ValueError("need at least 2 sampled curves for a pairwise median")
+    machines, width = len(curves), len(standard_curves)
+    grid = machines * width
+    # one flat list of pairs: machine m against standard j at m * width + j,
+    # then the sample pairs that hold no standard; a sample pair that holds
+    # one reads its cost from the grid, swapped if the standard comes first
+    column = {m: j for j, m in enumerate(standard_machines)}
+    own: list[tuple[int, int]] = []
+    at: list[int] = []               # each sample pair's place in the list
+    for i, a in enumerate(sample):
+        for b in sample[i + 1:]:
+            if b in column:
+                at.append((a - 1) * width + column[b])
+            elif a in column:
+                at.append((b - 1) * width + column[a])
+            else:
+                at.append(grid + len(own))
+                own.append((a - 1, b - 1))
+    sample_at = np.array(at)
+    own_rows, own_cols = np.array(own, dtype=np.intp).reshape(-1, 2).T
+    # the second curve of every pair: a standard, or an own pair's second
+    opposite = np.concatenate((standard_curves, curves[own_cols]))
+    # the pairs split evenly between as many sweeps as their points fill
+    # PAIR_POINTS, rounded, so that no sweep is a small remainder
+    total = grid + len(own)
+    sweeps = min(total, max(1, round(total * curves.shape[1] / PAIR_POINTS)))
+    bounds = [i * total // sweeps for i in range(sweeps + 1)]
+    distances = np.empty((machines, width))
+    flat = distances.reshape(-1)
+    sample_cost = np.empty(len(sample_at))
     for lo, hi in zip(bounds, bounds[1:]):
-        cost, steps = _dtw_batch(curves[lo:hi, None], standard_curves[None],
-                                 path_lengths=normalized)
-        distances[lo:hi] = np.sqrt(cost) / steps if normalized else cost
+        on_grid = np.arange(lo, min(hi, grid))
+        beyond = np.arange(max(lo, grid), max(hi, grid)) - grid
+        cost, steps = _dtw_batch(
+            curves, opposite, path_lengths=normalized,
+            pairs=(np.concatenate((on_grid // width, own_rows[beyond])),
+                   np.concatenate((on_grid % width, width + beyond))))
+        here = (lo <= sample_at) & (sample_at < hi)
+        sample_cost[here] = cost[sample_at[here] - lo]
+        flat[lo:lo + len(on_grid)] = (np.sqrt(cost) / steps if normalized
+                                      else cost)[:len(on_grid)]
     mean_distance = distances.mean(axis=1)
 
     # slot 0 is below the first edge and is not a bin
@@ -252,7 +298,7 @@ def score_similarity(curves: np.ndarray, standard_curves: np.ndarray,
                 unsuitable.append(standard_machines[j])
 
     return DtwReport(
-        standard_value=standard_value,
+        standard_value=median(sample_cost),
         standard_machines=list(standard_machines),
         distances=distances,
         mean_distance=mean_distance,

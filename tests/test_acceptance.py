@@ -424,11 +424,11 @@ def reference_similarity(reference):
     """Criterion 11: the standard value of the published standards, and
     every machine's DTW scores against them."""
     curves = build_resource_curves(reference.table)
-    standard_value, standards = select_standard(
+    sample, standards = select_standard(
         curves, sample_num=8, seed=0, standard_machines=REFERENCE_STANDARDS)
     report = score_similarity(curves, curves[[m - 1 for m in standards]],
-                              standards, standard_value=standard_value)
-    return standard_value, report
+                              standards, sample)
+    return report.standard_value, report
 
 
 def reference_ranking(reference, seed):
@@ -503,6 +503,11 @@ def test_reference_criteria_run_on_the_demo_trace(tmp_path):
 
     standard_value, dtw = reference_similarity(reference)
     assert isinstance(standard_value, float)
+    # the median of the oracle recurrence over the pinned standards' pairs
+    curves = build_resource_curves(reference.table)
+    pairwise = [oracles.dtw_recurrence(curves[a - 1], curves[b - 1])[0]
+                for a, b in itertools.combinations(REFERENCE_STANDARDS, 2)]
+    assert standard_value == pytest.approx(np.median(pairwise), rel=1e-12)
     assert dtw.standard_machines == REFERENCE_STANDARDS
     assert dtw.distances.shape == (64, 4)
     assert len(dtw.histogram) == 5 and sum(dtw.histogram) == 64

@@ -302,9 +302,10 @@ def test_bad_override_surfaces(tmp_path, capsys):
         main(["analyze", "--out-dir", str(tmp_path), "--seed", "7",
               "--threshold", "4"])
     assert exit_info.value.code == 2
-    # in command-line order
-    assert capsys.readouterr().err.splitlines()[-1] == \
-        "trace-insight: error: unrecognized arguments: --threshold 4"
+    # in command-line order, under the subcommand's usage line
+    assert capsys.readouterr().err.splitlines() == [
+        "usage: trace-insight analyze [flags] [key=value ...]",
+        "trace-insight analyze: error: unrecognized arguments: --threshold 4"]
     for argv in (["analyze", "--seed", "7", "dtw_threshold=4"],
                  ["preprocess", "--input-dir", "trace", "max_skip_ratio=0.5"]):
         assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2

@@ -55,7 +55,7 @@ def test_similarity_peak_does_not_grow_with_the_machines(normalized):
     for machines in (chunk, 8 * chunk):
         curves = rng.random((machines, 64, 3))
         report, peak = traced_peak(score_similarity, curves, curves[:4], [1, 2, 3, 4],
-                                   standard_value=0.0, normalized=normalized)
+                                   [1, 2, 3, 4], normalized=normalized)
         above_output.append(peak - report.distances.nbytes
                             - report.mean_distance.nbytes)
     # a few KB of Python objects; one sweep over all pairs grows by 11 MB

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import oracles
-from trace_insight import __version__, pipeline, trace_model
+from trace_insight import __version__, pipeline, similarity, trace_model
 from trace_insight.anomaly import AnomalyReport, build_feature_matrix, iforest_fit
 from trace_insight.classify import TYPE_LABELS, kmeans_fit
 from trace_insight.pipeline import (
@@ -732,6 +732,23 @@ def test_analyze_counts_its_dtw_pairs_and_cells_in_its_manifest(tmp_path):
     counts = analyze_counts(out)
     assert counts["dtw_pairs"] == 3 * 2 // 2 + 16 * 3
     assert counts["dtw_cells"] == counts["dtw_pairs"] * 12 ** 2
+
+
+def test_analyze_runs_its_dtw_pairs_in_one_sweep(tmp_path, monkeypatch):
+    # the 28 sample pairs and the 16 x 4 machine x standard pairs are one
+    # list of pairs, and on 12 intervals they fit one sweep
+    trace, out = noisy_trace(tmp_path / "trace", seed=7), tmp_path / "out"
+    run_preprocess(stage_config(trace, out))
+    sweeps = []
+    kernel = similarity._dtw_batch
+
+    def counted(*args, **kwargs):
+        sweeps.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(similarity, "_dtw_batch", counted)
+    run_analyze(stage_config(trace, out))
+    assert len(sweeps) == 1
 
 
 def test_analyze_counts_the_forest_nodes_in_its_manifest(tmp_path, monkeypatch):

@@ -81,7 +81,7 @@ def test_dtw_rejects_mixed_dimensionality_and_empty_input():
 
 def test_report_rows_are_the_machines_in_curve_order():
     curves = sample_curves(count=5)
-    report = score_similarity(curves, curves[[3, 1]], [4, 2], standard_value=0.0)
+    report = score_similarity(curves, curves[[3, 1]], [4, 2], [1, 2])
     assert report.distances.shape == (5, 2)
     assert report.mean_distance.shape == (5,)
     assert report.standard_machines == [4, 2]
@@ -187,6 +187,29 @@ def test_skipping_path_lengths_leaves_distances_bit_identical(curves):
         assert (distance[p], path_length[p]) == einsum_dtw(q[p], s[p])
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_raw_cost_is_bit_symmetric(d):
+    # score_similarity reads a sample pair whose first member is a standard
+    # from the swapped machine x standard pair: the transposed DP takes the
+    # minimum of the same three values and adds the same squared differences
+    rng = np.random.default_rng(d)
+    for n, l in ((7, 12), (12, 7), (1, 9), (30, 23)):
+        for q, s in ((rng.random((40, n, d)) * 3 - 1, rng.random((40, l, d)) * 3 - 1),
+                     (rng.integers(0, 3, (40, n, d)) * 1.0,
+                      rng.integers(0, 3, (40, l, d)) * 1.0)):
+            forward, _ = _dtw_batch(q, s, path_lengths=False)
+            backward, _ = _dtw_batch(s, q, path_lengths=True)
+            assert forward.tobytes() == backward.tobytes(), (n, l)
+
+
+def test_path_lengths_are_int16_while_the_longest_path_fits():
+    # a 1-point curve against an l-point one has a path of l cells
+    for l, kind in ((2 ** 15 - 1, np.int16), (2 ** 15, np.int32)):
+        _, path_length = _dtw_batch(np.zeros((1, 1, 1)), np.zeros((1, l, 1)))
+        assert path_length.dtype == kind
+        assert path_length.tolist() == [l]
+
+
 def test_plane_point_cost_matches_einsum_up_to_seven_dimensions():
     # the kernel sums squared planes in the order einsum sums a contiguous
     # axis; every pinned artifact digest rests on the two agreeing
@@ -202,9 +225,9 @@ def test_plane_point_cost_matches_einsum_up_to_seven_dimensions():
 
 def test_normalized_distance_formula():
     assert dtw_pair([0, 0, 0], [2, 2, 2]) == (12.0, 3)
-    report = score_similarity(as_curves([0, 0, 0]), as_curves([2, 2, 2]), [9],
-                              standard_value=0.0, normalized=True)
-    assert report.distances.tolist() == [[np.sqrt(12.0) / 3]]
+    report = score_similarity(as_curves([0, 0, 0], [0, 0, 0]), as_curves([2, 2, 2]),
+                              [9], [1, 2], normalized=True)
+    assert report.distances.tolist() == [[np.sqrt(12.0) / 3]] * 2
 
 
 def test_three_dimensional_cost_keeps_its_summation_order():
@@ -214,7 +237,7 @@ def test_three_dimensional_cost_keeps_its_summation_order():
     assert (0.1 ** 2 + 0.2 ** 2) + 0.5 ** 2 == 0.3
     assert dtw_pair([point], [[0.0, 0.0, 0.0]]) == (0.30000000000000004, 1)
     machines = np.array([[point, point]] * 2)
-    report = score_similarity(machines, np.zeros((1, 2, 3)), [9], standard_value=0.0)
+    report = score_similarity(machines, np.zeros((1, 2, 3)), [9], [1, 2])
     assert report.distances.tolist() == [[0.6000000000000001]] * 2
 
 
@@ -239,33 +262,99 @@ def test_select_standard_is_deterministic_per_seed():
 
 def test_select_standard_draws_machines_from_the_seed_alone():
     curves = sample_curves()
-    value, standards = select_standard(curves, sample_num=6, seed=9)
+    sample, standards = select_standard(curves, sample_num=6, seed=9)
     rng = np.random.default_rng(9)
-    sample = np.sort(rng.choice(10, size=6, replace=False))
-    chosen = sample[np.sort(rng.choice(6, size=4, replace=False))]
+    drawn = np.sort(rng.choice(10, size=6, replace=False))
+    chosen = drawn[np.sort(rng.choice(6, size=4, replace=False))]
+    assert sample == (drawn + 1).tolist()
     assert standards == (chosen + 1).tolist()
-    # other curves of as many machines give the same standards
-    assert select_standard(sample_curves(seed=3), sample_num=6, seed=9)[1] == standards
-    pairwise = [oracles.brute_force_dtw(curves[a], curves[b])
-                for a, b in itertools.combinations(sample, 2)]
-    assert value == pytest.approx(np.median(pairwise), rel=1e-12)
+    # other curves of as many machines give the same sample and standards
+    assert select_standard(sample_curves(seed=3), sample_num=6, seed=9) == \
+        (sample, standards)
+
+
+def test_select_standard_with_pinned_machines():
+    # the pinned machines are the whole sample, in the order given
+    curves = sample_curves()
+    assert select_standard(curves, sample_num=0, seed=0,
+                           standard_machines=[9, 3, 5]) == ([9, 3, 5], [9, 3, 5])
 
 
 def test_select_standard_on_identical_curves_gives_zero():
     curves = np.array([flat_curve(0.4, 0.5, 0.6)] * 8)
-    value, standards = select_standard(curves, sample_num=8, seed=1)
-    assert value == 0.0
-    assert len(standards) == 4
+    sample, standards = select_standard(curves, sample_num=8, seed=1)
+    assert len(sample) == 8 and len(standards) == 4
+    report = score_similarity(curves, curves[[m - 1 for m in standards]],
+                              standards, sample)
+    assert report.standard_value == 0.0
 
 
-def test_select_standard_with_pinned_machines():
-    curves = sample_curves()
-    value, standards = select_standard(curves, sample_num=0, seed=0,
-                                       standard_machines=[3, 5, 7, 9])
-    assert standards == [3, 5, 7, 9]
-    pairwise = [oracles.brute_force_dtw(curves[a - 1], curves[b - 1])
-                for a, b in itertools.combinations(standards, 2)]
-    assert value == pytest.approx(np.median(pairwise), rel=1e-12)
+def scored_against_the_oracle(curves, pin, seed, normalized, monkeypatch):
+    """The report of analyze's call sequence on ``curves``, and the path
+    lengths of every machine x standard pair that its sweeps computed."""
+    sweeps = []
+
+    def recorded(q, s, path_lengths=True, pairs=None):
+        sweeps.append(_dtw_batch(q, s, path_lengths, pairs))
+        return sweeps[-1]
+
+    monkeypatch.setattr(similarity, "_dtw_batch", recorded)
+    sample, standards = select_standard(curves, sample_num=8, seed=seed,
+                                        standard_machines=pin)
+    report = score_similarity(curves, curves[[m - 1 for m in standards]],
+                              standards, sample, normalized=normalized)
+    steps = None
+    if normalized:
+        grid = report.distances.size
+        steps = np.concatenate([s for _, s in sweeps])[:grid].reshape(
+            report.distances.shape)
+    return sample, report, steps
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+@pytest.mark.parametrize("pin", [None, [9, 2, 5]])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_scores_and_standard_value_match_the_recurrence(
+        monkeypatch, seed, pin, normalized):
+    # dyadic, tie-heavy points: the oracle's left-to-right point sums are
+    # exact, so its costs are the kernel's bits, and ties test the path rule
+    curves = dyadic_points(np.random.default_rng(seed), (12, 9, 3), top=2)
+    sample, report, steps = scored_against_the_oracle(
+        curves, pin, seed, normalized, monkeypatch)
+    if pin:
+        assert sample == report.standard_machines == pin
+    else:
+        assert len(sample) == 8
+        assert set(report.standard_machines) < set(sample)
+    pairwise = [oracles.dtw_recurrence(curves[a - 1], curves[b - 1])[0]
+                for a, b in itertools.combinations(sample, 2)]
+    assert len(pairwise) == len(sample) * (len(sample) - 1) // 2
+    assert report.standard_value == float(np.median(pairwise))
+    for m in range(1, 13):
+        for j, standard in enumerate(report.standard_machines):
+            cost, length = oracles.dtw_recurrence(curves[m - 1], curves[standard - 1])
+            want = np.sqrt(cost) / length if normalized else cost
+            assert report.distances[m - 1, j] == want, (m, standard)
+            if normalized:
+                assert steps[m - 1, j] == length, (m, standard)
+
+
+@pytest.mark.parametrize("pin", [None, [9, 2, 5]])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_full_precision_standard_value_is_the_bits_of_each_pair(
+        monkeypatch, seed, pin):
+    # every rounding shows here: a sample pair read from the swapped
+    # machine x standard entry has the bits of the pair computed as drawn
+    curves = np.random.default_rng(seed).random((12, 9, 3)) * 3 - 1
+    sample, report, _ = scored_against_the_oracle(
+        curves, pin, seed, False, monkeypatch)
+    pairwise = [einsum_dtw(curves[a - 1], curves[b - 1])[0]
+                for a, b in itertools.combinations(sample, 2)]
+    assert report.standard_value == float(np.median(pairwise))
+    for m in range(1, 13):
+        for j, standard in enumerate(report.standard_machines):
+            want, _ = einsum_dtw(curves[m - 1], curves[standard - 1])
+            assert report.distances[m - 1, j] == want, (m, standard)
 
 
 def test_select_standard_input_validation():
@@ -294,7 +383,7 @@ def test_score_similarity_bins_and_strict_threshold():
     standards = np.array([flat_curve(0.0, length=1), flat_curve(0.0, length=1),
                           flat_curve(3.0, length=1)])
     ids = [101, 102, 103]
-    report = score_similarity(machines, standards, ids, standard_value=1.0)
+    report = score_similarity(machines, standards, ids, [1, 2])
     # each machine: distances (0, 0, 9), mean exactly 3
     assert THRESHOLD == 3.0
     assert report.mean_distance == pytest.approx([3.0] * 5)
@@ -303,13 +392,14 @@ def test_score_similarity_bins_and_strict_threshold():
     assert report.unsuitable_standards == [103]
 
     # 0.1 off in each dimension: distances (0.03, 0.03, 9.63), mean 3.23
-    above = score_similarity(machines - 0.1, standards, ids, standard_value=1.0)
+    above = score_similarity(machines - 0.1, standards, ids, [1, 2])
     assert above.flagged == [1, 2, 3, 4, 5]
 
 
 def test_score_similarity_identical_everything():
     machines = np.array([flat_curve(0.3, 0.4, 0.5)] * 3)
-    report = score_similarity(machines, machines[:2], [1, 2], standard_value=0.0)
+    report = score_similarity(machines, machines[:2], [1, 2], [1, 2, 3])
+    assert report.standard_value == 0.0
     assert report.mean_distance == pytest.approx([0.0] * 3)
     assert report.histogram == [3, 0, 0, 0, 0]
     assert report.flagged == []
@@ -317,11 +407,10 @@ def test_score_similarity_identical_everything():
 
 
 def test_score_similarity_normalized_uses_the_sqrt_form():
-    machines = flat_curve(0.0, length=3)[None]
+    machines = np.array([flat_curve(0.0, length=3)] * 2)
     standards = flat_curve(2.0, length=3)[None]
-    plain = score_similarity(machines, standards, [9], standard_value=0.0)
-    normed = score_similarity(machines, standards, [9], standard_value=0.0,
-                              normalized=True)
+    plain = score_similarity(machines, standards, [9], [1, 2])
+    normed = score_similarity(machines, standards, [9], [1, 2], normalized=True)
     want = np.sqrt(plain.distances[0, 0]) / 3.0
     assert normed.distances[0, 0] == pytest.approx(want)
     assert normed.normalized is True
@@ -329,12 +418,15 @@ def test_score_similarity_normalized_uses_the_sqrt_form():
 
 @st.composite
 def machines_and_standards(draw):
+    # the standards are curves of machines, so of their length, and two
+    # machines make the smallest sample
+    length = draw(st.integers(1, 8))
+
     def curves(count):
-        length = draw(st.integers(1, 8))
         return np.array([draw(st.lists(point, min_size=length, max_size=length))
                          for _ in range(count)], float)
 
-    return curves(draw(st.integers(1, 4))), curves(draw(st.integers(1, 3)))
+    return curves(draw(st.integers(2, 5))), curves(draw(st.integers(1, 3)))
 
 
 @settings(max_examples=50)
@@ -342,9 +434,10 @@ def machines_and_standards(draw):
 def test_batch_scores_equal_single_pair_scores(curves):
     machines, standards = curves
     ids = list(range(101, 101 + len(standards)))
-    plain = score_similarity(machines, standards, ids, standard_value=0.0)
-    normed = score_similarity(machines, standards, ids, standard_value=0.0,
-                              normalized=True)
+    plain = score_similarity(machines, standards, ids, [1, 2])
+    normed = score_similarity(machines, standards, ids, [1, 2], normalized=True)
+    assert plain.standard_value == normed.standard_value == \
+        einsum_dtw(machines[0], machines[1])[0]
     for i, curve in enumerate(machines):
         for j, std in enumerate(standards):
             distance, path_length = einsum_dtw(curve, std)
@@ -352,34 +445,41 @@ def test_batch_scores_equal_single_pair_scores(curves):
             assert normed.distances[i, j] == np.sqrt(distance) / path_length
 
 
-# 7 machines against 3 standards of 5 points: 105 points of pairs in all
+# 6 machines against 3 standards of 5 points, then the 3 pairs of the
+# sample (4, 5, 6), which holds no standard: 21 pairs, 105 points in all
 @pytest.mark.parametrize("normalized", [False, True])
 @pytest.mark.parametrize("pair_points, chunks", [
-    (35, [2, 2, 3]),          # chunks of unequal size
-    (70, [3, 4]),             # 1.5 sweeps' worth rounds to 2
-    (1, [1] * 7),             # less than one machine's points: one per sweep
-    (105, [7]),               # all machines fill one sweep exactly
-    (PAIR_POINTS, [7]),       # fewer machines than one sweep holds
+    (35, [7, 7, 7]),          # the last sweep holds grid and sample pairs
+    (70, [10, 11]),           # 1.5 sweeps' worth rounds to 2, unequal
+    (1, [1] * 21),            # less than one pair's points: one per sweep
+    (105, [21]),              # all pairs fill one sweep exactly
+    (PAIR_POINTS, [21]),      # fewer pairs than one sweep holds
 ])
 def test_chunked_scoring_gives_the_bits_of_one_whole_sweep(
         monkeypatch, normalized, pair_points, chunks):
     rng = np.random.default_rng(3)
-    machines, standards = rng.random((7, 5, 3)), rng.random((3, 5, 3))
+    machines, standards = rng.random((6, 5, 3)), rng.random((3, 5, 3))
     whole, whole_steps = _dtw_batch(machines[:, None], standards[None])
+    sample_pairs, _ = _dtw_batch(machines[[3, 3, 4]], machines[[4, 5, 5]],
+                                 path_lengths=False)
     sweeps = []
 
-    def recorded(q, s, path_lengths=True):
-        sweeps.append(_dtw_batch(q, s, path_lengths))
+    def recorded(q, s, path_lengths=True, pairs=None):
+        sweeps.append(_dtw_batch(q, s, path_lengths, pairs))
         return sweeps[-1]
 
     monkeypatch.setattr(similarity, "PAIR_POINTS", pair_points)
     monkeypatch.setattr(similarity, "_dtw_batch", recorded)
-    report = score_similarity(machines, standards, [1, 2, 3], standard_value=0.0,
+    report = score_similarity(machines, standards, [101, 102, 103], [4, 5, 6],
                               normalized=normalized)
     assert [len(cost) for cost, _ in sweeps] == chunks
+    cost = np.concatenate([c for c, _ in sweeps])
+    assert cost[:18].tobytes() == whole.tobytes()
+    assert cost[18:].tobytes() == sample_pairs.tobytes()
+    assert report.standard_value == np.median(sample_pairs)
     if normalized:
         steps = np.concatenate([length for _, length in sweeps])
-        assert steps.tobytes() == whole_steps.tobytes()
+        assert steps[:18].tobytes() == whole_steps.tobytes()
         whole = np.sqrt(whole) / whole_steps
     else:
         assert [length for _, length in sweeps] == [None] * len(chunks)
@@ -387,10 +487,33 @@ def test_chunked_scoring_gives_the_bits_of_one_whole_sweep(
     assert report.mean_distance.tobytes() == whole.mean(axis=1).tobytes()
 
 
+def test_sample_pairs_with_a_standard_take_no_pair_of_their_own(monkeypatch):
+    # 4 of the 8 sampled machines are standards: 6 of the 28 sample pairs
+    # hold none, and the other 22 are read from the machine x standard costs
+    rng = np.random.default_rng(4)
+    curves = rng.random((10, 5, 3))
+    counted = []
+
+    def recorded(q, s, path_lengths=True, pairs=None):
+        counted.append(len(pairs[0]))
+        return _dtw_batch(q, s, path_lengths, pairs)
+
+    monkeypatch.setattr(similarity, "_dtw_batch", recorded)
+    sample, standards = [1, 2, 4, 5, 6, 8, 9, 10], [2, 5, 8, 10]
+    score_similarity(curves, curves[[m - 1 for m in standards]], standards, sample)
+    assert counted == [10 * 4 + 6]
+    counted.clear()
+    # pinned standards are the whole sample: no pair beyond the grid
+    score_similarity(curves, curves[[8, 1, 4]], [9, 2, 5], [9, 2, 5])
+    assert counted == [10 * 3]
+
+
 def test_score_similarity_needs_curves_to_score():
     with pytest.raises(ValueError, match="no curves to score"):
-        score_similarity(np.empty((0, 5, 3)), np.ones((2, 5, 3)), [1, 2],
-                         standard_value=0.0)
+        score_similarity(np.empty((0, 5, 3)), np.ones((2, 5, 3)), [1, 2], [1, 2])
+    # one sampled machine has no pairwise median
+    with pytest.raises(ValueError, match="at least 2 sampled curves"):
+        score_similarity(np.ones((2, 5, 3)), np.ones((2, 5, 3)), [1, 2], [1])
 
 
 def test_histogram_edges_are_configurable(tmp_path):
@@ -400,7 +523,7 @@ def test_histogram_edges_are_configurable(tmp_path):
                          flat_curve(1.0, 1.0, 1.0, length=1),
                          flat_curve(2.0, 1.0, length=1)])
     report = score_similarity(machines, flat_curve(0.0, length=1)[None], [9],
-                              standard_value=0.0)
+                              [1, 2])
     assert report.mean_distance.tolist() == [0.0, 1.0, 3.0, 5.0]
     assert report.histogram == [1, 1, 0, 1, 1]
     path = tmp_path / "hist.json"
@@ -425,7 +548,9 @@ def test_build_resource_curves_stacks_cpu_mem_disk():
 
 def test_artifact_writers(tmp_path):
     machines = np.array([flat_curve(m, length=2) for m in range(1, 4)])
-    report = score_similarity(machines, machines[:2], [1, 2], standard_value=0.5)
+    # sample pair costs 2 * 1, 2 * 4 and 2 * 1
+    report = score_similarity(machines, machines[:2], [1, 2], [1, 2, 3])
+    assert report.standard_value == 2.0
 
     dpath = tmp_path / "distances.csv"
     write_distances_csv(report, str(dpath))
@@ -446,7 +571,7 @@ def test_artifact_writers(tmp_path):
     assert sum(b["count"] for b in data["bins"]) == len(machines)
     assert report.flagged == [3]   # mean distances 1, 1 and 5
     del data["bins"]
-    assert data == {"standard_value": 0.5, "standard_machines": [1, 2],
+    assert data == {"standard_value": 2.0, "standard_machines": [1, 2],
                     "threshold": 3.0, "normalized": False, "flagged": [3],
                     "flagged_count": 1, "machine_count": 3,
                     "unsuitable_standards": report.unsuitable_standards}
