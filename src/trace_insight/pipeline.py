@@ -25,6 +25,14 @@ records its digest and the file's grid is its own. It classifies right after
 aggregating: the cause tags and every writer read the (M,) categories. All
 randomness comes from seeds named in the config; a missing seed is an error,
 never a fallback to wall-clock entropy.
+
+The count hooks of the benchmark's tracer (``perfbench/tracing.py``) bind the
+arguments of these calls by position, so their shapes stay as they are until
+ROADMAP item 1 makes the hooks read by name (see the count-hook FOUND in
+CHANGES.md): ``parse_trace_dir(path, …)``; ``aggregate_container_usage(bundle,
+…)`` and ``aggregate_batch_usage(bundle, …)``, whose results the hooks take
+``len()`` of; ``select_standard(curves, sample_num=…)``; and
+``score_similarity(curves, standard_curves, …)``.
 """
 
 from __future__ import annotations

@@ -6,13 +6,14 @@ machine m, read from the server columns of the series table. Row m - 1 of
 a report's distances is machine m too, and the writers number the rows.
 Distance between two curves is the cumulative dynamic-time-warping cost with
 squared Euclidean point cost, reported raw (no path-length normalization);
-the normalized form sqrt(cost)/K is available behind a flag. A set of
-standard curves is drawn from a seeded sample, the median pairwise distance
-within the sample is the baseline value, and machines whose mean distance to
-the standards exceeds THRESHOLD (3.0) get flagged. Mean distances are counted
-in the bins of RANGE_EDGES, [0, 1), [1, 2), [2, 3), [3, 5) and [5, inf), and
-a standard whose sorted distance profile lies further than SUITABILITY_GAP
-(1.0, in sup norm) from every other standard's is reported as unsuitable.
+the config key dtw_normalized chooses the normalized form sqrt(cost)/K. A
+set of standard curves is drawn from a seeded sample, the median pairwise
+distance within the sample is the baseline value, and machines whose mean
+distance to the standards exceeds THRESHOLD (3.0) get flagged. Mean
+distances are counted in the bins of RANGE_EDGES, [0, 1), [1, 2), [2, 3),
+[3, 5) and [5, inf), and a standard whose sorted distance profile lies
+further than SUITABILITY_GAP (1.0, in sup norm) from every other standard's
+is reported as unsuitable.
 
 Every DTW cost comes from one batched DP: an anti-diagonal sweep over many
 pairs at once, whatever the curve length. The machine x standard pairs and
@@ -74,20 +75,18 @@ def build_resource_curves(table: SeriesTable) -> np.ndarray:
                     axis=-1)
 
 
-def _dtw_batch(q: np.ndarray, s: np.ndarray, path_lengths: bool = True,
-               pairs: tuple[np.ndarray, np.ndarray] | None = None,
-               ) -> tuple[np.ndarray, np.ndarray | None]:
-    """DTW cost and optimal path length of every pair of curves in q and s.
+def _dtw_batch(q: np.ndarray, s: np.ndarray, pairs: tuple[np.ndarray, np.ndarray],
+               path_lengths: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """DTW cost and optimal path length of each listed pair of curves.
 
-    ``q`` is (..., n, d) and ``s`` is (..., l, d); their leading axes
-    broadcast against each other into the pair axes of both results, and the
-    curves must be non-empty and of one dimensionality. With ``pairs``, two
-    index arrays of one shape, ``q`` and ``s`` are stacks of curves instead,
-    and pair p is curve ``pairs[0][p]`` of q against curve ``pairs[1][p]`` of
-    s. This is the package's only DTW recurrence. The curves are held as
-    per-dimension planes, q as (d, n, pairs) and s reversed as (d, l, pairs),
-    with the pairs last and contiguous, so each step below is a handful of
-    elementwise calls over whole diagonals.
+    ``q`` is an (a, n, d) and ``s`` a (b, l, d) stack of curves, non-empty
+    and of one dimensionality, and ``pairs`` two index lists of one length:
+    pair p is curve ``pairs[0][p]`` of q against curve ``pairs[1][p]`` of s,
+    and both results hold one value per pair, in list order. This is the
+    package's only DTW recurrence. The curves are held as per-dimension
+    planes, q as (d, n, pairs) and s reversed as (d, l, pairs), with the
+    pairs last and contiguous, so each step below is a handful of elementwise
+    calls over whole diagonals.
 
     The sweep over the anti-diagonals i + j = k keeps the last three, indexed
     by row i at offset 1 with inf padding, so the first row and column need
@@ -106,19 +105,13 @@ def _dtw_batch(q: np.ndarray, s: np.ndarray, path_lengths: bool = True,
     if not n or not l or s.shape[-1] != d:
         raise ValueError(f"curves must be non-empty and agree on dimensionality, "
                          f"got points of shapes {q.shape[-2:]} and {s.shape[-2:]}")
-    if pairs is None:
-        shape = np.broadcast_shapes(q.shape[:-2], s.shape[:-2])
-        pairs = tuple(np.broadcast_to(np.arange(np.prod(c.shape[:-2], dtype=int))
-                                      .reshape(c.shape[:-2]), shape) for c in (q, s))
-        q, s = q.reshape(-1, n, d), s.reshape(-1, l, d)
-    shape = np.shape(pairs[0])
     width = min(n, l)                            # cells on the longest diagonal
 
     def planes(curves: np.ndarray, index: np.ndarray) -> np.ndarray:
         # each curve a pair reads is laid out as planes once, then gathered
         # into pair order along the contiguous last axis; a run of
         # consecutive curves is sliced, which spares the heap a copy
-        used, local = np.unique(np.ravel(index), return_inverse=True)
+        used, local = np.unique(index, return_inverse=True)
         if len(used) and used[-1] - used[0] == len(used) - 1:
             used = slice(used[0], used[-1] + 1)
         return np.ascontiguousarray(curves[used].transpose(2, 1, 0)).take(
@@ -175,8 +168,7 @@ def _dtw_batch(q: np.ndarray, s: np.ndarray, path_lengths: bool = True,
             length += 1
         np.add(best, diagonal_cost(k, lo, hi), out=best)
     last = (n + l - 2) % 3
-    return (acc[last, n].reshape(shape).copy(),
-            steps[last, n].reshape(shape).copy() if path_lengths else None)
+    return acc[last, n].copy(), steps[last, n].copy() if path_lengths else None
 
 
 def select_standard(curves: np.ndarray, sample_num: int, seed: int,
@@ -272,9 +264,9 @@ def score_similarity(curves: np.ndarray, standard_curves: np.ndarray,
         on_grid = np.arange(lo, min(hi, grid))
         beyond = np.arange(max(lo, grid), max(hi, grid)) - grid
         cost, steps = _dtw_batch(
-            curves, opposite, path_lengths=normalized,
-            pairs=(np.concatenate((on_grid // width, own_rows[beyond])),
-                   np.concatenate((on_grid % width, width + beyond))))
+            curves, opposite, (np.concatenate((on_grid // width, own_rows[beyond])),
+                               np.concatenate((on_grid % width, width + beyond))),
+            path_lengths=normalized)
         here = (lo <= sample_at) & (sample_at < hi)
         sample_cost[here] = cost[sample_at[here] - lo]
         flat[lo:lo + len(on_grid)] = (np.sqrt(cost) / steps if normalized

@@ -218,13 +218,7 @@ def _check_plants(config: SynthConfig, types: dict[int, str]) -> None:
 
 
 def _assign_types(config: SynthConfig) -> dict[int, str]:
-    types: dict[int, str] = {}
-    machine = 1
-    for label, quota in zip(TYPE_LABELS, config.quotas):
-        for _ in range(quota):
-            types[machine] = label
-            machine += 1
-    return types
+    return dict(enumerate(np.repeat(TYPE_LABELS, config.quotas).tolist(), start=1))
 
 
 def _noisy_rows(rng: np.random.Generator, base: tuple[float, ...], noise: float,
@@ -357,36 +351,6 @@ def _bundle(drawn: dict[str, list], events: list[tuple], grid: IntervalGrid,
                        batch_tasks, batch_instances, machine_count=machine_count)
 
 
-def plant_gap(bundle: TraceBundle, machine: int, metric: str,
-              timestamps: list[int], ground_truth: GroundTruth) -> TraceBundle:
-    """Remove the machine's server-usage samples at the given timestamps.
-
-    The trace format stores one row per (machine, timestamp), so a gap always
-    removes the whole sample; ``metric`` names the series whose true values
-    get recorded in ``ground_truth`` for later restoration checks.
-    """
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
-    usage = bundle.server_usage
-    mine = usage.machine == machine
-    if not mine.any():
-        raise ValueError(f"machine {machine} has no server-usage samples")
-    wanted = set(timestamps)
-    cut = mine & np.isin(usage.timestamp, list(wanted))
-    # the last row of a timestamp holds its true value
-    removed = dict(zip(usage.timestamp[cut].tolist(),
-                       getattr(usage, metric)[cut].tolist()))
-    missing = sorted(wanted - set(removed))
-    if missing:
-        raise ValueError(f"machine {machine} has no samples at {missing}")
-    if removed:
-        ts_sorted = sorted(removed)
-        ground_truth.gaps.append(GapRecord(
-            machine=machine, metric=metric, timestamps=ts_sorted,
-            true_values=[removed[ts] for ts in ts_sorted]))
-    return replace(bundle, server_usage=usage.take(~cut))
-
-
 def generate_trace(config: SynthConfig) -> tuple[TraceBundle, GroundTruth]:
     """Build a bundle plus its ground truth; deterministic in config.seed
     (each machine draws from its own spawned substream)."""
@@ -420,10 +384,19 @@ def generate_trace(config: SynthConfig) -> tuple[TraceBundle, GroundTruth]:
                      grid, config.noise_level, np.random.default_rng(child))
     bundle = _bundle(drawn, events, grid, config.machine_count)
 
+    # server usage is machine-major, one sample a row: row (machine - 1) * T +
+    # slot; a gap cuts the whole sample and records its metric's true values
+    usage = bundle.server_usage
+    keep = np.ones(len(usage), dtype=bool)
     for gap in config.gap_plants:
-        timestamps = [grid.start + s * grid.step for s in sorted(set(gap.slots))]
-        bundle = plant_gap(bundle, gap.machine, gap.metric, timestamps, truth)
-    return bundle, truth
+        slots = sorted(set(gap.slots))
+        if slots:
+            rows = (gap.machine - 1) * grid.timestamp_count + np.array(slots)
+            keep[rows] = False
+            truth.gaps.append(GapRecord(
+                gap.machine, gap.metric, [grid.start + s * grid.step for s in slots],
+                getattr(usage, gap.metric)[rows].tolist()))
+    return replace(bundle, server_usage=usage.take(keep)), truth
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ enumeration, pair counting, brute-force neighbours, recursive trees, one CSV
 row at a time) so the package has something honest to disagree with. Only
 the last two sections use trace_insight: the row fixtures build its
 ``Table`` and ``TraceBundle`` from row tuples, and the row-by-row synthetic
-trace reuses the generator's constants, patterns and gap planting.
+trace reuses the generator's constants and patterns.
 """
 
 import csv
@@ -21,11 +21,11 @@ from trace_insight.classify import TYPE_LABELS
 from trace_insight.synth import (
     BASE_USAGE,
     MACHINE_CORES,
+    GapRecord,
     GroundTruth,
     PlantKind,
     batch_runs,
     has_containers,
-    plant_gap,
 )
 from trace_insight.trace_model import (
     ContainerEventType,
@@ -975,8 +975,10 @@ def _synth_machine_rows(rows, ids, machine, label, plants, grid, noise, rng):
 def synth_rows_reference(config):
     """(bundle, truth) of a valid ``SynthConfig``, built one row tuple at a
     time: machines take types in quota order, each machine draws from its own
-    spawned stream, containers and jobs are numbered from counters, every
-    table goes through ``table_from_rows``, then the gaps are cut."""
+    spawned stream, containers and jobs are numbered from counters, the gaps
+    are cut from the server-usage row tuples here, each recording its
+    metric's values in the rows it cut, and every table goes through
+    ``table_from_rows``."""
     types = {}
     for label, quota in zip(TYPE_LABELS, config.quotas):
         for _ in range(quota):
@@ -996,10 +998,17 @@ def synth_rows_reference(config):
         _synth_machine_rows(rows, ids, machine, types[machine],
                             plants_of.get(machine, []), config.grid,
                             config.noise_level, rng)
-    bundle = bundle_from_rows(machine_count=config.machine_count, **rows)
     grid = config.grid
+    cut = set()
     for gap in config.gap_plants:
-        bundle = plant_gap(bundle, gap.machine, gap.metric,
-                           [grid.start + s * grid.step for s in sorted(set(gap.slots))],
-                           truth)
-    return bundle, truth
+        stamps = {grid.start + s * grid.step for s in gap.slots}
+        column = 2 + ("cpu", "mem", "disk").index(gap.metric)   # after ts, machine
+        gone = [row for row in rows["server_usage"]
+                if row[1] == gap.machine and row[0] in stamps]
+        if gone:
+            truth.gaps.append(GapRecord(gap.machine, gap.metric,
+                                        [row[0] for row in gone],
+                                        [row[column] for row in gone]))
+        cut |= {row[:2] for row in gone}
+    rows["server_usage"] = [row for row in rows["server_usage"] if row[:2] not in cut]
+    return bundle_from_rows(machine_count=config.machine_count, **rows), truth

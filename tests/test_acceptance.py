@@ -95,8 +95,10 @@ def test_criterion_01_dtw_matches_exhaustive_path_enumeration():
                 best = sums if best is None else np.minimum(best, sums)
 
             # the kernel the pipeline runs, every (Q, S) pair in one batch
-            dp, _ = _dtw_batch(Q[:, None, :, None], S[None, :, :, None],
+            dp, _ = _dtw_batch(Q[..., None], S[..., None],
+                               divmod(np.arange(len(Q) * len(S)), len(S)),
                                path_lengths=False)
+            dp = dp.reshape(len(Q), len(S))
             assert np.array_equal(dp, best), (n, l)
             checked += len(Q) * len(S)
 
@@ -136,6 +138,7 @@ def test_criterion_02_dtw_identities_on_seeded_random_pairs():
         draws.append((c, submit(q, q), submit(q, s), submit(s, q),
                       submit(c * q, c * s)))
     distances = {shape: _dtw_batch(*map(np.stack, zip(*batch)),
+                                   (np.arange(len(batch)),) * 2,
                                    path_lengths=False)[0].tolist()
                  for shape, batch in batches.items()}
     for c, *jobs in draws:

@@ -227,6 +227,7 @@ def test_a_failed_synth_leaves_the_trace_it_would_replace_untouched(tmp_path):
             ({"synth_machines": "15", "synth_quotas": "2,2,2,2,2,2,2,2"},
              r"^\[synth\] quotas sum to 16, expected machine_count 15"),
             ({"synth_gaps": "11:cpu:3"}, r"^\[synth\] gap machine 11 out of range"),
+            ({"synth_gaps": "1:watts:3"}, r"^\[synth\] unknown gap metric 'watts'"),
             # input that would plant nothing, or nothing different
             ({"synth_gaps": "5:cpu:12-10"},
              r"^\[synth\] bad gap '5:cpu:12-10': the slot range runs backwards$"),
@@ -742,9 +743,9 @@ def test_analyze_runs_its_dtw_pairs_in_one_sweep(tmp_path, monkeypatch):
     sweeps = []
     kernel = similarity._dtw_batch
 
-    def counted(*args, **kwargs):
-        sweeps.append(args)
-        return kernel(*args, **kwargs)
+    def counted(q, s, pairs, path_lengths=True):
+        sweeps.append(pairs)
+        return kernel(q, s, pairs, path_lengths)
 
     monkeypatch.setattr(similarity, "_dtw_batch", counted)
     run_analyze(stage_config(trace, out))

@@ -37,10 +37,20 @@ def as_curves(*curves):
     return points.reshape(*points.shape[:2], -1)
 
 
+def elementwise(count):
+    """The pairs (p, p) of two stacks of ``count`` curves."""
+    return np.arange(count), np.arange(count)
+
+
+def all_pairs(a, b):
+    """Every pair of a stack of ``a`` curves and one of ``b``, row-major."""
+    return divmod(np.arange(a * b), b)
+
+
 def dtw_pair(q, s):
     """(distance, path length) of one pair of curves, a batch of one of the
     kernel."""
-    distance, path_length = _dtw_batch(as_curves(q), as_curves(s))
+    distance, path_length = _dtw_batch(as_curves(q), as_curves(s), elementwise(1))
     return float(distance[0]), int(path_length[0])
 
 
@@ -71,12 +81,12 @@ def test_dtw_self_distance_is_exactly_zero():
 
 def test_dtw_rejects_mixed_dimensionality_and_empty_input():
     with pytest.raises(ValueError, match="dimension"):
-        _dtw_batch(np.zeros((1, 3, 2)), np.zeros((1, 3, 3)))
+        _dtw_batch(np.zeros((1, 3, 2)), np.zeros((1, 3, 3)), elementwise(1))
     with pytest.raises(ValueError, match="dimension"):
-        _dtw_batch(np.zeros((1, 3, 3)), np.zeros((1, 3, 1)))
+        _dtw_batch(np.zeros((1, 3, 3)), np.zeros((1, 3, 1)), elementwise(1))
     for q, s in ((0, 3), (3, 0)):
         with pytest.raises(ValueError, match="non-empty"):
-            _dtw_batch(np.zeros((1, q, 3)), np.zeros((1, s, 3)))
+            _dtw_batch(np.zeros((1, q, 3)), np.zeros((1, s, 3)), elementwise(1))
 
 
 def test_report_rows_are_the_machines_in_curve_order():
@@ -135,7 +145,7 @@ def test_kernel_matches_the_recurrence_on_every_shape():
             q = dyadic_points(rng, (6, n, d), top)
             s = dyadic_points(rng, (6, l, d), top)
             for a, b in ((q, s), (s, q)):
-                distance, path_length = _dtw_batch(a, b)
+                distance, path_length = _dtw_batch(a, b, elementwise(len(a)))
                 for p in range(len(a)):
                     want = oracles.dtw_recurrence(a[p], b[p])
                     assert (distance[p], path_length[p]) == want, (n, l, d, p)
@@ -153,14 +163,14 @@ def test_path_length_steps_up_when_up_and_left_tie():
 
 def test_batched_long_curves_match_the_recurrence():
     rng = np.random.default_rng(11)
-    q = dyadic_points(rng, (5, 1, 40, 3), top=2)
-    s = dyadic_points(rng, (1, 3, 35, 3), top=2)
-    distance, path_length = _dtw_batch(q, s)   # pair axes broadcast to (5, 3)
-    assert distance.shape == path_length.shape == (5, 3)
+    q = dyadic_points(rng, (5, 40, 3), top=2)
+    s = dyadic_points(rng, (3, 35, 3), top=2)
+    distance, path_length = _dtw_batch(q, s, all_pairs(5, 3))
+    assert distance.shape == path_length.shape == (15,)
     for i in range(5):
         for j in range(3):
-            want = oracles.dtw_recurrence(q[i, 0], s[0, j])
-            assert (distance[i, j], path_length[i, j]) == want, (i, j)
+            want = oracles.dtw_recurrence(q[i], s[j])
+            assert (distance[3 * i + j], path_length[3 * i + j]) == want, (i, j)
 
 
 @st.composite
@@ -179,8 +189,8 @@ def float_curve_pairs(draw):
 @given(float_curve_pairs())
 def test_skipping_path_lengths_leaves_distances_bit_identical(curves):
     q, s = curves
-    distance, path_length = _dtw_batch(q, s, path_lengths=True)
-    bare, none = _dtw_batch(q, s, path_lengths=False)
+    distance, path_length = _dtw_batch(q, s, elementwise(len(q)), path_lengths=True)
+    bare, none = _dtw_batch(q, s, elementwise(len(q)), path_lengths=False)
     assert none is None
     assert bare.tobytes() == distance.tobytes()
     for p in range(len(q)):
@@ -197,15 +207,16 @@ def test_raw_cost_is_bit_symmetric(d):
         for q, s in ((rng.random((40, n, d)) * 3 - 1, rng.random((40, l, d)) * 3 - 1),
                      (rng.integers(0, 3, (40, n, d)) * 1.0,
                       rng.integers(0, 3, (40, l, d)) * 1.0)):
-            forward, _ = _dtw_batch(q, s, path_lengths=False)
-            backward, _ = _dtw_batch(s, q, path_lengths=True)
+            forward, _ = _dtw_batch(q, s, elementwise(40), path_lengths=False)
+            backward, _ = _dtw_batch(s, q, elementwise(40), path_lengths=True)
             assert forward.tobytes() == backward.tobytes(), (n, l)
 
 
 def test_path_lengths_are_int16_while_the_longest_path_fits():
     # a 1-point curve against an l-point one has a path of l cells
     for l, kind in ((2 ** 15 - 1, np.int16), (2 ** 15, np.int32)):
-        _, path_length = _dtw_batch(np.zeros((1, 1, 1)), np.zeros((1, l, 1)))
+        _, path_length = _dtw_batch(np.zeros((1, 1, 1)), np.zeros((1, l, 1)),
+                                    elementwise(1))
         assert path_length.dtype == kind
         assert path_length.tolist() == [l]
 
@@ -219,7 +230,7 @@ def test_plane_point_cost_matches_einsum_up_to_seven_dimensions():
         s = rng.random((4096, 1, d)) * 4 - 2
         diff = q - s
         want = np.einsum("...k,...k->...", diff, diff)[:, 0]
-        assert _dtw_batch(q, s, path_lengths=False)[0].tobytes() == \
+        assert _dtw_batch(q, s, elementwise(4096), path_lengths=False)[0].tobytes() == \
             want.tobytes(), d
 
 
@@ -294,8 +305,8 @@ def scored_against_the_oracle(curves, pin, seed, normalized, monkeypatch):
     lengths of every machine x standard pair that its sweeps computed."""
     sweeps = []
 
-    def recorded(q, s, path_lengths=True, pairs=None):
-        sweeps.append(_dtw_batch(q, s, path_lengths, pairs))
+    def recorded(q, s, pairs, path_lengths=True):
+        sweeps.append(_dtw_batch(q, s, pairs, path_lengths))
         return sweeps[-1]
 
     monkeypatch.setattr(similarity, "_dtw_batch", recorded)
@@ -459,13 +470,14 @@ def test_chunked_scoring_gives_the_bits_of_one_whole_sweep(
         monkeypatch, normalized, pair_points, chunks):
     rng = np.random.default_rng(3)
     machines, standards = rng.random((6, 5, 3)), rng.random((3, 5, 3))
-    whole, whole_steps = _dtw_batch(machines[:, None], standards[None])
-    sample_pairs, _ = _dtw_batch(machines[[3, 3, 4]], machines[[4, 5, 5]],
+    whole, whole_steps = (x.reshape(6, 3) for x in
+                          _dtw_batch(machines, standards, all_pairs(6, 3)))
+    sample_pairs, _ = _dtw_batch(machines, machines, ([3, 3, 4], [4, 5, 5]),
                                  path_lengths=False)
     sweeps = []
 
-    def recorded(q, s, path_lengths=True, pairs=None):
-        sweeps.append(_dtw_batch(q, s, path_lengths, pairs))
+    def recorded(q, s, pairs, path_lengths=True):
+        sweeps.append(_dtw_batch(q, s, pairs, path_lengths))
         return sweeps[-1]
 
     monkeypatch.setattr(similarity, "PAIR_POINTS", pair_points)
@@ -494,9 +506,9 @@ def test_sample_pairs_with_a_standard_take_no_pair_of_their_own(monkeypatch):
     curves = rng.random((10, 5, 3))
     counted = []
 
-    def recorded(q, s, path_lengths=True, pairs=None):
+    def recorded(q, s, pairs, path_lengths=True):
         counted.append(len(pairs[0]))
-        return _dtw_batch(q, s, path_lengths, pairs)
+        return _dtw_batch(q, s, pairs, path_lengths)
 
     monkeypatch.setattr(similarity, "_dtw_batch", recorded)
     sample, standards = [1, 2, 4, 5, 6, 8, 9, 10], [2, 5, 8, 10]

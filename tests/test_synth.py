@@ -26,7 +26,6 @@ from trace_insight.synth import (
     expected_occupancy_bits,
     generate_trace,
     has_containers,
-    plant_gap,
     write_ground_truth,
     write_synthetic_trace,
 )
@@ -327,15 +326,10 @@ def test_gap_truth_lets_interpolation_be_checked():
     assert restored == pytest.approx(record.true_values[0], abs=1e-12)
 
 
-def test_plant_gap_validates_its_target():
-    bundle, truth = generate_trace(config_for())
-    with pytest.raises(ValueError, match="unknown metric"):
-        plant_gap(bundle, 1, "watts", [GRID.start], truth)
-    with pytest.raises(ValueError, match="no server-usage samples"):
-        plant_gap(bundle, 99, "cpu", [GRID.start], truth)
-    with pytest.raises(ValueError, match="no samples at"):
-        plant_gap(bundle, 1, "cpu", [GRID.start + 13], truth)
-    assert truth.gaps == []   # a refused gap records nothing
+def test_gap_metric_must_be_known():
+    gap = GapPlant(machine=5, metric="watts", slots=(3,))
+    with pytest.raises(ValueError, match="unknown gap metric 'watts'"):
+        generate_trace(config_for(gaps=[gap]))
 
 
 def test_gap_slots_must_exist_on_the_grid():
