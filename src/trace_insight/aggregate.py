@@ -11,9 +11,12 @@ made only where the CSV writer prints them.
 Container usage is charged from its measured fraction of the request. Records
 are bucketed to the interval holding their timestamp; several records for one
 container in one interval are averaged, and a cell totals its containers in
-the order they first appear in its records. One stable sort of the records'
-(instance, interval) keys groups them, and each record-length array is
-dropped after its last use, so a few of them are alive at once.
+the order they first appear in its records. The records are taken a block of
+machines at a time, as many machines as hold BLOCK_RECORDS records (at least
+one), and one stable sort of a block's (instance, interval) keys groups them.
+A cell's records all belong to its machine, so the blocks give every bit of
+one pass over all records, and only two arrays span all records: their
+instances' sorted positions, then their machine rows.
 
 Batch usage is charged per overlap between the instance's [start, end] span
 and each closed grid interval, by expanding the (instance, interval) pairs of
@@ -134,8 +137,11 @@ def median(values) -> float:
 
 
 # aggregate_batch_usage expands this many instances into their (instance,
-# interval) pairs at a time, which bounds the pair arrays alive at once
+# interval) pairs at a time, and aggregate_container_usage groups the usage
+# records of as many machines as hold this many records at a time, which
+# bounds the arrays alive at once
 BLOCK_INSTANCES = 1 << 10
+BLOCK_RECORDS = 1 << 14
 
 
 def _first_interval_touching(ts: np.ndarray, grid: IntervalGrid) -> np.ndarray:
@@ -188,50 +194,68 @@ def aggregate_container_usage(bundle: TraceBundle, grid: IntervalGrid,
     if len(repeated):
         raise ValueError(f"instance {repeated[0]} has several container events; "
                          "filter them first")
+    # a record names an unknown instance where its sorted position is past
+    # the end or holds another one (instance ids are never negative)
     usage = bundle.container_usage
     at = np.searchsorted(instances, usage.instance)
-    known = at < len(instances)
-    known[known] = instances[at[known]] == usage.instance[known]
+    known = np.append(instances, -1)[at] == usage.instance
     ts = usage.timestamp
     keep = (ts >= grid.start) & (ts < grid.end)
     diag.unknown_instance_records += int(np.count_nonzero(~known))
     diag.out_of_grid_usage_records += int(np.count_nonzero(known & ~keep))
     keep &= known
-
-    # the (instance, interval) pair of each kept record, sorted stably, so a
-    # pair's records stay in record order and the first of them leads it;
-    # each record-length array is dropped after its last use
-    pair = by_instance[at[keep]] * n + (ts[keep] - grid.start) // grid.step
+    del known
+    # each record's machine row, ``rows`` for a record dropped
+    rec_row = np.append(ev_row[by_instance], rows)[at]
     del at
-    by_pair = np.argsort(pair, kind="stable")
-    pair = pair[by_pair]
-    rec = np.flatnonzero(keep)[by_pair]
-    del by_pair
-    lead = np.ones(len(pair), dtype=bool)
-    np.not_equal(pair[1:], pair[:-1], out=lead[1:])
-    pair = pair[lead]
-    pair_of_rec = np.cumsum(lead) - 1
-    # cells total their pairs in the order the pairs first show up
-    order = np.argsort(rec[lead])
+    rec_row[~keep] = rows
+    del keep
 
-    # average each pair over its records, summed in record order
-    cpu = _sums(pair_of_rec, usage.cpu_of_req[rec], len(pair))
-    mem = _sums(pair_of_rec, usage.mem_of_req[rec], len(pair))
-    hits = _sums(pair_of_rec, None, len(pair))
-    del pair_of_rec, rec
-    pair_ev, cell = np.divmod(pair, n)
-    del pair
-    cpu /= hits
-    mem /= hits
-    del hits
-    cpu *= events.cpu_req[pair_ev]
-    cpu /= cores[ev_row[pair_ev]]
-    mem *= events.mem_req[pair_ev]
-    cell += ev_row[pair_ev] * n
-    cell = cell[order]
-    return UsageTable(seen, count,
-                      _sums(cell, cpu[order], rows, n),
-                      _sums(cell, mem[order], rows, n))
+    # machine rows [lo, hi) at a time, holding up to BLOCK_RECORDS records
+    # or one machine's; before[m] counts the kept records of rows below m
+    per_row = np.bincount(rec_row, minlength=rows + 1)
+    before = per_row.cumsum() - per_row
+    total_cpu, total_mem = np.zeros((rows, n)), np.zeros((rows, n))
+    lo = 0
+    while lo < rows:
+        hi = max(lo + 1, int(np.searchsorted(before, before[lo] + BLOCK_RECORDS,
+                                             side="right")) - 1)
+        rec = np.flatnonzero((rec_row >= lo) & (rec_row < hi))
+        ev = by_instance[np.searchsorted(instances, usage.instance[rec])]
+        # the (instance, interval) pair of each record, sorted stably, so a
+        # pair's records stay in record order and the first of them leads it
+        pair = ev * n + (ts[rec] - grid.start) // grid.step
+        del ev
+        by_pair = np.argsort(pair, kind="stable")
+        pair = pair[by_pair]
+        rec = rec[by_pair]
+        del by_pair
+        lead = np.ones(len(pair), dtype=bool)
+        np.not_equal(pair[1:], pair[:-1], out=lead[1:])
+        pair = pair[lead]
+        pair_of_rec = np.cumsum(lead) - 1
+        # cells total their pairs in the order the pairs first show up
+        order = np.argsort(rec[lead])
+
+        # average each pair over its records, summed in record order
+        cpu = _sums(pair_of_rec, usage.cpu_of_req[rec], len(pair))
+        mem = _sums(pair_of_rec, usage.mem_of_req[rec], len(pair))
+        hits = _sums(pair_of_rec, None, len(pair))
+        del pair_of_rec, rec
+        pair_ev, cell = np.divmod(pair, n)
+        del pair
+        cpu /= hits
+        mem /= hits
+        del hits
+        cpu *= events.cpu_req[pair_ev]
+        cpu /= cores[ev_row[pair_ev]]
+        mem *= events.mem_req[pair_ev]
+        cell += (ev_row[pair_ev] - lo) * n
+        cell = cell[order]
+        total_cpu[lo:hi] = _sums(cell, cpu[order], hi - lo, n)
+        total_mem[lo:hi] = _sums(cell, mem[order], hi - lo, n)
+        lo = hi
+    return UsageTable(seen, count, total_cpu, total_mem)
 
 
 def aggregate_batch_usage(bundle: TraceBundle, grid: IntervalGrid,

@@ -26,6 +26,13 @@ aggregating: the cause tags and every writer read the (M,) categories. All
 randomness comes from seeds named in the config; a missing seed is an error,
 never a fallback to wall-clock entropy.
 
+Both stages drop what no later step reads. Preprocess writes the saved
+columns of the file right after filtering the container events, repairs the
+server usage with no other table held, appends the dense usage, and only
+then writes its CSVs. Analyze keeps the machine events and the machine count
+of the file once both usages are aggregated, and the dense usage until the
+series are built.
+
 The count hooks of the benchmark's tracer (``perfbench/tracing.py``) bind the
 arguments of these calls by position, so their shapes stay as they are until
 ROADMAP item 1 makes the hooks read by name (see the count-hook FOUND in
@@ -62,6 +69,7 @@ from .trace_model import (
     TRACE_FILENAMES,
     IntervalGrid,
     TraceParseError,
+    append_dense,
     load_columns,
     parse_trace_dir,
     save_columns,
@@ -209,34 +217,46 @@ def run_preprocess(config: dict[str, str]) -> str:
     skipped = Counter(diag.file for diag in diagnostics)
     _prepare_out_dir(out_dir, stage)
     try:
-        dense, repairs = supplement_server_usage(bundle, grid)
         clean, removed = filter_container_events(bundle.container_events)
     except ValueError as e:
         raise StageError(stage, str(e)) from e
+    row_counts = {
+        "machines": bundle.machine_count,
+        "server_usage": len(bundle.server_usage),
+        "container_events": len(bundle.container_events),
+        "container_events_removed": len(removed),
+        **_skipped_counts(skipped),
+        "rows_parsed_in_python": bundle.python_rows,
+        "parsed_column_bytes": bundle.nbytes,
+    }
+    # the saved columns go to disk first, so the repair runs beside the
+    # server usage alone, and the CSVs wait until the hand-off is complete
+    columns_path = os.path.join(out_dir, COLUMNS_FILENAME)
+    save_columns(dataclasses.replace(bundle, container_events=clean), skipped,
+                 grid, columns_path)
+    del clean
+    bundle = bundle.only("server_usage")
+    try:
+        dense, repairs = supplement_server_usage(bundle, grid)
+    except ValueError as e:
+        raise StageError(stage, str(e)) from e
+    del bundle
+    append_dense(dense.values, columns_path)
     write_dense_csv(dense, os.path.join(out_dir, DENSE_FILENAME))
     write_repair_log_csv(repairs, os.path.join(out_dir, REPAIR_LOG_FILENAME))
     write_removed_events_csv(removed,
                              os.path.join(out_dir, REMOVED_EVENTS_FILENAME))
-    columns_path = os.path.join(out_dir, COLUMNS_FILENAME)
-    save_columns(dataclasses.replace(bundle, container_events=clean), skipped,
-                 dense.values, grid, columns_path)
     methods, method_counts = np.unique(repairs.method, return_counts=True)
     write_manifest(out_dir, stage, keys_read(config, stage),
                    inputs=_digest_inputs(input_dir, stage),
                    outputs=[DENSE_FILENAME, REPAIR_LOG_FILENAME,
                             REMOVED_EVENTS_FILENAME],
                    row_counts={
-                       "machines": bundle.machine_count,
-                       "server_usage": len(bundle.server_usage),
+                       **row_counts,
                        "out_of_grid_server_usage_records": dense.out_of_grid,
                        "repair_annotations": len(repairs),
-                       "container_events": len(bundle.container_events),
-                       "container_events_removed": len(removed),
                        **{f"repairs_{name}": count for name, count
                           in zip(methods.tolist(), method_counts.tolist())},
-                       **_skipped_counts(skipped),
-                       "rows_parsed_in_python": bundle.python_rows,
-                       "parsed_column_bytes": bundle.nbytes,
                        "trace_columns_bytes": os.path.getsize(columns_path),
                    },
                    trace_columns=COLUMNS_FILENAME)
@@ -289,8 +309,13 @@ def run_analyze(config: dict[str, str]) -> str:
         diag = AggDiagnostics()
         containers = aggregate_container_usage(bundle, grid, diag)
         batch = aggregate_batch_usage(bundle, grid, diag)
+        # the rest reads the machine events and count of the hand-off, and
+        # its dense usage only until the series are built
+        bundle = bundle.only("events")
         table = build_machine_series(bundle, grid, dense, containers, batch)
+        del dense
         write_aggregate_csvs(table, containers.seen, batch.seen, grid, out_dir)
+        del containers, batch
 
         # classification; row m - 1 is machine m from here to the writers
         model = label_clusters(kmeans_fit(

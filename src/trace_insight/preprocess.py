@@ -178,15 +178,13 @@ REMOVED_EVENTS_HEADER = ("instance", "machine", "mem_req")
 def write_dense_csv(dense: DenseUsage, path: str) -> None:
     """One line per (machine, timestamp): fractions as percent text, loads as
     their ``repr``, a block of ``cells.BLOCK_LINES`` rows at a time."""
-    m_count, t_count = dense.values.shape[:2]
-    machines = np.repeat(np.arange(1, m_count + 1), t_count)
-    timestamps = np.tile(dense.timestamps, m_count)
     values = dense.values.reshape(-1, len(METRICS))
     fractions = len(_FRACTION_METRICS)
     with csv_file(path, DENSE_HEADER) as fh:
         for block in line_blocks(len(values)):
+            row, x = np.divmod(np.arange(block.start, block.stop), len(dense.timestamps))
             fh.write(csv_lines(
-                int_cells(machines[block]), int_cells(timestamps[block]),
+                int_cells(row + 1), int_cells(dense.timestamps[x]),
                 *float_cells(values[block, :fractions], percent=True).swapaxes(0, 1),
                 *float_cells(values[block, fractions:]).swapaxes(0, 1)))
 

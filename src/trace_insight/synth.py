@@ -132,16 +132,6 @@ def has_containers(label: str) -> bool:
     return label in _CONTAINER_TYPES
 
 
-def expected_occupancy_bits(label: str, interval_count: int) -> np.ndarray:
-    """The 2N bit vector a clean machine of this type must binarize to."""
-    bits = np.zeros(2 * interval_count, dtype=np.uint8)
-    for a, b in batch_runs(label, interval_count):
-        bits[a:b + 1] = 1
-    if has_containers(label):
-        bits[interval_count:] = 1
-    return bits
-
-
 def _check_feasible(config: SynthConfig) -> None:
     n = config.grid.interval_count
     if config.machine_count < 1:
@@ -203,6 +193,9 @@ def _check_plants(config: SynthConfig, types: dict[int, str]) -> None:
             raise ValueError(f"gap machine {gap.machine} out of range")
         if gap.metric not in METRICS:
             raise ValueError(f"unknown gap metric {gap.metric!r}")
+        if not gap.slots:
+            raise ValueError(f"{gap.metric} gap on machine {gap.machine} has no "
+                             "slots, so it would plant nothing")
         slot_count = config.grid.timestamp_count
         bad = [s for s in gap.slots if not 0 <= s < slot_count]
         if bad:

@@ -46,8 +46,12 @@ A parse keeps every column, or only those a ``keep`` set names
 (``PREPROCESS_COLUMNS``, which preprocess passes). The checks run on every
 column either way: the C reader's masks and rules on whole block columns,
 the row rule on every cell. So the rows accepted and the diagnostics do not
-depend on ``keep``; only the kept columns are copied out of each block and
-concatenated, a column at a time, each freeing its blocks as it goes.
+depend on ``keep``; only the kept columns are copied out of each block. Each
+goes into one array per column, sized at the first block for the whole file
+(its size over that block's characters per record, and a 64th more) and
+doubled if that falls short. So no block array outlives its block, and a
+column is copied whole only when it grows; the column is the view of the
+rows filled. A text column keeps its block arrays and joins them once.
 
 A percent cell converts as ``float(text + "e-2")``, which rounds the exact
 decimal value once. Cells where that raises (an exponent, trailing space),
@@ -68,9 +72,10 @@ file with a text field goes through ``csv.writer``, with the same cell
 texts, because only a text cell can need quoting.
 
 ``save_columns`` writes the grid, the columns of a bundle that analyze reads
-(``SAVED_COLUMNS``), the rows each file lost and the repaired cpu, mem and
-disk of the dense usage to one binary file, and ``load_columns`` reads them
-back with the same dtypes: the one hand-off from preprocess to analyze.
+(``SAVED_COLUMNS``) and the rows each file lost to one binary file, and
+``append_dense`` adds the repaired cpu, mem and disk of the dense usage;
+``load_columns`` reads them back with the same dtypes: the one hand-off from
+preprocess to analyze.
 """
 
 from __future__ import annotations
@@ -458,6 +463,12 @@ class TraceBundle:
         return sum(column.nbytes for spec in _SPECS.values()
                    for column in getattr(self, spec.attr).columns.values())
 
+    def only(self, attr: str) -> TraceBundle:
+        """This bundle with every table but ``attr`` emptied of its columns,
+        so a stage holds no more than its next step reads."""
+        return replace(self, **{spec.attr: Table(key, {}) for key, spec in _SPECS.items()
+                                if spec.attr != attr})
+
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -618,27 +629,58 @@ def parse_trace_file(path: str, file_key: str, keep: tuple[str, ...] | None = No
     spec = _SPECS[file_key]
     kept = [name for name in spec.fields if keep is None or _column_name(name) in keep]
     kept = kept or list(spec.fields)[:1]
-    blocks: list[dict[str, np.ndarray]] = []
+    # one array per kept column, sized at the first block for the whole
+    # file, a list of block arrays per text column
+    columns: dict[str, np.ndarray | list] = {}
+    rows = 0
     diagnostics: list[RowDiagnostic] = []
     python_rows = 0
     with open(path, newline="", encoding="utf-8") as fh:
+        size = os.fstat(fh.fileno()).st_size
         first_line = 1
         for block, plain in _record_blocks(fh):
             line_nos = range(first_line, first_line + len(block))
             first_line += len(block)
-            columns = _c_read(spec, block) if plain else None
-            if columns is not None:
-                blocks.append(_accept(file_key, columns, block, line_nos,
-                                      diagnostics, kept))
-                continue
-            python_rows += len(block)
-            blocks.append(_read_rows(file_key, map(_split, block) if plain else block,
-                                     line_nos, diagnostics, kept))
+            values = _c_read(spec, block) if plain else None
+            if values is not None:
+                values = _accept(file_key, values, block, line_nos, diagnostics, kept)
+            else:
+                python_rows += len(block)
+                values = _read_rows(file_key, map(_split, block) if plain else block,
+                                    line_nos, diagnostics, kept)
+            if not columns:
+                capacity = _records_in(size, block, plain)
+                columns = {name: [] if spec.fields[name].dtype is str
+                           else np.empty(capacity, spec.fields[name].dtype)
+                           for name in kept}
+            count = len(values[kept[0]])
+            for name, column in columns.items():
+                if isinstance(column, list):
+                    column.append(values[name])
+                    continue
+                if rows + count > len(column):   # the estimate was short
+                    grown = np.empty(max(2 * len(column), rows + count), column.dtype)
+                    grown[:rows] = column[:rows]
+                    columns[name] = column = grown
+                column[rows:rows + count] = values[name]
+            rows += count
+    # the rows filled, as a view
+    columns = {name: np.concatenate(column) if isinstance(column, list) else column[:rows]
+               for name, column in columns.items()}
     table = Table(file_key, {
-        _column_name(name): (np.concatenate([b.pop(name) for b in blocks]) if blocks
-                             else np.array([], dtype=spec.fields[name].dtype))
+        _column_name(name): columns.get(name, np.array([], dtype=spec.fields[name].dtype))
         for name in kept})
     return table, diagnostics, python_rows
+
+
+def _records_in(size: int, block: list, plain: bool) -> int:
+    """The records a file of ``size`` bytes holds at the characters per
+    record of ``block``, its first (lines, or csv rows of cells), and a
+    64th more, as later records may run a little longer."""
+    chars = (sum(map(len, block)) if plain
+             else sum(len(cell) + 1 for row in block for cell in row))
+    records = -(-size * len(block) // max(chars, 1))
+    return records + records // 64
 
 
 def parse_trace_dir(path: str, *, diagnostics: list | None = None,
@@ -712,18 +754,18 @@ PREPROCESS_COLUMNS = {**SAVED_COLUMNS, "server_usage": tuple(
     _column_name(name) for name in _SPECS["server_usage"].fields)}
 
 
-def save_columns(bundle: TraceBundle, skipped: dict[str, int],
-                 dense: np.ndarray, grid: IntervalGrid, path: str) -> None:
-    """Write the ``SAVED_COLUMNS`` of ``bundle``, the rows its parse skipped
-    per file key, and the cpu, mem and disk planes (the first three of the
-    last axis, the only metrics analyze reads) of the dense usage repaired
-    on ``grid`` to ``path``, for ``load_columns``; the file records its grid.
+def save_columns(bundle: TraceBundle, skipped: dict[str, int], grid: IntervalGrid,
+                 path: str) -> None:
+    """Write the grid, the ``SAVED_COLUMNS`` of ``bundle`` and the rows its
+    parse skipped per file key to ``path``; ``append_dense`` then adds the
+    repaired usage, the file's last record, for ``load_columns``.
 
     The file is consecutive ``np.save`` records (no pickles, no zip
     timestamps, so the bytes are deterministic): ``COLUMNS_LAYOUT``, the
     grid's start, end and step, the machine count, then per file in
     ``_SPECS`` order its saved columns and its skipped-row count, then the
-    dense planes.
+    dense planes. Written in two calls, the saved tables can be dropped
+    before the repair runs.
     """
     with open(path, "wb") as fh:
         save = partial(np.save, fh, allow_pickle=False)
@@ -735,7 +777,14 @@ def save_columns(bundle: TraceBundle, skipped: dict[str, int],
             for name in SAVED_COLUMNS[key]:
                 save(columns[name])
             save(np.array([skipped.get(key, 0)], dtype=np.int64))
-        save(dense[..., :3])
+
+
+def append_dense(dense: np.ndarray, path: str) -> None:
+    """Append the cpu, mem and disk planes (the first three of the last
+    axis, the only metrics analyze reads) of the dense usage to the file
+    ``save_columns`` wrote at ``path``."""
+    with open(path, "ab") as fh:
+        np.save(fh, dense[..., :3], allow_pickle=False)
 
 
 def load_columns(path: str) -> tuple[TraceBundle, dict[str, int], np.ndarray,

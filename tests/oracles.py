@@ -882,6 +882,18 @@ def bundle_from_rows(machine_count=0, **rows):
 # the synthetic trace, one row tuple at a time
 
 
+def expected_occupancy_bits(label, interval_count):
+    """The 2N bit vector a clean machine of type ``label`` must binarize to:
+    its batch runs in the first N bits, all of the last N where it hosts
+    containers."""
+    bits = np.zeros(2 * interval_count, dtype=np.uint8)
+    for a, b in batch_runs(label, interval_count):
+        bits[a:b + 1] = 1
+    if has_containers(label):
+        bits[interval_count:] = 1
+    return bits
+
+
 def _noisy_rows(rng, base, noise, rows):
     values = np.tile(np.asarray(base, dtype=np.float64), (rows, 1))
     if noise > 0:

@@ -73,12 +73,40 @@ def trace():
     return bundle, grid
 
 
-def test_container_aggregation_holds_a_few_record_arrays(trace):
+def test_container_aggregation_holds_a_few_record_arrays(trace, monkeypatch):
     bundle, grid = trace
     table, peak = traced_peak(aggregate_container_usage, bundle, grid)
     record_array = 8 * len(bundle.container_usage.timestamp)
-    # a np.unique of the (instance, interval) keys held about 19 at once
-    assert peak - table_bytes(table) < 8 * record_array
+    # two arrays over all records (their instances' sorted positions, then
+    # their machine rows), and then the arrays of one block of machines
+    # holding BLOCK_RECORDS records; one sort over all records held about 7,
+    # a np.unique of the (instance, interval) keys about 19
+    assert peak - table_bytes(table) < 6 * record_array
+    # blocks of a few records leave the two
+    monkeypatch.setattr(aggregate, "BLOCK_RECORDS", 1024)
+    table, peak = traced_peak(aggregate_container_usage, bundle, grid)
+    assert peak - table_bytes(table) < 2.5 * record_array
+
+
+def test_container_aggregation_by_machine_blocks_keeps_every_bit(trace, monkeypatch):
+    # a cell's (instance, interval) pairs all belong to its machine, so
+    # blocks of one machine add each pair's records and each cell's pairs
+    # in the order one block over all records does
+    bundle, grid = trace
+    runs = []
+    for budget in (1, len(bundle.container_usage)):
+        monkeypatch.setattr(aggregate, "BLOCK_RECORDS", budget)
+        diag = aggregate.AggDiagnostics()
+        runs.append((aggregate_container_usage(bundle, grid, diag), diag.counts()))
+    (blocks, blocks_diag), (whole, whole_diag) = runs
+    for name, array in vars(whole).items():
+        got = getattr(blocks, name)
+        if array is None:
+            assert got is None, name
+        else:
+            assert (got.dtype, got.shape, got.tobytes()) == \
+                (array.dtype, array.shape, array.tobytes()), name
+    assert blocks_diag == whole_diag
 
 
 def test_batch_aggregation_holds_a_few_instance_arrays(trace):
@@ -96,11 +124,12 @@ def test_the_preprocess_parse_holds_about_its_kept_columns(trace, tmp_path):
     kept_cells = sum(len(getattr(bundle, attr)) * len(PREPROCESS_COLUMNS[key])
                      for attr, key in oracles.BUNDLE_FILES.items())
     parsed, peak = traced_peak(parse_trace_dir, str(tmp_path), keep=PREPROCESS_COLUMNS)
-    # 8 bytes a kept cell, plus the last file's blocks of one column while
-    # it is concatenated; every column parsed, and each concatenated
-    # alongside its blocks, held 27 bytes a kept cell
+    # 8 bytes a kept cell and the 64th more each column is sized for, plus
+    # one block's transients: 10.4 bytes a kept cell. Concatenating block
+    # lists peaked as high, with freed block arrays left in the heap, and
+    # every column parsed held 27
     assert parsed.nbytes < 9 * kept_cells
-    assert peak < 12 * kept_cells
+    assert peak < 11 * kept_cells
 
 
 def test_the_repair_holds_about_one_usage_cube_besides_its_output(trace):

@@ -8,6 +8,7 @@ import json
 import os
 import re
 import shutil
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -1191,6 +1192,90 @@ def test_preprocess_counts_the_bytes_of_the_columns_it_parsed(demo_trace, tmp_pa
         for name in PREPROCESS_COLUMNS[key] or list(getattr(full, attr).columns)[:1])
     assert counts["parsed_column_bytes"] == kept_bytes
     assert kept_bytes < full.nbytes / 2
+
+
+def column_refs(bundle, attrs):
+    """Weak references to every column of the ``attrs`` tables of ``bundle``."""
+    return [weakref.ref(column) for attr in attrs
+            for column in getattr(bundle, attr).columns.values()]
+
+
+def test_preprocess_repairs_with_only_the_server_usage_parsed(tmp_path, monkeypatch):
+    # the saved columns are on disk before the repair runs, and nothing
+    # holds the parsed tables the repair does not read
+    refs, alive = [], []
+    parse, repair = pipeline.parse_trace_dir, pipeline.supplement_server_usage
+
+    def recorded_parse(*args, **kwargs):
+        bundle = parse(*args, **kwargs)
+        refs.extend(column_refs(bundle, ("events", "container_events",
+                                         "container_usage", "batch_tasks",
+                                         "batch_instances")))
+        return bundle
+
+    def recorded_repair(bundle, grid):
+        alive.extend(ref for ref in refs if ref() is not None)
+        return repair(bundle, grid)
+
+    monkeypatch.setattr(pipeline, "parse_trace_dir", recorded_parse)
+    monkeypatch.setattr(pipeline, "supplement_server_usage", recorded_repair)
+    run_preprocess(stage_config(noisy_trace(tmp_path / "trace", seed=7),
+                                tmp_path / "out"))
+    # the kept columns of machine events, container events and usage, batch
+    # tasks and instances
+    assert len(refs) == 4 + 5 + 4 + 1 + 5 and alive == []
+
+
+def test_analyze_scores_similarity_without_the_hand_off_tables(tmp_path, monkeypatch):
+    # once the series are built, analyze holds the machine events alone of
+    # what it loaded: no usage table, no batch instances, no dense usage
+    trace, out = noisy_trace(tmp_path / "trace", seed=7), tmp_path / "out"
+    run_preprocess(stage_config(trace, out))
+    refs, alive = [], []
+    load, score = pipeline.load_columns, pipeline.score_similarity
+
+    def recorded_load(path):
+        bundle, skipped, dense, grid = load(path)
+        refs.extend(column_refs(bundle, ("container_events", "container_usage",
+                                         "batch_instances")))
+        refs.append(weakref.ref(dense))
+        return bundle, skipped, dense, grid
+
+    def recorded_score(*args, **kwargs):
+        alive.extend(ref for ref in refs if ref() is not None)
+        return score(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "load_columns", recorded_load)
+    monkeypatch.setattr(pipeline, "score_similarity", recorded_score)
+    run_analyze(stage_config(trace, out))
+    assert len(refs) == 5 + 4 + 5 + 1 and alive == []
+
+
+def test_analyze_refuses_a_hand_off_cut_before_its_dense_usage(tmp_path):
+    # the columns file is written in two calls; one that holds the saved
+    # columns but not the dense usage does not load, even where the
+    # manifest vouches for it
+    trace, out = noisy_trace(tmp_path / "trace", seed=7), tmp_path / "out"
+    run_preprocess(stage_config(trace, out))
+    path = out / "trace_columns.bin"
+    with open(path, "rb") as fh:
+        while True:
+            last = fh.tell()
+            np.load(fh)
+            if fh.tell() == os.path.getsize(path):
+                break
+    path.write_bytes(path.read_bytes()[:last])
+    manifest_path = out / "manifest-preprocess.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["trace_columns"]["trace_columns.bin"] = \
+        hashlib.sha256(path.read_bytes()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(StageError, match=r"^\[analyze\] trace_columns.bin in .* does "
+                                         r"not load \(No data left in file\); "
+                                         r"rerun preprocess$") as err:
+        run_analyze(stage_config(trace, out))
+    assert err.value.stage == "analyze"
+    assert not (out / "manifest-analyze.json").exists()
 
 
 def test_analyze_reads_only_the_output_directory(tmp_path, monkeypatch):

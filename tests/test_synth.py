@@ -23,7 +23,6 @@ from trace_insight.synth import (
     TYPE_LABELS,
     _noisy_rows,
     batch_runs,
-    expected_occupancy_bits,
     generate_trace,
     has_containers,
     write_ground_truth,
@@ -80,7 +79,7 @@ def config_for(plants=(), gaps=(), noise=0.0, seed=11, quotas=QUOTAS):
 
 @given(st.sampled_from(TYPE_LABELS), st.integers(5, 40))
 def test_expected_bits_mirror_the_run_layout(label, n):
-    bits = expected_occupancy_bits(label, n)
+    bits = oracles.expected_occupancy_bits(label, n)
     assert len(bits) == 2 * n
     covered = np.zeros(n, dtype=np.uint8)
     for a, b in batch_runs(label, n):
@@ -225,7 +224,7 @@ def test_zero_noise_trace_reproduces_expected_occupancy_exactly():
     bundle, truth = generate_trace(config_for())
     bits = machine_bits(bundle, GRID)
     for machine, label in truth.types.items():
-        want = expected_occupancy_bits(label, GRID.interval_count)
+        want = oracles.expected_occupancy_bits(label, GRID.interval_count)
         assert np.array_equal(bits[machine], want), (machine, label)
 
 
@@ -329,6 +328,14 @@ def test_gap_truth_lets_interpolation_be_checked():
 def test_gap_metric_must_be_known():
     gap = GapPlant(machine=5, metric="watts", slots=(3,))
     with pytest.raises(ValueError, match="unknown gap metric 'watts'"):
+        generate_trace(config_for(gaps=[gap]))
+
+
+def test_a_gap_with_no_slots_is_refused_by_name():
+    # it would plant nothing and record no gap, with no word said
+    gap = GapPlant(machine=5, metric="cpu", slots=())
+    with pytest.raises(ValueError, match="^cpu gap on machine 5 has no slots, "
+                                         "so it would plant nothing$"):
         generate_trace(config_for(gaps=[gap]))
 
 

@@ -24,6 +24,7 @@ from trace_insight.trace_model import (
     TaskStatus,
     TraceBundle,
     TraceParseError,
+    append_dense,
     load_columns,
     parse_trace_dir,
     parse_trace_file,
@@ -150,7 +151,8 @@ def test_saved_columns_load_back_with_their_dtypes(tmp_path, bundle):
     dense[:, 0, 0] = dense[:, 1, 2] = -0.0
     path = str(tmp_path / "columns")
     grid = IntervalGrid(39600, 39600 + 3 * 300, 300)
-    save_columns(bundle, skipped, dense, grid, path)
+    save_columns(bundle, skipped, grid, path)
+    append_dense(dense, path)
     back, back_skipped, back_dense, back_grid = load_columns(path)
     assert back_grid == grid
     assert_saved_columns(back, bundle)
@@ -170,7 +172,8 @@ def test_saved_columns_load_back_with_their_dtypes(tmp_path, bundle):
         back.events.event_detail
     # no timestamps or archive metadata: saving again gives the same bytes
     first = (tmp_path / "columns").read_bytes()
-    save_columns(bundle, skipped, dense, grid, path)
+    save_columns(bundle, skipped, grid, path)
+    append_dense(dense, path)
     assert (tmp_path / "columns").read_bytes() == first
 
 
@@ -195,8 +198,8 @@ def test_loaded_columns_meet_the_skip_limit_as_parsing_does(tmp_path, caplog,
         bundle = parse_trace_dir(str(tmp_path), diagnostics=diagnostics)
     skipped = {diag.file: 1 for diag in diagnostics}
     path = str(tmp_path / "columns")
-    save_columns(bundle, skipped, np.zeros((bundle.machine_count, 0, 0)),
-                 IntervalGrid(0, 300, 300), path)
+    save_columns(bundle, skipped, IntervalGrid(0, 300, 300), path)
+    append_dense(np.zeros((bundle.machine_count, 0, 0)), path)
     caplog.clear()
     back, back_skipped, _, _ = load_columns(path)
     # loading keeps the rows and the skip count the parse let through, and
@@ -518,6 +521,25 @@ def test_block_parser_matches_the_row_oracle(drawn, block_rows):
         # text columns are as wide as their longest accepted cell
         want = np.array(values, dtype=str if column.dtype.kind == "U" else column.dtype)
         assert (column.dtype, column.tobytes()) == (want.dtype, want.tobytes()), name
+
+
+def test_columns_sized_short_at_the_first_block_grow_to_every_row(tmp_path,
+                                                                  monkeypatch):
+    # the first block's lines are three times as long as the rest, so the
+    # columns sized from it hold 19 of the file's 40 rows and double twice;
+    # every row still lands where the row oracle puts it
+    monkeypatch.setattr(trace_model, "BLOCK_ROWS", 4)
+    lines = [f"{39600 + i},{i + 1},12.345678,23.456789,34.567891,"
+             f"0.123456789,0.23456789,0.3456789" for i in range(4)]
+    lines += [f"{39600 + i},1,1,2,3,0.5,0.5,0.5" for i in range(4, 40)]
+    path = tmp_path / "server_usage.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    table, diags, _ = parse_trace_file(str(path), "server_usage")
+    rows, want_diags = oracles.parse_rows(str(path), "server_usage")
+    assert diags == want_diags == [] and len(table) == len(rows) == 40
+    for column, values in zip(table.columns.values(), zip(*rows)):
+        want = np.array(values, dtype=column.dtype)
+        assert column.tobytes() == want.tobytes()
 
 
 @given(st.lists(st.one_of(
