@@ -14,7 +14,6 @@ Linux only: ``ru_maxrss`` is in KiB there.
     python3 scripts/check_peak_rss.py
 """
 
-import argparse
 import json
 import os
 import sys
@@ -24,25 +23,26 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from run import Workload, child_env, cli_argv, run_child, stage_configs
 
-# At seed 7 preprocess holds 1.09x its parsed columns and analyze 1.59x the
-# columns file (2-vCPU Linux host, numpy 2.4); with every parsed table held
-# through the repair and the writers they held about 1.9x and 2.5x.
+# The factors hold for this trace alone: 1024 machines at seed 7
+MACHINES = 1024
+SEED = 7
+# Measured with Python 3.11 and numpy 2.4.6 (the versions CI pins for this
+# check) on a 2-vCPU Linux host, over 4 runs: preprocess holds 1.09-1.10x
+# its parsed columns and analyze 1.54-1.55x the columns file. Holding every
+# parsed table through the repair and the writers, and the hand-off tables
+# through the similarity step, they held 1.89-1.95x and 2.47x. A heap-layout
+# mode moved these peaks by up to 3 MiB: 0.13 of the preprocess factor here,
+# 0.16 of the analyze one.
 PREPROCESS_FACTOR = 1.3
 ANALYZE_FACTOR = 1.8
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--machines", type=int, default=1024)
-    ap.add_argument("--seed", type=int, default=7)
-    args = ap.parse_args()
-    workload = Workload("reference", args.machines, 143, (), "reference scale")
+    workload = Workload("reference", MACHINES, 143, (), "reference scale")
     env = child_env(ROOT)
     with tempfile.TemporaryDirectory() as work:
         out, log = os.path.join(work, "out"), os.path.join(work, "child.log")
-        configs = stage_configs(workload, args.seed, os.path.join(work, "trace"), out)
-        del configs["analyze"]["input_dir"]   # analyze reads only its output directory
+        configs = stage_configs(workload, SEED, os.path.join(work, "trace"), out)
         peaks = {}
         for stage in ("synth", "preprocess", "analyze"):
             child = run_child(cli_argv(stage, configs[stage]), env, log)

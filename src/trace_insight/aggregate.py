@@ -15,8 +15,9 @@ the order they first appear in its records. The records are taken a block of
 machines at a time, as many machines as hold BLOCK_RECORDS records (at least
 one), and one stable sort of a block's (instance, interval) keys groups them.
 A cell's records all belong to its machine, so the blocks give every bit of
-one pass over all records, and only two arrays span all records: their
-instances' sorted positions, then their machine rows.
+one pass over all records. Only two arrays span all records at a time:
+their instances' sorted positions and machine rows, then the machine rows
+and the records listed by machine row, which give each block its records.
 
 Batch usage is charged per overlap between the instance's [start, end] span
 and each closed grid interval, by expanding the (instance, interval) pairs of
@@ -210,17 +211,21 @@ def aggregate_container_usage(bundle: TraceBundle, grid: IntervalGrid,
     del at
     rec_row[~keep] = rows
     del keep
-
-    # machine rows [lo, hi) at a time, holding up to BLOCK_RECORDS records
-    # or one machine's; before[m] counts the kept records of rows below m
+    # before[m] counts the kept records of rows below m, and by_row lists
+    # the records by row, each row's in record order
     per_row = np.bincount(rec_row, minlength=rows + 1)
     before = per_row.cumsum() - per_row
+    by_row = np.argsort(rec_row, kind="stable")
+    del rec_row
+
+    # machine rows [lo, hi) at a time, holding up to BLOCK_RECORDS records
+    # or one machine's
     total_cpu, total_mem = np.zeros((rows, n)), np.zeros((rows, n))
     lo = 0
     while lo < rows:
         hi = max(lo + 1, int(np.searchsorted(before, before[lo] + BLOCK_RECORDS,
                                              side="right")) - 1)
-        rec = np.flatnonzero((rec_row >= lo) & (rec_row < hi))
+        rec = by_row[before[lo]:before[hi]]
         ev = by_instance[np.searchsorted(instances, usage.instance[rec])]
         # the (instance, interval) pair of each record, sorted stably, so a
         # pair's records stay in record order and the first of them leads it

@@ -77,15 +77,16 @@ def test_container_aggregation_holds_a_few_record_arrays(trace, monkeypatch):
     bundle, grid = trace
     table, peak = traced_peak(aggregate_container_usage, bundle, grid)
     record_array = 8 * len(bundle.container_usage.timestamp)
-    # two arrays over all records (their instances' sorted positions, then
-    # their machine rows), and then the arrays of one block of machines
+    # two arrays over all records at a time (their instances' sorted
+    # positions, their machine rows, the records listed by machine row),
+    # and then the arrays of one block of machines
     # holding BLOCK_RECORDS records; one sort over all records held about 7,
     # a np.unique of the (instance, interval) keys about 19
     assert peak - table_bytes(table) < 6 * record_array
     # blocks of a few records leave the two
     monkeypatch.setattr(aggregate, "BLOCK_RECORDS", 1024)
     table, peak = traced_peak(aggregate_container_usage, bundle, grid)
-    assert peak - table_bytes(table) < 2.5 * record_array
+    assert peak - table_bytes(table) < 2 * record_array
 
 
 def test_container_aggregation_by_machine_blocks_keeps_every_bit(trace, monkeypatch):
